@@ -3,4 +3,4 @@ polarized mode windows, with analytic-oracle verification suites."""
 
 __version__ = "0.1.0"
 
-from . import builders, chernforms, geomgrid, khat, kops, numkernel, periodicity, stiefel  # noqa: F401
+from . import builders, chernforms, fourier, geomgrid, khat, kops, numkernel, periodicity, stiefel  # noqa: F401

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -33,7 +31,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .geomgrid import (
-    Axis,
     DomainGrid,
     GradedForm,
     JetField,
@@ -58,13 +55,6 @@ __all__ = [
 ]
 
 DEFAULT_K_MAX = 3
-_JOBS = max(1, int(os.environ.get("CHERNLAB_JOBS", "1") or 1))
-
-
-def set_jobs(n: int) -> None:
-    """Degree of parallelism for per-node trace sums (results are identical)."""
-    global _JOBS
-    _JOBS = max(1, int(n))
 
 
 def chern_scalar(parity: str, k: int) -> complex:
@@ -96,22 +86,6 @@ def _signed_permutations(m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
                 sgn = -sgn
         out.append((sgn, perm))
     return tuple(out)
-
-
-def _batched(fn, n_items: int):
-    """Run ``fn(start, stop)`` over chunks; chunking never changes results."""
-    if _JOBS <= 1 or n_items < 4:
-        fn(0, n_items)
-        return
-    bounds = np.linspace(0, n_items, _JOBS + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=_JOBS) as pool:
-        futures = [
-            pool.submit(fn, int(bounds[i]), int(bounds[i + 1]))
-            for i in range(_JOBS)
-            if bounds[i] < bounds[i + 1]
-        ]
-        for fut in futures:
-            fut.result()
 
 
 def antisym_trace_power(slots: Sequence[np.ndarray]) -> np.ndarray:
@@ -374,18 +348,6 @@ class Homotopy:
         )
 
     @staticmethod
-    def from_path(base: SampledMap, path, times: np.ndarray, codomain: str | None = None) -> "Homotopy":
-        """Sample ``path(t, values) -> slice values`` over the given times."""
-        slices = np.stack([path(float(t), base.values) for t in times])
-        return Homotopy(
-            base.domain,
-            np.asarray(times, float),
-            slices,
-            codomain=codomain or base.codomain,
-            window=base.window,
-        )
-
-    @staticmethod
     def concatenate(first: "Homotopy", second: "Homotopy", tol: float = 1e-10) -> "Homotopy":
         if first.spatial != second.spatial or first.codomain != second.codomain:
             raise ShapeMismatch("cannot concatenate homotopies on different grids or tags")
@@ -436,29 +398,26 @@ def cs_form(H: Homotopy, k: int) -> GradedForm:
         for idx in itertools.combinations(range(dim), deg)
     }
 
-    def work(lo: int, hi: int) -> None:
-        for it in range(lo, hi):
-            sl = H.slice_map(it)
-            jets = differentiate(sl)
-            if H.codomain == "unitary":
-                finv = np.swapaxes(sl.values, -1, -2).conj()
-                alpha = [finv @ p for p in jets.partials]
-                alpha_t = finv @ dt_slices[it]
-                for idx in comps:
-                    comps[idx][it] = antisym_trace_power([alpha_t] + [alpha[i] for i in idx])
-            else:
-                d = list(jets.partials)
-                dpt = dt_slices[it]
-                pv = sl.values
-                pair_t = {i: pv @ (dpt @ d[i] - d[i] @ dpt) for i in range(dim)}
-                pair_s = {
-                    (i, j): pv @ (d[i] @ d[j] - d[j] @ d[i])
-                    for i, j in itertools.combinations(range(dim), 2)
-                }
-                for idx in comps:
-                    comps[idx][it] = _contracted_two_form_power(pair_t, pair_s, idx, k)
-
-    _batched(work, n_t)
+    for it in range(n_t):
+        sl = H.slice_map(it)
+        jets = differentiate(sl)
+        if H.codomain == "unitary":
+            finv = np.swapaxes(sl.values, -1, -2).conj()
+            alpha = [finv @ p for p in jets.partials]
+            alpha_t = finv @ dt_slices[it]
+            for idx in comps:
+                comps[idx][it] = antisym_trace_power([alpha_t] + [alpha[i] for i in idx])
+        else:
+            d = list(jets.partials)
+            dpt = dt_slices[it]
+            pv = sl.values
+            pair_t = {i: pv @ (dpt @ d[i] - d[i] @ dpt) for i in range(dim)}
+            pair_s = {
+                (i, j): pv @ (d[i] @ d[j] - d[j] @ d[i])
+                for i, j in itertools.combinations(range(dim), 2)
+            }
+            for idx in comps:
+                comps[idx][it] = _contracted_two_form_power(pair_t, pair_s, idx, k)
 
     c = chern_scalar("odd" if H.codomain == "unitary" else "even", k)
     out: dict[tuple[int, ...], np.ndarray] = {}

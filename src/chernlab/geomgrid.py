@@ -21,20 +21,20 @@ from __future__ import annotations
 
 import io
 import itertools
-import json
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import fourier
 from .errors import (
     BadResolution,
     DegreeMismatch,
     DegreeOverflow,
     ShapeMismatch,
 )
-from .numkernel import frobenius, pairwise_sum
+from .numkernel import pairwise_sum
 
 __all__ = [
     "Axis",
@@ -341,16 +341,6 @@ class GradedForm:
 # derivatives
 
 
-def _diff_periodic(values: np.ndarray, axis: int, n: int) -> np.ndarray:
-    k = np.fft.fftfreq(n) * n
-    if n % 2 == 0:
-        k[n // 2] = 0.0  # symmetric choice for the Nyquist mode
-    shape = [1] * values.ndim
-    shape[axis] = n
-    mult = (1j * k).reshape(shape)
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * mult, axis=axis)
-
-
 _INTERVAL_EDGE = np.array(
     [
         [-25.0, 48.0, -36.0, 16.0, -3.0],
@@ -377,7 +367,7 @@ def _diff_along(domain: DomainGrid, values: np.ndarray, axis: int) -> np.ndarray
     ax = domain.axes[axis]
     arr_axis = axis + (1 if domain.kind == "cp1_charts" else 0)
     if ax.kind == "periodic":
-        return _diff_periodic(values, arr_axis, ax.n)
+        return fourier.derivative(values, arr_axis)
     return _diff_interval(values, arr_axis, ax.n, ax.spacing)
 
 
@@ -588,16 +578,6 @@ def load_sampled_map(path: str, codomain: str = "generic") -> SampledMap:
     return SampledMap(domain, values, codomain=codomain)
 
 
-def load_json_descriptor(path: str, registry: dict[str, Callable]) -> SampledMap:
-    """Small analytic alternative to the binary format: {builder, params}."""
-    with open(path) as fh:
-        desc = json.load(fh)
-    name = desc.get("builder")
-    if name not in registry:
-        raise ShapeMismatch(f"unknown builder {name!r} in descriptor")
-    return registry[name](**desc.get("params", {}))
-
-
 def constant_map(domain: DomainGrid, matrix: np.ndarray, codomain: str = "generic", window=None) -> SampledMap:
     m = np.asarray(matrix, dtype=complex)
     values = np.broadcast_to(m, (*domain.node_shape, *m.shape)).copy()
@@ -627,14 +607,3 @@ def map_from_function(
         for node in itertools.product(*(range(ax.n) for ax in domain.axes)):
             values[node] = fn(*(coords[i][node[i]] for i in range(domain.dim)))
     return SampledMap(domain, values, codomain=codomain, window=window)
-
-
-def constantness_defect(f: SampledMap) -> float:
-    v = f.values.reshape(-1, f.rows, f.cols)
-    return float(np.abs(v - v[0]).max()) if v.shape[0] else 0.0
-
-
-def sup_frobenius(arr: np.ndarray) -> float:
-    """Max over nodes of the Frobenius norm of the trailing matrix block."""
-    flat = arr.reshape(-1, arr.shape[-2], arr.shape[-1])
-    return float(np.sqrt((np.abs(flat) ** 2).sum(axis=(1, 2))).max())

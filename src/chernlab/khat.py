@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fourier
 from .chernforms import Homotopy, ch_total, cs_form
 from .errors import (
     NotBasedAtIdentity,
-    NotUnitary,
     ShapeMismatch,
     UnsupportedDomain,
 )
@@ -27,7 +27,6 @@ from .geomgrid import (
     GradedForm,
     SampledMap,
     form_derivative,
-    generating_cycles,
     integrate,
     make_domain,
 )
@@ -204,37 +203,23 @@ def a_odd(phi: np.ndarray, res: int | None = None, n_pad: int = 2) -> KhatClassD
     )
 
 
-def _spectral_antiderivative(a: np.ndarray, h: float) -> np.ndarray:
-    """Samples of ``A(theta) = int_0^theta a`` on a uniform periodic grid.
-
-    Exact for band-limited data: the mean becomes the linear term, every
-    oscillating mode is divided by ``i q``.
-    """
-    n = a.shape[0]
-    theta = h * np.arange(n)
-    ahat = np.fft.fft(a) / n
-    q = np.fft.fftfreq(n) * n
-    coef = np.zeros_like(ahat)
-    nz = q != 0
-    coef[nz] = ahat[nz] / (1j * q[nz])
-    periodic = np.fft.ifft(coef * n)
-    return (ahat[0].real * theta + (periodic - periodic[0]).real).astype(float)
-
-
 def classifying_projection_loop(alpha: CircleConnection, window: PolarizedWindow | None = None) -> SampledMap:
-    """Rank-1 projection loop over the circle whose transport holonomy is
-    ``exp(i * integral(alpha))``, embedded through the finite-Grassmannian
-    inclusion.
+    """Projection loop over the circle whose Kato transport holonomy has
+    determinant ``exp(i * integral(alpha))``.
 
-    The unit-section recipe: with ``c = integral / 2pi``, split ``c`` into an
-    integer part and a fraction ``s2``, then
+    A unit section ``v(theta)`` of ``C^2`` spans a line; the line is embedded
+    into ``window`` (default ``PolarizedWindow(2, 2)``) through the
+    finite-Grassmannian inclusion, which adds the constant tail modes, so the
+    holonomy is that of the line times the identity on the tail.  With
+    ``c = integral / 2pi`` split into ``m = floor(c)`` and ``s2 = c - m``,
 
         ``v(theta) = (cos(b) e^{i phi1}, sin(b) e^{i phi2})``,
 
-    with ``sin^2 b = s2``, ``phi2 = -(m+1) theta`` and ``phi1`` chosen so the
-    section's connection form is ``-i alpha`` (the transport convention makes
-    the endpoint coordinate come out as ``exp(+i integral)``).  Both phases
-    close, so the section itself is a loop.
+    with ``sin^2 b = s2``, ``phi2 = -(m+1) theta`` and
+    ``phi1 = (s2 (m+1) theta - A(theta)) / (1 - s2)``, where ``A`` is the
+    spectral antiderivative of ``alpha``.  Then ``<v, dv/dtheta> = -i alpha``,
+    so the horizontal lift is ``v exp(i int_0^theta alpha)``, and both phases
+    close, so ``v`` itself is a loop.
     """
     a = alpha.samples
     dom = alpha.domain
@@ -246,7 +231,7 @@ def classifying_projection_loop(alpha: CircleConnection, window: PolarizedWindow
     s2 = c - m
     b = float(np.arcsin(np.sqrt(s2)))
     c2 = 1.0 - s2
-    big_a = _spectral_antiderivative(a, h)
+    big_a = fourier.antiderivative(a).real
     phi2 = -(m + 1) * theta
     if c2 > 1e-12:
         phi1 = (-big_a + s2 * (m + 1) * theta) / c2

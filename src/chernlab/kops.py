@@ -12,8 +12,6 @@ reversal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .chernforms import Homotopy
@@ -22,12 +20,10 @@ from .geomgrid import SampledMap
 from .stiefel import PolarizedWindow
 
 __all__ = [
-    "ShuffleIso",
     "blocksum",
     "blocksum_map",
     "flip_matrix",
     "flip",
-    "flip_map",
     "flip_projection",
     "flip_projection_map",
     "commutation_permutation",
@@ -45,33 +41,6 @@ DEFAULT_T_RES = 33
 
 def doubled_window(window: PolarizedWindow) -> PolarizedWindow:
     return PolarizedWindow(2 * window.n_minus, 2 * window.n_plus)
-
-
-@dataclass(frozen=True)
-class ShuffleIso:
-    """Index bookkeeping for viewing a space as two interleaved copies.
-
-    ``dim`` is the size of the interleaved space; both halves have ``dim//2``
-    entries.  With a window the halves are the half-windows and the parts per
-    sign must be even (odd windows are rejected, never padded: silent padding
-    would corrupt the index bookkeeping).
-    """
-
-    dim: int
-    window: PolarizedWindow | None = None
-
-    def __post_init__(self):
-        if self.window is not None:
-            if self.window.dim != self.dim:
-                raise ShapeMismatch("window does not match shuffle dimension")
-            if self.window.n_minus % 2 or self.window.n_plus % 2:
-                raise ShapeMismatch("graded shuffle needs even mode counts per sign")
-        elif self.dim % 2:
-            raise ShapeMismatch("shuffle needs an even dimension")
-
-    def copy_indices(self, copy: int) -> np.ndarray:
-        """Interleaved indices carrying the given copy (0 or 1)."""
-        return np.arange(copy, self.dim, 2)
 
 
 def _interleave_indices(dim_small: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,12 +121,6 @@ def flip_projection(p: np.ndarray, window: PolarizedWindow) -> np.ndarray:
     """Subspace-level flip ``W -> U(W_perp)``: complement, then swap."""
     eye = np.eye(window.dim, dtype=complex)
     return flip(eye - np.asarray(p, dtype=complex), window)
-
-
-def flip_map(f: SampledMap) -> SampledMap:
-    if f.window is None:
-        raise AsymmetricWindow("flip of a map needs a window")
-    return SampledMap(f.domain, flip(f.values, f.window), codomain=f.codomain, window=f.window)
 
 
 def flip_projection_map(p: SampledMap) -> SampledMap:

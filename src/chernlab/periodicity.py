@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fourier
 from .chernforms import ch_odd
 from .errors import (
     BandwidthViolation,
@@ -37,29 +38,25 @@ __all__ = [
     "toeplitz_from_loop",
     "h_odd_project",
     "kato_transport",
-    "kato_transport_sequence",
     "bott_consistency",
     "det_winding",
-    "fourier_block_coefficients",
 ]
 
 DEFAULT_TRANSPORT_STEPS = 4096
-
-
-def fourier_block_coefficients(gamma: SampledMap) -> np.ndarray:
-    """Fourier coefficients of a circle-sampled matrix loop, fftfreq order."""
-    if gamma.domain.kind != "circle":
-        raise ShapeMismatch("Fourier coefficients need a circle-sampled loop")
-    return np.fft.ifft(gamma.values, axis=0)
+BAND_TOL = 1e-10  # a Fourier block at or above this norm is inside the band
 
 
 @dataclass(frozen=True)
 class ToeplitzWindow:
-    """Block-Toeplitz compression of a multiplication operator.
+    """Multiplication by a unitary loop, compressed to the modes ``[-M, M)``.
 
-    Block ``(j, k)`` of the operator (output mode j, input mode k, each of
-    size ``n``) is the Fourier coefficient of order ``j - k``; modes run over
-    ``[-M, M)``.
+    The loop is ``gamma(theta) = sum_m c_m e^{i m theta}`` with ``c_m`` from
+    :func:`fourier.coefficients`.  Block ``(j, k)`` of ``operator`` (output
+    block mode ``j - M``, input block mode ``k - M``, each of size ``n``) is
+    ``c_{j-k}``, zero for ``|j - k| > B``; its positive-mode corner is the
+    block Toeplitz operator ``T_gamma``.  ``diagnostics`` holds the
+    Hilbert-Schmidt norms of the two off-diagonal corners, the largest
+    coefficient norm outside the band, and the circle resolution.
     """
 
     n: int
@@ -76,7 +73,7 @@ class ToeplitzWindow:
         return self.coefficients[order + self.B]
 
 
-def toeplitz_from_loop(gamma: SampledMap, M: int, B: int, tol: float = 1e-10) -> ToeplitzWindow:
+def toeplitz_from_loop(gamma: SampledMap, M: int, B: int, tol: float = BAND_TOL) -> ToeplitzWindow:
     """Assemble the block-Toeplitz window of a band-limited unitary loop.
 
     Raises
@@ -85,25 +82,23 @@ def toeplitz_from_loop(gamma: SampledMap, M: int, B: int, tol: float = 1e-10) ->
         If any Fourier coefficient beyond the declared band ``B`` has norm
         >= ``tol``, or the circle resolution is below ``4B``.
     """
-    if gamma.codomain != "unitary":
-        raise ShapeMismatch("toeplitz_from_loop needs a unitary-tagged loop")
+    if gamma.codomain != "unitary" or gamma.domain.kind != "circle":
+        raise ShapeMismatch("toeplitz_from_loop needs a unitary-tagged circle loop")
     res = gamma.domain.axes[0].n
     if res < 4 * B:
         raise BandwidthViolation(f"circle resolution {res} < 4B = {4 * B}")
-    coeffs = fourier_block_coefficients(gamma)
+    coeffs = fourier.coefficients(gamma.values)
+    orders = fourier.orders(res)
     n = gamma.cols
-    # fftfreq layout: index m holds order m for m <= res//2, order m - res above
-    orders = np.fft.fftfreq(res) * res
-    beyond = [i for i, m in enumerate(orders) if abs(m) > B]
-    worst = max((float(np.linalg.norm(coeffs[i])) for i in beyond), default=0.0)
+    inside = np.abs(orders) <= B
+    norms = np.linalg.norm(coeffs, axis=(1, 2))
+    worst = float(norms[~inside].max(initial=0.0))
     if worst >= tol:
         raise BandwidthViolation(
             f"Fourier content outside declared band B = {B}: max norm {worst:.3e}"
         )
     banded = np.zeros((2 * B + 1, n, n), dtype=complex)
-    for i, m in enumerate(orders):
-        if abs(m) <= B:
-            banded[int(m) + B] = coeffs[i]
+    banded[orders[inside] + B] = coeffs[inside]
 
     dim = 2 * M * n
     op = np.zeros((dim, dim), dtype=complex)
@@ -126,23 +121,32 @@ def toeplitz_from_loop(gamma: SampledMap, M: int, B: int, tol: float = 1e-10) ->
     )
 
 
+def _measured_band(coeffs: np.ndarray, orders: np.ndarray) -> int:
+    """Largest ``|m|`` with ``||c_m|| >= BAND_TOL``, and at least 1."""
+    norms = np.linalg.norm(coeffs, axis=(1, 2))
+    return max(1, int(np.abs(orders)[norms >= BAND_TOL].max(initial=0)))
+
+
 def h_odd_project(tw: ToeplitzWindow) -> Frame:
     """Frame for the image of the positive half-window, safe columns only.
 
-    Input block modes ``[0, M - B)`` have images fully inside the window, so
-    exactly those columns are kept; the band metadata lets the virtual
-    dimension count cokernel modes only where coverage is decided.
+    With ``b <= B`` the measured band, kernel and cokernel of ``T_gamma`` lie
+    in the modes ``[0, b)``, and columns ``[0, 2b)`` decide the cokernel.  So
+    input block modes ``[0, K)``, ``K = min(M - b, 2b)``, are kept (their
+    images lie inside the window) and cokernel modes are counted on
+    ``[0, K - b)`` only; the count is exact once ``M >= 3b``.
     """
-    n, M, B = tw.n, tw.M, tw.B
-    k_blocks = M - B
-    if k_blocks <= B:
+    n, M = tw.n, tw.M
+    b = _measured_band(tw.coefficients, np.arange(-tw.B, tw.B + 1))
+    k_blocks = min(M - b, 2 * b)
+    if k_blocks <= b:
         raise BandwidthViolation(
-            f"window too small for the declared band: M - B = {k_blocks} <= B = {B}"
+            f"window too small for the measured band: M - b = {k_blocks} <= b = {b}"
         )
     col_lo = M * n  # block mode 0
     col_hi = (M + k_blocks) * n
     w = tw.operator[:, col_lo:col_hi]
-    return Frame(tw.window, w, band=BandInfo(block=n, bandwidth=B, k_blocks=k_blocks))
+    return Frame(tw.window, w, band=BandInfo(block=n, bandwidth=b, k_blocks=k_blocks))
 
 
 def det_winding(gamma: SampledMap) -> int:
@@ -166,32 +170,6 @@ class HolonomyResult:
     Q: np.ndarray
     U: np.ndarray
     diagnostics: dict
-
-
-class _FourierPath:
-    """Trigonometric interpolation of a periodic matrix family in t."""
-
-    def __init__(self, samples: np.ndarray):
-        n = samples.shape[0]
-        coeffs = np.fft.ifft(samples, axis=0)
-        self.orders = np.fft.fftfreq(n) * n
-        if n % 2 == 0:
-            # split the Nyquist coefficient symmetrically so values stay real-analytic
-            ny = n // 2
-            coeffs = np.concatenate([coeffs, coeffs[ny : ny + 1]], axis=0)
-            coeffs[ny] *= 0.5
-            coeffs[-1] *= 0.5
-            self.orders = np.concatenate([self.orders, [-self.orders[ny]]])
-            self.orders[ny] = abs(self.orders[ny])
-        self.coeffs = coeffs
-
-    def value(self, t: float) -> np.ndarray:
-        phases = np.exp(2j * np.pi * self.orders * t)
-        return np.tensordot(phases, self.coeffs, axes=(0, 0))
-
-    def derivative(self, t: float) -> np.ndarray:
-        phases = 2j * np.pi * self.orders * np.exp(2j * np.pi * self.orders * t)
-        return np.tensordot(phases, self.coeffs, axes=(0, 0))
 
 
 def _loop_samples(loop) -> np.ndarray:
@@ -222,8 +200,8 @@ def _initial_frame(pi0: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _transport_once(path: _FourierPath, w0: np.ndarray, steps: int) -> tuple[np.ndarray, dict]:
-    h = 1.0 / steps
+def _transport_once(path: fourier.Interpolant, w0: np.ndarray, steps: int) -> tuple[np.ndarray, dict]:
+    h = 2.0 * np.pi / steps
     w = w0.copy()
     track_defect = 0.0
     for i in range(steps):
@@ -263,7 +241,7 @@ def kato_transport(
     moves by more than 1e-6.
     """
     samples = _loop_samples(loop)
-    path = _FourierPath(samples)
+    path = fourier.Interpolant(samples)
     pi0 = samples[0]
     if w0 is None:
         w0 = _initial_frame(pi0)
@@ -285,40 +263,25 @@ def kato_transport(
     return HolonomyResult(Q=q, U=u, diagnostics=diag)
 
 
-def kato_transport_sequence(loops, steps: int = DEFAULT_TRANSPORT_STEPS) -> HolonomyResult:
-    """Transport around a concatenation of loops sharing one basepoint.
-
-    Each loop is integrated on its own parameter circle; the running frame
-    feeds the next leg, so the result is the holonomy of the composite loop
-    without ever interpolating across the junctions.
-    """
-    samples = [_loop_samples(lp) for lp in loops]
-    base = samples[0][0]
-    for s in samples[1:]:
-        if float(np.abs(s[0] - base).max()) >= 1e-8:
-            raise NotALoop("concatenated loops must share the basepoint projection")
-    w0 = _initial_frame(base)
-    w = w0
-    diag_all = {}
-    for i, s in enumerate(samples):
-        w, diag = _transport_once(_FourierPath(s), w, steps)
-        diag_all[f"leg{i}"] = diag
-    q = np.linalg.solve(w0.conj().T @ w0, w0.conj().T @ w)
-    return HolonomyResult(Q=q, U=polar_unitary(q), diagnostics=diag_all)
-
-
-def bott_consistency(gamma: SampledMap, M: int = 64, B: int | None = None, tol: float = 1e-6) -> dict:
+def bott_consistency(
+    gamma: SampledMap, M: int | None = None, B: int | None = None, tol: float = 1e-6
+) -> dict:
     """Three routes to the loop's integer class, and whether they agree.
 
     (a) minus the integral of the degree-1 Chern component, (b) the winding
     of the determinant by phase continuation, (c) minus the safe-window
-    virtual dimension of the Toeplitz-image frame.
+    virtual dimension of the Toeplitz-image frame.  By default ``B`` is the
+    measured band of the loop and ``M = 3B``, the window at which route (c)
+    is exact (see :func:`h_odd_project`).
     """
-    if B is None:
-        B = max(2, gamma.domain.axes[0].n // 8)
     ch1 = integrate(ch_odd(gamma, 1))
     route_a = -ch1.real
     route_b = det_winding(gamma)
+    if B is None:
+        coeffs = fourier.coefficients(gamma.values)
+        B = _measured_band(coeffs, fourier.orders(len(coeffs)))
+    if M is None:
+        M = 3 * B
     tw = toeplitz_from_loop(gamma, M=M, B=B)
     frame = h_odd_project(tw)
     route_c = -virtual_dimension(frame)
@@ -336,20 +299,4 @@ def bott_consistency(gamma: SampledMap, M: int = 64, B: int | None = None, tol: 
         "virtual_dimension": int(-route_c),
         "verdict": bool(verdict),
         "diagnostics": dict(tw.diagnostics),
-    }
-
-
-def toeplitz_stability_under_doubling(gamma: SampledMap, M: int, B: int) -> dict:
-    """Decay diagnostics: off-corner Hilbert-Schmidt norms at M and 2M.
-
-    Trace-class membership has no finite test; the surrogate is that the
-    off-diagonal HS content is Cauchy under window doubling.
-    """
-    d1 = toeplitz_from_loop(gamma, M=M, B=B).diagnostics
-    d2 = toeplitz_from_loop(gamma, M=2 * M, B=B).diagnostics
-    return {
-        "hs_pm": (d1["hs_pm"], d2["hs_pm"]),
-        "hs_mp": (d1["hs_mp"], d2["hs_mp"]),
-        "delta_pm": abs(d2["hs_pm"] - d1["hs_pm"]),
-        "delta_mp": abs(d2["hs_mp"] - d1["hs_mp"]),
     }

@@ -17,7 +17,7 @@ positive window.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .chernforms import chern_scalar, mixed_trace_power
 from .geomgrid import GradedForm, SampledMap, differentiate
-from .numkernel import frobenius, numerical_rank
+from .numkernel import RANK_THRESHOLD_REL, frobenius, numerical_rank
 
 __all__ = [
     "PolarizedWindow",
@@ -46,7 +46,6 @@ __all__ = [
     "virtual_dimension",
     "include_finite_grassmannian",
     "basepoint_frame",
-    "hs_block_norms",
 ]
 
 FRAME_MIN_SV = 1e-8
@@ -81,9 +80,6 @@ class PolarizedWindow:
         d = np.where(np.arange(self.dim) >= self.n_minus, 1.0, 0.0)
         return np.diag(d).astype(complex)
 
-    def doubled(self) -> "PolarizedWindow":
-        return PolarizedWindow(2 * self.n_minus, 2 * self.n_plus)
-
     def basis_vector(self, mode: int) -> np.ndarray:
         e = np.zeros(self.dim, dtype=complex)
         e[self.index_of(mode)] = 1.0
@@ -102,11 +98,15 @@ class BandInfo:
 
 @dataclass(frozen=True)
 class Frame:
-    """Admissible frame: injective columns spanning a window subspace."""
+    """Admissible frame: injective columns spanning a window subspace.
+
+    ``norm`` is the largest singular value of ``w``.
+    """
 
     window: PolarizedWindow
     w: np.ndarray
     band: BandInfo | None = None
+    norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         w = np.array(self.w, dtype=complex, order="C")
@@ -117,6 +117,7 @@ class Frame:
             raise DegenerateFrame(f"smallest frame singular value {sv[-1] if sv.size else 0.0:.3e} too small")
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
+        object.__setattr__(self, "norm", float(sv[0]))
 
     @property
     def n_cols(self) -> int:
@@ -272,10 +273,14 @@ def virtual_dimension(fr: Frame, threshold: float | None = None) -> int:
 
     For band-limited frames the cokernel is counted only on output modes that
     the safe columns fully determine (``[0, (K - B) * block)``); tail-backed
-    frames count against the whole positive window.
+    frames count against the whole positive window.  Singular values at or
+    below ``threshold`` count as zero; it defaults to ``1e-8`` times the
+    norm of the whole frame, so a row block holding only round-off has rank 0.
     """
     win = fr.window
     w = fr.w
+    if threshold is None:
+        threshold = RANK_THRESHOLD_REL * fr.norm
     pi_plus_rows = w[win.n_minus :, :]
     ker = fr.n_cols - numerical_rank(pi_plus_rows, threshold).numerical_rank
     if fr.band is not None:
@@ -409,29 +414,3 @@ def include_finite_grassmannian(pi: np.ndarray, half_size: int, window: Polarize
     tail = [window.basis_vector(m)[:, None] for m in range(n, window.n_plus)]
     w = np.concatenate([lifted] + tail, axis=1) if tail else lifted
     return Frame(window, w)
-
-
-def embed_matrix(block: np.ndarray, half_size: int, window: PolarizedWindow) -> np.ndarray:
-    """Place a ``2N x 2N`` operator block on the window (identity elsewhere is
-    NOT added; the block maps coordinate j to mode ``N - 1 - j``)."""
-    n = half_size
-    block = np.asarray(block, dtype=complex)
-    out = np.zeros((window.dim, window.dim), dtype=complex)
-    rows = [window.index_of(n - 1 - j) for j in range(2 * n)]
-    for a, ra in enumerate(rows):
-        for b, rb in enumerate(rows):
-            out[ra, rb] = block[a, b]
-    return out
-
-
-def hs_block_norms(x: np.ndarray, window: PolarizedWindow) -> dict:
-    """Hilbert-Schmidt norms of the four polarization blocks (decay
-    diagnostics standing in for trace-class membership at truncation)."""
-    x = np.asarray(x, dtype=complex)
-    nm = window.n_minus
-    return {
-        "pp": float(np.linalg.norm(x[nm:, nm:])),
-        "mm": float(np.linalg.norm(x[:nm, :nm])),
-        "pm": float(np.linalg.norm(x[:nm, nm:])),
-        "mp": float(np.linalg.norm(x[nm:, :nm])),
-    }
