@@ -6,12 +6,17 @@ of powers of the curvature-type 2-form ``Omega(u, v) = p [d_u p, d_v p]`` of a
 projection map.  A homotopy contributes the fiber-``t`` integral of the
 contraction of its pulled-back form, which lowers the degree by one.
 
-Wedge conventions (fixed once, tests depend on them):
+Wedge conventions (fixed once, tests depend on them): a matrix-valued form
+is a dict ``{I: array (..., n, n)}`` over strictly increasing axis
+multi-indices ``I`` (``()`` for a 0-form), and the wedge is the shuffle
+product ``(a ^ b)_K = sum sgn(I, J) a_I b_J`` over disjoint ``I u J = K``,
+``sgn(I, J)`` being the sign of the shuffle that sorts ``I + J``.  Hence
 
 * power of a 1-form:  ``tr(a^m)(v_1..v_m) = sum_s sgn(s) tr[a(v_s1)..a(v_sm)]``
   with no ``1/m!``;
 * power of a 2-form:  the same alternating sum over ``2k`` slots with a
-  ``1/2^k`` prefactor, pairing consecutive slots.
+  ``1/2^k`` prefactor, pairing consecutive slots (the shuffle sum counts
+  each unordered pair once).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +42,7 @@ from .geomgrid import (
     SampledMap,
     _check_partials,
     _diff_interval,
+    _simpson_weights,
     differentiate,
     exactness_residual,
     generating_cycles,
@@ -46,7 +52,7 @@ __all__ = [
     "chern_scalar",
     "wedge_trace_power",
     "antisym_trace_power",
-    "mixed_trace_power",
+    "trace_wedge",
     "ch_odd",
     "ch_even",
     "ch_total",
@@ -69,69 +75,40 @@ def chern_scalar(parity: str, k: int) -> complex:
     raise ShapeMismatch(f"parity must be 'odd' or 'even', got {parity!r}")
 
 
-@lru_cache(maxsize=None)
-def _signed_permutations(m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    out = []
-    for perm in itertools.permutations(range(m)):
-        sgn = 1
-        seen = [False] * m
-        for i in range(m):
-            if seen[i]:
-                continue
-            j, clen = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                clen += 1
-            if clen % 2 == 0:
-                sgn = -sgn
-        out.append((sgn, perm))
-    return tuple(out)
+def _wedge(a: dict, b: dict, product) -> dict:
+    """Shuffle wedge of two matrix-valued forms, components multiplied by ``product``."""
+    out: dict[tuple[int, ...], np.ndarray] = {}
+    for first, x in a.items():
+        for second, y in b.items():
+            if not set(first) & set(second):
+                key = tuple(sorted(first + second))
+                term = (-1) ** sum(i > j for i in first for j in second) * product(x, y)
+                out[key] = out[key] + term if key in out else term
+    return out
+
+
+def trace_wedge(*factors: dict[tuple[int, ...], np.ndarray]) -> dict[tuple[int, ...], np.ndarray]:
+    """Components of ``tr(a_1 ^ ... ^ a_r)`` for matrix-valued forms.
+
+    Each factor maps strictly increasing axis multi-indices to operator
+    values stacked over nodes, ``(..., n, n)``; the wedge is the shuffle
+    product of the module docstring.  The result maps each strictly
+    increasing multi-index of the total degree to a scalar array over the
+    nodes.  The last factor is paired by ``tr(x y) = sum_ij x_ij y_ji``, so
+    the final matrix product is never formed.
+    """
+    *head, last = factors
+    if not head:
+        return {key: np.trace(x, axis1=-2, axis2=-1) for key, x in sorted(last.items())}
+    acc = head[0]
+    for factor in head[1:]:
+        acc = _wedge(acc, factor, np.matmul)
+    return dict(sorted(_wedge(acc, last, partial(np.einsum, "...ij,...ji->...")).items()))
 
 
 def antisym_trace_power(slots: Sequence[np.ndarray]) -> np.ndarray:
     """``sum_s sgn(s) tr[slots[s(1)] @ ... @ slots[s(m)]]`` over stacked nodes."""
-    m = len(slots)
-    shape = slots[0].shape[:-2]
-    out = np.zeros(shape, dtype=complex)
-    for sgn, perm in _signed_permutations(m):
-        prod = slots[perm[0]]
-        for i in perm[1:]:
-            prod = prod @ slots[i]
-        out += sgn * np.trace(prod, axis1=-2, axis2=-1)
-    return out
-
-
-def mixed_trace_power(
-    one_vals: dict[int, np.ndarray],
-    pair_vals: dict[tuple[int, int], np.ndarray],
-    slots: Sequence[int],
-) -> np.ndarray:
-    """Alternating trace ``tr(a ^ F^(k-1))`` of one 1-form and 2-form powers.
-
-    ``slots`` lists ``2k - 1`` tangent directions.  In each permutation the
-    first slot feeds the 1-form ``a`` (values in ``one_vals``), the rest are
-    consumed pairwise by the 2-form ``F`` (values in ``pair_vals`` for
-    increasing index pairs; antisymmetry fills the rest).  Carries the
-    ``1/2^(k-1)`` pair normalization.
-    """
-    m = len(slots)
-    if m % 2 == 0:
-        raise ShapeMismatch("need an odd slot count: one 1-form plus 2-form pairs")
-    n_two = (m - 1) // 2
-
-    def pv(i: int, j: int) -> np.ndarray:
-        return pair_vals[(i, j)] if i < j else -pair_vals[(j, i)]
-
-    sample = next(iter(one_vals.values()))
-    out = np.zeros(sample.shape[:-2], dtype=complex)
-    for sgn, perm in _signed_permutations(m):
-        chosen = [slots[p] for p in perm]
-        prod = one_vals[chosen[0]]
-        for b in range(n_two):
-            prod = prod @ pv(chosen[1 + 2 * b], chosen[2 + 2 * b])
-        out += sgn * np.trace(prod, axis1=-2, axis2=-1)
-    return out / (2.0**n_two)
+    return wedge_trace_power(slots, len(slots))[tuple(range(len(slots)))]
 
 
 def wedge_trace_power(jets: Sequence[np.ndarray], arity: int) -> dict[tuple[int, ...], np.ndarray]:
@@ -144,40 +121,14 @@ def wedge_trace_power(jets: Sequence[np.ndarray], arity: int) -> dict[tuple[int,
     n_axes = len(jets)
     if arity > n_axes:
         raise ArityTooLarge(f"arity {arity} exceeds the {n_axes} available directions")
-    comps: dict[tuple[int, ...], np.ndarray] = {}
-    for idx in itertools.combinations(range(n_axes), arity):
-        comps[idx] = antisym_trace_power([jets[i] for i in idx])
-    return comps
+    omega = {(i,): a for i, a in enumerate(jets)}
+    return trace_wedge(*[omega] * arity)
 
 
-def two_form_trace_power(pairs: dict[tuple[int, int], np.ndarray], n_axes: int, k: int) -> dict[tuple[int, ...], np.ndarray]:
-    """Components of ``(1/2^k) tr(Omega^k)`` from pair values ``Omega(e_i, e_j)``."""
-    if 2 * k > n_axes:
-        raise ArityTooLarge(f"2k = {2 * k} exceeds the {n_axes} available directions")
-
-    def pv(i: int, j: int) -> np.ndarray:
-        return pairs[(i, j)] if i < j else -pairs[(j, i)]
-
-    comps: dict[tuple[int, ...], np.ndarray] = {}
-    for idx in itertools.combinations(range(n_axes), 2 * k):
-        sample = next(iter(pairs.values()))
-        acc = np.zeros(sample.shape[:-2], dtype=complex)
-        for sgn, perm in _signed_permutations(2 * k):
-            chosen = [idx[p] for p in perm]
-            prod = pv(chosen[0], chosen[1])
-            for b in range(1, k):
-                prod = prod @ pv(chosen[2 * b], chosen[2 * b + 1])
-            acc += sgn * np.trace(prod, axis1=-2, axis2=-1)
-        comps[idx] = acc / (2.0**k)
-    return comps
-
-
-def _mc_jets(f: SampledMap, jets: JetField | None = None) -> list[np.ndarray]:
-    """Logarithmic-derivative slot values ``f^{-1} d_i f`` per axis."""
-    if jets is None:
-        jets = differentiate(f)
+def _mc_jets(f: SampledMap, partials: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Logarithmic-derivative slot values ``f^{-1} d f`` for each given partial."""
     finv = np.swapaxes(f.values, -1, -2).conj()
-    return [finv @ p for p in jets.partials]
+    return [finv @ p for p in partials]
 
 
 def _curvature_pairs(p: SampledMap, jets: JetField | None = None) -> dict[tuple[int, int], np.ndarray]:
@@ -198,8 +149,9 @@ def ch_odd(f: SampledMap, k: int, jets: JetField | None = None) -> GradedForm:
     deg = 2 * k - 1
     if deg > f.domain.dim:
         raise DegreeOverflow(f"degree {deg} exceeds domain dimension {f.domain.dim}")
-    alpha = _mc_jets(f, jets)
-    comps = wedge_trace_power(alpha, deg)
+    if jets is None:
+        jets = differentiate(f)
+    comps = wedge_trace_power(_mc_jets(f, jets.partials), deg)
     c = chern_scalar("odd", k)
     return GradedForm(f.domain, deg, -k, {idx: c * a for idx, a in comps.items()})
 
@@ -213,8 +165,7 @@ def ch_even(p: SampledMap, k: int, jets: JetField | None = None) -> GradedForm:
     deg = 2 * k
     if deg > p.domain.dim:
         raise DegreeOverflow(f"degree {deg} exceeds domain dimension {p.domain.dim}")
-    pairs = _curvature_pairs(p, jets)
-    comps = two_form_trace_power(pairs, p.domain.dim, k)
+    comps = trace_wedge(*[_curvature_pairs(p, jets)] * k)
     c = chern_scalar("even", k)
     return GradedForm(p.domain, deg, -k, {idx: c * a for idx, a in comps.items()})
 
@@ -241,14 +192,6 @@ def ch_total(f: SampledMap, k_max: int = DEFAULT_K_MAX) -> list[GradedForm]:
 
 # ---------------------------------------------------------------------------
 # homotopies
-
-
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    w = np.empty(n)
-    w[0] = w[-1] = 1.0
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
 
 
 @dataclass(frozen=True)
@@ -412,85 +355,48 @@ def cs_form(H: Homotopy, k: int) -> GradedForm:
     """Fiber-``t`` integral of the contracted pullback of the k-th component.
 
     Unitary slices produce a degree-(2k-2) form; projection slices produce a
-    degree-(2k-1) form.  Quadrature in ``t`` is composite Simpson, applied
-    per segment.
+    degree-(2k-1) form.  The contraction with ``d/dt`` follows from
+    cyclicity of the trace, with ``omega`` and ``Omega`` the spatial forms:
+
+    * ``iota_t tr(omega^m) = m tr(alpha_t ^ omega^(m-1))`` for odd ``m = 2k-1``,
+      with the 0-form ``alpha_t = f^{-1} df/dt``;
+    * ``iota_t tr(Omega^k) = k tr(iota_t Omega ^ Omega^(k-1))``, with the
+      1-form ``(iota_t Omega)_i = p [dp/dt, d_i p]``.
+
+    Quadrature in ``t`` is composite Simpson, applied per segment.
     """
     spatial = H.spatial
     dim = spatial.dim
     if H.codomain == "unitary":
-        deg = 2 * k - 2
+        deg, c = 2 * k - 2, chern_scalar("odd", k) * (2 * k - 1)
     elif H.codomain == "projection":
-        deg = 2 * k - 1
+        deg, c = 2 * k - 1, chern_scalar("even", k) * k
     else:
         raise ShapeMismatch("cs_form needs unitary or projection slices")
     if deg > dim:
         raise DegreeOverflow(f"CS degree {deg} exceeds domain dimension {dim}")
 
     dt_slices = H.time_derivative()
-    n_t = H.n_times
-    comps = {
-        idx: np.zeros((n_t, *spatial.node_shape), dtype=complex)
-        for idx in itertools.combinations(range(dim), deg)
-    }
+    weights = np.empty(H.n_times)
+    for a, b in H.segments:
+        weights[a:b] = _simpson_weights(b - a, float(H.times[a + 1] - H.times[a]))
 
-    for it in range(n_t):
+    acc: dict[tuple[int, ...], np.ndarray] = {}
+    for it, wt in enumerate(weights):
         sl = H.slice_map(it)
         jets = differentiate(sl)
         if H.codomain == "unitary":
-            finv = np.swapaxes(sl.values, -1, -2).conj()
-            alpha = [finv @ p for p in jets.partials]
-            alpha_t = finv @ dt_slices[it]
-            for idx in comps:
-                comps[idx][it] = antisym_trace_power([alpha_t] + [alpha[i] for i in idx])
+            alpha_t, *alpha = _mc_jets(sl, (dt_slices[it], *jets.partials))
+            omega = {(i,): a for i, a in enumerate(alpha)}
+            comps = trace_wedge({(): alpha_t}, *[omega] * (2 * k - 2))
         else:
-            d = list(jets.partials)
-            dpt = dt_slices[it]
-            pv = sl.values
-            pair_t = {i: pv @ (dpt @ d[i] - d[i] @ dpt) for i in range(dim)}
-            pair_s = {
-                (i, j): pv @ (d[i] @ d[j] - d[j] @ d[i])
-                for i, j in itertools.combinations(range(dim), 2)
-            }
-            for idx in comps:
-                comps[idx][it] = _contracted_two_form_power(pair_t, pair_s, idx, k)
-
-    c = chern_scalar("odd" if H.codomain == "unitary" else "even", k)
-    out: dict[tuple[int, ...], np.ndarray] = {}
-    for idx, arr in comps.items():
-        acc = np.zeros(spatial.node_shape, dtype=complex)
-        for a, b in H.segments:
-            h = float(H.times[a + 1] - H.times[a])
-            w = _simpson_weights(b - a, h)
-            acc += np.tensordot(w, arr[a:b], axes=(0, 0))
-        out[idx] = c * acc
-    return GradedForm(spatial, deg, -k, out)
-
-
-def _contracted_two_form_power(pair_t, pair_s, idx: tuple[int, ...], k: int) -> np.ndarray:
-    """``iota_t tr(Omega^k)`` component on spatial directions ``idx``.
-
-    Slot 0 is the time direction; slots 1..2k-1 are the spatial axes in
-    ``idx``.  Pair values involving the time slot come from ``pair_t``.
-    """
-    m = 2 * k
-    slots = (-1,) + idx  # -1 marks the time direction
-
-    def pv(i: int, j: int) -> np.ndarray:
-        if i == -1:
-            return pair_t[j]
-        if j == -1:
-            return -pair_t[i]
-        return pair_s[(i, j)] if i < j else -pair_s[(j, i)]
-
-    sample = next(iter(pair_t.values()))
-    acc = np.zeros(sample.shape[:-2], dtype=complex)
-    for sgn, perm in _signed_permutations(m):
-        chosen = [slots[p] for p in perm]
-        prod = pv(chosen[0], chosen[1])
-        for b in range(1, k):
-            prod = prod @ pv(chosen[2 * b], chosen[2 * b + 1])
-        acc += sgn * np.trace(prod, axis1=-2, axis2=-1)
-    return acc / (2.0**k)
+            d, dpt = jets.partials, dt_slices[it]
+            iota = {(i,): sl.values @ (dpt @ d[i] - d[i] @ dpt) for i in range(dim)}
+            curvature = _curvature_pairs(sl, jets) if k > 1 else {}
+            comps = trace_wedge(iota, *[curvature] * (k - 1))
+        for idx, val in comps.items():
+            acc[idx] = acc[idx] + wt * val if idx in acc else wt * val
+    return GradedForm(spatial, deg, -k, {idx: c * a for idx, a in acc.items()})
 
 
 def cs_exact(H: Homotopy, k_max: int = DEFAULT_K_MAX, tol: float = 1e-6) -> dict:

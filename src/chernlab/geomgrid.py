@@ -433,14 +433,13 @@ def form_derivative(omega: GradedForm) -> GradedForm:
 # quadrature
 
 
-def _axis_weights(ax: Axis) -> np.ndarray:
-    if ax.kind == "periodic":
-        return np.full(ax.n, ax.spacing)
-    w = np.empty(ax.n)
+def _simpson_weights(n: int, h: float) -> np.ndarray:
+    """Composite Simpson weights on ``n`` (odd) uniform nodes of spacing ``h``."""
+    w = np.empty(n)
     w[0] = w[-1] = 1.0
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w * (ax.spacing / 3.0)
+    return w * (h / 3.0)
 
 
 def _grid_quadrature(values: np.ndarray, axes: Sequence[Axis]) -> complex:
@@ -448,7 +447,11 @@ def _grid_quadrature(values: np.ndarray, axes: Sequence[Axis]) -> complex:
     for i, ax in enumerate(axes):
         shape = [1] * total.ndim
         shape[i] = ax.n
-        total = total * _axis_weights(ax).reshape(shape)
+        if ax.kind == "periodic":
+            w = np.full(ax.n, ax.spacing)
+        else:
+            w = _simpson_weights(ax.n, ax.spacing)
+        total = total * w.reshape(shape)
     return pairwise_sum(total)
 
 

@@ -27,8 +27,8 @@ from .errors import (
     NotProjection,
     WindowTooSmall,
 )
-from .chernforms import chern_scalar, mixed_trace_power
-from .geomgrid import GradedForm, SampledMap, differentiate
+from .chernforms import chern_scalar, trace_wedge
+from .geomgrid import GradedForm, SampledMap, _simpson_weights, differentiate
 from .numkernel import RANK_THRESHOLD_REL, frobenius, numerical_rank
 
 __all__ = [
@@ -244,24 +244,19 @@ def transgression_eta(frames: SampledMap, k: int, t_res: int = 9) -> GradedForm:
     if t_res % 2 == 0 or t_res < 3:
         raise DegenerateFrame("auxiliary t grid needs an odd node count >= 3")
     ts = np.linspace(0.0, 1.0, t_res)
-    wts = np.empty(t_res)
-    wts[0] = wts[-1] = 1.0
-    wts[1:-1:2] = 4.0
-    wts[2:-1:2] = 2.0
-    wts *= (ts[1] - ts[0]) / 3.0
+    wts = _simpson_weights(t_res, ts[1] - ts[0])
 
+    theta = {(i,): a for i, a in theta.items()}
+    acc: dict[tuple[int, ...], np.ndarray] = {}
+    for t, wt in zip(ts, wts):
+        phi = {
+            key: t * omega_pairs[key] + 0.5 * (t * t - t) * bracket_pairs[key]
+            for key in omega_pairs
+        }
+        for idx, val in trace_wedge(theta, *[phi] * (k - 1)).items():
+            acc[idx] = acc[idx] + wt * val if idx in acc else wt * val
     c = chern_scalar("even", k) * k
-    comps: dict[tuple[int, ...], np.ndarray] = {}
-    for idx in itertools.combinations(range(dim), deg):
-        acc = np.zeros(frames.domain.node_shape, dtype=complex)
-        for t, wt in zip(ts, wts):
-            phi = {
-                key: t * omega_pairs[key] + 0.5 * (t * t - t) * bracket_pairs[key]
-                for key in omega_pairs
-            }
-            acc += wt * mixed_trace_power(theta, phi, idx)
-        comps[idx] = c * acc
-    return GradedForm(frames.domain, deg, -k, comps)
+    return GradedForm(frames.domain, deg, -k, {idx: c * a for idx, a in acc.items()})
 
 
 # ---------------------------------------------------------------------------

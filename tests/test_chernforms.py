@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
-from chernlab.builders import loop_zn, taut_cp1
+from chernlab.builders import loop_zn, random_unitary_map, taut_cp1
 from chernlab.chernforms import (
     Homotopy,
     antisym_trace_power,
@@ -13,35 +15,65 @@ from chernlab.chernforms import (
     chern_scalar,
     cs_exact,
     cs_form,
+    trace_wedge,
     wedge_trace_power,
 )
 from chernlab.errors import ArityTooLarge, DegreeOverflow, NotALoop
 from chernlab.geomgrid import (
     SampledMap,
     constant_map,
+    differentiate,
     form_derivative,
     integrate,
     make_domain,
 )
+from chernlab.kops import inversion_homotopy_even
+from chernlab.stiefel import PolarizedWindow
 
 RNG = np.random.default_rng(11)
 
 
-def brute_force_wedge(mats):
-    """Independent oracle: explicit index-chain traces over all permutations."""
-    m = len(mats)
-    n = mats[0].shape[0]
+def perm_sign(seq):
+    return (-1) ** sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
+
+
+def brute_force_trace(factors, axes):
+    """Independent oracle for ``tr(a_1 ^ ... ^ a_r)`` on the increasing ``axes``.
+
+    ``factors`` lists ``(degree, value)``, ``value(slots)`` being the factor's
+    matrix on an ordered tuple of axes.  Sums explicit index-chain traces over
+    all orderings of ``axes``, each factor taking the next ``degree`` of them,
+    and divides by the product of ``degree!`` (the ``1/2^k`` of 2-form powers).
+    """
+    m = len(axes)
     total = 0.0 + 0.0j
     for perm in itertools.permutations(range(m)):
-        sgn = (-1) ** sum(
-            1 for i in range(m) for j in range(i + 1, m) if perm[i] > perm[j]
-        )
-        for chain in itertools.product(range(n), repeat=m):
+        mats, pos = [], 0
+        for degree, value in factors:
+            mats.append(value(tuple(axes[p] for p in perm[pos : pos + degree])))
+            pos += degree
+        r, n = len(mats), mats[0].shape[0]
+        for chain in itertools.product(range(n), repeat=r):
             term = 1.0 + 0.0j
-            for pos in range(m):
-                term *= mats[perm[pos]][chain[pos], chain[(pos + 1) % m]]
-            total += sgn * term
-    return total
+            for q in range(r):
+                term *= mats[q][chain[q], chain[(q + 1) % r]]
+            total += perm_sign(perm) * term
+    return total / math.prod(math.factorial(degree) for degree, _ in factors)
+
+
+def brute_force_wedge(mats):
+    """Independent oracle for ``tr(a^m)`` of the 1-form with slot values ``mats``."""
+    one_form = (1, lambda slots: mats[slots[0]])
+    return brute_force_trace([one_form] * len(mats), range(len(mats)))
+
+
+def random_form(degree, n_axes, n=3):
+    """Random matrix-valued form: its components and their alternating extension."""
+    comps = {
+        idx: RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))
+        for idx in itertools.combinations(range(n_axes), degree)
+    }
+    return comps, lambda slots: perm_sign(slots) * comps[tuple(sorted(slots))]
 
 
 def test_normalizations():
@@ -68,6 +100,29 @@ def test_wedge_matches_brute_force():
     ]
     val = antisym_trace_power([m[None] for m in mats])[0]
     assert abs(val - brute_force_wedge(mats)) < 1e-10
+
+
+@pytest.mark.parametrize("n_axes", [4, 5])
+def test_trace_wedge_two_form_square_matches_brute_force(n_axes):
+    comps, value = random_form(2, n_axes)
+    out = trace_wedge(comps, comps)
+    assert list(out) == list(itertools.combinations(range(n_axes), 4))
+    for idx, val in out.items():
+        assert abs(val - brute_force_trace([(2, value)] * 2, idx)) < 1e-10
+
+
+def test_trace_wedge_mixed_matches_brute_force():
+    theta, theta_value = random_form(1, 3)
+    comps, value = random_form(2, 3)
+    val = trace_wedge(theta, comps)[(0, 1, 2)]
+    assert abs(val - brute_force_trace([(1, theta_value), (2, value)], (0, 1, 2))) < 1e-10
+
+
+def test_trace_wedge_even_powers_of_one_form_vanish():
+    a, _ = random_form(1, 4)
+    assert max(abs(v) for v in trace_wedge(a, a).values()) < 1e-10
+    assert abs(trace_wedge(a, a, a, a)[(0, 1, 2, 3)]) < 1e-10
+    assert abs(trace_wedge(a, a, a)[(0, 1, 2)]) > 1e-3
 
 
 def test_wedge_arity_guard():
@@ -267,3 +322,22 @@ def test_homotopy_reverse_flips_cs_sign():
     a = cs_form(h, 1)
     b = cs_form(h.reversed(), 1)
     assert (a + b).sup_norm() < 1e-12
+
+
+def test_cs_projection_k2_matches_space_time_permutation_sum():
+    dom = make_domain("torus3", (8, 8, 8))
+    x = random_unitary_map(np.random.default_rng(8), dom, size=4, window=PolarizedWindow(2, 2))
+    h = inversion_homotopy_even(x, t_res=9)
+    dt = h.time_derivative()
+    integrand = np.zeros((h.n_times, *dom.node_shape), dtype=complex)
+    for it in range(h.n_times):
+        p = h.slices[it]
+        d = [dt[it], *differentiate(h.slice_map(it)).partials]  # slot 0 is t
+        for perm in itertools.permutations(range(4)):
+            a, b, c, e = (d[q] for q in perm)
+            prod = p @ (a @ b - b @ a) @ p @ (c @ e - e @ c)
+            integrand[it] += perm_sign(perm) * np.trace(prod, axis1=-2, axis2=-1) / 4
+    expected = chern_scalar("even", 2) * simpson(integrand, x=h.times, axis=0)
+    got = cs_form(h, 2).component((0, 1, 2))
+    assert np.abs(expected).max() > 1e-3
+    assert np.abs(got - expected).max() < 1e-10
