@@ -3,6 +3,14 @@
 A registry of reproducible fixtures instead of an expression parser: every
 builder is a pure function of its parameters (plus, for the randomized ones,
 a 64-bit seed), so runs are reproducible from the report alone.
+
+The exponential families (``su2_chart``, ``random_band_loop``,
+``random_unitary_map`` and ``frame_family_torus``) stack their hermitian
+generator ``H`` and its partials over all nodes and make one
+``_exp_i_hermitian`` call, so they carry exact spatial partials.  The closed
+forms ``const_identity``, ``loop_zn``, ``trig_loop``, ``bloch_circle`` and
+``taut_cp1``, and ``random_projection_map``, carry none: their jets are taken
+on the grid.
 """
 
 from __future__ import annotations
@@ -10,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geomgrid import DomainGrid, SampledMap, make_domain
-from .numkernel import haar_unitary, mat_exp_skew
+from .numkernel import haar_unitary
 from .stiefel import PolarizedWindow
 
 __all__ = [
@@ -32,6 +40,41 @@ _PAULI = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+
+
+def _trig_hermitian(coords, coeffs: dict, base: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """``H = base + sum (c e^{i q x_axis} + h.c.)`` over ``coeffs[(axis, q)] = c``,
+    stacked over the nodes of ``coords`` (one coordinate array per axis), and
+    its partial ``d_axis H`` on every axis."""
+    h = np.zeros((*coords[0].shape, *base.shape), dtype=complex)
+    h[...] = base
+    dh = [np.zeros_like(h) for _ in coords]
+    for (axis, q), cq in coeffs.items():
+        phase = np.exp(1j * q * coords[axis])[..., None, None]
+        h = h + phase * cq + np.conj(phase) * cq.conj().T
+        dh[axis] = dh[axis] + 1j * q * (phase * cq - np.conj(phase) * cq.conj().T)
+    return h, dh
+
+
+def _exp_i_hermitian(h: np.ndarray, dh) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """``exp(iH)`` and its exact derivatives along each ``dH`` in ``dh``.
+
+    One batched ``eigh`` ``H = V diag(lam) V*`` gives the exponential and,
+    through the Daleckii-Krein formula (Higham, *Functions of Matrices*, 2008,
+    ch. 3), each derivative ``V (F o (V* dH V)) V*``.  The divided differences
+    ``F_jk = (e^{i lam_j} - e^{i lam_k}) / (lam_j - lam_k)`` are evaluated as
+    ``i e^{i(lam_j + lam_k)/2} sinc((lam_j - lam_k)/2)``, which is also right
+    for equal eigenvalues, where it is the derivative ``i e^{i lam}``.  This
+    is the package's one matrix exponential.
+    """
+    lam, v = np.linalg.eigh(h)
+    vh = np.swapaxes(v, -1, -2).conj()
+    values = (v * np.exp(1j * lam)[..., None, :]) @ vh
+    mean = 0.5 * (lam[..., :, None] + lam[..., None, :])
+    gap = 0.5 * (lam[..., :, None] - lam[..., None, :])
+    divided = 1j * np.exp(1j * mean) * np.sinc(gap / np.pi)
+    partials = tuple(v @ (divided * (vh @ d @ v)) @ vh for d in dh)
+    return values, partials
 
 
 def const_identity(res: int = 256, size: int = 1, kind: str = "circle") -> SampledMap:
@@ -96,20 +139,22 @@ def taut_cp1(res_r: int = 33, res_t: int = 64) -> SampledMap:
 
 
 def su2_chart(res: int = 24, a1: float = 0.4, a2: float = 0.4, a3: float = 0.3) -> SampledMap:
-    """Smooth U(2)-valued torus map built from a Pauli-vector exponential."""
+    """Smooth U(2)-valued torus map built from a Pauli-vector exponential,
+    with exact spatial partials."""
     dom = make_domain("torus2", (res, res))
     t1 = dom.axes[0].coords[:, None]
     t2 = dom.axes[1].coords[None, :]
-    h = (
-        a1 * np.sin(t1)[..., None, None] * _PAULI[0]
-        + a2 * np.sin(t2)[..., None, None] * _PAULI[1]
-        + a3 * (np.cos(t1) * np.cos(t2))[..., None, None] * _PAULI[2]
+
+    def pauli(x, y, z):
+        return sum(np.multiply.outer(c, s) for c, s in zip((x, y, z), _PAULI))
+
+    h = pauli(a1 * np.sin(t1), a2 * np.sin(t2), a3 * np.cos(t1) * np.cos(t2))
+    dh = (
+        pauli(a1 * np.cos(t1), 0.0, -a3 * np.sin(t1) * np.cos(t2)),
+        pauli(0.0, a2 * np.cos(t2), -a3 * np.cos(t1) * np.sin(t2)),
     )
-    values = np.empty((res, res, 2, 2), dtype=complex)
-    for i in range(res):
-        for j in range(res):
-            values[i, j] = mat_exp_skew(1j * h[i, j])
-    return SampledMap(dom, values, codomain="unitary")
+    values, partials = _exp_i_hermitian(h, dh)
+    return SampledMap(dom, values, codomain="unitary", partials=partials)
 
 
 def random_band_loop(
@@ -125,6 +170,7 @@ def random_band_loop(
     ``gamma = U0 exp(i H(theta)) diag(e^{i n_j theta}) U1`` with ``H`` a
     hermitian trigonometric polynomial; the determinant winds by
     ``sum(n_j)`` and the Fourier band decays superexponentially in ``amp``.
+    The loop carries its exact derivative.
     """
     dom = make_domain("circle", res)
     theta = dom.axes[0].coords
@@ -135,39 +181,17 @@ def random_band_loop(
         winding = base
     u0 = haar_unitary(rng, rank)
     u1 = haar_unitary(rng, rank)
-    coeffs = [
-        amp * (rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank)))
-        for _ in range(trig_degree)
-    ]
-    values = np.empty((res, rank, rank), dtype=complex)
-    for i, th in enumerate(theta):
-        h = np.zeros((rank, rank), dtype=complex)
-        for q, cq in enumerate(coeffs, start=1):
-            ph = cq * np.exp(1j * q * th)
-            h += ph + ph.conj().T
-        mono = np.diag(np.exp(1j * np.asarray(winding) * th))
-        values[i] = u0 @ mat_exp_skew(1j * h) @ mono @ u1
-    return SampledMap(dom, values, codomain="unitary")
-
-
-def _exp_i_hermitian(h: np.ndarray, dh) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """``exp(iH)`` and its exact derivatives along each ``dH`` in ``dh``.
-
-    One batched ``eigh`` ``H = V diag(lam) V*`` gives the exponential and,
-    through the Daleckii-Krein formula (Higham, *Functions of Matrices*, 2008,
-    ch. 3), each derivative ``V (F o (V* dH V)) V*``.  The divided differences
-    ``F_jk = (e^{i lam_j} - e^{i lam_k}) / (lam_j - lam_k)`` are evaluated as
-    ``i e^{i(lam_j + lam_k)/2} sinc((lam_j - lam_k)/2)``, which is also right
-    for equal eigenvalues, where it is the derivative ``i e^{i lam}``.
-    """
-    lam, v = np.linalg.eigh(h)
-    vh = np.swapaxes(v, -1, -2).conj()
-    values = (v * np.exp(1j * lam)[..., None, :]) @ vh
-    mean = 0.5 * (lam[..., :, None] + lam[..., None, :])
-    gap = 0.5 * (lam[..., :, None] - lam[..., None, :])
-    divided = 1j * np.exp(1j * mean) * np.sinc(gap / np.pi)
-    partials = tuple(v @ (divided * (vh @ d @ v)) @ vh for d in dh)
-    return values, partials
+    coeffs = {
+        (0, q): amp * (rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank)))
+        for q in range(1, trig_degree + 1)
+    }
+    h, dh = _trig_hermitian([theta], coeffs, np.zeros((rank, rank), dtype=complex))
+    e, (de,) = _exp_i_hermitian(h, dh)
+    n = np.asarray(winding)
+    mono = np.exp(1j * np.multiply.outer(theta, n))[:, None, :]  # diag(e^{i n theta}), as columns
+    values = u0 @ (e * mono) @ u1
+    partial = u0 @ ((de + 1j * n * e) * mono) @ u1
+    return SampledMap(dom, values, codomain="unitary", partials=(partial,))
 
 
 def random_unitary_map(
@@ -198,14 +222,7 @@ def random_unitary_map(
     base = base + base.conj().T
 
     coords = np.meshgrid(*[ax.coords for ax in domain.axes], indexing="ij")
-    node_shape = tuple(ax.n for ax in domain.axes)
-    h = np.zeros((*node_shape, size, size), dtype=complex)
-    h[...] = base
-    dh = [np.zeros_like(h) for _ in range(domain.dim)]
-    for (axis, q), cq in coeffs.items():
-        phase = np.exp(1j * q * coords[axis])[..., None, None]
-        h = h + phase * cq + np.conj(phase) * cq.conj().T
-        dh[axis] = dh[axis] + 1j * q * (phase * cq - np.conj(phase) * cq.conj().T)
+    h, dh = _trig_hermitian(coords, coeffs, base)
     values, partials = _exp_i_hermitian(h, dh)
     return SampledMap(domain, values, codomain="unitary", window=window, partials=partials)
 
@@ -219,7 +236,8 @@ def random_projection_map(
 ) -> SampledMap:
     """Seeded projection family ``X pi_+ X*`` from a random unitary family.
 
-    Carries no exact partials: its jets are taken on the grid.
+    Carries no exact partials (those of ``X`` are not propagated): its jets
+    are taken on the grid.
     """
     x = random_unitary_map(rng, domain, size=window.dim, trig_degree=trig_degree, amp=amp)
     pi = window.pi_plus
@@ -236,7 +254,11 @@ def frame_family_torus(
     trig_degree: int = 1,
 ) -> SampledMap:
     """Smooth frame family over the 2-torus: ``exp(K(x)) w0`` with random
-    trigonometric generator ``K`` (not unitary, frames only need injectivity)."""
+    trigonometric generator ``K`` (not unitary, frames only need injectivity).
+
+    ``K`` is skew-hermitian, so ``exp(K) = exp(iH)`` with ``H = -iK``, and the
+    family carries its exact partials ``d exp(K) w0``.
+    """
     dom = make_domain("torus2", (res, res))
     t1 = dom.axes[0].coords[:, None]
     t2 = dom.axes[1].coords[None, :]
@@ -246,15 +268,16 @@ def frame_family_torus(
         gens.append(g - g.conj().T)
     w0 = np.zeros((rows, cols), dtype=complex)
     w0[:cols, :cols] = np.eye(cols)
-    values = np.empty((res, res, rows, cols), dtype=complex)
-    for i in range(res):
-        for j in range(res):
-            k = np.zeros((rows, rows), dtype=complex)
-            for q in range(trig_degree):
-                k += np.sin((q + 1) * t1[i, 0]) * gens[2 * q]
-                k += np.cos((q + 1) * t2[0, j]) * gens[2 * q + 1]
-            values[i, j] = mat_exp_skew(k) @ w0
-    return SampledMap(dom, values, codomain="frame")
+    k = np.zeros((res, res, rows, rows), dtype=complex)
+    dk = [np.zeros_like(k), np.zeros_like(k)]
+    for q in range(1, trig_degree + 1):
+        g1, g2 = gens[2 * q - 2], gens[2 * q - 1]
+        k += np.multiply.outer(np.sin(q * t1), g1)
+        k += np.multiply.outer(np.cos(q * t2), g2)
+        dk[0] += np.multiply.outer(q * np.cos(q * t1), g1)
+        dk[1] -= np.multiply.outer(q * np.sin(q * t2), g2)
+    e, de = _exp_i_hermitian(-1j * k, [-1j * d for d in dk])
+    return SampledMap(dom, e @ w0, codomain="frame", partials=tuple(d @ w0 for d in de))
 
 
 BUILDERS = {

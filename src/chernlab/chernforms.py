@@ -279,9 +279,6 @@ class Homotopy:
             out[a:b] = _diff_interval(self.slices[a:b], 0, b - a, h)
         return out
 
-    def endpoint_defect(self) -> float:
-        return float(np.abs(self.slices[0] - self.slices[-1]).max())
-
     def reversed(self) -> "Homotopy":
         segs = []
         n = self.n_times
@@ -384,12 +381,14 @@ def cs_form(H: Homotopy, k: int) -> GradedForm:
     acc: dict[tuple[int, ...], np.ndarray] = {}
     for it, wt in enumerate(weights):
         sl = H.slice_map(it)
-        jets = differentiate(sl)
         if H.codomain == "unitary":
-            alpha_t, *alpha = _mc_jets(sl, (dt_slices[it], *jets.partials))
+            # CS_0 = tr(alpha_t) needs no spatial jets
+            d = differentiate(sl).partials if k > 1 else ()
+            alpha_t, *alpha = _mc_jets(sl, (dt_slices[it], *d))
             omega = {(i,): a for i, a in enumerate(alpha)}
             comps = trace_wedge({(): alpha_t}, *[omega] * (2 * k - 2))
         else:
+            jets = differentiate(sl)
             d, dpt = jets.partials, dt_slices[it]
             iota = {(i,): sl.values @ (dpt @ d[i] - d[i] @ dpt) for i in range(dim)}
             curvature = _curvature_pairs(sl, jets) if k > 1 else {}

@@ -17,15 +17,7 @@ class NotUnitary(ChernLabError):
     pass
 
 
-class NotSkew(ChernLabError):
-    pass
-
-
 class NotProjection(ChernLabError):
-    pass
-
-
-class NotIsometry(ChernLabError):
     pass
 
 

@@ -105,9 +105,6 @@ class DomainGrid:
             return (2, *shape)
         return shape
 
-    def axis_coords(self, i: int) -> np.ndarray:
-        return self.axes[i].coords
-
     def __eq__(self, other) -> bool:  # value equality, used by pre-checks
         return (
             isinstance(other, DomainGrid)
@@ -199,8 +196,6 @@ class SampledMap:
     domain: DomainGrid
     values: np.ndarray
     codomain: str = "generic"  # unitary | projection | frame | generic
-    builder: str | None = None
-    params: dict | None = None
     window: object | None = None
     partials: tuple[np.ndarray, ...] | None = None  # exact d(values)/dx_i when known
 

@@ -2,8 +2,8 @@
 
 Matrices are plain ``numpy`` complex arrays throughout the package; this
 module adds the handful of operations where the numerical contract matters
-(polar factor, rank counting, determinant phases, skew exponentials) plus a
-few validation helpers.
+(polar factor, rank counting, determinant phases) plus a few validation
+helpers.
 """
 
 from __future__ import annotations
@@ -11,16 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import NotSkew, NotUnitary, SingularInput
+from .errors import NotUnitary, SingularInput
 
 __all__ = [
     "RankReport",
     "polar_unitary",
     "numerical_rank",
     "det_phase",
-    "mat_exp_skew",
     "frobenius",
     "require_unitary",
     "haar_unitary",
@@ -106,21 +104,6 @@ def det_phase(u, tol: float = 1e-8) -> float:
     eig = np.linalg.eigvals(u)
     total = float(np.sum(np.angle(eig)))
     return principal_angle(total)
-
-
-def mat_exp_skew(a, tol_rel: float = 1e-10) -> np.ndarray:
-    """Exponential of a skew-hermitian matrix (scaling-and-squaring).
-
-    Raises
-    ------
-    NotSkew
-        If ``||a + a*||_F >= tol_rel * ||a||_F + 1e-12``.
-    """
-    a = _as_square(a)
-    skew_err = frobenius(a + a.conj().T)
-    if skew_err >= tol_rel * frobenius(a) + 1e-12:
-        raise NotSkew(f"||a + a*||_F = {skew_err:.3e} too large")
-    return scipy.linalg.expm(a)
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

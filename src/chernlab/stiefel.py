@@ -1,5 +1,5 @@
-"""Frames, the universal connection and curvature, transgression, and index
-bookkeeping on a truncated polarized mode window.
+"""Frames, the transgression form of their universal connection and
+curvature, and index bookkeeping on a truncated polarized mode window.
 
 A window keeps modes ``-n_minus .. n_plus - 1`` of a Z-graded basis; the
 polarization is the sign of the mode.  Frames are injective rectangular
@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     DegenerateFrame,
-    NotIsometry,
     NotProjection,
     WindowTooSmall,
 )
@@ -38,14 +37,9 @@ __all__ = [
     "SubspaceSpec",
     "projection_from_frame",
     "involution_from_projection",
-    "connection_theta",
-    "curvature_omega",
-    "finite_universal_connection",
-    "finite_universal_curvature",
     "transgression_eta",
     "virtual_dimension",
     "include_finite_grassmannian",
-    "basepoint_frame",
 ]
 
 FRAME_MIN_SV = 1e-8
@@ -127,24 +121,12 @@ class Frame:
         return projection_from_frame(self)
 
 
-def basepoint_frame(window: PolarizedWindow) -> Frame:
-    """The frame ``(1; 0)`` spanning the positive half of the window."""
-    w = np.zeros((window.dim, window.n_plus), dtype=complex)
-    for i in range(window.n_plus):
-        w[window.index_of(i), i] = 1.0
-    return Frame(window, w)
-
-
-def _pinv_left(w: np.ndarray) -> np.ndarray:
-    return np.linalg.solve(w.conj().T @ w, w.conj().T)
-
-
 def projection_from_frame(fr: Frame | np.ndarray) -> np.ndarray:
     w = fr.w if isinstance(fr, Frame) else np.asarray(fr, dtype=complex)
     sv = np.linalg.svd(w, compute_uv=False)
     if sv[-1] <= FRAME_MIN_SV:
         raise DegenerateFrame("frame columns are numerically dependent")
-    return w @ _pinv_left(w)
+    return w @ np.linalg.solve(w.conj().T @ w, w.conj().T)
 
 
 def involution_from_projection(pi: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -154,41 +136,6 @@ def involution_from_projection(pi: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     if max(idem, herm) >= tol:
         raise NotProjection(f"idempotency defect {idem:.3e}, hermiticity defect {herm:.3e}")
     return 2.0 * pi - np.eye(pi.shape[0])
-
-
-def connection_theta(fr: Frame, dw: np.ndarray) -> np.ndarray:
-    """Connection value ``(w*w)^{-1} w* pi_W dw`` for a frame velocity."""
-    w = fr.w
-    pi = projection_from_frame(fr)
-    return _pinv_left(w) @ (pi @ np.asarray(dw, dtype=complex))
-
-
-def curvature_omega(fr: Frame, dpi_u: np.ndarray, dpi_v: np.ndarray) -> np.ndarray:
-    """Curvature value ``w^{-1} pi_W [d_u pi, d_v pi] w`` on two directions."""
-    w = fr.w
-    pi = projection_from_frame(fr)
-    comm = dpi_u @ dpi_v - dpi_v @ dpi_u
-    return _pinv_left(w) @ (pi @ comm @ w)
-
-
-def finite_universal_connection(s: np.ndarray, ds: np.ndarray, tol: float = 1e-8) -> np.ndarray:
-    """``S* dS`` for an isometry ``S`` (columns orthonormal)."""
-    s = np.asarray(s, dtype=complex)
-    if frobenius(s.conj().T @ s - np.eye(s.shape[1])) >= tol:
-        raise NotIsometry("S*S != I")
-    return s.conj().T @ np.asarray(ds, dtype=complex)
-
-
-def finite_universal_curvature(s: np.ndarray, ds1: np.ndarray, ds2: np.ndarray) -> np.ndarray:
-    """Curvature of ``S* dS`` on a pair of directions: ``F = dA + A ^ A``.
-
-    Algebraic form ``dS1* dS2 - dS2* dS1 + [S* dS1, S* dS2]``; on horizontal
-    pairs at the basepoint this reduces to ``Q1* Q2 - Q2* Q1``.
-    """
-    s = np.asarray(s, dtype=complex)
-    a1 = s.conj().T @ ds1
-    a2 = s.conj().T @ ds2
-    return ds1.conj().T @ ds2 - ds2.conj().T @ ds1 + (a1 @ a2 - a2 @ a1)
 
 
 # ---------------------------------------------------------------------------

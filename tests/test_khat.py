@@ -1,9 +1,18 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chernlab import builders
-from chernlab.khat import cs_of_nullhomotopy, khat_class
+from chernlab.geomgrid import integrate, make_domain
+from chernlab.khat import (
+    CircleConnection,
+    a_odd,
+    cs_of_nullhomotopy,
+    holonomy_log_det,
+    khat_class,
+    point_class_odd,
+)
 from chernlab.kops import blocksum_map, inversion_homotopy_odd
 
 WINDINGS = st.integers(min_value=-2, max_value=2)
@@ -21,3 +30,40 @@ def test_cs_of_nullhomotopy_lifts_the_exterior_derivative(make):
     report = cs_of_nullhomotopy(inversion_homotopy_odd(make()).reversed())
     assert report["lift_residuals"]
     assert max(report["lift_residuals"].values()) < 1e-10
+
+
+def mod1_distance(x, y):
+    d = (x - y) % 1.0
+    return min(d, 1.0 - d)
+
+
+@pytest.mark.parametrize("n, eps, offset", [(-2, 0.2, 0.3), (0, 0.1, 0.85), (1, -0.15, 0.05), (3, 0.25, 1.6)])
+def test_a_odd_winding_curvature_and_point_class(n, eps, offset):
+    # phi = n theta / 2pi + eps sin(theta) + offset; the representative exp(-2 pi i phi)
+    # winds -n, ch_1 = phi' d(theta) integrates to n, and det at theta = 0 is exp(-2 pi i offset)
+    theta = make_domain("circle", 128).axes[0].coords
+    data = a_odd(n * theta / (2.0 * np.pi) + eps * np.sin(theta) + offset)
+    assert data.invariants["winding"] == -n
+    total = integrate(data.curvature[0])
+    assert abs(-total - data.invariants["winding"]) < 1e-12
+    assert mod1_distance(data.invariants["det_phase_mod1"], -offset) < 1e-12
+
+
+@pytest.mark.parametrize("phases", [(0.3,), (0.25, 0.5), (0.9, 0.4, -0.2), (0.5, 0.5, 0.5, 0.125)])
+def test_point_class_odd_is_the_phase_sum_mod_one(phases):
+    u = np.diag(np.exp(2j * np.pi * np.array(phases)))
+    assert mod1_distance(point_class_odd(u), sum(phases)) < 1e-12
+
+
+@pytest.mark.parametrize("c_plus, c_minus", [(0.7, 0.2), (-1.2, 0.45), (2.3, -0.9)])
+def test_holonomy_log_det_coefficient_is_the_integral_difference_mod_one(c_plus, c_minus):
+    dom = make_domain("circle", 64)
+    theta = dom.axes[0].coords
+    plus = CircleConnection(dom, c_plus + 0.3 * np.cos(theta))
+    minus = CircleConnection(dom, c_minus + 0.5 * np.sin(2.0 * theta))
+    form = holonomy_log_det(plus, minus)
+    expected = (plus.integral() - minus.integral()) / (2.0 * np.pi)
+    coeff = form.component((0,))
+    assert np.all(coeff == coeff[0]) and abs(coeff[0].imag) == 0.0
+    assert mod1_distance(coeff[0].real, expected) < 1e-12
+    assert -0.5 < coeff[0].real <= 0.5

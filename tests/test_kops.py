@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from chernlab.builders import (
+    frame_family_torus,
     loop_zn,
+    random_band_loop,
     random_projection_map,
     random_unitary_map,
+    su2_chart,
 )
 from chernlab.chernforms import Homotopy, ch_even, ch_odd, cs_exact, cs_form
 from chernlab.errors import AsymmetricWindow, BadPathStart, ShapeMismatch
@@ -26,7 +30,7 @@ from chernlab.kops import (
     inversion_homotopy_odd,
     standard_shuffle_matrix,
 )
-from chernlab.numkernel import haar_unitary, mat_exp_skew
+from chernlab.numkernel import haar_unitary
 from chernlab.stiefel import PolarizedWindow
 
 RNG = np.random.default_rng(2024)
@@ -282,8 +286,8 @@ def test_conjugation_cs0_vanishes_pointwise():
     k = 0.4 * (k - k.conj().T)
     h = conjugation_homotopy(
         f,
-        lambda t: mat_exp_skew(t * k),
-        path_derivative=lambda t: k @ mat_exp_skew(t * k),
+        lambda t: expm(t * k),
+        path_derivative=lambda t: k @ expm(t * k),
     )
     cs0 = cs_form(h, 1)
     assert cs0.sup_norm() < 1e-9
@@ -448,6 +452,58 @@ def test_differentiate_returns_exact_partials():
 def test_random_unitary_partials_match_resolved_grid_derivative():
     f = random_unitary_map(np.random.default_rng(14), make_domain("torus2", (64, 64)))
     assert _jet_gap(f) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: su2_chart(64),
+        lambda: random_band_loop(np.random.default_rng(7), rank=3, res=256),
+        lambda: random_band_loop(np.random.default_rng(8), rank=2, winding=[2, -1], trig_degree=3, res=256),
+        lambda: frame_family_torus(np.random.default_rng(0), res=64, rows=3, cols=2),
+        lambda: frame_family_torus(np.random.default_rng(1), res=96, rows=3, cols=1, trig_degree=2),
+    ],
+    ids=["su2", "band", "band_wound", "frame", "frame_degree2"],
+)
+def test_builder_partials_match_resolved_grid_derivative(make):
+    assert _jet_gap(make()) < 1e-10
+
+
+def test_su2_chart_is_the_pauli_exponential():
+    # exp(i a.sigma) = cos|a| + i sin|a| (a/|a|).sigma at every node
+    res, a1, a2, a3 = 16, 0.4, 0.4, 0.3
+    f = su2_chart(res, a1, a2, a3)
+    t1, t2 = np.meshgrid(*[ax.coords for ax in f.domain.axes], indexing="ij")
+    a = np.stack([a1 * np.sin(t1), a2 * np.sin(t2), a3 * np.cos(t1) * np.cos(t2)])
+    r = np.linalg.norm(a, axis=0)
+    pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    sigma = np.einsum("pxy,pij->xyij", a / r, pauli)  # |a| > 0 at every node
+    expected = np.cos(r)[..., None, None] * np.eye(2) + 1j * np.sin(r)[..., None, None] * sigma
+    assert np.abs(f.values - expected).max() < 1e-14
+
+
+def test_band_loop_and_frame_family_match_per_node_expm():
+    # the per-node loops the batched builders replaced, with the draws replayed
+    rng = np.random.default_rng(11)
+    gamma = random_band_loop(np.random.default_rng(11), rank=3, winding=[1, -2, 0], res=32)
+    u0, u1 = haar_unitary(rng, 3), haar_unitary(rng, 3)
+    coeffs = [0.2 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) for _ in range(2)]
+    for i, th in enumerate(gamma.domain.axes[0].coords):
+        ph = [c * np.exp(1j * q * th) for q, c in enumerate(coeffs, start=1)]
+        h = sum(p + p.conj().T for p in ph)
+        mono = np.diag(np.exp(1j * np.array([1, -2, 0]) * th))
+        assert np.abs(gamma.values[i] - u0 @ expm(1j * h) @ mono @ u1).max() < 1e-13
+
+    rng = np.random.default_rng(12)
+    w = frame_family_torus(np.random.default_rng(12), res=16, rows=3, cols=2, trig_degree=2)
+    gens = []
+    for _ in range(4):
+        g = 0.4 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        gens.append(g - g.conj().T)
+    t1, t2 = (ax.coords for ax in w.domain.axes)
+    for i, j in np.ndindex(16, 16):
+        k = sum(np.sin(q * t1[i]) * gens[2 * q - 2] + np.cos(q * t2[j]) * gens[2 * q - 1] for q in (1, 2))
+        assert np.abs(w.values[i, j] - expm(k)[:, :2]).max() < 1e-13
 
 
 def test_random_unitary_partials_differ_from_aliased_grid_derivative():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm_frechet
 
-from chernlab.errors import NotSkew, NotUnitary, SingularInput
+from chernlab.builders import _exp_i_hermitian
+from chernlab.errors import NotUnitary, SingularInput
 from chernlab.numkernel import (
     det_phase,
     frobenius,
     haar_unitary,
-    mat_exp_skew,
     numerical_rank,
     pairwise_sum,
     polar_unitary,
@@ -108,32 +109,52 @@ def test_det_phase_rejects_nonunitary():
         det_phase(2 * np.eye(2))
 
 
+def random_hermitian(rng, n):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return z + z.conj().T
+
+
+def exp_i(h):
+    return _exp_i_hermitian(h, ())[0]
+
+
 def test_exp_zero():
-    assert frobenius(mat_exp_skew(np.zeros((3, 3))) - np.eye(3)) < 1e-14
+    assert frobenius(exp_i(np.zeros((3, 3))) - np.eye(3)) < 1e-14
 
 
 def test_exp_one_by_one():
     th = 0.7
-    assert abs(mat_exp_skew(np.array([[1j * th]]))[0, 0] - np.exp(1j * th)) < 1e-12
+    assert abs(exp_i(np.array([[th]]))[0, 0] - np.exp(1j * th)) < 1e-12
 
 
 def test_exp_inverse_identity_oracle():
-    a = RNG.standard_normal((5, 5)) + 1j * RNG.standard_normal((5, 5))
-    a = a - a.conj().T
-    e = mat_exp_skew(a)
-    assert frobenius(e @ mat_exp_skew(-a) - np.eye(5)) < 1e-10
+    h = random_hermitian(RNG, 5)
+    e = exp_i(h)
+    assert frobenius(e @ exp_i(-h) - np.eye(5)) < 1e-10
     assert frobenius(e.conj().T @ e - np.eye(5)) < 1e-10
 
 
 def test_exp_adjoint_is_negated_argument():
-    a = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
-    a = a - a.conj().T
-    assert frobenius(mat_exp_skew(a).conj().T - mat_exp_skew(-a)) < 1e-10
+    h = random_hermitian(RNG, 4)
+    assert frobenius(exp_i(h).conj().T - exp_i(-h)) < 1e-10
 
 
-def test_exp_rejects_non_skew():
-    with pytest.raises(NotSkew):
-        mat_exp_skew(np.eye(2))
+@pytest.mark.parametrize("case", ["n1", "n2", "n3", "n4", "repeated"])
+def test_exp_jets_match_frechet_derivative(case):
+    rng = np.random.default_rng(7)
+    if case == "repeated":
+        # a doubly degenerate eigenvalue, where the divided difference is a derivative
+        v = haar_unitary(rng, 3)
+        h = ((v * np.array([0.8, 0.8, -1.3])) @ v.conj().T)[None]
+    else:
+        h = np.stack([random_hermitian(rng, int(case[1:])) for _ in range(3)])
+    dh = [np.stack([random_hermitian(rng, h.shape[-1]) for _ in h]) for _ in range(2)]
+    values, jets = _exp_i_hermitian(h, dh)  # one batched call
+    for d, jet in zip(dh, jets):
+        for a, e, u, j in zip(h, d, values, jet):
+            ref_u, ref_j = expm_frechet(1j * a, 1j * e)
+            assert np.abs(u - ref_u).max() < 1e-12
+            assert np.abs(j - ref_j).max() < 1e-12
 
 
 def test_pairwise_sum_matches_plain_sum():

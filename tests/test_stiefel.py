@@ -37,6 +37,22 @@ def test_flip_negates_virtual_dimension(tail):
     assert spec.flipped().virtual_dimension() == -spec.virtual_dimension()
 
 
+@settings(max_examples=40, deadline=None)
+@given(*[st.sets(st.sampled_from(MODES), min_size=1, max_size=len(MODES))] * 2)
+def test_blocksum_adds_virtual_dimensions(tail_a, tail_b):
+    a = SubspaceSpec(WIN, np.zeros((WIN.dim, 0)), tuple(tail_a))
+    b = SubspaceSpec(WIN, np.zeros((WIN.dim, 0)), tuple(tail_b))
+    assert a.blocksummed(b).virtual_dimension() == a.virtual_dimension() + b.virtual_dimension()
+
+
+def test_blocksum_adds_virtual_dimensions_with_explicit_columns():
+    col = np.zeros((WIN.dim, 1), dtype=complex)
+    col[WIN.index_of(-1)] = col[WIN.index_of(0)] = np.sqrt(0.5)
+    a = SubspaceSpec(WIN, col)
+    b = SubspaceSpec(WIN, np.zeros((WIN.dim, 0)), (-2, 0, 1, 2))
+    assert a.blocksummed(b).virtual_dimension() == a.virtual_dimension() + b.virtual_dimension() == -1
+
+
 @pytest.mark.parametrize("seed", [0, 3])
 def test_transgression_eta_differential_is_ch1(seed):
     # d(eta_1) = ch_1 of the frame's projection w (w* w)^{-1} w*; 48^2 resolves
