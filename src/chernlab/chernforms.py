@@ -204,7 +204,9 @@ class Homotopy:
     derivatives and Simpson quadrature never straddle the junction.
     ``time_partials`` and ``spatial_partials`` (one array per spatial axis)
     are exact derivatives of the slices, each of the shape of ``slices``,
-    supplied by constructors that know them.
+    supplied by constructors that know them.  The homotopy takes ownership of
+    the ``slices`` and ``time_partials`` arrays it is given (they are not
+    copied when already contiguous complex) and makes them read-only.
     """
 
     spatial: DomainGrid
@@ -218,7 +220,7 @@ class Homotopy:
 
     def __post_init__(self):
         t = np.array(self.times, dtype=float)
-        v = np.array(self.slices, dtype=complex, order="C")
+        v = np.ascontiguousarray(self.slices, dtype=complex)
         if v.shape[1 : 1 + len(self.spatial.node_shape)] != self.spatial.node_shape:
             raise ShapeMismatch("slice node shape does not match the spatial grid")
         if t.ndim != 1 or t.size != v.shape[0]:
@@ -236,7 +238,7 @@ class Homotopy:
         v.flags.writeable = False
         t.flags.writeable = False
         if self.time_partials is not None:
-            tp = np.array(self.time_partials, dtype=complex, order="C")
+            tp = np.ascontiguousarray(self.time_partials, dtype=complex)
             if tp.shape != v.shape:
                 raise ShapeMismatch(f"time partials {tp.shape} do not match the slices {v.shape}")
             tp.flags.writeable = False

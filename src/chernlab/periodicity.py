@@ -1,12 +1,12 @@
 """Geometric periodicity maps at truncation.
 
-Odd to even: a unitary loop becomes its block-Toeplitz multiplication
-operator on a symmetric mode window; the image of the positive half-window,
-trimmed to the columns the truncation represents exactly, is a frame whose
-safe-window virtual dimension recovers the Fredholm index.  Square finite
-sections are never used for index extraction (they are index-blind); the
-independent cross-check is the winding number of the determinant by phase
-continuation.
+Odd to even: a unitary loop ``gamma`` of band ``b`` sends ``H_+`` to the
+subspace ``W = gamma H_+ = V (+) z^b H_+`` of the Grassmannian model, where
+``V`` is the range of one finite ``2bn x 2bn`` block of Fourier
+coefficients; the virtual dimension of ``W`` is minus the winding of
+``det gamma``.  Square finite sections of ``T_gamma`` are never used for
+index extraction (they are index-blind); the independent cross-check is the
+winding number of the determinant by phase continuation.
 
 Even to odd: a loop of projections is parallel-transported with the
 horizontal-lift equation ``w' = pi' w`` (RK4 with per-step re-projection);
@@ -29,14 +29,12 @@ from .errors import (
     ShapeMismatch,
 )
 from .geomgrid import SampledMap, integrate
-from .numkernel import polar_unitary
-from .stiefel import BandInfo, Frame, PolarizedWindow, virtual_dimension
+from .numkernel import RANK_THRESHOLD_REL, polar_unitary
+from .stiefel import PolarizedWindow, SubspaceSpec, virtual_dimension
 
 __all__ = [
-    "ToeplitzWindow",
     "HolonomyResult",
-    "toeplitz_from_loop",
-    "h_odd_project",
+    "bott_subspace",
     "kato_transport",
     "bott_consistency",
     "det_winding",
@@ -46,107 +44,70 @@ DEFAULT_TRANSPORT_STEPS = 4096
 BAND_TOL = 1e-10  # a Fourier block at or above this norm is inside the band
 
 
-@dataclass(frozen=True)
-class ToeplitzWindow:
-    """Multiplication by a unitary loop, compressed to the modes ``[-M, M)``.
-
-    The loop is ``gamma(theta) = sum_m c_m e^{i m theta}`` with ``c_m`` from
-    :func:`fourier.coefficients`.  Block ``(j, k)`` of ``operator`` (output
-    block mode ``j - M``, input block mode ``k - M``, each of size ``n``) is
-    ``c_{j-k}``, zero for ``|j - k| > B``; its positive-mode corner is the
-    block Toeplitz operator ``T_gamma``.  ``diagnostics`` holds the
-    Hilbert-Schmidt norms of the two off-diagonal corners, the largest
-    coefficient norm outside the band, and the circle resolution.
-    """
-
-    n: int
-    M: int
-    B: int
-    coefficients: np.ndarray  # (2B + 1, n, n), order -B..B
-    operator: np.ndarray  # (2Mn, 2Mn)
-    window: PolarizedWindow
-    diagnostics: dict
-
-    def coefficient(self, order: int) -> np.ndarray:
-        if abs(order) > self.B:
-            return np.zeros((self.n, self.n), dtype=complex)
-        return self.coefficients[order + self.B]
-
-
-def toeplitz_from_loop(gamma: SampledMap, M: int, B: int, tol: float = BAND_TOL) -> ToeplitzWindow:
-    """Assemble the block-Toeplitz window of a band-limited unitary loop.
-
-    Raises
-    ------
-    BandwidthViolation
-        If any Fourier coefficient beyond the declared band ``B`` has norm
-        >= ``tol``, or the circle resolution is below ``4B``.
-    """
-    if gamma.codomain != "unitary" or gamma.domain.kind != "circle":
-        raise ShapeMismatch("toeplitz_from_loop needs a unitary-tagged circle loop")
-    res = gamma.domain.axes[0].n
-    if res < 4 * B:
-        raise BandwidthViolation(f"circle resolution {res} < 4B = {4 * B}")
-    coeffs = fourier.coefficients(gamma.values)
-    orders = fourier.orders(res)
-    n = gamma.cols
-    inside = np.abs(orders) <= B
-    norms = np.linalg.norm(coeffs, axis=(1, 2))
-    worst = float(norms[~inside].max(initial=0.0))
-    if worst >= tol:
-        raise BandwidthViolation(
-            f"Fourier content outside declared band B = {B}: max norm {worst:.3e}"
-        )
-    banded = np.zeros((2 * B + 1, n, n), dtype=complex)
-    banded[orders[inside] + B] = coeffs[inside]
-
-    dim = 2 * M * n
-    op = np.zeros((dim, dim), dtype=complex)
-    for j in range(2 * M):  # output block mode j - M
-        for k in range(2 * M):
-            order = j - k
-            if abs(order) <= B:
-                op[j * n : (j + 1) * n, k * n : (k + 1) * n] = banded[order + B]
-
-    window = PolarizedWindow(n_minus=M * n, n_plus=M * n)
-    half = M * n
-    diagnostics = {
-        "hs_pm": float(np.linalg.norm(op[:half, half:])),
-        "hs_mp": float(np.linalg.norm(op[half:, :half])),
-        "band_leak": worst,
-        "resolution": res,
-    }
-    return ToeplitzWindow(
-        n=n, M=M, B=B, coefficients=banded, operator=op, window=window, diagnostics=diagnostics
-    )
-
-
 def _measured_band(coeffs: np.ndarray, orders: np.ndarray) -> int:
     """Largest ``|m|`` with ``||c_m|| >= BAND_TOL``, and at least 1."""
     norms = np.linalg.norm(coeffs, axis=(1, 2))
     return max(1, int(np.abs(orders)[norms >= BAND_TOL].max(initial=0)))
 
 
-def h_odd_project(tw: ToeplitzWindow) -> Frame:
-    """Frame for the image of the positive half-window, safe columns only.
+def bott_subspace(gamma: SampledMap, B: int | None = None) -> tuple[SubspaceSpec, dict]:
+    """The subspace ``W = gamma H_+`` of the Grassmannian model, exactly.
 
-    With ``b <= B`` the measured band, kernel and cokernel of ``T_gamma`` lie
-    in the modes ``[0, b)``, and columns ``[0, 2b)`` decide the cokernel.  So
-    input block modes ``[0, K)``, ``K = min(M - b, 2b)``, are kept (their
-    images lie inside the window) and cokernel modes are counted on
-    ``[0, K - b)`` only; the count is exact once ``M >= 3b``.
+    With ``b`` the measured band of the loop (``b <= B``), ``W`` contains
+    ``z^b H_+`` (``gamma*`` has band ``b`` too) and lies in ``z^{-b} H_+``, so
+    ``W = V (+) z^b H_+`` with ``V`` the range of the ``2bn x 2bn`` block
+    ``[c_{i-j}]``, output modes ``i in [-b, b)``, input modes ``j in [0, 2b)``
+    (Pressley-Segal, *Loop Groups*, ch. 7).  The spec holds ``V`` as explicit
+    columns and modes ``[b, 2b)`` as its tail on the window of modes
+    ``[-2b, 2b)``; its virtual dimension is ``dim V - bn``.
+
+    The block is the compression of the isometry ``gamma`` onto ``W``'s finite
+    part, so its singular values are 1 or 0.  ``V`` keeps the left singular
+    vectors whose singular value exceeds ``RANK_THRESHOLD_REL`` times
+    ``||T_gamma|| = 1`` (an absolute threshold: the block of ``z^n``,
+    ``n > 0``, is pure round-off).  The
+    diagnostics hold the largest coefficient norm outside ``B``
+    (``band_leak``), the circle ``resolution``, the ``band`` ``b`` and
+    ``rank_gap``: the smallest kept and the largest dropped singular value.
+
+    Raises
+    ------
+    BandwidthViolation
+        If a Fourier coefficient beyond the declared band ``B`` has norm
+        >= ``BAND_TOL``, or the circle resolution is below ``4B``.
     """
-    n, M = tw.n, tw.M
-    b = _measured_band(tw.coefficients, np.arange(-tw.B, tw.B + 1))
-    k_blocks = min(M - b, 2 * b)
-    if k_blocks <= b:
-        raise BandwidthViolation(
-            f"window too small for the measured band: M - b = {k_blocks} <= b = {b}"
-        )
-    col_lo = M * n  # block mode 0
-    col_hi = (M + k_blocks) * n
-    w = tw.operator[:, col_lo:col_hi]
-    return Frame(tw.window, w, band=BandInfo(block=n, bandwidth=b, k_blocks=k_blocks))
+    if gamma.codomain != "unitary" or gamma.domain.kind != "circle":
+        raise ShapeMismatch("bott_subspace needs a unitary-tagged circle loop")
+    res = gamma.domain.axes[0].n
+    coeffs = fourier.coefficients(gamma.values)
+    orders = fourier.orders(res)
+    b = _measured_band(coeffs, orders)
+    B = b if B is None else B
+    if res < 4 * B:
+        raise BandwidthViolation(f"circle resolution {res} < 4B = {4 * B}")
+    norms = np.linalg.norm(coeffs, axis=(1, 2))
+    leak = float(norms[np.abs(orders) > B].max(initial=0.0))
+    if leak >= BAND_TOL:
+        raise BandwidthViolation(f"Fourier content outside declared band B = {B}: max norm {leak:.3e}")
+    n = gamma.cols
+    banded = np.where((np.abs(orders) <= b)[:, None, None], coeffs, 0.0)
+    # orders i - j lie in (-3b, b), and res >= 4b (b <= B, or b = 1 and res >= 8):
+    # modulo res none aliases into the band
+    diff = np.arange(-b, b)[:, None] - np.arange(2 * b)[None, :]
+    block = banded[diff % res].transpose(0, 2, 1, 3).reshape(2 * b * n, 2 * b * n)
+    u, s, _ = np.linalg.svd(block)
+    keep = s > RANK_THRESHOLD_REL
+    window = PolarizedWindow(2 * b * n, 2 * b * n)
+    explicit = np.zeros((window.dim, int(keep.sum())), dtype=complex)
+    explicit[b * n : 3 * b * n] = u[:, keep]
+    spec = SubspaceSpec(window, explicit, tuple(range(b * n, 2 * b * n)))
+    diagnostics = {
+        "band_leak": leak,
+        "resolution": res,
+        "band": b,
+        "rank_gap": [float(s[keep].min(initial=np.inf)), float(s[~keep].max(initial=0.0))],
+    }
+    return spec, diagnostics
 
 
 def det_winding(gamma: SampledMap) -> int:
@@ -269,22 +230,21 @@ def bott_consistency(
     """Three routes to the loop's integer class, and whether they agree.
 
     (a) minus the integral of the degree-1 Chern component, (b) the winding
-    of the determinant by phase continuation, (c) minus the safe-window
-    virtual dimension of the Toeplitz-image frame.  By default ``B`` is the
-    measured band of the loop and ``M = 3B``, the window at which route (c)
-    is exact (see :func:`h_odd_project`).
+    of the determinant by phase continuation, (c) minus the virtual dimension
+    of ``W = gamma H_+`` from :func:`bott_subspace`, with ``B`` the declared
+    band (by default the measured band ``b``).  ``M`` sizes no array: it is
+    the half-width of a mode window the caller declares, and a window with
+    ``M <= 2b`` cannot hold ``W``'s finite part and raises
+    ``BandwidthViolation``.
     """
     ch1 = integrate(ch_odd(gamma, 1))
     route_a = -ch1.real
     route_b = det_winding(gamma)
-    if B is None:
-        coeffs = fourier.coefficients(gamma.values)
-        B = _measured_band(coeffs, fourier.orders(len(coeffs)))
-    if M is None:
-        M = 3 * B
-    tw = toeplitz_from_loop(gamma, M=M, B=B)
-    frame = h_odd_project(tw)
-    route_c = -virtual_dimension(frame)
+    spec, diagnostics = bott_subspace(gamma, B)
+    b = diagnostics["band"]
+    if M is not None and M <= 2 * b:
+        raise BandwidthViolation(f"window M = {M} too small for the measured band: M <= 2b = {2 * b}")
+    route_c = -virtual_dimension(spec.to_frame())
     nearest = int(np.round(route_a))
     verdict = (
         abs(route_a - nearest) < tol
@@ -298,5 +258,5 @@ def bott_consistency(
         "det_winding": route_b,
         "virtual_dimension": int(-route_c),
         "verdict": bool(verdict),
-        "diagnostics": dict(tw.diagnostics),
+        "diagnostics": diagnostics,
     }

@@ -8,10 +8,9 @@ left pseudo-inverse ``(w* w)^{-1} w*``, which is exact on the image of the
 frame's projection.
 
 Index extraction never uses square finite sections (they cannot see the
-index).  Band-limited frames carry their declared bandwidth and safe column
-count so that kernel/cokernel ranks are only measured where the truncated
-data is exact; everything else uses the tail-backed count against the full
-positive window.
+index).  A subspace is held as explicit columns plus a tail of standard basis
+modes, and its virtual dimension is counted against the whole positive
+window.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from .numkernel import RANK_THRESHOLD_REL, frobenius, numerical_rank
 __all__ = [
     "PolarizedWindow",
     "Frame",
-    "BandInfo",
     "SubspaceSpec",
     "projection_from_frame",
     "involution_from_projection",
@@ -81,16 +79,6 @@ class PolarizedWindow:
 
 
 @dataclass(frozen=True)
-class BandInfo:
-    """Band metadata for Toeplitz-image frames: block size, bandwidth, safe
-    input block count."""
-
-    block: int
-    bandwidth: int
-    k_blocks: int
-
-
-@dataclass(frozen=True)
 class Frame:
     """Admissible frame: injective columns spanning a window subspace.
 
@@ -99,7 +87,6 @@ class Frame:
 
     window: PolarizedWindow
     w: np.ndarray
-    band: BandInfo | None = None
     norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -116,9 +103,6 @@ class Frame:
     @property
     def n_cols(self) -> int:
         return self.w.shape[1]
-
-    def projection(self) -> np.ndarray:
-        return projection_from_frame(self)
 
 
 def projection_from_frame(fr: Frame | np.ndarray) -> np.ndarray:
@@ -213,25 +197,19 @@ def transgression_eta(frames: SampledMap, k: int, t_res: int = 9) -> GradedForm:
 def virtual_dimension(fr: Frame, threshold: float | None = None) -> int:
     """Kernel minus cokernel of the positive-mode compression of a frame.
 
-    For band-limited frames the cokernel is counted only on output modes that
-    the safe columns fully determine (``[0, (K - B) * block)``); tail-backed
-    frames count against the whole positive window.  Singular values at or
-    below ``threshold`` count as zero; it defaults to ``1e-8`` times the
-    norm of the whole frame, so a row block holding only round-off has rank 0.
+    Both are counted against the whole positive window, so a subspace given
+    as explicit columns plus a tail of standard modes reaching the window's
+    top has the virtual dimension of the infinite subspace it encodes.
+    Singular values at or below ``threshold`` count as zero; it defaults to
+    ``1e-8`` times the norm of the whole frame, so a row block holding only
+    round-off has rank 0.
     """
     win = fr.window
-    w = fr.w
     if threshold is None:
         threshold = RANK_THRESHOLD_REL * fr.norm
-    pi_plus_rows = w[win.n_minus :, :]
+    pi_plus_rows = fr.w[win.n_minus :, :]
     ker = fr.n_cols - numerical_rank(pi_plus_rows, threshold).numerical_rank
-    if fr.band is not None:
-        safe_blocks = fr.band.k_blocks - fr.band.bandwidth
-        safe_dim = max(safe_blocks, 0) * fr.band.block
-    else:
-        safe_dim = win.n_plus
-    safe_rows = w[win.n_minus : win.n_minus + safe_dim, :]
-    coker = safe_dim - numerical_rank(safe_rows, threshold).numerical_rank
+    coker = win.n_plus - numerical_rank(pi_plus_rows, threshold).numerical_rank
     return int(ker - coker)
 
 
@@ -243,7 +221,6 @@ class SubspaceSpec:
     window: PolarizedWindow
     explicit: np.ndarray  # (dim, k), orthonormal, orthogonal to the tail modes
     tail_modes: tuple[int, ...] = ()
-    bandwidth: int = 0
 
     def __post_init__(self):
         e = np.array(self.explicit, dtype=complex, order="C")
@@ -301,7 +278,6 @@ class SubspaceSpec:
             window=win,
             explicit=flip_cols[:, keep],
             tail_modes=tuple(tail_out),
-            bandwidth=self.bandwidth,
         )
 
     def blocksummed(self, other: "SubspaceSpec") -> "SubspaceSpec":
@@ -320,18 +296,10 @@ class SubspaceSpec:
 
         explicit = np.concatenate([lift(self.explicit, 0), lift(other.explicit, 1)], axis=1)
         tail = tuple(2 * m for m in self.tail_modes) + tuple(2 * m + 1 for m in other.tail_modes)
-        return SubspaceSpec(big, explicit, tail, max(self.bandwidth, other.bandwidth))
+        return SubspaceSpec(big, explicit, tail)
 
     def virtual_dimension(self) -> int:
         return virtual_dimension(self.to_frame())
-
-    def report(self) -> dict:
-        return {
-            "tail_modes": list(self.tail_modes),
-            "bandwidth": self.bandwidth,
-            "explicit_rank": int(self.explicit.shape[1]),
-            "virtual_dimension": self.virtual_dimension(),
-        }
 
 
 def include_finite_grassmannian(pi: np.ndarray, half_size: int, window: PolarizedWindow) -> Frame:

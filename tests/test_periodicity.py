@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chernlab import builders
 from chernlab.errors import BandwidthViolation
 from chernlab.khat import CircleConnection, a_even
-from chernlab.periodicity import bott_consistency, kato_transport, toeplitz_from_loop
+from chernlab.kops import blocksum_map
+from chernlab.periodicity import bott_consistency, bott_subspace, kato_transport
 
 
 def _band_loop(windings):
@@ -41,14 +44,61 @@ def test_explicit_window_and_band(seed):
 
 
 def test_round_off_rows_do_not_count_as_rank():
-    # the safe cokernel rows of this frame hold only ~1e-17
+    # the finite block of z holds only round-off (~1e-17)
     report = bott_consistency(builders.loop_zn(1), M=3, B=1)
     assert report["virtual_dimension"] == -1 and report["verdict"]
 
 
 def test_content_outside_the_declared_band_is_rejected():
-    with pytest.raises(BandwidthViolation):
-        toeplitz_from_loop(builders.trig_loop(winding=1), M=12, B=3)
+    with pytest.raises(BandwidthViolation, match="outside declared band"):
+        bott_consistency(builders.trig_loop(winding=1), M=12, B=3)
+
+
+def test_a_window_too_small_for_the_finite_block_is_rejected():
+    # W = V (+) z^b H_+ lives on modes [-2b, 2b); loop_zn(2) has b = 2
+    with pytest.raises(BandwidthViolation, match="window M = 4"):
+        bott_consistency(builders.loop_zn(2), M=4, B=2)
+    assert bott_consistency(builders.loop_zn(2), M=5, B=2)["verdict"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7919])
+def test_block_singular_values_are_one_or_zero(seed):
+    # the block compresses the isometry gamma onto V (+) Y, Y inside z^b H_+
+    rng = np.random.default_rng(seed)
+    for windings in [(2, 2, -1), (-2, 1, -2), (0, 2, -2)]:
+        gamma = builders.random_band_loop(rng, rank=3, winding=list(windings), res=256)
+        kept, dropped = bott_subspace(gamma, B=30)[1]["rank_gap"]
+        assert kept >= 1.0 - 1e-9 and dropped <= 1e-9
+
+
+STRANDS = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
+
+
+def _rank2_loop(seed, windings):
+    return builders.random_band_loop(np.random.default_rng(seed), rank=2, winding=windings)
+
+
+@settings(max_examples=12, deadline=None)
+@given(STRANDS, st.integers(0, 2**16))
+def test_bott_subspace_has_minus_the_total_winding(windings, seed):
+    spec, _ = bott_subspace(_rank2_loop(seed, windings))
+    assert spec.virtual_dimension() == -sum(windings)
+
+
+@settings(max_examples=12, deadline=None)
+@given(STRANDS, st.integers(0, 2**16))
+def test_bott_subspace_inverse_is_the_flip(windings, seed):
+    gamma = _rank2_loop(seed, windings)
+    assert bott_subspace(gamma)[0].flipped().virtual_dimension() == sum(windings)
+    assert bott_subspace(gamma.adjoint())[0].virtual_dimension() == sum(windings)
+
+
+@settings(max_examples=12, deadline=None)
+@given(STRANDS, STRANDS, st.integers(0, 2**16))
+def test_bott_subspace_sum_is_the_blocksum(w1, w2, seed):
+    g1, g2 = _rank2_loop(seed, w1), _rank2_loop(seed + 1, w2)
+    spec, _ = bott_subspace(blocksum_map(g1, g2))
+    assert spec.virtual_dimension() == -sum(w1) - sum(w2)
 
 
 @pytest.mark.parametrize("colatitude", [0.6, 1.1, 2.3])
