@@ -38,7 +38,6 @@ from .errors import (
 from .geomgrid import (
     DomainGrid,
     GradedForm,
-    JetField,
     SampledMap,
     _check_partials,
     _diff_interval,
@@ -131,32 +130,32 @@ def _mc_jets(f: SampledMap, partials: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [finv @ p for p in partials]
 
 
-def _curvature_pairs(p: SampledMap, jets: JetField | None = None) -> dict[tuple[int, int], np.ndarray]:
+def _curvature_pairs(
+    p: SampledMap, partials: Sequence[np.ndarray] | None = None
+) -> dict[tuple[int, int], np.ndarray]:
     """Pair values ``p (d_i p d_j p - d_j p d_i p)`` per increasing (i, j)."""
-    if jets is None:
-        jets = differentiate(p)
-    d = jets.partials
+    d = differentiate(p) if partials is None else partials
     pairs = {}
     for i, j in itertools.combinations(range(len(d)), 2):
         pairs[(i, j)] = p.values @ (d[i] @ d[j] - d[j] @ d[i])
     return pairs
 
 
-def ch_odd(f: SampledMap, k: int, jets: JetField | None = None) -> GradedForm:
+def ch_odd(f: SampledMap, k: int, partials: Sequence[np.ndarray] | None = None) -> GradedForm:
     """Degree-(2k-1) odd Chern component of a unitary-tagged map."""
     if f.codomain != "unitary":
         raise ShapeMismatch("ch_odd needs a unitary-tagged map")
     deg = 2 * k - 1
     if deg > f.domain.dim:
         raise DegreeOverflow(f"degree {deg} exceeds domain dimension {f.domain.dim}")
-    if jets is None:
-        jets = differentiate(f)
-    comps = wedge_trace_power(_mc_jets(f, jets.partials), deg)
+    if partials is None:
+        partials = differentiate(f)
+    comps = wedge_trace_power(_mc_jets(f, partials), deg)
     c = chern_scalar("odd", k)
     return GradedForm(f.domain, deg, -k, {idx: c * a for idx, a in comps.items()})
 
 
-def ch_even(p: SampledMap, k: int, jets: JetField | None = None) -> GradedForm:
+def ch_even(p: SampledMap, k: int, partials: Sequence[np.ndarray] | None = None) -> GradedForm:
     """Degree-2k even Chern component of a projection-tagged map (k >= 1)."""
     if p.codomain != "projection":
         raise ShapeMismatch("ch_even needs a projection-tagged map")
@@ -165,7 +164,7 @@ def ch_even(p: SampledMap, k: int, jets: JetField | None = None) -> GradedForm:
     deg = 2 * k
     if deg > p.domain.dim:
         raise DegreeOverflow(f"degree {deg} exceeds domain dimension {p.domain.dim}")
-    comps = trace_wedge(*[_curvature_pairs(p, jets)] * k)
+    comps = trace_wedge(*[_curvature_pairs(p, partials)] * k)
     c = chern_scalar("even", k)
     return GradedForm(p.domain, deg, -k, {idx: c * a for idx, a in comps.items()})
 
@@ -174,17 +173,17 @@ def ch_total(f: SampledMap, k_max: int = DEFAULT_K_MAX) -> list[GradedForm]:
     """All positive-degree components up to the dimension cutoff."""
     if k_max < 1:
         raise DegreeOverflow("k_max must be >= 1")
-    jets = differentiate(f)
+    partials = differentiate(f)
     out: list[GradedForm] = []
     for k in range(1, k_max + 1):
         if f.codomain == "unitary":
             if 2 * k - 1 > f.domain.dim:
                 break
-            out.append(ch_odd(f, k, jets))
+            out.append(ch_odd(f, k, partials))
         elif f.codomain == "projection":
             if 2 * k > f.domain.dim:
                 break
-            out.append(ch_even(f, k, jets))
+            out.append(ch_even(f, k, partials))
         else:
             raise ShapeMismatch("ch_total needs a unitary- or projection-tagged map")
     return out
@@ -385,15 +384,14 @@ def cs_form(H: Homotopy, k: int) -> GradedForm:
         sl = H.slice_map(it)
         if H.codomain == "unitary":
             # CS_0 = tr(alpha_t) needs no spatial jets
-            d = differentiate(sl).partials if k > 1 else ()
+            d = differentiate(sl) if k > 1 else ()
             alpha_t, *alpha = _mc_jets(sl, (dt_slices[it], *d))
             omega = {(i,): a for i, a in enumerate(alpha)}
             comps = trace_wedge({(): alpha_t}, *[omega] * (2 * k - 2))
         else:
-            jets = differentiate(sl)
-            d, dpt = jets.partials, dt_slices[it]
+            d, dpt = differentiate(sl), dt_slices[it]
             iota = {(i,): sl.values @ (dpt @ d[i] - d[i] @ dpt) for i in range(dim)}
-            curvature = _curvature_pairs(sl, jets) if k > 1 else {}
+            curvature = _curvature_pairs(sl, d) if k > 1 else {}
             comps = trace_wedge(iota, *[curvature] * (k - 1))
         for idx, val in comps.items():
             acc[idx] = acc[idx] + wt * val if idx in acc else wt * val

@@ -11,17 +11,22 @@ coefficient at order ``+n``.  Orders are signed and stored in FFT layout
 (:func:`orders`).  For even ``N`` the Nyquist coefficient is ambiguous between
 orders ``+-N/2``:
 
-* off-grid evaluation (:class:`Interpolant`) splits it evenly between the two,
-  so real samples give a real interpolant;
+* :func:`resample`, the trigonometric interpolant on a finer uniform grid,
+  splits it evenly between the two, so real samples give a real interpolant;
 * the on-grid derivative and antiderivative treat its wavenumber as 0, the
   limit of that split on the grid.
+
+A resample to ``n > N`` nodes has no Nyquist content, so :func:`derivative`
+on it is the exact derivative of the interpolant at the finer nodes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["orders", "coefficients", "Interpolant", "derivative", "antiderivative"]
+from .errors import BadResolution
+
+__all__ = ["orders", "coefficients", "resample", "derivative", "antiderivative"]
 
 
 def orders(n: int) -> np.ndarray:
@@ -44,31 +49,23 @@ def _wavenumbers(n: int) -> np.ndarray:
     return k
 
 
-class Interpolant:
-    """Trigonometric interpolant ``x(theta) = sum_m c_m e^{i m theta}`` of
-    samples along axis 0; ``value(theta_k)`` returns ``samples[k]``."""
+def resample(samples: np.ndarray, n: int) -> np.ndarray:
+    """The trigonometric interpolant of ``N`` samples (axis 0) on ``n >= N``
+    uniform nodes; ``resample(x, k * N)[::k]`` returns ``x``.
 
-    def __init__(self, samples: np.ndarray):
-        n = samples.shape[0]
-        coeffs = coefficients(samples)
-        m = orders(n).astype(float)
-        if n % 2 == 0:
-            ny = n // 2
-            coeffs = np.concatenate([coeffs, coeffs[ny : ny + 1]], axis=0)
-            coeffs[ny] *= 0.5
-            coeffs[-1] *= 0.5
-            m = np.concatenate([m, [-m[ny]]])
-        self.orders = m
-        self.coeffs = coeffs
-
-    def value(self, theta: float) -> np.ndarray:
-        phases = np.exp(1j * self.orders * theta)
-        return np.tensordot(phases, self.coeffs, axes=(0, 0))
-
-    def derivative(self, theta: float) -> np.ndarray:
-        """``dx/dtheta`` at ``theta``."""
-        phases = 1j * self.orders * np.exp(1j * self.orders * theta)
-        return np.tensordot(phases, self.coeffs, axes=(0, 0))
+    Raises BadResolution if ``n < N``.
+    """
+    c = coefficients(samples)
+    N = c.shape[0]
+    if n < N:
+        raise BadResolution(f"cannot resample {N} nodes onto {n} < {N}")
+    fine = np.zeros((n,) + c.shape[1:], dtype=complex)
+    fine[orders(N) % n] = c
+    if N % 2 == 0:  # split the Nyquist coefficient evenly between orders -N/2 and +N/2
+        half = 0.5 * c[N // 2]
+        fine[n - N // 2] -= half
+        fine[N // 2] += half
+    return np.fft.ifft(fine, axis=0) * n
 
 
 def derivative(values: np.ndarray, axis: int = 0) -> np.ndarray:

@@ -44,7 +44,6 @@ __all__ = [
     "Axis",
     "DomainGrid",
     "SampledMap",
-    "JetField",
     "GradedForm",
     "Cycle",
     "make_domain",
@@ -190,7 +189,9 @@ class SampledMap:
     modules; this module treats it as opaque.  ``partials``, when given, holds
     the exact derivative of the map along each domain axis, one array of the
     shape of ``values`` per axis; :func:`differentiate` returns it instead of
-    grid derivatives.
+    grid derivatives.  The map takes ownership of the ``values`` and
+    ``partials`` arrays it is given (they are not copied when already
+    contiguous complex) and makes them read-only.
     """
 
     domain: DomainGrid
@@ -200,7 +201,7 @@ class SampledMap:
     partials: tuple[np.ndarray, ...] | None = None  # exact d(values)/dx_i when known
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=complex, order="C")
+        v = np.ascontiguousarray(self.values, dtype=complex)
         expected = self.domain.node_shape
         if v.shape[: len(expected)] != expected or v.ndim != len(expected) + 2:
             raise ShapeMismatch(
@@ -254,24 +255,17 @@ class SampledMap:
 
 
 def _check_partials(partials, n_axes: int, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Frozen complex copies of one exact partial per axis, each of ``shape``.
+    """One exact partial per axis, each of ``shape``, contiguous complex and
+    frozen; arrays that already are contiguous complex are kept, not copied.
 
     Raises ShapeMismatch naming the expected shape when the count or a shape
     is wrong.
     """
-    parts = tuple(np.array(p, dtype=complex, order="C") for p in partials)
+    parts = tuple(np.ascontiguousarray(p, dtype=complex) for p in partials)
     if len(parts) != n_axes or any(p.shape != shape for p in parts):
         got = [p.shape for p in parts]
         raise ShapeMismatch(f"partials {got} do not match {n_axes} x {shape}")
     return tuple(_freeze(p) for p in parts)
-
-
-@dataclass(frozen=True)
-class JetField:
-    """A sampled map together with its per-axis partial derivatives."""
-
-    base: SampledMap
-    partials: tuple[np.ndarray, ...]  # one array per domain axis, same shape as values
 
 
 @dataclass(frozen=True)
@@ -395,16 +389,16 @@ def _diff_along(domain: DomainGrid, values: np.ndarray, axis: int) -> np.ndarray
     return _diff_interval(values, arr_axis, ax.n, ax.spacing)
 
 
-def differentiate(f: SampledMap) -> JetField:
-    """Per-axis derivative jets of ``f``.
+def differentiate(f: SampledMap) -> tuple[np.ndarray, ...]:
+    """Per-axis derivative jets of ``f``, one array of the shape of its values
+    per domain axis.
 
     The map's exact ``partials`` when it carries them; otherwise grid
     derivatives, spectral on periodic axes and FD4 on intervals.
     """
     if f.partials is not None:
-        return JetField(base=f, partials=f.partials)
-    partials = tuple(_diff_along(f.domain, f.values, i) for i in range(f.domain.dim))
-    return JetField(base=f, partials=partials)
+        return f.partials
+    return tuple(_diff_along(f.domain, f.values, i) for i in range(f.domain.dim))
 
 
 def form_derivative(omega: GradedForm) -> GradedForm:

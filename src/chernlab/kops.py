@@ -202,11 +202,10 @@ def rotation_times(t_res: int = DEFAULT_T_RES) -> np.ndarray:
     return np.linspace(0.0, np.pi / 2.0, t_res)
 
 
-def _pair_rotation(dim_small: int, t: float) -> np.ndarray:
-    """The copy-mixing rotation on the interleaved space at parameter ``t``."""
-    c, s = np.cos(t), np.sin(t)
-    rot = np.array([[c, s], [-s, c]], dtype=complex)
-    return np.kron(np.eye(dim_small, dtype=complex), rot)
+def _rotation(gen: np.ndarray, t: float) -> np.ndarray:
+    """``C_t = exp(t J)`` for a generator with ``J^3 = -J``:
+    ``1 + sin t J + (1 - cos t) J^2``."""
+    return np.eye(gen.shape[0]) + np.sin(t) * gen + (1.0 - np.cos(t)) * (gen @ gen)
 
 
 def _pair_rotation_generator(dim_small: int) -> np.ndarray:
@@ -272,7 +271,7 @@ def _rotation_homotopy(a: SampledMap, b: SampledMap, t_res: int, codomain: str, 
     partials = np.empty_like(slices)
     spatial = tuple(np.empty_like(slices) for _ in d_left)
     for i, t in enumerate(times):
-        ct = _pair_rotation(n, float(t))
+        ct = _rotation(gen, float(t))
         inner = ct @ right @ ct.conj().T
         slices[i] = left @ inner
         partials[i] = left @ (gen @ inner - inner @ gen)
@@ -323,24 +322,13 @@ def grading_rotation(window: PolarizedWindow, t: float) -> np.ndarray:
     with the first negative strand through the mode pairing
     ``e_{2a+1} <-> e_{-2a-2}``; everything else is fixed.
     """
-    if window.n_minus != window.n_plus:
-        raise AsymmetricWindow("even inversion needs a symmetric window")
-    m = window.n_plus
-    big = doubled_window(window)
-    out = np.eye(big.dim, dtype=complex)
-    c, s = np.cos(t), np.sin(t)
-    for a in range(m):
-        p2 = big.index_of(2 * a + 1)
-        m1 = big.index_of(-2 * a - 2)
-        out[p2, p2] = c
-        out[p2, m1] = -s
-        out[m1, p2] = s
-        out[m1, m1] = c
-    return out
+    return _rotation(grading_rotation_generator(window), t)
 
 
 def grading_rotation_generator(window: PolarizedWindow) -> np.ndarray:
     """``J`` with ``dC_t/dt = J C_t`` for the grading rotation."""
+    if window.n_minus != window.n_plus:
+        raise AsymmetricWindow("even inversion needs a symmetric window")
     m = window.n_plus
     big = doubled_window(window)
     out = np.zeros((big.dim, big.dim), dtype=complex)
@@ -364,17 +352,15 @@ def inversion_homotopy_even(x: SampledMap, t_res: int = DEFAULT_T_RES) -> Homoto
     if x.window is None:
         raise AsymmetricWindow("even inversion needs a windowed map")
     win = x.window
-    if win.n_minus != win.n_plus:
-        raise AsymmetricWindow("even inversion needs a symmetric window")
+    gen = grading_rotation_generator(win)
     summed = blocksum(x.values, flip(x.values, win))
     big = doubled_window(win)
     pi_plus = big.pi_plus
     times = rotation_times(t_res)
-    gen = grading_rotation_generator(win)
     slices = np.empty((times.size, *summed.shape), dtype=complex)
     partials = np.empty_like(slices)
     for i, t in enumerate(times):
-        ct = grading_rotation(win, float(t))
+        ct = _rotation(gen, float(t))
         m_t = ct.conj().T @ summed @ ct
         m_dot = ct.conj().T @ (summed @ gen - gen @ summed) @ ct
         slices[i] = m_t @ pi_plus @ np.swapaxes(m_t, -1, -2).conj()

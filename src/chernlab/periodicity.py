@@ -9,9 +9,10 @@ index extraction (they are index-blind); the independent cross-check is the
 winding number of the determinant by phase continuation.
 
 Even to odd: a loop of projections is parallel-transported with the
-horizontal-lift equation ``w' = pi' w`` (RK4 with per-step re-projection);
-the endpoint fiber coordinate, unitarized through the polar factor, is the
-holonomy.
+horizontal-lift equation ``w' = pi' w`` (Kato's adiabatic transport; RK4 with
+per-step re-projection), reading ``pi`` and ``pi'`` from one resample of the
+loop onto a uniform grid of twice as many nodes as steps; the endpoint fiber
+coordinate, unitarized through the polar factor, is the holonomy.
 """
 
 from __future__ import annotations
@@ -133,26 +134,6 @@ class HolonomyResult:
     diagnostics: dict
 
 
-def _loop_samples(loop) -> np.ndarray:
-    """Projection samples around a loop, endpoint not repeated.
-
-    Accepts a projection-tagged circle map (closed by construction) or a raw
-    ``(n_t, d, d)`` array of uniform samples on ``[0, 1]`` including the
-    endpoint, which must close within 1e-10.
-    """
-    if isinstance(loop, SampledMap):
-        if loop.domain.kind != "circle" or loop.codomain != "projection":
-            raise NotALoop("need a projection-tagged circle map")
-        return np.asarray(loop.values)
-    arr = np.asarray(loop, dtype=complex)
-    if arr.ndim != 3 or arr.shape[-1] != arr.shape[-2]:
-        raise ShapeMismatch("loop samples must have shape (n_t, d, d)")
-    defect = float(np.abs(arr[0] - arr[-1]).max())
-    if defect >= 1e-10:
-        raise NotALoop(f"endpoint projections differ by {defect:.3e}")
-    return arr[:-1]
-
-
 def _initial_frame(pi0: np.ndarray) -> np.ndarray:
     evals, evecs = np.linalg.eigh(pi0)
     cols = evecs[:, evals > 0.5]
@@ -161,24 +142,26 @@ def _initial_frame(pi0: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _transport_once(path: fourier.Interpolant, w0: np.ndarray, steps: int) -> tuple[np.ndarray, dict]:
+def _transport_once(p: np.ndarray, dp: np.ndarray, w0: np.ndarray, stride: int) -> tuple[np.ndarray, dict]:
+    """RK4 with re-projection over the stage grid ``p``, ``dp`` of ``2S`` nodes.
+
+    Step ``i`` reads nodes ``2i``, ``2i + 1`` and ``2i + 2``, each times
+    ``stride`` and wrapped at ``2S``, so the run takes ``S / stride`` steps.
+    """
+    n = p.shape[0]
+    steps = n // (2 * stride)
     h = 2.0 * np.pi / steps
     w = w0.copy()
     track_defect = 0.0
     for i in range(steps):
-        t = i * h
-
-        def rhs(tt: float, ww: np.ndarray) -> np.ndarray:
-            return path.derivative(tt) @ ww
-
-        k1 = rhs(t, w)
-        k2 = rhs(t + 0.5 * h, w + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, w + 0.5 * h * k2)
-        k4 = rhs(t + h, w + h * k3)
+        a, mid, b = ((2 * i + j) * stride % n for j in range(3))
+        k1 = dp[a] @ w
+        k2 = dp[mid] @ (w + 0.5 * h * k1)
+        k3 = dp[mid] @ (w + 0.5 * h * k2)
+        k4 = dp[b] @ (w + h * k3)
         w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        pi_next = path.value(t + h)
-        track_defect = max(track_defect, float(np.abs(pi_next @ w - w).max()))
-        w = pi_next @ w  # re-projection: keeps the frame inside the tracked image
+        track_defect = max(track_defect, float(np.abs(p[b] @ w - w).max()))
+        w = p[b] @ w  # re-projection: keeps the frame inside the tracked image
     sv = np.linalg.svd(w, compute_uv=False)
     if sv[-1] < 1e-6:
         raise LostRank(f"transported frame degenerated: min singular value {sv[-1]:.3e}")
@@ -186,42 +169,32 @@ def _transport_once(path: fourier.Interpolant, w0: np.ndarray, steps: int) -> tu
     return w, {"tracking_defect": track_defect, "gram_drift": gram_drift}
 
 
-def kato_transport(
-    loop,
-    steps: int = DEFAULT_TRANSPORT_STEPS,
-    w0: np.ndarray | None = None,
-    check_halving: bool = True,
-) -> HolonomyResult:
+def kato_transport(loop: SampledMap) -> HolonomyResult:
     """Holonomy of a projection loop by horizontal-lift integration.
 
     The lift solves ``w' = pi' w`` (equivalent to vanishing connection along
-    the lift while ``pi w = w``), RK4 with per-step re-projection.  The
-    endpoint solves ``w(1) = w0 Q`` on the image of the starting projection;
-    ``U`` is the unitary polar factor of ``Q``.  With ``check_halving`` the
-    integration is repeated at half resolution and flagged if the holonomy
-    moves by more than 1e-6.
+    the lift while ``pi w = w``) by ``DEFAULT_TRANSPORT_STEPS`` RK4 steps with
+    per-step re-projection.  Every stage reads ``pi`` and ``pi'`` from one
+    :func:`fourier.resample` of the loop onto twice as many nodes as steps,
+    and its spectral derivative, which is exact there; a loop of more samples
+    than that grid raises BadResolution.  The start frame ``w0`` is an
+    orthonormal eigenbasis of the first sample's image, so the endpoint
+    ``w(1) = w0 Q`` gives ``Q = w0* w(1)``, and ``U`` is the unitary polar
+    factor of ``Q``.  The transport is repeated at half the steps on the same
+    grid and flagged (``step_halving_ok``) if ``Q`` moves by 1e-6 or more.
     """
-    samples = _loop_samples(loop)
-    path = fourier.Interpolant(samples)
-    pi0 = samples[0]
-    if w0 is None:
-        w0 = _initial_frame(pi0)
-    else:
-        w0 = np.asarray(w0, dtype=complex)
-        if float(np.abs(pi0 @ w0 - w0).max()) >= 1e-8:
-            raise LostRank("starting frame does not span the initial image")
-    w_end, diag = _transport_once(path, w0, steps)
-    q = np.linalg.solve(w0.conj().T @ w0, w0.conj().T @ w_end)
-    u = polar_unitary(q)
-    diag = dict(diag)
-    diag["steps"] = steps
-    if check_halving:
-        w_half, _ = _transport_once(path, w0, max(steps // 2, 8))
-        q_half = np.linalg.solve(w0.conj().T @ w0, w0.conj().T @ w_half)
-        delta = float(np.abs(q - q_half).max())
-        diag["step_halving_delta"] = delta
-        diag["step_halving_ok"] = bool(delta < 1e-6)
-    return HolonomyResult(Q=q, U=u, diagnostics=diag)
+    if not isinstance(loop, SampledMap) or loop.domain.kind != "circle" or loop.codomain != "projection":
+        raise NotALoop("need a projection-tagged circle map")
+    steps = DEFAULT_TRANSPORT_STEPS
+    p = fourier.resample(loop.values, 2 * steps)
+    dp = fourier.derivative(p)
+    w0 = _initial_frame(loop.values[0])
+    w_end, diag = _transport_once(p, dp, w0, 1)
+    q = w0.conj().T @ w_end
+    w_half, _ = _transport_once(p, dp, w0, 2)
+    delta = float(np.abs(q - w0.conj().T @ w_half).max())
+    diag.update(steps=steps, step_halving_delta=delta, step_halving_ok=bool(delta < 1e-6))
+    return HolonomyResult(Q=q, U=polar_unitary(q), diagnostics=diag)
 
 
 def bott_consistency(

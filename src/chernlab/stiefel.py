@@ -169,8 +169,7 @@ def transgression_eta(frames: SampledMap, k: int, t_res: int = 9) -> GradedForm:
     dim = frames.domain.dim
     if deg > dim:
         raise DegenerateFrame(f"degree {deg} exceeds domain dimension {dim}")
-    jets = differentiate(frames)
-    theta, omega_pairs, bracket_pairs = _frame_pointwise_data(frames.values, list(jets.partials))
+    theta, omega_pairs, bracket_pairs = _frame_pointwise_data(frames.values, list(differentiate(frames)))
 
     if t_res % 2 == 0 or t_res < 3:
         raise DegenerateFrame("auxiliary t grid needs an odd node count >= 3")
@@ -194,19 +193,17 @@ def transgression_eta(frames: SampledMap, k: int, t_res: int = 9) -> GradedForm:
 # virtual dimension and inclusions
 
 
-def virtual_dimension(fr: Frame, threshold: float | None = None) -> int:
+def virtual_dimension(fr: Frame) -> int:
     """Kernel minus cokernel of the positive-mode compression of a frame.
 
     Both are counted against the whole positive window, so a subspace given
     as explicit columns plus a tail of standard modes reaching the window's
     top has the virtual dimension of the infinite subspace it encodes.
-    Singular values at or below ``threshold`` count as zero; it defaults to
-    ``1e-8`` times the norm of the whole frame, so a row block holding only
-    round-off has rank 0.
+    Singular values at or below ``1e-8`` times the norm of the whole frame
+    count as zero, so a row block holding only round-off has rank 0.
     """
     win = fr.window
-    if threshold is None:
-        threshold = RANK_THRESHOLD_REL * fr.norm
+    threshold = RANK_THRESHOLD_REL * fr.norm
     pi_plus_rows = fr.w[win.n_minus :, :]
     ker = fr.n_cols - numerical_rank(pi_plus_rows, threshold).numerical_rank
     coker = win.n_plus - numerical_rank(pi_plus_rows, threshold).numerical_rank

@@ -332,7 +332,7 @@ def test_cs_projection_k2_matches_space_time_permutation_sum():
     integrand = np.zeros((h.n_times, *dom.node_shape), dtype=complex)
     for it in range(h.n_times):
         p = h.slices[it]
-        d = [dt[it], *differentiate(h.slice_map(it)).partials]  # slot 0 is t
+        d = [dt[it], *differentiate(h.slice_map(it))]  # slot 0 is t
         for perm in itertools.permutations(range(4)):
             a, b, c, e = (d[q] for q in perm)
             prod = p @ (a @ b - b @ a) @ p @ (c @ e - e @ c)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chernlab import fourier
+from chernlab.errors import BadResolution
 
 RNG = np.random.default_rng(1905)
 
@@ -10,12 +11,33 @@ def nodes(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
+def direct_interpolant(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """``sum_m c_m e^{i m theta}`` over ``|m| <= N/2``, term by term, with the
+    coefficient of ``|m| = N/2`` (even ``N``) split evenly between the two."""
+    n = x.shape[0]
+    m = np.arange(-(n // 2), n // 2 + 1)
+    weight = np.where(2 * np.abs(m) == n, 0.5, 1.0)
+    c = np.exp(-1j * np.outer(m, nodes(n))) @ x.reshape(n, -1) / n
+    return ((weight * np.exp(1j * np.outer(theta, m))) @ c).reshape(theta.size, *x.shape[1:])
+
+
 @pytest.mark.parametrize("n", [15, 16])
 def test_interpolant_returns_the_samples_on_the_nodes(n):
     samples = RNG.standard_normal((n, 2, 3)) + 1j * RNG.standard_normal((n, 2, 3))
-    path = fourier.Interpolant(samples)
-    for k, theta in enumerate(nodes(n)):
-        assert np.abs(path.value(theta) - samples[k]).max() < 1e-13
+    assert np.abs(fourier.resample(samples, 3 * n)[::3] - samples).max() < 1e-13
+
+
+@pytest.mark.parametrize("fine", [1, 3, None])
+@pytest.mark.parametrize("n", [15, 16])
+def test_resample_matches_the_direct_sum(n, fine):
+    samples = RNG.standard_normal((n, 2, 3)) + 1j * RNG.standard_normal((n, 2, 3))
+    m = 100 if fine is None else fine * n
+    assert np.abs(fourier.resample(samples, m) - direct_interpolant(samples, nodes(m))).max() < 1e-12
+
+
+def test_resample_onto_fewer_nodes_is_rejected():
+    with pytest.raises(BadResolution):
+        fourier.resample(np.ones(16), 15)
 
 
 @pytest.mark.parametrize("q", [-3, -1, 0, 2, 5])
@@ -32,10 +54,10 @@ def test_derivative_of_monomial(q, n):
     theta = nodes(n)
     x = np.exp(1j * q * theta)
     assert np.abs(fourier.derivative(x) - 1j * q * x).max() < 1e-12
-    path = fourier.Interpolant(x[:, None, None])
-    for t in (0.3, 2.0, 5.9):
-        assert abs(path.value(t)[0, 0] - np.exp(1j * q * t)) < 1e-12
-        assert abs(path.derivative(t)[0, 0] - 1j * q * np.exp(1j * q * t)) < 1e-11
+    fine = fourier.resample(x[:, None, None], 4 * n)[:, 0, 0]
+    exact = np.exp(1j * q * nodes(4 * n))
+    assert np.abs(fine - exact).max() < 1e-12
+    assert np.abs(fourier.derivative(fine) - 1j * q * exact).max() < 1e-11
 
 
 def test_derivative_along_an_axis_and_nyquist_mode():
@@ -45,8 +67,7 @@ def test_derivative_along_an_axis_and_nyquist_mode():
     assert np.abs(fourier.derivative(grid, axis=1) - 2j * grid).max() < 1e-12
     nyquist = np.cos(n // 2 * theta)  # (-1)^k on the nodes
     assert np.abs(fourier.derivative(nyquist)).max() < 1e-12
-    path = fourier.Interpolant(nyquist)
-    assert abs(path.value(0.1) - np.cos(n // 2 * 0.1)) < 1e-12
+    assert np.abs(fourier.resample(nyquist, 50) - np.cos(n // 2 * nodes(50))).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [32, 33])

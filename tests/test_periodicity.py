@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chernlab import builders
-from chernlab.errors import BandwidthViolation
+from chernlab.errors import BandwidthViolation, NotALoop
+from chernlab.geomgrid import SampledMap, constant_map, make_domain
 from chernlab.khat import CircleConnection, a_even
 from chernlab.kops import blocksum_map
 from chernlab.periodicity import bott_consistency, bott_subspace, kato_transport
@@ -114,3 +115,13 @@ def test_classifying_loop_transports_to_the_connection_holonomy(c):
     result = kato_transport(a_even(alpha).representative)
     assert result.diagnostics["step_halving_ok"]
     assert abs(np.linalg.det(result.U) - np.exp(1j * alpha.integral())) < 1e-10
+
+
+def test_kato_transport_needs_a_projection_loop():
+    circle = make_domain("circle", 16)
+    theta = circle.axes[0].coords
+    unitary = SampledMap(circle, np.exp(1j * theta)[:, None, None], codomain="unitary")
+    torus = constant_map(make_domain("torus2", (8, 8)), np.diag([1.0, 0.0]), codomain="projection")
+    for loop in (unitary, torus):
+        with pytest.raises(NotALoop):
+            kato_transport(loop)
