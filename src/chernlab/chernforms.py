@@ -40,6 +40,7 @@ from .geomgrid import (
     GradedForm,
     SampledMap,
     _check_partials,
+    _diff_along,
     _diff_interval,
     _simpson_weights,
     differentiate,
@@ -124,20 +125,17 @@ def wedge_trace_power(jets: Sequence[np.ndarray], arity: int) -> dict[tuple[int,
     return trace_wedge(*[omega] * arity)
 
 
-def _mc_jets(f: SampledMap, partials: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Logarithmic-derivative slot values ``f^{-1} d f`` for each given partial."""
-    finv = np.swapaxes(f.values, -1, -2).conj()
+def _mc_jets(f: np.ndarray, partials: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Logarithmic-derivative slot values ``f^{-1} d f`` of unitary values ``f`` for each given partial."""
+    finv = np.swapaxes(f, -1, -2).conj()
     return [finv @ p for p in partials]
 
 
-def _curvature_pairs(
-    p: SampledMap, partials: Sequence[np.ndarray] | None = None
-) -> dict[tuple[int, int], np.ndarray]:
-    """Pair values ``p (d_i p d_j p - d_j p d_i p)`` per increasing (i, j)."""
-    d = differentiate(p) if partials is None else partials
+def _curvature_pairs(p: np.ndarray, d: Sequence[np.ndarray]) -> dict[tuple[int, int], np.ndarray]:
+    """Pair values ``p (d_i p d_j p - d_j p d_i p)`` of projection values ``p`` and jets ``d``."""
     pairs = {}
     for i, j in itertools.combinations(range(len(d)), 2):
-        pairs[(i, j)] = p.values @ (d[i] @ d[j] - d[j] @ d[i])
+        pairs[(i, j)] = p @ (d[i] @ d[j] - d[j] @ d[i])
     return pairs
 
 
@@ -150,7 +148,7 @@ def ch_odd(f: SampledMap, k: int, partials: Sequence[np.ndarray] | None = None) 
         raise DegreeOverflow(f"degree {deg} exceeds domain dimension {f.domain.dim}")
     if partials is None:
         partials = differentiate(f)
-    comps = wedge_trace_power(_mc_jets(f, partials), deg)
+    comps = wedge_trace_power(_mc_jets(f.values, partials), deg)
     c = chern_scalar("odd", k)
     return GradedForm(f.domain, deg, -k, {idx: c * a for idx, a in comps.items()})
 
@@ -164,7 +162,9 @@ def ch_even(p: SampledMap, k: int, partials: Sequence[np.ndarray] | None = None)
     deg = 2 * k
     if deg > p.domain.dim:
         raise DegreeOverflow(f"degree {deg} exceeds domain dimension {p.domain.dim}")
-    comps = trace_wedge(*[_curvature_pairs(p, partials)] * k)
+    if partials is None:
+        partials = differentiate(p)
+    comps = trace_wedge(*[_curvature_pairs(p.values, partials)] * k)
     c = chern_scalar("even", k)
     return GradedForm(p.domain, deg, -k, {idx: c * a for idx, a in comps.items()})
 
@@ -379,19 +379,24 @@ def cs_form(H: Homotopy, k: int) -> GradedForm:
     for a, b in H.segments:
         weights[a:b] = _simpson_weights(b - a, float(H.times[a + 1] - H.times[a]))
 
+    def spatial_jets(it: int) -> tuple[np.ndarray, ...]:
+        if H.spatial_partials is not None:
+            return tuple(p[it] for p in H.spatial_partials)
+        return tuple(_diff_along(spatial, H.slices[it], i) for i in range(dim))
+
     acc: dict[tuple[int, ...], np.ndarray] = {}
     for it, wt in enumerate(weights):
-        sl = H.slice_map(it)
+        v = H.slices[it]
         if H.codomain == "unitary":
             # CS_0 = tr(alpha_t) needs no spatial jets
-            d = differentiate(sl) if k > 1 else ()
-            alpha_t, *alpha = _mc_jets(sl, (dt_slices[it], *d))
+            d = spatial_jets(it) if k > 1 else ()
+            alpha_t, *alpha = _mc_jets(v, (dt_slices[it], *d))
             omega = {(i,): a for i, a in enumerate(alpha)}
             comps = trace_wedge({(): alpha_t}, *[omega] * (2 * k - 2))
         else:
-            d, dpt = differentiate(sl), dt_slices[it]
-            iota = {(i,): sl.values @ (dpt @ d[i] - d[i] @ dpt) for i in range(dim)}
-            curvature = _curvature_pairs(sl, d) if k > 1 else {}
+            d, dpt = spatial_jets(it), dt_slices[it]
+            iota = {(i,): v @ (dpt @ d[i] - d[i] @ dpt) for i in range(dim)}
+            curvature = _curvature_pairs(v, d) if k > 1 else {}
             comps = trace_wedge(iota, *[curvature] * (k - 1))
         for idx, val in comps.items():
             acc[idx] = acc[idx] + wt * val if idx in acc else wt * val

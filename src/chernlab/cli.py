@@ -1,0 +1,107 @@
+"""The ``chernlab`` command.
+
+``chernlab verify`` runs the analytic oracle checks and prints one JSON
+object: ``checks``, one entry per check with its ``name``, ``residual``,
+``bound``, ``verdict``, the operation's ``diagnostics`` and the wall
+``seconds`` it took, and the overall ``verdict``.  The exit status is 0 only
+if every verdict holds.  The oracles come from each input's construction
+alone:
+
+* Berry (1984): Kato transport of ``bloch_circle(theta)`` has holonomy
+  ``exp(-i pi (1 - cos theta))``;
+* the classifying loop ``a_even`` of the constant connection ``c`` transports
+  to ``exp(2 pi i c)``;
+* the three Bott routes of ``loop_zn(n)`` all recover ``n``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+import time
+
+import numpy as np
+
+from . import builders
+from .khat import CircleConnection, a_even
+from .periodicity import bott_consistency, kato_transport
+
+__all__ = ["main", "verify"]
+
+HOLONOMY_BOUND = 1e-10  # |det U - oracle|
+BOTT_BOUND = 1e-6  # |int ch_1 route - n|, also the tolerance of bott_consistency
+BERRY_COLATITUDES = (0.6, 1.1, 2.3)
+CONNECTIONS = (0.7, -1.2)
+WINDINGS = range(-2, 3)
+
+
+def _plain(x):
+    """JSON-ready copy: numpy scalars as Python numbers, non-finite floats as strings."""
+    if isinstance(x, dict):
+        return {str(k): _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if isinstance(x, np.generic):
+        x = x.item()
+    if isinstance(x, float) and not math.isfinite(x):
+        return str(x)
+    return x
+
+
+def _entry(name: str, bound: float, check, *args) -> dict:
+    """Run ``check(*args) -> (residual, ok, diagnostics)`` and time it."""
+    start = time.perf_counter()
+    residual, ok, diagnostics = check(*args)
+    return {
+        "name": name,
+        "residual": float(residual),
+        "bound": bound,
+        "verdict": bool(ok and residual < bound),
+        "diagnostics": diagnostics,
+        "seconds": time.perf_counter() - start,
+    }
+
+
+def _holonomy(loop, expected: complex):
+    result = kato_transport(loop)
+    residual = abs(complex(np.linalg.det(result.U)) - expected)
+    return residual, result.diagnostics["step_halving_ok"], result.diagnostics
+
+
+def _bott(n: int):
+    report = bott_consistency(builders.loop_zn(n), tol=BOTT_BOUND)
+    ok = report["verdict"] and report["det_winding"] == n and report["virtual_dimension"] == -n
+    return abs(report["ch1_route"] - n), ok, {k: v for k, v in report.items() if k != "verdict"}
+
+
+def verify() -> list[dict]:
+    """Every oracle check, in a fixed order."""
+    checks = []
+    for theta in BERRY_COLATITUDES:
+        loop = builders.bloch_circle(theta)
+        berry = complex(np.exp(-1j * np.pi * (1.0 - np.cos(theta))))
+        checks.append(_entry(f"berry_phase/bloch_circle({theta})", HOLONOMY_BOUND, _holonomy, loop, berry))
+    for c in CONNECTIONS:
+        loop = a_even(CircleConnection.constant(c)).representative
+        holonomy = complex(np.exp(2j * np.pi * c))
+        checks.append(_entry(f"connection_holonomy/a_even({c})", HOLONOMY_BOUND, _holonomy, loop, holonomy))
+    for n in WINDINGS:
+        checks.append(_entry(f"bott_consistency/loop_zn({n})", BOTT_BOUND, _bott, n))
+    return checks
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(prog="chernlab", description=__doc__.splitlines()[0])
+    commands = parser.add_subparsers(dest="command", required=True)
+    commands.add_parser("verify", help="run the analytic oracle checks and print JSON")
+    parser.parse_args(argv)
+    checks = verify()
+    verdict = all(c["verdict"] for c in checks)
+    print(json.dumps(_plain({"checks": checks, "verdict": verdict}), indent=2))
+    return 0 if verdict else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,9 +9,11 @@ index extraction (they are index-blind); the independent cross-check is the
 winding number of the determinant by phase continuation.
 
 Even to odd: a loop of projections is parallel-transported with the
-horizontal-lift equation ``w' = pi' w`` (Kato's adiabatic transport; RK4 with
-per-step re-projection), reading ``pi`` and ``pi'`` from one resample of the
-loop onto a uniform grid of twice as many nodes as steps; the endpoint fiber
+horizontal-lift equation ``w' = pi' w`` (Kato's adiabatic transport), reading
+``pi`` and ``pi'`` from one resample of the loop onto a uniform grid of twice
+as many nodes as steps.  The equation is linear, so an RK4 step followed by
+re-projection is a fixed matrix; all step matrices are built in one batched
+pass and chained by a pairwise prefix product.  The endpoint fiber
 coordinate, unitarized through the polar factor, is the holonomy.
 """
 
@@ -142,31 +144,73 @@ def _initial_frame(pi0: np.ndarray) -> np.ndarray:
     return cols
 
 
+def _prefix_products(m: np.ndarray) -> np.ndarray:
+    """``c[i] = m[i] @ .. @ m[0]`` for a stack ``m`` of square matrices.
+
+    Adjacent factors are multiplied in pairs, the half-length stack of pairs
+    is reduced recursively (its prefixes are the odd slots of ``c``), and the
+    even slots take one more factor each: O(len(m)) products in about
+    ``2 log2 len(m)`` batched calls, in an order fixed by the length alone.
+    """
+    if len(m) == 1:
+        return m.copy()
+    pairs = m[1::2] @ m[: len(m) - 1 : 2]
+    half = _prefix_products(pairs)
+    del pairs
+    c = np.empty_like(m)
+    c[0] = m[0]
+    c[1::2] = half
+    np.matmul(m[2::2], half[: (len(m) - 1) // 2], out=c[2::2])
+    return c
+
+
 def _transport_once(p: np.ndarray, dp: np.ndarray, w0: np.ndarray, stride: int) -> tuple[np.ndarray, dict]:
     """RK4 with re-projection over the stage grid ``p``, ``dp`` of ``2S`` nodes.
 
     Step ``i`` reads nodes ``2i``, ``2i + 1`` and ``2i + 2``, each times
     ``stride`` and wrapped at ``2S``, so the run takes ``S / stride`` steps.
+    The lift equation is linear, so step ``i`` is the matrix
+    ``M_i = pi_b R_i`` with ``R_i`` the RK4 propagator of ``pi'``; every step
+    matrix is built at once and the frames are ``w_i = M_{i-1} .. M_0 w0``.
     """
     n = p.shape[0]
-    steps = n // (2 * stride)
-    h = 2.0 * np.pi / steps
-    w = w0.copy()
-    track_defect = 0.0
-    for i in range(steps):
-        a, mid, b = ((2 * i + j) * stride % n for j in range(3))
-        k1 = dp[a] @ w
-        k2 = dp[mid] @ (w + 0.5 * h * k1)
-        k3 = dp[mid] @ (w + 0.5 * h * k2)
-        k4 = dp[b] @ (w + h * k3)
-        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        track_defect = max(track_defect, float(np.abs(p[b] @ w - w).max()))
-        w = p[b] @ w  # re-projection: keeps the frame inside the tracked image
-    sv = np.linalg.svd(w, compute_uv=False)
+    s = 2 * stride
+    h = 2.0 * np.pi / (n // s)
+    eye = np.eye(p.shape[-1])
+    da, dm, db = dp[0::s], dp[stride::s], dp[s::s]  # db lacks the last step's node 2S = 0
+    # per step: x the stage argument, k the stage, r the sum k1 + 2 k2 + 2 k3 + k4
+    x = da * (0.5 * h)
+    x += eye  # 1 + h/2 k1, k1 = da
+    k = dm @ x  # k2
+    r = k * 2.0
+    r += da
+    np.multiply(k, 0.5 * h, out=x)
+    x += eye
+    np.matmul(dm, x, out=k)  # k3
+    r += k
+    r += k
+    np.multiply(k, h, out=x)
+    x += eye
+    np.matmul(db, x[:-1], out=k[:-1])  # k4
+    np.matmul(dp[0], x[-1], out=k[-1])
+    r += k
+    del k
+    r *= h / 6.0
+    r += eye  # R_i = 1 + h/6 (k1 + 2 k2 + 2 k3 + k4)
+    np.matmul(p[s::s], r[:-1], out=x[:-1])  # M_i = pi_b R_i
+    np.matmul(p[0], r[-1], out=x[-1])
+    np.subtract(x, r, out=r)  # (pi_b - 1) R_i: what each RK4 step moves off the image
+    c = _prefix_products(x)
+    del x
+    frames = np.concatenate([w0[None], c @ w0])  # w_0 .. w_steps
+    del c
+    w_end = frames[-1]
+    track_defect = float(np.abs(r @ frames[:-1]).max())
+    sv = np.linalg.svd(w_end, compute_uv=False)
     if sv[-1] < 1e-6:
         raise LostRank(f"transported frame degenerated: min singular value {sv[-1]:.3e}")
-    gram_drift = float(np.linalg.norm(w.conj().T @ w - np.eye(w.shape[1])))
-    return w, {"tracking_defect": track_defect, "gram_drift": gram_drift}
+    gram_drift = float(np.linalg.norm(w_end.conj().T @ w_end - np.eye(w_end.shape[1])))
+    return w_end, {"tracking_defect": track_defect, "gram_drift": gram_drift}
 
 
 def kato_transport(loop: SampledMap) -> HolonomyResult:
@@ -177,7 +221,11 @@ def kato_transport(loop: SampledMap) -> HolonomyResult:
     per-step re-projection.  Every stage reads ``pi`` and ``pi'`` from one
     :func:`fourier.resample` of the loop onto twice as many nodes as steps,
     and its spectral derivative, which is exact there; a loop of more samples
-    than that grid raises BadResolution.  The start frame ``w0`` is an
+    than that grid raises BadResolution.  Since the equation is linear, step
+    ``i`` is the matrix ``M_i = pi(t_{i+1}) R_i``, ``R_i`` the RK4 propagator;
+    all ``M_i`` are built at once and their prefix products give every
+    intermediate frame, so ``tracking_defect`` is the exact largest
+    ``|pi R_i w_i - R_i w_i|`` over the steps.  The start frame ``w0`` is an
     orthonormal eigenbasis of the first sample's image, so the endpoint
     ``w(1) = w0 Q`` gives ``Q = w0* w(1)``, and ``U`` is the unitary polar
     factor of ``Q``.  The transport is repeated at half the steps on the same

@@ -21,13 +21,14 @@ from chernlab.chernforms import (
 from chernlab.errors import ArityTooLarge, DegreeOverflow, NotALoop
 from chernlab.geomgrid import (
     SampledMap,
+    _simpson_weights,
     constant_map,
     differentiate,
     form_derivative,
     integrate,
     make_domain,
 )
-from chernlab.kops import inversion_homotopy_even
+from chernlab.kops import inversion_homotopy_even, inversion_homotopy_odd
 from chernlab.stiefel import PolarizedWindow
 
 RNG = np.random.default_rng(11)
@@ -341,3 +342,59 @@ def test_cs_projection_k2_matches_space_time_permutation_sum():
     got = cs_form(h, 2).component((0, 1, 2))
     assert np.abs(expected).max() > 1e-3
     assert np.abs(got - expected).max() < 1e-10
+
+
+def _inversion_homotopies():
+    dom = make_domain("torus3", (8, 8, 8))
+    f = random_unitary_map(np.random.default_rng(5), dom, size=2)
+    x = random_unitary_map(np.random.default_rng(6), dom, size=4, window=PolarizedWindow(2, 2))
+    return {
+        "odd_exact_jets": inversion_homotopy_odd(f, t_res=5),
+        "odd_grid_jets": inversion_homotopy_odd(SampledMap(dom, f.values, codomain="unitary"), t_res=5),
+        "even": inversion_homotopy_even(x, t_res=5),
+    }
+
+
+def _cs_through_slice_maps(h, k):
+    """``cs_form`` evaluated one validated slice map at a time."""
+    dt = h.time_derivative()
+    acc = {}
+    for it, wt in enumerate(_simpson_weights(h.n_times, float(h.times[1] - h.times[0]))):
+        sl = h.slice_map(it)
+        d = differentiate(sl)
+        if h.codomain == "unitary":
+            finv = np.swapaxes(sl.values, -1, -2).conj()
+            omega = {(i,): finv @ a for i, a in enumerate(d)}
+            comps = trace_wedge({(): finv @ dt[it]}, *[omega] * (2 * k - 2))
+            c = chern_scalar("odd", k) * (2 * k - 1)
+        else:
+            p = sl.values
+            iota = {(i,): p @ (dt[it] @ a - a @ dt[it]) for i, a in enumerate(d)}
+            pairs = itertools.combinations(range(len(d)), 2)
+            curvature = {(i, j): p @ (d[i] @ d[j] - d[j] @ d[i]) for i, j in pairs}
+            comps = trace_wedge(iota, *[curvature] * (k - 1))
+            c = chern_scalar("even", k) * k
+        for idx, val in comps.items():
+            acc[idx] = acc[idx] + wt * val if idx in acc else wt * val
+    return {idx: c * a for idx, a in acc.items()}
+
+
+@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "even"])
+def test_cs_form_reads_slices_without_revalidating_them(name, monkeypatch):
+    h = _inversion_homotopies()[name]
+    calls = []
+    validate = SampledMap._validate_tag
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(SampledMap, "_validate_tag", counting)
+    forms = {k: cs_form(h, k) for k in (1, 2)}
+    assert not calls
+    monkeypatch.undo()
+    for k, form in forms.items():
+        expected = _cs_through_slice_maps(h, k)
+        assert form.comps.keys() == expected.keys()
+        for idx, comp in form.comps.items():
+            assert np.abs(comp - expected[idx]).max() < 1e-15

@@ -1,0 +1,26 @@
+import importlib
+import json
+import tomllib
+from pathlib import Path
+
+from chernlab import cli
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_verify_prints_json_and_every_verdict_holds(capsys):
+    assert cli.main(["verify"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    checks = report["checks"]
+    assert report["verdict"] and len(checks) == 10
+    for check in checks:
+        assert set(check) == {"name", "residual", "bound", "verdict", "diagnostics", "seconds"}
+        assert check["verdict"] and check["residual"] < check["bound"]
+
+
+def test_declared_entry_points_resolve():
+    scripts = tomllib.loads(PYPROJECT.read_text())["project"]["scripts"]
+    assert scripts
+    for target in scripts.values():
+        module, attr = target.split(":")
+        assert callable(getattr(importlib.import_module(module), attr))

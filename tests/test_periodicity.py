@@ -1,14 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chernlab import builders
+from chernlab import builders, fourier
 from chernlab.errors import BandwidthViolation, NotALoop
 from chernlab.geomgrid import SampledMap, constant_map, make_domain
 from chernlab.khat import CircleConnection, a_even
 from chernlab.kops import blocksum_map
-from chernlab.periodicity import bott_consistency, bott_subspace, kato_transport
+from chernlab.periodicity import (
+    DEFAULT_TRANSPORT_STEPS,
+    _initial_frame,
+    _prefix_products,
+    bott_consistency,
+    bott_subspace,
+    kato_transport,
+)
 
 
 def _band_loop(windings):
@@ -125,3 +134,71 @@ def test_kato_transport_needs_a_projection_loop():
     for loop in (unitary, torus):
         with pytest.raises(NotALoop):
             kato_transport(loop)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 5, 8, 13, 64, 4096])
+def test_prefix_products_match_the_sequential_product(length):
+    rng = np.random.default_rng(length)
+    q, _ = np.linalg.qr(rng.standard_normal((length, 3, 3)) + 1j * rng.standard_normal((length, 3, 3)))
+    m = q @ (np.eye(3) + 0.05 * rng.standard_normal((length, 3, 3)))
+    expected = np.empty_like(m)
+    acc = np.eye(3)
+    for i in range(length):
+        acc = m[i] @ acc
+        expected[i] = acc
+    got = _prefix_products(m)
+    rel = np.linalg.norm(got - expected, axis=(1, 2)) / np.linalg.norm(expected, axis=(1, 2))
+    assert got.shape == m.shape and rel.max() < 1e-12
+
+
+def _sequential_transport(p, dp, w0, stride):
+    """One RK4 step at a time with re-projection: the loop the step matrices replace."""
+    n = p.shape[0]
+    steps = n // (2 * stride)
+    h = 2.0 * np.pi / steps
+    w = w0.copy()
+    defect = 0.0
+    for i in range(steps):
+        a, mid, b = ((2 * i + j) * stride % n for j in range(3))
+        k1 = dp[a] @ w
+        k2 = dp[mid] @ (w + 0.5 * h * k1)
+        k3 = dp[mid] @ (w + 0.5 * h * k2)
+        k4 = dp[b] @ (w + h * k3)
+        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        defect = max(defect, float(np.abs(p[b] @ w - w).max()))
+        w = p[b] @ w
+    return w, defect
+
+
+KATO_LOOPS = {
+    "bloch_circle": lambda: builders.bloch_circle(1.1),
+    "a_even": lambda: a_even(CircleConnection.constant(0.7)).representative,
+}
+
+
+@pytest.mark.parametrize("make", KATO_LOOPS.values(), ids=KATO_LOOPS.keys())
+def test_batched_transport_matches_the_step_loop(make):
+    loop = make()
+    p = fourier.resample(loop.values, 2 * DEFAULT_TRANSPORT_STEPS)
+    dp = fourier.derivative(p)
+    w0 = _initial_frame(loop.values[0])
+    w_end, defect = _sequential_transport(p, dp, w0, 1)
+    w_half, _ = _sequential_transport(p, dp, w0, 2)
+    q = w0.conj().T @ w_end
+    result = kato_transport(loop)
+    assert np.abs(result.Q - q).max() < 1e-12
+    assert abs(result.diagnostics["step_halving_delta"] - np.abs(q - w0.conj().T @ w_half).max()) < 1e-12
+    assert abs(result.diagnostics["tracking_defect"] - defect) < 1e-12
+
+
+def test_transport_peak_memory_is_below_twice_the_stage_grid():
+    loop = KATO_LOOPS["a_even"]()
+    n = loop.cols
+    grid_bytes = 2 * (2 * DEFAULT_TRANSPORT_STEPS) * n * n * 16  # p and dp
+    tracemalloc.start()
+    try:
+        kato_transport(loop)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n == 4 and peak < 2 * grid_bytes
