@@ -7,16 +7,18 @@ a 64-bit seed), so runs are reproducible from the report alone.
 The exponential families (``su2_chart``, ``random_band_loop``,
 ``random_unitary_map`` and ``frame_family_torus``) stack their hermitian
 generator ``H`` and its partials over all nodes and make one
-``_exp_i_hermitian`` call, so they carry exact spatial partials.  The closed
-forms ``const_identity``, ``loop_zn``, ``trig_loop``, ``bloch_circle`` and
-``taut_cp1``, and ``random_projection_map``, carry none: their jets are taken
-on the grid.
+``_exp_i_hermitian`` call, so they carry exact spatial partials.
+``qwz_band`` differentiates its closed form and ``random_projection_map``
+carries the partials of its unitary by the product rule.  The closed forms
+``const_identity``, ``loop_zn``, ``trig_loop`` and ``bloch_circle`` carry
+none: their jets are taken on the grid.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import SingularInput
 from .geomgrid import DomainGrid, SampledMap, make_domain
 from .numkernel import haar_unitary
 from .stiefel import PolarizedWindow
@@ -27,7 +29,7 @@ __all__ = [
     "loop_zn",
     "trig_loop",
     "bloch_circle",
-    "taut_cp1",
+    "qwz_band",
     "su2_chart",
     "random_band_loop",
     "random_unitary_map",
@@ -116,26 +118,37 @@ def bloch_circle(colatitude: float = np.pi / 2.0, res: int = 256) -> SampledMap:
     return SampledMap(dom, proj, codomain="projection")
 
 
-def taut_cp1(res_r: int = 33, res_t: int = 64) -> SampledMap:
-    """Tautological line projection in two disk charts.
+def qwz_band(m: float = 1.0, res: int = 32) -> SampledMap:
+    """Lower band of the Qi-Wu-Zhang Chern insulator on the Brillouin torus.
 
-    Chart 0 is the line through ``(1, z)``, chart 1 the line through
-    ``(w, 1)``; on the shared circle ``|z| = 1`` the charts describe the same
-    line through ``w = 1/z``.
+    ``P(k) = (1 - d^ . sigma) / 2`` with ``d = (sin k1, sin k2, m + cos k1 +
+    cos k2)`` (Qi, Wu and Zhang, PRB 74, 085308, 2006), with exact partials
+    ``d_i P = -(d_i d^) . sigma / 2``.  The band is the tautological line
+    pulled back by ``-d^``, so ``int ch_1 = deg d^``: -1 for ``0 < m < 2``,
+    +1 for ``-2 < m < 0`` and 0 for ``|m| > 2``.  SingularInput at
+    ``m in {-2, 0, 2}``, where the gap closes.
     """
-    dom = make_domain("cp1_charts", (res_r, res_t))
-    r = dom.axes[0].coords
-    t = dom.axes[1].coords
-    z = r[:, None] * np.exp(1j * t[None, :])
-    values = np.empty((2, res_r, res_t, 2, 2), dtype=complex)
-    for chart in range(2):
-        if chart == 0:
-            v = np.stack([np.ones_like(z), z], axis=-1)
-        else:
-            v = np.stack([z, np.ones_like(z)], axis=-1)
-        v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-        values[chart] = v[..., :, None] @ v[..., None, :].conj()
-    return SampledMap(dom, values, codomain="projection")
+    if m in (-2.0, 0.0, 2.0):
+        raise SingularInput(f"the QWZ gap closes at m = {m}")
+    dom = make_domain("torus2", (res, res))
+    k1, k2 = np.meshgrid(*[ax.coords for ax in dom.axes], indexing="ij")
+    zero = np.zeros_like(k1)
+    d = np.stack([np.sin(k1), np.sin(k2), m + np.cos(k1) + np.cos(k2)], axis=-1)
+    dd = (
+        np.stack([np.cos(k1), zero, -np.sin(k1)], axis=-1),
+        np.stack([zero, np.cos(k2), -np.sin(k2)], axis=-1),
+    )
+    norm = np.linalg.norm(d, axis=-1, keepdims=True)
+    unit = d / norm
+
+    def sigma(v):
+        return np.einsum("...p,pij->...ij", v, np.array(_PAULI))
+
+    values = 0.5 * (np.eye(2) - sigma(unit))
+    partials = tuple(
+        -0.5 * sigma((di - unit * np.sum(unit * di, axis=-1, keepdims=True)) / norm) for di in dd
+    )
+    return SampledMap(dom, values, codomain="projection", partials=partials)
 
 
 def su2_chart(res: int = 24, a1: float = 0.4, a2: float = 0.4, a3: float = 0.3) -> SampledMap:
@@ -209,8 +222,6 @@ def random_unitary_map(
     ``d_i exp(iH)``, so its jets do not depend on how well the grid resolves
     it.
     """
-    if domain.kind == "cp1_charts":
-        raise ValueError("random unitary maps are not defined chartwise")
     n_modes = trig_degree
     coeffs = {}
     for axis in range(domain.dim):
@@ -234,15 +245,14 @@ def random_projection_map(
     trig_degree: int = 2,
     amp: float = 0.3,
 ) -> SampledMap:
-    """Seeded projection family ``X pi_+ X*`` from a random unitary family.
-
-    Carries no exact partials (those of ``X`` are not propagated): its jets
-    are taken on the grid.
-    """
+    """Seeded projection family ``X pi_+ X*`` from a random unitary family,
+    with exact partials ``a + a*``, ``a = d_i X pi_+ X*``."""
     x = random_unitary_map(rng, domain, size=window.dim, trig_degree=trig_degree, amp=amp)
     pi = window.pi_plus
-    values = x.values @ pi @ np.swapaxes(x.values, -1, -2).conj()
-    return SampledMap(domain, values, codomain="projection", window=window)
+    xh = np.swapaxes(x.values, -1, -2).conj()
+    values = x.values @ pi @ xh
+    partials = tuple(a + np.swapaxes(a, -1, -2).conj() for a in (d @ pi @ xh for d in x.partials))
+    return SampledMap(domain, values, codomain="projection", window=window, partials=partials)
 
 
 def frame_family_torus(
@@ -285,6 +295,6 @@ BUILDERS = {
     "loop_zn": loop_zn,
     "trig_loop": trig_loop,
     "bloch_circle": bloch_circle,
-    "taut_cp1": taut_cp1,
+    "qwz_band": qwz_band,
     "su2_chart": su2_chart,
 }

@@ -1,14 +1,14 @@
 """Sample domains, derivative jets of sampled maps, and quadrature of forms.
 
-Domains are uniform grids: periodic axes carry trapezoid quadrature, interval
-axes composite Simpson.  Derivative jets are the map's own exact partials when
-it carries them (builders that know the map in closed form supply them, and
-the operations that make one map from another carry them on); otherwise they
-are taken on the grid, spectrally (FFT) on periodic axes and by 4th-order
-finite differences on interval axes.  ``cp1_charts`` is the one multi-chart
-domain: two closed unit-disk charts in polar coordinates glued along
-``|z| = 1``; sampled values get a leading chart axis of length 2 and all
-per-axis machinery acts per chart.
+Every domain is a product of uniform axes: periodic axes (circles) carry
+trapezoid quadrature, interval axes composite Simpson.  One table,
+``_AXIS_KINDS``, says which axes each domain kind has; node shape,
+quadrature, derivatives and generating cycles all follow from the axes.
+Derivative jets are the map's own exact partials when it carries them
+(builders that know the map in closed form supply them, and the operations
+that make one map from another carry them on); otherwise they are taken on
+the grid, spectrally (FFT) on periodic axes and by 4th-order finite
+differences on interval axes.
 
 Conventions
 -----------
@@ -17,17 +17,16 @@ Conventions
   array of that same shape per domain axis.
 * A :class:`GradedForm` of degree p stores one complex scalar per node per
   strictly increasing axis multi-index.
+* A cycle is a tuple of periodic axes; every other axis is pinned at node 0.
 * All quadrature reduces with a fixed pairwise order (`pairwise_sum`), so the
   results do not depend on how work was chunked.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
-import struct
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,7 +44,6 @@ __all__ = [
     "DomainGrid",
     "SampledMap",
     "GradedForm",
-    "Cycle",
     "make_domain",
     "differentiate",
     "integrate",
@@ -53,12 +51,15 @@ __all__ = [
     "exactness_residual",
     "generating_cycles",
     "cycle_integral",
-    "save_sampled_map",
-    "load_sampled_map",
 ]
 
-DOMAIN_KINDS = ("circle", "interval", "torus2", "torus3", "cylinder", "cp1_charts")
-_KIND_CODE = {k: i for i, k in enumerate(DOMAIN_KINDS)}
+_AXIS_KINDS = {
+    "circle": ("periodic",),
+    "interval": ("interval",),
+    "torus2": ("periodic", "periodic"),
+    "torus3": ("periodic", "periodic", "periodic"),
+    "cylinder": ("interval", "periodic"),
+}
 
 MIN_PERIODIC = 8
 MIN_INTERVAL = 9
@@ -68,6 +69,14 @@ MIN_INTERVAL = 9
 class Axis:
     kind: str  # "periodic" | "interval"
     n: int
+
+    def __post_init__(self):
+        if self.kind == "periodic" and self.n < MIN_PERIODIC:
+            raise BadResolution(f"periodic axis needs >= {MIN_PERIODIC} nodes, got {self.n}")
+        if self.kind == "interval" and (self.n < MIN_INTERVAL or self.n % 2 == 0):
+            raise BadResolution(
+                f"interval axis needs an odd node count >= {MIN_INTERVAL}, got {self.n}"
+            )
 
     @property
     def coords(self) -> np.ndarray:
@@ -84,7 +93,7 @@ class Axis:
 
 @dataclass(frozen=True)
 class DomainGrid:
-    """A uniform sample domain of one of the supported kinds."""
+    """A uniform sample domain: a product of periodic and interval axes."""
 
     kind: str
     axes: tuple[Axis, ...]
@@ -94,85 +103,26 @@ class DomainGrid:
         return len(self.axes)
 
     @property
-    def n_charts(self) -> int:
-        return 2 if self.kind == "cp1_charts" else 1
-
-    @property
     def node_shape(self) -> tuple[int, ...]:
-        shape = tuple(ax.n for ax in self.axes)
-        if self.kind == "cp1_charts":
-            return (2, *shape)
-        return shape
-
-    def __eq__(self, other) -> bool:  # value equality, used by pre-checks
-        return (
-            isinstance(other, DomainGrid)
-            and self.kind == other.kind
-            and self.axes == other.axes
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.axes))
-
-
-def _check_periodic(n: int) -> None:
-    if n < MIN_PERIODIC:
-        raise BadResolution(f"periodic axis needs >= {MIN_PERIODIC} nodes, got {n}")
-
-
-def _check_interval(n: int) -> None:
-    if n < MIN_INTERVAL or n % 2 == 0:
-        raise BadResolution(
-            f"interval axis needs an odd node count >= {MIN_INTERVAL}, got {n}"
-        )
+        return tuple(ax.n for ax in self.axes)
 
 
 def make_domain(kind: str, resolutions) -> DomainGrid:
-    """Build a :class:`DomainGrid`.
+    """Build a :class:`DomainGrid` of a kind in ``_AXIS_KINDS``.
 
-    ``resolutions`` is an int for 1-d kinds and a sequence otherwise; for
-    ``cp1_charts`` it is ``(n_radial, n_angular)`` shared by both charts.
+    ``resolutions`` is an int for 1-d kinds and a sequence otherwise, one
+    node count per axis in the order of the kind's axes.
     """
-    if kind not in DOMAIN_KINDS:
+    if kind not in _AXIS_KINDS:
         raise BadResolution(f"unknown domain kind {kind!r}")
     if isinstance(resolutions, (int, np.integer)):
         res = (int(resolutions),)
     else:
         res = tuple(int(r) for r in resolutions)
-
-    if kind == "circle":
-        (n,) = res
-        _check_periodic(n)
-        axes = (Axis("periodic", n),)
-    elif kind == "interval":
-        (n,) = res
-        _check_interval(n)
-        axes = (Axis("interval", n),)
-    elif kind == "torus2":
-        if len(res) != 2:
-            raise BadResolution("torus2 needs two resolutions")
-        for n in res:
-            _check_periodic(n)
-        axes = tuple(Axis("periodic", n) for n in res)
-    elif kind == "torus3":
-        if len(res) != 3:
-            raise BadResolution("torus3 needs three resolutions")
-        for n in res:
-            _check_periodic(n)
-        axes = tuple(Axis("periodic", n) for n in res)
-    elif kind == "cylinder":
-        if len(res) != 2:
-            raise BadResolution("cylinder needs (interval, circle) resolutions")
-        _check_interval(res[0])
-        _check_periodic(res[1])
-        axes = (Axis("interval", res[0]), Axis("periodic", res[1]))
-    else:  # cp1_charts
-        if len(res) != 2:
-            raise BadResolution("cp1_charts needs (radial, angular) resolutions")
-        _check_interval(res[0])
-        _check_periodic(res[1])
-        axes = (Axis("interval", res[0]), Axis("periodic", res[1]))
-    return DomainGrid(kind=kind, axes=axes)
+    axis_kinds = _AXIS_KINDS[kind]
+    if len(res) != len(axis_kinds):
+        raise BadResolution(f"{kind} needs {len(axis_kinds)} resolutions {axis_kinds}, got {res}")
+    return DomainGrid(kind=kind, axes=tuple(Axis(a, n) for a, n in zip(axis_kinds, res)))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -341,19 +291,6 @@ class GradedForm:
         if self.domain != other.domain or self.form_degree != other.form_degree:
             raise DegreeMismatch("forms live on different domains or degrees")
 
-    def report(self, cycles: "Sequence[Cycle] | None" = None) -> dict:
-        """JSON-ready summary: degree, u-power, cycle integrals, sup norm."""
-        if cycles is None:
-            cycles = generating_cycles(self.domain, self.form_degree)
-        ints = [cycle_integral(self, c) for c in cycles]
-        return {
-            "degree": self.form_degree,
-            "u_power": self.u_power,
-            "cycle_integrals": [[z.real, z.imag] for z in ints],
-            "sup_norm": self.sup_norm(),
-            "residuals": [abs(z) for z in ints],
-        }
-
 
 # ---------------------------------------------------------------------------
 # derivatives
@@ -381,12 +318,11 @@ def _diff_interval(values: np.ndarray, axis: int, n: int, h: float) -> np.ndarra
 
 
 def _diff_along(domain: DomainGrid, values: np.ndarray, axis: int) -> np.ndarray:
-    """Derivative of node data along a domain axis (chart axis untouched)."""
+    """Derivative of node data along a domain axis."""
     ax = domain.axes[axis]
-    arr_axis = axis + (1 if domain.kind == "cp1_charts" else 0)
     if ax.kind == "periodic":
-        return fourier.derivative(values, arr_axis)
-    return _diff_interval(values, arr_axis, ax.n, ax.spacing)
+        return fourier.derivative(values, axis)
+    return _diff_interval(values, axis, ax.n, ax.spacing)
 
 
 def differentiate(f: SampledMap) -> tuple[np.ndarray, ...]:
@@ -444,101 +380,38 @@ def _grid_quadrature(values: np.ndarray, axes: Sequence[Axis]) -> complex:
     return pairwise_sum(total)
 
 
-def integrate(omega: GradedForm, domain: DomainGrid | None = None) -> complex:
-    """Integral of a top-degree form over its (closed or chart-split) domain."""
-    if domain is not None and domain != omega.domain:
-        raise DegreeMismatch("form and domain grids differ")
-    domain = omega.domain
-    if omega.form_degree != domain.dim:
+def integrate(omega: GradedForm) -> complex:
+    """Integral of a top-degree form over its domain."""
+    if omega.form_degree != omega.domain.dim:
         raise DegreeMismatch(
             f"integrate needs a top-degree form: degree {omega.form_degree} on a "
-            f"{domain.dim}-dimensional domain"
+            f"{omega.domain.dim}-dimensional domain"
         )
-    comp = omega.component(tuple(range(domain.dim)))
-    if domain.kind == "cp1_charts":
-        # exact split along |z| = 1: each chart integrates over its own disk
-        return complex(
-            _grid_quadrature(comp[0], domain.axes) + _grid_quadrature(comp[1], domain.axes)
-        )
-    return complex(_grid_quadrature(comp, domain.axes))
+    return cycle_integral(omega, range(omega.domain.dim))
 
 
-@dataclass(frozen=True)
-class Cycle:
-    """A sub-grid generator: either the whole domain or a coordinate slice.
-
-    ``axes`` are the domain axes the cycle runs along; every other axis is
-    pinned at the node index recorded in ``fixed``.
-    """
-
-    axes: tuple[int, ...]
-    fixed: tuple[tuple[int, int], ...] = ()
-    whole: bool = False
-    label: str = ""
-
-
-def generating_cycles(domain: DomainGrid, degree: int) -> list[Cycle]:
-    """Generators of the degree-``degree`` homology of the supported domains."""
-    kind = domain.kind
+def generating_cycles(domain: DomainGrid, degree: int) -> list[tuple[int, ...]]:
+    """Generators of the degree-``degree`` homology: every ``degree``-subset
+    of the periodic axes (interval axes contract), none in degree 0."""
     if degree == 0:
         return []
-    if kind == "circle":
-        return [Cycle(axes=(0,), whole=True, label="circle")] if degree == 1 else []
-    if kind == "interval":
-        return []
-    if kind == "torus2":
-        if degree == 1:
-            return [
-                Cycle(axes=(0,), fixed=((1, 0),), label="axis0"),
-                Cycle(axes=(1,), fixed=((0, 0),), label="axis1"),
-            ]
-        if degree == 2:
-            return [Cycle(axes=(0, 1), whole=True, label="torus")]
-        return []
-    if kind == "torus3":
-        if degree == 1:
-            return [
-                Cycle(axes=(i,), fixed=tuple((j, 0) for j in range(3) if j != i), label=f"axis{i}")
-                for i in range(3)
-            ]
-        if degree == 2:
-            return [
-                Cycle(
-                    axes=tuple(j for j in range(3) if j != i),
-                    fixed=((i, 0),),
-                    label=f"face{i}",
-                )
-                for i in range(3)
-            ]
-        if degree == 3:
-            return [Cycle(axes=(0, 1, 2), whole=True, label="torus")]
-        return []
-    if kind == "cylinder":
-        if degree == 1:
-            return [Cycle(axes=(1,), fixed=((0, 0),), label="waist")]
-        return []
-    # cp1_charts: H^1 = 0, H^2 generated by the whole sphere
-    if degree == 2:
-        return [Cycle(axes=(0, 1), whole=True, label="sphere")]
-    return []
+    periodic = [i for i, ax in enumerate(domain.axes) if ax.kind == "periodic"]
+    return list(itertools.combinations(periodic, degree))
 
 
-def cycle_integral(omega: GradedForm, cycle: Cycle) -> complex:
-    if len(cycle.axes) != omega.form_degree:
+def cycle_integral(omega: GradedForm, axes: Sequence[int]) -> complex:
+    """Integral of ``omega`` over the sub-grid spanned by ``axes``, every
+    other axis pinned at node 0."""
+    axes = tuple(sorted(axes))
+    if len(axes) != omega.form_degree:
         raise DegreeMismatch("cycle dimension does not match form degree")
-    if cycle.whole:
-        return integrate(omega)
-    comp = omega.component(tuple(sorted(cycle.axes)))
     domain = omega.domain
-    if domain.kind == "cp1_charts":
-        raise DegreeMismatch("cp1_charts has no sliced cycles")
-    # slice away the fixed axes (descending so indices stay valid)
-    for ax, node in sorted(cycle.fixed, reverse=True):
-        comp = np.take(comp, node, axis=ax)
-    return complex(_grid_quadrature(comp, [domain.axes[a] for a in cycle.axes]))
+    pin = tuple(slice(None) if i in axes else 0 for i in range(domain.dim))
+    comp = omega.component(axes)[pin]
+    return complex(_grid_quadrature(comp, [domain.axes[a] for a in axes]))
 
 
-def exactness_residual(omega: GradedForm, cycles: Sequence[Cycle] | None = None) -> float:
+def exactness_residual(omega: GradedForm) -> float:
     """Obstruction to exactness measured on generating cycles.
 
     Degree-0 forms are exact only if identically zero, so their residual is
@@ -547,96 +420,11 @@ def exactness_residual(omega: GradedForm, cycles: Sequence[Cycle] | None = None)
     """
     if omega.form_degree == 0:
         return omega.sup_norm()
-    if cycles is None:
-        cycles = generating_cycles(omega.domain, omega.form_degree)
-    if not cycles:
-        return 0.0
-    return max(abs(cycle_integral(omega, c)) for c in cycles)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-_MAGIC = b"CGRD"
-_VERSION = 1
-
-
-def save_sampled_map(f: SampledMap, path: str) -> None:
-    """Write the little-endian binary grid format.
-
-    Header: magic ``CGRD``, version u32, kind u8, rank u8, per-axis resolution
-    u32, matrix rows u32, cols u32.  Payload: f64 ``(re, im)`` pairs per entry,
-    node-major in lexicographic node order (chart axis first on cp1_charts).
-    Exact ``partials`` are not stored.
-    """
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<I", _VERSION))
-    buf.write(struct.pack("<BB", _KIND_CODE[f.domain.kind], f.domain.dim))
-    for ax in f.domain.axes:
-        buf.write(struct.pack("<I", ax.n))
-    buf.write(struct.pack("<II", f.rows, f.cols))
-    flat = np.ascontiguousarray(f.values).reshape(-1)
-    inter = np.empty(2 * flat.size, dtype="<f8")
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
-    buf.write(inter.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
-
-
-def load_sampled_map(path: str, codomain: str = "generic") -> SampledMap:
-    """Read a map written by :func:`save_sampled_map`.
-
-    The format holds no ``partials``, so the loaded map is differentiated on
-    the grid even if the saved one carried exact partials.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != _MAGIC:
-        raise ShapeMismatch("bad magic in grid file")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != _VERSION:
-        raise ShapeMismatch(f"unsupported grid file version {version}")
-    kind_code, rank = struct.unpack_from("<BB", raw, 8)
-    kind = DOMAIN_KINDS[kind_code]
-    off = 10
-    res = struct.unpack_from(f"<{rank}I", raw, off)
-    off += 4 * rank
-    rows, cols = struct.unpack_from("<II", raw, off)
-    off += 8
-    domain = make_domain(kind, res if rank > 1 else res[0])
-    data = np.frombuffer(raw, dtype="<f8", offset=off)
-    values = (data[0::2] + 1j * data[1::2]).reshape(*domain.node_shape, rows, cols)
-    return SampledMap(domain, values, codomain=codomain)
+    cycles = generating_cycles(omega.domain, omega.form_degree)
+    return max((abs(cycle_integral(omega, c)) for c in cycles), default=0.0)
 
 
 def constant_map(domain: DomainGrid, matrix: np.ndarray, codomain: str = "generic", window=None) -> SampledMap:
     m = np.asarray(matrix, dtype=complex)
     values = np.broadcast_to(m, (*domain.node_shape, *m.shape)).copy()
-    return SampledMap(domain, values, codomain=codomain, window=window)
-
-
-def map_from_function(
-    domain: DomainGrid,
-    fn: Callable[..., np.ndarray],
-    codomain: str = "generic",
-    window=None,
-) -> SampledMap:
-    """Sample ``fn(*coords)`` (or ``fn(chart, *coords)`` on cp1) on the grid."""
-    coords = [ax.coords for ax in domain.axes]
-    first: np.ndarray
-    if domain.kind == "cp1_charts":
-        first = np.asarray(fn(0, *(c[0] for c in coords)), dtype=complex)
-        shape = (*domain.node_shape, *first.shape)
-        values = np.empty(shape, dtype=complex)
-        for chart in range(2):
-            for node in itertools.product(*(range(ax.n) for ax in domain.axes)):
-                values[(chart, *node)] = fn(chart, *(coords[i][node[i]] for i in range(domain.dim)))
-    else:
-        first = np.asarray(fn(*(c[0] for c in coords)), dtype=complex)
-        shape = (*domain.node_shape, *first.shape)
-        values = np.empty(shape, dtype=complex)
-        for node in itertools.product(*(range(ax.n) for ax in domain.axes)):
-            values[node] = fn(*(coords[i][node[i]] for i in range(domain.dim)))
     return SampledMap(domain, values, codomain=codomain, window=window)

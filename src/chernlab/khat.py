@@ -57,7 +57,6 @@ class CircleConnection:
 
     domain: DomainGrid
     samples: np.ndarray
-    rank: int = 1
 
     def __post_init__(self):
         if self.domain.kind != "circle":
@@ -78,10 +77,7 @@ class CircleConnection:
         return float(np.sum(self.samples) * self.domain.axes[0].spacing)
 
     def holonomy(self) -> complex:
-        """Path-ordered product of the connection; rank 1 reduces to
-        ``exp(i * integral)``."""
-        if self.rank != 1:
-            raise UnsupportedDomain("holonomy implemented for rank-1 connections")
+        """``exp(i * integral)``, the holonomy of the rank-1 connection."""
         return complex(np.exp(1j * self.integral()))
 
 
@@ -95,14 +91,6 @@ class KhatClassData:
     invariants: dict
     provenance: tuple[str, ...] = ()
     checks: dict = field(default_factory=dict)
-
-    def report(self) -> dict:
-        return {
-            "parity": self.parity,
-            "invariants": dict(self.invariants),
-            "curvature": [f.report() for f in self.curvature],
-            "checks": dict(self.checks),
-        }
 
 
 def _closedness_residual(forms) -> float:
@@ -161,27 +149,21 @@ def point_class_odd(u: np.ndarray) -> float:
     return float((det_phase(u) / (2.0 * np.pi)) % 1.0)
 
 
-def _embed_scalar_loop(domain: DomainGrid, phases: np.ndarray, n_pad: int) -> SampledMap:
-    values = np.zeros((*domain.node_shape, n_pad, n_pad), dtype=complex)
-    values[..., :, :] = np.eye(n_pad)
-    values[..., 0, 0] = phases
-    return SampledMap(domain, values, codomain="unitary")
-
-
-def a_odd(phi: np.ndarray, res: int | None = None, n_pad: int = 2) -> KhatClassData:
+def a_odd(phi: np.ndarray) -> KhatClassData:
     """Action of a real function on the circle: representative
-    ``exp(-2 pi i phi)`` padded into a small unitary block.
+    ``exp(-2 pi i phi)`` padded into a 2 x 2 unitary block.
 
-    Integer shifts of ``phi`` give the identical representative, so the class
-    only sees ``phi`` modulo 1.
+    ``phi`` holds one sample per node of a uniform circle grid.  Integer
+    shifts of ``phi`` give the identical representative, so the class only
+    sees ``phi`` modulo 1.
     """
     phi = np.asarray(phi, dtype=float)
-    if res is None:
-        res = phi.shape[0]
-    domain = make_domain("circle", res)
-    if phi.shape != (res,):
-        raise ShapeMismatch("phi samples do not match the resolution")
-    rep = _embed_scalar_loop(domain, np.exp(-2j * np.pi * phi), n_pad)
+    if phi.ndim != 1:
+        raise ShapeMismatch(f"phi must be one sample per circle node, got shape {phi.shape}")
+    values = np.zeros((phi.size, 2, 2), dtype=complex)
+    values[:] = np.eye(2)
+    values[:, 0, 0] = np.exp(-2j * np.pi * phi)
+    rep = SampledMap(make_domain("circle", phi.size), values, codomain="unitary")
     forms = ch_total(rep, 1)
     checks = {
         "closedness_residual": _closedness_residual(forms),
@@ -191,7 +173,7 @@ def a_odd(phi: np.ndarray, res: int | None = None, n_pad: int = 2) -> KhatClassD
     }
     invariants = {
         "winding": det_winding(rep),
-        "det_phase_mod1": point_class_odd(rep.values.reshape(-1, n_pad, n_pad)[0]),
+        "det_phase_mod1": point_class_odd(rep.values[0]),
     }
     return KhatClassData(
         parity="odd",
@@ -252,8 +234,6 @@ def classifying_projection_loop(alpha: CircleConnection, window: PolarizedWindow
 
 def a_even(alpha: CircleConnection, window: PolarizedWindow | None = None) -> KhatClassData:
     """Action of a circle connection: the classifying rank-1 projection loop."""
-    if alpha.rank != 1:
-        raise UnsupportedDomain("a_even implemented for rank-1 connections")
     rep = classifying_projection_loop(alpha, window)
     forms = curvature_R(rep, 1)
     invariants = {
@@ -383,7 +363,6 @@ def khat_class(f: SampledMap, k_max: int = 3) -> KhatClassData:
                 checks["square_commutes_residual"] = abs(total.real + under) + abs(total.imag)
     else:
         invariants["virtual_dimension"] = under
-    checks["integer_defect"] = abs(under - round(under)) if isinstance(under, float) else 0.0
     return KhatClassData(
         parity=parity,
         representative=g,

@@ -224,8 +224,8 @@ def conjugation_homotopy(
 
     ``path`` maps a time to the unitary ``A_t``; BadPathStart if ``A_0`` is
     not the identity within 1e-10.  Supplying ``path_derivative`` makes the
-    time jets exact instead of finite-differenced.  Spatial jets are taken on
-    the grid, even when ``f`` carries exact partials.
+    time jets exact instead of finite-differenced.  Spatial jets
+    ``A_t d_i f A_t*`` are exact when ``f`` carries exact partials.
     """
     if times is None:
         times = np.linspace(0.0, 1.0, DEFAULT_T_RES)
@@ -234,12 +234,15 @@ def conjugation_homotopy(
         raise BadPathStart("conjugation path must start at the identity")
     slices = []
     partials = [] if path_derivative is not None else None
+    spatial = [[] for _ in f.partials or ()]
     for t in times:
         a = np.asarray(path(float(t)), dtype=complex)
         slices.append(a @ f.values @ a.conj().T)
         if partials is not None:
             da = np.asarray(path_derivative(float(t)), dtype=complex)
             partials.append(da @ f.values @ a.conj().T + a @ f.values @ da.conj().T)
+        for out, d in zip(spatial, f.partials or ()):
+            out.append(a @ d @ a.conj().T)
     return Homotopy(
         f.domain,
         np.asarray(times, float),
@@ -247,6 +250,7 @@ def conjugation_homotopy(
         codomain=f.codomain,
         window=f.window,
         time_partials=None if partials is None else np.stack(partials),
+        spatial_partials=tuple(np.stack(s) for s in spatial) or None,
     )
 
 
@@ -346,19 +350,22 @@ def inversion_homotopy_even(x: SampledMap, t_res: int = DEFAULT_T_RES) -> Homoto
     Slices are ``pi_t = M_t pi_plus M_t*`` with
     ``M_t = C_t* (x (+) flip x) C_t`` on the doubled window; at ``t = pi/2``
     the conjugating operator is grading-preserving, so the slice is exactly
-    the basepoint projection.  Time jets are exact; spatial jets are taken
-    on the grid, even when ``x`` carries exact partials.
+    the basepoint projection.  Time jets are exact.  Spatial jets are exact
+    when ``x`` carries exact partials: ``d_i pi_t = a + a*`` with
+    ``a = C_t* (d_i x (+) flip d_i x) C_t pi_plus M_t*``.
     """
     if x.window is None:
         raise AsymmetricWindow("even inversion needs a windowed map")
     win = x.window
     gen = grading_rotation_generator(win)
     summed = blocksum(x.values, flip(x.values, win))
+    d_summed = [blocksum(d, flip(d, win)) for d in x.partials or ()]
     big = doubled_window(win)
     pi_plus = big.pi_plus
     times = rotation_times(t_res)
     slices = np.empty((times.size, *summed.shape), dtype=complex)
     partials = np.empty_like(slices)
+    spatial = tuple(np.empty_like(slices) for _ in d_summed)
     for i, t in enumerate(times):
         ct = _rotation(gen, float(t))
         m_t = ct.conj().T @ summed @ ct
@@ -368,6 +375,9 @@ def inversion_homotopy_even(x: SampledMap, t_res: int = DEFAULT_T_RES) -> Homoto
             m_dot @ pi_plus @ np.swapaxes(m_t, -1, -2).conj()
             + m_t @ pi_plus @ np.swapaxes(m_dot, -1, -2).conj()
         )
+        for out, ds in zip(spatial, d_summed):
+            a = ct.conj().T @ ds @ ct @ pi_plus @ np.swapaxes(m_t, -1, -2).conj()
+            out[i] = a + np.swapaxes(a, -1, -2).conj()
     return Homotopy(
         x.domain,
         times,
@@ -375,4 +385,5 @@ def inversion_homotopy_even(x: SampledMap, t_res: int = DEFAULT_T_RES) -> Homoto
         codomain="projection",
         window=big,
         time_partials=partials,
+        spatial_partials=spatial or None,
     )

@@ -26,7 +26,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .chernforms import chern_scalar, trace_wedge
-from .geomgrid import GradedForm, SampledMap, _simpson_weights, differentiate
+from .geomgrid import GradedForm, SampledMap, differentiate
 from .numkernel import RANK_THRESHOLD_REL, frobenius, numerical_rank
 
 __all__ = [
@@ -155,13 +155,14 @@ def _frame_pointwise_data(values: np.ndarray, partials: list[np.ndarray]):
     return theta, omega_pairs, bracket_pairs
 
 
-def transgression_eta(frames: SampledMap, k: int, t_res: int = 9) -> GradedForm:
+def transgression_eta(frames: SampledMap, k: int) -> GradedForm:
     """Transgression form of degree ``2k - 1`` for a sampled frame family.
 
-    Integrates ``k tr(Theta ^ phi_t^(k-1))`` over the auxiliary parameter
-    ``t`` with ``phi_t = t Omega + (1/2)(t^2 - t) [Theta, Theta]``, Simpson
-    rule on an odd node count (the integrand is polynomial in ``t``, so this
-    is exact for k <= 3).
+    The integral over ``t in [0, 1]`` of ``k tr(Theta ^ phi_t^(k-1))`` with
+    ``phi_t = t Omega + (1/2)(t^2 - t) [Theta, Theta]``.  Degree
+    ``2k - 1 <= 3`` means ``k <= 2``, where the integrand is linear in
+    ``phi_t``, so the integral is ``k tr(Theta ^ phi^(k-1))`` with the exact
+    mean ``phi = Omega / 2 - [Theta, Theta] / 12``.
     """
     if frames.codomain != "frame":
         raise DegenerateFrame("transgression needs a frame-tagged family")
@@ -170,23 +171,11 @@ def transgression_eta(frames: SampledMap, k: int, t_res: int = 9) -> GradedForm:
     if deg > dim:
         raise DegenerateFrame(f"degree {deg} exceeds domain dimension {dim}")
     theta, omega_pairs, bracket_pairs = _frame_pointwise_data(frames.values, list(differentiate(frames)))
-
-    if t_res % 2 == 0 or t_res < 3:
-        raise DegenerateFrame("auxiliary t grid needs an odd node count >= 3")
-    ts = np.linspace(0.0, 1.0, t_res)
-    wts = _simpson_weights(t_res, ts[1] - ts[0])
-
+    phi = {key: 0.5 * omega_pairs[key] - bracket_pairs[key] / 12.0 for key in omega_pairs}
     theta = {(i,): a for i, a in theta.items()}
-    acc: dict[tuple[int, ...], np.ndarray] = {}
-    for t, wt in zip(ts, wts):
-        phi = {
-            key: t * omega_pairs[key] + 0.5 * (t * t - t) * bracket_pairs[key]
-            for key in omega_pairs
-        }
-        for idx, val in trace_wedge(theta, *[phi] * (k - 1)).items():
-            acc[idx] = acc[idx] + wt * val if idx in acc else wt * val
     c = chern_scalar("even", k) * k
-    return GradedForm(frames.domain, deg, -k, {idx: c * a for idx, a in acc.items()})
+    comps = trace_wedge(theta, *[phi] * (k - 1))
+    return GradedForm(frames.domain, deg, -k, {idx: c * a for idx, a in comps.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from chernlab.builders import loop_zn, random_unitary_map, taut_cp1
+from chernlab.builders import loop_zn, qwz_band, random_unitary_map
 from chernlab.chernforms import (
     Homotopy,
     antisym_trace_power,
@@ -18,7 +18,7 @@ from chernlab.chernforms import (
     trace_wedge,
     wedge_trace_power,
 )
-from chernlab.errors import ArityTooLarge, DegreeOverflow, NotALoop
+from chernlab.errors import ArityTooLarge, DegreeOverflow, NotALoop, SingularInput
 from chernlab.geomgrid import (
     SampledMap,
     _simpson_weights,
@@ -170,11 +170,30 @@ def test_ch_even_constant_is_zero():
     assert ch_even(p, 1).sup_norm() < 1e-12
 
 
+def solid_angle_degree(m, res):
+    """deg of k -> d/|d| for the QWZ vector d(k), as (1/4pi) int d.(d_1 d x d_2 d)/|d|^3."""
+    k1, k2 = np.meshgrid(*[2 * np.pi * np.arange(res) / res] * 2, indexing="ij")
+    d = np.stack([np.sin(k1), np.sin(k2), m + np.cos(k1) + np.cos(k2)])
+    d1 = np.stack([np.cos(k1), 0 * k1, -np.sin(k1)])
+    d2 = np.stack([0 * k2, np.cos(k2), -np.sin(k2)])
+    density = np.einsum("i...,i...->...", d, np.cross(d1, d2, axis=0)) / np.linalg.norm(d, axis=0) ** 3
+    return density.sum() * (2 * np.pi / res) ** 2 / (4 * np.pi)
+
+
 def test_tautological_chern_number():
-    # sign pinned by the Fubini-Study oracle: the tautological line bundle
-    # integrates to -1 with these conventions
-    val = integrate(ch_even(taut_cp1(65, 64), 1))
-    assert abs(val - (-1.0)) < 1e-6
+    # the QWZ lower band is the tautological line pulled back by -d/|d|, so
+    # int ch_1 = deg(d/|d|); at m = 1 that is the -1 of the tautological
+    # line bundle with these conventions
+    for m, degree in [(1.0, -1), (-1.0, 1), (3.0, 0), (-3.0, 0), (1.5, -1)]:
+        val = integrate(ch_even(qwz_band(m, 32), 1))
+        assert abs(val - solid_angle_degree(m, 32)) < 1e-8
+        assert abs(val - degree) < 1e-8
+
+
+def test_qwz_band_rejects_a_closed_gap():
+    for m in (-2.0, 0.0, 2.0):
+        with pytest.raises(SingularInput):
+            qwz_band(m)
 
 
 def test_ch_total_cutoffs():
@@ -188,7 +207,7 @@ def test_ch_total_cutoffs():
     forms = ch_total(loop, 2)
     assert [f.form_degree for f in forms] == [1]
 
-    proj = taut_cp1(17, 16)
+    proj = qwz_band(res=16)
     forms = ch_total(proj, 2)
     assert [f.form_degree for f in forms] == [2]  # degree 4 cut off in dim 2
 
@@ -328,7 +347,8 @@ def test_homotopy_reverse_flips_cs_sign():
 def test_cs_projection_k2_matches_space_time_permutation_sum():
     dom = make_domain("torus3", (8, 8, 8))
     x = random_unitary_map(np.random.default_rng(8), dom, size=4, window=PolarizedWindow(2, 2))
-    h = inversion_homotopy_even(x, t_res=9)
+    # raw values: with the exact jets of x this integrand vanishes pointwise
+    h = inversion_homotopy_even(SampledMap(dom, x.values, codomain="unitary", window=x.window), t_res=9)
     dt = h.time_derivative()
     integrand = np.zeros((h.n_times, *dom.node_shape), dtype=complex)
     for it in range(h.n_times):

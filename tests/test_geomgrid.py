@@ -12,10 +12,7 @@ from chernlab.geomgrid import (
     form_derivative,
     generating_cycles,
     integrate,
-    load_sampled_map,
     make_domain,
-    map_from_function,
-    save_sampled_map,
 )
 
 
@@ -46,10 +43,34 @@ def test_resolution_minimum_enforced():
         make_domain("interval", 8)  # even count rejected too
 
 
-def test_cp1_overlap_circle_shared():
-    dom = make_domain("cp1_charts", (9, 8))
-    assert dom.n_charts == 2
-    assert dom.axes[0].coords[-1] == 1.0  # |z| = 1 is a grid row in both charts
+@pytest.mark.parametrize(
+    "kind, res",
+    [
+        ("circle", (16, 16)),
+        ("interval", (17, 17)),
+        ("torus2", 16),
+        ("torus2", (16, 16, 16)),
+        ("torus3", (16, 16)),
+        ("cylinder", 17),
+        ("cylinder", (17, 16, 16)),
+    ],
+)
+def test_wrong_resolution_count_rejected(kind, res):
+    with pytest.raises(BadResolution, match=kind):
+        make_domain(kind, res)
+
+
+def test_cylinder_axis_order_is_interval_then_circle():
+    with pytest.raises(BadResolution, match="odd node count"):
+        make_domain("cylinder", (16, 17))
+    dom = make_domain("cylinder", (17, 16))
+    assert [ax.kind for ax in dom.axes] == ["interval", "periodic"]
+
+
+def test_unknown_and_two_chart_kinds_rejected():
+    for kind in ("cp1_charts", "sphere"):
+        with pytest.raises(BadResolution, match="unknown domain kind"):
+            make_domain(kind, (9, 8))
 
 
 # ---------------------------------------------------------------- jets
@@ -141,14 +162,6 @@ def test_integrate_oscillating_form_vanishes():
     assert abs(integrate(form)) < 1e-12
 
 
-def test_fubini_study_area_is_pi():
-    dom = make_domain("cp1_charts", (65, 64))
-    r = dom.axes[0].coords[:, None]
-    comp = np.broadcast_to(r / (1 + r * r) ** 2, (65, 64)).astype(complex)
-    form = GradedForm(dom, 2, 0, {(0, 1): np.stack([comp, comp])})
-    assert abs(integrate(form) - np.pi) < 1e-6
-
-
 def test_simpson_refinement_order():
     errs = []
     for n in (17, 33):
@@ -219,6 +232,34 @@ def test_torus_cycles():
     assert abs(vals[1]) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "kind, res, cycles",
+    [
+        ("circle", 16, {1: [(0,)]}),
+        ("interval", 17, {1: []}),
+        ("torus2", (16, 16), {1: [(0,), (1,)], 2: [(0, 1)]}),
+        ("torus3", (8, 8, 8), {1: [(0,), (1,), (2,)], 2: [(0, 1), (0, 2), (1, 2)], 3: [(0, 1, 2)]}),
+        ("cylinder", (17, 16), {1: [(1,)], 2: []}),
+    ],
+)
+def test_generating_cycles_are_the_periodic_axis_subsets(kind, res, cycles):
+    dom = make_domain(kind, res)
+    assert generating_cycles(dom, 0) == []
+    for degree in range(1, dom.dim + 1):
+        assert generating_cycles(dom, degree) == cycles[degree]
+
+
+def test_torus3_face_integral_pins_the_other_axis_at_node_zero():
+    dom = make_domain("torus3", (8, 10, 12))
+    t0, t1, t2 = np.meshgrid(*[ax.coords for ax in dom.axes], indexing="ij")
+    # on the face t1 = 0 the (0, 2) component is 1 + cos t0; elsewhere it differs
+    comp = (1.0 + np.cos(t0) + 5.0 * np.sin(t1) + np.sin(t1 / 2.0) * np.cos(t2)).astype(complex)
+    form = GradedForm(dom, 2, 0, {(0, 2): comp})
+    assert abs(cycle_integral(form, (0, 2)) - 4 * np.pi**2) < 1e-12
+    assert abs(cycle_integral(form, (2, 0)) - 4 * np.pi**2) < 1e-12
+    assert exactness_residual(form) == abs(cycle_integral(form, (0, 2)))
+
+
 def test_exterior_derivative_of_function():
     dom = make_domain("circle", 128)
     th = dom.axes[0].coords
@@ -234,37 +275,3 @@ def test_d_squared_is_zero():
     f0 = GradedForm(dom, 0, 0, {(): (np.sin(t1) * np.cos(2 * t2)).astype(complex) * np.ones((32, 32))})
     dd = form_derivative(form_derivative(f0))
     assert dd.sup_norm() < 1e-10
-
-
-# ---------------------------------------------------------------- io
-
-
-def test_binary_round_trip(tmp_path):
-    dom = make_domain("torus2", (8, 8))
-    rng = np.random.default_rng(7)
-    values = rng.standard_normal((8, 8, 3, 2)) + 1j * rng.standard_normal((8, 8, 3, 2))
-    f = SampledMap(dom, values)
-    p = tmp_path / "map.cgrd"
-    save_sampled_map(f, str(p))
-    g = load_sampled_map(str(p))
-    assert g.domain == dom
-    assert np.array_equal(g.values, f.values)
-
-
-def test_binary_round_trip_cp1(tmp_path):
-    dom = make_domain("cp1_charts", (9, 8))
-    values = np.zeros((2, 9, 8, 1, 1), dtype=complex)
-    values[1, 3, 2, 0, 0] = 1 + 2j
-    f = SampledMap(dom, values)
-    p = tmp_path / "cp1.cgrd"
-    save_sampled_map(f, str(p))
-    g = load_sampled_map(str(p))
-    assert g.domain == dom
-    assert np.array_equal(g.values, f.values)
-
-
-def test_map_from_function_cp1():
-    dom = make_domain("cp1_charts", (9, 8))
-    f = map_from_function(dom, lambda chart, r, t: np.array([[chart + r]]))
-    assert f.values.shape == (2, 9, 8, 1, 1)
-    assert abs(f.values[1, -1, 0, 0, 0] - 2.0) < 1e-15

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chernlab import builders
+from chernlab.errors import ShapeMismatch
 from chernlab.geomgrid import integrate, make_domain
 from chernlab.khat import (
     CircleConnection,
@@ -47,6 +48,11 @@ def test_a_odd_winding_curvature_and_point_class(n, eps, offset):
     total = integrate(data.curvature[0])
     assert abs(-total - data.invariants["winding"]) < 1e-12
     assert mod1_distance(data.invariants["det_phase_mod1"], -offset) < 1e-12
+
+
+def test_a_odd_takes_one_sample_per_circle_node():
+    with pytest.raises(ShapeMismatch):
+        a_odd(np.zeros((16, 2)))
 
 
 @pytest.mark.parametrize("phases", [(0.3,), (0.25, 0.5), (0.9, 0.4, -0.2), (0.5, 0.5, 0.5, 0.125)])

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from chernlab.builders import (
     frame_family_torus,
     loop_zn,
+    qwz_band,
     random_band_loop,
     random_projection_map,
     random_unitary_map,
@@ -464,8 +465,10 @@ def test_random_unitary_partials_match_resolved_grid_derivative():
         lambda: random_band_loop(np.random.default_rng(8), rank=2, winding=[2, -1], trig_degree=3, res=256),
         lambda: frame_family_torus(np.random.default_rng(0), res=64, rows=3, cols=2),
         lambda: frame_family_torus(np.random.default_rng(1), res=96, rows=3, cols=1, trig_degree=2),
+        lambda: qwz_band(1.5, res=96),
+        lambda: random_projection_map(np.random.default_rng(31), make_domain("torus2", (80, 80)), WIN),
     ],
-    ids=["su2", "band", "band_wound", "frame", "frame_degree2"],
+    ids=["su2", "band", "band_wound", "frame", "frame_degree2", "qwz", "projection"],
 )
 def test_builder_partials_match_resolved_grid_derivative(make):
     assert _jet_gap(make()) < 1e-10
@@ -560,26 +563,41 @@ def test_blocksum_map_carries_partials():
 
 
 def test_flip_projection_map_carries_partials():
-    dom = make_domain("torus2", (80, 80))
-    x = random_unitary_map(np.random.default_rng(31), dom, size=4, window=WIN)
-    pi, xh = WIN.pi_plus, np.swapaxes(x.values, -1, -2).conj()
-    partials = tuple(d @ pi @ xh + x.values @ pi @ np.swapaxes(d, -1, -2).conj() for d in x.partials)
-    p = SampledMap(dom, x.values @ pi @ xh, codomain="projection", window=WIN, partials=partials)
-    assert _jet_gap(p) < 1e-10
+    p = random_projection_map(np.random.default_rng(31), make_domain("torus2", (80, 80)), WIN)
     assert _jet_gap(flip_projection_map(p)) < 1e-10
 
 
 def test_rotation_homotopies_carry_exact_spatial_partials():
     # d_i of every slice against the grid derivative on a grid that resolves
-    # the slices (the products a b need more nodes than a and b alone)
+    # the slices (the products a b need more nodes than a and b alone); the
+    # conjugation homotopy carries its map's partials the same way
     dom = make_domain("torus2", (80, 80))
     rng = np.random.default_rng(32)
     a = random_unitary_map(rng, dom, size=2)
     b = random_unitary_map(rng, dom, size=2)
-    for h in (inversion_homotopy_odd(a, t_res=5), eckmann_hilton_homotopy(a, b, t_res=5)):
+    x = random_unitary_map(rng, dom, size=4, window=WIN)
+    k = 0.4 * haar_unitary(rng, 2)
+    k = k - k.conj().T
+    homotopies = (
+        inversion_homotopy_odd(a, t_res=5),
+        eckmann_hilton_homotopy(a, b, t_res=5),
+        inversion_homotopy_even(x, t_res=5),
+        conjugation_homotopy(a, lambda t: expm(t * k), times=np.linspace(0.0, 1.0, 5)),
+    )
+    for h in homotopies:
         assert len(h.spatial_partials) == 2
         for i in range(h.n_times):
             assert _jet_gap(h.slice_map(i)) < 1e-10
+
+
+def test_even_inversion_cs3_vanishes_with_exact_jets():
+    # 8^3 does not resolve x: with grid jets the CS_3 cycle residual is 6.1e-3
+    dom = make_domain("torus3", (8, 8, 8))
+    x = random_unitary_map(np.random.default_rng(0), dom, size=4, window=WIN)
+    rep = cs_exact(inversion_homotopy_even(x, t_res=9), k_max=2)
+    assert rep["residuals"][3] < 1e-12
+    plain = SampledMap(dom, x.values, codomain="unitary", window=WIN)
+    assert cs_exact(inversion_homotopy_even(plain, t_res=9), k_max=2)["residuals"][3] > 1e-3
 
 
 def test_homotopy_operations_carry_spatial_partials():

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chernlab import builders, fourier
@@ -105,6 +105,7 @@ def test_bott_subspace_inverse_is_the_flip(windings, seed):
 
 @settings(max_examples=12, deadline=None)
 @given(STRANDS, STRANDS, st.integers(0, 2**16))
+@example([-1, -2], [0, -2], 1720)  # numpy's SVD does not converge on this block
 def test_bott_subspace_sum_is_the_blocksum(w1, w2, seed):
     g1, g2 = _rank2_loop(seed, w1), _rank2_loop(seed + 1, w2)
     spec, _ = bott_subspace(blocksum_map(g1, g2))

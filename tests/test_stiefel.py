@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chernlab.builders import frame_family_torus
-from chernlab.chernforms import ch_even
-from chernlab.geomgrid import SampledMap, form_derivative
-from chernlab.stiefel import PolarizedWindow, SubspaceSpec, transgression_eta
+from chernlab.builders import frame_family_torus, random_unitary_map
+from chernlab.chernforms import ch_even, chern_scalar, trace_wedge
+from chernlab.geomgrid import SampledMap, _simpson_weights, differentiate, form_derivative, make_domain
+from chernlab.stiefel import PolarizedWindow, SubspaceSpec, _frame_pointwise_data, transgression_eta
 
 WIN = PolarizedWindow(3, 3)
 MODES = list(range(-3, 3))
@@ -62,3 +62,26 @@ def test_transgression_eta_differential_is_ch1(seed):
     p = SampledMap(w.domain, w.values @ np.linalg.inv(wh @ w.values) @ wh, codomain="projection")
     eta = transgression_eta(w, 1)
     assert (form_derivative(eta) - ch_even(p, 1)).sup_norm() < 1e-10
+
+
+def simpson_eta(frames, k, t_res=9):
+    """The t-integral of k tr(Theta ^ phi_t^(k-1)) by Simpson's rule on t_res nodes."""
+    theta, omega_pairs, bracket_pairs = _frame_pointwise_data(frames.values, list(differentiate(frames)))
+    theta = {(i,): a for i, a in theta.items()}
+    ts = np.linspace(0.0, 1.0, t_res)
+    acc = {}
+    for t, wt in zip(ts, _simpson_weights(t_res, ts[1] - ts[0])):
+        phi = {key: t * omega_pairs[key] + 0.5 * (t * t - t) * bracket_pairs[key] for key in omega_pairs}
+        for idx, val in trace_wedge(theta, *[phi] * (k - 1)).items():
+            acc[idx] = acc.get(idx, 0.0) + wt * val
+    return {idx: chern_scalar("even", k) * k * a for idx, a in acc.items()}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_transgression_eta_matches_the_simpson_t_integral(k):
+    u = random_unitary_map(np.random.default_rng(4), make_domain("torus3", (8, 8, 8)), size=3)
+    w = SampledMap(u.domain, u.values[..., :2], codomain="frame", partials=tuple(p[..., :2] for p in u.partials))
+    eta = transgression_eta(w, k)
+    expected = simpson_eta(w, k)
+    assert eta.comps.keys() == expected.keys()
+    assert max(float(np.abs(eta.comps[idx] - a).max()) for idx, a in expected.items()) < 1e-14
