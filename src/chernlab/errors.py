@@ -17,10 +17,6 @@ class NotUnitary(ChernLabError):
     pass
 
 
-class NotProjection(ChernLabError):
-    pass
-
-
 class BadResolution(ChernLabError):
     """Grid resolution below the per-kind minimum (or wrong parity)."""
 
@@ -50,7 +46,7 @@ class BadPathStart(ChernLabError):
 
 
 class DegenerateFrame(ChernLabError):
-    """Frame columns are numerically dependent."""
+    """Subspace basis columns are not orthonormal."""
 
 
 class BandwidthViolation(ChernLabError):

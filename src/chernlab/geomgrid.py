@@ -247,14 +247,6 @@ class GradedForm:
             clean[idx] = _freeze(a)
         object.__setattr__(self, "comps", clean)
 
-    @staticmethod
-    def zero(domain: DomainGrid, degree: int, u_power: int) -> "GradedForm":
-        comps = {
-            idx: np.zeros(domain.node_shape, dtype=complex)
-            for idx in itertools.combinations(range(domain.dim), degree)
-        }
-        return GradedForm(domain, degree, u_power, comps)
-
     def component(self, idx: tuple[int, ...]) -> np.ndarray:
         key = tuple(idx)
         if key in self.comps:

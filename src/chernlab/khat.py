@@ -32,7 +32,7 @@ from .geomgrid import (
 )
 from .numkernel import det_phase, principal_angle, require_unitary
 from .periodicity import det_winding
-from .stiefel import PolarizedWindow, include_finite_grassmannian, projection_from_frame
+from .stiefel import PolarizedWindow
 
 __all__ = [
     "KhatClassData",
@@ -89,7 +89,6 @@ class KhatClassData:
     representative: SampledMap
     curvature: tuple[GradedForm, ...]
     invariants: dict
-    provenance: tuple[str, ...] = ()
     checks: dict = field(default_factory=dict)
 
 
@@ -180,7 +179,6 @@ def a_odd(phi: np.ndarray) -> KhatClassData:
         representative=rep,
         curvature=tuple(forms),
         invariants=invariants,
-        provenance=("a_odd",),
         checks=checks,
     )
 
@@ -189,11 +187,12 @@ def classifying_projection_loop(alpha: CircleConnection, window: PolarizedWindow
     """Projection loop over the circle whose Kato transport holonomy has
     determinant ``exp(i * integral(alpha))``.
 
-    A unit section ``v(theta)`` of ``C^2`` spans a line; the line is embedded
-    into ``window`` (default ``PolarizedWindow(2, 2)``) through the
-    finite-Grassmannian inclusion, which adds the constant tail modes, so the
-    holonomy is that of the line times the identity on the tail.  With
-    ``c = integral / 2pi`` split into ``m = floor(c)`` and ``s2 = c - m``,
+    A unit section ``v(theta)`` of ``C^2`` spans a line; its projection
+    ``v v*`` is written on the window rows of modes 0 and -1 of ``window``
+    (default ``PolarizedWindow(2, 2)``) and the modes ``[1, n_plus)`` are a
+    constant tail on the diagonal, so the holonomy is that of the line times
+    the identity on the tail.  With ``c = integral / 2pi`` split into
+    ``m = floor(c)`` and ``s2 = c - m``,
 
         ``v(theta) = (cos(b) e^{i phi1}, sin(b) e^{i phi2})``,
 
@@ -222,13 +221,13 @@ def classifying_projection_loop(alpha: CircleConnection, window: PolarizedWindow
     v = np.stack(
         [np.cos(b) * np.exp(1j * phi1), np.sin(b) * np.exp(1j * phi2)], axis=-1
     )
-    proj = v[..., :, None] @ v[..., None, :].conj()
     if window is None:
         window = PolarizedWindow(2, 2)
-    values = np.empty((dom.axes[0].n, window.dim, window.dim), dtype=complex)
-    for i in range(dom.axes[0].n):
-        fr = include_finite_grassmannian(proj[i], 1, window)
-        values[i] = projection_from_frame(fr)
+    rows = np.array([window.index_of(0), window.index_of(-1)])
+    tail = np.arange(rows[0] + 1, window.dim)
+    values = np.zeros((dom.axes[0].n, window.dim, window.dim), dtype=complex)
+    values[:, rows[:, None], rows] = v[..., :, None] * v[..., None, :].conj()
+    values[:, tail, tail] = 1.0
     return SampledMap(dom, values, codomain="projection", window=window)
 
 
@@ -246,7 +245,6 @@ def a_even(alpha: CircleConnection, window: PolarizedWindow | None = None) -> Kh
         representative=rep,
         curvature=tuple(forms),
         invariants=invariants,
-        provenance=("a_even",),
         checks=checks,
     )
 

@@ -60,9 +60,11 @@ def bott_subspace(gamma: SampledMap, B: int | None = None) -> tuple[SubspaceSpec
     ``z^b H_+`` (``gamma*`` has band ``b`` too) and lies in ``z^{-b} H_+``, so
     ``W = V (+) z^b H_+`` with ``V`` the range of the ``2bn x 2bn`` block
     ``[c_{i-j}]``, output modes ``i in [-b, b)``, input modes ``j in [0, 2b)``
-    (Pressley-Segal, *Loop Groups*, ch. 7).  The spec holds ``V`` as explicit
-    columns and modes ``[b, 2b)`` as its tail on the window of modes
-    ``[-2b, 2b)``; its virtual dimension is ``dim V - bn``.
+    (Pressley-Segal, *Loop Groups*, ch. 7).  The spec is one orthonormal
+    basis on the window of modes ``[-2b, 2b)`` (of ``n``-blocks): ``V`` on the
+    rows of modes ``[-b, b)`` next to identity columns on the rows of modes
+    ``[b, 2b)``, which are ``z^b H_+`` inside the window; its virtual
+    dimension is ``dim V - bn``.
 
     The block is the compression of the isometry ``gamma`` onto ``W``'s finite
     part, so its singular values are 1 or 0.  ``V`` keeps the left singular
@@ -107,10 +109,11 @@ def bott_subspace(gamma: SampledMap, B: int | None = None) -> tuple[SubspaceSpec
         _, s, vh = np.linalg.svd(block.conj().T)
         u = vh.conj().T
     keep = s > RANK_THRESHOLD_REL
-    window = PolarizedWindow(2 * b * n, 2 * b * n)
-    explicit = np.zeros((window.dim, int(keep.sum())), dtype=complex)
-    explicit[b * n : 3 * b * n] = u[:, keep]
-    spec = SubspaceSpec(window, explicit, tuple(range(b * n, 2 * b * n)))
+    k = int(keep.sum())
+    basis = np.zeros((4 * b * n, k + b * n), dtype=complex)
+    basis[b * n : 3 * b * n, :k] = u[:, keep]
+    basis[3 * b * n :, k:] = np.eye(b * n)
+    spec = SubspaceSpec(PolarizedWindow(2 * b * n, 2 * b * n), basis)
     diagnostics = {
         "band_leak": leak,
         "resolution": res,
@@ -272,7 +275,7 @@ def bott_consistency(
     b = diagnostics["band"]
     if M is not None and M <= 2 * b:
         raise BandwidthViolation(f"window M = {M} too small for the measured band: M <= 2b = {2 * b}")
-    route_c = -virtual_dimension(spec.to_frame())
+    route_c = -virtual_dimension(spec)
     nearest = int(np.round(route_a))
     verdict = (
         abs(route_a - nearest) < tol

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chernlab import builders
-from chernlab.errors import ShapeMismatch
+from chernlab.errors import ShapeMismatch, WindowTooSmall
 from chernlab.geomgrid import integrate, make_domain
 from chernlab.khat import (
     CircleConnection,
+    a_even,
     a_odd,
     cs_of_nullhomotopy,
     holonomy_log_det,
@@ -15,6 +16,7 @@ from chernlab.khat import (
     point_class_odd,
 )
 from chernlab.kops import blocksum_map, inversion_homotopy_odd
+from chernlab.stiefel import PolarizedWindow
 
 WINDINGS = st.integers(min_value=-2, max_value=2)
 
@@ -73,3 +75,8 @@ def test_holonomy_log_det_coefficient_is_the_integral_difference_mod_one(c_plus,
     assert np.all(coeff == coeff[0]) and abs(coeff[0].imag) == 0.0
     assert mod1_distance(coeff[0].real, expected) < 1e-12
     assert -0.5 < coeff[0].real <= 0.5
+
+
+def test_a_even_needs_modes_zero_and_minus_one_in_the_window():
+    with pytest.raises(WindowTooSmall):
+        a_even(CircleConnection.constant(0.7), PolarizedWindow(0, 2))

@@ -18,6 +18,7 @@ from chernlab.periodicity import (
     bott_subspace,
     kato_transport,
 )
+from chernlab.stiefel import PolarizedWindow, virtual_dimension
 
 
 def _band_loop(windings):
@@ -92,15 +93,15 @@ def _rank2_loop(seed, windings):
 @given(STRANDS, st.integers(0, 2**16))
 def test_bott_subspace_has_minus_the_total_winding(windings, seed):
     spec, _ = bott_subspace(_rank2_loop(seed, windings))
-    assert spec.virtual_dimension() == -sum(windings)
+    assert virtual_dimension(spec) == -sum(windings)
 
 
 @settings(max_examples=12, deadline=None)
 @given(STRANDS, st.integers(0, 2**16))
 def test_bott_subspace_inverse_is_the_flip(windings, seed):
     gamma = _rank2_loop(seed, windings)
-    assert bott_subspace(gamma)[0].flipped().virtual_dimension() == sum(windings)
-    assert bott_subspace(gamma.adjoint())[0].virtual_dimension() == sum(windings)
+    assert virtual_dimension(bott_subspace(gamma)[0].flipped()) == sum(windings)
+    assert virtual_dimension(bott_subspace(gamma.adjoint())[0]) == sum(windings)
 
 
 @settings(max_examples=12, deadline=None)
@@ -109,7 +110,7 @@ def test_bott_subspace_inverse_is_the_flip(windings, seed):
 def test_bott_subspace_sum_is_the_blocksum(w1, w2, seed):
     g1, g2 = _rank2_loop(seed, w1), _rank2_loop(seed + 1, w2)
     spec, _ = bott_subspace(blocksum_map(g1, g2))
-    assert spec.virtual_dimension() == -sum(w1) - sum(w2)
+    assert virtual_dimension(spec) == -sum(w1) - sum(w2)
 
 
 @pytest.mark.parametrize("colatitude", [0.6, 1.1, 2.3])
@@ -119,10 +120,29 @@ def test_berry_phase_of_bloch_circle(colatitude):
     assert abs(np.linalg.det(u) - np.exp(-1j * np.pi * (1.0 - np.cos(colatitude)))) < 1e-10
 
 
-@pytest.mark.parametrize("c", [0.7, -1.2, 7.5])
-def test_classifying_loop_transports_to_the_connection_holonomy(c):
-    alpha = CircleConnection.constant(c)
-    result = kato_transport(a_even(alpha).representative)
+# constant connections, then non-constant ones, which reach the antiderivative branch
+CONNECTIONS = {
+    "0.7": lambda t: np.full_like(t, 0.7),
+    "-1.2": lambda t: np.full_like(t, -1.2),
+    "7.5": lambda t: np.full_like(t, 7.5),
+    "0.7+0.3cos": lambda t: 0.7 + 0.3 * np.cos(t),
+    "-1.2+0.5sin2": lambda t: -1.2 + 0.5 * np.sin(2.0 * t),
+    "2.25+0.2cos3": lambda t: 2.25 + 0.2 * np.cos(3.0 * t),
+}
+WINDOWS = {"": None, "-w11": PolarizedWindow(1, 1), "-w34": PolarizedWindow(3, 4)}
+
+
+@pytest.mark.parametrize(
+    "a, window",
+    [(a, w) for w in WINDOWS.values() for a in CONNECTIONS.values()],
+    ids=[name + suffix for suffix in WINDOWS for name in CONNECTIONS],
+)
+def test_classifying_loop_transports_to_the_connection_holonomy(a, window):
+    circle = make_domain("circle", 256)
+    alpha = CircleConnection(circle, a(circle.axes[0].coords))
+    data = a_even(alpha, window)
+    result = kato_transport(data.representative)
+    assert data.invariants["virtual_dimension"] == 0
     assert result.diagnostics["step_halving_ok"]
     assert abs(np.linalg.det(result.U) - np.exp(1j * alpha.integral())) < 1e-10
 

@@ -3,13 +3,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chernlab.builders import frame_family_torus, random_unitary_map
+from chernlab.builders import frame_family_torus, loop_zn, random_unitary_map
 from chernlab.chernforms import ch_even, chern_scalar, trace_wedge
+from chernlab.errors import AsymmetricWindow, DegenerateFrame, DegreeOverflow, ShapeMismatch
 from chernlab.geomgrid import SampledMap, _simpson_weights, differentiate, form_derivative, make_domain
-from chernlab.stiefel import PolarizedWindow, SubspaceSpec, _frame_pointwise_data, transgression_eta
+from chernlab.kops import blocksum, flip_projection
+from chernlab.stiefel import (
+    PolarizedWindow,
+    SubspaceSpec,
+    _frame_pointwise_data,
+    transgression_eta,
+    virtual_dimension,
+)
 
 WIN = PolarizedWindow(3, 3)
 MODES = list(range(-3, 3))
+
+
+def tail_spec(modes, explicit=None):
+    """Identity columns for ``modes`` after the orthonormal columns ``explicit``."""
+    cols = np.eye(WIN.dim, dtype=complex)[:, [WIN.index_of(m) for m in sorted(modes)]]
+    if explicit is not None:
+        cols = np.concatenate([explicit, cols], axis=1)
+    return SubspaceSpec(WIN, cols)
 
 
 @pytest.mark.parametrize(
@@ -17,40 +33,91 @@ MODES = list(range(-3, 3))
     [((0, 1), -1), ((-1, 0, 1, 2), 1), ((0,), -2), ((-2, -1, 0, 1, 2), 2)],
 )
 def test_flip_negates_virtual_dimension_of_tail_specs(tail, vdim):
-    spec = SubspaceSpec(WIN, np.zeros((WIN.dim, 0)), tail)
-    assert spec.virtual_dimension() == vdim
-    assert spec.flipped().virtual_dimension() == -vdim
+    spec = tail_spec(tail)
+    assert virtual_dimension(spec) == vdim
+    assert virtual_dimension(spec.flipped()) == -vdim
 
 
 def test_flip_negates_virtual_dimension_with_explicit_columns():
     col = np.zeros((WIN.dim, 1), dtype=complex)
     col[WIN.index_of(-1)] = col[WIN.index_of(0)] = np.sqrt(0.5)
     spec = SubspaceSpec(WIN, col)
-    assert spec.virtual_dimension() == -2
-    assert spec.flipped().virtual_dimension() == 2
+    assert virtual_dimension(spec) == -2
+    assert virtual_dimension(spec.flipped()) == 2
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sets(st.sampled_from(MODES), min_size=1, max_size=len(MODES) - 1))
 def test_flip_negates_virtual_dimension(tail):
-    spec = SubspaceSpec(WIN, np.zeros((WIN.dim, 0)), tuple(tail))
-    assert spec.flipped().virtual_dimension() == -spec.virtual_dimension()
+    spec = tail_spec(tail)
+    assert virtual_dimension(spec.flipped()) == -virtual_dimension(spec)
 
 
 @settings(max_examples=40, deadline=None)
 @given(*[st.sets(st.sampled_from(MODES), min_size=1, max_size=len(MODES))] * 2)
 def test_blocksum_adds_virtual_dimensions(tail_a, tail_b):
-    a = SubspaceSpec(WIN, np.zeros((WIN.dim, 0)), tuple(tail_a))
-    b = SubspaceSpec(WIN, np.zeros((WIN.dim, 0)), tuple(tail_b))
-    assert a.blocksummed(b).virtual_dimension() == a.virtual_dimension() + b.virtual_dimension()
+    a, b = tail_spec(tail_a), tail_spec(tail_b)
+    assert virtual_dimension(a.blocksummed(b)) == virtual_dimension(a) + virtual_dimension(b)
 
 
 def test_blocksum_adds_virtual_dimensions_with_explicit_columns():
     col = np.zeros((WIN.dim, 1), dtype=complex)
     col[WIN.index_of(-1)] = col[WIN.index_of(0)] = np.sqrt(0.5)
     a = SubspaceSpec(WIN, col)
-    b = SubspaceSpec(WIN, np.zeros((WIN.dim, 0)), (-2, 0, 1, 2))
-    assert a.blocksummed(b).virtual_dimension() == a.virtual_dimension() + b.virtual_dimension() == -1
+    b = tail_spec((-2, 0, 1, 2))
+    assert virtual_dimension(a.blocksummed(b)) == virtual_dimension(a) + virtual_dimension(b) == -1
+
+
+def random_spec(rng, k):
+    z = rng.standard_normal((WIN.dim, k)) + 1j * rng.standard_normal((WIN.dim, k))
+    return SubspaceSpec(WIN, np.linalg.qr(z)[0])
+
+
+def projection(spec):
+    return spec.basis @ spec.basis.conj().T
+
+
+@pytest.mark.parametrize("k", range(WIN.dim + 1))
+def test_flipped_basis_spans_the_flipped_projection(k):
+    spec = random_spec(np.random.default_rng(k), k)
+    assert np.abs(projection(spec.flipped()) - flip_projection(projection(spec), WIN)).max() < 1e-12
+
+
+@pytest.mark.parametrize("k", range(WIN.dim + 1))
+def test_blocksummed_basis_spans_the_blocksum_projection(k):
+    rng = np.random.default_rng(100 + k)
+    a, b = random_spec(rng, k), random_spec(rng, WIN.dim - k)
+    assert np.abs(projection(a.blocksummed(b)) - blocksum(projection(a), projection(b))).max() < 1e-12
+
+
+def test_basis_must_be_orthonormal_window_columns():
+    with pytest.raises(ShapeMismatch):
+        SubspaceSpec(WIN, np.eye(WIN.dim + 1)[:, :2])
+    with pytest.raises(DegenerateFrame):
+        SubspaceSpec(WIN, 2.0 * np.eye(WIN.dim)[:, :2])
+
+
+def test_flip_needs_a_symmetric_window():
+    win = PolarizedWindow(2, 3)
+    with pytest.raises(AsymmetricWindow):
+        SubspaceSpec(win, np.eye(win.dim)[:, :2]).flipped()
+
+
+def test_blocksum_needs_matching_windows():
+    other = PolarizedWindow(2, 2)
+    with pytest.raises(ShapeMismatch):
+        tail_spec((0,)).blocksummed(SubspaceSpec(other, np.eye(other.dim)[:, :1]))
+
+
+def test_transgression_eta_needs_a_frame_tagged_map():
+    with pytest.raises(ShapeMismatch):
+        transgression_eta(loop_zn(1, res=16), 1)
+
+
+def test_transgression_eta_degree_must_fit_the_domain():
+    # torus2 frames: degree 2k - 1 = 3 > 2
+    with pytest.raises(DegreeOverflow):
+        transgression_eta(frame_family_torus(np.random.default_rng(0), res=8), 2)
 
 
 @pytest.mark.parametrize("seed", [0, 3])
