@@ -1,8 +1,8 @@
 """Named analytic map families used by the CLI and the verification suites.
 
-A registry of reproducible fixtures instead of an expression parser: every
-builder is a pure function of its parameters (plus, for the randomized ones,
-a 64-bit seed), so runs are reproducible from the report alone.
+Reproducible fixtures instead of an expression parser: every builder is a
+pure function of its parameters (plus, for the randomized ones, a random
+generator), so runs are reproducible from the report alone.
 
 The exponential families (``su2_chart``, ``random_band_loop``,
 ``random_unitary_map`` and ``frame_family_torus``) stack their hermitian
@@ -10,8 +10,8 @@ generator ``H`` and its partials over all nodes and make one
 ``_exp_i_hermitian`` call, so they carry exact spatial partials.
 ``qwz_band`` differentiates its closed form and ``random_projection_map``
 carries the partials of its unitary by the product rule.  The closed forms
-``const_identity``, ``loop_zn``, ``trig_loop`` and ``bloch_circle`` carry
-none: their jets are taken on the grid.
+``loop_zn``, ``trig_loop`` and ``bloch_circle`` carry none: their jets are
+taken on the grid.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .numkernel import haar_unitary
 from .stiefel import PolarizedWindow
 
 __all__ = [
-    "BUILDERS",
-    "const_identity",
     "loop_zn",
     "trig_loop",
     "bloch_circle",
@@ -77,13 +75,6 @@ def _exp_i_hermitian(h: np.ndarray, dh) -> tuple[np.ndarray, tuple[np.ndarray, .
     divided = 1j * np.exp(1j * mean) * np.sinc(gap / np.pi)
     partials = tuple(v @ (divided * (vh @ d @ v)) @ vh for d in dh)
     return values, partials
-
-
-def const_identity(res: int = 256, size: int = 1, kind: str = "circle") -> SampledMap:
-    dom = make_domain(kind, res if kind in ("circle", "interval") else (res, res))
-    eye = np.eye(size, dtype=complex)
-    values = np.broadcast_to(eye, (*dom.node_shape, size, size)).copy()
-    return SampledMap(dom, values, codomain="unitary")
 
 
 def loop_zn(n: int = 1, res: int = 256, pad: int = 1) -> SampledMap:
@@ -288,13 +279,3 @@ def frame_family_torus(
         dk[1] -= np.multiply.outer(q * np.sin(q * t2), g2)
     e, de = _exp_i_hermitian(-1j * k, [-1j * d for d in dk])
     return SampledMap(dom, e @ w0, codomain="frame", partials=tuple(d @ w0 for d in de))
-
-
-BUILDERS = {
-    "const_identity": const_identity,
-    "loop_zn": loop_zn,
-    "trig_loop": trig_loop,
-    "bloch_circle": bloch_circle,
-    "qwz_band": qwz_band,
-    "su2_chart": su2_chart,
-}

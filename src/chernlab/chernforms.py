@@ -44,7 +44,9 @@ from .geomgrid import (
     _diff_interval,
     _simpson_weights,
     differentiate,
-    exactness_residual,
+    generating_cycles,
+    integrate,
+    sub_grid,
 )
 
 __all__ = [
@@ -56,6 +58,7 @@ __all__ = [
     "ch_even",
     "ch_total",
     "Homotopy",
+    "cs_forms",
     "cs_form",
     "cs_exact",
 ]
@@ -130,12 +133,12 @@ def _mc_jets(f: np.ndarray, partials: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [finv @ p for p in partials]
 
 
-def _curvature_pairs(p: np.ndarray, d: Sequence[np.ndarray]) -> dict[tuple[int, int], np.ndarray]:
-    """Pair values ``p (d_i p d_j p - d_j p d_i p)`` of projection values ``p`` and jets ``d``."""
-    pairs = {}
-    for i, j in itertools.combinations(range(len(d)), 2):
-        pairs[(i, j)] = p @ (d[i] @ d[j] - d[j] @ d[i])
-    return pairs
+def _curvature_pairs(p: np.ndarray, d: Sequence[np.ndarray], pairs=None) -> dict[tuple[int, int], np.ndarray]:
+    """Pair values ``p (d_i p d_j p - d_j p d_i p)`` of projection values ``p``
+    and jets ``d``, for the index pairs ``pairs`` (default: every ``i < j``)."""
+    if pairs is None:
+        pairs = itertools.combinations(range(len(d)), 2)
+    return {(i, j): p @ (d[i] @ d[j] - d[j] @ d[i]) for i, j in pairs}
 
 
 def ch_odd(f: SampledMap, k: int, partials: Sequence[np.ndarray] | None = None) -> GradedForm:
@@ -279,6 +282,27 @@ class Homotopy:
             out[a:b] = _diff_interval(self.slices[a:b], 0, b - a, h)
         return out
 
+    def restrict(self, axes: Sequence[int]) -> "Homotopy":
+        """The homotopy on the sub-grid spanned by the spatial ``axes``, every
+        other spatial axis pinned at node 0 (the pin of
+        :func:`geomgrid.cycle_integral`)."""
+        sub, pin = sub_grid(self.spatial, axes)
+        at = (slice(None), *pin)
+        tp = None if self.time_partials is None else self.time_partials[at]
+        sp = None
+        if self.spatial_partials is not None:
+            sp = tuple(self.spatial_partials[a][at] for a in sorted(axes))
+        return Homotopy(
+            sub,
+            self.times,
+            self.slices[at],
+            codomain=self.codomain,
+            segments=self.segments,
+            window=self.window,
+            time_partials=tp,
+            spatial_partials=sp,
+        )
+
     def reversed(self) -> "Homotopy":
         segs = []
         n = self.n_times
@@ -348,30 +372,61 @@ class Homotopy:
         )
 
 
-def cs_form(H: Homotopy, k: int) -> GradedForm:
-    """Fiber-``t`` integral of the contracted pullback of the k-th component.
+def _cs_degree(codomain: str, k: int) -> int:
+    """Form degree of the k-th CS component: ``2k - 2`` for unitary slices,
+    ``2k - 1`` for projection slices."""
+    if codomain == "unitary":
+        return 2 * k - 2
+    if codomain == "projection":
+        return 2 * k - 1
+    raise ShapeMismatch("CS forms need unitary or projection slices")
 
-    Unitary slices produce a degree-(2k-2) form; projection slices produce a
-    degree-(2k-1) form.  The contraction with ``d/dt`` follows from
+
+def _slice_integrands(
+    codomain: str, v: np.ndarray, dv_dt: np.ndarray, jets: Sequence[np.ndarray], ks: Sequence[int]
+) -> dict[int, dict[tuple[int, ...], np.ndarray]]:
+    """Components of the contracted CS integrand of every degree ``k`` in
+    ``ks`` at one slice ``v`` with time derivative ``dv_dt`` and spatial
+    ``jets``, before the ``t`` quadrature and the normalization."""
+    if codomain == "unitary":
+        alpha_t, *alpha = _mc_jets(v, (dv_dt, *jets))
+        omega = {(i,): a for i, a in enumerate(alpha)}
+        return {k: trace_wedge({(): alpha_t}, *[omega] * (2 * k - 2)) for k in ks}
+    # slot 0 is t: the (0, i) pairs are iota_t Omega, the others Omega
+    dim = len(jets)
+    pairs = itertools.combinations(range(dim + 1), 2) if max(ks) > 1 else ((0, i) for i in range(1, dim + 1))
+    space_time = _curvature_pairs(v, (dv_dt, *jets), pairs)
+    iota = {(i - 1,): space_time.pop((0, i)) for i in range(1, dim + 1)}
+    curvature = {(i - 1, j - 1): x for (i, j), x in space_time.items()}
+    return {k: trace_wedge(iota, *[curvature] * (k - 1)) for k in ks}
+
+
+def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
+    """Fiber-``t`` integrals of the contracted pullbacks of the components
+    ``k = 1 .. k_max`` up to the dimension cutoff, keyed by ``k``, from one
+    pass over the time slices.
+
+    Unitary slices produce degree-(2k-2) forms; projection slices produce
+    degree-(2k-1) forms.  The contraction with ``d/dt`` follows from
     cyclicity of the trace, with ``omega`` and ``Omega`` the spatial forms:
 
     * ``iota_t tr(omega^m) = m tr(alpha_t ^ omega^(m-1))`` for odd ``m = 2k-1``,
       with the 0-form ``alpha_t = f^{-1} df/dt``;
     * ``iota_t tr(Omega^k) = k tr(iota_t Omega ^ Omega^(k-1))``, with the
-      1-form ``(iota_t Omega)_i = p [dp/dt, d_i p]``.
+      1-form ``(iota_t Omega)_i = p [dp/dt, d_i p]``, the ``(t, i)`` pairs of
+      the space-time curvature.
 
-    Quadrature in ``t`` is composite Simpson, applied per segment.
+    Each slice's spatial jets, ``alpha_t`` or ``iota_t Omega`` and curvature
+    pairs are built once and shared by every degree; the jets are skipped
+    when only ``CS_0`` of unitary slices is asked for, the curvature pairs
+    when ``k_max`` is 1.  Quadrature in ``t`` is composite Simpson, applied
+    per segment.
     """
     spatial = H.spatial
     dim = spatial.dim
-    if H.codomain == "unitary":
-        deg, c = 2 * k - 2, chern_scalar("odd", k) * (2 * k - 1)
-    elif H.codomain == "projection":
-        deg, c = 2 * k - 1, chern_scalar("even", k) * k
-    else:
-        raise ShapeMismatch("cs_form needs unitary or projection slices")
-    if deg > dim:
-        raise DegreeOverflow(f"CS degree {deg} exceeds domain dimension {dim}")
+    ks = [k for k in range(1, k_max + 1) if _cs_degree(H.codomain, k) <= dim]
+    if not ks:
+        return {}
 
     dt_slices = H.time_derivative()
     weights = np.empty(H.n_times)
@@ -383,33 +438,57 @@ def cs_form(H: Homotopy, k: int) -> GradedForm:
             return tuple(p[it] for p in H.spatial_partials)
         return tuple(_diff_along(spatial, H.slices[it], i) for i in range(dim))
 
-    acc: dict[tuple[int, ...], np.ndarray] = {}
+    acc: dict[int, dict[tuple[int, ...], np.ndarray]] = {k: {} for k in ks}
     for it, wt in enumerate(weights):
-        v = H.slices[it]
+        # CS_0 of unitary slices, tr(alpha_t), needs no spatial jets
+        jets = spatial_jets(it) if H.codomain == "projection" or ks[-1] > 1 else ()
+        for k, comps in _slice_integrands(H.codomain, H.slices[it], dt_slices[it], jets, ks).items():
+            for idx, val in comps.items():
+                acc[k][idx] = acc[k][idx] + wt * val if idx in acc[k] else wt * val
+    out = {}
+    for k in ks:
         if H.codomain == "unitary":
-            # CS_0 = tr(alpha_t) needs no spatial jets
-            d = spatial_jets(it) if k > 1 else ()
-            alpha_t, *alpha = _mc_jets(v, (dt_slices[it], *d))
-            omega = {(i,): a for i, a in enumerate(alpha)}
-            comps = trace_wedge({(): alpha_t}, *[omega] * (2 * k - 2))
+            c = chern_scalar("odd", k) * (2 * k - 1)
         else:
-            d, dpt = spatial_jets(it), dt_slices[it]
-            iota = {(i,): v @ (dpt @ d[i] - d[i] @ dpt) for i in range(dim)}
-            curvature = _curvature_pairs(v, d) if k > 1 else {}
-            comps = trace_wedge(iota, *[curvature] * (k - 1))
-        for idx, val in comps.items():
-            acc[idx] = acc[idx] + wt * val if idx in acc else wt * val
-    return GradedForm(spatial, deg, -k, {idx: c * a for idx, a in acc.items()})
+            c = chern_scalar("even", k) * k
+        out[k] = GradedForm(spatial, _cs_degree(H.codomain, k), -k, {idx: c * a for idx, a in acc[k].items()})
+    return out
+
+
+def cs_form(H: Homotopy, k: int) -> GradedForm:
+    """The k-th component of :func:`cs_forms`; DegreeOverflow past the
+    dimension cutoff."""
+    forms = cs_forms(H, k)
+    if k not in forms:
+        raise DegreeOverflow(f"no CS component k = {k} on a {H.spatial.dim}-dimensional domain")
+    return forms[k]
 
 
 def cs_exact(H: Homotopy, k_max: int = DEFAULT_K_MAX, tol: float = 1e-6) -> dict:
-    """Exactness verdict for every CS component up to the dimension cutoff."""
+    """Exactness verdict for every CS component up to the dimension cutoff.
+
+    The residuals are those of :func:`geomgrid.exactness_residual` of the
+    full-grid forms.  A cycle integral of ``CS(H)`` is the integral of ``CS``
+    of ``H`` restricted to the cycle, since transgression forms are natural
+    under pullback, so each positive degree is computed only on the
+    sub-grids of its generating cycles; degree 0 (``CS_0`` of unitary
+    slices, which needs no spatial jets) is its sup norm on the full grid.
+    """
+    dim = H.spatial.dim
     residuals: dict[int, float] = {}
     for k in range(1, k_max + 1):
-        deg = 2 * k - 2 if H.codomain == "unitary" else 2 * k - 1
-        if deg > H.spatial.dim:
+        deg = _cs_degree(H.codomain, k)
+        if deg > dim:
             break
-        form = cs_form(H, k)
-        residuals[deg] = exactness_residual(form)
+        if deg == 0:
+            residuals[deg] = cs_forms(H, 1)[1].sup_norm()
+            continue
+        residuals[deg] = max(
+            (
+                abs(integrate(cs_forms(H if len(c) == dim else H.restrict(c), k)[k]))
+                for c in generating_cycles(H.spatial, deg)
+            ),
+            default=0.0,
+        )
     verdict = all(r < tol for r in residuals.values())
     return {"residuals": residuals, "verdict": verdict, "tolerance": tol}

@@ -11,7 +11,11 @@ alone:
   ``exp(-i pi (1 - cos theta))``;
 * the classifying loop ``a_even`` of the constant connection ``c`` transports
   to ``exp(2 pi i c)``;
-* the three Bott routes of ``loop_zn(n)`` all recover ``n``.
+* the three Bott routes of ``loop_zn(n)`` all recover ``n``;
+* ``int ch_1`` of the Qi-Wu-Zhang band ``qwz_band(m)`` is -1, +1 and 0 for
+  m = 1, -1 and 3 (Qi, Wu and Zhang, 2006);
+* the Chern-Simons form of the inversion homotopy of ``su2_chart()`` is
+  exact: every residual of ``cs_exact`` vanishes.
 """
 
 from __future__ import annotations
@@ -25,7 +29,10 @@ import time
 import numpy as np
 
 from . import builders
+from .chernforms import ch_even, cs_exact
+from .geomgrid import integrate
 from .khat import CircleConnection, a_even
+from .kops import inversion_homotopy_odd
 from .periodicity import bott_consistency, kato_transport
 
 __all__ = ["main", "verify"]
@@ -35,6 +42,8 @@ BOTT_BOUND = 1e-6  # |int ch_1 route - n|, also the tolerance of bott_consistenc
 BERRY_COLATITUDES = (0.6, 1.1, 2.3)
 CONNECTIONS = (0.7, -1.2)
 WINDINGS = range(-2, 3)
+QWZ_CHERN = ((1.0, -1), (-1.0, 1), (3.0, 0))  # (m, int ch_1 of qwz_band(m))
+CS_BOUND = 1e-10  # every cs_exact residual of an inversion homotopy
 
 
 def _plain(x):
@@ -76,6 +85,16 @@ def _bott(n: int):
     return abs(report["ch1_route"] - n), ok, {k: v for k, v in report.items() if k != "verdict"}
 
 
+def _chern_number(m: float, n: int):
+    integral = complex(integrate(ch_even(builders.qwz_band(m), 1)))
+    return abs(integral - n), True, {"ch1_integral": integral.real}
+
+
+def _cs_inversion(f):
+    report = cs_exact(inversion_homotopy_odd(f), tol=CS_BOUND)
+    return max(report["residuals"].values()), report["verdict"], {"residuals": report["residuals"]}
+
+
 def verify() -> list[dict]:
     """Every oracle check, in a fixed order."""
     checks = []
@@ -89,6 +108,9 @@ def verify() -> list[dict]:
         checks.append(_entry(f"connection_holonomy/a_even({c})", HOLONOMY_BOUND, _holonomy, loop, holonomy))
     for n in WINDINGS:
         checks.append(_entry(f"bott_consistency/loop_zn({n})", BOTT_BOUND, _bott, n))
+    for m, n in QWZ_CHERN:
+        checks.append(_entry(f"chern_number/qwz_band({m})", BOTT_BOUND, _chern_number, m, n))
+    checks.append(_entry("cs_exact/inversion_homotopy_odd(su2_chart)", CS_BOUND, _cs_inversion, builders.su2_chart()))
     return checks
 
 

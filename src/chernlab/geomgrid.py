@@ -50,6 +50,7 @@ __all__ = [
     "form_derivative",
     "exactness_residual",
     "generating_cycles",
+    "sub_grid",
     "cycle_integral",
 ]
 
@@ -60,6 +61,7 @@ _AXIS_KINDS = {
     "torus3": ("periodic", "periodic", "periodic"),
     "cylinder": ("interval", "periodic"),
 }
+_KIND_OF_AXES = {(): "point", **{kinds: kind for kind, kinds in _AXIS_KINDS.items()}}  # for sub_grid
 
 MIN_PERIODIC = 8
 MIN_INTERVAL = 9
@@ -391,16 +393,28 @@ def generating_cycles(domain: DomainGrid, degree: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(periodic, degree))
 
 
+def sub_grid(domain: DomainGrid, axes: Sequence[int]) -> tuple[DomainGrid, tuple]:
+    """The sub-grid spanned by ``axes`` and the index into node data that
+    pins every other axis at node 0.
+
+    ShapeMismatch if ``axes`` are not distinct axes of ``domain``.
+    """
+    axes = tuple(sorted(axes))
+    if len(set(axes)) != len(axes) or not set(axes) <= set(range(domain.dim)):
+        raise ShapeMismatch(f"{axes} are not distinct axes of a {domain.dim}-dimensional domain")
+    sub_axes = tuple(domain.axes[a] for a in axes)
+    sub = DomainGrid(_KIND_OF_AXES[tuple(ax.kind for ax in sub_axes)], sub_axes)
+    return sub, tuple(slice(None) if i in axes else 0 for i in range(domain.dim))
+
+
 def cycle_integral(omega: GradedForm, axes: Sequence[int]) -> complex:
     """Integral of ``omega`` over the sub-grid spanned by ``axes``, every
     other axis pinned at node 0."""
     axes = tuple(sorted(axes))
     if len(axes) != omega.form_degree:
         raise DegreeMismatch("cycle dimension does not match form degree")
-    domain = omega.domain
-    pin = tuple(slice(None) if i in axes else 0 for i in range(domain.dim))
-    comp = omega.component(axes)[pin]
-    return complex(_grid_quadrature(comp, [domain.axes[a] for a in axes]))
+    sub, pin = sub_grid(omega.domain, axes)
+    return complex(_grid_quadrature(omega.component(axes)[pin], sub.axes))
 
 
 def exactness_residual(omega: GradedForm) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fourier
-from .chernforms import Homotopy, ch_total, cs_form
+from .chernforms import Homotopy, ch_total, cs_forms
 from .errors import (
     NotBasedAtIdentity,
     ShapeMismatch,
@@ -286,14 +286,10 @@ def cs_of_nullhomotopy(H: Homotopy, k_max: int = 3, tol: float = 1e-10) -> dict:
 
     end = H.slice_map(H.n_times - 1)
     end_forms = {f.form_degree: f for f in ch_total(end, k_max)}
-    forms = []
+    forms = list(cs_forms(H, k_max).values())
     residuals = {}
-    for k in range(1, k_max + 1):
-        deg = 2 * k - 2 if H.codomain == "unitary" else 2 * k - 1
-        if deg > H.spatial.dim:
-            break
-        cs = cs_form(H, k)
-        forms.append(cs)
+    for cs in forms:
+        deg = cs.form_degree
         if deg < H.spatial.dim:
             dcs = form_derivative(cs)
             target = end_forms.get(deg + 1)

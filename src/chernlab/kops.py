@@ -43,10 +43,6 @@ def doubled_window(window: PolarizedWindow) -> PolarizedWindow:
     return PolarizedWindow(2 * window.n_minus, 2 * window.n_plus)
 
 
-def _interleave_indices(dim_small: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.arange(0, 2 * dim_small, 2), np.arange(1, 2 * dim_small, 2)
-
-
 def blocksum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Interleaved direct sum; the result is twice the size of each operand.
 
@@ -62,29 +58,6 @@ def blocksum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[..., 0::2, 0::2] = a
     out[..., 1::2, 1::2] = b
     return out
-
-
-def blocksum_with_shuffle(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Blocksum through an explicit isomorphism ``rho`` (rows = (copy1; copy2)).
-
-    Exists so tests can exercise alternative shuffles; the packaged operations
-    always use the fixed interleave.
-    """
-    n = a.shape[-1]
-    direct = np.zeros((2 * n, 2 * n), dtype=complex)
-    direct[:n, :n] = a
-    direct[n:, n:] = b
-    return rho.conj().T @ direct @ rho
-
-
-def standard_shuffle_matrix(n: int) -> np.ndarray:
-    """The fixed interleave as an explicit ``2n x 2n`` 0/1 matrix."""
-    rho = np.zeros((2 * n, 2 * n), dtype=complex)
-    ev, od = _interleave_indices(n)
-    for k in range(n):
-        rho[k, ev[k]] = 1.0          # copy-1 coordinate k reads interleaved slot 2k
-        rho[n + k, od[k]] = 1.0
-    return rho
 
 
 def blocksum_map(f: SampledMap, g: SampledMap) -> SampledMap:

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.linalg import expm
 
-from chernlab.builders import loop_zn, qwz_band, random_unitary_map
+from chernlab import fourier
+from chernlab.builders import loop_zn, qwz_band, random_projection_map, random_unitary_map
 from chernlab.chernforms import (
     Homotopy,
     antisym_trace_power,
@@ -15,20 +17,25 @@ from chernlab.chernforms import (
     chern_scalar,
     cs_exact,
     cs_form,
+    cs_forms,
     trace_wedge,
     wedge_trace_power,
 )
 from chernlab.errors import ArityTooLarge, DegreeOverflow, NotALoop, SingularInput
 from chernlab.geomgrid import (
+    GradedForm,
     SampledMap,
     _simpson_weights,
     constant_map,
+    cycle_integral,
     differentiate,
+    exactness_residual,
     form_derivative,
     integrate,
     make_domain,
+    sub_grid,
 )
-from chernlab.kops import inversion_homotopy_even, inversion_homotopy_odd
+from chernlab.kops import conjugation_homotopy, inversion_homotopy_even, inversion_homotopy_odd
 from chernlab.stiefel import PolarizedWindow
 
 RNG = np.random.default_rng(11)
@@ -267,8 +274,6 @@ def test_cs_stokes_degree_two_on_torus3():
     t_res = 17
     times = np.linspace(0.0, 1.0, t_res)
     slices = np.empty((t_res, 10, 10, 10, 2, 2), dtype=complex)
-    from scipy.linalg import expm
-
     for i, t in enumerate(times):
         flat = (1j * t * gen).reshape(-1, 2, 2)
         slices[i] = np.stack([expm(m) for m in flat]).reshape(10, 10, 10, 2, 2)
@@ -410,11 +415,102 @@ def test_cs_form_reads_slices_without_revalidating_them(name, monkeypatch):
         return validate(self, *args, **kwargs)
 
     monkeypatch.setattr(SampledMap, "_validate_tag", counting)
-    forms = {k: cs_form(h, k) for k in (1, 2)}
+    forms = cs_forms(h)
+    single = {k: cs_form(h, k) for k in (1, 2)}
     assert not calls
     monkeypatch.undo()
+    assert forms.keys() == {1, 2}
     for k, form in forms.items():
         expected = _cs_through_slice_maps(h, k)
-        assert form.comps.keys() == expected.keys()
+        assert form.comps.keys() == expected.keys() == single[k].comps.keys()
         for idx, comp in form.comps.items():
             assert np.abs(comp - expected[idx]).max() < 1e-15
+            assert np.array_equal(comp, single[k].comps[idx])
+
+
+def test_cs_form_past_the_dimension_cutoff_raises():
+    h = _inversion_homotopies()["odd_grid_jets"]
+    with pytest.raises(DegreeOverflow):
+        cs_form(h, 3)
+
+
+def _cylinder_homotopy():
+    """A conjugation of a projection family on the cylinder whose CS_1 is not
+    exact; its one generating cycle pins the interval axis."""
+    dom = make_domain("cylinder", (17, 16))
+    p = random_projection_map(np.random.default_rng(7), dom, PolarizedWindow(2, 2))
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    gen = g - g.conj().T
+    return conjugation_homotopy(p, lambda t: expm(t * gen), np.linspace(0.0, 1.0, 9), lambda t: gen @ expm(t * gen))
+
+
+@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "even", "cylinder"])
+def test_cs_exact_on_cycles_equals_the_full_grid_residuals(name):
+    h = _cylinder_homotopy() if name == "cylinder" else _inversion_homotopies()[name]
+    expected = {f.form_degree: exactness_residual(f) for f in cs_forms(h).values()}
+    got = cs_exact(h)["residuals"]
+    assert got.keys() == expected.keys()
+    if name in ("odd_grid_jets", "cylinder"):  # aliased jets, a non-exact form: residuals above round-off
+        assert max(expected.values()) > 1e-4
+    for deg, r in got.items():
+        assert abs(r - expected[deg]) <= 1e-15
+
+
+def _same_homotopy(a, b):
+    assert a.spatial == b.spatial and a.segments == b.segments and a.codomain == b.codomain
+    assert np.array_equal(a.times, b.times) and np.array_equal(a.slices, b.slices)
+    assert np.array_equal(a.time_partials, b.time_partials)
+    assert len(a.spatial_partials) == len(b.spatial_partials)
+    for x, y in zip(a.spatial_partials, b.spatial_partials):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("axes", [(0,), (2,), (0, 2), (2, 1), (0, 1, 2)])
+def test_restrict_pins_the_node_of_cycle_integral(axes):
+    h = _inversion_homotopies()["even"]
+    r = h.restrict(axes)
+    sub, pin = sub_grid(h.spatial, axes)
+    assert r.spatial == sub and r.spatial.dim == len(axes)
+    assert np.array_equal(r.slices, h.slices[(slice(None), *pin)])
+    for i, a in enumerate(sorted(axes)):
+        assert np.array_equal(r.spatial_partials[i], h.spatial_partials[a][(slice(None), *pin)])
+    full = GradedForm(h.spatial, len(axes), 0, {tuple(sorted(axes)): np.trace(h.slices[1], axis1=-2, axis2=-1)})
+    on_sub = GradedForm(sub, len(axes), 0, {tuple(range(len(axes))): np.trace(r.slices[1], axis1=-2, axis2=-1)})
+    assert cycle_integral(full, axes) == integrate(on_sub)
+    _same_homotopy(h.reversed().restrict(axes), r.reversed())
+    _same_homotopy(h.adjoint().restrict(axes), r.adjoint())
+
+
+def _derivative_calls(monkeypatch):
+    """Record the array rank of every spectral derivative taken."""
+    ranks = []
+    derivative = fourier.derivative
+
+    def counting(values, axis=0):
+        ranks.append(values.ndim)
+        return derivative(values, axis)
+
+    monkeypatch.setattr(fourier, "derivative", counting)
+    return ranks
+
+
+def test_cs_exact_takes_no_full_grid_jets_on_odd_slices(monkeypatch):
+    h = _inversion_homotopies()["odd_grid_jets"]
+    ranks = _derivative_calls(monkeypatch)
+    cs_exact(h, k_max=2)
+    # slices are (*node_shape, n, n): rank 5 on torus3, rank 4 on its three 2-cycles
+    assert ranks.count(5) == 0
+    assert ranks.count(4) == 3 * h.n_times * 2
+
+
+def test_cs_exact_takes_each_full_grid_jet_once_on_projection_slices(monkeypatch):
+    dom = make_domain("torus3", (8, 8, 8))
+    x = random_unitary_map(np.random.default_rng(6), dom, size=4)
+    h = inversion_homotopy_even(SampledMap(dom, x.values, codomain="unitary", window=PolarizedWindow(2, 2)), t_res=5)
+    assert h.spatial_partials is None
+    ranks = _derivative_calls(monkeypatch)
+    cs_exact(h, k_max=2)
+    # degree 3 reads the whole torus3 once; degree 1 reads its three circles
+    assert ranks.count(5) == h.n_times * 3
+    assert ranks.count(3) == 3 * h.n_times

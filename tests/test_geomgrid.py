@@ -13,6 +13,7 @@ from chernlab.geomgrid import (
     generating_cycles,
     integrate,
     make_domain,
+    sub_grid,
 )
 
 
@@ -258,6 +259,28 @@ def test_torus3_face_integral_pins_the_other_axis_at_node_zero():
     assert abs(cycle_integral(form, (0, 2)) - 4 * np.pi**2) < 1e-12
     assert abs(cycle_integral(form, (2, 0)) - 4 * np.pi**2) < 1e-12
     assert exactness_residual(form) == abs(cycle_integral(form, (0, 2)))
+
+
+@pytest.mark.parametrize(
+    "kind, res, axes, sub_kind, pin",
+    [
+        ("torus3", (8, 10, 12), (2, 0), "torus2", (slice(None), 0, slice(None))),
+        ("torus3", (8, 10, 12), (1,), "circle", (0, slice(None), 0)),
+        ("cylinder", (17, 16), (1,), "circle", (0, slice(None))),
+        ("cylinder", (17, 16), (0, 1), "cylinder", (slice(None), slice(None))),
+    ],
+)
+def test_sub_grid_keeps_the_spanned_axes_and_pins_the_rest_at_node_zero(kind, res, axes, sub_kind, pin):
+    dom = make_domain(kind, res)
+    sub, got = sub_grid(dom, axes)
+    assert sub.kind == sub_kind and sub.axes == tuple(dom.axes[a] for a in sorted(axes))
+    assert got == pin
+
+
+@pytest.mark.parametrize("axes", [(0, 0), (3,), (-1,)])
+def test_sub_grid_rejects_repeated_or_missing_axes(axes):
+    with pytest.raises(ShapeMismatch):
+        sub_grid(make_domain("torus3", (8, 8, 8)), axes)
 
 
 def test_exterior_derivative_of_function():

@@ -15,7 +15,7 @@ from chernlab.khat import (
     khat_class,
     point_class_odd,
 )
-from chernlab.kops import blocksum_map, inversion_homotopy_odd
+from chernlab.kops import blocksum_map, inversion_homotopy_even, inversion_homotopy_odd
 from chernlab.stiefel import PolarizedWindow
 
 WINDINGS = st.integers(min_value=-2, max_value=2)
@@ -33,6 +33,15 @@ def test_cs_of_nullhomotopy_lifts_the_exterior_derivative(make):
     report = cs_of_nullhomotopy(inversion_homotopy_odd(make()).reversed())
     assert report["lift_residuals"]
     assert max(report["lift_residuals"].values()) < 1e-10
+
+
+def test_cs_of_nullhomotopy_lifts_the_exterior_derivative_on_projections():
+    dom = make_domain("torus2", (16, 16))
+    x = builders.random_unitary_map(np.random.default_rng(6), dom, size=4, window=PolarizedWindow(2, 2))
+    report = cs_of_nullhomotopy(inversion_homotopy_even(x, t_res=9).reversed())
+    assert [f.form_degree for f in report["forms"]] == [1]
+    assert set(report["lift_residuals"]) == {1}
+    assert report["lift_residuals"][1] < 1e-10
 
 
 def mod1_distance(x, y):

@@ -20,7 +20,6 @@ from chernlab.kops import (
     association_permutation,
     blocksum,
     blocksum_map,
-    blocksum_with_shuffle,
     commutation_permutation,
     conjugation_homotopy,
     doubled_window,
@@ -31,13 +30,31 @@ from chernlab.kops import (
     grading_rotation,
     inversion_homotopy_even,
     inversion_homotopy_odd,
-    standard_shuffle_matrix,
 )
 from chernlab.numkernel import haar_unitary
 from chernlab.stiefel import PolarizedWindow
 
 RNG = np.random.default_rng(2024)
 WIN = PolarizedWindow(2, 2)
+
+
+def blocksum_with_shuffle(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Blocksum through an explicit isomorphism ``rho`` (rows = (copy1; copy2))."""
+    n = a.shape[-1]
+    direct = np.zeros((2 * n, 2 * n), dtype=complex)
+    direct[:n, :n] = a
+    direct[n:, n:] = b
+    return rho.conj().T @ direct @ rho
+
+
+def standard_shuffle_matrix(n: int) -> np.ndarray:
+    """The interleave of ``blocksum`` as an explicit ``2n x 2n`` 0/1 matrix:
+    copy-1 coordinate k reads slot 2k, copy-2 coordinate k reads slot 2k + 1."""
+    rho = np.zeros((2 * n, 2 * n), dtype=complex)
+    k = np.arange(n)
+    rho[k, 2 * k] = 1.0
+    rho[n + k, 2 * k + 1] = 1.0
+    return rho
 
 
 def blocksum_homotopy(h: Homotopy, g: Homotopy) -> Homotopy:
