@@ -127,18 +127,23 @@ def wedge_trace_power(jets: Sequence[np.ndarray], arity: int) -> dict[tuple[int,
     return trace_wedge(*[omega] * arity)
 
 
-def _mc_jets(f: np.ndarray, partials: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Logarithmic-derivative slot values ``f^{-1} d f`` of unitary values ``f`` for each given partial."""
-    finv = np.swapaxes(f, -1, -2).conj()
-    return [finv @ p for p in partials]
-
-
-def _curvature_pairs(p: np.ndarray, d: Sequence[np.ndarray], pairs=None) -> dict[tuple[int, int], np.ndarray]:
+class _CurvaturePairs:
     """Pair values ``p (d_i p d_j p - d_j p d_i p)`` of projection values ``p``
-    and jets ``d``, for the index pairs ``pairs`` (default: every ``i < j``)."""
-    if pairs is None:
-        pairs = itertools.combinations(range(len(d)), 2)
-    return {(i, j): p @ (d[i] @ d[j] - d[j] @ d[i]) for i, j in pairs}
+    and jets ``d`` for fixed index pairs, in arrays of ``shape`` allocated once
+    and refilled by every :meth:`fill`, with two scratch products."""
+
+    def __init__(self, shape: tuple[int, ...], pairs):
+        self.values = {ij: np.empty(shape, dtype=complex) for ij in pairs}
+        self._scratch = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
+
+    def fill(self, p: np.ndarray, d: Sequence[np.ndarray]) -> dict[tuple[int, int], np.ndarray]:
+        a, b = self._scratch
+        for (i, j), out in self.values.items():
+            np.matmul(d[i], d[j], out=a)
+            np.matmul(d[j], d[i], out=b)
+            np.subtract(a, b, out=a)
+            np.matmul(p, a, out=out)
+        return self.values
 
 
 def ch_odd(f: SampledMap, k: int, partials: Sequence[np.ndarray] | None = None) -> GradedForm:
@@ -150,7 +155,8 @@ def ch_odd(f: SampledMap, k: int, partials: Sequence[np.ndarray] | None = None) 
         raise DegreeOverflow(f"degree {deg} exceeds domain dimension {f.domain.dim}")
     if partials is None:
         partials = differentiate(f)
-    comps = wedge_trace_power(_mc_jets(f.values, partials), deg)
+    finv = np.swapaxes(f.values, -1, -2).conj()
+    comps = wedge_trace_power([finv @ p for p in partials], deg)
     c = chern_scalar("odd", k)
     return GradedForm(f.domain, deg, -k, {idx: c * a for idx, a in comps.items()})
 
@@ -166,7 +172,8 @@ def ch_even(p: SampledMap, k: int, partials: Sequence[np.ndarray] | None = None)
         raise DegreeOverflow(f"degree {deg} exceeds domain dimension {p.domain.dim}")
     if partials is None:
         partials = differentiate(p)
-    comps = trace_wedge(*[_curvature_pairs(p.values, partials)] * k)
+    pairs = _CurvaturePairs(p.values.shape, itertools.combinations(range(len(partials)), 2))
+    comps = trace_wedge(*[pairs.fill(p.values, partials)] * k)
     c = chern_scalar("even", k)
     return GradedForm(p.domain, deg, -k, {idx: c * a for idx, a in comps.items()})
 
@@ -382,23 +389,49 @@ def _cs_degree(codomain: str, k: int) -> int:
     raise ShapeMismatch("CS forms need unitary or projection slices")
 
 
-def _slice_integrands(
-    codomain: str, v: np.ndarray, dv_dt: np.ndarray, jets: Sequence[np.ndarray], ks: Sequence[int]
-) -> dict[int, dict[tuple[int, ...], np.ndarray]]:
-    """Components of the contracted CS integrand of every degree ``k`` in
-    ``ks`` at one slice ``v`` with time derivative ``dv_dt`` and spatial
-    ``jets``, before the ``t`` quadrature and the normalization."""
-    if codomain == "unitary":
-        alpha_t, *alpha = _mc_jets(v, (dv_dt, *jets))
-        omega = {(i,): a for i, a in enumerate(alpha)}
-        return {k: trace_wedge({(): alpha_t}, *[omega] * (2 * k - 2)) for k in ks}
-    # slot 0 is t: the (0, i) pairs are iota_t Omega, the others Omega
-    dim = len(jets)
-    pairs = itertools.combinations(range(dim + 1), 2) if max(ks) > 1 else ((0, i) for i in range(1, dim + 1))
-    space_time = _curvature_pairs(v, (dv_dt, *jets), pairs)
-    iota = {(i - 1,): space_time.pop((0, i)) for i in range(1, dim + 1)}
-    curvature = {(i - 1, j - 1): x for (i, j), x in space_time.items()}
-    return {k: trace_wedge(iota, *[curvature] * (k - 1)) for k in ks}
+class _SliceWorkspace:
+    """The full-grid arrays of one :func:`cs_forms` pass, allocated once and
+    refilled in place at every time slice; none of them is returned."""
+
+    def __init__(self, H: Homotopy, ks: Sequence[int]):
+        shape = H.slices.shape[1:]
+        dim = H.spatial.dim
+        self.ks = ks
+        self.unitary = H.codomain == "unitary"
+
+        def buffers(n: int) -> list[np.ndarray]:
+            return [np.empty(shape, dtype=complex) for _ in range(n)]
+
+        # CS_0 of unitary slices, tr(alpha_t), needs no spatial jets
+        needs_jets = not self.unitary or ks[-1] > 1
+        self.jets = buffers(dim) if needs_jets and H.spatial_partials is None else []
+        if self.unitary:
+            self.conj = np.empty(shape, dtype=complex)
+            self.alpha = buffers(dim + 1) if ks[-1] > 1 else []
+        else:
+            # slot 0 is t: the (0, i) pairs are iota_t Omega, the others Omega
+            pairs = itertools.combinations(range(dim + 1), 2) if ks[-1] > 1 else ((0, i) for i in range(1, dim + 1))
+            self.pairs = _CurvaturePairs(shape, pairs)
+
+    def integrands(
+        self, v: np.ndarray, dv_dt: np.ndarray, jets: Sequence[np.ndarray]
+    ) -> dict[int, dict[tuple[int, ...], np.ndarray]]:
+        """Components of the contracted CS integrand of every degree at one
+        slice ``v`` with time derivative ``dv_dt`` and spatial ``jets``,
+        before the ``t`` quadrature and the normalization."""
+        if self.unitary:
+            finv = np.swapaxes(np.conjugate(v, out=self.conj), -1, -2)
+            # tr(alpha_t) as the trace pairing of f^{-1} with df/dt
+            out = {1: trace_wedge({(): finv}, {(): dv_dt})}
+            if self.ks[-1] > 1:
+                alpha_t, *alpha = (np.matmul(finv, x, out=o) for x, o in zip((dv_dt, *jets), self.alpha))
+                omega = {(i,): a for i, a in enumerate(alpha)}
+                out.update({k: trace_wedge({(): alpha_t}, *[omega] * (2 * k - 2)) for k in self.ks[1:]})
+            return out
+        space_time = self.pairs.fill(v, (dv_dt, *jets))
+        iota = {(i - 1,): x for (t, i), x in space_time.items() if t == 0}
+        curvature = {(i - 1, j - 1): x for (i, j), x in space_time.items() if i > 0}
+        return {k: trace_wedge(iota, *[curvature] * (k - 1)) for k in self.ks}
 
 
 def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
@@ -417,10 +450,16 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
       the space-time curvature.
 
     Each slice's spatial jets, ``alpha_t`` or ``iota_t Omega`` and curvature
-    pairs are built once and shared by every degree; the jets are skipped
-    when only ``CS_0`` of unitary slices is asked for, the curvature pairs
-    when ``k_max`` is 1.  Quadrature in ``t`` is composite Simpson, applied
-    per segment.
+    pairs are built once and shared by every degree.  Every full-grid array
+    of the pass lives in one workspace, allocated once per call and refilled
+    in place at every slice: the spatial grid jets (when ``H`` carries no
+    partials), the conjugated unitary slice and its ``f^{-1} d f`` jets, or
+    the curvature pairs with their two scratch products.  ``CS_0`` of
+    unitary slices is the trace pairing ``sum_ki conj(f)_ki (df/dt)_ki``,
+    so it needs no spatial jets and no ``alpha_t``; those are formed only
+    when some ``k > 1`` is asked for, the curvature pairs of projection
+    slices only when ``k_max > 1``.  Quadrature in ``t`` is composite
+    Simpson, applied per segment.
     """
     spatial = H.spatial
     dim = spatial.dim
@@ -433,16 +472,15 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
     for a, b in H.segments:
         weights[a:b] = _simpson_weights(b - a, float(H.times[a + 1] - H.times[a]))
 
-    def spatial_jets(it: int) -> tuple[np.ndarray, ...]:
-        if H.spatial_partials is not None:
-            return tuple(p[it] for p in H.spatial_partials)
-        return tuple(_diff_along(spatial, H.slices[it], i) for i in range(dim))
-
+    ws = _SliceWorkspace(H, ks)
     acc: dict[int, dict[tuple[int, ...], np.ndarray]] = {k: {} for k in ks}
     for it, wt in enumerate(weights):
-        # CS_0 of unitary slices, tr(alpha_t), needs no spatial jets
-        jets = spatial_jets(it) if H.codomain == "projection" or ks[-1] > 1 else ()
-        for k, comps in _slice_integrands(H.codomain, H.slices[it], dt_slices[it], jets, ks).items():
+        v = H.slices[it]
+        if H.spatial_partials is not None:
+            jets = [p[it] for p in H.spatial_partials]
+        else:
+            jets = [_diff_along(spatial, v, i, out) for i, out in enumerate(ws.jets)]
+        for k, comps in ws.integrands(v, dt_slices[it], jets).items():
             for idx, val in comps.items():
                 acc[k][idx] = acc[k][idx] + wt * val if idx in acc[k] else wt * val
     out = {}

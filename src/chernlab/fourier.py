@@ -68,13 +68,15 @@ def resample(samples: np.ndarray, n: int) -> np.ndarray:
     return np.fft.ifft(fine, axis=0) * n
 
 
-def derivative(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Spectral ``d/dtheta`` of samples on the nodes, along ``axis``."""
+def derivative(values: np.ndarray, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+    """Spectral ``d/dtheta`` of samples on the nodes, along ``axis``; written
+    into ``out`` (of the shape of ``values``) when it is given."""
     n = values.shape[axis]
     shape = [1] * values.ndim
     shape[axis] = n
-    mult = (1j * _wavenumbers(n)).reshape(shape)
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * mult, axis=axis)
+    spectrum = np.fft.fft(values, axis=axis, out=out)
+    spectrum *= (1j * _wavenumbers(n)).reshape(shape)
+    return np.fft.ifft(spectrum, axis=axis, out=out)
 
 
 def antiderivative(samples: np.ndarray) -> np.ndarray:

@@ -298,9 +298,9 @@ _INTERVAL_EDGE = np.array(
 ) / 12.0
 
 
-def _diff_interval(values: np.ndarray, axis: int, n: int, h: float) -> np.ndarray:
+def _diff_interval(values: np.ndarray, axis: int, n: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
     v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v)
+    out = np.empty_like(v) if out is None else np.moveaxis(out, axis, 0)
     # 4th-order central stencil in the interior
     out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / 12.0
     # one-sided 4th-order closures at each end
@@ -311,12 +311,13 @@ def _diff_interval(values: np.ndarray, axis: int, n: int, h: float) -> np.ndarra
     return np.moveaxis(out, 0, axis)
 
 
-def _diff_along(domain: DomainGrid, values: np.ndarray, axis: int) -> np.ndarray:
-    """Derivative of node data along a domain axis."""
+def _diff_along(domain: DomainGrid, values: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Derivative of node data along a domain axis, written into ``out`` when
+    it is given."""
     ax = domain.axes[axis]
     if ax.kind == "periodic":
-        return fourier.derivative(values, axis)
-    return _diff_interval(values, axis, ax.n, ax.spacing)
+        return fourier.derivative(values, axis, out)
+    return _diff_interval(values, axis, ax.n, ax.spacing, out)
 
 
 def differentiate(f: SampledMap) -> tuple[np.ndarray, ...]:
@@ -428,9 +429,3 @@ def exactness_residual(omega: GradedForm) -> float:
         return omega.sup_norm()
     cycles = generating_cycles(omega.domain, omega.form_degree)
     return max((abs(cycle_integral(omega, c)) for c in cycles), default=0.0)
-
-
-def constant_map(domain: DomainGrid, matrix: np.ndarray, codomain: str = "generic", window=None) -> SampledMap:
-    m = np.asarray(matrix, dtype=complex)
-    values = np.broadcast_to(m, (*domain.node_shape, *m.shape)).copy()
-    return SampledMap(domain, values, codomain=codomain, window=window)

@@ -26,7 +26,6 @@ from chernlab.geomgrid import (
     GradedForm,
     SampledMap,
     _simpson_weights,
-    constant_map,
     cycle_integral,
     differentiate,
     exactness_residual,
@@ -39,6 +38,11 @@ from chernlab.kops import conjugation_homotopy, inversion_homotopy_even, inversi
 from chernlab.stiefel import PolarizedWindow
 
 RNG = np.random.default_rng(11)
+
+
+def constant_map(domain, matrix, codomain):
+    m = np.asarray(matrix, dtype=complex)
+    return SampledMap(domain, np.broadcast_to(m, (*domain.node_shape, *m.shape)), codomain=codomain)
 
 
 def perm_sign(seq):
@@ -369,14 +373,17 @@ def test_cs_projection_k2_matches_space_time_permutation_sum():
     assert np.abs(got - expected).max() < 1e-10
 
 
-def _inversion_homotopies():
+def _inversion_homotopies(seeds=(5, 6)):
     dom = make_domain("torus3", (8, 8, 8))
-    f = random_unitary_map(np.random.default_rng(5), dom, size=2)
-    x = random_unitary_map(np.random.default_rng(6), dom, size=4, window=PolarizedWindow(2, 2))
+    f = random_unitary_map(np.random.default_rng(seeds[0]), dom, size=2)
+    x = random_unitary_map(np.random.default_rng(seeds[1]), dom, size=4, window=PolarizedWindow(2, 2))
     return {
         "odd_exact_jets": inversion_homotopy_odd(f, t_res=5),
         "odd_grid_jets": inversion_homotopy_odd(SampledMap(dom, f.values, codomain="unitary"), t_res=5),
         "even": inversion_homotopy_even(x, t_res=5),
+        "even_grid_jets": inversion_homotopy_even(
+            SampledMap(dom, x.values, codomain="unitary", window=x.window), t_res=5
+        ),
     }
 
 
@@ -404,7 +411,7 @@ def _cs_through_slice_maps(h, k):
     return {idx: c * a for idx, a in acc.items()}
 
 
-@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "even"])
+@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "even", "even_grid_jets"])
 def test_cs_form_reads_slices_without_revalidating_them(name, monkeypatch):
     h = _inversion_homotopies()[name]
     calls = []
@@ -424,8 +431,45 @@ def test_cs_form_reads_slices_without_revalidating_them(name, monkeypatch):
         expected = _cs_through_slice_maps(h, k)
         assert form.comps.keys() == expected.keys() == single[k].comps.keys()
         for idx, comp in form.comps.items():
+            # the same products, so bit for bit; CS_0 of unitary slices is a trace pairing
+            if form.form_degree > 0:
+                assert np.array_equal(comp, expected[idx])
             assert np.abs(comp - expected[idx]).max() < 1e-15
             assert np.array_equal(comp, single[k].comps[idx])
+
+
+def _phase_twisted(h):
+    """The unitary homotopy ``h`` times the phase ``exp(i t a(x))``, whose CS_0 is not zero."""
+    x = np.meshgrid(*[ax.coords for ax in h.spatial.axes], indexing="ij")
+    a = (np.cos(x[0]) + 0.5 * np.sin(x[1] + x[2]))[..., None, None]
+    phase = np.exp(1j * h.times.reshape(-1, *[1] * (h.slices.ndim - 1)) * a)
+    dt = phase * (1j * a * h.slices + h.time_derivative())
+    return Homotopy(h.spatial, h.times, phase * h.slices, codomain="unitary", time_partials=dt)
+
+
+@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "phase_twisted"])
+def test_cs_zero_alone_is_the_trace_pairing(name):
+    hs = _inversion_homotopies()
+    h = _phase_twisted(hs["odd_grid_jets"]) if name == "phase_twisted" else hs[name]
+    alone = cs_forms(h, 1)[1]
+    expected = _cs_through_slice_maps(h, 1)
+    assert alone.comps.keys() == expected.keys() == {()}
+    if name == "phase_twisted":
+        assert np.abs(expected[()]).max() > 0.1
+    assert np.abs(alone.comps[()] - expected[()]).max() <= 1e-15
+    assert np.abs(alone.comps[()] - cs_forms(h)[1].comps[()]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("name", ["odd_grid_jets", "even_grid_jets"])
+def test_cs_forms_returns_no_workspace_buffer(name):
+    first = cs_forms(_inversion_homotopies()[name])
+    kept = {(k, idx): c.copy() for k, f in first.items() for idx, c in f.comps.items()}
+    second = cs_forms(_inversion_homotopies(seeds=(8, 9))[name])
+    assert max(np.abs(second[k].comps[idx] - c).max() for (k, idx), c in kept.items()) > 1e-3
+    for (k, idx), c in kept.items():
+        assert np.array_equal(first[k].comps[idx], c)
+    comps = [c for forms in (first, second) for f in forms.values() for c in f.comps.values()]
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(comps, 2))
 
 
 def test_cs_form_past_the_dimension_cutoff_raises():
@@ -487,9 +531,9 @@ def _derivative_calls(monkeypatch):
     ranks = []
     derivative = fourier.derivative
 
-    def counting(values, axis=0):
+    def counting(values, axis=0, out=None):
         ranks.append(values.ndim)
-        return derivative(values, axis)
+        return derivative(values, axis, out)
 
     monkeypatch.setattr(fourier, "derivative", counting)
     return ranks

@@ -70,6 +70,16 @@ def test_derivative_along_an_axis_and_nyquist_mode():
     assert np.abs(fourier.resample(nyquist, 50) - np.cos(n // 2 * nodes(50))).max() < 1e-12
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_derivative_into_a_given_array_is_the_allocating_one(axis):
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((6, 7, 8, 2, 2)) + 1j * rng.standard_normal((6, 7, 8, 2, 2))
+    out = np.empty_like(values)
+    got = fourier.derivative(values, axis, out)
+    assert got is out
+    assert np.array_equal(got, fourier.derivative(values, axis))
+
+
 @pytest.mark.parametrize("n", [32, 33])
 def test_antiderivative_is_exact_on_band_limited_data(n):
     theta = nodes(n)

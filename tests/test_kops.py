@@ -434,9 +434,7 @@ def test_eckmann_hilton_endpoints():
 def test_eckmann_hilton_identity_operand():
     dom = make_domain("circle", 64)
     a = random_unitary_map(np.random.default_rng(20), dom, size=2)
-    from chernlab.geomgrid import constant_map
-
-    b = constant_map(dom, np.eye(2), codomain="unitary")
+    b = SampledMap(dom, np.broadcast_to(np.eye(2), (64, 2, 2)), codomain="unitary")
     h = eckmann_hilton_homotopy(a, b, t_res=9)
     assert np.abs(h.slices - h.slices[0]).max() < 1e-12
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chernlab import builders, fourier
 from chernlab.errors import BandwidthViolation, NotALoop
-from chernlab.geomgrid import SampledMap, constant_map, make_domain
+from chernlab.geomgrid import SampledMap, make_domain
 from chernlab.khat import CircleConnection, a_even
 from chernlab.kops import blocksum_map
 from chernlab.periodicity import (
@@ -151,7 +151,7 @@ def test_kato_transport_needs_a_projection_loop():
     circle = make_domain("circle", 16)
     theta = circle.axes[0].coords
     unitary = SampledMap(circle, np.exp(1j * theta)[:, None, None], codomain="unitary")
-    torus = constant_map(make_domain("torus2", (8, 8)), np.diag([1.0, 0.0]), codomain="projection")
+    torus = SampledMap(make_domain("torus2", (8, 8)), np.broadcast_to(np.diag([1.0, 0.0]), (8, 8, 2, 2)), codomain="projection")
     for loop in (unitary, torus):
         with pytest.raises(NotALoop):
             kato_transport(loop)
