@@ -14,8 +14,10 @@ alone:
 * the three Bott routes of ``loop_zn(n)`` all recover ``n``;
 * ``int ch_1`` of the Qi-Wu-Zhang band ``qwz_band(m)`` is -1, +1 and 0 for
   m = 1, -1 and 3 (Qi, Wu and Zhang, 2006);
-* the Chern-Simons form of the inversion homotopy of ``su2_chart()`` is
-  exact: every residual of ``cs_exact`` vanishes.
+* the Chern-Simons forms of the odd inversion homotopy of ``su2_chart()``
+  and of the even inversion homotopy of a windowed ``random_unitary_map``
+  on the 8^3 torus, both with exact partials, are exact: every residual of
+  ``cs_exact`` vanishes.
 """
 
 from __future__ import annotations
@@ -30,10 +32,11 @@ import numpy as np
 
 from . import builders
 from .chernforms import ch_even, cs_exact
-from .geomgrid import integrate
+from .geomgrid import integrate, make_domain
 from .khat import CircleConnection, a_even
-from .kops import inversion_homotopy_odd
+from .kops import inversion_homotopy_even, inversion_homotopy_odd
 from .periodicity import bott_consistency, kato_transport
+from .stiefel import PolarizedWindow
 
 __all__ = ["main", "verify"]
 
@@ -90,8 +93,8 @@ def _chern_number(m: float, n: int):
     return abs(integral - n), True, {"ch1_integral": integral.real}
 
 
-def _cs_inversion(f):
-    report = cs_exact(inversion_homotopy_odd(f), tol=CS_BOUND)
+def _cs_inversion(homotopy, leaf):
+    report = cs_exact(homotopy(leaf), tol=CS_BOUND)
     return max(report["residuals"].values()), report["verdict"], {"residuals": report["residuals"]}
 
 
@@ -110,7 +113,13 @@ def verify() -> list[dict]:
         checks.append(_entry(f"bott_consistency/loop_zn({n})", BOTT_BOUND, _bott, n))
     for m, n in QWZ_CHERN:
         checks.append(_entry(f"chern_number/qwz_band({m})", BOTT_BOUND, _chern_number, m, n))
-    checks.append(_entry("cs_exact/inversion_homotopy_odd(su2_chart)", CS_BOUND, _cs_inversion, builders.su2_chart()))
+    torus = make_domain("torus3", (8, 8, 8))
+    x = builders.random_unitary_map(np.random.default_rng(0), torus, size=4, window=PolarizedWindow(2, 2))
+    for name, homotopy, leaf in (
+        ("inversion_homotopy_odd(su2_chart)", inversion_homotopy_odd, builders.su2_chart()),
+        ("inversion_homotopy_even(random_unitary_map)", inversion_homotopy_even, x),
+    ):
+        checks.append(_entry(f"cs_exact/{name}", CS_BOUND, _cs_inversion, homotopy, leaf))
     return checks
 
 

@@ -15,9 +15,6 @@ orders ``+-N/2``:
   splits it evenly between the two, so real samples give a real interpolant;
 * the on-grid derivative and antiderivative treat its wavenumber as 0, the
   limit of that split on the grid.
-
-A resample to ``n > N`` nodes has no Nyquist content, so :func:`derivative`
-on it is the exact derivative of the interpolant at the finer nodes.
 """
 
 from __future__ import annotations
@@ -49,11 +46,11 @@ def _wavenumbers(n: int) -> np.ndarray:
     return k
 
 
-def resample(samples: np.ndarray, n: int) -> np.ndarray:
+def resample(samples: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The trigonometric interpolant of ``N`` samples (axis 0) on ``n >= N``
-    uniform nodes; ``resample(x, k * N)[::k]`` returns ``x``.
-
-    Raises BadResolution if ``n < N``.
+    uniform nodes and its exact ``d/dtheta`` there, the inverse transforms of
+    one zero-padded spectrum ``c_m`` and of ``i m c_m``; ``resample(x, k * N)[0][::k]``
+    returns ``x``.  Raises BadResolution if ``n < N``.
     """
     c = coefficients(samples)
     N = c.shape[0]
@@ -65,7 +62,9 @@ def resample(samples: np.ndarray, n: int) -> np.ndarray:
         half = 0.5 * c[N // 2]
         fine[n - N // 2] -= half
         fine[N // 2] += half
-    return np.fft.ifft(fine, axis=0) * n
+    values = np.fft.ifft(fine, axis=0, norm="forward")  # sum_m c_m e^{i m theta}, unscaled
+    fine *= (1j * _wavenumbers(n)).reshape((n,) + (1,) * (fine.ndim - 1))
+    return values, np.fft.ifft(fine, axis=0, norm="forward", out=fine)
 
 
 def derivative(values: np.ndarray, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:

@@ -8,6 +8,10 @@ is preserved), so one index map serves both the plain and graded cases, and a
 blocksum of window operators lives on the doubled window.  The flip is the
 mode swap ``e_i -> e_{-i-1}``, which on a symmetric window is plain index
 reversal.
+
+The canonical rotation homotopies are closed forms in ``c = cos t`` and
+``s = sin t`` over arrays of the leaf that do not depend on ``t``: four fixed
+blocks for the odd ones, signed row and column gathers for the even one.
 """
 
 from __future__ import annotations
@@ -175,18 +179,6 @@ def rotation_times(t_res: int = DEFAULT_T_RES) -> np.ndarray:
     return np.linspace(0.0, np.pi / 2.0, t_res)
 
 
-def _rotation(gen: np.ndarray, t: float) -> np.ndarray:
-    """``C_t = exp(t J)`` for a generator with ``J^3 = -J``:
-    ``1 + sin t J + (1 - cos t) J^2``."""
-    return np.eye(gen.shape[0]) + np.sin(t) * gen + (1.0 - np.cos(t)) * (gen @ gen)
-
-
-def _pair_rotation_generator(dim_small: int) -> np.ndarray:
-    """``J`` with ``dC_t/dt = J C_t`` for the copy-mixing rotation."""
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    return np.kron(np.eye(dim_small, dtype=complex), j)
-
-
 def conjugation_homotopy(
     f: SampledMap,
     path,
@@ -227,40 +219,51 @@ def conjugation_homotopy(
     )
 
 
-def _rotation_homotopy(a: SampledMap, b: SampledMap, t_res: int, codomain: str, window) -> Homotopy:
-    """Slices ``(a (+) 1) C_t (1 (+) b) C_t*`` over ``t in [0, pi/2]``.
+def _rotation_stack(weights: np.ndarray, diag0, diag1, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sum_k weights[:, k] B_k``, one array per row of ``weights``, for the
+    blocks ``diag0 (+) diag1``, ``x (+) 0``, ``[[0, x], [y, 0]]`` and ``0 (+) y``
+    in the interleave of :func:`blocksum`: one product for every time."""
+    n = x.shape[-1]
+    blocks = np.zeros((4, *x.shape[:-2], 2 * n, 2 * n), dtype=complex)
+    blocks[0, ..., 0::2, 0::2] = diag0
+    blocks[0, ..., 1::2, 1::2] = diag1
+    blocks[1, ..., 0::2, 0::2] = blocks[2, ..., 0::2, 1::2] = x
+    blocks[3, ..., 1::2, 1::2] = blocks[2, ..., 1::2, 0::2] = y
+    return (weights @ blocks.reshape(4, -1)).reshape(len(weights), *blocks.shape[1:])
 
-    ``C_t`` is the copy-mixing rotation.  Time jets are exact; spatial jets
-    are exact, by the product rule, when ``a`` and ``b`` both carry partials.
+
+def _rotation_homotopy(a: SampledMap, b: SampledMap, t_res: int, codomain: str, window) -> Homotopy:
+    """Slices ``(a (+) 1) C_t (1 (+) b) C_t*`` over ``t in [0, pi/2]``, with
+    ``C_t`` the rotation by ``t`` of the two copies into each other.
+
+    With ``c = cos t``, ``s = sin t``, ``x = ab - a`` and ``y = b - 1`` the
+    slice is ``[[a + s^2 x, cs x], [cs y, 1 + c^2 y]]`` in the interleave of
+    :func:`blocksum`, and its time jet is
+    ``[[sin 2t x, cos 2t x], [cos 2t y, -sin 2t y]]``.  Along an axis, with
+    ``d x = d a y + a d b``, the jet is ``[[d a + s^2 d x, cs d x],
+    [cs d b, c^2 d b]]``, exact when ``a`` and ``b`` both carry partials.
+    The product ``ab`` is formed once (it is not assumed to be 1).
     """
-    n = a.cols
-    eye = np.broadcast_to(np.eye(n, dtype=complex), a.values.shape)
-    left = blocksum(a.values, eye)
-    right = blocksum(eye, b.values)
-    d_left = d_right = ()
-    if a.partials is not None and b.partials is not None:
-        zero = np.zeros_like(a.values)
-        d_left = [blocksum(d, zero) for d in a.partials]
-        d_right = [blocksum(zero, d) for d in b.partials]
     times = rotation_times(t_res)
-    gen = _pair_rotation_generator(n)
-    slices = np.empty((times.size, *left.shape), dtype=complex)
-    partials = np.empty_like(slices)
-    spatial = tuple(np.empty_like(slices) for _ in d_left)
-    for i, t in enumerate(times):
-        ct = _rotation(gen, float(t))
-        inner = ct @ right @ ct.conj().T
-        slices[i] = left @ inner
-        partials[i] = left @ (gen @ inner - inner @ gen)
-        for out, dl, dr in zip(spatial, d_left, d_right):
-            out[i] = dl @ inner + left @ (ct @ dr @ ct.conj().T)
+    c, s = np.cos(times), np.sin(times)
+    weights = np.stack([np.ones_like(times), s * s, c * s, c * c], axis=1)
+    time_weights = np.stack([0.0 * times, np.sin(2 * times), np.cos(2 * times), -np.sin(2 * times)], axis=1)
+    eye = np.eye(a.cols)
+    x = a.values @ b.values - a.values
+    y = b.values - eye
+    spatial = ()
+    if a.partials is not None and b.partials is not None:
+        spatial = tuple(
+            _rotation_stack(weights, da, 0.0, da @ y + a.values @ db, db)
+            for da, db in zip(a.partials, b.partials)
+        )
     return Homotopy(
         a.domain,
         times,
-        slices,
+        _rotation_stack(weights, a.values, eye, x, y),
         codomain=codomain,
         window=window,
-        time_partials=partials,
+        time_partials=_rotation_stack(time_weights, 0.0, 0.0, x, y),
         spatial_partials=spatial or None,
     )
 
@@ -268,11 +271,10 @@ def _rotation_homotopy(a: SampledMap, b: SampledMap, t_res: int, codomain: str, 
 def inversion_homotopy_odd(f: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotopy:
     """Rotation homotopy from ``f (+) f*`` to the identity.
 
-    Slices ``(f (+) 1) C_t (1 (+) f*) C_t*`` over ``t in [0, pi/2]`` with the
-    copy-mixing rotation ``C_t``; time jets are exact.  Spatial jets are exact
-    when ``f`` carries exact partials (as :func:`random_unitary_map` maps do):
-    ``d_i`` of a slice is ``(d_i f (+) 0) C_t (1 (+) f*) C_t*
-    + (f (+) 1) C_t (0 (+) d_i f*) C_t*``.
+    The slices of :func:`_rotation_homotopy` with ``a = f`` and ``b = f*``:
+    ``[[f + s^2 (ff* - f), cs (ff* - f)], [cs (f* - 1), 1 + c^2 (f* - 1)]]``
+    over ``t in [0, pi/2]``, with exact time jets.  Spatial jets are exact
+    when ``f`` carries exact partials (as :func:`random_unitary_map` maps do).
     """
     if f.codomain != "unitary":
         raise ShapeMismatch("odd inversion homotopy needs a unitary map")
@@ -283,7 +285,7 @@ def inversion_homotopy_odd(f: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotop
 def eckmann_hilton_homotopy(a: SampledMap, b: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotopy:
     """Rotation homotopy from ``a (+) b`` to ``ab (+) 1``.
 
-    Same slices and jets as :func:`inversion_homotopy_odd` with ``b`` in place
+    Same closed form as :func:`inversion_homotopy_odd` with ``b`` in place
     of ``f*``; spatial jets are exact when both operands carry partials.
     """
     if a.domain != b.domain or a.values.shape != b.values.shape:
@@ -292,65 +294,56 @@ def eckmann_hilton_homotopy(a: SampledMap, b: SampledMap, t_res: int = DEFAULT_T
     return _rotation_homotopy(a, b, t_res, a.codomain, win)
 
 
-def grading_rotation(window: PolarizedWindow, t: float) -> np.ndarray:
-    """The 2-3-plane rotation used by the even inversion homotopy.
-
-    In the interleaved doubled window it mixes the second positive strand
-    with the first negative strand through the mode pairing
-    ``e_{2a+1} <-> e_{-2a-2}``; everything else is fixed.
-    """
-    return _rotation(grading_rotation_generator(window), t)
-
-
-def grading_rotation_generator(window: PolarizedWindow) -> np.ndarray:
-    """``J`` with ``dC_t/dt = J C_t`` for the grading rotation."""
-    if window.n_minus != window.n_plus:
-        raise AsymmetricWindow("even inversion needs a symmetric window")
-    m = window.n_plus
-    big = doubled_window(window)
-    out = np.zeros((big.dim, big.dim), dtype=complex)
-    for a in range(m):
-        p2 = big.index_of(2 * a + 1)
-        m1 = big.index_of(-2 * a - 2)
-        out[p2, m1] = -1.0
-        out[m1, p2] = 1.0
+def _turned(leaf: np.ndarray, p: np.ndarray, q: np.ndarray, c: float, s: float) -> np.ndarray:
+    """``C_t^T leaf C_t Pi_+`` by a signed column gather, then a signed row
+    gather: ``C_t`` turns each plane ``(e_p, e_q)`` (``C e_p = c e_p + s e_q``,
+    ``C e_q = c e_q - s e_p``), and ``Pi_+`` keeps the positive columns, which
+    hold the ``p`` but not the ``q``."""
+    half = leaf.shape[-1] // 2  # the positive modes are the last half
+    out = leaf[..., half:].copy()
+    out[..., p - half] = c * leaf[..., p] + s * leaf[..., q]
+    row_p = c * out[..., p, :] + s * out[..., q, :]
+    out[..., q, :] = c * out[..., q, :] - s * out[..., p, :]
+    out[..., p, :] = row_p
     return out
 
 
 def inversion_homotopy_even(x: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotopy:
     """Projection homotopy from ``(x (+) flip x)(H_plus)`` to the basepoint.
 
-    Slices are ``pi_t = M_t pi_plus M_t*`` with
-    ``M_t = C_t* (x (+) flip x) C_t`` on the doubled window; at ``t = pi/2``
-    the conjugating operator is grading-preserving, so the slice is exactly
-    the basepoint projection.  Time jets are exact.  Spatial jets are exact
-    when ``x`` carries exact partials: ``d_i pi_t = a + a*`` with
-    ``a = C_t* (d_i x (+) flip d_i x) C_t pi_plus M_t*``.
+    With ``S = x (+) flip x`` on the doubled window, the slices are
+    ``pi_t = V_t V_t*`` with ``V_t = C_t^T S C_t Pi_+`` (:func:`_turned`).
+    ``C_t = 1 + sJ + (1 - c)J^2`` is the grading rotation: its generator
+    ``J`` pairs the second positive strand with the first negative one
+    through ``e_{2a+1} <-> e_{-2a-2}``, so ``C_{pi/2}`` is grading-preserving
+    and the last slice is exactly the basepoint projection.  Time jets are
+    exact: ``d_t pi_t = W V_t* + V_t W*`` with ``W = C_t^T [S, J] C_t Pi_+``.
+    Spatial jets are exact when ``x`` carries exact partials:
+    ``d_i pi_t = a + a*`` with ``a = (C_t^T d_i S C_t Pi_+) V_t*``.
     """
     if x.window is None:
         raise AsymmetricWindow("even inversion needs a windowed map")
     win = x.window
-    gen = grading_rotation_generator(win)
     summed = blocksum(x.values, flip(x.values, win))
     d_summed = [blocksum(d, flip(d, win)) for d in x.partials or ()]
     big = doubled_window(win)
-    pi_plus = big.pi_plus
+    a = np.arange(win.n_plus)
+    p, q = big.n_minus + 2 * a + 1, big.n_minus - 2 * a - 2  # modes 2a + 1 and -2a - 2
+    gen = np.zeros((big.dim, big.dim))
+    gen[q, p], gen[p, q] = 1.0, -1.0  # J e_p = e_q, J e_q = -e_p
+    commutator = summed @ gen - gen @ summed
     times = rotation_times(t_res)
     slices = np.empty((times.size, *summed.shape), dtype=complex)
     partials = np.empty_like(slices)
     spatial = tuple(np.empty_like(slices) for _ in d_summed)
     for i, t in enumerate(times):
-        ct = _rotation(gen, float(t))
-        m_t = ct.conj().T @ summed @ ct
-        m_dot = ct.conj().T @ (summed @ gen - gen @ summed) @ ct
-        slices[i] = m_t @ pi_plus @ np.swapaxes(m_t, -1, -2).conj()
-        partials[i] = (
-            m_dot @ pi_plus @ np.swapaxes(m_t, -1, -2).conj()
-            + m_t @ pi_plus @ np.swapaxes(m_dot, -1, -2).conj()
-        )
-        for out, ds in zip(spatial, d_summed):
-            a = ct.conj().T @ ds @ ct @ pi_plus @ np.swapaxes(m_t, -1, -2).conj()
-            out[i] = a + np.swapaxes(a, -1, -2).conj()
+        c, s = np.cos(t), np.sin(t)
+        v = _turned(summed, p, q, c, s)
+        v_adj = np.swapaxes(v, -1, -2).conj()
+        np.matmul(v, v_adj, out=slices[i])
+        for out, leaf in ((partials, commutator), *zip(spatial, d_summed)):
+            np.matmul(_turned(leaf, p, q, c, s), v_adj, out=out[i])
+            out[i] += np.swapaxes(out[i], -1, -2).conj()
     return Homotopy(
         x.domain,
         times,

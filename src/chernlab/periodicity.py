@@ -230,7 +230,7 @@ def kato_transport(loop: SampledMap) -> HolonomyResult:
     the lift while ``pi w = w``) by ``DEFAULT_TRANSPORT_STEPS`` RK4 steps with
     per-step re-projection.  Every stage reads ``pi`` and ``pi'`` from one
     :func:`fourier.resample` of the loop onto twice as many nodes as steps,
-    and its spectral derivative, which is exact there; a loop of more samples
+    which also gives the exact derivative there; a loop of more samples
     than that grid raises BadResolution.  Since the equation is linear, step
     ``i`` is the matrix ``M_i = pi(t_{i+1}) R_i``, ``R_i`` the RK4 propagator;
     all ``M_i`` are built at once and their prefix products give every
@@ -244,8 +244,7 @@ def kato_transport(loop: SampledMap) -> HolonomyResult:
     if not isinstance(loop, SampledMap) or loop.domain.kind != "circle" or loop.codomain != "projection":
         raise NotALoop("need a projection-tagged circle map")
     steps = DEFAULT_TRANSPORT_STEPS
-    p = fourier.resample(loop.values, 2 * steps)
-    dp = fourier.derivative(p)
+    p, dp = fourier.resample(loop.values, 2 * steps)
     w0 = _initial_frame(loop.values[0])
     w_end, diag = _transport_once(p, dp, w0, 1)
     q = w0.conj().T @ w_end

@@ -11,12 +11,13 @@ def nodes(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def direct_interpolant(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def direct_interpolant(x: np.ndarray, theta: np.ndarray, derivative: bool = False) -> np.ndarray:
     """``sum_m c_m e^{i m theta}`` over ``|m| <= N/2``, term by term, with the
-    coefficient of ``|m| = N/2`` (even ``N``) split evenly between the two."""
+    coefficient of ``|m| = N/2`` (even ``N``) split evenly between the two;
+    with ``derivative``, each term times ``i m``."""
     n = x.shape[0]
     m = np.arange(-(n // 2), n // 2 + 1)
-    weight = np.where(2 * np.abs(m) == n, 0.5, 1.0)
+    weight = np.where(2 * np.abs(m) == n, 0.5, 1.0) * (1j * m if derivative else 1.0)
     c = np.exp(-1j * np.outer(m, nodes(n))) @ x.reshape(n, -1) / n
     return ((weight * np.exp(1j * np.outer(theta, m))) @ c).reshape(theta.size, *x.shape[1:])
 
@@ -24,7 +25,7 @@ def direct_interpolant(x: np.ndarray, theta: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("n", [15, 16])
 def test_interpolant_returns_the_samples_on_the_nodes(n):
     samples = RNG.standard_normal((n, 2, 3)) + 1j * RNG.standard_normal((n, 2, 3))
-    assert np.abs(fourier.resample(samples, 3 * n)[::3] - samples).max() < 1e-13
+    assert np.abs(fourier.resample(samples, 3 * n)[0][::3] - samples).max() < 1e-13
 
 
 @pytest.mark.parametrize("fine", [1, 3, None])
@@ -32,7 +33,9 @@ def test_interpolant_returns_the_samples_on_the_nodes(n):
 def test_resample_matches_the_direct_sum(n, fine):
     samples = RNG.standard_normal((n, 2, 3)) + 1j * RNG.standard_normal((n, 2, 3))
     m = 100 if fine is None else fine * n
-    assert np.abs(fourier.resample(samples, m) - direct_interpolant(samples, nodes(m))).max() < 1e-12
+    values, derivative = fourier.resample(samples, m)
+    assert np.abs(values - direct_interpolant(samples, nodes(m))).max() < 1e-12
+    assert np.abs(derivative - direct_interpolant(samples, nodes(m), derivative=True)).max() < 1e-11
 
 
 def test_resample_onto_fewer_nodes_is_rejected():
@@ -54,10 +57,11 @@ def test_derivative_of_monomial(q, n):
     theta = nodes(n)
     x = np.exp(1j * q * theta)
     assert np.abs(fourier.derivative(x) - 1j * q * x).max() < 1e-12
-    fine = fourier.resample(x[:, None, None], 4 * n)[:, 0, 0]
+    fine, d_fine = (v[:, 0, 0] for v in fourier.resample(x[:, None, None], 4 * n))
     exact = np.exp(1j * q * nodes(4 * n))
     assert np.abs(fine - exact).max() < 1e-12
     assert np.abs(fourier.derivative(fine) - 1j * q * exact).max() < 1e-11
+    assert np.abs(d_fine - 1j * q * exact).max() < 1e-12
 
 
 def test_derivative_along_an_axis_and_nyquist_mode():
@@ -67,7 +71,9 @@ def test_derivative_along_an_axis_and_nyquist_mode():
     assert np.abs(fourier.derivative(grid, axis=1) - 2j * grid).max() < 1e-12
     nyquist = np.cos(n // 2 * theta)  # (-1)^k on the nodes
     assert np.abs(fourier.derivative(nyquist)).max() < 1e-12
-    assert np.abs(fourier.resample(nyquist, 50) - np.cos(n // 2 * nodes(50))).max() < 1e-12
+    fine, d_fine = fourier.resample(nyquist, 50)
+    assert np.abs(fine - np.cos(n // 2 * nodes(50))).max() < 1e-12
+    assert np.abs(d_fine + n // 2 * np.sin(n // 2 * nodes(50))).max() < 1e-12
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from chernlab.builders import (
@@ -27,9 +29,9 @@ from chernlab.kops import (
     flip,
     flip_matrix,
     flip_projection_map,
-    grading_rotation,
     inversion_homotopy_even,
     inversion_homotopy_odd,
+    rotation_times,
 )
 from chernlab.numkernel import haar_unitary
 from chernlab.stiefel import PolarizedWindow
@@ -76,6 +78,89 @@ def blocksum_homotopy(h: Homotopy, g: Homotopy) -> Homotopy:
         time_partials=tp,
         spatial_partials=sp,
     )
+
+
+# ------------------------------------ dense per-slice rotation reference
+#
+# The rotation homotopies as matrix products at every slice: the construction
+# the closed forms in ``kops`` replace, kept to check them against.
+
+
+def dense_rotation(gen: np.ndarray, t: float) -> np.ndarray:
+    """``C_t = exp(t J)`` for a generator with ``J^3 = -J``: ``1 + sin t J + (1 - cos t) J^2``."""
+    return np.eye(gen.shape[0]) + np.sin(t) * gen + (1.0 - np.cos(t)) * (gen @ gen)
+
+
+def pair_rotation_generator(dim_small: int) -> np.ndarray:
+    """``J`` with ``dC_t/dt = J C_t`` for the copy-mixing rotation."""
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    return np.kron(np.eye(dim_small, dtype=complex), j)
+
+
+def grading_rotation_generator(window: PolarizedWindow) -> np.ndarray:
+    """``J`` pairing ``e_{2a+1}`` with ``e_{-2a-2}`` in the doubled window."""
+    big = doubled_window(window)
+    out = np.zeros((big.dim, big.dim), dtype=complex)
+    for a in range(window.n_plus):
+        p2 = big.index_of(2 * a + 1)
+        m1 = big.index_of(-2 * a - 2)
+        out[p2, m1] = -1.0
+        out[m1, p2] = 1.0
+    return out
+
+
+def grading_rotation(window: PolarizedWindow, t: float) -> np.ndarray:
+    return dense_rotation(grading_rotation_generator(window), t)
+
+
+def dense_rotation_homotopy(a: SampledMap, b: SampledMap, t_res: int):
+    """Slices ``(a (+) 1) C_t (1 (+) b) C_t*``, time jets and spatial jets."""
+    n = a.cols
+    eye = np.broadcast_to(np.eye(n, dtype=complex), a.values.shape)
+    left = blocksum(a.values, eye)
+    right = blocksum(eye, b.values)
+    d_left = d_right = ()
+    if a.partials is not None and b.partials is not None:
+        zero = np.zeros_like(a.values)
+        d_left = [blocksum(d, zero) for d in a.partials]
+        d_right = [blocksum(zero, d) for d in b.partials]
+    times = rotation_times(t_res)
+    gen = pair_rotation_generator(n)
+    slices = np.empty((times.size, *left.shape), dtype=complex)
+    partials = np.empty_like(slices)
+    spatial = tuple(np.empty_like(slices) for _ in d_left)
+    for i, t in enumerate(times):
+        ct = dense_rotation(gen, float(t))
+        inner = ct @ right @ ct.conj().T
+        slices[i] = left @ inner
+        partials[i] = left @ (gen @ inner - inner @ gen)
+        for out, dl, dr in zip(spatial, d_left, d_right):
+            out[i] = dl @ inner + left @ (ct @ dr @ ct.conj().T)
+    return slices, partials, spatial
+
+
+def dense_inversion_even(x: SampledMap, t_res: int):
+    """Slices ``M_t pi_+ M_t*`` with ``M_t = C_t* (x (+) flip x) C_t``, time and spatial jets."""
+    win = x.window
+    gen = grading_rotation_generator(win)
+    summed = blocksum(x.values, flip(x.values, win))
+    d_summed = [blocksum(d, flip(d, win)) for d in x.partials or ()]
+    pi_plus = doubled_window(win).pi_plus
+    times = rotation_times(t_res)
+    slices = np.empty((times.size, *summed.shape), dtype=complex)
+    partials = np.empty_like(slices)
+    spatial = tuple(np.empty_like(slices) for _ in d_summed)
+    for i, t in enumerate(times):
+        ct = dense_rotation(gen, float(t))
+        m_t = ct.conj().T @ summed @ ct
+        m_dot = ct.conj().T @ (summed @ gen - gen @ summed) @ ct
+        m_adj = np.swapaxes(m_t, -1, -2).conj()
+        slices[i] = m_t @ pi_plus @ m_adj
+        partials[i] = m_dot @ pi_plus @ m_adj + m_t @ pi_plus @ np.swapaxes(m_dot, -1, -2).conj()
+        for out, ds in zip(spatial, d_summed):
+            a = ct.conj().T @ ds @ ct @ pi_plus @ m_adj
+            out[i] = a + np.swapaxes(a, -1, -2).conj()
+    return slices, partials, spatial
 
 
 # ---------------------------------------------------------------- blocksum
@@ -450,6 +535,80 @@ def test_eckmann_hilton_unitary_slices():
     assert np.abs(np.swapaxes(v, -1, -2).conj() @ v - eye).max() < 1e-12
 
 
+# ------------------------------------- closed forms against the dense products
+
+
+def _leaves(seed: int, with_partials: bool):
+    dom = make_domain("torus2", (8, 8))
+    rng = np.random.default_rng(seed)
+    a, b = random_unitary_map(rng, dom, size=2), random_unitary_map(rng, dom, size=2)
+    x = random_unitary_map(rng, dom, size=4, window=WIN)
+    if with_partials:
+        return a, b, x
+    return tuple(SampledMap(dom, f.values, codomain="unitary", window=f.window) for f in (a, b, x))
+
+
+ROTATION_BUILDERS = {
+    "inversion_odd": lambda a, b, x, t_res: (
+        inversion_homotopy_odd(a, t_res),
+        dense_rotation_homotopy(a, a.adjoint(), t_res),
+    ),
+    "eckmann_hilton": lambda a, b, x, t_res: (
+        eckmann_hilton_homotopy(a, b, t_res),
+        dense_rotation_homotopy(a, b, t_res),
+    ),
+    "inversion_even": lambda a, b, x, t_res: (
+        inversion_homotopy_even(x, t_res),
+        dense_inversion_even(x, t_res),
+    ),
+}
+
+
+@pytest.mark.parametrize("with_partials", [True, False], ids=["partials", "no_partials"])
+@pytest.mark.parametrize("t_res", [5, 17])
+@pytest.mark.parametrize("name", ROTATION_BUILDERS)
+def test_closed_form_matches_the_dense_products(name, t_res, with_partials):
+    h, (slices, partials, spatial) = ROTATION_BUILDERS[name](*_leaves(40, with_partials), t_res)
+    assert np.abs(h.slices - slices).max() < 1e-13
+    assert np.abs(h.time_partials - partials).max() < 1e-13
+    if with_partials:
+        assert len(h.spatial_partials) == len(spatial) == 2
+        for got, want in zip(h.spatial_partials, spatial):
+            assert np.abs(got - want).max() < 1e-13
+    else:
+        assert h.spatial_partials is None and spatial == ()
+
+
+def _haar_leaf(rng, size: int, window=None) -> SampledMap:
+    values = np.stack([haar_unitary(rng, size) for _ in range(8)])
+    return SampledMap(make_domain("circle", 8), values, codomain="unitary", window=window)
+
+
+ODD_T_RES = st.integers(1, 16).map(lambda k: 2 * k + 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**16), ODD_T_RES)
+def test_odd_rotation_slices_are_unitary_and_end_at_the_basepoint(seed, t_res):
+    rng = np.random.default_rng(seed)
+    a, b = _haar_leaf(rng, 2), _haar_leaf(rng, 2)
+    eye = np.eye(4)
+    product = blocksum(a.values @ b.values, np.broadcast_to(np.eye(2), a.values.shape))
+    for h, end in ((inversion_homotopy_odd(a, t_res), eye), (eckmann_hilton_homotopy(a, b, t_res), product)):
+        v = h.slices
+        assert np.abs(np.swapaxes(v, -1, -2).conj() @ v - eye).max() < 1e-12
+        assert np.abs(v[-1] - end).max() < 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**16), ODD_T_RES)
+def test_even_inversion_slices_are_projections_and_end_at_the_basepoint(seed, t_res):
+    p = inversion_homotopy_even(_haar_leaf(np.random.default_rng(seed), 4, WIN), t_res).slices
+    assert np.abs(p - np.swapaxes(p, -1, -2).conj()).max() < 1e-12
+    assert np.abs(p @ p - p).max() < 1e-12
+    assert np.abs(p[-1] - doubled_window(WIN).pi_plus).max() < 1e-12
+
+
 # ------------------------------------------------------- exact spatial jets
 
 
@@ -670,3 +829,18 @@ def test_inversion_homotopy_keeps_spatial_partials_without_a_copy():
     assert all(not p.flags.writeable for p in h.spatial_partials)
     kept = h.slices.nbytes + h.time_partials.nbytes + sum(p.nbytes for p in h.spatial_partials)
     assert peak < 1.3 * kept
+
+
+def test_even_inversion_homotopy_takes_its_arrays_without_a_copy():
+    # the t-independent leaf arrays and per-slice factors stay small next to
+    # the slices and time jets the homotopy keeps
+    x = random_unitary_map(np.random.default_rng(0), make_domain("torus3", (8, 8, 8)), size=4, window=WIN)
+    x = SampledMap(x.domain, x.values, codomain="unitary", window=WIN)
+    tracemalloc.start()
+    try:
+        h = inversion_homotopy_even(x, t_res=17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not h.slices.flags.writeable and not h.time_partials.flags.writeable
+    assert peak < 1.3 * (h.slices.nbytes + h.time_partials.nbytes)
