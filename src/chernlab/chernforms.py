@@ -25,7 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -128,21 +128,40 @@ def wedge_trace_power(jets: Sequence[np.ndarray], arity: int) -> dict[tuple[int,
 
 
 class _CurvaturePairs:
-    """Pair values ``p (d_i p d_j p - d_j p d_i p)`` of projection values ``p``
-    and jets ``d`` for fixed index pairs, in arrays of ``shape`` allocated once
-    and refilled by every :meth:`fill`, with two scratch products."""
+    """Curvature pair values of projection values ``p`` and Hermitian jets
+    ``d`` for fixed index pairs, in arrays of ``shape`` allocated once and
+    refilled by every :meth:`fill`.
 
-    def __init__(self, shape: tuple[int, ...], pairs):
+    The value of pair ``(i, j)`` is ``M - M*`` with ``M = L_i L_j*`` and
+    ``L_i = p d_i``, that is ``p (d_i d_j - d_j d_i) p``: one product per
+    slot and one per pair, and exactly anti-Hermitian.  It has the traces of
+    ``p [d_i, d_j]`` in every product of pair values, since ``p^2 = p``
+    moves the right ``p`` onto the next factor's left one.  ``L_j* = d_j p``
+    holds only for Hermitian ``p`` and ``d``: a projection-tagged
+    :class:`SampledMap` checks its partials to its tag's tolerance, and the
+    grid derivatives of Hermitian values are Hermitian to round-off.
+    ``scratch`` holds the conjugates; a caller may also write each jet into
+    it, since a jet is consumed into its ``L_i`` before the next is taken.
+    """
+
+    def __init__(self, shape: tuple[int, ...], n_slots: int, pairs):
         self.values = {ij: np.empty(shape, dtype=complex) for ij in pairs}
-        self._scratch = (np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
+        self._left = [np.empty(shape, dtype=complex) for _ in range(n_slots)]
+        self.scratch = np.empty(shape, dtype=complex)
 
-    def fill(self, p: np.ndarray, d: Sequence[np.ndarray]) -> dict[tuple[int, int], np.ndarray]:
-        a, b = self._scratch
-        for (i, j), out in self.values.items():
-            np.matmul(d[i], d[j], out=a)
-            np.matmul(d[j], d[i], out=b)
-            np.subtract(a, b, out=a)
-            np.matmul(p, a, out=out)
+    def fill(self, p: np.ndarray, jets: Iterable[np.ndarray]) -> dict[tuple[int, int], np.ndarray]:
+        for d, left in zip(jets, self._left, strict=True):
+            np.matmul(p, d, out=left)
+        conj = self.scratch
+        adjoint = np.swapaxes(conj, -1, -2)
+        for j in sorted({j for _, j in self.values}):  # each L_j* once, for every pair that reads it
+            np.conjugate(self._left[j], out=conj)
+            for (i, jj), out in self.values.items():
+                if jj == j:
+                    np.matmul(self._left[i], adjoint, out=out)
+        for out in self.values.values():
+            np.conjugate(out, out=conj)
+            np.subtract(out, adjoint, out=out)
         return self.values
 
 
@@ -172,7 +191,7 @@ def ch_even(p: SampledMap, k: int, partials: Sequence[np.ndarray] | None = None)
         raise DegreeOverflow(f"degree {deg} exceeds domain dimension {p.domain.dim}")
     if partials is None:
         partials = differentiate(p)
-    pairs = _CurvaturePairs(p.values.shape, itertools.combinations(range(len(partials)), 2))
+    pairs = _CurvaturePairs(p.values.shape, len(partials), itertools.combinations(range(len(partials)), 2))
     comps = trace_wedge(*[pairs.fill(p.values, partials)] * k)
     c = chern_scalar("even", k)
     return GradedForm(p.domain, deg, -k, {idx: c * a for idx, a in comps.items()})
@@ -398,37 +417,36 @@ class _SliceWorkspace:
         dim = H.spatial.dim
         self.ks = ks
         self.unitary = H.codomain == "unitary"
-
-        def buffers(n: int) -> list[np.ndarray]:
-            return [np.empty(shape, dtype=complex) for _ in range(n)]
-
-        # CS_0 of unitary slices, tr(alpha_t), needs no spatial jets
-        needs_jets = not self.unitary or ks[-1] > 1
-        self.jets = buffers(dim) if needs_jets and H.spatial_partials is None else []
         if self.unitary:
             self.conj = np.empty(shape, dtype=complex)
-            self.alpha = buffers(dim + 1) if ks[-1] > 1 else []
+            # CS_0 of unitary slices, tr(alpha_t), needs no spatial jets
+            self.alpha = [np.empty(shape, dtype=complex) for _ in range(dim + 1)] if ks[-1] > 1 else []
+            self.jet = np.empty(shape, dtype=complex) if self.alpha and H.spatial_partials is None else None
         else:
             # slot 0 is t: the (0, i) pairs are iota_t Omega, the others Omega
             pairs = itertools.combinations(range(dim + 1), 2) if ks[-1] > 1 else ((0, i) for i in range(1, dim + 1))
-            self.pairs = _CurvaturePairs(shape, pairs)
+            self.pairs = _CurvaturePairs(shape, dim + 1, pairs)
+            self.jet = self.pairs.scratch
 
     def integrands(
-        self, v: np.ndarray, dv_dt: np.ndarray, jets: Sequence[np.ndarray]
+        self, v: np.ndarray, dv_dt: np.ndarray, jets: Iterable[np.ndarray]
     ) -> dict[int, dict[tuple[int, ...], np.ndarray]]:
         """Components of the contracted CS integrand of every degree at one
         slice ``v`` with time derivative ``dv_dt`` and spatial ``jets``,
-        before the ``t`` quadrature and the normalization."""
+        before the ``t`` quadrature and the normalization.  The jets are
+        taken one at a time, each consumed before the next."""
         if self.unitary:
             finv = np.swapaxes(np.conjugate(v, out=self.conj), -1, -2)
             # tr(alpha_t) as the trace pairing of f^{-1} with df/dt
             out = {1: trace_wedge({(): finv}, {(): dv_dt})}
             if self.ks[-1] > 1:
-                alpha_t, *alpha = (np.matmul(finv, x, out=o) for x, o in zip((dv_dt, *jets), self.alpha))
+                alpha_t, *alpha = (
+                    np.matmul(finv, x, out=o) for x, o in zip(itertools.chain((dv_dt,), jets), self.alpha)
+                )
                 omega = {(i,): a for i, a in enumerate(alpha)}
                 out.update({k: trace_wedge({(): alpha_t}, *[omega] * (2 * k - 2)) for k in self.ks[1:]})
             return out
-        space_time = self.pairs.fill(v, (dv_dt, *jets))
+        space_time = self.pairs.fill(v, itertools.chain((dv_dt,), jets))
         iota = {(i - 1,): x for (t, i), x in space_time.items() if t == 0}
         curvature = {(i - 1, j - 1): x for (i, j), x in space_time.items() if i > 0}
         return {k: trace_wedge(iota, *[curvature] * (k - 1)) for k in self.ks}
@@ -450,11 +468,18 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
       the space-time curvature.
 
     Each slice's spatial jets, ``alpha_t`` or ``iota_t Omega`` and curvature
-    pairs are built once and shared by every degree.  Every full-grid array
-    of the pass lives in one workspace, allocated once per call and refilled
-    in place at every slice: the spatial grid jets (when ``H`` carries no
-    partials), the conjugated unitary slice and its ``f^{-1} d f`` jets, or
-    the curvature pairs with their two scratch products.  ``CS_0`` of
+    pairs are built once and shared by every degree.  A projection pair is
+    formed as ``p (d_i d_j - d_j d_i) p`` from the products ``L_i = p d_i``
+    (:class:`_CurvaturePairs`), which has the traces of ``p [d_i, d_j]``; it
+    reads the slices, their time jets and the spatial jets of ``H`` as
+    Hermitian, as the projection homotopies of :mod:`kops` build them.
+    Every full-grid array of the pass lives in one workspace, allocated once
+    per call and refilled in place at every slice.  The spatial grid jets
+    (when ``H`` carries no partials) are taken one at a time into one
+    buffer, each consumed into ``L_i`` or ``f^{-1} d_i f`` before the next.
+    Besides that buffer the workspace holds the conjugated unitary slice
+    and its ``f^{-1} d f`` jets, or the ``L_i`` and the curvature pairs, with
+    the jet buffer then serving as their conjugate scratch.  ``CS_0`` of
     unitary slices is the trace pairing ``sum_ki conj(f)_ki (df/dt)_ki``,
     so it needs no spatial jets and no ``alpha_t``; those are formed only
     when some ``k > 1`` is asked for, the curvature pairs of projection
@@ -477,9 +502,9 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
     for it, wt in enumerate(weights):
         v = H.slices[it]
         if H.spatial_partials is not None:
-            jets = [p[it] for p in H.spatial_partials]
+            jets = (p[it] for p in H.spatial_partials)
         else:
-            jets = [_diff_along(spatial, v, i, out) for i, out in enumerate(ws.jets)]
+            jets = (_diff_along(spatial, v, i, ws.jet) for i in range(dim))
         for k, comps in ws.integrands(v, dt_slices[it], jets).items():
             for idx, val in comps.items():
                 acc[k][idx] = acc[k][idx] + wt * val if idx in acc[k] else wt * val

@@ -7,8 +7,8 @@ quadrature, derivatives and generating cycles all follow from the axes.
 Derivative jets are the map's own exact partials when it carries them
 (builders that know the map in closed form supply them, and the operations
 that make one map from another carry them on); otherwise they are taken on
-the grid, spectrally (FFT) on periodic axes and by 4th-order finite
-differences on interval axes.
+the grid, spectrally on periodic axes (:func:`fourier.derivative`) and by
+4th-order finite differences on interval axes.
 
 Conventions
 -----------
@@ -143,7 +143,9 @@ class SampledMap:
     shape of ``values`` per axis; :func:`differentiate` returns it instead of
     grid derivatives.  The map takes ownership of the ``values`` and
     ``partials`` arrays it is given (they are not copied when already
-    contiguous complex) and makes them read-only.
+    contiguous complex) and makes them read-only.  The partials of a
+    projection-tagged map must be Hermitian to the tag's tolerance, as the
+    derivatives of Hermitian values are.
     """
 
     domain: DomainGrid
@@ -184,6 +186,11 @@ class SampledMap:
                 raise ShapeMismatch(
                     f"projection tag violated: idempotency {idem:.3e}, hermiticity {herm:.3e}"
                 )
+            # the curvature kernels read the jets of projections as Hermitian
+            for axis, d in enumerate(self.partials or ()):
+                herm = np.abs(d - np.swapaxes(d, -1, -2).conj()).max()
+                if herm >= tol:
+                    raise ShapeMismatch(f"projection partial along axis {axis} is not Hermitian: defect {herm:.3e}")
 
     @property
     def rows(self) -> int:

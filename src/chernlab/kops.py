@@ -232,7 +232,9 @@ def _rotation_stack(weights: np.ndarray, diag0, diag1, x: np.ndarray, y: np.ndar
     return (weights @ blocks.reshape(4, -1)).reshape(len(weights), *blocks.shape[1:])
 
 
-def _rotation_homotopy(a: SampledMap, b: SampledMap, t_res: int, codomain: str, window) -> Homotopy:
+def _rotation_homotopy(
+    a: SampledMap, b: np.ndarray, b_partials: tuple[np.ndarray, ...] | None, t_res: int, codomain: str, window
+) -> Homotopy:
     """Slices ``(a (+) 1) C_t (1 (+) b) C_t*`` over ``t in [0, pi/2]``, with
     ``C_t`` the rotation by ``t`` of the two copies into each other.
 
@@ -241,21 +243,21 @@ def _rotation_homotopy(a: SampledMap, b: SampledMap, t_res: int, codomain: str, 
     :func:`blocksum`, and its time jet is
     ``[[sin 2t x, cos 2t x], [cos 2t y, -sin 2t y]]``.  Along an axis, with
     ``d x = d a y + a d b``, the jet is ``[[d a + s^2 d x, cs d x],
-    [cs d b, c^2 d b]]``, exact when ``a`` and ``b`` both carry partials.
-    The product ``ab`` is formed once (it is not assumed to be 1).
+    [cs d b, c^2 d b]]``, exact when ``a`` carries partials and ``b_partials``
+    are given.  The product ``ab`` is formed once (it is not assumed to be 1).
     """
     times = rotation_times(t_res)
     c, s = np.cos(times), np.sin(times)
     weights = np.stack([np.ones_like(times), s * s, c * s, c * c], axis=1)
     time_weights = np.stack([0.0 * times, np.sin(2 * times), np.cos(2 * times), -np.sin(2 * times)], axis=1)
     eye = np.eye(a.cols)
-    x = a.values @ b.values - a.values
-    y = b.values - eye
+    x = a.values @ b - a.values
+    y = b - eye
     spatial = ()
-    if a.partials is not None and b.partials is not None:
+    if a.partials is not None and b_partials is not None:
         spatial = tuple(
             _rotation_stack(weights, da, 0.0, da @ y + a.values @ db, db)
-            for da, db in zip(a.partials, b.partials)
+            for da, db in zip(a.partials, b_partials)
         )
     return Homotopy(
         a.domain,
@@ -275,11 +277,18 @@ def inversion_homotopy_odd(f: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotop
     ``[[f + s^2 (ff* - f), cs (ff* - f)], [cs (f* - 1), 1 + c^2 (f* - 1)]]``
     over ``t in [0, pi/2]``, with exact time jets.  Spatial jets are exact
     when ``f`` carries exact partials (as :func:`random_unitary_map` maps do).
+    ``f*`` and its partials are taken from the arrays of ``f``, which its tag
+    already validated.
     """
     if f.codomain != "unitary":
         raise ShapeMismatch("odd inversion homotopy needs a unitary map")
     win = doubled_window(f.window) if f.window is not None else None
-    return _rotation_homotopy(f, f.adjoint(), t_res, "unitary", win)
+
+    def adjoint(v: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(np.swapaxes(v, -1, -2).conj())
+
+    partials = None if f.partials is None else tuple(adjoint(d) for d in f.partials)
+    return _rotation_homotopy(f, adjoint(f.values), partials, t_res, "unitary", win)
 
 
 def eckmann_hilton_homotopy(a: SampledMap, b: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotopy:
@@ -291,7 +300,7 @@ def eckmann_hilton_homotopy(a: SampledMap, b: SampledMap, t_res: int = DEFAULT_T
     if a.domain != b.domain or a.values.shape != b.values.shape:
         raise ShapeMismatch("operands must share a grid and size")
     win = doubled_window(a.window) if a.window is not None and a.window == b.window else None
-    return _rotation_homotopy(a, b, t_res, a.codomain, win)
+    return _rotation_homotopy(a, b.values, b.partials, t_res, a.codomain, win)
 
 
 def _turned(leaf: np.ndarray, p: np.ndarray, q: np.ndarray, c: float, s: float) -> np.ndarray:

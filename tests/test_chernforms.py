@@ -10,6 +10,7 @@ from chernlab import fourier
 from chernlab.builders import loop_zn, qwz_band, random_projection_map, random_unitary_map
 from chernlab.chernforms import (
     Homotopy,
+    _CurvaturePairs,
     antisym_trace_power,
     ch_even,
     ch_odd,
@@ -179,6 +180,19 @@ def test_ch_even_constant_is_zero():
     dom = make_domain("torus2", (12, 12))
     p = constant_map(dom, np.diag([1.0, 0.0]).astype(complex), codomain="projection")
     assert ch_even(p, 1).sup_norm() < 1e-12
+
+
+def test_curvature_pairs_are_exactly_anti_hermitian():
+    p = random_projection_map(np.random.default_rng(7), make_domain("torus2", (16, 16)), PolarizedWindow(2, 2))
+    pairs = _CurvaturePairs(p.values.shape, 2, [(0, 1)])
+    (value,) = pairs.fill(p.values, iter(p.partials)).values()
+    assert np.abs(value).max() > 0.1
+    assert np.array_equal(value, -np.swapaxes(value, -1, -2).conj())
+
+
+def test_ch_one_of_a_projection_is_exactly_real():
+    p = random_projection_map(np.random.default_rng(7), make_domain("torus2", (16, 16)), PolarizedWindow(2, 2))
+    assert np.array_equal(ch_even(p, 1).comps[(0, 1)].imag, np.zeros(p.domain.node_shape))
 
 
 def solid_angle_degree(m, res):
@@ -387,8 +401,21 @@ def _inversion_homotopies(seeds=(5, 6)):
     }
 
 
-def _cs_through_slice_maps(h, k):
-    """``cs_form`` evaluated one validated slice map at a time."""
+def _product_pair(p, d, i, j):
+    """``p (d_i d_j - d_j d_i) p`` from the products of ``cs_forms``:
+    ``M - M*`` with ``M = (p d_i)(p d_j)*``."""
+    m = (p @ d[i]) @ np.swapaxes((p @ d[j]).conj(), -1, -2)
+    return m - np.swapaxes(m.conj(), -1, -2)
+
+
+def _commutator_pair(p, d, i, j):
+    """``p [d_i, d_j]``, which has the same traces as :func:`_product_pair`."""
+    return p @ (d[i] @ d[j] - d[j] @ d[i])
+
+
+def _cs_through_slice_maps(h, k, pair=_product_pair):
+    """``cs_form`` evaluated one validated slice map at a time, projection
+    pairs built by ``pair``."""
     dt = h.time_derivative()
     acc = {}
     for it, wt in enumerate(_simpson_weights(h.n_times, float(h.times[1] - h.times[0]))):
@@ -400,10 +427,10 @@ def _cs_through_slice_maps(h, k):
             comps = trace_wedge({(): finv @ dt[it]}, *[omega] * (2 * k - 2))
             c = chern_scalar("odd", k) * (2 * k - 1)
         else:
-            p = sl.values
-            iota = {(i,): p @ (dt[it] @ a - a @ dt[it]) for i, a in enumerate(d)}
-            pairs = itertools.combinations(range(len(d)), 2)
-            curvature = {(i, j): p @ (d[i] @ d[j] - d[j] @ d[i]) for i, j in pairs}
+            slots = [dt[it], *d]  # slot 0 is t
+            iota = {(i - 1,): pair(sl.values, slots, 0, i) for i in range(1, len(slots))}
+            pairs = itertools.combinations(range(1, len(slots)), 2)
+            curvature = {(i - 1, j - 1): pair(sl.values, slots, i, j) for i, j in pairs}
             comps = trace_wedge(iota, *[curvature] * (k - 1))
             c = chern_scalar("even", k) * k
         for idx, val in comps.items():
@@ -478,15 +505,36 @@ def test_cs_form_past_the_dimension_cutoff_raises():
         cs_form(h, 3)
 
 
-def _cylinder_homotopy():
-    """A conjugation of a projection family on the cylinder whose CS_1 is not
-    exact; its one generating cycle pins the interval axis."""
-    dom = make_domain("cylinder", (17, 16))
+def _conjugated_projections(dom, exact_jets=True):
+    """A conjugation of a projection family on ``dom``, whose CS forms do not
+    vanish pointwise; grid jets unless ``exact_jets``."""
     p = random_projection_map(np.random.default_rng(7), dom, PolarizedWindow(2, 2))
+    if not exact_jets:
+        p = SampledMap(dom, p.values, codomain="projection", window=p.window)
     rng = np.random.default_rng(3)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     gen = g - g.conj().T
     return conjugation_homotopy(p, lambda t: expm(t * gen), np.linspace(0.0, 1.0, 9), lambda t: gen @ expm(t * gen))
+
+
+def _cylinder_homotopy():
+    """A conjugation of a projection family on the cylinder whose CS_1 is not
+    exact; its one generating cycle pins the interval axis."""
+    return _conjugated_projections(make_domain("cylinder", (17, 16)))
+
+
+@pytest.mark.parametrize("exact_jets", [True, False])
+def test_cs_form_has_the_traces_of_the_commutator_pairs(exact_jets):
+    h = _conjugated_projections(make_domain("torus3", (8, 8, 8)), exact_jets)
+    forms = cs_forms(h)
+    assert forms.keys() == {1, 2}
+    for k, form in forms.items():
+        expected = _cs_through_slice_maps(h, k, _commutator_pair)
+        assert form.comps.keys() == expected.keys()
+        scale = max(np.abs(c).max() for c in expected.values())
+        assert scale > 0.1
+        for idx, comp in form.comps.items():
+            assert np.abs(comp - expected[idx]).max() <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "even", "cylinder"])

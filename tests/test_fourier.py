@@ -86,6 +86,42 @@ def test_derivative_into_a_given_array_is_the_allocating_one(axis):
     assert np.array_equal(got, fourier.derivative(values, axis))
 
 
+@pytest.mark.parametrize("n", [9, 16, 127, 128, 129, 256])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_derivative_matrix_matches_the_fft_path(n, axis):
+    rng = np.random.default_rng(n + axis)
+    shape = [3, 4, 2]
+    shape[axis] = n
+    values = rng.standard_normal((*shape, 2, 2)) + 1j * rng.standard_normal((*shape, 2, 2))
+    expected = fourier._fft_derivative(values, axis)
+    out = np.empty_like(values)
+    for got in (fourier.derivative(values, axis), fourier.derivative(values, axis, out)):
+        assert np.abs(got - expected).max() <= 1e-13 * n
+    assert np.array_equal(out, fourier.derivative(values, axis))
+    strided = np.swapaxes(values, -1, -2)[..., ::-1, :]
+    assert not strided.flags.c_contiguous
+    expected = fourier._fft_derivative(strided, axis)
+    for got in (fourier.derivative(strided, axis), fourier.derivative(strided, axis, np.empty_like(values)[..., ::-1])):
+        assert np.abs(got - expected).max() <= 1e-13 * n
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_derivative_matrix_of_a_one_dimensional_array(n):
+    x = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
+    assert np.abs(fourier.derivative(x) - fourier._fft_derivative(x, 0)).max() <= 1e-13 * n
+
+
+def test_only_short_axes_cache_a_derivative_matrix():
+    fourier._derivative_matrix.cache_clear()
+    fourier.derivative(np.ones((fourier.DENSE_MAX + 1, 2), dtype=complex))
+    assert fourier._derivative_matrix.cache_info().currsize == 0
+    fourier.derivative(np.ones((fourier.DENSE_MAX, 2), dtype=complex))
+    fourier.derivative(np.ones((2, fourier.DENSE_MAX), dtype=complex), axis=1)
+    assert fourier._derivative_matrix.cache_info().currsize == 1
+    d = fourier._derivative_matrix(fourier.DENSE_MAX)
+    assert d.dtype == float and not d.flags.writeable
+
+
 @pytest.mark.parametrize("n", [32, 33])
 def test_antiderivative_is_exact_on_band_limited_data(n):
     theta = nodes(n)

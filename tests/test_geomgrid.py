@@ -150,6 +150,16 @@ def test_partials_of_wrong_shape_rejected():
         SampledMap(dom, values, partials=(values, np.zeros((8, 8, 2, 1))))
 
 
+def test_projection_partials_must_be_hermitian():
+    dom = make_domain("torus2", (8, 8))
+    values = np.broadcast_to(np.diag([1.0, 0.0]), (8, 8, 2, 2))
+    hermitian = np.broadcast_to(np.array([[0.0, 1.0], [1.0, 0.0]]), values.shape)
+    SampledMap(dom, values, codomain="projection", partials=(hermitian, 2.0 * hermitian))
+    skew = np.broadcast_to(np.array([[0.0, 1e-7], [0.0, 0.0]]), values.shape)
+    with pytest.raises(ShapeMismatch, match=r"axis 1 is not Hermitian: defect 1\.000e-07"):
+        SampledMap(dom, values, codomain="projection", partials=(hermitian, hermitian + skew))
+
+
 def test_sampled_map_takes_contiguous_complex_arrays_without_a_copy():
     dom = make_domain("torus2", (8, 8))
     values = np.zeros((8, 8, 2, 2), dtype=complex)

@@ -803,6 +803,24 @@ def test_homotopy_spatial_partials_of_wrong_shape_rejected():
         Homotopy(dom, np.linspace(0.0, 1.0, 3), slices, spatial_partials=(slices, slices[:, :4]))
 
 
+@pytest.mark.parametrize("exact_jets", [True, False])
+def test_inversion_homotopy_odd_does_not_revalidate_its_map(exact_jets, monkeypatch):
+    f = random_unitary_map(np.random.default_rng(0), make_domain("torus2", (8, 8)))
+    if not exact_jets:
+        f = SampledMap(f.domain, f.values, codomain="unitary")
+    calls = []
+    validate = SampledMap._validate_tag
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return validate(self, *args, **kwargs)
+
+    monkeypatch.setattr(SampledMap, "_validate_tag", counting)
+    h = inversion_homotopy_odd(f, t_res=5)
+    assert not calls
+    assert (h.spatial_partials is not None) == exact_jets
+
+
 def test_inversion_homotopy_takes_its_arrays_without_a_copy():
     # a copy on entry to Homotopy doubles the traced peak (2.1x the kept bytes)
     f = random_unitary_map(np.random.default_rng(0), make_domain("torus3", (8, 8, 8)))
