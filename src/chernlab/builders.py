@@ -66,15 +66,34 @@ def _exp_i_hermitian(h: np.ndarray, dh) -> tuple[np.ndarray, tuple[np.ndarray, .
     ``i e^{i(lam_j + lam_k)/2} sinc((lam_j - lam_k)/2)``, which is also right
     for equal eigenvalues, where it is the derivative ``i e^{i lam}``.  This
     is the package's one matrix exponential.
+
+    All partials come from 4 stacked products, whatever their number: a
+    shared left factor takes the blocks side by side, ``V* [dH_1 | dH_2 |
+    ..]`` and ``V [..]``, a shared right factor takes them stacked by rows,
+    ``[..] V`` and ``[..] V*``.  On the small leaves of the sampled maps one
+    such product costs little more than one of its blocks.
     """
     lam, v = np.linalg.eigh(h)
     vh = np.swapaxes(v, -1, -2).conj()
     values = (v * np.exp(1j * lam)[..., None, :]) @ vh
+    *lead, n, _ = h.shape
+    m = len(dh)
+    if not m:
+        return values, ()
     mean = 0.5 * (lam[..., :, None] + lam[..., None, :])
     gap = 0.5 * (lam[..., :, None] - lam[..., None, :])
     divided = 1j * np.exp(1j * mean) * np.sinc(gap / np.pi)
-    partials = tuple(v @ (divided * (vh @ d @ v)) @ vh for d in dh)
-    return values, partials
+
+    def rows(x):  # [x_1 | .. | x_m] -> [x_1; ..; x_m]
+        return x.reshape(*lead, n, m, n).swapaxes(-3, -2).reshape(*lead, m * n, n)
+
+    def cols(x):  # [x_1; ..; x_m] -> [x_1 | .. | x_m]
+        return x.reshape(*lead, m, n, n).swapaxes(-3, -2).reshape(*lead, n, m * n)
+
+    x = rows(vh @ np.concatenate(dh, axis=-1)) @ v  # V* dH_a V
+    x = (divided[..., None, :, :] * x.reshape(*lead, m, n, n)).reshape(*lead, m * n, n)
+    x = rows(v @ cols(x)) @ vh
+    return values, tuple(np.ascontiguousarray(np.moveaxis(x.reshape(*lead, m, n, n), -3, 0)))
 
 
 def loop_zn(n: int = 1, res: int = 256, pad: int = 1) -> SampledMap:

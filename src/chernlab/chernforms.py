@@ -142,6 +142,15 @@ class _CurvaturePairs:
     grid derivatives of Hermitian values are Hermitian to round-off.
     ``scratch`` holds the conjugates; a caller may also write each jet into
     it, since a jet is consumed into its ``L_i`` before the next is taken.
+
+    Each product stays one ``8 x 8`` block per node, unlike the wide
+    products of unitary slices (:class:`_SliceWorkspace`).  A fused fill,
+    ``p [d_0 | .. | d_3]`` and ``[L_0; L_1; L_2] [L_1* | L_2* | L_3*]``,
+    gave the same bits but took 22.8-28.6 ms per 12^3-node slice against
+    16.4-23.5 ms for this one (same runs, 2-vCPU Xeon, one BLAS thread).
+    Its two products saved 1.5-3 ms, but copying the jets into the wide
+    buffer (2.1 ms), laying ``L`` out by rows (1.1 ms), and subtracting
+    the pairs through strided views cost more.
     """
 
     def __init__(self, shape: tuple[int, ...], n_slots: int, pairs):
@@ -410,7 +419,20 @@ def _cs_degree(codomain: str, k: int) -> int:
 
 class _SliceWorkspace:
     """The full-grid arrays of one :func:`cs_forms` pass, allocated once and
-    refilled in place at every time slice; none of them is returned."""
+    refilled in place at every time slice; none of them is returned.
+
+    Unitary slices with some ``k > 1`` keep ``df/dt`` and the spatial jets
+    side by side in one ``(..., n, (dim + 1) n)`` buffer, so every
+    ``alpha_a = f^{-1} d_a f`` comes from one product ``f^{-1} [df/dt | d_1 f
+    | ..]``, and the degree-2 heads ``alpha_t omega_i`` from a second one,
+    ``alpha_t [omega_1 | ..]``.  On the 4 x 4 slices of the odd inversion
+    homotopies one such product takes about 0.4 of the time of its blocks
+    multiplied one at a time, with the same bits (OpenBLAS, one thread;
+    2 x 2 blocks can differ in the last bit).  The degree ``2k - 2`` of a
+    unitary CS form is at most ``dim <= 3``, so ``k <= 2``, and these two
+    products are all of a slice.  Grid jets are written into their blocks,
+    exact ones copied there.
+    """
 
     def __init__(self, H: Homotopy, ks: Sequence[int]):
         shape = H.slices.shape[1:]
@@ -419,14 +441,23 @@ class _SliceWorkspace:
         self.unitary = H.codomain == "unitary"
         if self.unitary:
             self.conj = np.empty(shape, dtype=complex)
-            # CS_0 of unitary slices, tr(alpha_t), needs no spatial jets
-            self.alpha = [np.empty(shape, dtype=complex) for _ in range(dim + 1)] if ks[-1] > 1 else []
-            self.jet = np.empty(shape, dtype=complex) if self.alpha and H.spatial_partials is None else None
+            if ks[-1] > 1:  # CS_0 of unitary slices, tr(alpha_t), needs no spatial jets
+                self.n = n = shape[-1]
+                self.wide = np.empty((*shape[:-1], (dim + 1) * n), dtype=complex)
+                self.alpha = np.empty_like(self.wide)
+                self.heads = np.empty((*shape[:-1], dim * n), dtype=complex)
         else:
             # slot 0 is t: the (0, i) pairs are iota_t Omega, the others Omega
             pairs = itertools.combinations(range(dim + 1), 2) if ks[-1] > 1 else ((0, i) for i in range(1, dim + 1))
             self.pairs = _CurvaturePairs(shape, dim + 1, pairs)
-            self.jet = self.pairs.scratch
+
+    def _blocks(self, x: np.ndarray) -> list[np.ndarray]:
+        """The ``n``-column blocks of a wide unitary buffer, as views."""
+        return [x[..., a : a + self.n] for a in range(0, x.shape[-1], self.n)]
+
+    def jet_buffer(self, i: int) -> np.ndarray:
+        """Where the grid jet along spatial axis ``i`` is written."""
+        return self._blocks(self.wide)[i + 1] if self.unitary else self.pairs.scratch
 
     def integrands(
         self, v: np.ndarray, dv_dt: np.ndarray, jets: Iterable[np.ndarray]
@@ -440,11 +471,15 @@ class _SliceWorkspace:
             # tr(alpha_t) as the trace pairing of f^{-1} with df/dt
             out = {1: trace_wedge({(): finv}, {(): dv_dt})}
             if self.ks[-1] > 1:
-                alpha_t, *alpha = (
-                    np.matmul(finv, x, out=o) for x, o in zip(itertools.chain((dv_dt,), jets), self.alpha)
-                )
+                for x, block in zip(itertools.chain((dv_dt,), jets), self._blocks(self.wide), strict=True):
+                    if not np.may_share_memory(x, block):  # grid jets are already in place
+                        block[...] = x
+                alpha_t, *alpha = self._blocks(np.matmul(finv, self.wide, out=self.alpha))
+                heads = self._blocks(np.matmul(alpha_t, self.alpha[..., self.n :], out=self.heads))
+                # alpha_t ^ omega, the first wedge of every alpha_t ^ omega^(2k-2)
+                head = {(i,): x for i, x in enumerate(heads)}
                 omega = {(i,): a for i, a in enumerate(alpha)}
-                out.update({k: trace_wedge({(): alpha_t}, *[omega] * (2 * k - 2)) for k in self.ks[1:]})
+                out.update({k: trace_wedge(head, *[omega] * (2 * k - 3)) for k in self.ks[1:]})
             return out
         space_time = self.pairs.fill(v, itertools.chain((dv_dt,), jets))
         iota = {(i - 1,): x for (t, i), x in space_time.items() if t == 0}
@@ -474,17 +509,19 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
     reads the slices, their time jets and the spatial jets of ``H`` as
     Hermitian, as the projection homotopies of :mod:`kops` build them.
     Every full-grid array of the pass lives in one workspace, allocated once
-    per call and refilled in place at every slice.  The spatial grid jets
-    (when ``H`` carries no partials) are taken one at a time into one
-    buffer, each consumed into ``L_i`` or ``f^{-1} d_i f`` before the next.
-    Besides that buffer the workspace holds the conjugated unitary slice
-    and its ``f^{-1} d f`` jets, or the ``L_i`` and the curvature pairs, with
-    the jet buffer then serving as their conjugate scratch.  ``CS_0`` of
-    unitary slices is the trace pairing ``sum_ki conj(f)_ki (df/dt)_ki``,
-    so it needs no spatial jets and no ``alpha_t``; those are formed only
-    when some ``k > 1`` is asked for, the curvature pairs of projection
-    slices only when ``k_max > 1``.  Quadrature in ``t`` is composite
-    Simpson, applied per segment.
+    per call and refilled in place at every slice (:class:`_SliceWorkspace`).
+    On unitary slices ``df/dt`` and the spatial jets sit side by side in one
+    wide buffer, grid jets written straight into their blocks, and two
+    stacked products give every ``alpha_a = f^{-1} d_a f`` and every head
+    ``alpha_t omega_i``; a unitary form has degree ``2k - 2 <= dim <= 3``,
+    so ``k <= 2`` and nothing more is multiplied.  On projection slices the
+    grid jets are taken one at a time into the pairs' conjugate scratch,
+    each consumed into ``L_i`` before the next.  ``CS_0`` of unitary slices
+    is the trace pairing ``sum_ki conj(f)_ki (df/dt)_ki``, so it needs no
+    spatial jets and no ``alpha_t``; those are formed only when some
+    ``k > 1`` is asked for, the curvature pairs of projection slices only
+    when ``k_max > 1``.  Quadrature in ``t`` is composite Simpson, applied
+    per segment.
     """
     spatial = H.spatial
     dim = spatial.dim
@@ -504,7 +541,7 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
         if H.spatial_partials is not None:
             jets = (p[it] for p in H.spatial_partials)
         else:
-            jets = (_diff_along(spatial, v, i, ws.jet) for i in range(dim))
+            jets = (_diff_along(spatial, v, i, ws.jet_buffer(i)) for i in range(dim))
         for k, comps in ws.integrands(v, dt_slices[it], jets).items():
             for idx, val in comps.items():
                 acc[k][idx] = acc[k][idx] + wt * val if idx in acc[k] else wt * val

@@ -212,7 +212,8 @@ def _transport_once(p: np.ndarray, dp: np.ndarray, w0: np.ndarray, stride: int) 
     np.subtract(x, r, out=r)  # (pi_b - 1) R_i: what each RK4 step moves off the image
     c = _prefix_products(x)
     del x
-    frames = np.concatenate([w0[None], c @ w0])  # w_0 .. w_steps
+    # every prefix times the same w0: one product on the stacked rows of c, not one per step
+    frames = np.concatenate([w0[None], (c.reshape(-1, len(w0)) @ w0).reshape(len(c), *w0.shape)])  # w_0 .. w_steps
     del c
     w_end = frames[-1]
     track_defect = float(np.abs(r @ frames[:-1]).max())

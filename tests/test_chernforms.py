@@ -465,6 +465,68 @@ def test_cs_form_reads_slices_without_revalidating_them(name, monkeypatch):
             assert np.array_equal(comp, single[k].comps[idx])
 
 
+def _odd_cylinder_homotopy():
+    """An odd inversion homotopy on the cylinder with grid jets, FD4 along
+    the interval axis."""
+    dom = make_domain("cylinder", (17, 16))
+    f = random_unitary_map(np.random.default_rng(4), dom, size=2)
+    return inversion_homotopy_odd(SampledMap(dom, f.values, codomain="unitary"), t_res=5)
+
+
+@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "cylinder"])
+def test_cs_form_on_two_axes_is_the_slice_map_form_bit_for_bit(name):
+    # the 2-cycle passes that cs_exact runs for degree 2, and interval jets written into the wide buffer
+    h = _odd_cylinder_homotopy() if name == "cylinder" else _inversion_homotopies()[name].restrict((0, 2))
+    assert h.spatial.dim == 2 and h.slices.shape[-1] == 4
+    forms = cs_forms(h)
+    assert forms.keys() == {1, 2}
+    for k, form in forms.items():
+        expected = _cs_through_slice_maps(h, k)
+        assert form.comps.keys() == expected.keys()
+        for idx, comp in form.comps.items():
+            if form.form_degree > 0:
+                # with exact jets the form is round-off, which is still pinned bit for bit
+                assert name == "odd_exact_jets" or np.abs(comp).max() > 1e-3
+                assert np.array_equal(comp, expected[idx])
+            assert np.abs(comp - expected[idx]).max() < 1e-15
+
+
+def _complex_products(monkeypatch):
+    """Count the ``np.matmul`` calls on complex operands: the slice products,
+    not the real dense-derivative ones."""
+    calls = []
+    matmul = np.matmul
+
+    def counting(a, b, *args, **kwargs):
+        if np.iscomplexobj(a) or np.iscomplexobj(b):
+            calls.append(np.shape(b))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "odd_on_a_two_cycle"])
+def test_unitary_slices_take_two_stacked_products(name, monkeypatch):
+    hs = _inversion_homotopies()
+    h = hs["odd_grid_jets"].restrict((0, 2)) if name == "odd_on_a_two_cycle" else hs[name]
+    dim, n = h.spatial.dim, h.slices.shape[-1]
+    calls = _complex_products(monkeypatch)
+    cs_forms(h, 2)
+    # f^{-1} [df/dt | d_1 f | ..] and alpha_t [omega_1 | ..]
+    assert calls == [h.slices.shape[1:-1] + ((dim + 1) * n,), h.slices.shape[1:-1] + (dim * n,)] * h.n_times
+    calls.clear()
+    cs_forms(h, 1)
+    assert calls == []
+
+
+def test_projection_slices_still_take_ten_products(monkeypatch):
+    h = _inversion_homotopies()["even"]
+    calls = _complex_products(monkeypatch)
+    cs_forms(h, 2)
+    assert len(calls) == 10 * h.n_times
+
+
 def _phase_twisted(h):
     """The unitary homotopy ``h`` times the phase ``exp(i t a(x))``, whose CS_0 is not zero."""
     x = np.meshgrid(*[ax.coords for ax in h.spatial.axes], indexing="ij")

@@ -157,6 +157,48 @@ def test_exp_jets_match_frechet_derivative(case):
             assert np.abs(j - ref_j).max() < 1e-12
 
 
+def _per_axis_partials(h, dh):
+    """The Daleckii-Krein partials one direction at a time, four products each."""
+    lam, v = np.linalg.eigh(h)
+    vh = np.swapaxes(v, -1, -2).conj()
+    mean = 0.5 * (lam[..., :, None] + lam[..., None, :])
+    gap = 0.5 * (lam[..., :, None] - lam[..., None, :])
+    divided = 1j * np.exp(1j * mean) * np.sinc(gap / np.pi)
+    return [v @ (divided * (vh @ d @ v)) @ vh for d in dh]
+
+
+def _hermitian_field(rng, shape, n):
+    z = rng.standard_normal((*shape, n, n)) + 1j * rng.standard_normal((*shape, n, n))
+    return z + np.swapaxes(z, -1, -2).conj()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("n_dirs", [1, 3])
+def test_stacked_exp_jets_match_the_per_axis_formula(n, n_dirs):
+    rng = np.random.default_rng(10 * n + n_dirs)
+    h = _hermitian_field(rng, (6, 5, 4), n)
+    dh = [_hermitian_field(rng, (6, 5, 4), n) for _ in range(n_dirs)]
+    values, jets = _exp_i_hermitian(h, dh)
+    assert len(jets) == n_dirs
+    assert np.array_equal(values, exp_i(h))
+    for jet, ref in zip(jets, _per_axis_partials(h, dh), strict=True):
+        assert jet.shape == h.shape and jet.flags.c_contiguous
+        assert np.abs(jet - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+
+
+def test_stacked_exp_jets_match_central_differences():
+    rng = np.random.default_rng(12)
+    h = _hermitian_field(rng, (7, 3), 3)
+    dh = [_hermitian_field(rng, (7, 3), 3) for _ in range(3)]
+    eps = 1e-4
+    _, jets = _exp_i_hermitian(h, dh)
+    for d, jet in zip(dh, jets):
+        # 4th-order central difference of exp(i(H + s dH)) at s = 0
+        f = {s: exp_i(h + s * eps * d) for s in (-2, -1, 1, 2)}
+        fd = (f[-2] - 8.0 * f[-1] + 8.0 * f[1] - f[2]) / (12.0 * eps)
+        assert np.abs(jet - fd).max() < 1e-9
+
+
 def test_pairwise_sum_matches_plain_sum():
     x = RNG.standard_normal(1000) + 1j * RNG.standard_normal(1000)
     assert abs(pairwise_sum(x) - np.sum(x)) < 1e-10

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chernlab import builders, fourier
+from chernlab import builders, fourier, periodicity
 from chernlab.errors import BandwidthViolation, NotALoop
 from chernlab.geomgrid import SampledMap, make_domain
 from chernlab.khat import CircleConnection, a_even
@@ -209,6 +209,25 @@ def test_batched_transport_matches_the_step_loop(make):
     assert np.abs(result.Q - q).max() < 1e-12
     assert abs(result.diagnostics["step_halving_delta"] - np.abs(q - w0.conj().T @ w_half).max()) < 1e-12
     assert abs(result.diagnostics["tracking_defect"] - defect) < 1e-12
+
+
+@pytest.mark.parametrize("make", KATO_LOOPS.values(), ids=KATO_LOOPS.keys())
+def test_transport_frames_are_the_stacked_prefix_products(make, monkeypatch):
+    loop = make()
+    p, dp = fourier.resample(loop.values, 2 * DEFAULT_TRANSPORT_STEPS)
+    w0 = _initial_frame(loop.values[0])
+    prefixes = []
+
+    def keeping(m):
+        c = _prefix_products(m)
+        prefixes.append(c.copy())
+        return c
+
+    monkeypatch.setattr(periodicity, "_prefix_products", keeping)
+    w_end, _ = periodicity._transport_once(p, dp, w0, 1)
+    c = prefixes[-1]  # the outermost call returns last
+    assert len(c) == DEFAULT_TRANSPORT_STEPS
+    assert np.array_equal(w_end, (c @ w0)[-1])
 
 
 def test_transport_peak_memory_is_below_twice_the_stage_grid():
