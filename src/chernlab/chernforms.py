@@ -23,25 +23,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ArityTooLarge,
-    DegreeOverflow,
-    NotALoop,
-    ShapeMismatch,
-)
+from .errors import DegreeOverflow, NotALoop, ShapeMismatch
 from .geomgrid import (
     DomainGrid,
     GradedForm,
     SampledMap,
+    _check_codomain,
     _check_partials,
     _diff_along,
     _diff_interval,
+    _freeze,
     _simpson_weights,
     differentiate,
     generating_cycles,
@@ -51,8 +48,6 @@ from .geomgrid import (
 
 __all__ = [
     "chern_scalar",
-    "wedge_trace_power",
-    "antisym_trace_power",
     "trace_wedge",
     "ch_odd",
     "ch_even",
@@ -106,25 +101,6 @@ def trace_wedge(*factors: dict[tuple[int, ...], np.ndarray]) -> dict[tuple[int, 
     for factor in head[1:]:
         acc = _wedge(acc, factor, np.matmul)
     return dict(sorted(_wedge(acc, last, partial(np.einsum, "...ij,...ji->...")).items()))
-
-
-def antisym_trace_power(slots: Sequence[np.ndarray]) -> np.ndarray:
-    """``sum_s sgn(s) tr[slots[s(1)] @ ... @ slots[s(m)]]`` over stacked nodes."""
-    return wedge_trace_power(slots, len(slots))[tuple(range(len(slots)))]
-
-
-def wedge_trace_power(jets: Sequence[np.ndarray], arity: int) -> dict[tuple[int, ...], np.ndarray]:
-    """Antisymmetrized trace of the ``arity``-th power of a 1-form.
-
-    ``jets[i]`` is the operator value of the 1-form on axis direction ``i``
-    (stacked over nodes); the result maps each strictly increasing multi-index
-    to the scalar component array.
-    """
-    n_axes = len(jets)
-    if arity > n_axes:
-        raise ArityTooLarge(f"arity {arity} exceeds the {n_axes} available directions")
-    omega = {(i,): a for i, a in enumerate(jets)}
-    return trace_wedge(*[omega] * arity)
 
 
 class _CurvaturePairs:
@@ -184,7 +160,8 @@ def ch_odd(f: SampledMap, k: int, partials: Sequence[np.ndarray] | None = None) 
     if partials is None:
         partials = differentiate(f)
     finv = np.swapaxes(f.values, -1, -2).conj()
-    comps = wedge_trace_power([finv @ p for p in partials], deg)
+    omega = {(i,): finv @ p for i, p in enumerate(partials)}
+    comps = trace_wedge(*[omega] * deg)
     c = chern_scalar("odd", k)
     return GradedForm(f.domain, deg, -k, {idx: c * a for idx, a in comps.items()})
 
@@ -234,15 +211,20 @@ def ch_total(f: SampledMap, k_max: int = DEFAULT_K_MAX) -> list[GradedForm]:
 class Homotopy:
     """A time-indexed family of sampled maps over one spatial grid.
 
-    ``times`` is increasing; ``segments`` lists half-open index ranges, each
-    covering an odd number of nodes, inside which the family is smooth.
-    Concatenated homotopies keep one segment per constituent so that time
-    derivatives and Simpson quadrature never straddle the junction.
-    ``time_partials`` and ``spatial_partials`` (one array per spatial axis)
-    are exact derivatives of the slices, each of the shape of ``slices``,
-    supplied by constructors that know them.  The homotopy takes ownership of
-    the ``slices`` and ``time_partials`` arrays it is given (they are not
-    copied when already contiguous complex) and makes them read-only.
+    ``segments`` lists half-open index ranges that tile the time nodes
+    ``[0, n_times)`` in order, each covering an odd number of nodes (at
+    least 3) with uniform, increasing ``times``, inside which the family is
+    smooth.  Concatenated homotopies keep one segment per constituent so
+    that time derivatives and Simpson quadrature never straddle the junction.
+    ``time_partials`` is the time jet ``d(slice)/dt``, which the homotopy
+    always holds: the exact one when a constructor supplies it, otherwise
+    4th-order finite differences with one-sided closures, taken once per
+    segment at construction, which needs segments of at least 5 nodes.
+    ``spatial_partials`` (one array per spatial axis) are exact derivatives
+    of the slices, supplied by constructors that know them.  Each jet has
+    the shape of ``slices``.  The homotopy takes ownership of the ``slices``
+    and ``time_partials`` arrays it is given (they are not copied when
+    already contiguous complex) and makes them read-only.
     """
 
     spatial: DomainGrid
@@ -251,40 +233,48 @@ class Homotopy:
     codomain: str = "generic"
     segments: tuple[tuple[int, int], ...] = ()
     window: object | None = None
-    time_partials: np.ndarray | None = None  # exact d(slice)/dt when known
+    time_partials: np.ndarray | None = None  # d(slice)/dt; FD4 when not given
     spatial_partials: tuple[np.ndarray, ...] | None = None  # exact d(slice)/dx_i when known
 
     def __post_init__(self):
+        _check_codomain(self.codomain)
         t = np.array(self.times, dtype=float)
         v = np.ascontiguousarray(self.slices, dtype=complex)
         if v.shape[1 : 1 + len(self.spatial.node_shape)] != self.spatial.node_shape:
             raise ShapeMismatch("slice node shape does not match the spatial grid")
         if t.ndim != 1 or t.size != v.shape[0]:
             raise ShapeMismatch("times and slices disagree")
-        segs = self.segments or ((0, t.size),)
+        segs = tuple((int(a), int(b)) for a, b in self.segments) or ((0, t.size),)
+        if [a for a, _ in segs] != [0, *(b for _, b in segs[:-1])] or segs[-1][1] != t.size:
+            raise ShapeMismatch(f"homotopy segments {segs} do not tile the {t.size} time nodes in order")
         for a, b in segs:
             if (b - a) < 3 or (b - a) % 2 == 0:
                 raise ShapeMismatch("each homotopy segment needs an odd node count >= 3")
             dt = np.diff(t[a:b])
-            if dt.size and (dt.max() - dt.min()) > 1e-12 * max(abs(t[b - 1] - t[a]), 1.0):
+            if dt.min() <= 0.0:
+                raise ShapeMismatch("homotopy time nodes must increase within each segment")
+            if (dt.max() - dt.min()) > 1e-12 * max(abs(t[b - 1] - t[a]), 1.0):
                 raise ShapeMismatch("homotopy time nodes must be uniform per segment")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "slices", v)
-        object.__setattr__(self, "segments", tuple(segs))
-        v.flags.writeable = False
-        t.flags.writeable = False
-        if self.time_partials is not None:
-            tp = np.ascontiguousarray(self.time_partials, dtype=complex)
-            if tp.shape != v.shape:
-                raise ShapeMismatch(f"time partials {tp.shape} do not match the slices {v.shape}")
-            tp.flags.writeable = False
-            object.__setattr__(self, "time_partials", tp)
+        object.__setattr__(self, "times", _freeze(t))
+        object.__setattr__(self, "slices", _freeze(v))
+        object.__setattr__(self, "segments", segs)
         if self.spatial_partials is not None:
             object.__setattr__(
                 self,
                 "spatial_partials",
                 _check_partials(self.spatial_partials, self.spatial.dim, v.shape),
             )
+        if self.time_partials is None:
+            if min(b - a for a, b in segs) < 5:
+                raise ShapeMismatch("a homotopy segment of fewer than 5 nodes needs exact time partials")
+            tp = np.empty_like(v)
+            for a, b in segs:
+                _diff_interval(v[a:b], 0, b - a, float(t[a + 1] - t[a]), tp[a:b])
+        else:
+            tp = np.ascontiguousarray(self.time_partials, dtype=complex)
+            if tp.shape != v.shape:
+                raise ShapeMismatch(f"time partials {tp.shape} do not match the slices {v.shape}")
+        object.__setattr__(self, "time_partials", _freeze(tp))
 
     @property
     def n_times(self) -> int:
@@ -303,76 +293,39 @@ class Homotopy:
         )
 
     def time_derivative(self) -> np.ndarray:
-        """d(slice)/dt at every time node.
+        """d(slice)/dt at every time node: the jet held since construction."""
+        return self.time_partials
 
-        Uses the exact partials when the constructor supplied them (the
-        canonical rotation homotopies do), 4th-order finite differences with
-        one-sided segment closures otherwise.
-        """
-        if self.time_partials is not None:
-            return self.time_partials
-        out = np.empty_like(self.slices)
-        for a, b in self.segments:
-            h = float(self.times[a + 1] - self.times[a])
-            out[a:b] = _diff_interval(self.slices[a:b], 0, b - a, h)
-        return out
+    def _mapped(self, fn, axes=None, time_sign=1, **fields) -> "Homotopy":
+        """The homotopy whose slices, time jet (times ``time_sign``) and
+        spatial jets along ``axes`` (all of them by default) are ``fn`` of
+        this one's, with the other ``fields`` replaced."""
+        sp = self.spatial_partials
+        if sp is not None:
+            sp = tuple(fn(sp[a]) for a in (range(len(sp)) if axes is None else axes))
+        tp = fn(self.time_partials)
+        return replace(
+            self, slices=fn(self.slices), time_partials=-tp if time_sign < 0 else tp, spatial_partials=sp, **fields
+        )
 
     def restrict(self, axes: Sequence[int]) -> "Homotopy":
         """The homotopy on the sub-grid spanned by the spatial ``axes``, every
         other spatial axis pinned at node 0 (the pin of
         :func:`geomgrid.cycle_integral`)."""
         sub, pin = sub_grid(self.spatial, axes)
-        at = (slice(None), *pin)
-        tp = None if self.time_partials is None else self.time_partials[at]
-        sp = None
-        if self.spatial_partials is not None:
-            sp = tuple(self.spatial_partials[a][at] for a in sorted(axes))
-        return Homotopy(
-            sub,
-            self.times,
-            self.slices[at],
-            codomain=self.codomain,
-            segments=self.segments,
-            window=self.window,
-            time_partials=tp,
-            spatial_partials=sp,
-        )
+        return self._mapped(lambda a: a[(slice(None), *pin)], spatial=sub, axes=sorted(axes))
 
     def reversed(self) -> "Homotopy":
-        segs = []
-        n = self.n_times
-        for a, b in reversed(self.segments):
-            segs.append((n - b, n - a))
-        tp = None if self.time_partials is None else -self.time_partials[::-1]
-        sp = None
-        if self.spatial_partials is not None:
-            sp = tuple(p[::-1] for p in self.spatial_partials)
-        return Homotopy(
-            self.spatial,
-            self.times[-1] - self.times[::-1] + self.times[0],
-            self.slices[::-1],
-            codomain=self.codomain,
-            segments=tuple(segs),
-            window=self.window,
-            time_partials=tp,
-            spatial_partials=sp,
+        n, t = self.n_times, self.times
+        return self._mapped(
+            lambda a: a[::-1],
+            times=t[-1] - t[::-1] + t[0],
+            segments=tuple((n - b, n - a) for a, b in reversed(self.segments)),
+            time_sign=-1,
         )
 
     def adjoint(self) -> "Homotopy":
-        tp = None if self.time_partials is None else np.swapaxes(self.time_partials, -1, -2).conj()
-        sp = None
-        if self.spatial_partials is not None:
-            sp = tuple(np.swapaxes(p, -1, -2).conj() for p in self.spatial_partials)
-        return Homotopy(
-            self.spatial,
-            self.times,
-            np.swapaxes(self.slices, -1, -2).conj(),
-            codomain=self.codomain,
-            segments=self.segments,
-            window=self.window,
-            time_partials=tp,
-            spatial_partials=sp,
-        )
+        return self._mapped(lambda a: np.swapaxes(a, -1, -2).conj())
 
     @staticmethod
     def concatenate(first: "Homotopy", second: "Homotopy", tol: float = 1e-10) -> "Homotopy":
@@ -382,13 +335,7 @@ class Homotopy:
         if junction >= tol:
             raise NotALoop(f"junction slices differ by {junction:.3e}")
         shift = first.times[-1] - second.times[0]
-        times = np.concatenate([first.times, second.times + shift])
-        slices = np.concatenate([first.slices, second.slices])
         n1 = first.n_times
-        segs = list(first.segments) + [(a + n1, b + n1) for a, b in second.segments]
-        tp = None
-        if first.time_partials is not None and second.time_partials is not None:
-            tp = np.concatenate([first.time_partials, second.time_partials])
         sp = None
         if first.spatial_partials is not None and second.spatial_partials is not None:
             sp = tuple(
@@ -397,12 +344,12 @@ class Homotopy:
             )
         return Homotopy(
             first.spatial,
-            times,
-            slices,
+            np.concatenate([first.times, second.times + shift]),
+            np.concatenate([first.slices, second.slices]),
             codomain=first.codomain,
-            segments=tuple(segs),
+            segments=first.segments + tuple((a + n1, b + n1) for a, b in second.segments),
             window=first.window,
-            time_partials=tp,
+            time_partials=np.concatenate([first.time_partials, second.time_partials]),
             spatial_partials=sp,
         )
 

@@ -29,10 +29,6 @@ class DegreeOverflow(ChernLabError):
     """Requested form degree exceeds the domain dimension."""
 
 
-class ArityTooLarge(ChernLabError):
-    pass
-
-
 class ShapeMismatch(ChernLabError):
     pass
 

@@ -132,6 +132,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_codomain(tag: str) -> None:
+    if tag not in ("unitary", "projection", "frame", "generic"):
+        raise ShapeMismatch(f"codomain tag {tag!r} is not one of unitary, projection, frame, generic")
+
+
 @dataclass(frozen=True)
 class SampledMap:
     """A grid-sampled matrix-valued map with an optional codomain tag.
@@ -155,6 +160,7 @@ class SampledMap:
     partials: tuple[np.ndarray, ...] | None = None  # exact d(values)/dx_i when known
 
     def __post_init__(self):
+        _check_codomain(self.codomain)
         v = np.ascontiguousarray(self.values, dtype=complex)
         expected = self.domain.node_shape
         if v.shape[: len(expected)] != expected or v.ndim != len(expected) + 2:

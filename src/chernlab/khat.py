@@ -303,37 +303,33 @@ def strip_stabilization(f: SampledMap, tol: float = 1e-10) -> SampledMap:
 
     Repeatedly peels the odd strand when it is constantly the basepoint
     (identity block for unitaries, the positive projection for windowed
-    projections) and the cross strands vanish.
+    projections) and the cross strands vanish.  Exact partials carry over as
+    their even strands.
     """
     current = f
     while current.cols % 2 == 0:
         v = current.values
-        even = v[..., 0::2, 0::2]
-        odd = v[..., 1::2, 1::2]
         cross = max(
             float(np.abs(v[..., 0::2, 1::2]).max()),
             float(np.abs(v[..., 1::2, 0::2]).max()),
         )
         if cross >= tol:
             break
-        n_half = odd.shape[-1]
+        win: PolarizedWindow | None = current.window
+        half_window = None if win is None else PolarizedWindow(win.n_minus // 2, win.n_plus // 2)
         if current.codomain == "unitary":
-            base = np.eye(n_half)
-        elif current.codomain == "projection" and current.window is not None:
-            win: PolarizedWindow = current.window
-            if win.n_minus % 2 or win.n_plus % 2:
-                break
-            base = PolarizedWindow(win.n_minus // 2, win.n_plus // 2).pi_plus
+            base = np.eye(current.cols // 2)
+        elif current.codomain == "projection" and win is not None and not (win.n_minus % 2 or win.n_plus % 2):
+            base = half_window.pi_plus
         else:
             break
-        if float(np.abs(odd - base).max()) >= tol:
+        if float(np.abs(v[..., 1::2, 1::2] - base).max()) >= tol:
             break
-        half_window = None
-        if current.window is not None:
-            win = current.window
-            half_window = PolarizedWindow(win.n_minus // 2, win.n_plus // 2)
+        partials = None
+        if current.partials is not None:
+            partials = tuple(p[..., 0::2, 0::2] for p in current.partials)
         current = SampledMap(
-            current.domain, even, codomain=current.codomain, window=half_window
+            current.domain, v[..., 0::2, 0::2], codomain=current.codomain, window=half_window, partials=partials
         )
     return current
 

@@ -11,7 +11,6 @@ from chernlab.builders import loop_zn, qwz_band, random_projection_map, random_u
 from chernlab.chernforms import (
     Homotopy,
     _CurvaturePairs,
-    antisym_trace_power,
     ch_even,
     ch_odd,
     ch_total,
@@ -20,12 +19,12 @@ from chernlab.chernforms import (
     cs_form,
     cs_forms,
     trace_wedge,
-    wedge_trace_power,
 )
-from chernlab.errors import ArityTooLarge, DegreeOverflow, NotALoop, SingularInput
+from chernlab.errors import DegreeOverflow, NotALoop, ShapeMismatch, SingularInput
 from chernlab.geomgrid import (
     GradedForm,
     SampledMap,
+    _diff_interval,
     _simpson_weights,
     cycle_integral,
     differentiate,
@@ -80,6 +79,13 @@ def brute_force_wedge(mats):
     return brute_force_trace([one_form] * len(mats), range(len(mats)))
 
 
+def antisym_trace_power(slots):
+    """``sum_s sgn(s) tr[slots[s(1)] @ ... @ slots[s(m)]]`` over stacked nodes,
+    the top component of ``tr(omega^m)`` for the 1-form with values ``slots``."""
+    omega = {(i,): a for i, a in enumerate(slots)}
+    return trace_wedge(*[omega] * len(slots))[tuple(range(len(slots)))]
+
+
 def random_form(degree, n_axes, n=3):
     """Random matrix-valued form: its components and their alternating extension."""
     comps = {
@@ -96,8 +102,7 @@ def test_normalizations():
 
 
 def test_wedge_single_slot():
-    comps = wedge_trace_power([np.array([[[1j]]])], 1)
-    assert abs(comps[(0,)][0] - 1j) < 1e-15
+    assert abs(antisym_trace_power([np.array([[[1j]]])])[0] - 1j) < 1e-15
 
 
 def test_wedge_commuting_diagonals_vanish():
@@ -138,9 +143,12 @@ def test_trace_wedge_even_powers_of_one_form_vanish():
     assert abs(trace_wedge(a, a, a)[(0, 1, 2)]) > 1e-3
 
 
-def test_wedge_arity_guard():
-    with pytest.raises(ArityTooLarge):
-        wedge_trace_power([np.zeros((1, 2, 2))], 2)
+def test_wedge_power_beyond_the_directions_is_empty():
+    # a 1-form on one axis has no square; ch_odd refuses such degrees up front
+    omega = {(0,): np.ones((1, 2, 2), dtype=complex)}
+    assert trace_wedge(omega, omega) == {}
+    with pytest.raises(DegreeOverflow):
+        ch_odd(loop_zn(1, res=16), 2)
 
 
 # ---------------------------------------------------------------- ch odd
@@ -358,6 +366,61 @@ def test_concatenate_rejects_mismatched_junction():
     h2 = constant_homotopy(loop_zn(n=1, res=64), t_res=9)
     with pytest.raises(NotALoop):
         Homotopy.concatenate(h1, h2)
+
+
+@pytest.mark.parametrize("segments", [((0, 3),), ((0, 3), (2, 5)), ((2, 5), (0, 3)), ((0, 3), (4, 7))])
+def test_homotopy_segments_must_tile_the_time_nodes(segments):
+    h = phase_homotopy(res=16, t_res=7)
+    with pytest.raises(ShapeMismatch, match="do not tile the 7 time nodes"):
+        Homotopy(h.spatial, h.times, h.slices, codomain="unitary", segments=segments)
+
+
+@pytest.mark.parametrize("times", [np.linspace(1.0, 0.0, 5), np.zeros(5)])
+def test_homotopy_times_must_increase_within_a_segment(times):
+    h = phase_homotopy(res=16, t_res=5)
+    with pytest.raises(ShapeMismatch, match="increase within each segment"):
+        Homotopy(h.spatial, times, h.slices, codomain="unitary")
+
+
+def test_homotopy_rejects_an_unknown_codomain_tag():
+    h = phase_homotopy(res=16, t_res=5)
+    with pytest.raises(ShapeMismatch, match="'unitray'"):
+        Homotopy(h.spatial, h.times, h.slices, codomain="unitray")
+
+
+def test_fd_time_jet_needs_five_nodes_per_segment():
+    f = random_unitary_map(np.random.default_rng(4), make_domain("circle", 16), size=2)
+    gen = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    times = np.linspace(0.0, 1.0, 3)
+    with pytest.raises(ShapeMismatch, match="fewer than 5 nodes needs exact time partials"):
+        cs_forms(conjugation_homotopy(f, lambda t: expm(t * gen), times))
+    exact = conjugation_homotopy(f, lambda t: expm(t * gen), times, lambda t: gen @ expm(t * gen))
+    assert cs_forms(exact).keys() == {1}
+
+
+def test_homotopy_holds_its_fd_time_jet_from_construction():
+    h = phase_homotopy(res=16, t_res=9)
+    rev = h.reversed()
+    cat = Homotopy.concatenate(h, rev)
+    assert cat.segments == ((0, 9), (9, 18))
+    for x in (h, rev, cat, h.adjoint(), h.restrict((0,))):
+        assert x.time_derivative() is x.time_partials
+        assert not x.time_partials.flags.writeable
+    assert np.array_equal(h.time_partials, _diff_interval(h.slices, 0, 9, float(h.times[1] - h.times[0])))
+    assert np.array_equal(rev.time_partials, -h.time_partials[::-1])
+    assert np.array_equal(cat.time_partials, np.concatenate([h.time_partials, rev.time_partials]))
+    # a segment of another spacing takes its FD jet with its own spacing
+    short = Homotopy(h.spatial, np.linspace(0.0, 1.0, 5), rev.slices[::2], codomain="unitary")
+    mixed = Homotopy.concatenate(h, short)
+    fresh = Homotopy(h.spatial, mixed.times, mixed.slices, codomain="unitary", segments=mixed.segments)
+    assert np.array_equal(fresh.time_partials, mixed.time_partials)
+    # the negated jet is the FD jet of the reversed slices up to rounding
+    fresh = Homotopy(h.spatial, rev.times, rev.slices, codomain="unitary")
+    assert np.abs(fresh.time_partials - rev.time_partials).max() < 1e-12
+    # and the FD jet is the exact one up to the stencil's h^4 error
+    th = h.spatial.axes[0].coords
+    rate = 1j * (np.sin(th) + 0.6 * h.times[:, None] * np.cos(th))
+    assert np.abs(h.time_partials - rate[..., None, None] * h.slices).max() < 1e-3
 
 
 def test_homotopy_reverse_flips_cs_sign():

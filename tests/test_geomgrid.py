@@ -37,6 +37,13 @@ def test_torus2_node_count():
     assert int(np.prod(dom.node_shape)) == 256
 
 
+@pytest.mark.parametrize("tag", ["unitray", "Unitary", ""])
+def test_sampled_map_rejects_an_unknown_codomain_tag(tag):
+    dom = make_domain("circle", 8)
+    with pytest.raises(ShapeMismatch, match="is not one of unitary, projection, frame, generic"):
+        SampledMap(dom, np.broadcast_to(np.eye(2), (8, 2, 2)), codomain=tag)
+
+
 def test_resolution_minimum_enforced():
     with pytest.raises(BadResolution):
         make_domain("circle", 4)

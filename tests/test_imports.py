@@ -1,8 +1,11 @@
-"""Every name a ``chernlab`` module imports is used in that module.
+"""Every name a ``chernlab`` module imports is used in that module, and
+every private module-level function or class is read somewhere in ``src``.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must appear as a name somewhere else in the module
-(or in its ``__all__``), unless its line carries ``# noqa: F401``.
+(or in its ``__all__``), unless its line carries ``# noqa: F401``; a private
+definition must appear as a name or an attribute outside its own body (an
+import alone does not read it).
 """
 
 import ast
@@ -51,3 +54,42 @@ def test_an_unused_import_is_reported(tmp_path):
         "x = np.zeros(1)\n"
     )
     assert unused_imports(module) == ["A (line 4)", "itertools (line 2)"]
+
+
+def unread_private_definitions(paths) -> list[str]:
+    trees = {path.stem: ast.parse(path.read_text()) for path in paths}
+    reads = [
+        (stmt, {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+         | {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)})
+        for tree in trees.values()
+        for stmt in tree.body
+    ]
+    unread = []
+    for stem, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = stmt.name
+            if name.startswith("_") and not name.endswith("__"):
+                if not any(name in names for other, names in reads if other is not stmt):
+                    unread.append(f"{stem}.{name}")
+    return sorted(unread)
+
+
+def test_every_private_definition_is_read():
+    assert unread_private_definitions(sorted(SRC.glob("*.py"))) == []
+
+
+def test_an_unread_private_definition_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _used():\n"
+        "    return 1\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1)\n"
+        "class _Imported:\n"
+        "    pass\n"
+        "def __getattr__(name):\n"
+        "    return None\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import _Imported, _used\nclass _Read:\n    pass\nx = _used(), _Read\n")
+    assert unread_private_definitions(sorted(tmp_path.glob("*.py"))) == ["a._Imported", "a._recursive"]

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chernlab import builders
-from chernlab.errors import ShapeMismatch, WindowTooSmall
-from chernlab.geomgrid import integrate, make_domain
+from chernlab.errors import NotBasedAtIdentity, ShapeMismatch, UnsupportedDomain, WindowTooSmall
+from chernlab.geomgrid import SampledMap, integrate, make_domain
 from chernlab.khat import (
     CircleConnection,
     a_even,
@@ -14,6 +14,8 @@ from chernlab.khat import (
     holonomy_log_det,
     khat_class,
     point_class_odd,
+    strip_stabilization,
+    underlying_I,
 )
 from chernlab.kops import blocksum_map, inversion_homotopy_even, inversion_homotopy_odd
 from chernlab.stiefel import PolarizedWindow
@@ -42,6 +44,57 @@ def test_cs_of_nullhomotopy_lifts_the_exterior_derivative_on_projections():
     assert [f.form_degree for f in report["forms"]] == [1]
     assert set(report["lift_residuals"]) == {1}
     assert report["lift_residuals"][1] < 1e-10
+
+
+def test_cs_of_nullhomotopy_needs_the_basepoint_at_the_start():
+    h = inversion_homotopy_odd(builders.loop_zn(1, res=64))  # starts at f (+) f*, not at 1
+    with pytest.raises(NotBasedAtIdentity, match="away from the basepoint"):
+        cs_of_nullhomotopy(h)
+
+
+def test_underlying_class_of_a_torus_map_is_unsupported():
+    with pytest.raises(UnsupportedDomain, match="circle domain, got torus2"):
+        underlying_I(builders.su2_chart(res=8))
+
+
+def _constant(dom, matrix, codomain, window=None):
+    """The constant map ``matrix`` with its zero partials."""
+    values = np.broadcast_to(np.asarray(matrix, dtype=complex), (*dom.node_shape, *np.shape(matrix)))
+    return SampledMap(dom, values, codomain=codomain, window=window, partials=(np.zeros(values.shape),) * dom.dim)
+
+
+def test_strip_stabilization_keeps_the_partials_of_a_unitary():
+    dom = make_domain("circle", 32)
+    f = builders.random_unitary_map(np.random.default_rng(40), dom, size=2)
+    one = _constant(dom, np.eye(2), "unitary")
+    g = blocksum_map(blocksum_map(f, one), _constant(dom, np.eye(4), "unitary"))
+    stripped = strip_stabilization(g)  # both basepoint strands peel off
+    assert np.array_equal(stripped.values, f.values)
+    assert np.array_equal(stripped.partials[0], f.partials[0])
+    assert np.array_equal(khat_class(g).representative.partials[0], f.partials[0])
+
+
+def test_strip_stabilization_halves_the_window_of_a_projection():
+    dom = make_domain("circle", 32)
+    win = PolarizedWindow(2, 2)
+    p = builders.random_projection_map(np.random.default_rng(41), dom, win)
+    g = blocksum_map(p, _constant(dom, win.pi_plus, "projection", win))
+    assert g.window == PolarizedWindow(4, 4)
+    stripped = strip_stabilization(g)
+    assert stripped.window == win
+    assert np.array_equal(stripped.values, p.values)
+    assert np.array_equal(stripped.partials[0], p.partials[0])
+
+
+def test_strip_stabilization_keeps_strands_that_mix():
+    dom = make_domain("circle", 32)
+    f = builders.random_unitary_map(np.random.default_rng(42), dom, size=2)
+    g = blocksum_map(f, _constant(dom, np.eye(2), "unitary"))
+    # a constant rotation of each (even, odd) strand pair: unitary, with cross strands
+    c, s = np.cos(0.3), np.sin(0.3)
+    r = np.kron(np.eye(2), [[c, -s], [s, c]])
+    mixed = SampledMap(dom, r @ g.values @ r.T, codomain="unitary")
+    assert strip_stabilization(mixed) is mixed
 
 
 def mod1_distance(x, y):

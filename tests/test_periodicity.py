@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chernlab import builders, fourier, periodicity
-from chernlab.errors import BandwidthViolation, NotALoop
+from chernlab.errors import BandwidthViolation, LostRank, NotALoop
 from chernlab.geomgrid import SampledMap, make_domain
 from chernlab.khat import CircleConnection, a_even
 from chernlab.kops import blocksum_map
@@ -155,6 +155,12 @@ def test_kato_transport_needs_a_projection_loop():
     for loop in (unitary, torus):
         with pytest.raises(NotALoop):
             kato_transport(loop)
+
+
+def test_kato_transport_of_a_rank_zero_loop_raises_lost_rank():
+    zero = SampledMap(make_domain("circle", 16), np.zeros((16, 2, 2)), codomain="projection")
+    with pytest.raises(LostRank, match="rank zero"):
+        kato_transport(zero)
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 5, 8, 13, 64, 4096])
