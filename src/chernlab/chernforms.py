@@ -36,6 +36,7 @@ from .geomgrid import (
     SampledMap,
     _check_codomain,
     _check_partials,
+    _check_window,
     _diff_along,
     _diff_interval,
     _freeze,
@@ -150,23 +151,21 @@ class _CurvaturePairs:
         return self.values
 
 
-def ch_odd(f: SampledMap, k: int, partials: Sequence[np.ndarray] | None = None) -> GradedForm:
+def ch_odd(f: SampledMap, k: int) -> GradedForm:
     """Degree-(2k-1) odd Chern component of a unitary-tagged map."""
     if f.codomain != "unitary":
         raise ShapeMismatch("ch_odd needs a unitary-tagged map")
     deg = 2 * k - 1
     if deg > f.domain.dim:
         raise DegreeOverflow(f"degree {deg} exceeds domain dimension {f.domain.dim}")
-    if partials is None:
-        partials = differentiate(f)
     finv = np.swapaxes(f.values, -1, -2).conj()
-    omega = {(i,): finv @ p for i, p in enumerate(partials)}
+    omega = {(i,): finv @ p for i, p in enumerate(differentiate(f))}
     comps = trace_wedge(*[omega] * deg)
     c = chern_scalar("odd", k)
     return GradedForm(f.domain, deg, -k, {idx: c * a for idx, a in comps.items()})
 
 
-def ch_even(p: SampledMap, k: int, partials: Sequence[np.ndarray] | None = None) -> GradedForm:
+def ch_even(p: SampledMap, k: int) -> GradedForm:
     """Degree-2k even Chern component of a projection-tagged map (k >= 1)."""
     if p.codomain != "projection":
         raise ShapeMismatch("ch_even needs a projection-tagged map")
@@ -175,8 +174,7 @@ def ch_even(p: SampledMap, k: int, partials: Sequence[np.ndarray] | None = None)
     deg = 2 * k
     if deg > p.domain.dim:
         raise DegreeOverflow(f"degree {deg} exceeds domain dimension {p.domain.dim}")
-    if partials is None:
-        partials = differentiate(p)
+    partials = differentiate(p)
     pairs = _CurvaturePairs(p.values.shape, len(partials), itertools.combinations(range(len(partials)), 2))
     comps = trace_wedge(*[pairs.fill(p.values, partials)] * k)
     c = chern_scalar("even", k)
@@ -187,17 +185,16 @@ def ch_total(f: SampledMap, k_max: int = DEFAULT_K_MAX) -> list[GradedForm]:
     """All positive-degree components up to the dimension cutoff."""
     if k_max < 1:
         raise DegreeOverflow("k_max must be >= 1")
-    partials = differentiate(f)
     out: list[GradedForm] = []
     for k in range(1, k_max + 1):
         if f.codomain == "unitary":
             if 2 * k - 1 > f.domain.dim:
                 break
-            out.append(ch_odd(f, k, partials))
+            out.append(ch_odd(f, k))
         elif f.codomain == "projection":
             if 2 * k > f.domain.dim:
                 break
-            out.append(ch_even(f, k, partials))
+            out.append(ch_even(f, k))
         else:
             raise ShapeMismatch("ch_total needs a unitary- or projection-tagged map")
     return out
@@ -224,7 +221,9 @@ class Homotopy:
     of the slices, supplied by constructors that know them.  Each jet has
     the shape of ``slices``.  The homotopy takes ownership of the ``slices``
     and ``time_partials`` arrays it is given (they are not copied when
-    already contiguous complex) and makes them read-only.
+    already contiguous complex) and makes them read-only.  A ``window``, as
+    on :class:`SampledMap`, must span the rows of the slices, and only
+    homotopies on one window concatenate.
     """
 
     spatial: DomainGrid
@@ -244,6 +243,7 @@ class Homotopy:
             raise ShapeMismatch("slice node shape does not match the spatial grid")
         if t.ndim != 1 or t.size != v.shape[0]:
             raise ShapeMismatch("times and slices disagree")
+        _check_window(self.window, v.shape[-2])
         segs = tuple((int(a), int(b)) for a, b in self.segments) or ((0, t.size),)
         if [a for a, _ in segs] != [0, *(b for _, b in segs[:-1])] or segs[-1][1] != t.size:
             raise ShapeMismatch(f"homotopy segments {segs} do not tile the {t.size} time nodes in order")
@@ -329,8 +329,8 @@ class Homotopy:
 
     @staticmethod
     def concatenate(first: "Homotopy", second: "Homotopy", tol: float = 1e-10) -> "Homotopy":
-        if first.spatial != second.spatial or first.codomain != second.codomain:
-            raise ShapeMismatch("cannot concatenate homotopies on different grids or tags")
+        if (first.spatial, first.codomain, first.window) != (second.spatial, second.codomain, second.window):
+            raise ShapeMismatch("cannot concatenate homotopies on different grids, tags or windows")
         junction = float(np.abs(first.slices[-1] - second.slices[0]).max())
         if junction >= tol:
             raise NotALoop(f"junction slices differ by {junction:.3e}")

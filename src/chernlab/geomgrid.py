@@ -143,10 +143,10 @@ class SampledMap:
 
     ``values`` has shape ``(*domain.node_shape, rows, cols)``.  ``window`` is
     an optional polarized-window descriptor attached by the operator-level
-    modules; this module treats it as opaque.  ``partials``, when given, holds
-    the exact derivative of the map along each domain axis, one array of the
-    shape of ``values`` per axis; :func:`differentiate` returns it instead of
-    grid derivatives.  The map takes ownership of the ``values`` and
+    modules; this module reads nothing of it but its ``dim``, which must be
+    the row count.  ``partials``, when given, holds the exact derivative of
+    the map along each domain axis, one array of the shape of ``values`` per
+    axis; :func:`differentiate` returns it instead of grid derivatives.  The map takes ownership of the ``values`` and
     ``partials`` arrays it is given (they are not copied when already
     contiguous complex) and makes them read-only.  The partials of a
     projection-tagged map must be Hermitian to the tag's tolerance, as the
@@ -167,6 +167,7 @@ class SampledMap:
             raise ShapeMismatch(
                 f"values shape {v.shape} does not match node shape {expected} + (rows, cols)"
             )
+        _check_window(self.window, v.shape[-2])
         object.__setattr__(self, "values", _freeze(v))
         if self.partials is not None:
             object.__setattr__(
@@ -217,6 +218,12 @@ class SampledMap:
             window=self.window,
             partials=partials,
         )
+
+
+def _check_window(window, rows: int) -> None:
+    """Raises ShapeMismatch unless ``window`` is absent or spans ``rows`` rows."""
+    if window is not None and window.dim != rows:
+        raise ShapeMismatch(f"window of dim {window.dim} tags values of {rows} rows")
 
 
 def _check_partials(partials, n_axes: int, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:

@@ -1,27 +1,29 @@
 """Class-level API for the computable base domains (the point and the
-circle): curvature and underlying-class extraction, the action of forms, and
-the holonomy form of a pair of circle connections.
+circle): the class data of a representative, the action of forms, and the
+holonomy form of a pair of circle connections.
+
+Every class carries a curvature R and an underlying class I, and the action
+a is itself a class, so :func:`a_odd`, :func:`a_even` and :func:`khat_class`
+share one constructor.  Odd classes (unitary loops) carry the invariants
+``winding`` (I) and ``det_phase_mod1`` and the checks ``closedness_residual``
+and ``square_commutes_residual``; even classes (windowed projection loops)
+carry the invariant ``virtual_dimension`` (I, also the degree-0 curvature
+form) and the check ``closedness_residual``.
 
 Completeness caveat, by design: on the point and the circle the integer data
-(determinant winding, virtual dimension) together with the curvature forms
-classify; on higher-dimensional domains the same forms and integers are still
-computed but no completeness is claimed, and the underlying-class extraction
-refuses.
+together with the curvature forms classify; the underlying class, and so the
+class data, refuses any other domain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fourier
 from .chernforms import Homotopy, ch_total, cs_forms
-from .errors import (
-    NotBasedAtIdentity,
-    ShapeMismatch,
-    UnsupportedDomain,
-)
+from .errors import NotBasedAtIdentity, ShapeMismatch, UnsupportedDomain
 from .geomgrid import (
     DomainGrid,
     GradedForm,
@@ -37,18 +39,16 @@ from .stiefel import PolarizedWindow
 __all__ = [
     "KhatClassData",
     "CircleConnection",
-    "curvature_R",
     "underlying_I",
+    "point_class_odd",
     "a_odd",
+    "classifying_projection_loop",
     "a_even",
     "holonomy_log_det",
-    "point_class_odd",
     "cs_of_nullhomotopy",
     "strip_stabilization",
+    "khat_class",
 ]
-
-CLOSEDNESS_TOL = 1e-6
-INTEGER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -83,63 +83,66 @@ class CircleConnection:
 
 @dataclass(frozen=True)
 class KhatClassData:
-    """A differential-class representative with its extracted data."""
+    """A differential-class representative with its curvature forms R, its
+    invariants and the residuals of the checks that tie R to the underlying
+    class I.
+
+    Odd (unitary loop): invariants ``winding`` (I) and ``det_phase_mod1``
+    (the point class at node 0); checks ``closedness_residual`` (``sup |d x|``
+    over the forms below the top degree) and ``square_commutes_residual``
+    (``|Re int ch_1 + winding| + |Im int ch_1|``).  Even (windowed projection
+    loop): invariant ``virtual_dimension`` (I, which ``curvature`` also holds
+    as its constant degree-0 form); check ``closedness_residual`` over the
+    positive-degree forms.
+    """
 
     parity: str  # "even" | "odd"
     representative: SampledMap
     curvature: tuple[GradedForm, ...]
     invariants: dict
-    checks: dict = field(default_factory=dict)
+    checks: dict
 
 
-def _closedness_residual(forms) -> float:
-    worst = 0.0
-    for f in forms:
-        if f.form_degree >= f.domain.dim:
-            continue
-        worst = max(worst, form_derivative(f).sup_norm())
-    return worst
-
-
-def curvature_R(f: SampledMap, k_max: int = 3) -> list[GradedForm]:
-    """All curvature components; projections also carry their degree-0 part.
-
-    The degree-0 component of a windowed projection map is the constant
-    integer ``rank - n_plus`` (the path components of the supported domains
-    are connected, so one integer suffices).
-    """
-    forms = ch_total(f, k_max)
-    if f.codomain == "projection" and f.window is not None:
-        vd = _window_virtual_dimension(f)
-        const = np.full(f.domain.node_shape, complex(vd))
-        forms.insert(0, GradedForm(f.domain, 0, 0, {(): const}))
-    return forms
-
-
-def _window_virtual_dimension(p: SampledMap) -> int:
-    win: PolarizedWindow = p.window
-    first = p.values.reshape(-1, p.rows, p.cols)[0]
-    rank = int(np.round(np.trace(first).real))
-    return rank - win.n_plus
-
-
-def underlying_I(f: SampledMap):
+def underlying_I(f: SampledMap) -> int:
     """Complete homotopy data on the supported domains.
 
-    Odd (unitary) on the circle: determinant winding.  Even (projection):
-    the virtual dimension.  Anything else: UnsupportedDomain.
+    Odd (unitary) on the circle: determinant winding.  Even (windowed
+    projection) on the circle: the virtual dimension ``rank - n_plus``, read
+    at node 0 (the circle is connected, so one integer suffices).  Anything
+    else: UnsupportedDomain.
     """
     if f.codomain == "unitary":
         if f.domain.kind != "circle":
-            raise UnsupportedDomain(
-                f"odd underlying class needs a circle domain, got {f.domain.kind}"
-            )
+            raise UnsupportedDomain(f"odd underlying class needs a circle domain, got {f.domain.kind}")
         return det_winding(f)
     if f.codomain == "projection":
         if f.domain.kind != "circle" or f.window is None:
             raise UnsupportedDomain("even underlying class needs a windowed circle map")
-        return _window_virtual_dimension(f)
+        first = f.values.reshape(-1, f.rows, f.cols)[0]
+        return int(np.round(np.trace(first).real)) - f.window.n_plus
     raise UnsupportedDomain("underlying class needs a unitary or projection map")
+
+
+def _class_data(g: SampledMap, k_max: int) -> KhatClassData:
+    """The class data of the representative ``g``: its curvature forms up to
+    ``k_max``, its underlying class, and the checks of :class:`KhatClassData`."""
+    forms = ch_total(g, k_max)
+    under = underlying_I(g)
+    checks = {
+        "closedness_residual": max(
+            (form_derivative(x).sup_norm() for x in forms if x.form_degree < g.domain.dim), default=0.0
+        )
+    }
+    if g.codomain == "unitary":
+        parity = "odd"
+        invariants = {"winding": under, "det_phase_mod1": point_class_odd(g.values[0])}
+        total = integrate(forms[0])
+        checks["square_commutes_residual"] = abs(total.real + under) + abs(total.imag)
+    else:
+        parity = "even"
+        invariants = {"virtual_dimension": under}
+        forms.insert(0, GradedForm(g.domain, 0, 0, {(): np.full(g.domain.node_shape, complex(under))}))
+    return KhatClassData(parity, g, tuple(forms), invariants, checks)
 
 
 def point_class_odd(u: np.ndarray) -> float:
@@ -149,8 +152,8 @@ def point_class_odd(u: np.ndarray) -> float:
 
 
 def a_odd(phi: np.ndarray) -> KhatClassData:
-    """Action of a real function on the circle: representative
-    ``exp(-2 pi i phi)`` padded into a 2 x 2 unitary block.
+    """Action of a real function on the circle: the class of the U(1) loop
+    ``exp(-2 pi i phi)``, whose curvature is ``d phi``.
 
     ``phi`` holds one sample per node of a uniform circle grid.  Integer
     shifts of ``phi`` give the identical representative, so the class only
@@ -159,28 +162,8 @@ def a_odd(phi: np.ndarray) -> KhatClassData:
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 1:
         raise ShapeMismatch(f"phi must be one sample per circle node, got shape {phi.shape}")
-    values = np.zeros((phi.size, 2, 2), dtype=complex)
-    values[:] = np.eye(2)
-    values[:, 0, 0] = np.exp(-2j * np.pi * phi)
-    rep = SampledMap(make_domain("circle", phi.size), values, codomain="unitary")
-    forms = ch_total(rep, 1)
-    checks = {
-        "closedness_residual": _closedness_residual(forms),
-        "det_phase_defect": float(
-            np.abs(np.exp(-2j * np.pi * phi) - np.linalg.det(rep.values)).max()
-        ),
-    }
-    invariants = {
-        "winding": det_winding(rep),
-        "det_phase_mod1": point_class_odd(rep.values[0]),
-    }
-    return KhatClassData(
-        parity="odd",
-        representative=rep,
-        curvature=tuple(forms),
-        invariants=invariants,
-        checks=checks,
-    )
+    values = np.exp(-2j * np.pi * phi)[:, None, None]
+    return _class_data(SampledMap(make_domain("circle", phi.size), values, codomain="unitary"), 1)
 
 
 def classifying_projection_loop(alpha: CircleConnection, window: PolarizedWindow | None = None) -> SampledMap:
@@ -232,21 +215,9 @@ def classifying_projection_loop(alpha: CircleConnection, window: PolarizedWindow
 
 
 def a_even(alpha: CircleConnection, window: PolarizedWindow | None = None) -> KhatClassData:
-    """Action of a circle connection: the classifying rank-1 projection loop."""
-    rep = classifying_projection_loop(alpha, window)
-    forms = curvature_R(rep, 1)
-    invariants = {
-        "virtual_dimension": _window_virtual_dimension(rep),
-        "holonomy_expected": [alpha.holonomy().real, alpha.holonomy().imag],
-    }
-    checks = {"closedness_residual": _closedness_residual(forms)}
-    return KhatClassData(
-        parity="even",
-        representative=rep,
-        curvature=tuple(forms),
-        invariants=invariants,
-        checks=checks,
-    )
+    """Action of a circle connection: the class of its classifying rank-1
+    projection loop (:func:`classifying_projection_loop`)."""
+    return _class_data(classifying_projection_loop(alpha, window), 1)
 
 
 def holonomy_log_det(conn_plus: CircleConnection, conn_minus: CircleConnection) -> GradedForm:
@@ -303,8 +274,9 @@ def strip_stabilization(f: SampledMap, tol: float = 1e-10) -> SampledMap:
 
     Repeatedly peels the odd strand when it is constantly the basepoint
     (identity block for unitaries, the positive projection for windowed
-    projections) and the cross strands vanish.  Exact partials carry over as
-    their even strands.
+    projections) and the cross strands vanish.  A window halves with the
+    map, so stripping stops at a window with an odd ``n_minus`` or
+    ``n_plus``.  Exact partials carry over as their even strands.
     """
     current = f
     while current.cols % 2 == 0:
@@ -313,13 +285,13 @@ def strip_stabilization(f: SampledMap, tol: float = 1e-10) -> SampledMap:
             float(np.abs(v[..., 0::2, 1::2]).max()),
             float(np.abs(v[..., 1::2, 0::2]).max()),
         )
-        if cross >= tol:
-            break
         win: PolarizedWindow | None = current.window
+        if cross >= tol or (win is not None and (win.n_minus % 2 or win.n_plus % 2)):
+            break
         half_window = None if win is None else PolarizedWindow(win.n_minus // 2, win.n_plus // 2)
         if current.codomain == "unitary":
             base = np.eye(current.cols // 2)
-        elif current.codomain == "projection" and win is not None and not (win.n_minus % 2 or win.n_plus % 2):
+        elif current.codomain == "projection" and win is not None:
             base = half_window.pi_plus
         else:
             break
@@ -335,28 +307,6 @@ def strip_stabilization(f: SampledMap, tol: float = 1e-10) -> SampledMap:
 
 
 def khat_class(f: SampledMap, k_max: int = 3) -> KhatClassData:
-    """Full class data for a representative on a supported domain."""
-    g = strip_stabilization(f)
-    parity = "odd" if g.codomain == "unitary" else "even"
-    forms = curvature_R(g, k_max)
-    invariants: dict = {}
-    checks: dict = {"closedness_residual": _closedness_residual(forms)}
-    under = underlying_I(g)
-    if parity == "odd":
-        invariants["winding"] = under
-        sample = g.values.reshape(-1, g.rows, g.cols)[0]
-        invariants["det_phase_mod1"] = point_class_odd(sample)
-        deg1 = [x for x in forms if x.form_degree == 1]
-        if deg1:
-            total = integrate(deg1[0]) if g.domain.dim == 1 else None
-            if total is not None:
-                checks["square_commutes_residual"] = abs(total.real + under) + abs(total.imag)
-    else:
-        invariants["virtual_dimension"] = under
-    return KhatClassData(
-        parity=parity,
-        representative=g,
-        curvature=tuple(forms),
-        invariants=invariants,
-        checks=checks,
-    )
+    """Full class data for a representative on a supported domain, with its
+    basepoint strands stripped."""
+    return _class_data(strip_stabilization(f), k_max)

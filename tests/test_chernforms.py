@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -366,6 +367,26 @@ def test_concatenate_rejects_mismatched_junction():
     h2 = constant_homotopy(loop_zn(n=1, res=64), t_res=9)
     with pytest.raises(NotALoop):
         Homotopy.concatenate(h1, h2)
+
+
+def _even_inversion(t_res=5):
+    x = random_unitary_map(np.random.default_rng(8), make_domain("circle", 16), size=4, window=PolarizedWindow(2, 2))
+    return inversion_homotopy_even(x, t_res=t_res)  # 8 x 8 slices on PolarizedWindow(4, 4)
+
+
+def test_homotopy_window_must_span_the_slice_rows():
+    h = _even_inversion()
+    with pytest.raises(ShapeMismatch, match="window of dim 4 tags values of 8 rows"):
+        Homotopy(h.spatial, h.times, h.slices, codomain="projection", window=PolarizedWindow(1, 3), time_partials=h.time_partials)
+
+
+def test_concatenate_rejects_mismatched_windows():
+    h = _even_inversion()
+    back = replace(h.reversed(), window=PolarizedWindow(3, 5))
+    assert back.window.dim == h.window.dim
+    with pytest.raises(ShapeMismatch, match="windows"):
+        Homotopy.concatenate(h, back)
+    assert Homotopy.concatenate(h, h.reversed()).window == h.window
 
 
 @pytest.mark.parametrize("segments", [((0, 3),), ((0, 3), (2, 5)), ((2, 5), (0, 3)), ((0, 3), (4, 7))])

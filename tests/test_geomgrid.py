@@ -15,6 +15,7 @@ from chernlab.geomgrid import (
     make_domain,
     sub_grid,
 )
+from chernlab.stiefel import PolarizedWindow
 
 
 def circle_map(res, fn):
@@ -327,3 +328,11 @@ def test_d_squared_is_zero():
     f0 = GradedForm(dom, 0, 0, {(): (np.sin(t1) * np.cos(2 * t2)).astype(complex) * np.ones((32, 32))})
     dd = form_derivative(form_derivative(f0))
     assert dd.sup_norm() < 1e-10
+
+
+def test_sampled_map_window_must_span_the_rows():
+    dom = make_domain("circle", 16)
+    values = np.broadcast_to(np.eye(2, dtype=complex), (16, 2, 2))
+    with pytest.raises(ShapeMismatch, match="window of dim 5 tags values of 2 rows"):
+        SampledMap(dom, values, codomain="unitary", window=PolarizedWindow(2, 3))
+    assert SampledMap(dom, values, codomain="unitary", window=PolarizedWindow(1, 1)).window.dim == 2

@@ -10,6 +10,7 @@ from chernlab.khat import (
     CircleConnection,
     a_even,
     a_odd,
+    classifying_projection_loop,
     cs_of_nullhomotopy,
     holonomy_log_det,
     khat_class,
@@ -86,6 +87,28 @@ def test_strip_stabilization_halves_the_window_of_a_projection():
     assert np.array_equal(stripped.partials[0], p.partials[0])
 
 
+def _tagged_stabilized_unitary(window):
+    """``f (+) 1`` for a 2 x 2 unitary circle map ``f`` with exact partials,
+    tagged with ``window``."""
+    dom = make_domain("circle", 16)
+    f = builders.random_unitary_map(np.random.default_rng(43), dom, size=2)
+    g = blocksum_map(f, _constant(dom, np.eye(2), "unitary"))
+    return f, SampledMap(dom, g.values, codomain="unitary", window=window, partials=g.partials)
+
+
+def test_strip_stabilization_stops_at_a_window_with_an_odd_side():
+    _, g = _tagged_stabilized_unitary(PolarizedWindow(1, 3))
+    assert strip_stabilization(g) is g
+
+
+def test_strip_stabilization_halves_the_window_of_a_unitary():
+    f, g = _tagged_stabilized_unitary(PolarizedWindow(2, 2))
+    stripped = strip_stabilization(g)
+    assert stripped.window == PolarizedWindow(1, 1)
+    assert np.array_equal(stripped.values, f.values)
+    assert np.array_equal(stripped.partials[0], f.partials[0])
+
+
 def test_strip_stabilization_keeps_strands_that_mix():
     dom = make_domain("circle", 32)
     f = builders.random_unitary_map(np.random.default_rng(42), dom, size=2)
@@ -102,7 +125,10 @@ def mod1_distance(x, y):
     return min(d, 1.0 - d)
 
 
-@pytest.mark.parametrize("n, eps, offset", [(-2, 0.2, 0.3), (0, 0.1, 0.85), (1, -0.15, 0.05), (3, 0.25, 1.6)])
+A_ODD_CASES = [(-2, 0.2, 0.3), (0, 0.1, 0.85), (1, -0.15, 0.05), (3, 0.25, 1.6)]
+
+
+@pytest.mark.parametrize("n, eps, offset", A_ODD_CASES)
 def test_a_odd_winding_curvature_and_point_class(n, eps, offset):
     # phi = n theta / 2pi + eps sin(theta) + offset; the representative exp(-2 pi i phi)
     # winds -n, ch_1 = phi' d(theta) integrates to n, and det at theta = 0 is exp(-2 pi i offset)
@@ -112,6 +138,44 @@ def test_a_odd_winding_curvature_and_point_class(n, eps, offset):
     total = integrate(data.curvature[0])
     assert abs(-total - data.invariants["winding"]) < 1e-12
     assert mod1_distance(data.invariants["det_phase_mod1"], -offset) < 1e-12
+    assert data.checks["square_commutes_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("n, eps, offset", A_ODD_CASES)
+def test_curvature_of_the_action_is_the_exterior_derivative(n, eps, offset):
+    # R(a(phi)) = d phi, node by node
+    theta = make_domain("circle", 128).axes[0].coords
+    ch1 = a_odd(n * theta / (2.0 * np.pi) + eps * np.sin(theta) + offset).curvature[0]
+    dphi = n / (2.0 * np.pi) + eps * np.cos(theta)
+    assert np.abs(ch1.component((0,)) - dphi).max() < 1e-12
+
+
+def _band_blocksum(seed):
+    rng = np.random.default_rng(seed)
+    return blocksum_map(
+        builders.random_band_loop(rng, rank=2, winding=[1, -2]), builders.random_band_loop(rng, rank=2, winding=[2, 0])
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*(lambda n=n: builders.loop_zn(n, res=64) for n in range(-2, 3)), *(lambda s=s: _band_blocksum(s) for s in (0, 1))],
+    ids=[*(f"zn{n}" for n in range(-2, 3)), "bands0", "bands1"],
+)
+def test_curvature_and_underlying_class_square_commutes(make):
+    data = khat_class(make())
+    assert data.parity == "odd"
+    assert data.checks["square_commutes_residual"] < 1e-10
+
+
+def test_class_data_forgets_a_basepoint_strand():
+    dom = make_domain("circle", 32)
+    f = builders.random_unitary_map(np.random.default_rng(44), dom, size=2)
+    plain, padded = khat_class(f), khat_class(blocksum_map(f, _constant(dom, np.eye(2), "unitary")))
+    assert padded.invariants == plain.invariants
+    assert [x.form_degree for x in padded.curvature] == [x.form_degree for x in plain.curvature]
+    for a, b in zip(padded.curvature, plain.curvature):
+        assert np.array_equal(a.component((0,)), b.component((0,)))
 
 
 def test_a_odd_takes_one_sample_per_circle_node():
@@ -137,6 +201,16 @@ def test_holonomy_log_det_coefficient_is_the_integral_difference_mod_one(c_plus,
     assert np.all(coeff == coeff[0]) and abs(coeff[0].imag) == 0.0
     assert mod1_distance(coeff[0].real, expected) < 1e-12
     assert -0.5 < coeff[0].real <= 0.5
+
+
+@pytest.mark.parametrize("window", [None, PolarizedWindow(1, 1), PolarizedWindow(3, 4)], ids=["default", "w11", "w34"])
+def test_a_even_represents_by_the_classifying_loop_itself(window):
+    dom = make_domain("circle", 64)
+    alpha = CircleConnection(dom, 0.7 + 0.3 * np.cos(dom.axes[0].coords))
+    data = a_even(alpha, window)
+    assert np.array_equal(data.representative.values, classifying_projection_loop(alpha, window).values)
+    assert data.parity == "even" and data.invariants == {"virtual_dimension": 0}
+    assert [x.form_degree for x in data.curvature] == [0]
 
 
 def test_a_even_needs_modes_zero_and_minus_one_in_the_window():
