@@ -6,6 +6,14 @@ of powers of the curvature-type 2-form ``Omega(u, v) = p [d_u p, d_v p]`` of a
 projection map.  A homotopy contributes the fiber-``t`` integral of the
 contraction of its pulled-back form, which lowers the degree by one.
 
+A projection ``p = V V*`` of rank ``r`` is a point of a Grassmannian, and its
+curvature is taken in an orthonormal frame ``V`` of its range as the ``r x r``
+form ``F_ab = G_a* G_b - G_b* G_a`` with ``G_a = (d_a p) V``, whose traces are
+those of ``Omega`` (Narasimhan-Ramanan, *Amer. J. Math.* 83, 1961;
+Pressley-Segal, *Loop Groups*, ch. 7).  A homotopy may hold the frames in
+place of the projections (:class:`Homotopy`); a projection map gets a frame
+at every node from one batched ``eigh``.
+
 Wedge conventions (fixed once, tests depend on them): a matrix-valued form
 is a dict ``{I: array (..., n, n)}`` over strictly increasing axis
 multi-indices ``I`` (``()`` for a 0-form), and the wedge is the shuffle
@@ -104,50 +112,92 @@ def trace_wedge(*factors: dict[tuple[int, ...], np.ndarray]) -> dict[tuple[int, 
     return dict(sorted(_wedge(acc, last, partial(np.einsum, "...ij,...ji->...")).items()))
 
 
-class _CurvaturePairs:
-    """Curvature pair values of projection values ``p`` and Hermitian jets
-    ``d`` for fixed index pairs, in arrays of ``shape`` allocated once and
-    refilled by every :meth:`fill`.
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2).conj()
 
-    The value of pair ``(i, j)`` is ``M - M*`` with ``M = L_i L_j*`` and
-    ``L_i = p d_i``, that is ``p (d_i d_j - d_j d_i) p``: one product per
-    slot and one per pair, and exactly anti-Hermitian.  It has the traces of
-    ``p [d_i, d_j]`` in every product of pair values, since ``p^2 = p``
-    moves the right ``p`` onto the next factor's left one.  ``L_j* = d_j p``
-    holds only for Hermitian ``p`` and ``d``: a projection-tagged
-    :class:`SampledMap` checks its partials to its tag's tolerance, and the
-    grid derivatives of Hermitian values are Hermitian to round-off.
-    ``scratch`` holds the conjugates; a caller may also write each jet into
-    it, since a jet is consumed into its ``L_i`` before the next is taken.
 
-    Each product stays one ``8 x 8`` block per node, unlike the wide
-    products of unitary slices (:class:`_SliceWorkspace`).  A fused fill,
-    ``p [d_0 | .. | d_3]`` and ``[L_0; L_1; L_2] [L_1* | L_2* | L_3*]``,
-    gave the same bits but took 22.8-28.6 ms per 12^3-node slice against
-    16.4-23.5 ms for this one (same runs, 2-vCPU Xeon, one BLAS thread).
-    Its two products saved 1.5-3 ms, but copying the jets into the wide
-    buffer (2.1 ms), laying ``L`` out by rows (1.1 ms), and subtracting
-    the pairs through strided views cost more.
+def _range_frame(p: np.ndarray) -> np.ndarray:
+    """An orthonormal frame of the range of every projection value, from one
+    batched ``eigh``: the eigenvectors of the eigenvalues above 1/2.
+
+    Raises ShapeMismatch when the rank is not the same at every node.
+    """
+    w, v = np.linalg.eigh(p)
+    ranks = np.count_nonzero(w > 0.5, axis=-1)
+    r = int(ranks.flat[0])
+    if np.any(ranks != r):
+        raise ShapeMismatch(f"projection values of ranks {np.unique(ranks).tolist()} on one domain")
+    return np.ascontiguousarray(v[..., v.shape[-1] - r :])
+
+
+class _FrameCurvature:
+    """Curvature pair values of projections ``P = V V*``, read in an
+    orthonormal frame ``V`` of their range (``V* V = 1``, ``r`` columns), in
+    arrays allocated at the first :meth:`fill` and refilled by every later
+    one of the same frame shape.
+
+    Slot ``a`` of the space-time jets holds ``H_a = G_a* = V* d_a P``, the
+    adjoint of ``G_a = (d_a P) V``.  For a jet ``x`` of the frame itself
+    that is ``x* + (V* x) V*``; for a jet ``d`` of the projection it is
+    ``V* d``, which needs ``d`` Hermitian, as the derivatives of Hermitian
+    values are.  The slots are stacked by rows, so one Gram product
+    ``K = H H*`` gives every ``K_ab = G_a* G_b`` of the ``n_heads`` first
+    rows of slots, and the value of pair ``(a, b)``, ``a < n_heads``,
+    ``a < b``, is ``F_ab = K_ab - K_ab* = V* [d_a P, d_b P] V``: ``r x r``,
+    and exactly anti-Hermitian, since ``K_ab*`` is a conjugate transposed
+    copy.  Products of pair values have the traces of products of the
+    ``P [d_a P, d_b P] P``, since ``V* V = 1``.  A change of frame
+    ``V -> V g`` sends every ``F_ab`` to ``g* F_ab g``, so a frame chosen
+    node by node serves (Pressley-Segal, *Loop Groups*, ch. 7).  The pairs
+    of each row of slots are taken in one conjugating and one subtracting
+    pass over ``K``.
     """
 
-    def __init__(self, shape: tuple[int, ...], n_slots: int, pairs):
-        self.values = {ij: np.empty(shape, dtype=complex) for ij in pairs}
-        self._left = [np.empty(shape, dtype=complex) for _ in range(n_slots)]
-        self.scratch = np.empty(shape, dtype=complex)
+    def __init__(self, n_slots: int, n_heads: int):
+        self.n_slots = n_slots
+        self.n_heads = n_heads
+        self.frame_shape: tuple[int, ...] = ()
 
-    def fill(self, p: np.ndarray, jets: Iterable[np.ndarray]) -> dict[tuple[int, int], np.ndarray]:
-        for d, left in zip(jets, self._left, strict=True):
-            np.matmul(p, d, out=left)
-        conj = self.scratch
-        adjoint = np.swapaxes(conj, -1, -2)
-        for j in sorted({j for _, j in self.values}):  # each L_j* once, for every pair that reads it
-            np.conjugate(self._left[j], out=conj)
-            for (i, jj), out in self.values.items():
-                if jj == j:
-                    np.matmul(self._left[i], adjoint, out=out)
-        for out in self.values.values():
-            np.conjugate(out, out=conj)
-            np.subtract(out, adjoint, out=out)
+    def _allocate(self, frame_shape: tuple[int, ...]) -> None:
+        """Buffers for frames of ``frame_shape``, ``(*nodes, n, r)``."""
+        *nodes, n, r = self.frame_shape = frame_shape
+        self.r = r
+        self._h = np.empty((*nodes, self.n_slots * r, n), dtype=complex)
+        self._h_conj = np.empty_like(self._h)
+        self._gram = np.empty((*nodes, self.n_heads, r, self.n_slots, r), dtype=complex)
+        self._frame_conj = np.empty(frame_shape, dtype=complex)
+        self._jet_conj = np.empty(frame_shape, dtype=complex)
+        self._small = np.empty((*nodes, r, r), dtype=complex)
+        self._rows = [np.empty((*nodes, self.n_slots - 1 - a, r, r), dtype=complex) for a in range(self.n_heads)]
+        self.values = {
+            (a, b): row[..., b - a - 1, :, :] for a, row in enumerate(self._rows) for b in range(a + 1, self.n_slots)
+        }
+
+    def fill(
+        self, v: np.ndarray, frame_jets: Iterable[np.ndarray], projection_jets: Iterable[np.ndarray]
+    ) -> dict[tuple[int, int], np.ndarray]:
+        """Pair values of the frame ``v``; the slots are the ``frame_jets``
+        (jets of ``v``), then the ``projection_jets`` (jets of ``v v*``), each
+        consumed before the next is taken."""
+        if v.shape != self.frame_shape:
+            self._allocate(v.shape)
+        r = self.r
+        v_adj = np.swapaxes(np.conjugate(v, out=self._frame_conj), -1, -2)
+        slots = itertools.chain(((x, True) for x in frame_jets), ((d, False) for d in projection_jets))
+        for a, (x, of_frame) in enumerate(slots):
+            h = self._h[..., a * r : (a + 1) * r, :]
+            if of_frame:
+                np.matmul(np.matmul(v_adj, x, out=self._small), v_adj, out=h)
+                h += np.swapaxes(np.conjugate(x, out=self._jet_conj), -1, -2)
+            else:
+                np.matmul(v_adj, x, out=h)
+        h_adj = np.swapaxes(np.conjugate(self._h, out=self._h_conj), -1, -2)
+        gram = self._gram.reshape(*self._gram.shape[:-4], self.n_heads * r, self.n_slots * r)
+        np.matmul(self._h[..., : self.n_heads * r, :], h_adj, out=gram)
+        for a, row in enumerate(self._rows):
+            k_row = self._gram[..., a, :, a + 1 :, :]  # (..., i, b, j): K_ab[i, j]
+            np.conjugate(np.moveaxis(k_row, -3, -1), out=row)
+            np.subtract(np.swapaxes(k_row, -3, -2), row, out=row)
         return self.values
 
 
@@ -166,7 +216,9 @@ def ch_odd(f: SampledMap, k: int) -> GradedForm:
 
 
 def ch_even(p: SampledMap, k: int) -> GradedForm:
-    """Degree-2k even Chern component of a projection-tagged map (k >= 1)."""
+    """Degree-2k even Chern component of a projection-tagged map (k >= 1),
+    from the ``r x r`` curvature in a frame of the range at every node
+    (:class:`_FrameCurvature`)."""
     if p.codomain != "projection":
         raise ShapeMismatch("ch_even needs a projection-tagged map")
     if k < 1:
@@ -175,8 +227,8 @@ def ch_even(p: SampledMap, k: int) -> GradedForm:
     if deg > p.domain.dim:
         raise DegreeOverflow(f"degree {deg} exceeds domain dimension {p.domain.dim}")
     partials = differentiate(p)
-    pairs = _CurvaturePairs(p.values.shape, len(partials), itertools.combinations(range(len(partials)), 2))
-    comps = trace_wedge(*[pairs.fill(p.values, partials)] * k)
+    pairs = _FrameCurvature(len(partials), len(partials) - 1)
+    comps = trace_wedge(*[pairs.fill(_range_frame(p.values), (), partials)] * k)
     c = chern_scalar("even", k)
     return GradedForm(p.domain, deg, -k, {idx: c * a for idx, a in comps.items()})
 
@@ -204,6 +256,18 @@ def ch_total(f: SampledMap, k_max: int = DEFAULT_K_MAX) -> list[GradedForm]:
 # homotopies
 
 
+def _check_frames(v: np.ndarray, tol: float = 1e-8) -> None:
+    """Raises ShapeMismatch unless every slice of ``v`` is an orthonormal
+    frame with fewer columns than rows; one slice at a time, so the check
+    allocates no array of the size of ``v``."""
+    if v.shape[-1] > v.shape[-2]:
+        raise ShapeMismatch(f"projection slices of shape {v.shape[-2:]} are neither square nor frames")
+    eye = np.eye(v.shape[-1])
+    defect = max(float(np.abs(_adjoint(x) @ x - eye).max()) for x in v)
+    if defect >= tol:
+        raise ShapeMismatch(f"projection frame slices need V* V = 1: max node defect {defect:.3e}")
+
+
 @dataclass(frozen=True)
 class Homotopy:
     """A time-indexed family of sampled maps over one spatial grid.
@@ -224,6 +288,15 @@ class Homotopy:
     already contiguous complex) and makes them read-only.  A ``window``, as
     on :class:`SampledMap`, must span the rows of the slices, and only
     homotopies on one window concatenate.
+
+    A projection-tagged homotopy holds either square projections or, when
+    its slices have fewer columns than rows, orthonormal frames ``V`` of
+    the projections ``V V*`` (``V* V = 1`` at every node within 1e-8, or
+    ShapeMismatch).  Then every jet is a jet of the frame, and the homotopy
+    is read through its projections: :meth:`slice_map` returns ``V V*``
+    with the jets ``d V V* + V d V*``, :meth:`adjoint` is the homotopy
+    itself, and :meth:`concatenate` compares projections at the junction.
+    A frame and its jets take ``r/n`` of the memory of the projection.
     """
 
     spatial: DomainGrid
@@ -244,6 +317,8 @@ class Homotopy:
         if t.ndim != 1 or t.size != v.shape[0]:
             raise ShapeMismatch("times and slices disagree")
         _check_window(self.window, v.shape[-2])
+        if self.codomain == "projection" and v.shape[-1] != v.shape[-2]:
+            _check_frames(v)
         segs = tuple((int(a), int(b)) for a, b in self.segments) or ((0, t.size),)
         if [a for a, _ in segs] != [0, *(b for _, b in segs[:-1])] or segs[-1][1] != t.size:
             raise ShapeMismatch(f"homotopy segments {segs} do not tile the {t.size} time nodes in order")
@@ -280,13 +355,25 @@ class Homotopy:
     def n_times(self) -> int:
         return int(self.times.size)
 
+    @property
+    def _frames(self) -> bool:
+        """Whether the slices are frames of projections (see the class docstring)."""
+        return self.codomain == "projection" and self.slices.shape[-1] < self.slices.shape[-2]
+
+    def _value(self, i: int) -> np.ndarray:
+        """The map value of slice ``i``: ``V V*`` for a frame ``V``."""
+        v = self.slices[i]
+        return v @ _adjoint(v) if self._frames else v
+
     def slice_map(self, i: int) -> SampledMap:
         partials = None
         if self.spatial_partials is not None:
             partials = tuple(p[i] for p in self.spatial_partials)
+            if self._frames:
+                partials = tuple(a + _adjoint(a) for a in (d @ _adjoint(self.slices[i]) for d in partials))
         return SampledMap(
             self.spatial,
-            self.slices[i],
+            self._value(i),
             codomain=self.codomain,
             window=self.window,
             partials=partials,
@@ -325,13 +412,18 @@ class Homotopy:
         )
 
     def adjoint(self) -> "Homotopy":
-        return self._mapped(lambda a: np.swapaxes(a, -1, -2).conj())
+        if self._frames:  # projections are self-adjoint
+            return self
+        return self._mapped(_adjoint)
 
     @staticmethod
     def concatenate(first: "Homotopy", second: "Homotopy", tol: float = 1e-10) -> "Homotopy":
-        if (first.spatial, first.codomain, first.window) != (second.spatial, second.codomain, second.window):
-            raise ShapeMismatch("cannot concatenate homotopies on different grids, tags or windows")
-        junction = float(np.abs(first.slices[-1] - second.slices[0]).max())
+        def kind(h: Homotopy) -> tuple:
+            return h.spatial, h.codomain, h.window, h.slices.shape[1:]
+
+        if kind(first) != kind(second):
+            raise ShapeMismatch("cannot concatenate homotopies on different grids, tags, windows or slice shapes")
+        junction = float(np.abs(first._value(-1) - second._value(0)).max())
         if junction >= tol:
             raise NotALoop(f"junction slices differ by {junction:.3e}")
         shift = first.times[-1] - second.times[0]
@@ -379,10 +471,20 @@ class _SliceWorkspace:
     unitary CS form is at most ``dim <= 3``, so ``k <= 2``, and these two
     products are all of a slice.  Grid jets are written into their blocks,
     exact ones copied there.
+
+    Projection slices go through :class:`_FrameCurvature`, slot 0 being
+    ``t``.  A frame slice ``V`` is its own frame, and its time jet and exact
+    spatial jets are jets of ``V``.  Its grid jets are taken of
+    ``P = V V*``, formed here, and never of ``V``: the grid jets of a frame
+    are not those of any projection, and on the even inversion of an
+    unresolved 8^3 leaf they raise the degree-1 ``cs_exact`` residual from
+    1e-16 to 0.1-0.4.  A square slice ``P`` gets a frame at every node from one
+    batched ``eigh``, and all its jets are jets of ``P``.
     """
 
     def __init__(self, H: Homotopy, ks: Sequence[int]):
         shape = H.slices.shape[1:]
+        self.spatial = H.spatial
         dim = H.spatial.dim
         self.ks = ks
         self.unitary = H.codomain == "unitary"
@@ -394,30 +496,39 @@ class _SliceWorkspace:
                 self.alpha = np.empty_like(self.wide)
                 self.heads = np.empty((*shape[:-1], dim * n), dtype=complex)
         else:
+            self.frames = H._frames
             # slot 0 is t: the (0, i) pairs are iota_t Omega, the others Omega
-            pairs = itertools.combinations(range(dim + 1), 2) if ks[-1] > 1 else ((0, i) for i in range(1, dim + 1))
-            self.pairs = _CurvaturePairs(shape, dim + 1, pairs)
+            self.pairs = _FrameCurvature(dim + 1, dim if ks[-1] > 1 else 1)
+            if H.spatial_partials is None:
+                self.jet = np.empty((*shape[:-1], shape[-2]), dtype=complex)
+                if self.frames:
+                    self.conj = np.empty(shape, dtype=complex)
+                    self.projection = np.empty_like(self.jet)
 
     def _blocks(self, x: np.ndarray) -> list[np.ndarray]:
         """The ``n``-column blocks of a wide unitary buffer, as views."""
         return [x[..., a : a + self.n] for a in range(0, x.shape[-1], self.n)]
 
-    def jet_buffer(self, i: int) -> np.ndarray:
-        """Where the grid jet along spatial axis ``i`` is written."""
-        return self._blocks(self.wide)[i + 1] if self.unitary else self.pairs.scratch
+    def _grid_jets(self, v: np.ndarray, buffers) -> Iterable[np.ndarray]:
+        """The grid jets of ``v`` along every spatial axis, written into
+        ``buffers``, taken one at a time as the caller reads them."""
+        return (_diff_along(self.spatial, v, i, out) for i, out in enumerate(buffers))
 
     def integrands(
-        self, v: np.ndarray, dv_dt: np.ndarray, jets: Iterable[np.ndarray]
+        self, v: np.ndarray, dv_dt: np.ndarray, exact: Sequence[np.ndarray] | None
     ) -> dict[int, dict[tuple[int, ...], np.ndarray]]:
         """Components of the contracted CS integrand of every degree at one
-        slice ``v`` with time derivative ``dv_dt`` and spatial ``jets``,
-        before the ``t`` quadrature and the normalization.  The jets are
-        taken one at a time, each consumed before the next."""
+        slice ``v`` with time derivative ``dv_dt`` and the ``exact`` spatial
+        jets, grid jets when they are None, before the ``t`` quadrature and
+        the normalization."""
+        out = {}
         if self.unitary:
             finv = np.swapaxes(np.conjugate(v, out=self.conj), -1, -2)
-            # tr(alpha_t) as the trace pairing of f^{-1} with df/dt
-            out = {1: trace_wedge({(): finv}, {(): dv_dt})}
+            if self.ks[0] == 1:
+                # tr(alpha_t) as the trace pairing of f^{-1} with df/dt
+                out[1] = trace_wedge({(): finv}, {(): dv_dt})
             if self.ks[-1] > 1:
+                jets = exact if exact is not None else self._grid_jets(v, self._blocks(self.wide)[1:])
                 for x, block in zip(itertools.chain((dv_dt,), jets), self._blocks(self.wide), strict=True):
                     if not np.may_share_memory(x, block):  # grid jets are already in place
                         block[...] = x
@@ -426,12 +537,47 @@ class _SliceWorkspace:
                 # alpha_t ^ omega, the first wedge of every alpha_t ^ omega^(2k-2)
                 head = {(i,): x for i, x in enumerate(heads)}
                 omega = {(i,): a for i, a in enumerate(alpha)}
-                out.update({k: trace_wedge(head, *[omega] * (2 * k - 3)) for k in self.ks[1:]})
+                out.update({k: trace_wedge(head, *[omega] * (2 * k - 3)) for k in self.ks if k > 1})
             return out
-        space_time = self.pairs.fill(v, itertools.chain((dv_dt,), jets))
+        dim = self.spatial.dim
+        if self.frames:
+            frame, frame_jets, jets = v, (dv_dt, *(exact or ())), ()
+            if exact is None:
+                p = np.matmul(v, np.swapaxes(np.conjugate(v, out=self.conj), -1, -2), out=self.projection)
+                jets = self._grid_jets(p, [self.jet] * dim)
+        else:
+            frame, frame_jets = _range_frame(v), ()
+            jets = itertools.chain((dv_dt,), exact if exact is not None else self._grid_jets(v, [self.jet] * dim))
+        space_time = self.pairs.fill(frame, frame_jets, jets)
         iota = {(i - 1,): x for (t, i), x in space_time.items() if t == 0}
         curvature = {(i - 1, j - 1): x for (i, j), x in space_time.items() if i > 0}
         return {k: trace_wedge(iota, *[curvature] * (k - 1)) for k in self.ks}
+
+
+def _cs_forms(H: Homotopy, ks: Sequence[int]) -> dict[int, GradedForm]:
+    """The components ``ks`` (increasing, within the dimension cutoff) of
+    :func:`cs_forms`, and nothing else."""
+    if not ks:
+        return {}
+    weights = np.empty(H.n_times)
+    for a, b in H.segments:
+        weights[a:b] = _simpson_weights(b - a, float(H.times[a + 1] - H.times[a]))
+    ws = _SliceWorkspace(H, ks)
+    dt_slices = H.time_derivative()
+    acc: dict[int, dict[tuple[int, ...], np.ndarray]] = {k: {} for k in ks}
+    for it, wt in enumerate(weights):
+        exact = None if H.spatial_partials is None else tuple(p[it] for p in H.spatial_partials)
+        for k, comps in ws.integrands(H.slices[it], dt_slices[it], exact).items():
+            for idx, val in comps.items():
+                acc[k][idx] = acc[k][idx] + wt * val if idx in acc[k] else wt * val
+    out = {}
+    for k in ks:
+        if H.codomain == "unitary":
+            c = chern_scalar("odd", k) * (2 * k - 1)
+        else:
+            c = chern_scalar("even", k) * k
+        out[k] = GradedForm(H.spatial, _cs_degree(H.codomain, k), -k, {idx: c * a for idx, a in acc[k].items()})
+    return out
 
 
 def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
@@ -450,56 +596,26 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
       the space-time curvature.
 
     Each slice's spatial jets, ``alpha_t`` or ``iota_t Omega`` and curvature
-    pairs are built once and shared by every degree.  A projection pair is
-    formed as ``p (d_i d_j - d_j d_i) p`` from the products ``L_i = p d_i``
-    (:class:`_CurvaturePairs`), which has the traces of ``p [d_i, d_j]``; it
-    reads the slices, their time jets and the spatial jets of ``H`` as
-    Hermitian, as the projection homotopies of :mod:`kops` build them.
-    Every full-grid array of the pass lives in one workspace, allocated once
-    per call and refilled in place at every slice (:class:`_SliceWorkspace`).
-    On unitary slices ``df/dt`` and the spatial jets sit side by side in one
-    wide buffer, grid jets written straight into their blocks, and two
-    stacked products give every ``alpha_a = f^{-1} d_a f`` and every head
+    pairs are built once and shared by every degree.  Projection slices
+    (square, or frames ``V`` of ``V V*``, see :class:`Homotopy`) take every
+    pair in ``r x r`` as ``V* [d_a P, d_b P] V`` from one Gram product of
+    the ``(d_a P) V`` (:class:`_FrameCurvature`), with the traces of
+    ``p [d_a p, d_b p]``; the jets of square slices are read as Hermitian,
+    as the projection homotopies of :mod:`kops` build them.  Every full-grid
+    array of the pass lives in one workspace, allocated once per call and
+    refilled in place at every slice (:class:`_SliceWorkspace`).  On unitary
+    slices ``df/dt`` and the spatial jets sit side by side in one wide
+    buffer, grid jets written straight into their blocks, and two stacked
+    products give every ``alpha_a = f^{-1} d_a f`` and every head
     ``alpha_t omega_i``; a unitary form has degree ``2k - 2 <= dim <= 3``,
-    so ``k <= 2`` and nothing more is multiplied.  On projection slices the
-    grid jets are taken one at a time into the pairs' conjugate scratch,
-    each consumed into ``L_i`` before the next.  ``CS_0`` of unitary slices
-    is the trace pairing ``sum_ki conj(f)_ki (df/dt)_ki``, so it needs no
-    spatial jets and no ``alpha_t``; those are formed only when some
-    ``k > 1`` is asked for, the curvature pairs of projection slices only
-    when ``k_max > 1``.  Quadrature in ``t`` is composite Simpson, applied
-    per segment.
+    so ``k <= 2`` and nothing more is multiplied.  ``CS_0`` of unitary
+    slices is the trace pairing ``sum_ki conj(f)_ki (df/dt)_ki``, so it
+    needs no spatial jets and no ``alpha_t``; those are formed only when
+    some ``k > 1`` is asked for, the curvature pairs of projection slices
+    only when ``k_max > 1``.  Quadrature in ``t`` is composite Simpson,
+    applied per segment.
     """
-    spatial = H.spatial
-    dim = spatial.dim
-    ks = [k for k in range(1, k_max + 1) if _cs_degree(H.codomain, k) <= dim]
-    if not ks:
-        return {}
-
-    dt_slices = H.time_derivative()
-    weights = np.empty(H.n_times)
-    for a, b in H.segments:
-        weights[a:b] = _simpson_weights(b - a, float(H.times[a + 1] - H.times[a]))
-
-    ws = _SliceWorkspace(H, ks)
-    acc: dict[int, dict[tuple[int, ...], np.ndarray]] = {k: {} for k in ks}
-    for it, wt in enumerate(weights):
-        v = H.slices[it]
-        if H.spatial_partials is not None:
-            jets = (p[it] for p in H.spatial_partials)
-        else:
-            jets = (_diff_along(spatial, v, i, ws.jet_buffer(i)) for i in range(dim))
-        for k, comps in ws.integrands(v, dt_slices[it], jets).items():
-            for idx, val in comps.items():
-                acc[k][idx] = acc[k][idx] + wt * val if idx in acc[k] else wt * val
-    out = {}
-    for k in ks:
-        if H.codomain == "unitary":
-            c = chern_scalar("odd", k) * (2 * k - 1)
-        else:
-            c = chern_scalar("even", k) * k
-        out[k] = GradedForm(spatial, _cs_degree(H.codomain, k), -k, {idx: c * a for idx, a in acc[k].items()})
-    return out
+    return _cs_forms(H, [k for k in range(1, k_max + 1) if _cs_degree(H.codomain, k) <= H.spatial.dim])
 
 
 def cs_form(H: Homotopy, k: int) -> GradedForm:
@@ -520,6 +636,7 @@ def cs_exact(H: Homotopy, k_max: int = DEFAULT_K_MAX, tol: float = 1e-6) -> dict
     under pullback, so each positive degree is computed only on the
     sub-grids of its generating cycles; degree 0 (``CS_0`` of unitary
     slices, which needs no spatial jets) is its sup norm on the full grid.
+    Each pass computes only the degree it integrates.
     """
     dim = H.spatial.dim
     residuals: dict[int, float] = {}
@@ -528,11 +645,11 @@ def cs_exact(H: Homotopy, k_max: int = DEFAULT_K_MAX, tol: float = 1e-6) -> dict
         if deg > dim:
             break
         if deg == 0:
-            residuals[deg] = cs_forms(H, 1)[1].sup_norm()
+            residuals[deg] = _cs_forms(H, [1])[1].sup_norm()
             continue
         residuals[deg] = max(
             (
-                abs(integrate(cs_forms(H if len(c) == dim else H.restrict(c), k)[k]))
+                abs(integrate(_cs_forms(H if len(c) == dim else H.restrict(c), [k])[k]))
                 for c in generating_cycles(H.spatial, deg)
             ),
             default=0.0,

@@ -17,7 +17,11 @@ alone:
 * the Chern-Simons forms of the odd inversion homotopy of ``su2_chart()``
   and of the even inversion homotopy of a windowed ``random_unitary_map``
   on the 8^3 torus, both with exact partials, are exact: every residual of
-  ``cs_exact`` vanishes.
+  ``cs_exact`` vanishes;
+* so is the degree-1 form of the even inversion of the same leaf without
+  its partials, whose slices are frames ``V`` and whose grid jets are those
+  of ``V V*``: the 8^3 grid does not resolve the leaf, and jets of ``V``
+  itself would leave a residual of about 0.1.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from . import builders
 from .chernforms import ch_even, cs_exact
-from .geomgrid import integrate, make_domain
+from .geomgrid import SampledMap, integrate, make_domain
 from .khat import CircleConnection, a_even
 from .kops import inversion_homotopy_even, inversion_homotopy_odd
 from .periodicity import bott_consistency, kato_transport
@@ -47,6 +51,7 @@ CONNECTIONS = (0.7, -1.2)
 WINDINGS = range(-2, 3)
 QWZ_CHERN = ((1.0, -1), (-1.0, 1), (3.0, 0))  # (m, int ch_1 of qwz_band(m))
 CS_BOUND = 1e-10  # every cs_exact residual of an inversion homotopy
+GRID_JET_CS_BOUND = 1e-12  # the degree-1 cs_exact residual of the even inversion with grid jets
 
 
 def _plain(x):
@@ -93,8 +98,8 @@ def _chern_number(m: float, n: int):
     return abs(integral - n), True, {"ch1_integral": integral.real}
 
 
-def _cs_inversion(homotopy, leaf):
-    report = cs_exact(homotopy(leaf), tol=CS_BOUND)
+def _cs_inversion(homotopy, leaf, k_max: int, bound: float):
+    report = cs_exact(homotopy(leaf), k_max=k_max, tol=bound)
     return max(report["residuals"].values()), report["verdict"], {"residuals": report["residuals"]}
 
 
@@ -115,11 +120,19 @@ def verify() -> list[dict]:
         checks.append(_entry(f"chern_number/qwz_band({m})", BOTT_BOUND, _chern_number, m, n))
     torus = make_domain("torus3", (8, 8, 8))
     x = builders.random_unitary_map(np.random.default_rng(0), torus, size=4, window=PolarizedWindow(2, 2))
-    for name, homotopy, leaf in (
-        ("inversion_homotopy_odd(su2_chart)", inversion_homotopy_odd, builders.su2_chart()),
-        ("inversion_homotopy_even(random_unitary_map)", inversion_homotopy_even, x),
+    plain = SampledMap(torus, x.values, codomain="unitary", window=x.window)  # no partials: grid jets
+    for name, bound, homotopy, leaf, k_max in (
+        ("cs_exact/inversion_homotopy_odd(su2_chart)", CS_BOUND, inversion_homotopy_odd, builders.su2_chart(), 3),
+        (
+            "cs_exact_deg1/inversion_homotopy_even(random_unitary_map, grid jets)",
+            GRID_JET_CS_BOUND,
+            inversion_homotopy_even,
+            plain,
+            1,
+        ),
+        ("cs_exact/inversion_homotopy_even(random_unitary_map)", CS_BOUND, inversion_homotopy_even, x, 3),
     ):
-        checks.append(_entry(f"cs_exact/{name}", CS_BOUND, _cs_inversion, homotopy, leaf))
+        checks.append(_entry(name, bound, _cs_inversion, homotopy, leaf, k_max, bound))
     return checks
 
 

@@ -240,9 +240,10 @@ def cs_of_nullhomotopy(H: Homotopy, k_max: int = 3, tol: float = 1e-10) -> dict:
     """CS components of a homotopy out of the basepoint, plus the lift check.
 
     The report carries ``d(CS) - ch(endpoint)`` residuals: the action of the
-    resulting forms must lift the exterior derivative.
+    resulting forms must lift the exterior derivative.  The basepoint check
+    reads the first slice as a map, so a homotopy held by frames ``V`` is
+    checked through ``V V*``.
     """
-    first = H.slices[0].reshape(-1, H.slices.shape[-2], H.slices.shape[-1])
     if H.codomain == "unitary":
         base = np.eye(H.slices.shape[-1])
     elif H.codomain == "projection":
@@ -251,7 +252,7 @@ def cs_of_nullhomotopy(H: Homotopy, k_max: int = 3, tol: float = 1e-10) -> dict:
         base = H.window.pi_plus
     else:
         raise ShapeMismatch("nullhomotopy slices must be unitary or projection")
-    defect = float(np.abs(first - base).max())
+    defect = float(np.abs(H.slice_map(0).values - base).max())
     if defect >= tol:
         raise NotBasedAtIdentity(f"homotopy starts {defect:.3e} away from the basepoint")
 

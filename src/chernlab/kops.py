@@ -318,17 +318,19 @@ def _turned(leaf: np.ndarray, p: np.ndarray, q: np.ndarray, c: float, s: float) 
 
 
 def inversion_homotopy_even(x: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotopy:
-    """Projection homotopy from ``(x (+) flip x)(H_plus)`` to the basepoint.
+    """Projection homotopy from ``(x (+) flip x)(H_plus)`` to the basepoint,
+    held by its frames.
 
-    With ``S = x (+) flip x`` on the doubled window, the slices are
-    ``pi_t = V_t V_t*`` with ``V_t = C_t^T S C_t Pi_+`` (:func:`_turned`).
-    ``C_t = 1 + sJ + (1 - c)J^2`` is the grading rotation: its generator
-    ``J`` pairs the second positive strand with the first negative one
-    through ``e_{2a+1} <-> e_{-2a-2}``, so ``C_{pi/2}`` is grading-preserving
-    and the last slice is exactly the basepoint projection.  Time jets are
-    exact: ``d_t pi_t = W V_t* + V_t W*`` with ``W = C_t^T [S, J] C_t Pi_+``.
-    Spatial jets are exact when ``x`` carries exact partials:
-    ``d_i pi_t = a + a*`` with ``a = (C_t^T d_i S C_t Pi_+) V_t*``.
+    With ``S = x (+) flip x`` on the doubled window, the slices are the
+    frames ``V_t = C_t^T S C_t Pi_+`` (:func:`_turned`) of the projections
+    ``pi_t = V_t V_t*``, which are never formed: the homotopy holds half the
+    columns of ``pi_t`` (see :class:`Homotopy`).  ``C_t = 1 + sJ + (1 - c)J^2``
+    is the grading rotation: its generator ``J`` pairs the second positive
+    strand with the first negative one through ``e_{2a+1} <-> e_{-2a-2}``,
+    so ``C_{pi/2}`` is grading-preserving and the last slice is a frame of
+    exactly the basepoint projection.  Time jets are exact:
+    ``d_t V_t = C_t^T [S, J] C_t Pi_+``.  Spatial jets are exact when ``x``
+    carries exact partials: ``d_i V_t = C_t^T d_i S C_t Pi_+``.
     """
     if x.window is None:
         raise AsymmetricWindow("even inversion needs a windowed map")
@@ -342,21 +344,17 @@ def inversion_homotopy_even(x: SampledMap, t_res: int = DEFAULT_T_RES) -> Homoto
     gen[q, p], gen[p, q] = 1.0, -1.0  # J e_p = e_q, J e_q = -e_p
     commutator = summed @ gen - gen @ summed
     times = rotation_times(t_res)
-    slices = np.empty((times.size, *summed.shape), dtype=complex)
-    partials = np.empty_like(slices)
-    spatial = tuple(np.empty_like(slices) for _ in d_summed)
+    frames = np.empty((times.size, *summed.shape[:-1], big.n_plus), dtype=complex)
+    partials = np.empty_like(frames)
+    spatial = tuple(np.empty_like(frames) for _ in d_summed)
     for i, t in enumerate(times):
         c, s = np.cos(t), np.sin(t)
-        v = _turned(summed, p, q, c, s)
-        v_adj = np.swapaxes(v, -1, -2).conj()
-        np.matmul(v, v_adj, out=slices[i])
-        for out, leaf in ((partials, commutator), *zip(spatial, d_summed)):
-            np.matmul(_turned(leaf, p, q, c, s), v_adj, out=out[i])
-            out[i] += np.swapaxes(out[i], -1, -2).conj()
+        for out, leaf in ((frames, summed), (partials, commutator), *zip(spatial, d_summed)):
+            out[i] = _turned(leaf, p, q, c, s)
     return Homotopy(
         x.domain,
         times,
-        slices,
+        frames,
         codomain="projection",
         window=big,
         time_partials=partials,

@@ -11,7 +11,8 @@ from chernlab import fourier
 from chernlab.builders import loop_zn, qwz_band, random_projection_map, random_unitary_map
 from chernlab.chernforms import (
     Homotopy,
-    _CurvaturePairs,
+    _FrameCurvature,
+    _range_frame,
     ch_even,
     ch_odd,
     ch_total,
@@ -44,6 +45,10 @@ RNG = np.random.default_rng(11)
 def constant_map(domain, matrix, codomain):
     m = np.asarray(matrix, dtype=complex)
     return SampledMap(domain, np.broadcast_to(m, (*domain.node_shape, *m.shape)), codomain=codomain)
+
+
+def _adj(x):
+    return np.swapaxes(x.conj(), -1, -2)
 
 
 def perm_sign(seq):
@@ -191,12 +196,32 @@ def test_ch_even_constant_is_zero():
     assert ch_even(p, 1).sup_norm() < 1e-12
 
 
+def test_ch_even_refuses_a_rank_that_changes_over_the_nodes():
+    dom = make_domain("torus2", (8, 8))
+    values = np.zeros((8, 8, 2, 2), dtype=complex)
+    values[..., 0, 0] = 1.0
+    values[4:, :, 1, 1] = 1.0  # rank 2 on half the torus
+    with pytest.raises(ShapeMismatch, match=r"ranks \[1, 2\] on one domain"):
+        ch_even(SampledMap(dom, values, codomain="projection"), 1)
+
+
 def test_curvature_pairs_are_exactly_anti_hermitian():
+    # a square projection through its eigh frame, and a frame slice with two
+    # frame jets and two jets of its projection
     p = random_projection_map(np.random.default_rng(7), make_domain("torus2", (16, 16)), PolarizedWindow(2, 2))
-    pairs = _CurvaturePairs(p.values.shape, 2, [(0, 1)])
-    (value,) = pairs.fill(p.values, iter(p.partials)).values()
-    assert np.abs(value).max() > 0.1
-    assert np.array_equal(value, -np.swapaxes(value, -1, -2).conj())
+    h = _inversion_homotopies()["even"]
+    sl = h.slice_map(2)
+    cases = [
+        (_FrameCurvature(2, 1), _range_frame(p.values), (), p.partials),
+        (_FrameCurvature(4, 3), h.slices[2], (h.time_partials[2], h.spatial_partials[0][2]), sl.partials[1:]),
+    ]
+    for pairs, frame, frame_jets, projection_jets in cases:
+        values = pairs.fill(frame, frame_jets, iter(projection_jets))
+        assert set(values) == set(itertools.combinations(range(pairs.n_slots), 2))
+        for value in values.values():
+            assert value.shape[-2:] == (frame.shape[-1],) * 2
+            assert np.abs(value).max() > 0.1
+            assert np.array_equal(value, -np.swapaxes(value, -1, -2).conj())
 
 
 def test_ch_one_of_a_projection_is_exactly_real():
@@ -389,6 +414,62 @@ def test_concatenate_rejects_mismatched_windows():
     assert Homotopy.concatenate(h, h.reversed()).window == h.window
 
 
+def _like(h, slices, time_partials, codomain="projection", window="same"):
+    """A homotopy on the times of ``h`` with other slices and time jet."""
+    window = h.window if window == "same" else window
+    return Homotopy(h.spatial, h.times, slices, codomain=codomain, window=window, time_partials=time_partials)
+
+
+def _regauged(h, seed=5):
+    """``h`` with every frame turned by one constant ``r x r`` unitary:
+    other frames of the same projections."""
+    rng = np.random.default_rng(seed)
+    r = h.slices.shape[-1]
+    g = np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))[0]
+    return _like(h, h.slices @ g, h.time_partials @ g)
+
+
+def test_frame_slices_must_be_orthonormal_frames():
+    h = _even_inversion()
+    assert h.slices.shape[-2:] == (8, 4)
+    for scale in (1 + 1e-8, 1 - 1e-8, 2.0):
+        with pytest.raises(ShapeMismatch, match=r"projection frame slices need V\* V = 1"):
+            _like(h, scale * h.slices, h.time_partials)
+    assert _like(h, (1 + 1e-9) * h.slices, h.time_partials).slices.shape == h.slices.shape
+    with pytest.raises(ShapeMismatch, match="neither square nor frames"):
+        _like(h, _adj(h.slices), _adj(h.time_partials), window=None)
+    # frames are a projection contract: other tags keep their slices unchecked
+    assert _like(h, 2.0 * h.slices, h.time_partials, codomain="generic").slices.shape == h.slices.shape
+
+
+def test_concatenate_compares_projections_at_the_junction():
+    h = _even_inversion()
+    back = _regauged(h.reversed())
+    assert np.abs(back.slices[0] - h.slices[-1]).max() > 0.1  # other frames of the junction projection
+    loop = Homotopy.concatenate(h, back)
+    assert loop.segments == ((0, 5), (5, 10))
+    assert np.array_equal(loop.slices[5:], back.slices)
+    # F goes to g* F g, so the turned way back still undoes the way out
+    assert (cs_form(h, 1) + cs_form(back, 1)).sup_norm() < 1e-12
+    assert cs_form(loop, 1).sup_norm() < 1e-12
+    with pytest.raises(NotALoop, match="junction slices differ"):
+        Homotopy.concatenate(h, h)
+    square = Homotopy(h.spatial, h.times, h.slices @ _adj(h.slices), codomain="projection", window=h.window)
+    with pytest.raises(ShapeMismatch, match="slice shapes"):
+        Homotopy.concatenate(h, square.reversed())
+
+
+def test_frame_homotopy_reads_as_its_projections():
+    h = _inversion_homotopies()["even"]
+    v, w = h.slices[3], h.spatial_partials[1][3]
+    sl = h.slice_map(3)
+    assert sl.codomain == "projection" and sl.values.shape[-2:] == (8, 8)
+    assert np.array_equal(sl.values, v @ np.swapaxes(v, -1, -2).conj())
+    a = w @ np.swapaxes(v, -1, -2).conj()
+    assert np.array_equal(sl.partials[1], a + np.swapaxes(a, -1, -2).conj())
+    assert h.adjoint() is h
+
+
 @pytest.mark.parametrize("segments", [((0, 3),), ((0, 3), (2, 5)), ((2, 5), (0, 3)), ((0, 3), (4, 7))])
 def test_homotopy_segments_must_tile_the_time_nodes(segments):
     h = phase_homotopy(res=16, t_res=7)
@@ -456,11 +537,13 @@ def test_cs_projection_k2_matches_space_time_permutation_sum():
     x = random_unitary_map(np.random.default_rng(8), dom, size=4, window=PolarizedWindow(2, 2))
     # raw values: with the exact jets of x this integrand vanishes pointwise
     h = inversion_homotopy_even(SampledMap(dom, x.values, codomain="unitary", window=x.window), t_res=9)
-    dt = h.time_derivative()
     integrand = np.zeros((h.n_times, *dom.node_shape), dtype=complex)
     for it in range(h.n_times):
-        p = h.slices[it]
-        d = [dt[it], *differentiate(h.slice_map(it))]  # slot 0 is t
+        # the slices are frames v of p = v v*, the time jet is that of v
+        v, w = h.slices[it], h.time_partials[it]
+        p = h.slice_map(it).values
+        dt = w @ np.swapaxes(v, -1, -2).conj() + v @ np.swapaxes(w, -1, -2).conj()
+        d = [dt, *differentiate(h.slice_map(it))]  # slot 0 is t
         for perm in itertools.permutations(range(4)):
             a, b, c, e = (d[q] for q in perm)
             prod = p @ (a @ b - b @ a) @ p @ (c @ e - e @ c)
@@ -497,9 +580,29 @@ def _commutator_pair(p, d, i, j):
     return p @ (d[i] @ d[j] - d[j] @ d[i])
 
 
+def _frame_pairs(h, it):
+    """The space-time curvature pairs of the frame slice ``v`` at ``it``
+    from the products of :class:`_FrameCurvature`: the rows
+    ``H_a = (v* x) v* + x*`` for the frame jets ``x`` (time, then exact
+    spatial), ``v* d`` for the grid jets ``d`` of ``p = v v*``, and
+    ``F_ab = K_ab - K_ab*`` from ``K = H H*``."""
+    v = h.slices[it]
+    v_adj = _adj(v)
+    rows = [(v_adj @ x) @ v_adj + _adj(x) for x in (h.time_partials[it], *(d[it] for d in h.spatial_partials or ()))]
+    if h.spatial_partials is None:
+        rows += [v_adj @ d for d in differentiate(SampledMap(h.spatial, v @ v_adj))]
+    hh = np.concatenate(rows, axis=-2)
+    r, dim = v.shape[-1], h.spatial.dim
+    k = hh[..., : dim * r, :] @ _adj(hh)
+    pairs = itertools.combinations(range(dim + 1), 2)
+    blocks = {(a, b): k[..., a * r : (a + 1) * r, b * r : (b + 1) * r] for a, b in pairs}
+    return {ab: x - _adj(x) for ab, x in blocks.items()}
+
+
 def _cs_through_slice_maps(h, k, pair=_product_pair):
     """``cs_form`` evaluated one validated slice map at a time, projection
-    pairs built by ``pair``."""
+    pairs built by ``pair``; the pairs of frame slices are those of
+    :func:`_frame_pairs`."""
     dt = h.time_derivative()
     acc = {}
     for it, wt in enumerate(_simpson_weights(h.n_times, float(h.times[1] - h.times[0]))):
@@ -511,10 +614,13 @@ def _cs_through_slice_maps(h, k, pair=_product_pair):
             comps = trace_wedge({(): finv @ dt[it]}, *[omega] * (2 * k - 2))
             c = chern_scalar("odd", k) * (2 * k - 1)
         else:
-            slots = [dt[it], *d]  # slot 0 is t
-            iota = {(i - 1,): pair(sl.values, slots, 0, i) for i in range(1, len(slots))}
-            pairs = itertools.combinations(range(1, len(slots)), 2)
-            curvature = {(i - 1, j - 1): pair(sl.values, slots, i, j) for i, j in pairs}
+            if h.slices.shape[-1] < h.slices.shape[-2]:
+                pairs = _frame_pairs(h, it)
+            else:
+                slots = [dt[it], *d]  # slot 0 is t
+                pairs = {(a, b): pair(sl.values, slots, a, b) for a, b in itertools.combinations(range(len(slots)), 2)}
+            iota = {(i - 1,): pairs[0, i] for i in range(1, h.spatial.dim + 1)}
+            curvature = {(i - 1, j - 1): x for (i, j), x in pairs.items() if i > 0}
             comps = trace_wedge(iota, *[curvature] * (k - 1))
             c = chern_scalar("even", k) * k
         for idx, val in comps.items():
@@ -604,11 +710,20 @@ def test_unitary_slices_take_two_stacked_products(name, monkeypatch):
     assert calls == []
 
 
-def test_projection_slices_still_take_ten_products(monkeypatch):
-    h = _inversion_homotopies()["even"]
+def test_frame_slices_take_r_by_r_products(monkeypatch):
+    hs = _inversion_homotopies()
     calls = _complex_products(monkeypatch)
-    cs_forms(h, 2)
-    assert len(calls) == 10 * h.n_times
+    nodes, (n, r) = hs["even"].slices.shape[1:-2], hs["even"].slices.shape[-2:]
+    # a frame jet takes v* x, then (v* x) v*; the Gram product takes H H* of 3 rows of slots
+    frame_jet, gram = [nodes + (n, r), nodes + (r, n)], [nodes + (n, 4 * r)]
+    for name, per_slice in (
+        ("even", frame_jet * 4 + gram),
+        # p = v v*, the time jet of the frame, and v* d for each grid jet d of p
+        ("even_grid_jets", [nodes + (r, n)] + frame_jet + [nodes + (n, n)] * 3 + gram),
+    ):
+        calls.clear()
+        cs_forms(hs[name], 2)
+        assert calls == per_slice * hs[name].n_times
 
 
 def _phase_twisted(h):
@@ -740,6 +855,40 @@ def test_cs_exact_takes_no_full_grid_jets_on_odd_slices(monkeypatch):
     # slices are (*node_shape, n, n): rank 5 on torus3, rank 4 on its three 2-cycles
     assert ranks.count(5) == 0
     assert ranks.count(4) == 3 * h.n_times * 2
+
+
+@pytest.mark.parametrize("seed", [6, 7, 8])
+def test_grid_jets_of_frame_slices_are_taken_of_their_projections(seed):
+    # an 8^3 grid does not resolve x, and the grid jets of a frame are not
+    # the jets of any projection: through the frame's own grid jets this
+    # residual is 0.13-0.40, through those of p = v v* it is round-off
+    dom = make_domain("torus3", (8, 8, 8))
+    x = random_unitary_map(np.random.default_rng(seed), dom, size=4)
+    h = inversion_homotopy_even(SampledMap(dom, x.values, codomain="unitary", window=PolarizedWindow(2, 2)), t_res=5)
+    assert h.spatial_partials is None and h.slices.shape[-2:] == (8, 4)
+    assert cs_exact(h, k_max=1)["residuals"][1] <= 1e-14
+
+
+@pytest.mark.parametrize("name", ["odd_grid_jets", "even_grid_jets"])
+def test_cs_exact_computes_only_the_degree_it_integrates(name, monkeypatch):
+    from chernlab import chernforms
+
+    h = _inversion_homotopies()[name]
+    asked = []
+    forms = chernforms._cs_forms
+
+    def recording(H, ks):
+        asked.append((H.spatial.dim, list(ks)))
+        return forms(H, ks)
+
+    monkeypatch.setattr(chernforms, "_cs_forms", recording)
+    cs_exact(h, k_max=2)
+    if name == "odd_grid_jets":  # CS_0 on the full grid, CS_2 on the three 2-cycles
+        assert asked == [(3, [1])] + [(2, [2])] * 3
+    else:  # CS_1 on the three circles, CS_3 on the full grid
+        assert asked == [(1, [1])] * 3 + [(3, [2])]
+    monkeypatch.undo()
+    assert set(cs_forms(h, 2)) == {1, 2}
 
 
 def test_cs_exact_takes_each_full_grid_jet_once_on_projection_slices(monkeypatch):

@@ -47,6 +47,20 @@ def test_cs_of_nullhomotopy_lifts_the_exterior_derivative_on_projections():
     assert report["lift_residuals"][1] < 1e-10
 
 
+def test_cs_of_nullhomotopy_checks_the_projections_of_frames():
+    dom = make_domain("torus2", (16, 16))
+    x = builders.random_unitary_map(np.random.default_rng(6), dom, size=4, window=PolarizedWindow(2, 2))
+    h = inversion_homotopy_even(x, t_res=9)
+    back = h.reversed()
+    pi_plus = back.window.pi_plus
+    # the first frame spans the positive modes without being their columns
+    assert np.abs(back.slices[0] - pi_plus[:, back.window.n_minus :]).max() > 0.1
+    assert np.abs(back.slices[0] @ np.swapaxes(back.slices[0], -1, -2).conj() - pi_plus).max() < 1e-12
+    assert cs_of_nullhomotopy(back)["lift_residuals"][1] < 1e-10
+    with pytest.raises(NotBasedAtIdentity, match="away from the basepoint"):
+        cs_of_nullhomotopy(h)
+
+
 def test_cs_of_nullhomotopy_needs_the_basepoint_at_the_start():
     h = inversion_homotopy_odd(builders.loop_zn(1, res=64))  # starts at f (+) f*, not at 1
     with pytest.raises(NotBasedAtIdentity, match="away from the basepoint"):

@@ -15,7 +15,7 @@ from chernlab.builders import (
     random_unitary_map,
     su2_chart,
 )
-from chernlab.chernforms import Homotopy, ch_even, ch_odd, cs_exact, cs_form
+from chernlab.chernforms import Homotopy, ch_even, ch_odd, cs_exact, cs_form, cs_forms
 from chernlab.errors import AsymmetricWindow, BadPathStart, ShapeMismatch
 from chernlab.geomgrid import SampledMap, differentiate, make_domain
 from chernlab.kops import (
@@ -47,6 +47,31 @@ def blocksum_with_shuffle(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.n
     direct[:n, :n] = a
     direct[n:, n:] = b
     return rho.conj().T @ direct @ rho
+
+
+def _adj(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2).conj()
+
+
+def projection_homotopy(h: Homotopy) -> Homotopy:
+    """The square homotopy of the projections ``V V*`` of a homotopy held by
+    its frames ``V``: time jet ``W V* + V W*`` from the frame jet ``W``, and
+    spatial jets ``d V V* + V d V*``."""
+
+    def jet(d: np.ndarray) -> np.ndarray:
+        a = d @ _adj(h.slices)
+        return a + _adj(a)
+
+    return Homotopy(
+        h.spatial,
+        h.times,
+        h.slices @ _adj(h.slices),
+        codomain="projection",
+        segments=h.segments,
+        window=h.window,
+        time_partials=jet(h.time_partials),
+        spatial_partials=None if h.spatial_partials is None else tuple(jet(d) for d in h.spatial_partials),
+    )
 
 
 def standard_shuffle_matrix(n: int) -> np.ndarray:
@@ -359,7 +384,7 @@ def test_cs_flip_negates():
         h.spatial,
         h.times,
         np.stack([
-            flip(np.eye(h.slices.shape[-1]) - h.slices[i], h.window) for i in range(h.n_times)
+            flip(np.eye(h.slices.shape[-2]) - h.slice_map(i).values, h.window) for i in range(h.n_times)
         ]),
         codomain="projection",
         window=h.window,
@@ -443,11 +468,11 @@ def test_inversion_even_endpoint_is_basepoint():
     x = random_unitary_map(np.random.default_rng(15), dom, size=4, window=WIN)
     h = inversion_homotopy_even(x, t_res=17)
     big = doubled_window(WIN)
-    assert np.abs(h.slices[-1] - big.pi_plus).max() < 1e-12
+    assert np.abs(h.slice_map(h.n_times - 1).values - big.pi_plus).max() < 1e-12
     # t = 0 slice projects onto the blocksummed image
     summed = blocksum(x.values, flip(x.values, WIN))
     p0 = summed @ big.pi_plus @ np.swapaxes(summed, -1, -2).conj()
-    assert np.abs(h.slices[0] - p0).max() < 1e-12
+    assert np.abs(h.slice_map(0).values - p0).max() < 1e-12
 
 
 def test_inversion_even_gauge_independence():
@@ -461,8 +486,8 @@ def test_inversion_even_gauge_independence():
     from chernlab.geomgrid import SampledMap
 
     y = SampledMap(dom, x.values @ gauge, codomain="unitary", window=WIN)
-    hx = inversion_homotopy_even(x, t_res=9)
-    hy = inversion_homotopy_even(y, t_res=9)
+    hx = projection_homotopy(inversion_homotopy_even(x, t_res=9))
+    hy = projection_homotopy(inversion_homotopy_even(y, t_res=9))
     assert np.abs(hx.slices - hy.slices).max() < 1e-10
 
 
@@ -557,8 +582,8 @@ ROTATION_BUILDERS = {
         eckmann_hilton_homotopy(a, b, t_res),
         dense_rotation_homotopy(a, b, t_res),
     ),
-    "inversion_even": lambda a, b, x, t_res: (
-        inversion_homotopy_even(x, t_res),
+    "inversion_even": lambda a, b, x, t_res: (  # read through the projections of its frames
+        projection_homotopy(inversion_homotopy_even(x, t_res)),
         dense_inversion_even(x, t_res),
     ),
 }
@@ -603,7 +628,9 @@ def test_odd_rotation_slices_are_unitary_and_end_at_the_basepoint(seed, t_res):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**16), ODD_T_RES)
 def test_even_inversion_slices_are_projections_and_end_at_the_basepoint(seed, t_res):
-    p = inversion_homotopy_even(_haar_leaf(np.random.default_rng(seed), 4, WIN), t_res).slices
+    v = inversion_homotopy_even(_haar_leaf(np.random.default_rng(seed), 4, WIN), t_res).slices
+    assert v.shape[-2:] == (8, 4) and np.abs(_adj(v) @ v - np.eye(4)).max() < 1e-12
+    p = v @ _adj(v)
     assert np.abs(p - np.swapaxes(p, -1, -2).conj()).max() < 1e-12
     assert np.abs(p @ p - p).max() < 1e-12
     assert np.abs(p[-1] - doubled_window(WIN).pi_plus).max() < 1e-12
@@ -762,6 +789,56 @@ def test_rotation_homotopies_carry_exact_spatial_partials():
         assert len(h.spatial_partials) == 2
         for i in range(h.n_times):
             assert _jet_gap(h.slice_map(i)) < 1e-10
+
+
+def _twisted_frames(h: Homotopy, seed: int = 3) -> Homotopy:
+    """The frame homotopy ``A_t V_t`` for a constant-in-space unitary path
+    ``A_t = exp(t X)``, with exact frame jets; its CS forms do not vanish
+    pointwise, unlike those of the even inversion itself."""
+    rng = np.random.default_rng(seed)
+    n = h.slices.shape[-2]
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    gen = 0.5 * (g - g.conj().T)
+    a = np.stack([expm(t * gen) for t in h.times]).reshape(h.n_times, *[1] * h.spatial.dim, n, n)
+    return Homotopy(
+        h.spatial,
+        h.times,
+        a @ h.slices,
+        codomain="projection",
+        window=h.window,
+        time_partials=gen @ a @ h.slices + a @ h.time_partials,
+        spatial_partials=None if h.spatial_partials is None else tuple(a @ d for d in h.spatial_partials),
+    )
+
+
+EQUIVALENCE_VIEWS = {
+    "whole": lambda h: h,
+    "restrict": lambda h: h.restrict((0, 2)),
+    "reversed": lambda h: h.reversed(),
+}
+
+
+@pytest.mark.parametrize("view", EQUIVALENCE_VIEWS)
+@pytest.mark.parametrize("with_partials", [True, False], ids=["partials", "no_partials"])
+def test_frame_homotopy_has_the_cs_forms_of_its_projections(with_partials, view):
+    dom = make_domain("torus3", (8, 8, 8))
+    x = random_unitary_map(np.random.default_rng(6), dom, size=4, window=WIN)
+    if not with_partials:
+        x = SampledMap(dom, x.values, codomain="unitary", window=WIN)
+    inversion = inversion_homotopy_even(x, t_res=5)
+    assert inversion.slices.shape[-2:] == (8, 4) and (inversion.spatial_partials is not None) == with_partials
+    # the inversion's own forms are round-off with exact jets, so they are compared to 1e-14 absolute
+    for h, twisted in ((_twisted_frames(inversion), True), (inversion, False)):
+        held = cs_forms(EQUIVALENCE_VIEWS[view](h))
+        square = cs_forms(EQUIVALENCE_VIEWS[view](projection_homotopy(h)))
+        assert held.keys() == square.keys() == ({1} if view == "restrict" else {1, 2})
+        for k, form in held.items():
+            assert form.comps.keys() == square[k].comps.keys()
+            scale = max(np.abs(c).max() for c in square[k].comps.values())
+            if twisted:
+                assert scale > 0.1
+            for idx, comp in form.comps.items():
+                assert np.abs(comp - square[k].comps[idx]).max() <= 1e-14 * (scale if twisted else 1.0)
 
 
 def test_even_inversion_cs3_vanishes_with_exact_jets():
