@@ -274,10 +274,11 @@ def frame_family_torus(
     trig_degree: int = 1,
 ) -> SampledMap:
     """Smooth frame family over the 2-torus: ``exp(K(x)) w0`` with random
-    trigonometric generator ``K`` (not unitary, frames only need injectivity).
+    trigonometric generator ``K`` and ``w0`` the first ``cols`` unit vectors.
 
-    ``K`` is skew-hermitian, so ``exp(K) = exp(iH)`` with ``H = -iK``, and the
-    family carries its exact partials ``d exp(K) w0``.
+    ``K`` is skew-hermitian, so ``exp(K) = exp(iH)`` with ``H = -iK`` is
+    unitary and every value an orthonormal frame; the family carries its
+    exact partials ``d exp(K) w0``.
     """
     dom = make_domain("torus2", (res, res))
     t1 = dom.axes[0].coords[:, None]

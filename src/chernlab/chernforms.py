@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Sequence
 
@@ -43,6 +43,7 @@ from .geomgrid import (
     GradedForm,
     SampledMap,
     _check_codomain,
+    _check_frames,
     _check_partials,
     _check_window,
     _diff_along,
@@ -256,18 +257,6 @@ def ch_total(f: SampledMap, k_max: int = DEFAULT_K_MAX) -> list[GradedForm]:
 # homotopies
 
 
-def _check_frames(v: np.ndarray, tol: float = 1e-8) -> None:
-    """Raises ShapeMismatch unless every slice of ``v`` is an orthonormal
-    frame with fewer columns than rows; one slice at a time, so the check
-    allocates no array of the size of ``v``."""
-    if v.shape[-1] > v.shape[-2]:
-        raise ShapeMismatch(f"projection slices of shape {v.shape[-2:]} are neither square nor frames")
-    eye = np.eye(v.shape[-1])
-    defect = max(float(np.abs(_adjoint(x) @ x - eye).max()) for x in v)
-    if defect >= tol:
-        raise ShapeMismatch(f"projection frame slices need V* V = 1: max node defect {defect:.3e}")
-
-
 @dataclass(frozen=True)
 class Homotopy:
     """A time-indexed family of sampled maps over one spatial grid.
@@ -296,7 +285,9 @@ class Homotopy:
     is read through its projections: :meth:`slice_map` returns ``V V*``
     with the jets ``d V V* + V d V*``, :meth:`adjoint` is the homotopy
     itself, and :meth:`concatenate` compares projections at the junction.
-    A frame and its jets take ``r/n`` of the memory of the projection.
+    A frame and its jets take ``r/n`` of the memory of the projection.  The
+    homotopies that :meth:`restrict`, :meth:`reversed` and :meth:`adjoint`
+    derive hold checked frames and skip the frame check.
     """
 
     spatial: DomainGrid
@@ -309,6 +300,12 @@ class Homotopy:
     spatial_partials: tuple[np.ndarray, ...] | None = None  # exact d(slice)/dx_i when known
 
     def __post_init__(self):
+        self._settle()
+        if self.codomain == "projection" and self.slices.shape[-1] != self.slices.shape[-2]:
+            _check_frames(self.slices, "projection frame slices")
+
+    def _settle(self) -> None:
+        """Every check and normalization of construction but the frame check."""
         _check_codomain(self.codomain)
         t = np.array(self.times, dtype=float)
         v = np.ascontiguousarray(self.slices, dtype=complex)
@@ -317,8 +314,6 @@ class Homotopy:
         if t.ndim != 1 or t.size != v.shape[0]:
             raise ShapeMismatch("times and slices disagree")
         _check_window(self.window, v.shape[-2])
-        if self.codomain == "projection" and v.shape[-1] != v.shape[-2]:
-            _check_frames(v)
         segs = tuple((int(a), int(b)) for a, b in self.segments) or ((0, t.size),)
         if [a for a, _ in segs] != [0, *(b for _, b in segs[:-1])] or segs[-1][1] != t.size:
             raise ShapeMismatch(f"homotopy segments {segs} do not tile the {t.size} time nodes in order")
@@ -386,14 +381,17 @@ class Homotopy:
     def _mapped(self, fn, axes=None, time_sign=1, **fields) -> "Homotopy":
         """The homotopy whose slices, time jet (times ``time_sign``) and
         spatial jets along ``axes`` (all of them by default) are ``fn`` of
-        this one's, with the other ``fields`` replaced."""
+        this one's, with the other ``fields`` replaced.  Its frames are
+        this one's, so it is settled without the frame check."""
         sp = self.spatial_partials
         if sp is not None:
             sp = tuple(fn(sp[a]) for a in (range(len(sp)) if axes is None else axes))
         tp = fn(self.time_partials)
-        return replace(
-            self, slices=fn(self.slices), time_partials=-tp if time_sign < 0 else tp, spatial_partials=sp, **fields
-        )
+        fields.update(slices=fn(self.slices), time_partials=-tp if time_sign < 0 else tp, spatial_partials=sp)
+        derived = object.__new__(Homotopy)
+        vars(derived).update(vars(self), **fields)
+        derived._settle()
+        return derived
 
     def restrict(self, axes: Sequence[int]) -> "Homotopy":
         """The homotopy on the sub-grid spanned by the spatial ``axes``, every

@@ -137,6 +137,19 @@ def _check_codomain(tag: str) -> None:
         raise ShapeMismatch(f"codomain tag {tag!r} is not one of unitary, projection, frame, generic")
 
 
+def _check_frames(v: np.ndarray, what: str, tol: float = 1e-8) -> None:
+    """Raises ShapeMismatch, naming ``what``, unless every matrix of ``v`` is
+    an orthonormal frame: no more columns than rows and ``V* V = 1`` within
+    ``tol``.  One slice of the first axis at a time, so the check allocates
+    no array of the size of ``v``."""
+    if v.shape[-1] > v.shape[-2]:
+        raise ShapeMismatch(f"{what} of shape {v.shape[-2:]} are neither square nor frames")
+    eye = np.eye(v.shape[-1])
+    defect = max(float(np.abs(np.swapaxes(x, -1, -2).conj() @ x - eye).max()) for x in v)
+    if defect >= tol:
+        raise ShapeMismatch(f"{what} need V* V = 1: max node defect {defect:.3e}")
+
+
 @dataclass(frozen=True)
 class SampledMap:
     """A grid-sampled matrix-valued map with an optional codomain tag.
@@ -146,11 +159,13 @@ class SampledMap:
     modules; this module reads nothing of it but its ``dim``, which must be
     the row count.  ``partials``, when given, holds the exact derivative of
     the map along each domain axis, one array of the shape of ``values`` per
-    axis; :func:`differentiate` returns it instead of grid derivatives.  The map takes ownership of the ``values`` and
-    ``partials`` arrays it is given (they are not copied when already
-    contiguous complex) and makes them read-only.  The partials of a
-    projection-tagged map must be Hermitian to the tag's tolerance, as the
-    derivatives of Hermitian values are.
+    axis; :func:`differentiate` returns it instead of grid derivatives.  The
+    map takes ownership of the ``values`` and ``partials`` arrays it is given
+    (they are not copied when already contiguous complex) and makes them
+    read-only.  The partials of a projection-tagged map must be Hermitian to
+    the tag's tolerance, as the derivatives of Hermitian values are.  A
+    ``"frame"``-tagged map holds orthonormal frames ``V`` (``V* V = 1``, no
+    more columns than rows) of the projections ``V V*``.
     """
 
     domain: DomainGrid
@@ -198,6 +213,8 @@ class SampledMap:
                 herm = np.abs(d - np.swapaxes(d, -1, -2).conj()).max()
                 if herm >= tol:
                     raise ShapeMismatch(f"projection partial along axis {axis} is not Hermitian: defect {herm:.3e}")
+        elif self.codomain == "frame":
+            _check_frames(v, "frame values", tol)
 
     @property
     def rows(self) -> int:

@@ -233,7 +233,7 @@ def _rotation_stack(weights: np.ndarray, diag0, diag1, x: np.ndarray, y: np.ndar
 
 
 def _rotation_homotopy(
-    a: SampledMap, b: np.ndarray, b_partials: tuple[np.ndarray, ...] | None, t_res: int, codomain: str, window
+    a: SampledMap, b: np.ndarray, b_partials: tuple[np.ndarray, ...] | None, t_res: int, window
 ) -> Homotopy:
     """Slices ``(a (+) 1) C_t (1 (+) b) C_t*`` over ``t in [0, pi/2]``, with
     ``C_t`` the rotation by ``t`` of the two copies into each other.
@@ -263,7 +263,7 @@ def _rotation_homotopy(
         a.domain,
         times,
         _rotation_stack(weights, a.values, eye, x, y),
-        codomain=codomain,
+        codomain="unitary",
         window=window,
         time_partials=_rotation_stack(time_weights, 0.0, 0.0, x, y),
         spatial_partials=spatial or None,
@@ -288,7 +288,7 @@ def inversion_homotopy_odd(f: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotop
         return np.ascontiguousarray(np.swapaxes(v, -1, -2).conj())
 
     partials = None if f.partials is None else tuple(adjoint(d) for d in f.partials)
-    return _rotation_homotopy(f, adjoint(f.values), partials, t_res, "unitary", win)
+    return _rotation_homotopy(f, adjoint(f.values), partials, t_res, win)
 
 
 def eckmann_hilton_homotopy(a: SampledMap, b: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotopy:
@@ -296,11 +296,14 @@ def eckmann_hilton_homotopy(a: SampledMap, b: SampledMap, t_res: int = DEFAULT_T
 
     Same closed form as :func:`inversion_homotopy_odd` with ``b`` in place
     of ``f*``; spatial jets are exact when both operands carry partials.
+    Both operands must be unitary-tagged.
     """
+    if a.codomain != "unitary" or b.codomain != "unitary":
+        raise ShapeMismatch(f"Eckmann-Hilton homotopy needs unitary maps, got {a.codomain} and {b.codomain}")
     if a.domain != b.domain or a.values.shape != b.values.shape:
         raise ShapeMismatch("operands must share a grid and size")
     win = doubled_window(a.window) if a.window is not None and a.window == b.window else None
-    return _rotation_homotopy(a, b.values, b.partials, t_res, a.codomain, win)
+    return _rotation_homotopy(a, b.values, b.partials, t_res, win)
 
 
 def _turned(leaf: np.ndarray, p: np.ndarray, q: np.ndarray, c: float, s: float) -> np.ndarray:

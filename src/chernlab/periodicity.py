@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .chernforms import ch_odd
+from .chernforms import _range_frame, ch_odd
 from .errors import (
     BandwidthViolation,
     LostRank,
@@ -146,14 +146,6 @@ class HolonomyResult:
     diagnostics: dict
 
 
-def _initial_frame(pi0: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eigh(pi0)
-    cols = evecs[:, evals > 0.5]
-    if cols.shape[1] == 0:
-        raise LostRank("initial projection has rank zero")
-    return cols
-
-
 def _prefix_products(m: np.ndarray) -> np.ndarray:
     """``c[i] = m[i] @ .. @ m[0]`` for a stack ``m`` of square matrices.
 
@@ -246,7 +238,9 @@ def kato_transport(loop: SampledMap) -> HolonomyResult:
         raise NotALoop("need a projection-tagged circle map")
     steps = DEFAULT_TRANSPORT_STEPS
     p, dp = fourier.resample(loop.values, 2 * steps)
-    w0 = _initial_frame(loop.values[0])
+    w0 = _range_frame(loop.values[0])
+    if w0.shape[1] == 0:
+        raise LostRank("initial projection has rank zero")
     w_end, diag = _transport_once(p, dp, w0, 1)
     q = w0.conj().T @ w_end
     w_half, _ = _transport_once(p, dp, w0, 2)

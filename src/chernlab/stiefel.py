@@ -1,6 +1,8 @@
 """Subspaces of a truncated polarized mode window, their virtual dimension,
 and the transgression form of the universal connection and curvature of a
-sampled frame family.
+sampled frame family: orthonormal frames ``V`` (``V* V = 1``, the contract
+of the ``"frame"`` tag) of the projections ``V V*``, a section of the
+Stiefel bundle over the Grassmannian.
 
 A window keeps modes ``-n_minus .. n_plus - 1`` of a Z-graded basis; the
 polarization is the sign of the mode.  A subspace is an orthonormal basis of
@@ -13,7 +15,6 @@ index): the virtual dimension is counted against the whole positive window.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     ShapeMismatch,
     WindowTooSmall,
 )
-from .chernforms import chern_scalar, trace_wedge
+from .chernforms import _FrameCurvature, chern_scalar, trace_wedge
 from .geomgrid import GradedForm, SampledMap, differentiate
 from .numkernel import RANK_THRESHOLD_REL, frobenius, numerical_rank
 
@@ -68,43 +69,21 @@ class PolarizedWindow:
 # transgression
 
 
-def _frame_pointwise_data(values: np.ndarray, partials: list[np.ndarray]):
-    """Theta, Omega and [Theta, Theta] pair values from frame jets.
-
-    ``values`` is (..., dim, k); derivatives of the induced projection are
-    assembled algebraically from the frame jets, so the only discretization
-    error is in the jets themselves.
-    """
-    w = values
-    wh = np.swapaxes(w, -1, -2).conj()
-    gram = wh @ w
-    ginv = np.linalg.inv(gram)
-    pinv = ginv @ wh
-    pi = w @ pinv
-    theta = {}
-    dpi = {}
-    for i, dw in enumerate(partials):
-        dwh = np.swapaxes(dw, -1, -2).conj()
-        theta[i] = pinv @ (pi @ dw)
-        dpinv = -ginv @ (dwh @ w + wh @ dw) @ pinv + ginv @ dwh
-        dpi[i] = dw @ pinv + w @ dpinv
-    omega_pairs = {}
-    bracket_pairs = {}
-    for i, j in itertools.combinations(range(len(partials)), 2):
-        comm = dpi[i] @ dpi[j] - dpi[j] @ dpi[i]
-        omega_pairs[(i, j)] = pinv @ (pi @ comm @ w)
-        bracket_pairs[(i, j)] = 2.0 * (theta[i] @ theta[j] - theta[j] @ theta[i])
-    return theta, omega_pairs, bracket_pairs
-
-
 def transgression_eta(frames: SampledMap, k: int) -> GradedForm:
-    """Transgression form of degree ``2k - 1`` for a sampled frame family.
+    """Transgression form of degree ``2k - 1`` of orthonormal frames ``V``
+    (a ``"frame"``-tagged map) of the projections ``P = V V*``.
 
-    The integral over ``t in [0, 1]`` of ``k tr(Theta ^ phi_t^(k-1))`` with
-    ``phi_t = t Omega + (1/2)(t^2 - t) [Theta, Theta]``.  Degree
-    ``2k - 1 <= 3`` means ``k <= 2``, where the integrand is linear in
-    ``phi_t``, so the integral is ``k tr(Theta ^ phi^(k-1))`` with the exact
-    mean ``phi = Omega / 2 - [Theta, Theta] / 12``.
+    The integral over ``t in [0, 1]`` of ``k tr(Theta ^ phi_t^(k-1))``, with
+    ``Theta_i = V* d_i V``, ``phi_t = t F + (t^2 - t) [Theta, Theta]``,
+    ``[Theta, Theta]_ij = Theta_i Theta_j - Theta_j Theta_i`` and
+    ``F_ij = V* [d_i P, d_j P] V`` (:class:`_FrameCurvature`, formed only for
+    ``k > 1``).  Degree ``2k - 1 <= 3`` means ``k <= 2``, where the integrand
+    is linear in ``phi_t``, so the integral is ``k tr(Theta ^ phi^(k-1))``
+    with the exact mean ``phi = F / 2 - [Theta, Theta] / 6``; ``d eta_1`` is
+    ``ch_1`` of ``P``.  ``Theta`` is a form of the frame, not of ``P``
+    (``V -> V g`` adds ``g* dg``), so every jet here, ``F``'s too, is a jet of
+    ``V``: its exact partials or its grid jets.  A CS form of
+    :mod:`chernforms` depends on ``P`` alone and reads the grid jets of ``P``.
     """
     if frames.codomain != "frame":
         raise ShapeMismatch("transgression needs a frame-tagged family")
@@ -112,11 +91,13 @@ def transgression_eta(frames: SampledMap, k: int) -> GradedForm:
     dim = frames.domain.dim
     if deg > dim:
         raise DegreeOverflow(f"degree {deg} exceeds domain dimension {dim}")
-    theta, omega_pairs, bracket_pairs = _frame_pointwise_data(frames.values, list(differentiate(frames)))
-    phi = {key: 0.5 * omega_pairs[key] - bracket_pairs[key] / 12.0 for key in omega_pairs}
-    theta = {(i,): a for i, a in theta.items()}
+    v, jets = frames.values, differentiate(frames)
+    v_adj = np.swapaxes(v, -1, -2).conj()
+    theta = [v_adj @ x for x in jets]
+    pairs = _FrameCurvature(dim, dim - 1).fill(v, jets, ()) if k > 1 else {}
+    phi = {(i, j): 0.5 * f - (theta[i] @ theta[j] - theta[j] @ theta[i]) / 6.0 for (i, j), f in pairs.items()}
     c = chern_scalar("even", k) * k
-    comps = trace_wedge(theta, *[phi] * (k - 1))
+    comps = trace_wedge({(i,): a for i, a in enumerate(theta)}, *[phi] * (k - 1))
     return GradedForm(frames.domain, deg, -k, {idx: c * a for idx, a in comps.items()})
 
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
-from chernlab import fourier
+from chernlab import chernforms, fourier
 from chernlab.builders import loop_zn, qwz_band, random_projection_map, random_unitary_map
 from chernlab.chernforms import (
     Homotopy,
@@ -440,6 +440,38 @@ def test_frame_slices_must_be_orthonormal_frames():
         _like(h, _adj(h.slices), _adj(h.time_partials), window=None)
     # frames are a projection contract: other tags keep their slices unchecked
     assert _like(h, 2.0 * h.slices, h.time_partials, codomain="generic").slices.shape == h.slices.shape
+
+
+def test_derived_frame_homotopies_skip_the_frame_check(monkeypatch):
+    x = random_unitary_map(np.random.default_rng(9), make_domain("torus2", (8, 8)), size=4, window=PolarizedWindow(2, 2))
+    h = inversion_homotopy_even(x, t_res=5)
+    calls, check = [], chernforms._check_frames
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(chernforms, "_check_frames", counting)
+    back, face = h.reversed(), h.restrict((1,))
+    assert h.adjoint() is h and h.reversed().restrict((0,)).slices.shape == (5, 8, 8, 4)
+    assert calls == []
+    rebuilt = Homotopy(
+        h.spatial,
+        back.times,
+        h.slices[::-1],
+        codomain="projection",
+        segments=back.segments,
+        window=h.window,
+        time_partials=-h.time_partials[::-1],
+        spatial_partials=tuple(p[::-1] for p in h.spatial_partials),
+    )
+    assert calls == ["projection frame slices"]
+    for d in (back, face):
+        assert d.slices.flags.c_contiguous and not d.slices.flags.writeable
+        assert not d.time_partials.flags.writeable
+    assert np.array_equal(back.slices, rebuilt.slices) and np.array_equal(back.time_partials, rebuilt.time_partials)
+    assert all(np.array_equal(a, b) for a, b in zip(back.spatial_partials, rebuilt.spatial_partials))
+    assert face.spatial.dim == 1 and np.array_equal(face.slices, h.slices[:, 0])
 
 
 def test_concatenate_compares_projections_at_the_junction():

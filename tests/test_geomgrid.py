@@ -168,6 +168,22 @@ def test_projection_partials_must_be_hermitian():
         SampledMap(dom, values, codomain="projection", partials=(hermitian, hermitian + skew))
 
 
+def test_frame_values_must_be_orthonormal_frames():
+    dom = make_domain("torus2", (8, 8))
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((8, 8, 3, 2)))[0]
+    assert SampledMap(dom, q, codomain="frame").cols == 2
+    assert SampledMap(dom, (1 + 1e-9) * q, codomain="frame").cols == 2
+    for scale in (1 + 1e-8, 2.0):
+        with pytest.raises(ShapeMismatch, match=r"frame values need V\* V = 1"):
+            SampledMap(dom, scale * q, codomain="frame")
+    skewed = q.copy()
+    skewed[3, 5, :, 1] += 0.1 * skewed[3, 5, :, 0]  # injective, not orthonormal, at one node
+    with pytest.raises(ShapeMismatch, match=r"frame values need V\* V = 1"):
+        SampledMap(dom, skewed, codomain="frame")
+    with pytest.raises(ShapeMismatch, match=r"frame values of shape \(2, 3\) are neither square nor frames"):
+        SampledMap(dom, np.swapaxes(q, -1, -2).conj(), codomain="frame")
+
+
 def test_sampled_map_takes_contiguous_complex_arrays_without_a_copy():
     dom = make_domain("torus2", (8, 8))
     values = np.zeros((8, 8, 2, 2), dtype=complex)

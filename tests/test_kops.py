@@ -549,6 +549,19 @@ def test_eckmann_hilton_identity_operand():
     assert np.abs(h.slices - h.slices[0]).max() < 1e-12
 
 
+def test_eckmann_hilton_needs_unitary_operands():
+    # projection operands made a projection-tagged homotopy whose slices are
+    # not projections: the first pair's has an idempotency defect of 0.21 at t = pi/4
+    dom = make_domain("circle", 16)
+    rng = np.random.default_rng(22)
+    p = random_projection_map(rng, dom, WIN)
+    q = random_projection_map(rng, dom, WIN)
+    u = random_unitary_map(rng, dom, size=WIN.dim)
+    for a, b in ((p, q), (u, p), (p, u), (u, SampledMap(dom, u.values))):
+        with pytest.raises(ShapeMismatch, match="Eckmann-Hilton homotopy needs unitary maps"):
+            eckmann_hilton_homotopy(a, b, t_res=9)
+
+
 def test_eckmann_hilton_unitary_slices():
     dom = make_domain("circle", 64)
     rng = np.random.default_rng(21)

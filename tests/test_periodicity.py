@@ -6,13 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chernlab import builders, fourier, periodicity
+from chernlab.chernforms import _range_frame
 from chernlab.errors import BandwidthViolation, LostRank, NotALoop
 from chernlab.geomgrid import SampledMap, make_domain
 from chernlab.khat import CircleConnection, a_even
 from chernlab.kops import blocksum_map
 from chernlab.periodicity import (
     DEFAULT_TRANSPORT_STEPS,
-    _initial_frame,
     _prefix_products,
     bott_consistency,
     bott_subspace,
@@ -207,7 +207,7 @@ KATO_LOOPS = {
 def test_batched_transport_matches_the_step_loop(make):
     loop = make()
     p, dp = fourier.resample(loop.values, 2 * DEFAULT_TRANSPORT_STEPS)
-    w0 = _initial_frame(loop.values[0])
+    w0 = _range_frame(loop.values[0])
     w_end, defect = _sequential_transport(p, dp, w0, 1)
     w_half, _ = _sequential_transport(p, dp, w0, 2)
     q = w0.conj().T @ w_end
@@ -221,7 +221,7 @@ def test_batched_transport_matches_the_step_loop(make):
 def test_transport_frames_are_the_stacked_prefix_products(make, monkeypatch):
     loop = make()
     p, dp = fourier.resample(loop.values, 2 * DEFAULT_TRANSPORT_STEPS)
-    w0 = _initial_frame(loop.values[0])
+    w0 = _range_frame(loop.values[0])
     prefixes = []
 
     def keeping(m):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from chernlab.kops import blocksum, flip_projection
 from chernlab.stiefel import (
     PolarizedWindow,
     SubspaceSpec,
-    _frame_pointwise_data,
     transgression_eta,
     virtual_dimension,
 )
@@ -131,8 +132,39 @@ def test_transgression_eta_differential_is_ch1(seed):
     assert (form_derivative(eta) - ch_even(p, 1)).sup_norm() < 1e-10
 
 
+def _frame_pointwise_data(values: np.ndarray, partials: list[np.ndarray]):
+    """Theta, Omega and [Theta, Theta] pair values from frame jets.
+
+    ``values`` is (..., dim, k); derivatives of the induced projection are
+    assembled algebraically from the frame jets, so the only discretization
+    error is in the jets themselves.
+    """
+    w = values
+    wh = np.swapaxes(w, -1, -2).conj()
+    gram = wh @ w
+    ginv = np.linalg.inv(gram)
+    pinv = ginv @ wh
+    pi = w @ pinv
+    theta = {}
+    dpi = {}
+    for i, dw in enumerate(partials):
+        dwh = np.swapaxes(dw, -1, -2).conj()
+        theta[i] = pinv @ (pi @ dw)
+        dpinv = -ginv @ (dwh @ w + wh @ dw) @ pinv + ginv @ dwh
+        dpi[i] = dw @ pinv + w @ dpinv
+    omega_pairs = {}
+    bracket_pairs = {}
+    for i, j in itertools.combinations(range(len(partials)), 2):
+        comm = dpi[i] @ dpi[j] - dpi[j] @ dpi[i]
+        omega_pairs[(i, j)] = pinv @ (pi @ comm @ w)
+        bracket_pairs[(i, j)] = 2.0 * (theta[i] @ theta[j] - theta[j] @ theta[i])
+    return theta, omega_pairs, bracket_pairs
+
+
 def simpson_eta(frames, k, t_res=9):
-    """The t-integral of k tr(Theta ^ phi_t^(k-1)) by Simpson's rule on t_res nodes."""
+    """The t-integral of k tr(Theta ^ phi_t^(k-1)) by Simpson's rule on t_res nodes,
+    from the general-frame assembly above (Gram inverse and projection jets),
+    independent of the orthonormal-frame one of ``transgression_eta``."""
     theta, omega_pairs, bracket_pairs = _frame_pointwise_data(frames.values, list(differentiate(frames)))
     theta = {(i,): a for i, a in theta.items()}
     ts = np.linspace(0.0, 1.0, t_res)
@@ -152,3 +184,27 @@ def test_transgression_eta_matches_the_simpson_t_integral(k):
     expected = simpson_eta(w, k)
     assert eta.comps.keys() == expected.keys()
     assert max(float(np.abs(eta.comps[idx] - a).max()) for idx, a in expected.items()) < 1e-14
+
+
+def _unitary_columns(seed, r=2):
+    """The first ``r`` columns of a unitary family on the 24^3 torus, with their exact partials."""
+    u = random_unitary_map(np.random.default_rng(seed), make_domain("torus3", (24, 24, 24)), size=3, amp=0.15, trig_degree=1)
+    return SampledMap(u.domain, u.values[..., :r], codomain="frame", partials=tuple(p[..., :r] for p in u.partials))
+
+
+@pytest.mark.parametrize(
+    "make, k",
+    [
+        (lambda: frame_family_torus(np.random.default_rng(0), res=48), 1),
+        (lambda: _unitary_columns(4), 1),
+        (lambda: _unitary_columns(4), 2),
+    ],
+    ids=["frame_family_torus-k1", "unitary_columns-k1", "unitary_columns-k2"],
+)
+def test_transgression_eta_of_grid_jets_matches_exact_jets(make, k):
+    # every jet of eta is a jet of the frame: its exact partials, or without
+    # them its grid jets; a curvature from the grid jets of V V* misses at k = 2
+    frames = make()
+    eta = transgression_eta(frames, k)
+    bare = transgression_eta(SampledMap(frames.domain, frames.values, codomain="frame"), k)
+    assert (bare - eta).sup_norm() < 1e-10 * eta.sup_norm()
