@@ -286,8 +286,8 @@ class Homotopy:
     with the jets ``d V V* + V d V*``, :meth:`adjoint` is the homotopy
     itself, and :meth:`concatenate` compares projections at the junction.
     A frame and its jets take ``r/n`` of the memory of the projection.  The
-    homotopies that :meth:`restrict`, :meth:`reversed` and :meth:`adjoint`
-    derive hold checked frames and skip the frame check.
+    homotopies that :meth:`restrict`, :meth:`reversed`, :meth:`adjoint` and
+    :meth:`concatenate` derive hold checked frames and skip the frame check.
     """
 
     spatial: DomainGrid
@@ -388,6 +388,11 @@ class Homotopy:
             sp = tuple(fn(sp[a]) for a in (range(len(sp)) if axes is None else axes))
         tp = fn(self.time_partials)
         fields.update(slices=fn(self.slices), time_partials=-tp if time_sign < 0 else tp, spatial_partials=sp)
+        return self._derived(**fields)
+
+    def _derived(self, **fields) -> "Homotopy":
+        """This homotopy with ``fields`` replaced, settled without the frame
+        check: its slices must be frames that a homotopy already checked."""
         derived = object.__new__(Homotopy)
         vars(derived).update(vars(self), **fields)
         derived._settle()
@@ -415,14 +420,16 @@ class Homotopy:
         return self._mapped(_adjoint)
 
     @staticmethod
-    def concatenate(first: "Homotopy", second: "Homotopy", tol: float = 1e-10) -> "Homotopy":
+    def concatenate(first: "Homotopy", second: "Homotopy") -> "Homotopy":
+        """``first`` then ``second``, one segment list; NotALoop unless the
+        junction slices agree within 1e-10."""
         def kind(h: Homotopy) -> tuple:
             return h.spatial, h.codomain, h.window, h.slices.shape[1:]
 
         if kind(first) != kind(second):
             raise ShapeMismatch("cannot concatenate homotopies on different grids, tags, windows or slice shapes")
         junction = float(np.abs(first._value(-1) - second._value(0)).max())
-        if junction >= tol:
+        if junction >= 1e-10:
             raise NotALoop(f"junction slices differ by {junction:.3e}")
         shift = first.times[-1] - second.times[0]
         n1 = first.n_times
@@ -432,13 +439,10 @@ class Homotopy:
                 np.concatenate([a, b])
                 for a, b in zip(first.spatial_partials, second.spatial_partials)
             )
-        return Homotopy(
-            first.spatial,
-            np.concatenate([first.times, second.times + shift]),
-            np.concatenate([first.slices, second.slices]),
-            codomain=first.codomain,
+        return first._derived(
+            times=np.concatenate([first.times, second.times + shift]),
+            slices=np.concatenate([first.slices, second.slices]),
             segments=first.segments + tuple((a + n1, b + n1) for a, b in second.segments),
-            window=first.window,
             time_partials=np.concatenate([first.time_partials, second.time_partials]),
             spatial_partials=sp,
         )
@@ -619,10 +623,9 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
 def cs_form(H: Homotopy, k: int) -> GradedForm:
     """The k-th component of :func:`cs_forms`; DegreeOverflow past the
     dimension cutoff."""
-    forms = cs_forms(H, k)
-    if k not in forms:
+    if k < 1 or _cs_degree(H.codomain, k) > H.spatial.dim:
         raise DegreeOverflow(f"no CS component k = {k} on a {H.spatial.dim}-dimensional domain")
-    return forms[k]
+    return _cs_forms(H, [k])[k]
 
 
 def cs_exact(H: Homotopy, k_max: int = DEFAULT_K_MAX, tol: float = 1e-6) -> dict:

@@ -88,7 +88,7 @@ def _holonomy(loop, expected: complex):
 
 
 def _bott(n: int):
-    report = bott_consistency(builders.loop_zn(n), tol=BOTT_BOUND)
+    report = bott_consistency(builders.loop_zn(n))
     ok = report["verdict"] and report["det_winding"] == n and report["virtual_dimension"] == -n
     return abs(report["ch1_route"] - n), ok, {k: v for k, v in report.items() if k != "verdict"}
 

@@ -65,6 +65,7 @@ _KIND_OF_AXES = {(): "point", **{kinds: kind for kind, kinds in _AXIS_KINDS.item
 
 MIN_PERIODIC = 8
 MIN_INTERVAL = 9
+_TAG_TOL = 1e-8  # the unitary, projection and frame defects a tag tolerates
 
 
 @dataclass(frozen=True)
@@ -137,16 +138,16 @@ def _check_codomain(tag: str) -> None:
         raise ShapeMismatch(f"codomain tag {tag!r} is not one of unitary, projection, frame, generic")
 
 
-def _check_frames(v: np.ndarray, what: str, tol: float = 1e-8) -> None:
+def _check_frames(v: np.ndarray, what: str) -> None:
     """Raises ShapeMismatch, naming ``what``, unless every matrix of ``v`` is
     an orthonormal frame: no more columns than rows and ``V* V = 1`` within
-    ``tol``.  One slice of the first axis at a time, so the check allocates
-    no array of the size of ``v``."""
+    ``_TAG_TOL``.  One slice of the first axis at a time, so the check
+    allocates no array of the size of ``v``."""
     if v.shape[-1] > v.shape[-2]:
         raise ShapeMismatch(f"{what} of shape {v.shape[-2:]} are neither square nor frames")
     eye = np.eye(v.shape[-1])
     defect = max(float(np.abs(np.swapaxes(x, -1, -2).conj() @ x - eye).max()) for x in v)
-    if defect >= tol:
+    if defect >= _TAG_TOL:
         raise ShapeMismatch(f"{what} need V* V = 1: max node defect {defect:.3e}")
 
 
@@ -190,31 +191,31 @@ class SampledMap:
             )
         self._validate_tag()
 
-    def _validate_tag(self, tol: float = 1e-8) -> None:
+    def _validate_tag(self) -> None:
         v = self.values
         if self.codomain == "unitary":
             if v.shape[-1] != v.shape[-2]:
                 raise ShapeMismatch("unitary values must be square")
             eye = np.eye(v.shape[-1])
             err = np.abs(np.swapaxes(v, -1, -2).conj() @ v - eye).max()
-            if err >= tol:
+            if err >= _TAG_TOL:
                 raise ShapeMismatch(f"unitary tag violated: max node defect {err:.3e}")
         elif self.codomain == "projection":
             if v.shape[-1] != v.shape[-2]:
                 raise ShapeMismatch("projection values must be square")
             idem = np.abs(v @ v - v).max()
             herm = np.abs(v - np.swapaxes(v, -1, -2).conj()).max()
-            if max(idem, herm) >= tol:
+            if max(idem, herm) >= _TAG_TOL:
                 raise ShapeMismatch(
                     f"projection tag violated: idempotency {idem:.3e}, hermiticity {herm:.3e}"
                 )
             # the curvature kernels read the jets of projections as Hermitian
             for axis, d in enumerate(self.partials or ()):
                 herm = np.abs(d - np.swapaxes(d, -1, -2).conj()).max()
-                if herm >= tol:
+                if herm >= _TAG_TOL:
                     raise ShapeMismatch(f"projection partial along axis {axis} is not Hermitian: defect {herm:.3e}")
         elif self.codomain == "frame":
-            _check_frames(v, "frame values", tol)
+            _check_frames(v, "frame values")
 
     @property
     def rows(self) -> int:

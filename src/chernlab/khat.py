@@ -68,9 +68,9 @@ class CircleConnection:
         object.__setattr__(self, "samples", a)
 
     @staticmethod
-    def constant(c: float, res: int = 256) -> "CircleConnection":
-        dom = make_domain("circle", res)
-        return CircleConnection(dom, np.full(res, float(c)))
+    def constant(c: float) -> "CircleConnection":
+        """The constant connection ``c`` on a 256-node circle."""
+        return CircleConnection(make_domain("circle", 256), np.full(256, float(c)))
 
     def integral(self) -> float:
         """``int_0^{2pi} a(theta) d(theta)`` by the periodic trapezoid rule."""
@@ -123,10 +123,10 @@ def underlying_I(f: SampledMap) -> int:
     raise UnsupportedDomain("underlying class needs a unitary or projection map")
 
 
-def _class_data(g: SampledMap, k_max: int) -> KhatClassData:
-    """The class data of the representative ``g``: its curvature forms up to
-    ``k_max``, its underlying class, and the checks of :class:`KhatClassData`."""
-    forms = ch_total(g, k_max)
+def _class_data(g: SampledMap) -> KhatClassData:
+    """The class data of the representative ``g``: its curvature forms, its
+    underlying class, and the checks of :class:`KhatClassData`."""
+    forms = ch_total(g)
     under = underlying_I(g)
     checks = {
         "closedness_residual": max(
@@ -163,7 +163,7 @@ def a_odd(phi: np.ndarray) -> KhatClassData:
     if phi.ndim != 1:
         raise ShapeMismatch(f"phi must be one sample per circle node, got shape {phi.shape}")
     values = np.exp(-2j * np.pi * phi)[:, None, None]
-    return _class_data(SampledMap(make_domain("circle", phi.size), values, codomain="unitary"), 1)
+    return _class_data(SampledMap(make_domain("circle", phi.size), values, codomain="unitary"))
 
 
 def classifying_projection_loop(alpha: CircleConnection, window: PolarizedWindow | None = None) -> SampledMap:
@@ -217,7 +217,7 @@ def classifying_projection_loop(alpha: CircleConnection, window: PolarizedWindow
 def a_even(alpha: CircleConnection, window: PolarizedWindow | None = None) -> KhatClassData:
     """Action of a circle connection: the class of its classifying rank-1
     projection loop (:func:`classifying_projection_loop`)."""
-    return _class_data(classifying_projection_loop(alpha, window), 1)
+    return _class_data(classifying_projection_loop(alpha, window))
 
 
 def holonomy_log_det(conn_plus: CircleConnection, conn_minus: CircleConnection) -> GradedForm:
@@ -236,13 +236,13 @@ def holonomy_log_det(conn_plus: CircleConnection, conn_minus: CircleConnection) 
     return GradedForm(dom, 1, 0, {(0,): comp})
 
 
-def cs_of_nullhomotopy(H: Homotopy, k_max: int = 3, tol: float = 1e-10) -> dict:
+def cs_of_nullhomotopy(H: Homotopy) -> dict:
     """CS components of a homotopy out of the basepoint, plus the lift check.
 
     The report carries ``d(CS) - ch(endpoint)`` residuals: the action of the
     resulting forms must lift the exterior derivative.  The basepoint check
     reads the first slice as a map, so a homotopy held by frames ``V`` is
-    checked through ``V V*``.
+    checked through ``V V*``; it must start within 1e-10 of the basepoint.
     """
     if H.codomain == "unitary":
         base = np.eye(H.slices.shape[-1])
@@ -253,12 +253,12 @@ def cs_of_nullhomotopy(H: Homotopy, k_max: int = 3, tol: float = 1e-10) -> dict:
     else:
         raise ShapeMismatch("nullhomotopy slices must be unitary or projection")
     defect = float(np.abs(H.slice_map(0).values - base).max())
-    if defect >= tol:
+    if defect >= 1e-10:
         raise NotBasedAtIdentity(f"homotopy starts {defect:.3e} away from the basepoint")
 
     end = H.slice_map(H.n_times - 1)
-    end_forms = {f.form_degree: f for f in ch_total(end, k_max)}
-    forms = list(cs_forms(H, k_max).values())
+    end_forms = {f.form_degree: f for f in ch_total(end)}
+    forms = list(cs_forms(H).values())
     residuals = {}
     for cs in forms:
         deg = cs.form_degree
@@ -270,14 +270,15 @@ def cs_of_nullhomotopy(H: Homotopy, k_max: int = 3, tol: float = 1e-10) -> dict:
     return {"forms": forms, "lift_residuals": residuals}
 
 
-def strip_stabilization(f: SampledMap, tol: float = 1e-10) -> SampledMap:
+def strip_stabilization(f: SampledMap) -> SampledMap:
     """Remove interleaved basepoint strands: ``g (+) const_* ~ g``.
 
     Repeatedly peels the odd strand when it is constantly the basepoint
     (identity block for unitaries, the positive projection for windowed
-    projections) and the cross strands vanish.  A window halves with the
-    map, so stripping stops at a window with an odd ``n_minus`` or
-    ``n_plus``.  Exact partials carry over as their even strands.
+    projections) and the cross strands vanish, both within 1e-10.  A window
+    halves with the map, so stripping stops at a window with an odd
+    ``n_minus`` or ``n_plus``.  Exact partials carry over as their even
+    strands.
     """
     current = f
     while current.cols % 2 == 0:
@@ -287,7 +288,7 @@ def strip_stabilization(f: SampledMap, tol: float = 1e-10) -> SampledMap:
             float(np.abs(v[..., 1::2, 0::2]).max()),
         )
         win: PolarizedWindow | None = current.window
-        if cross >= tol or (win is not None and (win.n_minus % 2 or win.n_plus % 2)):
+        if cross >= 1e-10 or (win is not None and (win.n_minus % 2 or win.n_plus % 2)):
             break
         half_window = None if win is None else PolarizedWindow(win.n_minus // 2, win.n_plus // 2)
         if current.codomain == "unitary":
@@ -296,7 +297,7 @@ def strip_stabilization(f: SampledMap, tol: float = 1e-10) -> SampledMap:
             base = half_window.pi_plus
         else:
             break
-        if float(np.abs(v[..., 1::2, 1::2] - base).max()) >= tol:
+        if float(np.abs(v[..., 1::2, 1::2] - base).max()) >= 1e-10:
             break
         partials = None
         if current.partials is not None:
@@ -307,7 +308,7 @@ def strip_stabilization(f: SampledMap, tol: float = 1e-10) -> SampledMap:
     return current
 
 
-def khat_class(f: SampledMap, k_max: int = 3) -> KhatClassData:
+def khat_class(f: SampledMap) -> KhatClassData:
     """Full class data for a representative on a supported domain, with its
     basepoint strands stripped."""
-    return _class_data(strip_stabilization(f), k_max)
+    return _class_data(strip_stabilization(f))

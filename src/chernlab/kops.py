@@ -9,9 +9,11 @@ blocksum of window operators lives on the doubled window.  The flip is the
 mode swap ``e_i -> e_{-i-1}``, which on a symmetric window is plain index
 reversal.
 
-The canonical rotation homotopies are closed forms in ``c = cos t`` and
-``s = sin t`` over arrays of the leaf that do not depend on ``t``: four fixed
-blocks for the odd ones, signed row and column gathers for the even one.
+The canonical rotation homotopies are closed forms: each slice, time jet
+and spatial jet is a sum of t-independent blocks of the leaf with weights
+in ``c = cos t`` and ``s = sin t``, formed by one product per array
+(:func:`_closed_form`).  The odd ones sum four full-size blocks, the even
+one six half-width blocks of its frames.
 """
 
 from __future__ import annotations
@@ -219,17 +221,31 @@ def conjugation_homotopy(
     )
 
 
-def _rotation_stack(weights: np.ndarray, diag0, diag1, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``sum_k weights[:, k] B_k``, one array per row of ``weights``, for the
-    blocks ``diag0 (+) diag1``, ``x (+) 0``, ``[[0, x], [y, 0]]`` and ``0 (+) y``
-    in the interleave of :func:`blocksum`: one product for every time."""
+def _closed_form(domain, times, weights, time_weights, blocks, spatial_blocks, codomain, window) -> Homotopy:
+    """The homotopy whose slice at ``times[i]`` is ``sum_k weights[i, k] B_k``
+    over the t-independent ``blocks`` ``B_k``, whose time jet is the same sum
+    with ``time_weights`` (the derivatives of ``weights``), and whose jet
+    along each axis is the sum with ``weights`` over that axis's stack of
+    ``spatial_blocks``: one product per array, one call per rotation builder."""
+
+    def weighted(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (w @ b.reshape(len(b), -1)).reshape(len(w), *b.shape[1:])
+
+    slices, jet = weighted(weights, blocks), weighted(time_weights, blocks)
+    spatial = tuple(weighted(weights, b) for b in spatial_blocks) or None
+    return Homotopy(domain, times, slices, codomain, window=window, time_partials=jet, spatial_partials=spatial)
+
+
+def _rotation_blocks(diag0, diag1, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The blocks ``diag0 (+) diag1``, ``x (+) 0``, ``[[0, x], [y, 0]]`` and
+    ``0 (+) y`` in the interleave of :func:`blocksum`."""
     n = x.shape[-1]
     blocks = np.zeros((4, *x.shape[:-2], 2 * n, 2 * n), dtype=complex)
     blocks[0, ..., 0::2, 0::2] = diag0
     blocks[0, ..., 1::2, 1::2] = diag1
     blocks[1, ..., 0::2, 0::2] = blocks[2, ..., 0::2, 1::2] = x
     blocks[3, ..., 1::2, 1::2] = blocks[2, ..., 1::2, 0::2] = y
-    return (weights @ blocks.reshape(4, -1)).reshape(len(weights), *blocks.shape[1:])
+    return blocks
 
 
 def _rotation_homotopy(
@@ -240,8 +256,9 @@ def _rotation_homotopy(
 
     With ``c = cos t``, ``s = sin t``, ``x = ab - a`` and ``y = b - 1`` the
     slice is ``[[a + s^2 x, cs x], [cs y, 1 + c^2 y]]`` in the interleave of
-    :func:`blocksum`, and its time jet is
-    ``[[sin 2t x, cos 2t x], [cos 2t y, -sin 2t y]]``.  Along an axis, with
+    :func:`blocksum`: the blocks of :func:`_rotation_blocks` with weights
+    ``(1, s^2, cs, c^2)``, and time-jet weights
+    ``(0, sin 2t, cos 2t, -sin 2t)``.  Along an axis, with
     ``d x = d a y + a d b``, the jet is ``[[d a + s^2 d x, cs d x],
     [cs d b, c^2 d b]]``, exact when ``a`` carries partials and ``b_partials``
     are given.  The product ``ab`` is formed once (it is not assumed to be 1).
@@ -255,19 +272,9 @@ def _rotation_homotopy(
     y = b - eye
     spatial = ()
     if a.partials is not None and b_partials is not None:
-        spatial = tuple(
-            _rotation_stack(weights, da, 0.0, da @ y + a.values @ db, db)
-            for da, db in zip(a.partials, b_partials)
-        )
-    return Homotopy(
-        a.domain,
-        times,
-        _rotation_stack(weights, a.values, eye, x, y),
-        codomain="unitary",
-        window=window,
-        time_partials=_rotation_stack(time_weights, 0.0, 0.0, x, y),
-        spatial_partials=spatial or None,
-    )
+        spatial = (_rotation_blocks(da, 0.0, da @ y + a.values @ db, db) for da, db in zip(a.partials, b_partials))
+    blocks = _rotation_blocks(a.values, eye, x, y)
+    return _closed_form(a.domain, times, weights, time_weights, blocks, spatial, "unitary", window)
 
 
 def inversion_homotopy_odd(f: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotopy:
@@ -306,60 +313,47 @@ def eckmann_hilton_homotopy(a: SampledMap, b: SampledMap, t_res: int = DEFAULT_T
     return _rotation_homotopy(a, b.values, b.partials, t_res, win)
 
 
-def _turned(leaf: np.ndarray, p: np.ndarray, q: np.ndarray, c: float, s: float) -> np.ndarray:
-    """``C_t^T leaf C_t Pi_+`` by a signed column gather, then a signed row
-    gather: ``C_t`` turns each plane ``(e_p, e_q)`` (``C e_p = c e_p + s e_q``,
-    ``C e_q = c e_q - s e_p``), and ``Pi_+`` keeps the positive columns, which
-    hold the ``p`` but not the ``q``."""
-    half = leaf.shape[-1] // 2  # the positive modes are the last half
-    out = leaf[..., half:].copy()
-    out[..., p - half] = c * leaf[..., p] + s * leaf[..., q]
-    row_p = c * out[..., p, :] + s * out[..., q, :]
-    out[..., q, :] = c * out[..., q, :] - s * out[..., p, :]
-    out[..., p, :] = row_p
-    return out
-
-
 def inversion_homotopy_even(x: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotopy:
     """Projection homotopy from ``(x (+) flip x)(H_plus)`` to the basepoint,
     held by its frames.
 
     With ``S = x (+) flip x`` on the doubled window, the slices are the
-    frames ``V_t = C_t^T S C_t Pi_+`` (:func:`_turned`) of the projections
-    ``pi_t = V_t V_t*``, which are never formed: the homotopy holds half the
-    columns of ``pi_t`` (see :class:`Homotopy`).  ``C_t = 1 + sJ + (1 - c)J^2``
-    is the grading rotation: its generator ``J`` pairs the second positive
-    strand with the first negative one through ``e_{2a+1} <-> e_{-2a-2}``,
-    so ``C_{pi/2}`` is grading-preserving and the last slice is a frame of
-    exactly the basepoint projection.  Time jets are exact:
-    ``d_t V_t = C_t^T [S, J] C_t Pi_+``.  Spatial jets are exact when ``x``
-    carries exact partials: ``d_i V_t = C_t^T d_i S C_t Pi_+``.
+    frames ``V_t = C_t^T S C_t Pi_+`` of the projections ``pi_t = V_t V_t*``,
+    which are never formed: the homotopy holds half the columns of ``pi_t``
+    (see :class:`Homotopy`).  ``C_t = 1 + sJ + uJ^2``, with ``s = sin t``
+    and ``u = 1 - cos t``, is the grading rotation: its real antisymmetric
+    generator ``J`` (``J^3 = -J``) pairs the second positive strand with the
+    first negative one through ``e_{2a+1} <-> e_{-2a-2}``, so ``C_{pi/2}`` is
+    grading-preserving and the last slice is a frame of exactly the
+    basepoint projection.  Since ``C_t^T = 1 - sJ + uJ^2``, ``V_t`` is the
+    sum over the six t-independent half-width blocks ``S Pi_+``,
+    ``(SJ - JS) Pi_+``, ``(SJ^2 + J^2 S) Pi_+``, ``-JSJ Pi_+``,
+    ``(J^2 SJ - JSJ^2) Pi_+`` and ``J^2 SJ^2 Pi_+`` with the weights
+    ``(1, s, u, s^2, su, u^2)``; its exact time jet is the same sum with
+    ``(0, c, s, 2sc, cu + s^2, 2su)``, ``c = cos t``.  Spatial jets are
+    exact when ``x`` carries exact partials: ``d_i V_t`` is the sum with
+    ``S`` replaced by ``d_i S``.
     """
     if x.window is None:
         raise AsymmetricWindow("even inversion needs a windowed map")
-    win = x.window
-    summed = blocksum(x.values, flip(x.values, win))
-    d_summed = [blocksum(d, flip(d, win)) for d in x.partials or ()]
-    big = doubled_window(win)
+    win, big = x.window, doubled_window(x.window)
     a = np.arange(win.n_plus)
     p, q = big.n_minus + 2 * a + 1, big.n_minus - 2 * a - 2  # modes 2a + 1 and -2a - 2
     gen = np.zeros((big.dim, big.dim))
     gen[q, p], gen[p, q] = 1.0, -1.0  # J e_p = e_q, J e_q = -e_p
-    commutator = summed @ gen - gen @ summed
+    square = gen @ gen
+
+    def blocks(leaf: np.ndarray) -> np.ndarray:
+        """The six blocks of ``S = leaf (+) flip leaf``, from ``S Pi_+``,
+        ``S J Pi_+`` and ``S J^2 Pi_+``."""
+        summed = blocksum(leaf, flip(leaf, win))
+        s0, s1, s2 = summed[..., big.n_minus :], summed @ gen[:, big.n_minus :], summed @ square[:, big.n_minus :]
+        return np.stack([s0, s1 - gen @ s0, s2 + square @ s0, -(gen @ s1), square @ s1 - gen @ s2, square @ s2])
+
     times = rotation_times(t_res)
-    frames = np.empty((times.size, *summed.shape[:-1], big.n_plus), dtype=complex)
-    partials = np.empty_like(frames)
-    spatial = tuple(np.empty_like(frames) for _ in d_summed)
-    for i, t in enumerate(times):
-        c, s = np.cos(t), np.sin(t)
-        for out, leaf in ((frames, summed), (partials, commutator), *zip(spatial, d_summed)):
-            out[i] = _turned(leaf, p, q, c, s)
-    return Homotopy(
-        x.domain,
-        times,
-        frames,
-        codomain="projection",
-        window=big,
-        time_partials=partials,
-        spatial_partials=spatial or None,
-    )
+    c, s = np.cos(times), np.sin(times)
+    u = 1.0 - c
+    weights = np.stack([np.ones_like(times), s, u, s * s, s * u, u * u], axis=1)
+    time_weights = np.stack([0.0 * times, c, s, 2.0 * s * c, c * u + s * s, 2.0 * s * u], axis=1)
+    spatial = (blocks(d) for d in x.partials or ())
+    return _closed_form(x.domain, times, weights, time_weights, blocks(x.values), spatial, "projection", big)

@@ -40,11 +40,11 @@ def _as_square(m) -> np.ndarray:
     return m
 
 
-def require_unitary(u, tol: float = 1e-8) -> np.ndarray:
+def require_unitary(u) -> np.ndarray:
     u = _as_square(u)
     err = frobenius(u.conj().T @ u - np.eye(u.shape[0]))
-    if err >= tol:
-        raise NotUnitary(f"||u*u - I||_F = {err:.3e} >= {tol:.1e}")
+    if err >= 1e-8:
+        raise NotUnitary(f"||u*u - I||_F = {err:.3e} >= 1.0e-08")
     return u
 
 
@@ -93,14 +93,14 @@ def principal_angle(x: float) -> float:
     return float(x - 2.0 * np.pi * np.ceil((x - np.pi) / (2.0 * np.pi)))
 
 
-def det_phase(u, tol: float = 1e-8) -> float:
+def det_phase(u) -> float:
     """Principal argument of ``det(u)`` for unitary ``u``.
 
     Accumulates the eigenvalue phases (Schur spectrum) instead of forming the
     raw determinant, so large windows neither overflow nor lose phase
     information through cancellation.
     """
-    u = require_unitary(u, tol)
+    u = require_unitary(u)
     eig = np.linalg.eigvals(u)
     total = float(np.sum(np.angle(eig)))
     return principal_angle(total)

@@ -249,10 +249,9 @@ def kato_transport(loop: SampledMap) -> HolonomyResult:
     return HolonomyResult(Q=q, U=polar_unitary(q), diagnostics=diag)
 
 
-def bott_consistency(
-    gamma: SampledMap, M: int | None = None, B: int | None = None, tol: float = 1e-6
-) -> dict:
-    """Three routes to the loop's integer class, and whether they agree.
+def bott_consistency(gamma: SampledMap, M: int | None = None, B: int | None = None) -> dict:
+    """Three routes to the loop's integer class, and whether they agree
+    (route (a) within 1e-6 of that integer, with an imaginary part below 1e-6).
 
     (a) minus the integral of the degree-1 Chern component, (b) the winding
     of the determinant by phase continuation, (c) minus the virtual dimension
@@ -272,10 +271,10 @@ def bott_consistency(
     route_c = -virtual_dimension(spec)
     nearest = int(np.round(route_a))
     verdict = (
-        abs(route_a - nearest) < tol
+        abs(route_a - nearest) < 1e-6
         and route_b == nearest
         and route_c == nearest
-        and abs(ch1.imag) < tol
+        and abs(ch1.imag) < 1e-6
     )
     return {
         "ch1_integral": [ch1.real, ch1.imag],

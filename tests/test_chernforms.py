@@ -454,6 +454,7 @@ def test_derived_frame_homotopies_skip_the_frame_check(monkeypatch):
     monkeypatch.setattr(chernforms, "_check_frames", counting)
     back, face = h.reversed(), h.restrict((1,))
     assert h.adjoint() is h and h.reversed().restrict((0,)).slices.shape == (5, 8, 8, 4)
+    loop = Homotopy.concatenate(h, back)
     assert calls == []
     rebuilt = Homotopy(
         h.spatial,
@@ -472,6 +473,8 @@ def test_derived_frame_homotopies_skip_the_frame_check(monkeypatch):
     assert np.array_equal(back.slices, rebuilt.slices) and np.array_equal(back.time_partials, rebuilt.time_partials)
     assert all(np.array_equal(a, b) for a, b in zip(back.spatial_partials, rebuilt.spatial_partials))
     assert face.spatial.dim == 1 and np.array_equal(face.slices, h.slices[:, 0])
+    assert np.array_equal(loop.slices, np.concatenate([h.slices, rebuilt.slices]))
+    assert not loop.slices.flags.writeable and loop.segments == ((0, 5), (5, 10))
 
 
 def test_concatenate_compares_projections_at_the_junction():
@@ -919,8 +922,14 @@ def test_cs_exact_computes_only_the_degree_it_integrates(name, monkeypatch):
         assert asked == [(3, [1])] + [(2, [2])] * 3
     else:  # CS_1 on the three circles, CS_3 on the full grid
         assert asked == [(1, [1])] * 3 + [(3, [2])]
+    asked.clear()
+    single = cs_form(h, 2)
+    assert asked == [(3, [2])]
     monkeypatch.undo()
     assert set(cs_forms(h, 2)) == {1, 2}
+    whole = cs_forms(h)[2]
+    assert single.comps.keys() == whole.comps.keys()
+    assert all(np.array_equal(single.comps[idx], whole.comps[idx]) for idx in whole.comps)
 
 
 def test_cs_exact_takes_each_full_grid_jet_once_on_projection_slices(monkeypatch):

@@ -1,6 +1,8 @@
-"""Every name a ``chernlab`` module imports is used in that module, and
-every private module-level function or class and every module-level
-UPPER_CASE constant is read somewhere in ``src``.
+"""Every name a ``chernlab`` module imports is used in that module, every
+private module-level function or class and every module-level UPPER_CASE
+constant is read somewhere in ``src``, and every defaulted parameter of a
+function in ``src`` is passed by some call in ``src``, ``tests`` or
+``perfbench`` (an option that only ever takes one value is a constant).
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by an import must appear as a name somewhere else in the module
@@ -136,3 +138,98 @@ def test_an_unread_constant_is_reported(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import _TABLE, LIMIT\nfrom . import a\nclass C:\n    N = a.SHIFT\n")
     assert unread_constants(sorted(tmp_path.glob("*.py"))) == ["a.HIGH", "a.LIMIT", "a._TABLE"]
+
+
+ROOT = SRC.parents[1]
+CALLERS = (ROOT / "src", ROOT / "tests", ROOT / "perfbench")
+
+
+def _calls(paths) -> dict[str, list[tuple[float, set[str] | None]]]:
+    """For every called name (a plain name or the last attribute), the
+    number of positional arguments of each call (infinite past a ``*``
+    argument) and its keyword names (``None`` past a ``**`` argument)."""
+    calls: dict[str, list] = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append(
+                (float("inf") if starred else len(node.args), None if None in keywords else keywords)
+            )
+    return calls
+
+
+def unpassed_defaults(defining, calling) -> list[str]:
+    """``module.function(parameter)`` for each defaulted parameter of a
+    function in ``defining`` that no call in ``calling`` passes, by position
+    or by name.  Calls match by the function's name (a class's for
+    ``__init__``), and a method's positions start after ``self``."""
+    calls = _calls(calling)
+    out = []
+    for path in defining:
+        tree = ast.parse(path.read_text())
+        methods = {
+            id(fn): cls.name
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef)
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            owner = methods.get(id(fn))
+            name = owner if fn.name == "__init__" else fn.name
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            skip = 1 if owner is not None and not static else 0
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i - skip, p.arg) for i, p in enumerate(positional) if i >= first]
+            defaulted += [(float("inf"), p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for index, param in defaulted:
+                if not any(n > index or kw is None or param in kw for n, kw in calls.get(name, ())):
+                    out.append(f"{path.stem}.{fn.name}({param})")
+    return sorted(out)
+
+
+def test_every_defaulted_parameter_is_passed():
+    # the builders' parameters are the coordinates of the fixture families
+    defining = [p for p in sorted(SRC.glob("*.py")) if p.stem != "builders"]
+    calling = [p for root in CALLERS for p in sorted(root.rglob("*.py"))]
+    assert unpassed_defaults(defining, calling) == []
+
+
+def test_an_unpassed_default_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(x, tol=1e-8, *, res=4, mode=None):\n"
+        "    return x\n"
+        "def g(x, n=1, m=2):\n"
+        "    return x\n"
+        "def h(x, n=1):\n"
+        "    return x\n"
+        "class C:\n"
+        "    def __init__(self, a, b=0):\n"
+        "        self.a = a\n"
+        "    def m(self, k=1, j=2):\n"
+        "        return k\n"
+        "    @staticmethod\n"
+        "    def s(a, b=1):\n"
+        "        return a\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from .a import C, f, g, h\n"
+        "f(1, res=3)\n"
+        "g(1, 2)\n"
+        "h(*[1, 2])\n"
+        "C(1).m(1)\n"
+        "C.s(1)\n"
+        "h(**{})\n"
+    )
+    paths = sorted(tmp_path.glob("*.py"))
+    assert unpassed_defaults(paths[:1], paths) == [
+        "a.__init__(b)", "a.f(mode)", "a.f(tol)", "a.g(m)", "a.m(j)", "a.s(b)"
+    ]

@@ -603,7 +603,7 @@ ROTATION_BUILDERS = {
 
 
 @pytest.mark.parametrize("with_partials", [True, False], ids=["partials", "no_partials"])
-@pytest.mark.parametrize("t_res", [5, 17])
+@pytest.mark.parametrize("t_res", [3, 5, 17])
 @pytest.mark.parametrize("name", ROTATION_BUILDERS)
 def test_closed_form_matches_the_dense_products(name, t_res, with_partials):
     h, (slices, partials, spatial) = ROTATION_BUILDERS[name](*_leaves(40, with_partials), t_res)
@@ -615,6 +615,23 @@ def test_closed_form_matches_the_dense_products(name, t_res, with_partials):
             assert np.abs(got - want).max() < 1e-13
     else:
         assert h.spatial_partials is None and spatial == ()
+
+
+def test_every_rotation_builder_sums_its_blocks_through_one_helper(monkeypatch):
+    from chernlab import kops
+
+    calls, closed_form = [], kops._closed_form
+
+    def counting(domain, times, weights, time_weights, blocks, *rest):
+        calls.append(len(blocks))
+        return closed_form(domain, times, weights, time_weights, blocks, *rest)
+
+    monkeypatch.setattr(kops, "_closed_form", counting)
+    a, b, x = _leaves(40, True)
+    inversion_homotopy_odd(a, 5)
+    eckmann_hilton_homotopy(a, b, 5)
+    inversion_homotopy_even(x, 5)
+    assert calls == [4, 4, 6]
 
 
 def _haar_leaf(rng, size: int, window=None) -> SampledMap:
