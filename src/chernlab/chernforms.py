@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Sequence
 
@@ -257,145 +256,274 @@ def ch_total(f: SampledMap, k_max: int = DEFAULT_K_MAX) -> list[GradedForm]:
 # homotopies
 
 
-@dataclass(frozen=True)
+def _weighted(row: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``sum_k row[k] blocks[k]`` for real weights: the block itself when the
+    row picks out one block with weight 1, otherwise written into the
+    contiguous ``out`` by one real product over the blocks from the first
+    nonzero weight to the last.  Every read of a slice or jet goes through
+    here, so a slice evaluated alone has the bits of its row of a stack."""
+    nz = np.flatnonzero(row)
+    if nz.size == 0:
+        out.fill(0.0)
+        return out
+    lo, hi = nz[0], nz[-1] + 1
+    if hi - lo == 1 and row[lo] == 1.0:
+        return blocks[lo]
+    np.matmul(row[lo:hi], blocks[lo:hi].view(float).reshape(hi - lo, -1), out=out.view(float).reshape(-1))
+    return out
+
+
+def _block_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
+    out[: a.shape[0], : a.shape[1]] = a
+    out[a.shape[0] :, a.shape[1] :] = b
+    return out
+
+
 class Homotopy:
-    """A time-indexed family of sampled maps over one spatial grid.
+    """A time-indexed family of sampled maps over one spatial grid, held by
+    t-independent blocks and three real linear maps from its time nodes to
+    them.
+
+    Slice ``i`` is ``weights[i] @ blocks``, its time jet ``d(slice)/dt`` is
+    ``time_weights[i] @ time_blocks`` and its jet along spatial axis ``a`` is
+    ``weights[i] @ spatial_blocks[a]``, each sum over the leading block axis
+    of arrays ``(n_blocks, *node_shape, rows, cols)``.  ``time_blocks`` is
+    ``blocks`` itself unless exact time partials are given.  A slice or jet
+    is formed only when it is read, one at a time, by one product over the
+    blocks of its nonzero weights, or as a view of one block when its weight
+    row picks that block out.  The rotation homotopies of :mod:`kops` hold
+    four or six blocks however many time nodes they have
+    (:meth:`from_blocks`).
+
+    The constructor takes stacked arrays: the ``slices`` become the blocks
+    with identity weights, so a slice read is a view.  ``time_partials``,
+    when given, become the time blocks with identity weights.  Otherwise the
+    time jet is 4th-order finite differences with one-sided closures per
+    segment: the banded weights ``_diff_interval`` of the identity, settled
+    at construction, which needs segments of at least 5 nodes.
+    ``spatial_partials`` (one array per spatial axis, each of the shape of
+    ``slices``) are exact derivatives of the slices, supplied by
+    constructors that know them.  The homotopy takes ownership of the arrays
+    it is given (they are not copied when already contiguous complex) and
+    makes them read-only.
 
     ``segments`` lists half-open index ranges that tile the time nodes
     ``[0, n_times)`` in order, each covering an odd number of nodes (at
     least 3) with uniform, increasing ``times``, inside which the family is
-    smooth.  Concatenated homotopies keep one segment per constituent so
-    that time derivatives and Simpson quadrature never straddle the junction.
-    ``time_partials`` is the time jet ``d(slice)/dt``, which the homotopy
-    always holds: the exact one when a constructor supplies it, otherwise
-    4th-order finite differences with one-sided closures, taken once per
-    segment at construction, which needs segments of at least 5 nodes.
-    ``spatial_partials`` (one array per spatial axis) are exact derivatives
-    of the slices, supplied by constructors that know them.  Each jet has
-    the shape of ``slices``.  The homotopy takes ownership of the ``slices``
-    and ``time_partials`` arrays it is given (they are not copied when
-    already contiguous complex) and makes them read-only.  A ``window``, as
-    on :class:`SampledMap`, must span the rows of the slices, and only
-    homotopies on one window concatenate.
+    smooth.  ``quadrature`` holds one weight per time node, composite
+    Simpson per segment, settled at construction, so neither the time jet
+    nor the quadrature straddles the junction of a concatenation.  A
+    ``window``, as on :class:`SampledMap`, must span the rows of the slices,
+    and only homotopies on one window concatenate.
+
+    :attr:`slices`, :attr:`time_partials` (:meth:`time_derivative`) and
+    :attr:`spatial_partials` form their whole stacks on every read and keep
+    none of them; :func:`cs_forms` never reads them.  The derived homotopies
+    change weights or blocks, never stacks: :meth:`restrict` restricts the
+    blocks, :meth:`reversed` flips the weight rows and negates the time
+    weights, sharing every block, :meth:`adjoint` takes the adjoint of every
+    block (all weights are real), and :meth:`concatenate` joins the blocks
+    and puts the weights block-diagonal.
 
     A projection-tagged homotopy holds either square projections or, when
     its slices have fewer columns than rows, orthonormal frames ``V`` of
     the projections ``V V*`` (``V* V = 1`` at every node within 1e-8, or
-    ShapeMismatch).  Then every jet is a jet of the frame, and the homotopy
-    is read through its projections: :meth:`slice_map` returns ``V V*``
-    with the jets ``d V V* + V d V*``, :meth:`adjoint` is the homotopy
-    itself, and :meth:`concatenate` compares projections at the junction.
-    A frame and its jets take ``r/n`` of the memory of the projection.  The
-    homotopies that :meth:`restrict`, :meth:`reversed`, :meth:`adjoint` and
-    :meth:`concatenate` derive hold checked frames and skip the frame check.
+    ShapeMismatch; the slices are checked one at a time).  Then every jet is
+    a jet of the frame, and the homotopy is read through its projections:
+    :meth:`slice_map` returns ``V V*`` with the jets ``d V V* + V d V*``,
+    :meth:`adjoint` is the homotopy itself, and :meth:`concatenate` compares
+    projections at the junction.  A frame and its jets take ``r/n`` of the
+    memory of the projection.  The derived homotopies hold checked frames
+    and skip the frame check.
     """
 
-    spatial: DomainGrid
-    times: np.ndarray
-    slices: np.ndarray  # (n_t, *node_shape, rows, cols)
-    codomain: str = "generic"
-    segments: tuple[tuple[int, int], ...] = ()
-    window: object | None = None
-    time_partials: np.ndarray | None = None  # d(slice)/dt; FD4 when not given
-    spatial_partials: tuple[np.ndarray, ...] | None = None  # exact d(slice)/dx_i when known
+    def __init__(
+        self,
+        spatial: DomainGrid,
+        times: np.ndarray,
+        slices: np.ndarray,
+        codomain: str = "generic",
+        segments: tuple[tuple[int, int], ...] = (),
+        window: object | None = None,
+        time_partials: np.ndarray | None = None,
+        spatial_partials: tuple[np.ndarray, ...] | None = None,
+    ):
+        eye = np.eye(len(slices))
+        exact = time_partials is not None
+        self._settle(
+            spatial=spatial, times=times, codomain=codomain, segments=segments, window=window, quadrature=None,
+            blocks=slices, weights=eye, spatial_blocks=spatial_partials,
+            time_blocks=time_partials if exact else slices, time_weights=eye if exact else None,
+        )
+        self._check_frame_slices()
 
-    def __post_init__(self):
-        self._settle()
-        if self.codomain == "projection" and self.slices.shape[-1] != self.slices.shape[-2]:
-            _check_frames(self.slices, "projection frame slices")
+    @classmethod
+    def from_blocks(cls, spatial, times, blocks, weights, time_weights, codomain, window, spatial_blocks) -> "Homotopy":
+        """The one-segment homotopy whose slice at ``times[i]`` is
+        ``weights[i] @ blocks``, with the exact time jet ``time_weights[i] @
+        blocks`` and the spatial jets ``weights[i] @ spatial_blocks[a]``
+        (None when not known)."""
+        h = object.__new__(cls)
+        h._settle(
+            spatial=spatial, times=times, codomain=codomain, segments=(), window=window, quadrature=None,
+            blocks=blocks, weights=weights, spatial_blocks=spatial_blocks,
+            time_blocks=blocks, time_weights=time_weights,
+        )
+        h._check_frame_slices()
+        return h
 
-    def _settle(self) -> None:
-        """Every check and normalization of construction but the frame check."""
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Homotopy is immutable; cannot set {name!r}")
+
+    def _settle(self, **fields) -> None:
+        """Set ``fields``, with every check and normalization of construction
+        but the frame check; the FD4 time weights and the quadrature are
+        settled here when they are None."""
+        shared = fields["time_blocks"] is fields["blocks"]
+        fields["blocks"] = np.ascontiguousarray(fields["blocks"], dtype=complex)
+        if shared:
+            fields["time_blocks"] = fields["blocks"]
+        vars(self).update(fields)
         _check_codomain(self.codomain)
         t = np.array(self.times, dtype=float)
-        v = np.ascontiguousarray(self.slices, dtype=complex)
-        if v.shape[1 : 1 + len(self.spatial.node_shape)] != self.spatial.node_shape:
+        b = self.blocks
+        w = np.asarray(self.weights, dtype=float)
+        if b.shape[1 : 1 + len(self.spatial.node_shape)] != self.spatial.node_shape:
             raise ShapeMismatch("slice node shape does not match the spatial grid")
-        if t.ndim != 1 or t.size != v.shape[0]:
+        if t.ndim != 1 or w.shape != (t.size, len(b)):
             raise ShapeMismatch("times and slices disagree")
-        _check_window(self.window, v.shape[-2])
-        segs = tuple((int(a), int(b)) for a, b in self.segments) or ((0, t.size),)
-        if [a for a, _ in segs] != [0, *(b for _, b in segs[:-1])] or segs[-1][1] != t.size:
+        _check_window(self.window, b.shape[-2])
+        segs = tuple((int(a), int(z)) for a, z in self.segments) or ((0, t.size),)
+        if [a for a, _ in segs] != [0, *(z for _, z in segs[:-1])] or segs[-1][1] != t.size:
             raise ShapeMismatch(f"homotopy segments {segs} do not tile the {t.size} time nodes in order")
-        for a, b in segs:
-            if (b - a) < 3 or (b - a) % 2 == 0:
+        for a, z in segs:
+            if (z - a) < 3 or (z - a) % 2 == 0:
                 raise ShapeMismatch("each homotopy segment needs an odd node count >= 3")
-            dt = np.diff(t[a:b])
+            dt = np.diff(t[a:z])
             if dt.min() <= 0.0:
                 raise ShapeMismatch("homotopy time nodes must increase within each segment")
-            if (dt.max() - dt.min()) > 1e-12 * max(abs(t[b - 1] - t[a]), 1.0):
+            if (dt.max() - dt.min()) > 1e-12 * max(abs(t[z - 1] - t[a]), 1.0):
                 raise ShapeMismatch("homotopy time nodes must be uniform per segment")
-        object.__setattr__(self, "times", _freeze(t))
-        object.__setattr__(self, "slices", _freeze(v))
-        object.__setattr__(self, "segments", segs)
-        if self.spatial_partials is not None:
-            object.__setattr__(
-                self,
-                "spatial_partials",
-                _check_partials(self.spatial_partials, self.spatial.dim, v.shape),
-            )
-        if self.time_partials is None:
-            if min(b - a for a, b in segs) < 5:
+        if self.spatial_blocks is not None:
+            vars(self)["spatial_blocks"] = _check_partials(self.spatial_blocks, self.spatial.dim, b.shape)
+        tw = self.time_weights
+        if tw is None:
+            if min(z - a for a, z in segs) < 5:
                 raise ShapeMismatch("a homotopy segment of fewer than 5 nodes needs exact time partials")
-            tp = np.empty_like(v)
-            for a, b in segs:
-                _diff_interval(v[a:b], 0, b - a, float(t[a + 1] - t[a]), tp[a:b])
-        else:
-            tp = np.ascontiguousarray(self.time_partials, dtype=complex)
-            if tp.shape != v.shape:
-                raise ShapeMismatch(f"time partials {tp.shape} do not match the slices {v.shape}")
-        object.__setattr__(self, "time_partials", _freeze(tp))
+            fd = np.zeros((t.size, t.size))
+            for a, z in segs:
+                fd[a:z, a:z] = _diff_interval(np.eye(z - a), 0, z - a, float(t[a + 1] - t[a]))
+            tw = fd @ w
+        tb = np.ascontiguousarray(self.time_blocks, dtype=complex)
+        tw = np.asarray(tw, dtype=float)
+        if tb.shape[1:] != b.shape[1:] or tw.shape != (t.size, len(tb)):
+            raise ShapeMismatch(f"time partials {tb.shape} do not match the slices {b.shape}")
+        q = self.quadrature
+        if q is None:
+            q = np.concatenate([_simpson_weights(z - a, float(t[a + 1] - t[a])) for a, z in segs])
+        vars(self).update(
+            times=_freeze(t),
+            segments=segs,
+            blocks=_freeze(b),
+            weights=_freeze(w),
+            time_blocks=_freeze(tb),
+            time_weights=_freeze(tw),
+            quadrature=_freeze(np.asarray(q, dtype=float)),
+        )
+
+    def _check_frame_slices(self) -> None:
+        """The frame check of non-square projection slices, one slice at a
+        time."""
+        if self.codomain == "projection" and self.slice_shape[-1] != self.slice_shape[-2]:
+            out = np.empty(self.slice_shape, dtype=complex)
+            _check_frames((self._slice(i, out) for i in range(self.n_times)), "projection frame slices")
 
     @property
     def n_times(self) -> int:
         return int(self.times.size)
 
     @property
+    def slice_shape(self) -> tuple[int, ...]:
+        """``(*node_shape, rows, cols)`` of one slice."""
+        return self.blocks.shape[1:]
+
+    @property
     def _frames(self) -> bool:
         """Whether the slices are frames of projections (see the class docstring)."""
-        return self.codomain == "projection" and self.slices.shape[-1] < self.slices.shape[-2]
+        return self.codomain == "projection" and self.slice_shape[-1] < self.slice_shape[-2]
 
-    def _value(self, i: int) -> np.ndarray:
-        """The map value of slice ``i``: ``V V*`` for a frame ``V``."""
-        v = self.slices[i]
+    def _slice(self, i: int, out: np.ndarray) -> np.ndarray:
+        """Slice ``i``, into ``out`` unless it is one block."""
+        return _weighted(self.weights[i], self.blocks, out)
+
+    def _time_jet(self, i: int, out: np.ndarray) -> np.ndarray:
+        """The time jet of slice ``i``, into ``out`` unless it is one block."""
+        return _weighted(self.time_weights[i], self.time_blocks, out)
+
+    def _spatial_jets(self, i: int, out: np.ndarray) -> Iterable[np.ndarray]:
+        """The exact spatial jets of slice ``i``, each into the one buffer
+        ``out``, taken one at a time as the caller reads them."""
+        return (_weighted(self.weights[i], b, out) for b in self.spatial_blocks)
+
+    def _stack(self, weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """``weights @ blocks`` over every time node, row by row, read-only."""
+        out = np.empty((len(weights), *blocks.shape[1:]), dtype=complex)
+        for row, x in zip(weights, out):
+            y = _weighted(row, blocks, x)
+            if y is not x:
+                x[...] = y
+        return _freeze(out)
+
+    @property
+    def slices(self) -> np.ndarray:
+        """Every slice, ``(n_times, *node_shape, rows, cols)``, formed on each read."""
+        return self._stack(self.weights, self.blocks)
+
+    def time_derivative(self) -> np.ndarray:
+        """d(slice)/dt at every time node, formed on each call."""
+        return self._stack(self.time_weights, self.time_blocks)
+
+    @property
+    def time_partials(self) -> np.ndarray:
+        return self.time_derivative()
+
+    @property
+    def spatial_partials(self) -> tuple[np.ndarray, ...] | None:
+        """The exact spatial jets of every slice, formed on each read, or None."""
+        if self.spatial_blocks is None:
+            return None
+        return tuple(self._stack(self.weights, b) for b in self.spatial_blocks)
+
+    def _value(self, v: np.ndarray) -> np.ndarray:
+        """The map value of a slice ``v``: ``V V*`` for a frame ``V``."""
         return v @ _adjoint(v) if self._frames else v
 
     def slice_map(self, i: int) -> SampledMap:
+        v = self._slice(i, np.empty(self.slice_shape, dtype=complex))
         partials = None
-        if self.spatial_partials is not None:
-            partials = tuple(p[i] for p in self.spatial_partials)
+        if self.spatial_blocks is not None:
+            partials = tuple(_weighted(self.weights[i], b, np.empty_like(v)) for b in self.spatial_blocks)
             if self._frames:
-                partials = tuple(a + _adjoint(a) for a in (d @ _adjoint(self.slices[i]) for d in partials))
-        return SampledMap(
-            self.spatial,
-            self._value(i),
-            codomain=self.codomain,
-            window=self.window,
-            partials=partials,
-        )
+                partials = tuple(a + _adjoint(a) for a in (d @ _adjoint(v) for d in partials))
+        return SampledMap(self.spatial, self._value(v), codomain=self.codomain, window=self.window, partials=partials)
 
-    def time_derivative(self) -> np.ndarray:
-        """d(slice)/dt at every time node: the jet held since construction."""
-        return self.time_partials
-
-    def _mapped(self, fn, axes=None, time_sign=1, **fields) -> "Homotopy":
-        """The homotopy whose slices, time jet (times ``time_sign``) and
-        spatial jets along ``axes`` (all of them by default) are ``fn`` of
-        this one's, with the other ``fields`` replaced.  Its frames are
-        this one's, so it is settled without the frame check."""
-        sp = self.spatial_partials
-        if sp is not None:
-            sp = tuple(fn(sp[a]) for a in (range(len(sp)) if axes is None else axes))
-        tp = fn(self.time_partials)
-        fields.update(slices=fn(self.slices), time_partials=-tp if time_sign < 0 else tp, spatial_partials=sp)
-        return self._derived(**fields)
+    def _mapped(self, fn, axes=None, **fields) -> "Homotopy":
+        """The homotopy whose blocks, time blocks and spatial blocks along
+        ``axes`` (all of them by default) are ``fn`` of this one's, with the
+        other ``fields`` replaced."""
+        sb = self.spatial_blocks
+        if sb is not None:
+            sb = tuple(fn(sb[a]) for a in (range(len(sb)) if axes is None else axes))
+        blocks = fn(self.blocks)
+        time_blocks = blocks if self.time_blocks is self.blocks else fn(self.time_blocks)
+        return self._derived(blocks=blocks, time_blocks=time_blocks, spatial_blocks=sb, **fields)
 
     def _derived(self, **fields) -> "Homotopy":
         """This homotopy with ``fields`` replaced, settled without the frame
         check: its slices must be frames that a homotopy already checked."""
         derived = object.__new__(Homotopy)
-        vars(derived).update(vars(self), **fields)
-        derived._settle()
+        derived._settle(**{**vars(self), **fields})
         return derived
 
     def restrict(self, axes: Sequence[int]) -> "Homotopy":
@@ -407,11 +535,12 @@ class Homotopy:
 
     def reversed(self) -> "Homotopy":
         n, t = self.n_times, self.times
-        return self._mapped(
-            lambda a: a[::-1],
+        return self._derived(
             times=t[-1] - t[::-1] + t[0],
             segments=tuple((n - b, n - a) for a, b in reversed(self.segments)),
-            time_sign=-1,
+            weights=self.weights[::-1],
+            time_weights=-self.time_weights[::-1],
+            quadrature=self.quadrature[::-1],
         )
 
     def adjoint(self) -> "Homotopy":
@@ -423,28 +552,32 @@ class Homotopy:
     def concatenate(first: "Homotopy", second: "Homotopy") -> "Homotopy":
         """``first`` then ``second``, one segment list; NotALoop unless the
         junction slices agree within 1e-10."""
+
         def kind(h: Homotopy) -> tuple:
-            return h.spatial, h.codomain, h.window, h.slices.shape[1:]
+            return h.spatial, h.codomain, h.window, h.slice_shape
 
         if kind(first) != kind(second):
             raise ShapeMismatch("cannot concatenate homotopies on different grids, tags, windows or slice shapes")
-        junction = float(np.abs(first._value(-1) - second._value(0)).max())
+        last = first._slice(-1, np.empty(first.slice_shape, dtype=complex))
+        junction = float(np.abs(first._value(last) - second._value(second._slice(0, np.empty_like(last)))).max())
         if junction >= 1e-10:
             raise NotALoop(f"junction slices differ by {junction:.3e}")
         shift = first.times[-1] - second.times[0]
         n1 = first.n_times
+        blocks = np.concatenate([first.blocks, second.blocks])
+        shared = first.time_blocks is first.blocks and second.time_blocks is second.blocks
         sp = None
-        if first.spatial_partials is not None and second.spatial_partials is not None:
-            sp = tuple(
-                np.concatenate([a, b])
-                for a, b in zip(first.spatial_partials, second.spatial_partials)
-            )
+        if first.spatial_blocks is not None and second.spatial_blocks is not None:
+            sp = tuple(np.concatenate([a, b]) for a, b in zip(first.spatial_blocks, second.spatial_blocks))
         return first._derived(
             times=np.concatenate([first.times, second.times + shift]),
-            slices=np.concatenate([first.slices, second.slices]),
             segments=first.segments + tuple((a + n1, b + n1) for a, b in second.segments),
-            time_partials=np.concatenate([first.time_partials, second.time_partials]),
-            spatial_partials=sp,
+            blocks=blocks,
+            weights=_block_diagonal(first.weights, second.weights),
+            time_blocks=blocks if shared else np.concatenate([first.time_blocks, second.time_blocks]),
+            time_weights=_block_diagonal(first.time_weights, second.time_weights),
+            spatial_blocks=sp,
+            quadrature=np.concatenate([first.quadrature, second.quadrature]),
         )
 
 
@@ -460,10 +593,12 @@ def _cs_degree(codomain: str, k: int) -> int:
 
 class _SliceWorkspace:
     """The full-grid arrays of one :func:`cs_forms` pass, allocated once and
-    refilled in place at every time slice; none of them is returned.
+    refilled in place at every time slice; none of them is returned.  Each
+    slice and its jets are evaluated from the blocks of the homotopy into
+    buffers of the workspace (a slice that is one block is read in place).
 
-    Unitary slices with some ``k > 1`` keep ``df/dt`` and the spatial jets
-    side by side in one ``(..., n, (dim + 1) n)`` buffer, so every
+    Unitary slices (only ``k > 1`` come here) keep ``df/dt`` and the spatial
+    jets side by side in one ``(..., n, (dim + 1) n)`` buffer, so every
     ``alpha_a = f^{-1} d_a f`` comes from one product ``f^{-1} [df/dt | d_1 f
     | ..]``, and the degree-2 heads ``alpha_t omega_i`` from a second one,
     ``alpha_t [omega_1 | ..]``.  On the 4 x 4 slices of the odd inversion
@@ -485,23 +620,25 @@ class _SliceWorkspace:
     """
 
     def __init__(self, H: Homotopy, ks: Sequence[int]):
-        shape = H.slices.shape[1:]
-        self.spatial = H.spatial
+        self.H = H
+        shape = H.slice_shape
         dim = H.spatial.dim
         self.ks = ks
         self.unitary = H.codomain == "unitary"
+        self.value, self.time_jet = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+        if H.spatial_blocks is not None:
+            self.exact = np.empty(shape, dtype=complex)
         if self.unitary:
             self.conj = np.empty(shape, dtype=complex)
-            if ks[-1] > 1:  # CS_0 of unitary slices, tr(alpha_t), needs no spatial jets
-                self.n = n = shape[-1]
-                self.wide = np.empty((*shape[:-1], (dim + 1) * n), dtype=complex)
-                self.alpha = np.empty_like(self.wide)
-                self.heads = np.empty((*shape[:-1], dim * n), dtype=complex)
+            self.n = n = shape[-1]
+            self.wide = np.empty((*shape[:-1], (dim + 1) * n), dtype=complex)
+            self.alpha = np.empty_like(self.wide)
+            self.heads = np.empty((*shape[:-1], dim * n), dtype=complex)
         else:
             self.frames = H._frames
             # slot 0 is t: the (0, i) pairs are iota_t Omega, the others Omega
             self.pairs = _FrameCurvature(dim + 1, dim if ks[-1] > 1 else 1)
-            if H.spatial_partials is None:
+            if H.spatial_blocks is None:
                 self.jet = np.empty((*shape[:-1], shape[-2]), dtype=complex)
                 if self.frames:
                     self.conj = np.empty(shape, dtype=complex)
@@ -514,36 +651,30 @@ class _SliceWorkspace:
     def _grid_jets(self, v: np.ndarray, buffers) -> Iterable[np.ndarray]:
         """The grid jets of ``v`` along every spatial axis, written into
         ``buffers``, taken one at a time as the caller reads them."""
-        return (_diff_along(self.spatial, v, i, out) for i, out in enumerate(buffers))
+        return (_diff_along(self.H.spatial, v, i, out) for i, out in enumerate(buffers))
 
-    def integrands(
-        self, v: np.ndarray, dv_dt: np.ndarray, exact: Sequence[np.ndarray] | None
-    ) -> dict[int, dict[tuple[int, ...], np.ndarray]]:
-        """Components of the contracted CS integrand of every degree at one
-        slice ``v`` with time derivative ``dv_dt`` and the ``exact`` spatial
-        jets, grid jets when they are None, before the ``t`` quadrature and
-        the normalization."""
-        out = {}
+    def integrands(self, it: int) -> dict[int, dict[tuple[int, ...], np.ndarray]]:
+        """Components of the contracted CS integrand of every degree at time
+        node ``it``, with the exact spatial jets of the homotopy or grid jets
+        when it has none, before the ``t`` quadrature and the normalization."""
+        H = self.H
+        v, dv_dt = H._slice(it, self.value), H._time_jet(it, self.time_jet)
+        exact = None if H.spatial_blocks is None else H._spatial_jets(it, self.exact)
+        dim = H.spatial.dim
         if self.unitary:
             finv = np.swapaxes(np.conjugate(v, out=self.conj), -1, -2)
-            if self.ks[0] == 1:
-                # tr(alpha_t) as the trace pairing of f^{-1} with df/dt
-                out[1] = trace_wedge({(): finv}, {(): dv_dt})
-            if self.ks[-1] > 1:
-                jets = exact if exact is not None else self._grid_jets(v, self._blocks(self.wide)[1:])
-                for x, block in zip(itertools.chain((dv_dt,), jets), self._blocks(self.wide), strict=True):
-                    if not np.may_share_memory(x, block):  # grid jets are already in place
-                        block[...] = x
-                alpha_t, *alpha = self._blocks(np.matmul(finv, self.wide, out=self.alpha))
-                heads = self._blocks(np.matmul(alpha_t, self.alpha[..., self.n :], out=self.heads))
-                # alpha_t ^ omega, the first wedge of every alpha_t ^ omega^(2k-2)
-                head = {(i,): x for i, x in enumerate(heads)}
-                omega = {(i,): a for i, a in enumerate(alpha)}
-                out.update({k: trace_wedge(head, *[omega] * (2 * k - 3)) for k in self.ks if k > 1})
-            return out
-        dim = self.spatial.dim
+            jets = exact if exact is not None else self._grid_jets(v, self._blocks(self.wide)[1:])
+            for x, block in zip(itertools.chain((dv_dt,), jets), self._blocks(self.wide), strict=True):
+                if not np.may_share_memory(x, block):  # grid jets are already in place
+                    block[...] = x
+            alpha_t, *alpha = self._blocks(np.matmul(finv, self.wide, out=self.alpha))
+            heads = self._blocks(np.matmul(alpha_t, self.alpha[..., self.n :], out=self.heads))
+            # alpha_t ^ omega, the first wedge of every alpha_t ^ omega^(2k-2)
+            head = {(i,): x for i, x in enumerate(heads)}
+            omega = {(i,): a for i, a in enumerate(alpha)}
+            return {k: trace_wedge(head, *[omega] * (2 * k - 3)) for k in self.ks}
         if self.frames:
-            frame, frame_jets, jets = v, (dv_dt, *(exact or ())), ()
+            frame, frame_jets, jets = v, itertools.chain((dv_dt,), exact or ()), ()
             if exact is None:
                 p = np.matmul(v, np.swapaxes(np.conjugate(v, out=self.conj), -1, -2), out=self.projection)
                 jets = self._grid_jets(p, [self.jet] * dim)
@@ -556,22 +687,38 @@ class _SliceWorkspace:
         return {k: trace_wedge(iota, *[curvature] * (k - 1)) for k in self.ks}
 
 
+def _unitary_cs_zero(H: Homotopy) -> np.ndarray:
+    """``sum_i q_i tr(f_i^{-1} df_i/dt)`` over the time nodes, the ``CS_0``
+    integrand of unitary slices integrated in ``t``, from pairings of the
+    blocks: with slices ``W B``, jets ``W' B'`` and quadrature ``q`` it is
+    ``sum_kl c_kl tr(B_k* B'_l)`` with ``c = W^T diag(q) W'``, taken over the
+    nonzero ``c_kl`` only (12 pairings of 4 blocks on an odd rotation
+    homotopy, whatever its time nodes)."""
+    c = H.weights.T @ (H.quadrature[:, None] * H.time_weights)
+    conj = np.empty(H.slice_shape, dtype=complex)
+    acc = np.zeros(H.spatial.node_shape, dtype=complex)
+    for k, row in enumerate(c):
+        nonzero = np.flatnonzero(row)
+        if nonzero.size:
+            finv = {(): np.swapaxes(np.conjugate(H.blocks[k], out=conj), -1, -2)}
+            for j in nonzero:
+                acc += row[j] * trace_wedge(finv, {(): H.time_blocks[j]})[()]
+    return acc
+
+
 def _cs_forms(H: Homotopy, ks: Sequence[int]) -> dict[int, GradedForm]:
     """The components ``ks`` (increasing, within the dimension cutoff) of
     :func:`cs_forms`, and nothing else."""
-    if not ks:
-        return {}
-    weights = np.empty(H.n_times)
-    for a, b in H.segments:
-        weights[a:b] = _simpson_weights(b - a, float(H.times[a + 1] - H.times[a]))
-    ws = _SliceWorkspace(H, ks)
-    dt_slices = H.time_derivative()
     acc: dict[int, dict[tuple[int, ...], np.ndarray]] = {k: {} for k in ks}
-    for it, wt in enumerate(weights):
-        exact = None if H.spatial_partials is None else tuple(p[it] for p in H.spatial_partials)
-        for k, comps in ws.integrands(H.slices[it], dt_slices[it], exact).items():
-            for idx, val in comps.items():
-                acc[k][idx] = acc[k][idx] + wt * val if idx in acc[k] else wt * val
+    if H.codomain == "unitary" and 1 in ks:
+        acc[1][()] = _unitary_cs_zero(H)
+    looped = [k for k in ks if H.codomain != "unitary" or k > 1]
+    if looped:
+        ws = _SliceWorkspace(H, looped)
+        for it, wt in enumerate(H.quadrature):
+            for k, comps in ws.integrands(it).items():
+                for idx, val in comps.items():
+                    acc[k][idx] = acc[k][idx] + wt * val if idx in acc[k] else wt * val
     out = {}
     for k in ks:
         if H.codomain == "unitary":
@@ -597,25 +744,28 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
       1-form ``(iota_t Omega)_i = p [dp/dt, d_i p]``, the ``(t, i)`` pairs of
       the space-time curvature.
 
-    Each slice's spatial jets, ``alpha_t`` or ``iota_t Omega`` and curvature
+    The pass evaluates each slice and its jets from the blocks of ``H``
+    into a workspace, allocated once per call and refilled in place at every
+    slice (:class:`_SliceWorkspace`); no stack of slices is formed.  Each
+    slice's spatial jets, ``alpha_t`` or ``iota_t Omega`` and curvature
     pairs are built once and shared by every degree.  Projection slices
     (square, or frames ``V`` of ``V V*``, see :class:`Homotopy`) take every
     pair in ``r x r`` as ``V* [d_a P, d_b P] V`` from one Gram product of
     the ``(d_a P) V`` (:class:`_FrameCurvature`), with the traces of
     ``p [d_a p, d_b p]``; the jets of square slices are read as Hermitian,
-    as the projection homotopies of :mod:`kops` build them.  Every full-grid
-    array of the pass lives in one workspace, allocated once per call and
-    refilled in place at every slice (:class:`_SliceWorkspace`).  On unitary
+    as the projection homotopies of :mod:`kops` build them.  On unitary
     slices ``df/dt`` and the spatial jets sit side by side in one wide
     buffer, grid jets written straight into their blocks, and two stacked
     products give every ``alpha_a = f^{-1} d_a f`` and every head
     ``alpha_t omega_i``; a unitary form has degree ``2k - 2 <= dim <= 3``,
     so ``k <= 2`` and nothing more is multiplied.  ``CS_0`` of unitary
-    slices is the trace pairing ``sum_ki conj(f)_ki (df/dt)_ki``, so it
-    needs no spatial jets and no ``alpha_t``; those are formed only when
-    some ``k > 1`` is asked for, the curvature pairs of projection slices
-    only when ``k_max > 1``.  Quadrature in ``t`` is composite Simpson,
-    applied per segment.
+    slices is ``int tr(f^{-1} df/dt) dt``, which is bilinear in the slice
+    and its time jet, so it is taken from pairings of the blocks
+    (:func:`_unitary_cs_zero`) and no slice is evaluated for it; the
+    curvature pairs of projection slices are formed only when
+    ``k_max > 1``.  Quadrature in ``t`` is the homotopy's own
+    ``quadrature``, composite Simpson per segment, settled when it was
+    built.
     """
     return _cs_forms(H, [k for k in range(1, k_max + 1) if _cs_degree(H.codomain, k) <= H.spatial.dim])
 

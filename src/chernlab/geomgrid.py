@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -138,15 +138,17 @@ def _check_codomain(tag: str) -> None:
         raise ShapeMismatch(f"codomain tag {tag!r} is not one of unitary, projection, frame, generic")
 
 
-def _check_frames(v: np.ndarray, what: str) -> None:
-    """Raises ShapeMismatch, naming ``what``, unless every matrix of ``v`` is
-    an orthonormal frame: no more columns than rows and ``V* V = 1`` within
-    ``_TAG_TOL``.  One slice of the first axis at a time, so the check
-    allocates no array of the size of ``v``."""
-    if v.shape[-1] > v.shape[-2]:
-        raise ShapeMismatch(f"{what} of shape {v.shape[-2:]} are neither square nor frames")
-    eye = np.eye(v.shape[-1])
-    defect = max(float(np.abs(np.swapaxes(x, -1, -2).conj() @ x - eye).max()) for x in v)
+def _check_frames(frames: Iterable[np.ndarray], what: str) -> None:
+    """Raises ShapeMismatch, naming ``what``, unless every matrix of every
+    array in ``frames`` is an orthonormal frame: no more columns than rows
+    and ``V* V = 1`` within ``_TAG_TOL``.  One array at a time (the first-axis
+    slices of an array), so the check allocates no array of the size of
+    their stack, and a homotopy checks its slices as it evaluates them."""
+    defect = 0.0
+    for x in frames:
+        if x.shape[-1] > x.shape[-2]:
+            raise ShapeMismatch(f"{what} of shape {x.shape[-2:]} are neither square nor frames")
+        defect = max(defect, float(np.abs(np.swapaxes(x, -1, -2).conj() @ x - np.eye(x.shape[-1])).max()))
     if defect >= _TAG_TOL:
         raise ShapeMismatch(f"{what} need V* V = 1: max node defect {defect:.3e}")
 

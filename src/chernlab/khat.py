@@ -245,7 +245,7 @@ def cs_of_nullhomotopy(H: Homotopy) -> dict:
     checked through ``V V*``; it must start within 1e-10 of the basepoint.
     """
     if H.codomain == "unitary":
-        base = np.eye(H.slices.shape[-1])
+        base = np.eye(H.slice_shape[-1])
     elif H.codomain == "projection":
         if H.window is None:
             raise NotBasedAtIdentity("projection nullhomotopy needs a window basepoint")

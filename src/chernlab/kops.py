@@ -11,9 +11,11 @@ reversal.
 
 The canonical rotation homotopies are closed forms: each slice, time jet
 and spatial jet is a sum of t-independent blocks of the leaf with weights
-in ``c = cos t`` and ``s = sin t``, formed by one product per array
-(:func:`_closed_form`).  The odd ones sum four full-size blocks, the even
-one six half-width blocks of its frames.
+in ``c = cos t`` and ``s = sin t``.  A homotopy holds the blocks and the
+weight tables (:meth:`Homotopy.from_blocks`), never a stack over its time
+nodes, and forms each slice or jet when it is read, by one product over
+the blocks.  The odd ones hold four full-size blocks, the even one six
+half-width blocks of its frames.
 """
 
 from __future__ import annotations
@@ -221,21 +223,6 @@ def conjugation_homotopy(
     )
 
 
-def _closed_form(domain, times, weights, time_weights, blocks, spatial_blocks, codomain, window) -> Homotopy:
-    """The homotopy whose slice at ``times[i]`` is ``sum_k weights[i, k] B_k``
-    over the t-independent ``blocks`` ``B_k``, whose time jet is the same sum
-    with ``time_weights`` (the derivatives of ``weights``), and whose jet
-    along each axis is the sum with ``weights`` over that axis's stack of
-    ``spatial_blocks``: one product per array, one call per rotation builder."""
-
-    def weighted(w: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (w @ b.reshape(len(b), -1)).reshape(len(w), *b.shape[1:])
-
-    slices, jet = weighted(weights, blocks), weighted(time_weights, blocks)
-    spatial = tuple(weighted(weights, b) for b in spatial_blocks) or None
-    return Homotopy(domain, times, slices, codomain, window=window, time_partials=jet, spatial_partials=spatial)
-
-
 def _rotation_blocks(diag0, diag1, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The blocks ``diag0 (+) diag1``, ``x (+) 0``, ``[[0, x], [y, 0]]`` and
     ``0 (+) y`` in the interleave of :func:`blocksum`."""
@@ -270,11 +257,11 @@ def _rotation_homotopy(
     eye = np.eye(a.cols)
     x = a.values @ b - a.values
     y = b - eye
-    spatial = ()
+    spatial = None
     if a.partials is not None and b_partials is not None:
-        spatial = (_rotation_blocks(da, 0.0, da @ y + a.values @ db, db) for da, db in zip(a.partials, b_partials))
+        spatial = tuple(_rotation_blocks(da, 0.0, da @ y + a.values @ db, db) for da, db in zip(a.partials, b_partials))
     blocks = _rotation_blocks(a.values, eye, x, y)
-    return _closed_form(a.domain, times, weights, time_weights, blocks, spatial, "unitary", window)
+    return Homotopy.from_blocks(a.domain, times, blocks, weights, time_weights, "unitary", window, spatial)
 
 
 def inversion_homotopy_odd(f: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotopy:
@@ -355,5 +342,5 @@ def inversion_homotopy_even(x: SampledMap, t_res: int = DEFAULT_T_RES) -> Homoto
     u = 1.0 - c
     weights = np.stack([np.ones_like(times), s, u, s * s, s * u, u * u], axis=1)
     time_weights = np.stack([0.0 * times, c, s, 2.0 * s * c, c * u + s * s, 2.0 * s * u], axis=1)
-    spatial = (blocks(d) for d in x.partials or ())
-    return _closed_form(x.domain, times, weights, time_weights, blocks(x.values), spatial, "projection", big)
+    spatial = None if x.partials is None else tuple(blocks(d) for d in x.partials)
+    return Homotopy.from_blocks(x.domain, times, blocks(x.values), weights, time_weights, "projection", big, spatial)

@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +35,7 @@ from chernlab.geomgrid import (
     make_domain,
     sub_grid,
 )
-from chernlab.kops import conjugation_homotopy, inversion_homotopy_even, inversion_homotopy_odd
+from chernlab.kops import blocksum, conjugation_homotopy, inversion_homotopy_even, inversion_homotopy_odd
 from chernlab.stiefel import PolarizedWindow
 
 RNG = np.random.default_rng(11)
@@ -407,7 +406,8 @@ def test_homotopy_window_must_span_the_slice_rows():
 
 def test_concatenate_rejects_mismatched_windows():
     h = _even_inversion()
-    back = replace(h.reversed(), window=PolarizedWindow(3, 5))
+    rev = h.reversed()
+    back = _like(rev, rev.slices, rev.time_partials, window=PolarizedWindow(3, 5))
     assert back.window.dim == h.window.dim
     with pytest.raises(ShapeMismatch, match="windows"):
         Homotopy.concatenate(h, back)
@@ -541,9 +541,12 @@ def test_homotopy_holds_its_fd_time_jet_from_construction():
     cat = Homotopy.concatenate(h, rev)
     assert cat.segments == ((0, 9), (9, 18))
     for x in (h, rev, cat, h.adjoint(), h.restrict((0,))):
-        assert x.time_derivative() is x.time_partials
-        assert not x.time_partials.flags.writeable
-    assert np.array_equal(h.time_partials, _diff_interval(h.slices, 0, 9, float(h.times[1] - h.times[0])))
+        # the jet is held as weights on the blocks; each read forms a new stack
+        assert not x.time_weights.flags.writeable and not x.time_partials.flags.writeable
+        assert x.time_derivative() is not x.time_derivative()
+        assert np.array_equal(x.time_derivative(), x.time_partials)
+    # the banded weights _diff_interval(eye) apply the stencil in another order than _diff_interval itself
+    assert np.abs(h.time_partials - _diff_interval(h.slices, 0, 9, float(h.times[1] - h.times[0]))).max() < 1e-14
     assert np.array_equal(rev.time_partials, -h.time_partials[::-1])
     assert np.array_equal(cat.time_partials, np.concatenate([h.time_partials, rev.time_partials]))
     # a segment of another spacing takes its FD jet with its own spacing
@@ -781,6 +784,56 @@ def test_cs_zero_alone_is_the_trace_pairing(name):
         assert np.abs(expected[()]).max() > 0.1
     assert np.abs(alone.comps[()] - expected[()]).max() <= 1e-15
     assert np.abs(alone.comps[()] - cs_forms(h)[1].comps[()]).max() <= 1e-15
+
+
+def _phase_family(t_res, exact_jets):
+    """``f_t = exp(i t^2 phi(x)) (+) 1`` on torus2 over ``t`` in [0, 1], held
+    stacked; its ``CS_0`` is ``chern_scalar("odd", 1) i phi`` at every node,
+    from the integrand ``tr(f^{-1} df/dt) = 2 i t phi``, which Simpson
+    integrates exactly.  The time jet ``2 i t phi f_t (+) 0`` is given when
+    ``exact_jets``, FD4 otherwise."""
+    dom = make_domain("torus2", (16, 16))
+    x = np.meshgrid(*[ax.coords for ax in dom.axes], indexing="ij")
+    phi = (np.cos(x[0]) + 0.5 * np.sin(x[0] + 2.0 * x[1]))[..., None, None]
+    times = np.linspace(0.0, 1.0, t_res)[:, None, None, None, None]
+    phase = np.exp(1j * times**2 * phi)
+    slices = blocksum(phase, np.ones_like(phase))
+    jets = blocksum(2j * times * phi * phase, np.zeros_like(phase)) if exact_jets else None
+    return Homotopy(dom, times.ravel(), slices, codomain="unitary", time_partials=jets), phi[..., 0, 0]
+
+
+def test_cs_zero_of_a_phase_family_is_its_phase():
+    # every inversion and Eckmann-Hilton CS_0 vanishes; this one does not
+    h, phi = _phase_family(9, exact_jets=True)
+    expected = chern_scalar("odd", 1) * 1j * phi
+    assert np.abs(expected).max() > 0.2
+    assert np.abs(cs_forms(h, 1)[1].comps[()] - expected).max() < 1e-12
+    assert np.abs(cs_forms(h)[1].comps[()] - expected).max() < 1e-12
+    errors = []
+    for t_res in (17, 33, 65):
+        h, _ = _phase_family(t_res, exact_jets=False)
+        errors.append(np.abs(cs_forms(h, 1)[1].comps[()] - expected).max())
+    # the FD4 time jet converges at its order, and nothing else errs
+    assert errors[0] > errors[1] > errors[2] > 0.0
+    assert min(np.log2(errors[0] / errors[1]), np.log2(errors[1] / errors[2])) > 3.7
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cs_zero_pairings_are_the_slice_by_slice_integral(seed):
+    # sum_kl c_kl tr(B_k* B'_l), c = W^T diag(q) W', is sum_i q_i tr(f_i* df_i/dt)
+    # for any blocks and real weights, derived homotopies included
+    rng = np.random.default_rng(seed)
+    dom = make_domain("circle", 8)
+    n, k = 7, 3
+    blocks = rng.standard_normal((k, 8, 2, 2)) + 1j * rng.standard_normal((k, 8, 2, 2))
+    weights, time_weights = rng.standard_normal((2, n, k))
+    h = Homotopy.from_blocks(dom, np.linspace(0.0, 1.0, n), blocks, weights, time_weights, "unitary", None, None)
+    stacked = Homotopy(dom, h.times, h.slices, "unitary")  # FD4: banded time weights
+    for x in (h, h.reversed(), Homotopy.concatenate(h, Homotopy.concatenate(h.reversed(), h)), stacked):
+        pairs = zip(x.quadrature, x.slices, x.time_partials)
+        expected = sum(q * np.einsum("...ij,...ij->...", s.conj(), j) for q, s, j in pairs)
+        got = cs_forms(x, 1)[1].comps[()] / chern_scalar("odd", 1)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("name", ["odd_grid_jets", "even_grid_jets"])

@@ -233,3 +233,34 @@ def test_an_unpassed_default_is_reported(tmp_path):
     assert unpassed_defaults(paths[:1], paths) == [
         "a.__init__(b)", "a.f(mode)", "a.f(tol)", "a.g(m)", "a.m(j)", "a.s(b)"
     ]
+
+
+STACKS = ("slices", "time_partials", "spatial_partials")
+
+
+def stack_reads(paths) -> list[str]:
+    """``module:line .name`` for every read of a whole-stack attribute of a
+    homotopy (``.slices``, ``.time_partials``, ``.spatial_partials``).  Each
+    read forms the stack of every time node, which a homotopy never holds,
+    so the package reads slices and jets one node at a time from the blocks;
+    ``Homotopy``'s own properties form their stacks without these reads."""
+    return sorted(
+        f"{path.stem}:{node.lineno} .{node.attr}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in STACKS and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_the_package_forms_no_homotopy_stack():
+    assert stack_reads(sorted(SRC.glob("*.py"))) == []
+
+
+def test_a_stack_read_is_reported(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(h, slices):\n"
+        "    n = h.slices.shape[0]\n"
+        "    h.time_partials\n"
+        "    return slices, h.slice_shape, g(spatial_partials=None)\n"
+    )
+    assert stack_reads([tmp_path / "a.py"]) == ["a:2 .slices", "a:3 .time_partials"]

@@ -618,15 +618,13 @@ def test_closed_form_matches_the_dense_products(name, t_res, with_partials):
 
 
 def test_every_rotation_builder_sums_its_blocks_through_one_helper(monkeypatch):
-    from chernlab import kops
+    calls, from_blocks = [], Homotopy.from_blocks
 
-    calls, closed_form = [], kops._closed_form
-
-    def counting(domain, times, weights, time_weights, blocks, *rest):
+    def counting(domain, times, blocks, *rest):
         calls.append(len(blocks))
-        return closed_form(domain, times, weights, time_weights, blocks, *rest)
+        return from_blocks(domain, times, blocks, *rest)
 
-    monkeypatch.setattr(kops, "_closed_form", counting)
+    monkeypatch.setattr(Homotopy, "from_blocks", counting)
     a, b, x = _leaves(40, True)
     inversion_homotopy_odd(a, 5)
     eckmann_hilton_homotopy(a, b, 5)
@@ -929,7 +927,8 @@ def test_inversion_homotopy_odd_does_not_revalidate_its_map(exact_jets, monkeypa
 
 
 def test_inversion_homotopy_takes_its_arrays_without_a_copy():
-    # a copy on entry to Homotopy doubles the traced peak (2.1x the kept bytes)
+    # the homotopy keeps its four blocks, whatever its time nodes; a copy of
+    # them on entry to Homotopy would double the traced peak
     f = random_unitary_map(np.random.default_rng(0), make_domain("torus3", (8, 8, 8)))
     f = SampledMap(f.domain, f.values, codomain="unitary")
     tracemalloc.start()
@@ -938,12 +937,12 @@ def test_inversion_homotopy_takes_its_arrays_without_a_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not h.slices.flags.writeable and not h.time_partials.flags.writeable
-    assert peak < 1.3 * (h.slices.nbytes + h.time_partials.nbytes)
+    assert h.blocks.shape[0] == 4 and h.time_blocks is h.blocks and not h.blocks.flags.writeable
+    assert peak < 1.3 * h.blocks.nbytes
 
 
 def test_inversion_homotopy_keeps_spatial_partials_without_a_copy():
-    # copies of the spatial partials on entry to Homotopy raise the peak to 1.7x
+    # copies of the spatial blocks on entry to Homotopy would raise the peak to 1.9x
     f = random_unitary_map(np.random.default_rng(0), make_domain("torus3", (8, 8, 8)))
     tracemalloc.start()
     try:
@@ -951,14 +950,13 @@ def test_inversion_homotopy_keeps_spatial_partials_without_a_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(not p.flags.writeable for p in h.spatial_partials)
-    kept = h.slices.nbytes + h.time_partials.nbytes + sum(p.nbytes for p in h.spatial_partials)
-    assert peak < 1.3 * kept
+    assert all(not p.flags.writeable for p in h.spatial_blocks)
+    assert peak < 1.3 * (h.blocks.nbytes + sum(p.nbytes for p in h.spatial_blocks))
 
 
 def test_even_inversion_homotopy_takes_its_arrays_without_a_copy():
-    # the t-independent leaf arrays and per-slice factors stay small next to
-    # the slices and time jets the homotopy keeps
+    # the six blocks are stacked from six temporaries of their size (2.5x the
+    # kept bytes at the peak); a copy on entry to Homotopy would add one more
     x = random_unitary_map(np.random.default_rng(0), make_domain("torus3", (8, 8, 8)), size=4, window=WIN)
     x = SampledMap(x.domain, x.values, codomain="unitary", window=WIN)
     tracemalloc.start()
@@ -967,5 +965,84 @@ def test_even_inversion_homotopy_takes_its_arrays_without_a_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not h.slices.flags.writeable and not h.time_partials.flags.writeable
-    assert peak < 1.3 * (h.slices.nbytes + h.time_partials.nbytes)
+    assert h.blocks.shape[0] == 6 and not h.blocks.flags.writeable
+    assert peak < 3.0 * h.blocks.nbytes
+
+
+def test_cs_exact_of_an_odd_inversion_allocates_a_third_of_its_stacks():
+    # the benchmark's leaf: its 17 slices and time jets at 16^3 take 35.7 MB
+    # stacked, and neither the homotopy nor a pass of cs_exact forms them
+    dom = make_domain("torus3", (16, 16, 16))
+    f = random_unitary_map(np.random.default_rng(0), dom, size=2, amp=0.3, trig_degree=2)
+    f = SampledMap(dom, f.values, codomain="unitary")
+    tracemalloc.start()
+    try:
+        h = inversion_homotopy_odd(f, t_res=17)
+        cs_exact(h, k_max=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stacked = 2 * h.n_times * np.prod(h.slice_shape) * 16
+    assert 35.6e6 < stacked < 35.7e6
+    assert peak < stacked / 3
+
+
+def _formed(h: Homotopy) -> tuple:
+    """The stacks of ``h``: slices, time jets and spatial jets."""
+    return h.slices, h.time_partials, h.spatial_partials
+
+
+def _slice_by_slice(h: Homotopy) -> tuple:
+    """The slices, time jets and spatial jets of ``h`` evaluated one time node
+    at a time from its blocks, as the passes of ``cs_forms`` read them."""
+    out = np.empty(h.slice_shape, dtype=complex)
+    slices = np.stack([h._slice(i, out).copy() for i in range(h.n_times)])
+    jets = np.stack([h._time_jet(i, out).copy() for i in range(h.n_times)])
+    spatial = [np.stack(d) for d in zip(*([x.copy() for x in h._spatial_jets(i, out)] for i in range(h.n_times)))]
+    return slices, jets, spatial
+
+
+BLOCK_BUILDERS = {
+    "inversion_odd": lambda a, b, x, t_res: inversion_homotopy_odd(a, t_res),
+    "eckmann_hilton": lambda a, b, x, t_res: eckmann_hilton_homotopy(a, b, t_res),
+    "inversion_even": lambda a, b, x, t_res: inversion_homotopy_even(x, t_res),
+}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from(list(BLOCK_BUILDERS)), st.sampled_from([3, 5, 9]))
+def test_derived_homotopies_are_the_operations_on_the_formed_stacks(seed, name, t_res):
+    h = BLOCK_BUILDERS[name](*_leaves(seed, True), t_res)
+    s, tp, sp = _formed(h)
+    frames = h._frames
+
+    def adj(x):
+        return x if frames else _adj(x)
+
+    expected = {
+        "restrict": (h.restrict((1,)), s[:, 0], tp[:, 0], [sp[1][:, 0]]),
+        "reversed": (h.reversed(), s[::-1], -tp[::-1], [d[::-1] for d in sp]),
+        "adjoint": (h.adjoint(), adj(s), adj(tp), [adj(d) for d in sp]),
+        "concatenate": (
+            Homotopy.concatenate(h, h.reversed()),
+            np.concatenate([s, s[::-1]]),
+            np.concatenate([tp, -tp[::-1]]),
+            [np.concatenate([d, d[::-1]]) for d in sp],
+        ),
+    }
+    for derived, *stacks in expected.values():
+        for got, want in zip(_slice_by_slice(derived), stacks):
+            for x, y in zip(got if isinstance(got, list) else [got], want if isinstance(want, list) else [want]):
+                assert x.shape == y.shape and np.abs(x - y).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name", list(BLOCK_BUILDERS))
+def test_reversed_shares_the_blocks_of_its_operand(name):
+    h = BLOCK_BUILDERS[name](*_leaves(40, True), 5)
+    stacked = Homotopy(h.spatial, h.times, h.slices, h.codomain, window=h.window, time_partials=h.time_partials)
+    for x in (h, stacked):
+        rev = x.reversed()
+        assert rev.blocks is x.blocks and rev.time_blocks is x.time_blocks
+        assert all(a is b for a, b in zip(rev.spatial_blocks or (), x.spatial_blocks or ()))
+        assert np.shares_memory(rev.blocks, x.blocks)
+        assert np.array_equal(rev.quadrature, x.quadrature[::-1])
