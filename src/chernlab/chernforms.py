@@ -692,7 +692,7 @@ def _unitary_cs_zero(H: Homotopy) -> np.ndarray:
     integrand of unitary slices integrated in ``t``, from pairings of the
     blocks: with slices ``W B``, jets ``W' B'`` and quadrature ``q`` it is
     ``sum_kl c_kl tr(B_k* B'_l)`` with ``c = W^T diag(q) W'``, taken over the
-    nonzero ``c_kl`` only (12 pairings of 4 blocks on an odd rotation
+    nonzero ``c_kl`` only (6 pairings of 3 blocks on an odd rotation
     homotopy, whatever its time nodes)."""
     c = H.weights.T @ (H.quadrature[:, None] * H.time_weights)
     conj = np.empty(H.slice_shape, dtype=complex)

@@ -10,12 +10,12 @@ mode swap ``e_i -> e_{-i-1}``, which on a symmetric window is plain index
 reversal.
 
 The canonical rotation homotopies are closed forms: each slice, time jet
-and spatial jet is a sum of t-independent blocks of the leaf with weights
-in ``c = cos t`` and ``s = sin t``.  A homotopy holds the blocks and the
+and spatial jet is a sum of t-independent blocks of the leaf with
+trigonometric weights in ``t``.  A homotopy holds the blocks and the
 weight tables (:meth:`Homotopy.from_blocks`), never a stack over its time
 nodes, and forms each slice or jet when it is read, by one product over
-the blocks.  The odd ones hold four full-size blocks, the even one six
-half-width blocks of its frames.
+the blocks.  The odd ones hold three full-size blocks, with weights in
+``cos 2t`` and ``sin 2t``, the even one six half-width blocks of its frames.
 """
 
 from __future__ import annotations
@@ -223,44 +223,55 @@ def conjugation_homotopy(
     )
 
 
-def _rotation_blocks(diag0, diag1, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The blocks ``diag0 (+) diag1``, ``x (+) 0``, ``[[0, x], [y, 0]]`` and
-    ``0 (+) y`` in the interleave of :func:`blocksum`."""
-    n = x.shape[-1]
-    blocks = np.zeros((4, *x.shape[:-2], 2 * n, 2 * n), dtype=complex)
-    blocks[0, ..., 0::2, 0::2] = diag0
-    blocks[0, ..., 1::2, 1::2] = diag1
-    blocks[1, ..., 0::2, 0::2] = blocks[2, ..., 0::2, 1::2] = x
-    blocks[3, ..., 1::2, 1::2] = blocks[2, ..., 1::2, 0::2] = y
+def _rotation_blocks(diag0, diag1, half_x: np.ndarray, half_y: np.ndarray) -> np.ndarray:
+    """The blocks ``(diag0 + x/2) (+) (diag1 + y/2)``, ``(-x/2) (+) (y/2)``
+    and ``[[0, x/2], [y/2, 0]]`` in the interleave of :func:`blocksum`, from
+    ``half_x = x/2`` and ``half_y = y/2``, which it overwrites.  Every block
+    is copied in from them: a ufunc that writes into a strided view of the
+    blocks buffers an operand of their size."""
+    n = half_x.shape[-1]
+    blocks = np.zeros((3, *half_x.shape[:-2], 2 * n, 2 * n), dtype=complex)
+    b0, b1, b2 = blocks
+    b2[..., 0::2, 1::2] = half_x
+    b1[..., 1::2, 1::2] = b2[..., 1::2, 0::2] = half_y
+    b1[..., 0::2, 0::2] = np.negative(half_x, out=half_x)
+    b0[..., 0::2, 0::2] = np.subtract(diag0, half_x, out=half_x)  # diag0 + x/2, exactly
+    b0[..., 1::2, 1::2] = np.add(half_y, diag1, out=half_y)
     return blocks
 
 
 def _rotation_homotopy(
-    a: SampledMap, b: np.ndarray, b_partials: tuple[np.ndarray, ...] | None, t_res: int, window
+    a: SampledMap, y: np.ndarray, y_partials: tuple[np.ndarray, ...] | None, t_res: int, window
 ) -> Homotopy:
     """Slices ``(a (+) 1) C_t (1 (+) b) C_t*`` over ``t in [0, pi/2]``, with
-    ``C_t`` the rotation by ``t`` of the two copies into each other.
+    ``C_t`` the rotation by ``t`` of the two copies into each other, from
+    ``y = b - 1``, which it overwrites, and the partials of ``b``.
 
-    With ``c = cos t``, ``s = sin t``, ``x = ab - a`` and ``y = b - 1`` the
-    slice is ``[[a + s^2 x, cs x], [cs y, 1 + c^2 y]]`` in the interleave of
-    :func:`blocksum`: the blocks of :func:`_rotation_blocks` with weights
-    ``(1, s^2, cs, c^2)``, and time-jet weights
-    ``(0, sin 2t, cos 2t, -sin 2t)``.  Along an axis, with
+    With ``c = cos t``, ``s = sin t`` and ``x = ay = ab - a`` the slice is
+    ``[[a + s^2 x, cs x], [cs y, 1 + c^2 y]]`` in the interleave of
+    :func:`blocksum`.  Since ``s^2 = (1 - cos 2t)/2``, ``c^2 = (1 + cos 2t)/2``
+    and ``cs = sin 2t / 2``, that is the three blocks of
+    :func:`_rotation_blocks` with weights ``(1, cos 2t, sin 2t)``, and
+    time-jet weights ``(0, -2 sin 2t, 2 cos 2t)``.  Along an axis, with
     ``d x = d a y + a d b``, the jet is ``[[d a + s^2 d x, cs d x],
-    [cs d b, c^2 d b]]``, exact when ``a`` carries partials and ``b_partials``
-    are given.  The product ``ab`` is formed once (it is not assumed to be 1).
+    [cs d b, c^2 d b]]``, the same three blocks of ``d a``, ``0``, ``d x``
+    and ``d b``; it is exact when ``a`` carries partials and ``y_partials``
+    are given.  ``ab`` is not assumed to be 1.
     """
     times = rotation_times(t_res)
-    c, s = np.cos(times), np.sin(times)
-    weights = np.stack([np.ones_like(times), s * s, c * s, c * c], axis=1)
-    time_weights = np.stack([0.0 * times, np.sin(2 * times), np.cos(2 * times), -np.sin(2 * times)], axis=1)
-    eye = np.eye(a.cols)
-    x = a.values @ b - a.values
-    y = b - eye
+    c2, s2 = np.cos(2 * times), np.sin(2 * times)
+    weights = np.stack([np.ones_like(times), c2, s2], axis=1)
+    time_weights = np.stack([0.0 * times, -2.0 * s2, 2.0 * c2], axis=1)
+    x = a.values @ y
     spatial = None
-    if a.partials is not None and b_partials is not None:
-        spatial = tuple(_rotation_blocks(da, 0.0, da @ y + a.values @ db, db) for da, db in zip(a.partials, b_partials))
-    blocks = _rotation_blocks(a.values, eye, x, y)
+    if a.partials is not None and y_partials is not None:
+        spatial = tuple(
+            _rotation_blocks(da, 0.0, 0.5 * (da @ y + a.values @ db), 0.5 * db) for da, db in zip(a.partials, y_partials)
+        )
+    x *= 0.5
+    y *= 0.5
+    # a float identity would be cast through a buffer the size of y
+    blocks = _rotation_blocks(a.values, np.eye(a.cols, dtype=complex), x, y)
     return Homotopy.from_blocks(a.domain, times, blocks, weights, time_weights, "unitary", window, spatial)
 
 
@@ -282,7 +293,9 @@ def inversion_homotopy_odd(f: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotop
         return np.ascontiguousarray(np.swapaxes(v, -1, -2).conj())
 
     partials = None if f.partials is None else tuple(adjoint(d) for d in f.partials)
-    return _rotation_homotopy(f, adjoint(f.values), partials, t_res, win)
+    y = adjoint(f.values)
+    y -= np.eye(f.cols)
+    return _rotation_homotopy(f, y, partials, t_res, win)
 
 
 def eckmann_hilton_homotopy(a: SampledMap, b: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotopy:
@@ -297,7 +310,7 @@ def eckmann_hilton_homotopy(a: SampledMap, b: SampledMap, t_res: int = DEFAULT_T
     if a.domain != b.domain or a.values.shape != b.values.shape:
         raise ShapeMismatch("operands must share a grid and size")
     win = doubled_window(a.window) if a.window is not None and a.window == b.window else None
-    return _rotation_homotopy(a, b.values, b.partials, t_res, win)
+    return _rotation_homotopy(a, b.values - np.eye(b.cols), b.partials, t_res, win)
 
 
 def inversion_homotopy_even(x: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotopy:

@@ -629,7 +629,7 @@ def test_every_rotation_builder_sums_its_blocks_through_one_helper(monkeypatch):
     inversion_homotopy_odd(a, 5)
     eckmann_hilton_homotopy(a, b, 5)
     inversion_homotopy_even(x, 5)
-    assert calls == [4, 4, 6]
+    assert calls == [3, 3, 6]
 
 
 def _haar_leaf(rng, size: int, window=None) -> SampledMap:
@@ -927,7 +927,7 @@ def test_inversion_homotopy_odd_does_not_revalidate_its_map(exact_jets, monkeypa
 
 
 def test_inversion_homotopy_takes_its_arrays_without_a_copy():
-    # the homotopy keeps its four blocks, whatever its time nodes; a copy of
+    # the homotopy keeps its three blocks, whatever its time nodes; a copy of
     # them on entry to Homotopy would double the traced peak
     f = random_unitary_map(np.random.default_rng(0), make_domain("torus3", (8, 8, 8)))
     f = SampledMap(f.domain, f.values, codomain="unitary")
@@ -937,7 +937,7 @@ def test_inversion_homotopy_takes_its_arrays_without_a_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert h.blocks.shape[0] == 4 and h.time_blocks is h.blocks and not h.blocks.flags.writeable
+    assert h.blocks.shape[0] == 3 and h.time_blocks is h.blocks and not h.blocks.flags.writeable
     assert peak < 1.3 * h.blocks.nbytes
 
 
