@@ -116,6 +116,29 @@ def _adjoint(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2).conj()
 
 
+def _real_form(b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``R(b)``, the real ``2n x 2p`` form of a stack of complex ``n x p``
+    matrices that multiplies on the right on float views:
+    ``(a @ b).view(float) = a.view(float) @ R(b)``.
+
+    Row pair ``l`` of ``R(b)``, read as complex, is ``b[l]`` and ``1j b[l]``,
+    so it takes two writes: a copy and a multiply by ``1j``.  ``R`` is a ring
+    homomorphism, ``R(ab) = R(a) R(b)``, with ``R(b*) = R(b)^T``; an entry
+    ``z`` becomes the ``2 x 2`` block ``[[Re z, Im z], [-Im z, Re z]]``.  It
+    is the real embedding ``rho`` of :func:`periodicity._realify` read on
+    rows, each entry's real and imaginary coordinates interleaved where
+    ``rho`` stacks them in halves; the transport keeps ``rho``, as it
+    multiplies real columns on the left.
+    """
+    n, p = b.shape[-2:]
+    if out is None:
+        out = np.empty((*b.shape[:-2], 2 * n, 2 * p))
+    pairs = out.view(complex).reshape(*b.shape[:-2], n, 2, p)
+    pairs[..., 0, :] = b
+    np.multiply(b, 1j, out=pairs[..., 1, :])
+    return out
+
+
 def _range_frame(p: np.ndarray) -> np.ndarray:
     """An orthonormal frame of the range of every projection value, from one
     batched ``eigh``: the eigenvectors of the eigenvalues above 1/2.
@@ -293,7 +316,7 @@ class Homotopy:
     is formed only when it is read, one at a time, by one product over the
     blocks of its nonzero weights, or as a view of one block when its weight
     row picks that block out.  The rotation homotopies of :mod:`kops` hold
-    four or six blocks however many time nodes they have
+    three or five blocks however many time nodes they have
     (:meth:`from_blocks`).
 
     The constructor takes stacked arrays: the ``slices`` become the blocks
@@ -597,17 +620,24 @@ class _SliceWorkspace:
     slice and its jets are evaluated from the blocks of the homotopy into
     buffers of the workspace (a slice that is one block is read in place).
 
-    Unitary slices (only ``k > 1`` come here) keep ``df/dt`` and the spatial
-    jets side by side in one ``(..., n, (dim + 1) n)`` buffer, so every
-    ``alpha_a = f^{-1} d_a f`` comes from one product ``f^{-1} [df/dt | d_1 f
-    | ..]``, and the degree-2 heads ``alpha_t omega_i`` from a second one,
-    ``alpha_t [omega_1 | ..]``.  On the 4 x 4 slices of the odd inversion
-    homotopies one such product takes about 0.4 of the time of its blocks
-    multiplied one at a time, with the same bits (OpenBLAS, one thread;
-    2 x 2 blocks can differ in the last bit).  The degree ``2k - 2`` of a
-    unitary CS form is at most ``dim <= 3``, so ``k <= 2``, and these two
-    products are all of a slice.  Grid jets are written into their blocks,
-    exact ones copied there.
+    Unitary slices (only ``k > 1`` come here) are taken in the right
+    logarithmic derivative ``beta_a = d_a f f^{-1} = f alpha_a f^{-1}``,
+    which has the traces of ``alpha_a = f^{-1} d_a f``.  The jets are
+    stacked by rows, ``J = [df/dt; d_1 f; ..]`` (grid jets written into
+    their row blocks, exact ones copied in), so every ``beta_a`` comes from
+    one real product ``J.view(float) @ R(f*)`` (:func:`_real_form`, with
+    ``f^{-1} = f*``) and every ``X_i = beta_i beta_t`` from a second one,
+    ``[beta_1; ..].view(float) @ R(beta_t)``.  The degree ``2k - 2`` of a
+    unitary CS form is at most ``dim <= 3``, so ``k = 2``, and the integrand
+    ``tr(alpha_t ^ omega ^ omega)`` is ``tr(beta ^ X)`` by cyclicity: these
+    two products are all of a slice.  numpy multiplies a stack of small
+    complex matrices by one ``zgemm`` call per matrix, and the real products
+    of the float views are faster: on the 4 x 4 slices of the odd inversion
+    homotopies they cut a ``cs_exact`` pass by about a fifth.  ``R(f*)``,
+    which is ``R(f)^T``, is formed from a conjugate transposed copy of
+    ``f``: numpy's stacked product reads a transposed view of ``R(f)`` at
+    about 2.5 times the cost of a contiguous operand (256 nodes of 8 x 8,
+    OpenBLAS, one thread).
 
     Projection slices go through :class:`_FrameCurvature`, slot 0 being
     ``t``.  A frame slice ``V`` is its own frame, and its time jet and exact
@@ -629,11 +659,13 @@ class _SliceWorkspace:
         if H.spatial_blocks is not None:
             self.exact = np.empty(shape, dtype=complex)
         if self.unitary:
-            self.conj = np.empty(shape, dtype=complex)
-            self.n = n = shape[-1]
-            self.wide = np.empty((*shape[:-1], (dim + 1) * n), dtype=complex)
-            self.alpha = np.empty_like(self.wide)
-            self.heads = np.empty((*shape[:-1], dim * n), dtype=complex)
+            *nodes, _, self.n = shape
+            n = self.n
+            self.jets = np.empty((*nodes, (dim + 1) * n, n), dtype=complex)
+            self.beta = np.empty_like(self.jets)
+            self.heads = np.empty((*nodes, dim * n, n), dtype=complex)
+            self.real = np.empty((*nodes, 2 * n, 2 * n))
+            self.inverse = np.empty(shape, dtype=complex)
         else:
             self.frames = H._frames
             # slot 0 is t: the (0, i) pairs are iota_t Omega, the others Omega
@@ -644,9 +676,9 @@ class _SliceWorkspace:
                     self.conj = np.empty(shape, dtype=complex)
                     self.projection = np.empty_like(self.jet)
 
-    def _blocks(self, x: np.ndarray) -> list[np.ndarray]:
-        """The ``n``-column blocks of a wide unitary buffer, as views."""
-        return [x[..., a : a + self.n] for a in range(0, x.shape[-1], self.n)]
+    def _rows(self, x: np.ndarray) -> list[np.ndarray]:
+        """The ``n``-row blocks of a row-stacked unitary buffer, as views."""
+        return [x[..., a : a + self.n, :] for a in range(0, x.shape[-2], self.n)]
 
     def _grid_jets(self, v: np.ndarray, buffers) -> Iterable[np.ndarray]:
         """The grid jets of ``v`` along every spatial axis, written into
@@ -662,17 +694,19 @@ class _SliceWorkspace:
         exact = None if H.spatial_blocks is None else H._spatial_jets(it, self.exact)
         dim = H.spatial.dim
         if self.unitary:
-            finv = np.swapaxes(np.conjugate(v, out=self.conj), -1, -2)
-            jets = exact if exact is not None else self._grid_jets(v, self._blocks(self.wide)[1:])
-            for x, block in zip(itertools.chain((dv_dt,), jets), self._blocks(self.wide), strict=True):
+            rows = self._rows(self.jets)
+            jets = exact if exact is not None else self._grid_jets(v, rows[1:])
+            for x, block in zip(itertools.chain((dv_dt,), jets), rows, strict=True):
                 if not np.may_share_memory(x, block):  # grid jets are already in place
                     block[...] = x
-            alpha_t, *alpha = self._blocks(np.matmul(finv, self.wide, out=self.alpha))
-            heads = self._blocks(np.matmul(alpha_t, self.alpha[..., self.n :], out=self.heads))
-            # alpha_t ^ omega, the first wedge of every alpha_t ^ omega^(2k-2)
-            head = {(i,): x for i, x in enumerate(heads)}
-            omega = {(i,): a for i, a in enumerate(alpha)}
-            return {k: trace_wedge(head, *[omega] * (2 * k - 3)) for k in self.ks}
+            f_inv = np.conjugate(np.swapaxes(v, -1, -2), out=self.inverse)
+            beta_t, *beta = self._rows(self.beta)
+            np.matmul(self.jets.view(float), _real_form(f_inv, self.real), out=self.beta.view(float))
+            spatial = self.beta[..., self.n :, :].view(float)
+            np.matmul(spatial, _real_form(beta_t, self.real), out=self.heads.view(float))
+            # tr(alpha_t ^ omega ^ omega) = tr(beta ^ X), X_i = beta_i beta_t
+            heads = {(i,): x for i, x in enumerate(self._rows(self.heads))}
+            return {2: trace_wedge({(i,): b for i, b in enumerate(beta)}, heads)}
         if self.frames:
             frame, frame_jets, jets = v, itertools.chain((dv_dt,), exact or ()), ()
             if exact is None:
@@ -753,19 +787,20 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
     pair in ``r x r`` as ``V* [d_a P, d_b P] V`` from one Gram product of
     the ``(d_a P) V`` (:class:`_FrameCurvature`), with the traces of
     ``p [d_a p, d_b p]``; the jets of square slices are read as Hermitian,
-    as the projection homotopies of :mod:`kops` build them.  On unitary
-    slices ``df/dt`` and the spatial jets sit side by side in one wide
-    buffer, grid jets written straight into their blocks, and two stacked
-    products give every ``alpha_a = f^{-1} d_a f`` and every head
-    ``alpha_t omega_i``; a unitary form has degree ``2k - 2 <= dim <= 3``,
-    so ``k <= 2`` and nothing more is multiplied.  ``CS_0`` of unitary
-    slices is ``int tr(f^{-1} df/dt) dt``, which is bilinear in the slice
-    and its time jet, so it is taken from pairings of the blocks
-    (:func:`_unitary_cs_zero`) and no slice is evaluated for it; the
-    curvature pairs of projection slices are formed only when
-    ``k_max > 1``.  Quadrature in ``t`` is the homotopy's own
-    ``quadrature``, composite Simpson per segment, settled when it was
-    built.
+    as the projection homotopies of :mod:`kops` build them.  Unitary
+    slices are read through ``beta_a = d_a f f^{-1}``, which has the traces
+    of ``alpha_a``: ``df/dt`` and the spatial jets are stacked by rows, grid
+    jets written straight into their row blocks, and two real products of
+    float views give every ``beta_a`` and every ``beta_i beta_t``, whose
+    pairing ``tr(beta ^ beta beta_t)`` is ``tr(alpha_t ^ omega ^ omega)``;
+    a unitary form has degree ``2k - 2 <= dim <= 3``, so ``k <= 2`` and
+    nothing more is multiplied.  ``CS_0`` of unitary slices is ``int
+    tr(f^{-1} df/dt) dt``, which is bilinear in the slice and its time jet,
+    so it is taken from pairings of the blocks (:func:`_unitary_cs_zero`)
+    and no slice is evaluated for it; the curvature pairs of projection
+    slices are formed only when ``k_max > 1``.  Quadrature in ``t`` is the
+    homotopy's own ``quadrature``, composite Simpson per segment, settled
+    when it was built.
     """
     return _cs_forms(H, [k for k in range(1, k_max + 1) if _cs_degree(H.codomain, k) <= H.spatial.dim])
 

@@ -15,7 +15,7 @@ trigonometric weights in ``t``.  A homotopy holds the blocks and the
 weight tables (:meth:`Homotopy.from_blocks`), never a stack over its time
 nodes, and forms each slice or jet when it is read, by one product over
 the blocks.  The odd ones hold three full-size blocks, with weights in
-``cos 2t`` and ``sin 2t``, the even one six half-width blocks of its frames.
+``cos 2t`` and ``sin 2t``, the even one five half-width blocks of its frames.
 """
 
 from __future__ import annotations
@@ -326,13 +326,16 @@ def inversion_homotopy_even(x: SampledMap, t_res: int = DEFAULT_T_RES) -> Homoto
     first negative one through ``e_{2a+1} <-> e_{-2a-2}``, so ``C_{pi/2}`` is
     grading-preserving and the last slice is a frame of exactly the
     basepoint projection.  Since ``C_t^T = 1 - sJ + uJ^2``, ``V_t`` is the
-    sum over the six t-independent half-width blocks ``S Pi_+``,
-    ``(SJ - JS) Pi_+``, ``(SJ^2 + J^2 S) Pi_+``, ``-JSJ Pi_+``,
-    ``(J^2 SJ - JSJ^2) Pi_+`` and ``J^2 SJ^2 Pi_+`` with the weights
-    ``(1, s, u, s^2, su, u^2)``; its exact time jet is the same sum with
-    ``(0, c, s, 2sc, cu + s^2, 2su)``, ``c = cos t``.  Spatial jets are
-    exact when ``x`` carries exact partials: ``d_i V_t`` is the sum with
-    ``S`` replaced by ``d_i S``.
+    sum over the six t-independent half-width blocks ``B_0 = S Pi_+``,
+    ``B_1 = (SJ - JS) Pi_+``, ``B_2 = (SJ^2 + J^2 S) Pi_+``, ``B_3 = -JSJ
+    Pi_+``, ``B_4 = (J^2 SJ - JSJ^2) Pi_+`` and ``B_5 = J^2 SJ^2 Pi_+`` with
+    the weights ``(1, s, u, s^2, su, u^2)``.  These span only ``(1, s, c,
+    c^2, sc)``, ``c = cos t``, so the homotopy holds the five blocks
+    ``B_0 + B_2 + B_3 + B_5``, ``B_1 + B_4``, ``-B_2 - 2 B_5``, ``B_5 - B_3``
+    and ``-B_4`` with those weights; its exact time jet is the same sum with
+    ``(0, c, -s, -2sc, c^2 - s^2)``.  Spatial jets are exact when ``x``
+    carries exact partials: ``d_i V_t`` is the sum with ``S`` replaced by
+    ``d_i S``.
     """
     if x.window is None:
         raise AsymmetricWindow("even inversion needs a windowed map")
@@ -344,16 +347,35 @@ def inversion_homotopy_even(x: SampledMap, t_res: int = DEFAULT_T_RES) -> Homoto
     square = gen @ gen
 
     def blocks(leaf: np.ndarray) -> np.ndarray:
-        """The six blocks of ``S = leaf (+) flip leaf``, from ``S Pi_+``,
-        ``S J Pi_+`` and ``S J^2 Pi_+``."""
+        """The five blocks of ``S = leaf (+) flip leaf``, from ``S Pi_+``,
+        ``S J Pi_+`` and ``S J^2 Pi_+``, each product written into its block
+        or one scratch array."""
         summed = blocksum(leaf, flip(leaf, win))
         s0, s1, s2 = summed[..., big.n_minus :], summed @ gen[:, big.n_minus :], summed @ square[:, big.n_minus :]
-        return np.stack([s0, s1 - gen @ s0, s2 + square @ s0, -(gen @ s1), square @ s1 - gen @ s2, square @ s2])
+        out = np.empty((5, *s0.shape), dtype=complex)
+        one, sin, cos, cos2, sincos = out
+        scratch = np.empty_like(s0)
+        np.matmul(square, s2, out=cos2)  # B_5
+        np.matmul(square, s0, out=cos)  # B_2 - S J^2 Pi_+
+        np.add(s0, s2, out=one)
+        one += cos
+        one += cos2  # B_0 + B_2 + B_5
+        cos += s2
+        cos += cos2
+        cos += cos2
+        np.negative(cos, out=cos)  # -B_2 - 2 B_5
+        np.matmul(gen, s1, out=scratch)  # -B_3
+        one -= scratch
+        cos2 += scratch
+        np.matmul(gen, s2, out=sincos)
+        sincos -= np.matmul(square, s1, out=scratch)  # -B_4
+        np.subtract(s1, np.matmul(gen, s0, out=scratch), out=sin)  # B_1
+        sin -= sincos
+        return out
 
     times = rotation_times(t_res)
     c, s = np.cos(times), np.sin(times)
-    u = 1.0 - c
-    weights = np.stack([np.ones_like(times), s, u, s * s, s * u, u * u], axis=1)
-    time_weights = np.stack([0.0 * times, c, s, 2.0 * s * c, c * u + s * s, 2.0 * s * u], axis=1)
+    weights = np.stack([np.ones_like(times), s, c, c * c, s * c], axis=1)
+    time_weights = np.stack([0.0 * times, c, -s, -2.0 * s * c, c * c - s * s], axis=1)
     spatial = None if x.partials is None else tuple(blocks(d) for d in x.partials)
     return Homotopy.from_blocks(x.domain, times, blocks(x.values), weights, time_weights, "projection", big, spatial)

@@ -160,6 +160,12 @@ def _realify(x: np.ndarray) -> np.ndarray:
     so complex matrix algebra runs on real matrices of twice the side;
     numpy's stacked real products of small matrices are several times
     faster than its complex ones, which call ``zgemm`` once per matrix.
+    It is the embedding ``R`` of :func:`chernforms._real_form` with each
+    entry's real and imaginary coordinates stacked in halves rather than
+    interleaved, multiplying real columns on the left where ``R``
+    multiplies float views of rows on the right; the transport multiplies
+    its frames on the left and reads them back as real columns
+    (:func:`_complexify`).
     """
     n, r = x.shape[-2:]
     out = np.empty((*x.shape[:-2], 2 * n, 2 * r))

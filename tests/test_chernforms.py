@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
@@ -12,6 +14,7 @@ from chernlab.chernforms import (
     Homotopy,
     _FrameCurvature,
     _range_frame,
+    _real_form,
     ch_even,
     ch_odd,
     ch_total,
@@ -637,6 +640,25 @@ def _frame_pairs(h, it):
     return {ab: x - _adj(x) for ab, x in blocks.items()}
 
 
+def _unitary_integrand(f, dt, d, k):
+    """The contracted unitary CS integrand of a slice ``f`` with time jet
+    ``dt`` and spatial jets ``d``: ``tr(f^{-1} df/dt)`` for ``k = 1``; for
+    ``k = 2`` the products of ``cs_forms``, ``beta = J f^{-1}`` of the
+    row-stacked jets ``J = [df/dt; d_1 f; ..]`` and ``X_i = beta_i beta_t``,
+    both on float views, paired as ``tr(beta ^ X)``."""
+    if k == 1:
+        return trace_wedge({(): _adj(f) @ dt})
+    n = f.shape[-1]
+    jets = np.concatenate([dt, *d], axis=-2)
+    beta = (jets.view(float) @ _real_form(_adj(f))).view(complex)
+    heads = (beta[..., n:, :].view(float) @ _real_form(beta[..., :n, :])).view(complex)
+    rows = range(n, jets.shape[-2], n)
+    return trace_wedge(
+        {(i,): beta[..., a : a + n, :] for i, a in enumerate(rows)},
+        {(i,): heads[..., a - n : a, :] for i, a in enumerate(rows)},
+    )
+
+
 def _cs_through_slice_maps(h, k, pair=_product_pair):
     """``cs_form`` evaluated one validated slice map at a time, projection
     pairs built by ``pair``; the pairs of frame slices are those of
@@ -647,9 +669,7 @@ def _cs_through_slice_maps(h, k, pair=_product_pair):
         sl = h.slice_map(it)
         d = differentiate(sl)
         if h.codomain == "unitary":
-            finv = np.swapaxes(sl.values, -1, -2).conj()
-            omega = {(i,): finv @ a for i, a in enumerate(d)}
-            comps = trace_wedge({(): finv @ dt[it]}, *[omega] * (2 * k - 2))
+            comps = _unitary_integrand(sl.values, dt[it], d, k)
             c = chern_scalar("odd", k) * (2 * k - 1)
         else:
             if h.slices.shape[-1] < h.slices.shape[-2]:
@@ -703,7 +723,7 @@ def _odd_cylinder_homotopy():
 
 @pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "cylinder"])
 def test_cs_form_on_two_axes_is_the_slice_map_form_bit_for_bit(name):
-    # the 2-cycle passes that cs_exact runs for degree 2, and interval jets written into the wide buffer
+    # the 2-cycle passes that cs_exact runs for degree 2, and interval jets written into their row blocks
     h = _odd_cylinder_homotopy() if name == "cylinder" else _inversion_homotopies()[name].restrict((0, 2))
     assert h.spatial.dim == 2 and h.slices.shape[-1] == 4
     forms = cs_forms(h)
@@ -734,18 +754,112 @@ def _complex_products(monkeypatch):
     return calls
 
 
+def _stacked_products(monkeypatch):
+    """Record ``(complex, a.shape, b.shape)`` of every ``np.matmul`` call
+    whose operands are both stacks of matrices: the slice products, not the
+    dense derivatives or the weighted sums over blocks."""
+    calls = []
+    matmul = np.matmul
+
+    def counting(a, b, *args, **kwargs):
+        if np.ndim(a) > 2 and np.ndim(b) > 2:
+            calls.append((np.iscomplexobj(a) or np.iscomplexobj(b), np.shape(a), np.shape(b)))
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    return calls
+
+
 @pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "odd_on_a_two_cycle"])
 def test_unitary_slices_take_two_stacked_products(name, monkeypatch):
     hs = _inversion_homotopies()
     h = hs["odd_grid_jets"].restrict((0, 2)) if name == "odd_on_a_two_cycle" else hs[name]
-    dim, n = h.spatial.dim, h.slices.shape[-1]
-    calls = _complex_products(monkeypatch)
+    dim, n, nodes = h.spatial.dim, h.slice_shape[-1], h.slice_shape[:-2]
+    calls = _stacked_products(monkeypatch)
     cs_forms(h, 2)
-    # f^{-1} [df/dt | d_1 f | ..] and alpha_t [omega_1 | ..]
-    assert calls == [h.slices.shape[1:-1] + ((dim + 1) * n,), h.slices.shape[1:-1] + (dim * n,)] * h.n_times
+    # [df/dt; d_1 f; ..] R(f*), then [beta_1; ..] R(beta_t), on float views
+    real = nodes + (2 * n, 2 * n)
+    per_slice = [(False, nodes + ((dim + 1) * n, 2 * n), real), (False, nodes + (dim * n, 2 * n), real)]
+    assert calls == per_slice * h.n_times
     calls.clear()
     cs_forms(h, 1)
     assert calls == []
+
+
+def _alpha_form(h):
+    """CS_2 of the unitary homotopy ``h`` from the complex left-invariant
+    products, ``alpha = f^{-1} [df/dt | d_1 f | ..]`` and then ``alpha_t
+    [omega_1 | ..]``, and the scale of its round-off: the quadrature sum of
+    the largest ``|alpha_t| |omega_i|^2`` (Frobenius norms) of each slice,
+    which bounds every trace it sums."""
+    dt = h.time_derivative()
+    acc, scale = {}, 0.0
+    for it, wt in enumerate(h.quadrature):
+        sl = h.slice_map(it)
+        n = sl.values.shape[-1]
+        alpha = _adj(sl.values) @ np.concatenate([dt[it], *differentiate(sl)], axis=-1)
+        heads = alpha[..., :n] @ alpha[..., n:]
+        head = [heads[..., a : a + n] for a in range(0, heads.shape[-1], n)]
+        omega = [alpha[..., a : a + n] for a in range(n, alpha.shape[-1], n)]
+        norms = np.linalg.norm(alpha[..., :n], axis=(-2, -1)), *(np.linalg.norm(x, axis=(-2, -1)) for x in omega)
+        scale += abs(wt) * (norms[0] * np.max(norms[1:], axis=0) ** 2).max()
+        forms = ({(i,): x for i, x in enumerate(xs)} for xs in (head, omega))
+        for idx, val in trace_wedge(*forms).items():
+            acc[idx] = acc[idx] + wt * val if idx in acc else wt * val
+    c = chern_scalar("odd", 2) * 3
+    return {idx: c * a for idx, a in acc.items()}, abs(c) * scale
+
+
+@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "cylinder", "phase_twisted"])
+def test_unitary_cs_form_is_the_left_invariant_form(name):
+    # tr(beta ^ X) of the right logarithmic derivative is tr(alpha_t ^ omega ^ omega)
+    if name == "cylinder":
+        h = _odd_cylinder_homotopy()
+    else:
+        hs = _inversion_homotopies()
+        h = _phase_twisted(hs["odd_grid_jets"]) if name == "phase_twisted" else hs[name]
+    expected, scale = _alpha_form(h)
+    got = cs_forms(h, 2)[2]
+    assert scale > 1e-2 and got.comps.keys() == expected.keys()
+    for idx, comp in got.comps.items():
+        assert np.abs(comp - expected[idx]).max() <= 1e-14 * scale
+
+
+REAL_FORM_SIDES = st.integers(1, 4)
+STACKS = st.sampled_from([(), (1,), (5,), (2, 3)])
+
+
+def _complex_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=30, deadline=None)
+@given(REAL_FORM_SIDES, REAL_FORM_SIDES, REAL_FORM_SIDES, STACKS, st.integers(0, 2**16))
+def test_real_form_multiplies_float_views_on_the_right(m, n, r, stack, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _complex_stack(rng, (*stack, m, n)), _complex_stack(rng, (*stack, n, r))
+    rb = _real_form(b)
+    assert rb.dtype == np.float64 and rb.shape == (*stack, 2 * n, 2 * r)
+    scale = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(b, axis=(-2, -1))
+    error = np.linalg.norm(a.view(float) @ rb - (a @ b).view(float), axis=(-2, -1))
+    assert (error / scale).max() < 1e-15
+
+
+@settings(max_examples=30, deadline=None)
+@given(REAL_FORM_SIDES, REAL_FORM_SIDES, STACKS, st.integers(0, 2**16))
+def test_real_form_of_the_adjoint_is_the_transpose(n, r, stack, seed):
+    b = _complex_stack(np.random.default_rng(seed), (*stack, n, r))
+    assert np.array_equal(_real_form(_adj(b)), np.swapaxes(_real_form(b), -1, -2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(REAL_FORM_SIDES, REAL_FORM_SIDES, REAL_FORM_SIDES, STACKS, st.integers(0, 2**16))
+def test_real_form_is_multiplicative(m, n, r, stack, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _complex_stack(rng, (*stack, m, n)), _complex_stack(rng, (*stack, n, r))
+    ra, rb = _real_form(a), _real_form(b)
+    scale = np.linalg.norm(ra, axis=(-2, -1)) * np.linalg.norm(rb, axis=(-2, -1))
+    assert (np.linalg.norm(ra @ rb - _real_form(a @ b), axis=(-2, -1)) / scale).max() < 1e-15
 
 
 def test_frame_slices_take_r_by_r_products(monkeypatch):

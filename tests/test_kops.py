@@ -629,7 +629,7 @@ def test_every_rotation_builder_sums_its_blocks_through_one_helper(monkeypatch):
     inversion_homotopy_odd(a, 5)
     eckmann_hilton_homotopy(a, b, 5)
     inversion_homotopy_even(x, 5)
-    assert calls == [3, 3, 6]
+    assert calls == [3, 3, 5]
 
 
 def _haar_leaf(rng, size: int, window=None) -> SampledMap:
@@ -955,8 +955,9 @@ def test_inversion_homotopy_keeps_spatial_partials_without_a_copy():
 
 
 def test_even_inversion_homotopy_takes_its_arrays_without_a_copy():
-    # the six blocks are stacked from six temporaries of their size (2.5x the
-    # kept bytes at the peak); a copy on entry to Homotopy would add one more
+    # the five blocks are formed in place from S Pi_+, S J Pi_+, S J^2 Pi_+
+    # and one scratch array (2.1x the kept bytes at the peak); a copy on
+    # entry to Homotopy would add one more
     x = random_unitary_map(np.random.default_rng(0), make_domain("torus3", (8, 8, 8)), size=4, window=WIN)
     x = SampledMap(x.domain, x.values, codomain="unitary", window=WIN)
     tracemalloc.start()
@@ -965,7 +966,7 @@ def test_even_inversion_homotopy_takes_its_arrays_without_a_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert h.blocks.shape[0] == 6 and not h.blocks.flags.writeable
+    assert h.blocks.shape[0] == 5 and not h.blocks.flags.writeable
     assert peak < 3.0 * h.blocks.nbytes
 
 
