@@ -54,6 +54,7 @@ from .geomgrid import (
     integrate,
     sub_grid,
 )
+from .numkernel import _real_form
 
 __all__ = [
     "chern_scalar",
@@ -114,29 +115,6 @@ def trace_wedge(*factors: dict[tuple[int, ...], np.ndarray]) -> dict[tuple[int, 
 
 def _adjoint(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2).conj()
-
-
-def _real_form(b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``R(b)``, the real ``2n x 2p`` form of a stack of complex ``n x p``
-    matrices that multiplies on the right on float views:
-    ``(a @ b).view(float) = a.view(float) @ R(b)``.
-
-    Row pair ``l`` of ``R(b)``, read as complex, is ``b[l]`` and ``1j b[l]``,
-    so it takes two writes: a copy and a multiply by ``1j``.  ``R`` is a ring
-    homomorphism, ``R(ab) = R(a) R(b)``, with ``R(b*) = R(b)^T``; an entry
-    ``z`` becomes the ``2 x 2`` block ``[[Re z, Im z], [-Im z, Re z]]``.  It
-    is the real embedding ``rho`` of :func:`periodicity._realify` read on
-    rows, each entry's real and imaginary coordinates interleaved where
-    ``rho`` stacks them in halves; the transport keeps ``rho``, as it
-    multiplies real columns on the left.
-    """
-    n, p = b.shape[-2:]
-    if out is None:
-        out = np.empty((*b.shape[:-2], 2 * n, 2 * p))
-    pairs = out.view(complex).reshape(*b.shape[:-2], n, 2, p)
-    pairs[..., 0, :] = b
-    np.multiply(b, 1j, out=pairs[..., 1, :])
-    return out
 
 
 def _range_frame(p: np.ndarray) -> np.ndarray:
@@ -625,7 +603,7 @@ class _SliceWorkspace:
     which has the traces of ``alpha_a = f^{-1} d_a f``.  The jets are
     stacked by rows, ``J = [df/dt; d_1 f; ..]`` (grid jets written into
     their row blocks, exact ones copied in), so every ``beta_a`` comes from
-    one real product ``J.view(float) @ R(f*)`` (:func:`_real_form`, with
+    one real product ``J.view(float) @ R(f*)`` (:func:`numkernel._real_form`, with
     ``f^{-1} = f*``) and every ``X_i = beta_i beta_t`` from a second one,
     ``[beta_1; ..].view(float) @ R(beta_t)``.  The degree ``2k - 2`` of a
     unitary CS form is at most ``dim <= 3``, so ``k = 2``, and the integrand

@@ -10,7 +10,8 @@ alone:
 * Berry (1984): Kato transport of ``bloch_circle(theta)`` has holonomy
   ``exp(-i pi (1 - cos theta))``;
 * the classifying loop ``a_even`` of the constant connection ``c`` transports
-  to ``exp(2 pi i c)``;
+  to ``exp(2 pi i c)``, also on a window whose 3 x 3 loop, of rank 2, ends its
+  transport in a short block of steps;
 * the three Bott routes of ``loop_zn(n)`` all recover ``n``;
 * ``int ch_1`` of the Qi-Wu-Zhang band ``qwz_band(m)`` is -1, +1 and 0 for
   m = 1, -1 and 3 (Qi, Wu and Zhang, 2006);
@@ -47,7 +48,7 @@ __all__ = ["main", "verify"]
 HOLONOMY_BOUND = 1e-10  # |det U - oracle|
 BOTT_BOUND = 1e-6  # |int ch_1 route - n|, also the tolerance of bott_consistency
 BERRY_COLATITUDES = (0.6, 1.1, 2.3)
-CONNECTIONS = (0.7, -1.2)
+CONNECTIONS = ((0.7, None), (-1.2, None), (0.7, (1, 2)))  # (c, the window of a_even, if not the default)
 WINDINGS = range(-2, 3)
 QWZ_CHERN = ((1.0, -1), (-1.0, 1), (3.0, 0))  # (m, int ch_1 of qwz_band(m))
 CS_BOUND = 1e-10  # every cs_exact residual of an inversion homotopy
@@ -110,10 +111,11 @@ def verify() -> list[dict]:
         loop = builders.bloch_circle(theta)
         berry = complex(np.exp(-1j * np.pi * (1.0 - np.cos(theta))))
         checks.append(_entry(f"berry_phase/bloch_circle({theta})", HOLONOMY_BOUND, _holonomy, loop, berry))
-    for c in CONNECTIONS:
-        loop = a_even(CircleConnection.constant(c)).representative
+    for c, window in CONNECTIONS:
+        label = f"{c}" if window is None else f"{c}, window {window}"
+        loop = a_even(CircleConnection.constant(c), window and PolarizedWindow(*window)).representative
         holonomy = complex(np.exp(2j * np.pi * c))
-        checks.append(_entry(f"connection_holonomy/a_even({c})", HOLONOMY_BOUND, _holonomy, loop, holonomy))
+        checks.append(_entry(f"connection_holonomy/a_even({label})", HOLONOMY_BOUND, _holonomy, loop, holonomy))
     for n in WINDINGS:
         checks.append(_entry(f"bott_consistency/loop_zn({n})", BOTT_BOUND, _bott, n))
     for m, n in QWZ_CHERN:

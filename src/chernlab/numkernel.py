@@ -2,20 +2,17 @@
 
 Matrices are plain ``numpy`` complex arrays throughout the package; this
 module adds the handful of operations where the numerical contract matters
-(polar factor, rank counting, determinant phases) plus a few validation
-helpers.
+(polar factor, rank counting, determinant phases), the package's one real
+embedding of complex matrices, and a few validation helpers.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotUnitary, SingularInput
 
 __all__ = [
-    "RankReport",
     "polar_unitary",
     "numerical_rank",
     "det_phase",
@@ -26,7 +23,7 @@ __all__ = [
     "pairwise_sum",
 ]
 
-RANK_THRESHOLD_REL = 1e-8  # default: 1e-8 x largest singular value
+RANK_THRESHOLD_REL = 1e-8  # absolute rank threshold, for inputs of norm 1
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -48,15 +45,6 @@ def require_unitary(u) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class RankReport:
-    """Singular values (descending) together with the thresholded rank."""
-
-    singular_values: np.ndarray
-    numerical_rank: int
-    threshold: float
-
-
 def polar_unitary(m) -> np.ndarray:
     """Unitary polar factor ``U = m (m*m)^{-1/2}``, computed from the SVD.
 
@@ -72,20 +60,37 @@ def polar_unitary(m) -> np.ndarray:
     return v @ wh
 
 
-def numerical_rank(m, threshold: float | None = None) -> RankReport:
-    """Count singular values above ``threshold``.
-
-    ``threshold`` defaults to ``1e-8`` times the largest singular value, so the
-    count is scale-invariant; pass an absolute value to override.
-    """
-    m = np.asarray(m, dtype=complex)
-    s = np.linalg.svd(m, compute_uv=False)
-    if threshold is None:
-        threshold = RANK_THRESHOLD_REL * (float(s[0]) if s.size else 0.0)
+def numerical_rank(m, threshold: float) -> int:
+    """The number of singular values of ``m`` above the absolute ``threshold``."""
     if threshold < 0:
         raise SingularInput("threshold must be non-negative")
-    rank = int(np.count_nonzero(s > threshold))
-    return RankReport(singular_values=s, numerical_rank=rank, threshold=float(threshold))
+    s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
+    return int(np.count_nonzero(s > threshold))
+
+
+def _real_form(b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``R(b)``, the real ``2n x 2p`` form of a stack of complex ``n x p``
+    matrices: an entry ``z`` becomes the ``2 x 2`` block
+    ``[[Re z, Im z], [-Im z, Re z]]``.  Row pair ``l``, read as complex, is
+    ``b[l]`` and ``1j b[l]``, so it takes two writes: a copy and a multiply
+    by ``1j``.  It is the package's one real embedding of complex matrices:
+
+    - products: ``(a @ b).view(float) = a.view(float) @ R(b)`` on the right,
+      and ``R(a) R(b) = R(ab)`` (``R`` is an injective ring homomorphism);
+    - adjoints: ``R(b*) = R(b)^T``;
+    - read-back: ``R(b).view(complex)[..., ::2, :]`` is ``b``, exactly.
+
+    numpy multiplies a stack of small complex matrices by one ``zgemm``
+    call per matrix; stacked real products of the same algebra run several
+    times faster.
+    """
+    n, p = b.shape[-2:]
+    if out is None:
+        out = np.empty((*b.shape[:-2], 2 * n, 2 * p))
+    pairs = out.view(complex).reshape(*b.shape[:-2], n, 2, p)
+    pairs[..., 0, :] = b
+    np.multiply(b, 1j, out=pairs[..., 1, :])
+    return out
 
 
 def principal_angle(x: float) -> float:

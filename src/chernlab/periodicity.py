@@ -13,13 +13,13 @@ horizontal-lift equation ``w' = pi' w`` (Kato's adiabatic transport), reading
 ``pi`` and ``pi'`` from one resample of the loop onto a uniform grid of twice
 as many nodes as steps.  The equation is linear, so an RK4 step followed by
 re-projection is a fixed matrix.  The step matrices are built and chained
-on the real representation ``rho(z) = [[Re z, -Im z], [Im z, Re z]]``, a
-ring homomorphism whose stacked products numpy runs several times faster
-than complex ones, in blocks of steps whose real step matrices fit a fixed
-byte budget: a block builds its step matrices in one batched pass and
-chains them by a pairwise prefix product from the last frame of the block
-before.  The endpoint fiber coordinate, unitarized through the polar
-factor, is the holonomy.
+on their real forms ``R`` (:func:`numkernel._real_form`), a ring
+homomorphism whose stacked products numpy runs several times faster than
+complex ones, in blocks of steps whose real step matrices fit a fixed byte
+budget: a block builds its step matrices in one batched pass and chains
+them by a pairwise prefix product from the last frame of the block before.
+The endpoint fiber coordinate, unitarized through the polar factor, is the
+holonomy.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .geomgrid import SampledMap, integrate
-from .numkernel import RANK_THRESHOLD_REL, polar_unitary
+from .numkernel import RANK_THRESHOLD_REL, _real_form, polar_unitary
 from .stiefel import PolarizedWindow, SubspaceSpec, virtual_dimension
 
 __all__ = [
@@ -152,42 +152,9 @@ class HolonomyResult:
     diagnostics: dict
 
 
-def _realify(x: np.ndarray) -> np.ndarray:
-    """``rho(x) = [[Re x, -Im x], [Im x, Re x]]`` of a stack of complex
-    ``n x r`` matrices.
-
-    ``rho`` is an injective ring homomorphism, ``rho(ab) = rho(a) rho(b)``,
-    so complex matrix algebra runs on real matrices of twice the side;
-    numpy's stacked real products of small matrices are several times
-    faster than its complex ones, which call ``zgemm`` once per matrix.
-    It is the embedding ``R`` of :func:`chernforms._real_form` with each
-    entry's real and imaginary coordinates stacked in halves rather than
-    interleaved, multiplying real columns on the left where ``R``
-    multiplies float views of rows on the right; the transport multiplies
-    its frames on the left and reads them back as real columns
-    (:func:`_complexify`).
-    """
-    n, r = x.shape[-2:]
-    out = np.empty((*x.shape[:-2], 2 * n, 2 * r))
-    out[..., :n, :r] = out[..., n:, r:] = x.real
-    out[..., n:, :r] = x.imag
-    np.negative(x.imag, out=out[..., :n, r:])
-    return out
-
-
-def _complexify(col: np.ndarray) -> np.ndarray:
-    """The ``x`` whose real column ``[Re x; Im x]``, the first ``r`` columns
-    of ``rho(x)``, is ``col``; ``rho(m) col`` is the real column of ``mx``."""
-    n = col.shape[-2] // 2
-    x = np.empty((*col.shape[:-2], n, col.shape[-1]), dtype=complex)
-    x.real = col[..., :n, :]
-    x.imag = col[..., n:, :]
-    return x
-
-
 def _prefix_products(m: np.ndarray) -> np.ndarray:
     """``c[i] = m[i] @ .. @ m[0]`` for a stack ``m`` of square matrices of
-    any dtype (the transport passes real ``rho`` stacks).
+    any dtype (the transport passes real ``R`` stacks).
 
     Adjacent factors are multiplied in pairs, the half-length stack of pairs
     is reduced recursively (its prefixes are the odd slots of ``c``), and the
@@ -207,12 +174,12 @@ def _prefix_products(m: np.ndarray) -> np.ndarray:
 
 
 def _real_nodes(grid: np.ndarray, first: int, count: int, every: int) -> np.ndarray:
-    """``rho`` of the ``count`` nodes ``first, first + every, ..`` of the
+    """``R`` of the ``count`` nodes ``first, first + every, ..`` of the
     complex stage grid ``grid``; node ``len(grid)`` is node 0 (the circle closes)."""
     view = grid[first::every][:count]
     if len(view) < count:
         view = np.concatenate([view, grid[:1]])
-    return _realify(view)
+    return _real_form(view)
 
 
 def _transport_once(p: np.ndarray, dp: np.ndarray, w0: np.ndarray, stride: int) -> tuple[np.ndarray, dict]:
@@ -221,15 +188,16 @@ def _transport_once(p: np.ndarray, dp: np.ndarray, w0: np.ndarray, stride: int) 
     Step ``i`` reads nodes ``2i``, ``2i + 1`` and ``2i + 2``, each times
     ``stride`` and wrapped at ``2S``, so the run takes ``S / stride`` steps.
     The lift equation is linear, so step ``i`` is the matrix
-    ``M_i = pi_b R_i`` with ``R_i`` the RK4 propagator of ``pi'``, and the
-    frames are ``w_i = M_{i-1} .. M_0 w0``.  All of it runs on the real
-    representation ``rho`` (:func:`_realify`), the frames as their real
-    columns ``[Re w; Im w]``, in blocks of consecutive steps whose real step
-    matrices fit ``TRANSPORT_BLOCK_BYTES``; the partition is fixed by ``n``
-    and the step count.  A block realifies its strided views of the complex
-    grid, builds its step matrices at once, and its frames are its prefix
-    products times its start frame, the last frame of the block before.
-    Only the end frame and the tracking defect are read back as complex.
+    ``M_i = pi_b G_i`` with ``G_i`` the RK4 propagator of ``pi'``, and the
+    frames are ``w_i = M_{i-1} .. M_0 w0``.  All of it runs on real forms
+    ``R`` (:func:`numkernel._real_form`), the frames as ``R(w_i)``, in
+    blocks of consecutive steps whose real step matrices fit
+    ``TRANSPORT_BLOCK_BYTES``; the partition is fixed by ``n`` and the step
+    count.  A block takes ``R`` of its strided views of the complex grid,
+    builds its step matrices at once, and its frames are its prefix
+    products times its start frame, the last frame of the block before:
+    ``R(M) R(w) = R(Mw)``.  Only the end frame and the tracking defect are
+    read back as complex, as the even rows of the complex view.
     """
     s = 2 * stride
     steps = p.shape[0] // s
@@ -237,40 +205,40 @@ def _transport_once(p: np.ndarray, dp: np.ndarray, w0: np.ndarray, stride: int) 
     side = 2 * p.shape[-1]
     eye = np.eye(side)
     block = max(1, TRANSPORT_BLOCK_BYTES // (side * side * 8))
-    w = np.concatenate([w0.real, w0.imag])  # the real column of w0
+    w = _real_form(w0)
     track_defect = 0.0
     for i0 in range(0, steps, block):
         nb, first = min(block, steps - i0), s * i0
         nodes = _real_nodes(dp, first, 2 * nb + 1, stride)  # pi' at the block's stage nodes
         da, dm, db = nodes[:-1:2], nodes[1::2], nodes[2::2]
-        # per step: x the stage argument, k the stage, r the sum k1 + 2 k2 + 2 k3 + k4
+        # per step: x the stage argument, k the stage, g the sum k1 + 2 k2 + 2 k3 + k4
         x = da * (0.5 * h)
         x += eye  # 1 + h/2 k1, k1 = da
         k = dm @ x  # k2
-        r = k * 2.0
-        r += da
+        g = k * 2.0
+        g += da
         np.multiply(k, 0.5 * h, out=x)
         x += eye
         np.matmul(dm, x, out=k)  # k3
-        r += k
-        r += k
+        g += k
+        g += k
         np.multiply(k, h, out=x)
         x += eye
         np.matmul(db, x, out=k)  # k4
-        r += k
+        g += k
         del k, nodes, da, dm, db
-        r *= h / 6.0
-        r += eye  # R_i = 1 + h/6 (k1 + 2 k2 + 2 k3 + k4)
-        np.matmul(_real_nodes(p, first + s, nb, s), r, out=x)  # M_i = pi_b R_i
-        np.subtract(x, r, out=r)  # (pi_b - 1) R_i: what each RK4 step moves off the image
+        g *= h / 6.0
+        g += eye  # G_i = 1 + h/6 (k1 + 2 k2 + 2 k3 + k4)
+        np.matmul(_real_nodes(p, first + s, nb, s), g, out=x)  # M_i = pi_b G_i
+        np.subtract(x, g, out=g)  # (pi_b - 1) G_i: what each RK4 step moves off the image
         c = _prefix_products(x)
         del x
         # every prefix times the same start frame: one product on the stacked rows of c, not one per step
         frames = np.concatenate([w[None], (c.reshape(-1, side) @ w).reshape(nb, *w.shape)])
         del c
-        track_defect = max(track_defect, float(np.abs(_complexify(r @ frames[:-1])).max()))
+        track_defect = max(track_defect, float(np.abs((g @ frames[:-1]).view(complex)[..., ::2, :]).max()))
         w = frames[-1]
-    w_end = _complexify(w)
+    w_end = w.view(complex)[::2]
     sv = np.linalg.svd(w_end, compute_uv=False)
     if sv[-1] < 1e-6:
         raise LostRank(f"transported frame degenerated: min singular value {sv[-1]:.3e}")
@@ -287,11 +255,11 @@ def kato_transport(loop: SampledMap) -> HolonomyResult:
     :func:`fourier.resample` of the loop onto twice as many nodes as steps,
     which also gives the exact derivative there; a loop of more samples
     than that grid raises BadResolution.  Since the equation is linear, step
-    ``i`` is the matrix ``M_i = pi(t_{i+1}) R_i``, ``R_i`` the RK4 propagator;
-    the ``M_i`` are built a block of steps at a time on real ``2n x 2n``
-    matrices (:func:`_transport_once`) and their prefix products give every
-    intermediate frame, so ``tracking_defect`` is the exact largest
-    ``|pi R_i w_i - R_i w_i|`` over the steps.  The start frame ``w0`` is an
+    ``i`` is the matrix ``M_i = pi(t_{i+1}) G_i``, ``G_i`` the RK4 propagator;
+    the ``M_i`` are built a block of steps at a time as their real ``2n x 2n``
+    forms ``R(M_i)`` (:func:`_transport_once`) and their prefix products give
+    every intermediate frame, so ``tracking_defect`` is the exact largest
+    ``|pi G_i w_i - G_i w_i|`` over the steps.  The start frame ``w0`` is an
     orthonormal eigenbasis of the first sample's image, so the endpoint
     ``w(1) = w0 Q`` gives ``Q = w0* w(1)``, and ``U`` is the unitary polar
     factor of ``Q``.  The transport is repeated at half the steps on the same

@@ -163,6 +163,6 @@ def virtual_dimension(spec: SubspaceSpec) -> int:
     """
     win = spec.window
     pi_plus_rows = spec.basis[win.n_minus :]
-    ker = spec.basis.shape[1] - numerical_rank(pi_plus_rows, RANK_THRESHOLD_REL).numerical_rank
-    coker = win.n_plus - numerical_rank(pi_plus_rows, RANK_THRESHOLD_REL).numerical_rank
+    ker = spec.basis.shape[1] - numerical_rank(pi_plus_rows, RANK_THRESHOLD_REL)
+    coker = win.n_plus - numerical_rank(pi_plus_rows, RANK_THRESHOLD_REL)
     return int(ker - coker)

@@ -14,7 +14,6 @@ from chernlab.chernforms import (
     Homotopy,
     _FrameCurvature,
     _range_frame,
-    _real_form,
     ch_even,
     ch_odd,
     ch_total,
@@ -39,6 +38,7 @@ from chernlab.geomgrid import (
     sub_grid,
 )
 from chernlab.kops import blocksum, conjugation_homotopy, inversion_homotopy_even, inversion_homotopy_odd
+from chernlab.numkernel import _real_form
 from chernlab.stiefel import PolarizedWindow
 
 RNG = np.random.default_rng(11)
@@ -823,43 +823,6 @@ def test_unitary_cs_form_is_the_left_invariant_form(name):
     assert scale > 1e-2 and got.comps.keys() == expected.keys()
     for idx, comp in got.comps.items():
         assert np.abs(comp - expected[idx]).max() <= 1e-14 * scale
-
-
-REAL_FORM_SIDES = st.integers(1, 4)
-STACKS = st.sampled_from([(), (1,), (5,), (2, 3)])
-
-
-def _complex_stack(rng, shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-@settings(max_examples=30, deadline=None)
-@given(REAL_FORM_SIDES, REAL_FORM_SIDES, REAL_FORM_SIDES, STACKS, st.integers(0, 2**16))
-def test_real_form_multiplies_float_views_on_the_right(m, n, r, stack, seed):
-    rng = np.random.default_rng(seed)
-    a, b = _complex_stack(rng, (*stack, m, n)), _complex_stack(rng, (*stack, n, r))
-    rb = _real_form(b)
-    assert rb.dtype == np.float64 and rb.shape == (*stack, 2 * n, 2 * r)
-    scale = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(b, axis=(-2, -1))
-    error = np.linalg.norm(a.view(float) @ rb - (a @ b).view(float), axis=(-2, -1))
-    assert (error / scale).max() < 1e-15
-
-
-@settings(max_examples=30, deadline=None)
-@given(REAL_FORM_SIDES, REAL_FORM_SIDES, STACKS, st.integers(0, 2**16))
-def test_real_form_of_the_adjoint_is_the_transpose(n, r, stack, seed):
-    b = _complex_stack(np.random.default_rng(seed), (*stack, n, r))
-    assert np.array_equal(_real_form(_adj(b)), np.swapaxes(_real_form(b), -1, -2))
-
-
-@settings(max_examples=30, deadline=None)
-@given(REAL_FORM_SIDES, REAL_FORM_SIDES, REAL_FORM_SIDES, STACKS, st.integers(0, 2**16))
-def test_real_form_is_multiplicative(m, n, r, stack, seed):
-    rng = np.random.default_rng(seed)
-    a, b = _complex_stack(rng, (*stack, m, n)), _complex_stack(rng, (*stack, n, r))
-    ra, rb = _real_form(a), _real_form(b)
-    scale = np.linalg.norm(ra, axis=(-2, -1)) * np.linalg.norm(rb, axis=(-2, -1))
-    assert (np.linalg.norm(ra @ rb - _real_form(a @ b), axis=(-2, -1)) / scale).max() < 1e-15
 
 
 def test_frame_slices_take_r_by_r_products(monkeypatch):

@@ -12,7 +12,7 @@ def test_verify_prints_json_and_every_verdict_holds(capsys):
     assert cli.main(["verify"]) == 0
     report = json.loads(capsys.readouterr().out)
     checks = report["checks"]
-    assert report["verdict"] and len(checks) == 16
+    assert report["verdict"] and len(checks) == 17
     assert checks[-1]["name"] == "cs_exact/inversion_homotopy_even(random_unitary_map)"
     assert set(checks[-1]["diagnostics"]["residuals"]) == {"1", "3"}
     for check in checks:

@@ -11,11 +11,10 @@ from chernlab.errors import BandwidthViolation, LostRank, NotALoop
 from chernlab.geomgrid import SampledMap, make_domain
 from chernlab.khat import CircleConnection, a_even
 from chernlab.kops import blocksum_map
+from chernlab.numkernel import _real_form
 from chernlab.periodicity import (
     DEFAULT_TRANSPORT_STEPS,
-    _complexify,
     _prefix_products,
-    _realify,
     bott_consistency,
     bott_subspace,
     kato_transport,
@@ -264,11 +263,11 @@ def test_transport_frames_are_the_stacked_prefix_products(make, steps, monkeypat
     block = _block_steps(loop)
     full, rest = divmod(DEFAULT_TRANSPORT_STEPS, block)
     assert [len(c) for c in outermost] == [block] * full + [rest] * (rest > 0)
-    w = np.concatenate([w0.real, w0.imag])  # the real column of w0
+    w = _real_form(w0)
     for c in outermost:  # each block starts from the last frame of the block before
         assert c.dtype == np.float64 and c.shape[1:] == (2 * loop.cols,) * 2
         w = (c @ w)[-1]
-    assert np.array_equal(w_end, _complexify(w))
+    assert np.array_equal(w_end, w.view(complex)[::2])
 
 
 class _StageGrid(np.ndarray):
@@ -301,38 +300,15 @@ def test_transport_takes_no_complex_stacked_product(make, monkeypatch):
     assert _StageGrid.products == []
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([(), (1,), (5,), (2, 3)]), st.integers(0, 2**16))
-def test_complexify_inverts_realify_exactly(n, r, stack, seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((*stack, n, r)) + 1j * rng.standard_normal((*stack, n, r))
-    y = _realify(x)
-    assert y.dtype == np.float64 and y.shape == (*stack, 2 * n, 2 * r)
-    assert np.array_equal(y[..., n:, r:], y[..., :n, :r]) and np.array_equal(y[..., :n, r:], -y[..., n:, :r])
-    assert np.array_equal(_complexify(y[..., :r]), x)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**16))
-def test_realify_is_multiplicative(n, k, r, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((6, n, k)) + 1j * rng.standard_normal((6, n, k))
-    b = rng.standard_normal((6, k, r)) + 1j * rng.standard_normal((6, k, r))
-    ra, rb = _realify(a), _realify(b)
-    scale = np.linalg.norm(ra, axis=(1, 2)) * np.linalg.norm(rb, axis=(1, 2))
-    assert (np.linalg.norm(ra @ rb - _realify(a @ b), axis=(1, 2)) / scale).max() < 1e-15
-    # rho(a) maps the real column of b to that of ab
-    assert (np.linalg.norm(_complexify(ra @ rb[..., :r]) - a @ b, axis=(1, 2)) / scale).max() < 1e-15
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 70), st.integers(0, 2**16))
 def test_prefix_products_commute_with_realify(n, length, seed):
+    # to realify is to take the real form R of numkernel._real_form
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((length, n, n)) + 1j * rng.standard_normal((length, n, n)))
     m = q @ (np.eye(n) + 0.05 * rng.standard_normal((length, n, n)))
-    expected = _realify(_prefix_products(m))
-    got = _prefix_products(_realify(m))
+    expected = _real_form(_prefix_products(m))
+    got = _prefix_products(_real_form(m))
     rel = np.linalg.norm(got - expected, axis=(1, 2)) / np.linalg.norm(expected, axis=(1, 2))
     assert got.dtype == np.float64 and rel.max() < 1e-12
 
