@@ -213,7 +213,7 @@ def ch_odd(f: SampledMap, k: int) -> GradedForm:
     omega = {(i,): finv @ p for i, p in enumerate(differentiate(f))}
     comps = trace_wedge(*[omega] * deg)
     c = chern_scalar("odd", k)
-    return GradedForm(f.domain, deg, -k, {idx: c * a for idx, a in comps.items()})
+    return GradedForm(f.domain, deg, {idx: c * a for idx, a in comps.items()})
 
 
 def ch_even(p: SampledMap, k: int) -> GradedForm:
@@ -231,7 +231,7 @@ def ch_even(p: SampledMap, k: int) -> GradedForm:
     pairs = _FrameCurvature(len(partials), len(partials) - 1)
     comps = trace_wedge(*[pairs.fill(_range_frame(p.values), (), partials)] * k)
     c = chern_scalar("even", k)
-    return GradedForm(p.domain, deg, -k, {idx: c * a for idx, a in comps.items()})
+    return GradedForm(p.domain, deg, {idx: c * a for idx, a in comps.items()})
 
 
 def ch_total(f: SampledMap, k_max: int = DEFAULT_K_MAX) -> list[GradedForm]:
@@ -309,23 +309,25 @@ class Homotopy:
     it is given (they are not copied when already contiguous complex) and
     makes them read-only.
 
-    ``segments`` lists half-open index ranges that tile the time nodes
-    ``[0, n_times)`` in order, each covering an odd number of nodes (at
-    least 3) with uniform, increasing ``times``, inside which the family is
-    smooth.  ``quadrature`` holds one weight per time node, composite
-    Simpson per segment, settled at construction, so neither the time jet
-    nor the quadrature straddles the junction of a concatenation.  A
-    ``window``, as on :class:`SampledMap`, must span the rows of the slices,
-    and only homotopies on one window concatenate.
+    The constructor's ``segments`` lists half-open index ranges that tile
+    the time nodes ``[0, n_times)`` in order, each covering an odd number of
+    nodes (at least 3) with uniform, increasing ``times``, inside which the
+    family is smooth; by default one segment covers them all.  They are not
+    held: they only build the FD4 time weights and :attr:`quadrature`, one
+    weight per time node, composite Simpson per segment, so neither the
+    time jet nor the quadrature straddles a segment junction.  A ``window``,
+    as on :class:`SampledMap`, must span the rows of the slices, and only
+    homotopies on one window concatenate.
 
     :attr:`slices`, :attr:`time_partials` (:meth:`time_derivative`) and
     :attr:`spatial_partials` form their whole stacks on every read and keep
     none of them; :func:`cs_forms` never reads them.  The derived homotopies
-    change weights or blocks, never stacks: :meth:`restrict` restricts the
-    blocks, :meth:`reversed` flips the weight rows and negates the time
-    weights, sharing every block, :meth:`adjoint` takes the adjoint of every
-    block (all weights are real), and :meth:`concatenate` joins the blocks
-    and puts the weights block-diagonal.
+    change weights or blocks, never stacks, and keep their held time
+    weights and quadrature: :meth:`restrict` restricts the blocks,
+    :meth:`reversed` flips the weight rows and the quadrature and negates
+    the time weights, sharing every block, :meth:`adjoint` takes the adjoint
+    of every block (all weights are real), and :meth:`concatenate` joins the
+    blocks and the quadratures and puts the weights block-diagonal.
 
     A projection-tagged homotopy holds either square projections or, when
     its slices have fewer columns than rows, orthonormal frames ``V`` of
@@ -353,7 +355,8 @@ class Homotopy:
         eye = np.eye(len(slices))
         exact = time_partials is not None
         self._settle(
-            spatial=spatial, times=times, codomain=codomain, segments=segments, window=window, quadrature=None,
+            segments,
+            spatial=spatial, times=times, codomain=codomain, window=window, quadrature=None,
             blocks=slices, weights=eye, spatial_blocks=spatial_partials,
             time_blocks=time_partials if exact else slices, time_weights=eye if exact else None,
         )
@@ -367,7 +370,8 @@ class Homotopy:
         (None when not known)."""
         h = object.__new__(cls)
         h._settle(
-            spatial=spatial, times=times, codomain=codomain, segments=(), window=window, quadrature=None,
+            (),
+            spatial=spatial, times=times, codomain=codomain, window=window, quadrature=None,
             blocks=blocks, weights=weights, spatial_blocks=spatial_blocks,
             time_blocks=blocks, time_weights=time_weights,
         )
@@ -377,10 +381,11 @@ class Homotopy:
     def __setattr__(self, name, value):
         raise AttributeError(f"a Homotopy is immutable; cannot set {name!r}")
 
-    def _settle(self, **fields) -> None:
+    def _settle(self, segments: tuple[tuple[int, int], ...] = (), **fields) -> None:
         """Set ``fields``, with every check and normalization of construction
-        but the frame check; the FD4 time weights and the quadrature are
-        settled here when they are None."""
+        but the frame check.  When the quadrature is None, it and the FD4
+        time weights, if None too, are built from ``segments``, which are
+        checked only then and not held."""
         shared = fields["time_blocks"] is fields["blocks"]
         fields["blocks"] = np.ascontiguousarray(fields["blocks"], dtype=complex)
         if shared:
@@ -395,37 +400,36 @@ class Homotopy:
         if t.ndim != 1 or w.shape != (t.size, len(b)):
             raise ShapeMismatch("times and slices disagree")
         _check_window(self.window, b.shape[-2])
-        segs = tuple((int(a), int(z)) for a, z in self.segments) or ((0, t.size),)
-        if [a for a, _ in segs] != [0, *(z for _, z in segs[:-1])] or segs[-1][1] != t.size:
-            raise ShapeMismatch(f"homotopy segments {segs} do not tile the {t.size} time nodes in order")
-        for a, z in segs:
-            if (z - a) < 3 or (z - a) % 2 == 0:
-                raise ShapeMismatch("each homotopy segment needs an odd node count >= 3")
-            dt = np.diff(t[a:z])
-            if dt.min() <= 0.0:
-                raise ShapeMismatch("homotopy time nodes must increase within each segment")
-            if (dt.max() - dt.min()) > 1e-12 * max(abs(t[z - 1] - t[a]), 1.0):
-                raise ShapeMismatch("homotopy time nodes must be uniform per segment")
         if self.spatial_blocks is not None:
             vars(self)["spatial_blocks"] = _check_partials(self.spatial_blocks, self.spatial.dim, b.shape)
-        tw = self.time_weights
-        if tw is None:
-            if min(z - a for a, z in segs) < 5:
-                raise ShapeMismatch("a homotopy segment of fewer than 5 nodes needs exact time partials")
-            fd = np.zeros((t.size, t.size))
+        tw, q = self.time_weights, self.quadrature
+        if q is None:  # a derived homotopy keeps its time weights and quadrature
+            segs = tuple((int(a), int(z)) for a, z in segments) or ((0, t.size),)
+            if [a for a, _ in segs] != [0, *(z for _, z in segs[:-1])] or segs[-1][1] != t.size:
+                raise ShapeMismatch(f"homotopy segments {segs} do not tile the {t.size} time nodes in order")
             for a, z in segs:
-                fd[a:z, a:z] = _diff_interval(np.eye(z - a), 0, z - a, float(t[a + 1] - t[a]))
-            tw = fd @ w
+                if (z - a) < 3 or (z - a) % 2 == 0:
+                    raise ShapeMismatch("each homotopy segment needs an odd node count >= 3")
+                dt = np.diff(t[a:z])
+                if dt.min() <= 0.0:
+                    raise ShapeMismatch("homotopy time nodes must increase within each segment")
+                if (dt.max() - dt.min()) > 1e-12 * max(abs(t[z - 1] - t[a]), 1.0):
+                    raise ShapeMismatch("homotopy time nodes must be uniform per segment")
+            if tw is None:
+                if min(z - a for a, z in segs) < 5:
+                    raise ShapeMismatch("a homotopy segment of fewer than 5 nodes needs exact time partials")
+                fd = np.zeros((t.size, t.size))
+                for a, z in segs:
+                    fd[a:z, a:z] = _diff_interval(np.eye(z - a), 0, z - a, float(t[a + 1] - t[a]))
+                tw = fd @ w
+            if q is None:
+                q = np.concatenate([_simpson_weights(z - a, float(t[a + 1] - t[a])) for a, z in segs])
         tb = np.ascontiguousarray(self.time_blocks, dtype=complex)
         tw = np.asarray(tw, dtype=float)
         if tb.shape[1:] != b.shape[1:] or tw.shape != (t.size, len(tb)):
             raise ShapeMismatch(f"time partials {tb.shape} do not match the slices {b.shape}")
-        q = self.quadrature
-        if q is None:
-            q = np.concatenate([_simpson_weights(z - a, float(t[a + 1] - t[a])) for a, z in segs])
         vars(self).update(
             times=_freeze(t),
-            segments=segs,
             blocks=_freeze(b),
             weights=_freeze(w),
             time_blocks=_freeze(tb),
@@ -535,10 +539,9 @@ class Homotopy:
         return self._mapped(lambda a: a[(slice(None), *pin)], spatial=sub, axes=sorted(axes))
 
     def reversed(self) -> "Homotopy":
-        n, t = self.n_times, self.times
+        t = self.times
         return self._derived(
             times=t[-1] - t[::-1] + t[0],
-            segments=tuple((n - b, n - a) for a, b in reversed(self.segments)),
             weights=self.weights[::-1],
             time_weights=-self.time_weights[::-1],
             quadrature=self.quadrature[::-1],
@@ -551,8 +554,8 @@ class Homotopy:
 
     @staticmethod
     def concatenate(first: "Homotopy", second: "Homotopy") -> "Homotopy":
-        """``first`` then ``second``, one segment list; NotALoop unless the
-        junction slices agree within 1e-10."""
+        """``first`` then ``second``, each keeping its time weights and
+        quadrature; NotALoop unless the junction slices agree within 1e-10."""
 
         def kind(h: Homotopy) -> tuple:
             return h.spatial, h.codomain, h.window, h.slice_shape
@@ -561,10 +564,9 @@ class Homotopy:
             raise ShapeMismatch("cannot concatenate homotopies on different grids, tags, windows or slice shapes")
         last = first._slice(-1, np.empty(first.slice_shape, dtype=complex))
         junction = float(np.abs(first._value(last) - second._value(second._slice(0, np.empty_like(last)))).max())
-        if junction >= 1e-10:
+        if not junction < 1e-10:
             raise NotALoop(f"junction slices differ by {junction:.3e}")
         shift = first.times[-1] - second.times[0]
-        n1 = first.n_times
         blocks = np.concatenate([first.blocks, second.blocks])
         shared = first.time_blocks is first.blocks and second.time_blocks is second.blocks
         sp = None
@@ -572,7 +574,6 @@ class Homotopy:
             sp = tuple(np.concatenate([a, b]) for a, b in zip(first.spatial_blocks, second.spatial_blocks))
         return first._derived(
             times=np.concatenate([first.times, second.times + shift]),
-            segments=first.segments + tuple((a + n1, b + n1) for a, b in second.segments),
             blocks=blocks,
             weights=_block_diagonal(first.weights, second.weights),
             time_blocks=blocks if shared else np.concatenate([first.time_blocks, second.time_blocks]),
@@ -737,7 +738,7 @@ def _cs_forms(H: Homotopy, ks: Sequence[int]) -> dict[int, GradedForm]:
             c = chern_scalar("odd", k) * (2 * k - 1)
         else:
             c = chern_scalar("even", k) * k
-        out[k] = GradedForm(H.spatial, _cs_degree(H.codomain, k), -k, {idx: c * a for idx, a in acc[k].items()})
+        out[k] = GradedForm(H.spatial, _cs_degree(H.codomain, k), {idx: c * a for idx, a in acc[k].items()})
     return out
 
 

@@ -18,8 +18,6 @@ Conventions
 * A :class:`GradedForm` of degree p stores one complex scalar per node per
   strictly increasing axis multi-index.
 * A cycle is a tuple of periodic axes; every other axis is pinned at node 0.
-* All quadrature reduces with a fixed pairwise order (`pairwise_sum`), so the
-  results do not depend on how work was chunked.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from .errors import (
     DegreeOverflow,
     ShapeMismatch,
 )
-from .numkernel import pairwise_sum
 
 __all__ = [
     "Axis",
@@ -148,8 +145,8 @@ def _check_frames(frames: Iterable[np.ndarray], what: str) -> None:
     for x in frames:
         if x.shape[-1] > x.shape[-2]:
             raise ShapeMismatch(f"{what} of shape {x.shape[-2:]} are neither square nor frames")
-        defect = max(defect, float(np.abs(np.swapaxes(x, -1, -2).conj() @ x - np.eye(x.shape[-1])).max()))
-    if defect >= _TAG_TOL:
+        defect = np.maximum(defect, np.abs(np.swapaxes(x, -1, -2).conj() @ x - np.eye(x.shape[-1])).max())
+    if not defect < _TAG_TOL:
         raise ShapeMismatch(f"{what} need V* V = 1: max node defect {defect:.3e}")
 
 
@@ -200,21 +197,21 @@ class SampledMap:
                 raise ShapeMismatch("unitary values must be square")
             eye = np.eye(v.shape[-1])
             err = np.abs(np.swapaxes(v, -1, -2).conj() @ v - eye).max()
-            if err >= _TAG_TOL:
+            if not err < _TAG_TOL:
                 raise ShapeMismatch(f"unitary tag violated: max node defect {err:.3e}")
         elif self.codomain == "projection":
             if v.shape[-1] != v.shape[-2]:
                 raise ShapeMismatch("projection values must be square")
             idem = np.abs(v @ v - v).max()
             herm = np.abs(v - np.swapaxes(v, -1, -2).conj()).max()
-            if max(idem, herm) >= _TAG_TOL:
+            if not (idem < _TAG_TOL and herm < _TAG_TOL):
                 raise ShapeMismatch(
                     f"projection tag violated: idempotency {idem:.3e}, hermiticity {herm:.3e}"
                 )
             # the curvature kernels read the jets of projections as Hermitian
             for axis, d in enumerate(self.partials or ()):
                 herm = np.abs(d - np.swapaxes(d, -1, -2).conj()).max()
-                if herm >= _TAG_TOL:
+                if not herm < _TAG_TOL:
                     raise ShapeMismatch(f"projection partial along axis {axis} is not Hermitian: defect {herm:.3e}")
         elif self.codomain == "frame":
             _check_frames(v, "frame values")
@@ -262,7 +259,7 @@ def _check_partials(partials, n_axes: int, shape: tuple[int, ...]) -> tuple[np.n
 
 @dataclass(frozen=True)
 class GradedForm:
-    """Sampled differential-form component set with a u-grading.
+    """Sampled differential-form component set.
 
     ``comps`` maps each strictly increasing axis multi-index (a tuple of axis
     positions; ``()`` for degree 0) to a complex scalar array over the nodes.
@@ -270,7 +267,6 @@ class GradedForm:
 
     domain: DomainGrid
     form_degree: int
-    u_power: int
     comps: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -303,23 +299,13 @@ class GradedForm:
     def __add__(self, other: "GradedForm") -> "GradedForm":
         self._compat(other)
         keys = set(self.comps) | set(other.comps)
-        return GradedForm(
-            self.domain,
-            self.form_degree,
-            self.u_power,
-            {k: self.component(k) + other.component(k) for k in keys},
-        )
+        return GradedForm(self.domain, self.form_degree, {k: self.component(k) + other.component(k) for k in keys})
 
     def __sub__(self, other: "GradedForm") -> "GradedForm":
         return self + other.scale(-1.0)
 
     def scale(self, c: complex) -> "GradedForm":
-        return GradedForm(
-            self.domain,
-            self.form_degree,
-            self.u_power,
-            {k: c * a for k, a in self.comps.items()},
-        )
+        return GradedForm(self.domain, self.form_degree, {k: c * a for k, a in self.comps.items()})
 
     def _compat(self, other: "GradedForm") -> None:
         if self.domain != other.domain or self.form_degree != other.form_degree:
@@ -386,7 +372,7 @@ def form_derivative(omega: GradedForm) -> GradedForm:
             comp = omega.component(rest)
             acc += (-1.0) ** pos * _diff_along(domain, comp, ax)
         comps[idx] = acc
-    return GradedForm(domain, p + 1, omega.u_power, comps)
+    return GradedForm(domain, p + 1, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +398,7 @@ def _grid_quadrature(values: np.ndarray, axes: Sequence[Axis]) -> complex:
         else:
             w = _simpson_weights(ax.n, ax.spacing)
         total = total * w.reshape(shape)
-    return pairwise_sum(total)
+    return complex(total.sum())
 
 
 def integrate(omega: GradedForm) -> complex:

@@ -178,8 +178,6 @@ def association_permutation(dim_small: int) -> np.ndarray:
 
 
 def rotation_times(t_res: int = DEFAULT_T_RES) -> np.ndarray:
-    if t_res % 2 == 0 or t_res < 3:
-        raise ShapeMismatch("rotation grids need an odd node count >= 3")
     return np.linspace(0.0, np.pi / 2.0, t_res)
 
 
@@ -199,7 +197,7 @@ def conjugation_homotopy(
     if times is None:
         times = np.linspace(0.0, 1.0, DEFAULT_T_RES)
     a0 = np.asarray(path(float(times[0])), dtype=complex)
-    if float(np.abs(a0 - np.eye(a0.shape[0])).max()) >= 1e-10:
+    if not np.abs(a0 - np.eye(a0.shape[0])).max() < 1e-10:
         raise BadPathStart("conjugation path must start at the identity")
     slices = []
     partials = [] if path_derivative is not None else None

@@ -20,7 +20,6 @@ __all__ = [
     "require_unitary",
     "haar_unitary",
     "principal_angle",
-    "pairwise_sum",
 ]
 
 RANK_THRESHOLD_REL = 1e-8  # absolute rank threshold, for inputs of norm 1
@@ -40,7 +39,7 @@ def _as_square(m) -> np.ndarray:
 def require_unitary(u) -> np.ndarray:
     u = _as_square(u)
     err = frobenius(u.conj().T @ u - np.eye(u.shape[0]))
-    if err >= 1e-8:
+    if not err < 1e-8:
         raise NotUnitary(f"||u*u - I||_F = {err:.3e} >= 1.0e-08")
     return u
 
@@ -117,21 +116,3 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
-
-
-def pairwise_sum(values: np.ndarray) -> complex:
-    """Deterministic pairwise (tree) reduction of a 1-d array.
-
-    The reduction order depends only on the array length, never on chunking
-    or thread count, so serial and parallel callers agree bitwise.
-    """
-    a = np.asarray(values).ravel()
-    if a.size == 0:
-        return complex(0.0)
-    while a.size > 1:
-        half = a.size // 2
-        head = a[: 2 * half]
-        a = head[0::2] + head[1::2] if a.size % 2 == 0 else np.concatenate(
-            [head[0::2] + head[1::2], a[-1:]]
-        )
-    return complex(a[0])

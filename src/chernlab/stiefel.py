@@ -98,7 +98,7 @@ def transgression_eta(frames: SampledMap, k: int) -> GradedForm:
     phi = {(i, j): 0.5 * f - (theta[i] @ theta[j] - theta[j] @ theta[i]) / 6.0 for (i, j), f in pairs.items()}
     c = chern_scalar("even", k) * k
     comps = trace_wedge({(i,): a for i, a in enumerate(theta)}, *[phi] * (k - 1))
-    return GradedForm(frames.domain, deg, -k, {idx: c * a for idx, a in comps.items()})
+    return GradedForm(frames.domain, deg, {idx: c * a for idx, a in comps.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,7 @@ class SubspaceSpec:
         if q.ndim != 2 or q.shape[0] != self.window.dim:
             raise ShapeMismatch(f"basis shape {q.shape} does not match window dim {self.window.dim}")
         gram_err = frobenius(q.conj().T @ q - np.eye(q.shape[1]))
-        if gram_err >= 1e-10:
+        if not gram_err < 1e-10:
             raise DegenerateFrame(f"basis columns not orthonormal: {gram_err:.3e}")
         q.flags.writeable = False
         object.__setattr__(self, "basis", q)

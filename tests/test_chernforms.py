@@ -23,7 +23,7 @@ from chernlab.chernforms import (
     cs_forms,
     trace_wedge,
 )
-from chernlab.errors import DegreeOverflow, NotALoop, ShapeMismatch, SingularInput
+from chernlab.errors import ChernLabError, DegreeOverflow, NotALoop, ShapeMismatch, SingularInput
 from chernlab.geomgrid import (
     GradedForm,
     SampledMap,
@@ -464,7 +464,6 @@ def test_derived_frame_homotopies_skip_the_frame_check(monkeypatch):
         back.times,
         h.slices[::-1],
         codomain="projection",
-        segments=back.segments,
         window=h.window,
         time_partials=-h.time_partials[::-1],
         spatial_partials=tuple(p[::-1] for p in h.spatial_partials),
@@ -477,7 +476,8 @@ def test_derived_frame_homotopies_skip_the_frame_check(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(back.spatial_partials, rebuilt.spatial_partials))
     assert face.spatial.dim == 1 and np.array_equal(face.slices, h.slices[:, 0])
     assert np.array_equal(loop.slices, np.concatenate([h.slices, rebuilt.slices]))
-    assert not loop.slices.flags.writeable and loop.segments == ((0, 5), (5, 10))
+    assert not loop.slices.flags.writeable
+    assert np.array_equal(loop.quadrature, np.concatenate([h.quadrature, back.quadrature]))
 
 
 def test_concatenate_compares_projections_at_the_junction():
@@ -485,7 +485,7 @@ def test_concatenate_compares_projections_at_the_junction():
     back = _regauged(h.reversed())
     assert np.abs(back.slices[0] - h.slices[-1]).max() > 0.1  # other frames of the junction projection
     loop = Homotopy.concatenate(h, back)
-    assert loop.segments == ((0, 5), (5, 10))
+    assert np.array_equal(loop.quadrature, np.concatenate([h.quadrature, back.quadrature]))
     assert np.array_equal(loop.slices[5:], back.slices)
     # F goes to g* F g, so the turned way back still undoes the way out
     assert (cs_form(h, 1) + cs_form(back, 1)).sup_norm() < 1e-12
@@ -542,7 +542,7 @@ def test_homotopy_holds_its_fd_time_jet_from_construction():
     h = phase_homotopy(res=16, t_res=9)
     rev = h.reversed()
     cat = Homotopy.concatenate(h, rev)
-    assert cat.segments == ((0, 9), (9, 18))
+    assert np.array_equal(cat.quadrature, np.concatenate([h.quadrature, rev.quadrature]))
     for x in (h, rev, cat, h.adjoint(), h.restrict((0,))):
         # the jet is held as weights on the blocks; each read forms a new stack
         assert not x.time_weights.flags.writeable and not x.time_partials.flags.writeable
@@ -555,8 +555,9 @@ def test_homotopy_holds_its_fd_time_jet_from_construction():
     # a segment of another spacing takes its FD jet with its own spacing
     short = Homotopy(h.spatial, np.linspace(0.0, 1.0, 5), rev.slices[::2], codomain="unitary")
     mixed = Homotopy.concatenate(h, short)
-    fresh = Homotopy(h.spatial, mixed.times, mixed.slices, codomain="unitary", segments=mixed.segments)
+    fresh = Homotopy(h.spatial, mixed.times, mixed.slices, codomain="unitary", segments=((0, 9), (9, 14)))
     assert np.array_equal(fresh.time_partials, mixed.time_partials)
+    assert np.array_equal(fresh.quadrature, mixed.quadrature)
     # the negated jet is the FD jet of the reversed slices up to rounding
     fresh = Homotopy(h.spatial, rev.times, rev.slices, codomain="unitary")
     assert np.abs(fresh.time_partials - rev.time_partials).max() < 1e-12
@@ -976,7 +977,8 @@ def test_cs_exact_on_cycles_equals_the_full_grid_residuals(name):
 
 
 def _same_homotopy(a, b):
-    assert a.spatial == b.spatial and a.segments == b.segments and a.codomain == b.codomain
+    assert a.spatial == b.spatial and a.codomain == b.codomain
+    assert np.array_equal(a.quadrature, b.quadrature)
     assert np.array_equal(a.times, b.times) and np.array_equal(a.slices, b.slices)
     assert np.array_equal(a.time_partials, b.time_partials)
     assert len(a.spatial_partials) == len(b.spatial_partials)
@@ -993,8 +995,8 @@ def test_restrict_pins_the_node_of_cycle_integral(axes):
     assert np.array_equal(r.slices, h.slices[(slice(None), *pin)])
     for i, a in enumerate(sorted(axes)):
         assert np.array_equal(r.spatial_partials[i], h.spatial_partials[a][(slice(None), *pin)])
-    full = GradedForm(h.spatial, len(axes), 0, {tuple(sorted(axes)): np.trace(h.slices[1], axis1=-2, axis2=-1)})
-    on_sub = GradedForm(sub, len(axes), 0, {tuple(range(len(axes))): np.trace(r.slices[1], axis1=-2, axis2=-1)})
+    full = GradedForm(h.spatial, len(axes), {tuple(sorted(axes)): np.trace(h.slices[1], axis1=-2, axis2=-1)})
+    on_sub = GradedForm(sub, len(axes), {tuple(range(len(axes))): np.trace(r.slices[1], axis1=-2, axis2=-1)})
     assert cycle_integral(full, axes) == integrate(on_sub)
     _same_homotopy(h.reversed().restrict(axes), r.reversed())
     _same_homotopy(h.adjoint().restrict(axes), r.adjoint())
@@ -1072,3 +1074,102 @@ def test_cs_exact_takes_each_full_grid_jet_once_on_projection_slices(monkeypatch
     # degree 3 reads the whole torus3 once; degree 1 reads its three circles
     assert ranks.count(5) == h.n_times * 3
     assert ranks.count(3) == 3 * h.n_times
+
+
+def _stack_homotopy(slices, codomain="unitary", times=None, **kwargs):
+    """The homotopy on the 8-node circle whose slices are ``slices``
+    (uniform times in ``[0, 1]`` by default)."""
+    times = np.linspace(0.0, 1.0, len(slices)) if times is None else times
+    return Homotopy(make_domain("circle", 8), times, slices, codomain=codomain, **kwargs)
+
+
+def _eye_slices(t_res=5, rows=2, cols=2):
+    return np.broadcast_to(np.eye(rows, cols, dtype=complex), (t_res, 8, rows, cols)).copy()
+
+
+def _at_one_node(slices, value, it=2, node=3):
+    """``slices`` with every entry of one node of slice ``it`` set to ``value``."""
+    out = slices.copy()
+    out[it, node] = value
+    return out
+
+
+def _circle_map(codomain):
+    return constant_map(make_domain("circle", 8), np.diag([1.0, 0.0 if codomain == "projection" else 1.0]), codomain)
+
+
+CONTRACT_CHECKS = {
+    "chern_scalar k < 1": (lambda: chern_scalar("odd", 0), DegreeOverflow, "k >= 1"),
+    "chern_scalar parity": (lambda: chern_scalar("evn", 1), ShapeMismatch, "parity must be 'odd' or 'even'"),
+    "ch_odd tag": (lambda: ch_odd(_circle_map("projection"), 1), ShapeMismatch, "ch_odd needs a unitary-tagged map"),
+    "ch_even tag": (lambda: ch_even(_circle_map("unitary"), 1), ShapeMismatch, "ch_even needs a projection-tagged map"),
+    "ch_even k = 0": (lambda: ch_even(_circle_map("projection"), 0), DegreeOverflow, "k = 0 is the virtual dimension"),
+    "ch_even degree": (lambda: ch_even(_circle_map("projection"), 1), DegreeOverflow, "degree 2 exceeds domain dimension 1"),
+    "ch_total k_max": (lambda: ch_total(_circle_map("unitary"), 0), DegreeOverflow, "k_max must be >= 1"),
+    "ch_total tag": (
+        lambda: ch_total(_circle_map("generic")),
+        ShapeMismatch,
+        "ch_total needs a unitary- or projection-tagged map",
+    ),
+    "homotopy node shape": (
+        lambda: _stack_homotopy(np.zeros((5, 7, 2, 2))),
+        ShapeMismatch,
+        "slice node shape does not match the spatial grid",
+    ),
+    "homotopy time count": (
+        lambda: _stack_homotopy(_eye_slices(), times=np.linspace(0.0, 1.0, 7)),
+        ShapeMismatch,
+        "times and slices disagree",
+    ),
+    "homotopy even segment": (
+        lambda: _stack_homotopy(_eye_slices(), segments=((0, 1), (1, 5))),
+        ShapeMismatch,
+        "odd node count >= 3",
+    ),
+    "homotopy uneven times": (
+        lambda: _stack_homotopy(_eye_slices(), times=np.array([0.0, 0.1, 0.3, 0.6, 1.0])),
+        ShapeMismatch,
+        "uniform per segment",
+    ),
+    "homotopy time partials": (
+        lambda: _stack_homotopy(_eye_slices(), time_partials=_eye_slices(4)),
+        ShapeMismatch,
+        r"time partials \(4, 8, 2, 2\) do not match the slices \(5, 8, 2, 2\)",
+    ),
+    "cs_forms tag": (
+        lambda: cs_forms(_stack_homotopy(_eye_slices(), codomain="generic")),
+        ShapeMismatch,
+        "CS forms need unitary or projection slices",
+    ),
+    "frame slice with a NaN node": (
+        lambda: _stack_homotopy(_at_one_node(_eye_slices(cols=1), np.nan), codomain="projection"),
+        ShapeMismatch,
+        r"projection frame slices need V\* V = 1: max node defect nan",
+    ),
+    "frame slice with an inf node": (
+        lambda: _stack_homotopy(_at_one_node(_eye_slices(cols=1), np.inf), codomain="projection"),
+        ShapeMismatch,
+        r"projection frame slices need V\* V = 1",
+    ),
+    "junction with a NaN node": (
+        lambda: Homotopy.concatenate(_stack_homotopy(_at_one_node(_eye_slices(), np.nan, it=4)), _stack_homotopy(_eye_slices())),
+        NotALoop,
+        "junction slices differ by nan",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_CHECKS)
+def test_contract_checks_raise_their_errors(name):
+    call, error, fragment = CONTRACT_CHECKS[name]
+    assert issubclass(error, ChernLabError)
+    with pytest.raises(error, match=fragment), np.errstate(invalid="ignore"):
+        call()
+
+
+def test_homotopy_is_immutable():
+    h = _stack_homotopy(_eye_slices())
+    with pytest.raises(AttributeError, match="a Homotopy is immutable; cannot set 'times'"):
+        h.times = h.times[::-1]
+    with pytest.raises(ValueError, match="read-only"):
+        h.quadrature[0] = 0.0

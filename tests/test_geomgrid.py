@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chernlab.errors import BadResolution, DegreeMismatch, ShapeMismatch
+from chernlab.errors import BadResolution, ChernLabError, DegreeMismatch, DegreeOverflow, ShapeMismatch
 from chernlab.geomgrid import (
     GradedForm,
     SampledMap,
@@ -198,14 +198,22 @@ def test_sampled_map_takes_contiguous_complex_arrays_without_a_copy():
 
 def test_integrate_constant_one_form_on_circle():
     dom = make_domain("circle", 64)
-    form = GradedForm(dom, 1, 0, {(0,): np.ones(64, dtype=complex)})
+    form = GradedForm(dom, 1, {(0,): np.ones(64, dtype=complex)})
     assert abs(integrate(form) - 2 * np.pi) < 1e-12
+
+
+def test_integral_independent_of_layout():
+    dom = make_domain("cylinder", (9, 24))
+    re, im = np.random.default_rng(7).standard_normal((2, 9, 24))
+    comp = re + 1j * im
+    layouts = (comp, np.asfortranarray(comp), np.stack([comp, comp], axis=-1)[..., 1])
+    assert len({integrate(GradedForm(dom, 2, {(0, 1): a})) for a in layouts}) == 1
 
 
 def test_integrate_oscillating_form_vanishes():
     dom = make_domain("circle", 64)
     th = dom.axes[0].coords
-    form = GradedForm(dom, 1, 0, {(0,): np.exp(1j * th)})
+    form = GradedForm(dom, 1, {(0,): np.exp(1j * th)})
     assert abs(integrate(form)) < 1e-12
 
 
@@ -214,7 +222,7 @@ def test_simpson_refinement_order():
     for n in (17, 33):
         dom = make_domain("interval", n)
         t = dom.axes[0].coords
-        form = GradedForm(dom, 1, 0, {(0,): np.exp(t).astype(complex)})
+        form = GradedForm(dom, 1, {(0,): np.exp(t).astype(complex)})
         errs.append(abs(integrate(form) - (np.e - 1.0)))
     assert errs[0] / errs[1] > 8.0
 
@@ -222,13 +230,13 @@ def test_simpson_refinement_order():
 def test_periodic_quadrature_near_machine():
     dom = make_domain("circle", 32)
     th = dom.axes[0].coords
-    form = GradedForm(dom, 1, 0, {(0,): (np.cos(3 * th) ** 2).astype(complex)})
+    form = GradedForm(dom, 1, {(0,): (np.cos(3 * th) ** 2).astype(complex)})
     assert abs(integrate(form) - np.pi) < 1e-12
 
 
 def test_integrate_degree_mismatch():
     dom = make_domain("torus2", (8, 8))
-    form = GradedForm(dom, 1, 0, {(0,): np.zeros((8, 8), dtype=complex)})
+    form = GradedForm(dom, 1, {(0,): np.zeros((8, 8), dtype=complex)})
     with pytest.raises(DegreeMismatch):
         integrate(form)
 
@@ -239,7 +247,7 @@ def test_exact_top_form_integrates_to_zero_on_torus():
     t2 = dom.axes[1].coords[None, :]
     # d(sin(t1) cos(t2) dt2) has dt1^dt2 part cos(t1)cos(t2)
     comp = (np.cos(t1) * np.cos(t2)).astype(complex)
-    form = GradedForm(dom, 2, 0, {(0, 1): np.broadcast_to(comp, (24, 24))})
+    form = GradedForm(dom, 2, {(0, 1): np.broadcast_to(comp, (24, 24))})
     assert abs(integrate(form)) < 1e-8
 
 
@@ -248,7 +256,7 @@ def test_exact_top_form_integrates_to_zero_on_torus():
 
 def test_dtheta_pairs_with_circle_generator():
     dom = make_domain("circle", 64)
-    form = GradedForm(dom, 1, 0, {(0,): np.ones(64, dtype=complex)})
+    form = GradedForm(dom, 1, {(0,): np.ones(64, dtype=complex)})
     assert abs(exactness_residual(form) - 2 * np.pi) < 1e-12
 
 
@@ -257,13 +265,13 @@ def test_exact_one_form_has_tiny_residual():
     th = dom.axes[0].coords
     f = SampledMap(dom, np.sin(th)[:, None, None].astype(complex))
     (d,) = differentiate(f)
-    form = GradedForm(dom, 1, 0, {(0,): d[:, 0, 0]})
+    form = GradedForm(dom, 1, {(0,): d[:, 0, 0]})
     assert exactness_residual(form) < 1e-8
 
 
 def test_zero_degree_residual_is_sup_norm():
     dom = make_domain("circle", 16)
-    form = GradedForm(dom, 0, 0, {(): np.zeros(16, dtype=complex)})
+    form = GradedForm(dom, 0, {(): np.zeros(16, dtype=complex)})
     assert exactness_residual(form) == 0.0
 
 
@@ -272,7 +280,7 @@ def test_torus_cycles():
     t1 = dom.axes[0].coords[:, None]
     comp0 = np.broadcast_to(np.ones_like(t1), (16, 16)).astype(complex)
     comp1 = np.zeros((16, 16), dtype=complex)
-    form = GradedForm(dom, 1, 0, {(0,): comp0, (1,): comp1})
+    form = GradedForm(dom, 1, {(0,): comp0, (1,): comp1})
     cycles = generating_cycles(dom, 1)
     vals = [cycle_integral(form, c) for c in cycles]
     assert abs(vals[0] - 2 * np.pi) < 1e-12
@@ -301,7 +309,7 @@ def test_torus3_face_integral_pins_the_other_axis_at_node_zero():
     t0, t1, t2 = np.meshgrid(*[ax.coords for ax in dom.axes], indexing="ij")
     # on the face t1 = 0 the (0, 2) component is 1 + cos t0; elsewhere it differs
     comp = (1.0 + np.cos(t0) + 5.0 * np.sin(t1) + np.sin(t1 / 2.0) * np.cos(t2)).astype(complex)
-    form = GradedForm(dom, 2, 0, {(0, 2): comp})
+    form = GradedForm(dom, 2, {(0, 2): comp})
     assert abs(cycle_integral(form, (0, 2)) - 4 * np.pi**2) < 1e-12
     assert abs(cycle_integral(form, (2, 0)) - 4 * np.pi**2) < 1e-12
     assert exactness_residual(form) == abs(cycle_integral(form, (0, 2)))
@@ -332,7 +340,7 @@ def test_sub_grid_rejects_repeated_or_missing_axes(axes):
 def test_exterior_derivative_of_function():
     dom = make_domain("circle", 128)
     th = dom.axes[0].coords
-    f0 = GradedForm(dom, 0, 0, {(): np.cos(th).astype(complex)})
+    f0 = GradedForm(dom, 0, {(): np.cos(th).astype(complex)})
     d = form_derivative(f0)
     assert np.abs(d.component((0,)) + np.sin(th)).max() < 1e-10
 
@@ -341,7 +349,7 @@ def test_d_squared_is_zero():
     dom = make_domain("torus2", (32, 32))
     t1 = dom.axes[0].coords[:, None]
     t2 = dom.axes[1].coords[None, :]
-    f0 = GradedForm(dom, 0, 0, {(): (np.sin(t1) * np.cos(2 * t2)).astype(complex) * np.ones((32, 32))})
+    f0 = GradedForm(dom, 0, {(): (np.sin(t1) * np.cos(2 * t2)).astype(complex) * np.ones((32, 32))})
     dd = form_derivative(form_derivative(f0))
     assert dd.sup_norm() < 1e-10
 
@@ -352,3 +360,102 @@ def test_sampled_map_window_must_span_the_rows():
     with pytest.raises(ShapeMismatch, match="window of dim 5 tags values of 2 rows"):
         SampledMap(dom, values, codomain="unitary", window=PolarizedWindow(2, 3))
     assert SampledMap(dom, values, codomain="unitary", window=PolarizedWindow(1, 1)).window.dim == 2
+
+
+# ---------------------------------------------------------------- contract checks
+
+
+def _stack(matrix, value=None, node=3, res=8):
+    """``matrix`` at every node of a ``res``-node circle, every entry of
+    ``node`` set to ``value`` when it is given."""
+    out = np.array(np.broadcast_to(np.asarray(matrix, dtype=complex), (res, *np.shape(matrix))))
+    if value is not None:
+        out[node] = value
+    return out
+
+
+_CIRCLE, _TORUS = make_domain("circle", 8), make_domain("torus2", (8, 8))
+_P = np.diag([1.0, 0.0])
+
+CONTRACT_CHECKS = {
+    "values shape": (lambda: SampledMap(_CIRCLE, np.zeros((7, 2, 2))), ShapeMismatch, r"values shape \(7, 2, 2\)"),
+    "unitary not square": (
+        lambda: SampledMap(_CIRCLE, np.zeros((8, 2, 3)), codomain="unitary"),
+        ShapeMismatch,
+        "unitary values must be square",
+    ),
+    "projection not square": (
+        lambda: SampledMap(_CIRCLE, np.zeros((8, 2, 3)), codomain="projection"),
+        ShapeMismatch,
+        "projection values must be square",
+    ),
+    "unitary NaN node": (
+        lambda: SampledMap(_CIRCLE, _stack(np.eye(2), np.nan), codomain="unitary"),
+        ShapeMismatch,
+        "unitary tag violated: max node defect nan",
+    ),
+    "unitary inf node": (
+        lambda: SampledMap(_CIRCLE, _stack(np.eye(2), np.inf), codomain="unitary"),
+        ShapeMismatch,
+        "unitary tag violated",
+    ),
+    "projection NaN node": (
+        lambda: SampledMap(_CIRCLE, _stack(_P, np.nan), codomain="projection"),
+        ShapeMismatch,
+        "projection tag violated: idempotency nan, hermiticity nan",
+    ),
+    "projection inf node": (
+        lambda: SampledMap(_CIRCLE, _stack(_P, np.inf), codomain="projection"),
+        ShapeMismatch,
+        "projection tag violated",
+    ),
+    "projection NaN partial": (
+        lambda: SampledMap(_CIRCLE, _stack(_P), codomain="projection", partials=(_stack(0 * _P, np.nan),)),
+        ShapeMismatch,
+        "projection partial along axis 0 is not Hermitian: defect nan",
+    ),
+    "frame NaN node": (
+        lambda: SampledMap(_CIRCLE, _stack(np.eye(3, 2), np.nan), codomain="frame"),
+        ShapeMismatch,
+        r"frame values need V\* V = 1: max node defect nan",
+    ),
+    "frame inf node": (
+        lambda: SampledMap(_CIRCLE, _stack(np.eye(3, 2), np.inf), codomain="frame"),
+        ShapeMismatch,
+        r"frame values need V\* V = 1",
+    ),
+    "form degree": (lambda: GradedForm(_CIRCLE, 2, {}), DegreeOverflow, "form degree 2 exceeds domain dimension 1"),
+    "form index": (
+        lambda: GradedForm(_TORUS, 2, {(1, 0): np.zeros((8, 8))}),
+        DegreeMismatch,
+        r"multi-index \(1, 0\) is not strictly increasing of length 2",
+    ),
+    "form component shape": (
+        lambda: GradedForm(_CIRCLE, 1, {(0,): np.zeros(7)}),
+        ShapeMismatch,
+        r"component \(0,\) has shape \(7,\), want \(8,\)",
+    ),
+    "form sum of degrees": (
+        lambda: GradedForm(_TORUS, 1, {}) + GradedForm(_TORUS, 2, {}),
+        DegreeMismatch,
+        "different domains or degrees",
+    ),
+    "form_derivative at top degree": (
+        lambda: form_derivative(GradedForm(_CIRCLE, 1, {})),
+        DegreeOverflow,
+        "cannot raise degree beyond the domain dimension",
+    ),
+    "cycle_integral dimension": (
+        lambda: cycle_integral(GradedForm(_TORUS, 1, {}), (0, 1)),
+        DegreeMismatch,
+        "cycle dimension does not match form degree",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_CHECKS)
+def test_contract_checks_raise_their_errors(name):
+    call, error, fragment = CONTRACT_CHECKS[name]
+    assert issubclass(error, ChernLabError)
+    with pytest.raises(error, match=fragment), np.errstate(invalid="ignore"):
+        call()

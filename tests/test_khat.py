@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chernlab import builders
-from chernlab.errors import NotBasedAtIdentity, ShapeMismatch, UnsupportedDomain, WindowTooSmall
+from chernlab.errors import ChernLabError, NotBasedAtIdentity, ShapeMismatch, UnsupportedDomain, WindowTooSmall
+from chernlab.chernforms import Homotopy
 from chernlab.geomgrid import SampledMap, integrate, make_domain
 from chernlab.khat import (
     CircleConnection,
@@ -230,3 +231,60 @@ def test_a_even_represents_by_the_classifying_loop_itself(window):
 def test_a_even_needs_modes_zero_and_minus_one_in_the_window():
     with pytest.raises(WindowTooSmall):
         a_even(CircleConnection.constant(0.7), PolarizedWindow(0, 2))
+
+
+def _constant_homotopy(codomain, matrix=np.diag([1.0, 0.0])):
+    """Five equal slices ``matrix`` over the 8-node circle, with no window."""
+    slices = np.broadcast_to(np.asarray(matrix, dtype=complex), (5, 8, 2, 2)).copy()
+    return Homotopy(make_domain("circle", 8), np.linspace(0.0, 1.0, 5), slices, codomain=codomain)
+
+
+def _circle_map(codomain, matrix=np.diag([1.0, 0.0])):
+    return SampledMap(make_domain("circle", 8), np.broadcast_to(np.asarray(matrix, dtype=complex), (8, 2, 2)), codomain=codomain)
+
+
+CONTRACT_CHECKS = {
+    "connection domain": (
+        lambda: CircleConnection(make_domain("interval", 9), np.zeros(9)),
+        UnsupportedDomain,
+        "circle connections live on circle grids",
+    ),
+    "connection samples": (
+        lambda: CircleConnection(make_domain("circle", 8), np.zeros(7)),
+        ShapeMismatch,
+        "connection samples do not match the grid",
+    ),
+    "underlying_I of an unwindowed projection": (
+        lambda: underlying_I(_circle_map("projection")),
+        UnsupportedDomain,
+        "even underlying class needs a windowed circle map",
+    ),
+    "underlying_I tag": (
+        lambda: underlying_I(_circle_map("generic")),
+        UnsupportedDomain,
+        "underlying class needs a unitary or projection map",
+    ),
+    "holonomy_log_det grids": (
+        lambda: holonomy_log_det(CircleConnection.constant(0.3), CircleConnection(make_domain("circle", 8), np.zeros(8))),
+        ShapeMismatch,
+        "connections must share one circle grid",
+    ),
+    "nullhomotopy without a window": (
+        lambda: cs_of_nullhomotopy(_constant_homotopy("projection")),
+        NotBasedAtIdentity,
+        "projection nullhomotopy needs a window basepoint",
+    ),
+    "nullhomotopy tag": (
+        lambda: cs_of_nullhomotopy(_constant_homotopy("generic")),
+        ShapeMismatch,
+        "nullhomotopy slices must be unitary or projection",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_CHECKS)
+def test_contract_checks_raise_their_errors(name):
+    call, error, fragment = CONTRACT_CHECKS[name]
+    assert issubclass(error, ChernLabError)
+    with pytest.raises(error, match=fragment):
+        call()

@@ -16,7 +16,7 @@ from chernlab.builders import (
     su2_chart,
 )
 from chernlab.chernforms import Homotopy, ch_even, ch_odd, cs_exact, cs_form, cs_forms
-from chernlab.errors import AsymmetricWindow, BadPathStart, ShapeMismatch
+from chernlab.errors import AsymmetricWindow, BadPathStart, ChernLabError, ShapeMismatch
 from chernlab.geomgrid import SampledMap, differentiate, make_domain
 from chernlab.kops import (
     association_permutation,
@@ -28,6 +28,7 @@ from chernlab.kops import (
     eckmann_hilton_homotopy,
     flip,
     flip_matrix,
+    flip_projection,
     flip_projection_map,
     inversion_homotopy_even,
     inversion_homotopy_odd,
@@ -67,7 +68,6 @@ def projection_homotopy(h: Homotopy) -> Homotopy:
         h.times,
         h.slices @ _adj(h.slices),
         codomain="projection",
-        segments=h.segments,
         window=h.window,
         time_partials=jet(h.time_partials),
         spatial_partials=None if h.spatial_partials is None else tuple(jet(d) for d in h.spatial_partials),
@@ -1047,3 +1047,81 @@ def test_reversed_shares_the_blocks_of_its_operand(name):
         assert all(a is b for a, b in zip(rev.spatial_blocks or (), x.spatial_blocks or ()))
         assert np.shares_memory(rev.blocks, x.blocks)
         assert np.array_equal(rev.quadrature, x.quadrature[::-1])
+
+
+def _circle_map(codomain="unitary", size=2, res=8, window=None):
+    """A constant map on a ``res``-node circle: the identity, or the
+    projection ``pi_plus`` of ``window`` when it is projection-tagged."""
+    m = window.pi_plus if window is not None else np.eye(size, dtype=complex)
+    return SampledMap(make_domain("circle", res), np.broadcast_to(m, (res, *m.shape)), codomain=codomain, window=window)
+
+
+CONTRACT_CHECKS = {
+    "blocksum_map domains": (
+        lambda: blocksum_map(_circle_map(), _circle_map(res=16)),
+        ShapeMismatch,
+        "blocksum of maps needs a shared domain",
+    ),
+    "blocksum_map tags": (
+        lambda: blocksum_map(_circle_map(), _circle_map("generic")),
+        ShapeMismatch,
+        "blocksum of maps needs matching codomain tags",
+    ),
+    "blocksum_map windows": (
+        lambda: blocksum_map(
+            _circle_map("projection", window=PolarizedWindow(1, 1)), _circle_map("projection", window=PolarizedWindow(2, 0))
+        ),
+        ShapeMismatch,
+        "blocksum of maps needs matching windows",
+    ),
+    "flip_matrix asymmetric": (lambda: flip_matrix(PolarizedWindow(1, 3)), AsymmetricWindow, "n_plus == n_minus"),
+    "flip size": (lambda: flip(np.eye(3), WIN), ShapeMismatch, "operator does not match the window"),
+    "flip_projection asymmetric": (
+        lambda: flip_projection(np.eye(4), PolarizedWindow(1, 3)),
+        AsymmetricWindow,
+        "n_plus == n_minus",
+    ),
+    "flip_projection_map window": (
+        lambda: flip_projection_map(_circle_map("projection")),
+        AsymmetricWindow,
+        "flip of a projection map needs a window",
+    ),
+    "odd inversion tag": (
+        lambda: inversion_homotopy_odd(_circle_map("projection", window=WIN)),
+        ShapeMismatch,
+        "odd inversion homotopy needs a unitary map",
+    ),
+    "odd inversion even t_res": (
+        lambda: inversion_homotopy_odd(_circle_map(), t_res=4),
+        ShapeMismatch,
+        "each homotopy segment needs an odd node count >= 3",
+    ),
+    "even inversion window": (
+        lambda: inversion_homotopy_even(_circle_map("projection")),
+        AsymmetricWindow,
+        "even inversion needs a windowed map",
+    ),
+    "even inversion one node": (
+        lambda: inversion_homotopy_even(_circle_map("projection", window=WIN), t_res=1),
+        ShapeMismatch,
+        "each homotopy segment needs an odd node count >= 3",
+    ),
+    "Eckmann-Hilton sizes": (
+        lambda: eckmann_hilton_homotopy(_circle_map(), _circle_map(size=3)),
+        ShapeMismatch,
+        "operands must share a grid and size",
+    ),
+    "conjugation path with a NaN start": (
+        lambda: conjugation_homotopy(_circle_map(), lambda t: np.full((2, 2), np.nan)),
+        BadPathStart,
+        "conjugation path must start at the identity",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_CHECKS)
+def test_contract_checks_raise_their_errors(name):
+    call, error, fragment = CONTRACT_CHECKS[name]
+    assert issubclass(error, ChernLabError)
+    with pytest.raises(error, match=fragment):
+        call()

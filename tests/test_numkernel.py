@@ -5,16 +5,16 @@ from hypothesis import strategies as st
 from scipy.linalg import expm_frechet
 
 from chernlab.builders import _exp_i_hermitian
-from chernlab.errors import NotUnitary, SingularInput
+from chernlab.errors import ChernLabError, NotUnitary, SingularInput
 from chernlab.numkernel import (
     _real_form,
     det_phase,
     frobenius,
     haar_unitary,
     numerical_rank,
-    pairwise_sum,
     polar_unitary,
     principal_angle,
+    require_unitary,
 )
 
 RNG = np.random.default_rng(20250810)
@@ -198,18 +198,6 @@ def test_stacked_exp_jets_match_central_differences():
         assert np.abs(jet - fd).max() < 1e-9
 
 
-def test_pairwise_sum_matches_plain_sum():
-    x = RNG.standard_normal(1000) + 1j * RNG.standard_normal(1000)
-    assert abs(pairwise_sum(x) - np.sum(x)) < 1e-10
-
-
-def test_pairwise_sum_independent_of_layout():
-    x = RNG.standard_normal(777)
-    a = pairwise_sum(x)
-    b = pairwise_sum(np.array(x, order="F"))
-    assert a == b
-
-
 REAL_FORM_SIDES = st.integers(1, 4)
 STACKS = st.sampled_from([(), (1,), (5,), (2, 3)])
 
@@ -269,3 +257,36 @@ def test_real_form_multiplies_on_the_left_and_reads_back(m, n, r, stack, seed):
     got = (_real_form(a) @ _real_form(w)).view(complex)[..., ::2, :]
     scale = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(w, axis=(-2, -1))
     assert (np.linalg.norm(got - a @ w, axis=(-2, -1)) / scale).max() < 1e-15
+
+
+def _eye_with(value):
+    """The 3 x 3 identity with one entry set to ``value``."""
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = value
+    return m
+
+
+CONTRACT_CHECKS = {
+    "polar_unitary of a non-square matrix": (
+        lambda: polar_unitary(np.ones((2, 3))),
+        SingularInput,
+        r"expected a square matrix, got shape \(2, 3\)",
+    ),
+    "negative rank threshold": (
+        lambda: numerical_rank(np.eye(2), -1e-12),
+        SingularInput,
+        "threshold must be non-negative",
+    ),
+    "require_unitary NaN entry": (lambda: require_unitary(_eye_with(np.nan)), NotUnitary, r"\|\|u\*u - I\|\|_F = nan"),
+    "require_unitary inf entry": (lambda: require_unitary(_eye_with(np.inf)), NotUnitary, r"\|\|u\*u - I\|\|_F"),
+    "require_unitary NaN scalar": (lambda: require_unitary([[np.nan]]), NotUnitary, "nan >= 1.0e-08"),
+    "det_phase NaN entry": (lambda: det_phase(_eye_with(np.nan)), NotUnitary, r"\|\|u\*u - I\|\|_F = nan"),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_CHECKS)
+def test_contract_checks_raise_their_errors(name):
+    call, error, fragment = CONTRACT_CHECKS[name]
+    assert issubclass(error, ChernLabError)
+    with pytest.raises(error, match=fragment), np.errstate(invalid="ignore"):
+        call()

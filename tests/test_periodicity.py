@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chernlab import builders, fourier, periodicity
 from chernlab.chernforms import _range_frame
-from chernlab.errors import BandwidthViolation, LostRank, NotALoop
+from chernlab.errors import BandwidthViolation, ChernLabError, LostRank, NotALoop, ShapeMismatch
 from chernlab.geomgrid import SampledMap, make_domain
 from chernlab.khat import CircleConnection, a_even
 from chernlab.kops import blocksum_map
@@ -17,6 +17,7 @@ from chernlab.periodicity import (
     _prefix_products,
     bott_consistency,
     bott_subspace,
+    det_winding,
     kato_transport,
 )
 from chernlab.stiefel import PolarizedWindow, virtual_dimension
@@ -324,3 +325,53 @@ def test_transport_peak_memory_is_below_seven_quarters_of_the_stage_grid():
     finally:
         tracemalloc.stop()
     assert n == 4 and peak < 1.75 * grid_bytes
+
+
+def _alternating_loop(res=2048):
+    """A projection loop that swaps two orthogonal lines at every node: the
+    grid does not resolve it, and a transport step projects its frame to 0."""
+    lines = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=complex)
+    return SampledMap(make_domain("circle", res), lines[np.arange(res) % 2], codomain="projection")
+
+
+def _nan_loop():
+    values = builders.loop_zn(1, res=16, pad=2).values.copy()
+    values[5] = np.nan
+    return SampledMap(make_domain("circle", 16), values, codomain="unitary")
+
+
+CONTRACT_CHECKS = {
+    "bott_subspace tag": (
+        lambda: bott_subspace(_alternating_loop(16)),
+        ShapeMismatch,
+        "bott_subspace needs a unitary-tagged circle loop",
+    ),
+    "bott_subspace resolution": (
+        lambda: bott_subspace(builders.loop_zn(1, res=16), B=5),
+        BandwidthViolation,
+        "circle resolution 16 < 4B = 20",
+    ),
+    "det_winding domain": (
+        lambda: det_winding(builders.random_unitary_map(np.random.default_rng(0), make_domain("torus2", (8, 8)))),
+        ShapeMismatch,
+        "winding needs a circle-sampled loop",
+    ),
+    "transport of an unresolved loop": (
+        lambda: kato_transport(_alternating_loop()),
+        LostRank,
+        "transported frame degenerated",
+    ),
+    "bott_consistency of a loop with a NaN node": (
+        lambda: bott_consistency(_nan_loop()),
+        ShapeMismatch,
+        "unitary tag violated: max node defect nan",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_CHECKS)
+def test_contract_checks_raise_their_errors(name):
+    call, error, fragment = CONTRACT_CHECKS[name]
+    assert issubclass(error, ChernLabError)
+    with pytest.raises(error, match=fragment), np.errstate(invalid="ignore"):
+        call()

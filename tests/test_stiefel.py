@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chernlab.builders import frame_family_torus, loop_zn, random_unitary_map
 from chernlab.chernforms import ch_even, chern_scalar, trace_wedge
-from chernlab.errors import AsymmetricWindow, DegenerateFrame, DegreeOverflow, ShapeMismatch
+from chernlab.errors import AsymmetricWindow, ChernLabError, DegenerateFrame, DegreeOverflow, ShapeMismatch
 from chernlab.geomgrid import SampledMap, _simpson_weights, differentiate, form_derivative, make_domain
 from chernlab.kops import blocksum, flip_projection
 from chernlab.stiefel import (
@@ -208,3 +208,24 @@ def test_transgression_eta_of_grid_jets_matches_exact_jets(make, k):
     eta = transgression_eta(frames, k)
     bare = transgression_eta(SampledMap(frames.domain, frames.values, codomain="frame"), k)
     assert (bare - eta).sup_norm() < 1e-10 * eta.sup_norm()
+
+
+def _basis_with(value):
+    """Two orthonormal columns of the window with one entry set to ``value``."""
+    q = np.eye(WIN.dim, dtype=complex)[:, :2]
+    q[4, 1] = value
+    return q
+
+
+CONTRACT_CHECKS = {
+    "basis with a NaN entry": (lambda: SubspaceSpec(WIN, _basis_with(np.nan)), DegenerateFrame, "not orthonormal: nan"),
+    "basis with an inf entry": (lambda: SubspaceSpec(WIN, _basis_with(np.inf)), DegenerateFrame, "not orthonormal"),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_CHECKS)
+def test_contract_checks_raise_their_errors(name):
+    call, error, fragment = CONTRACT_CHECKS[name]
+    assert issubclass(error, ChernLabError)
+    with pytest.raises(error, match=fragment), np.errstate(invalid="ignore"):
+        call()
