@@ -355,8 +355,7 @@ class Homotopy:
         eye = np.eye(len(slices))
         exact = time_partials is not None
         self._settle(
-            segments,
-            spatial=spatial, times=times, codomain=codomain, window=window, quadrature=None,
+            segments=segments, spatial=spatial, times=times, codomain=codomain, window=window, quadrature=None,
             blocks=slices, weights=eye, spatial_blocks=spatial_partials,
             time_blocks=time_partials if exact else slices, time_weights=eye if exact else None,
         )
@@ -370,7 +369,6 @@ class Homotopy:
         (None when not known)."""
         h = object.__new__(cls)
         h._settle(
-            (),
             spatial=spatial, times=times, codomain=codomain, window=window, quadrature=None,
             blocks=blocks, weights=weights, spatial_blocks=spatial_blocks,
             time_blocks=blocks, time_weights=time_weights,
@@ -422,8 +420,7 @@ class Homotopy:
                 for a, z in segs:
                     fd[a:z, a:z] = _diff_interval(np.eye(z - a), 0, z - a, float(t[a + 1] - t[a]))
                 tw = fd @ w
-            if q is None:
-                q = np.concatenate([_simpson_weights(z - a, float(t[a + 1] - t[a])) for a, z in segs])
+            q = np.concatenate([_simpson_weights(z - a, float(t[a + 1] - t[a])) for a, z in segs])
         tb = np.ascontiguousarray(self.time_blocks, dtype=complex)
         tw = np.asarray(tw, dtype=float)
         if tb.shape[1:] != b.shape[1:] or tw.shape != (t.size, len(tb)):

@@ -141,7 +141,7 @@ def _class_data(g: SampledMap) -> KhatClassData:
     else:
         parity = "even"
         invariants = {"virtual_dimension": under}
-        forms.insert(0, GradedForm(g.domain, 0, 0, {(): np.full(g.domain.node_shape, complex(under))}))
+        forms.insert(0, GradedForm(g.domain, 0, {(): np.full(g.domain.node_shape, complex(under))}))
     return KhatClassData(parity, g, tuple(forms), invariants, checks)
 
 
@@ -233,7 +233,7 @@ def holonomy_log_det(conn_plus: CircleConnection, conn_minus: CircleConnection) 
     coeff = principal_angle(float(np.angle(ratio))) / (2.0 * np.pi)
     dom = conn_plus.domain
     comp = np.full(dom.node_shape, complex(coeff))
-    return GradedForm(dom, 1, 0, {(0,): comp})
+    return GradedForm(dom, 1, {(0,): comp})
 
 
 def cs_of_nullhomotopy(H: Homotopy) -> dict:
