@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chernlab import builders
-from chernlab.errors import ChernLabError, NotBasedAtIdentity, ShapeMismatch, UnsupportedDomain, WindowTooSmall
 from chernlab.chernforms import Homotopy
+from chernlab.errors import ChernLabError, NotBasedAtIdentity, ShapeMismatch, UnsupportedDomain, WindowTooSmall
 from chernlab.geomgrid import SampledMap, integrate, make_domain
 from chernlab.khat import (
     CircleConnection,
@@ -233,14 +233,17 @@ def test_a_even_needs_modes_zero_and_minus_one_in_the_window():
         a_even(CircleConnection.constant(0.7), PolarizedWindow(0, 2))
 
 
-def _constant_homotopy(codomain, matrix=np.diag([1.0, 0.0])):
-    """Five equal slices ``matrix`` over the 8-node circle, with no window."""
-    slices = np.broadcast_to(np.asarray(matrix, dtype=complex), (5, 8, 2, 2)).copy()
+_LINE = np.diag([1.0, 0.0]).astype(complex)
+
+
+def _constant_homotopy(codomain):
+    """Five slices ``_LINE`` over the 8-node circle, with no window."""
+    slices = np.broadcast_to(_LINE, (5, 8, 2, 2)).copy()
     return Homotopy(make_domain("circle", 8), np.linspace(0.0, 1.0, 5), slices, codomain=codomain)
 
 
-def _circle_map(codomain, matrix=np.diag([1.0, 0.0])):
-    return SampledMap(make_domain("circle", 8), np.broadcast_to(np.asarray(matrix, dtype=complex), (8, 2, 2)), codomain=codomain)
+def _circle_map(codomain):
+    return SampledMap(make_domain("circle", 8), np.broadcast_to(_LINE, (8, 2, 2)), codomain=codomain)
 
 
 CONTRACT_CHECKS = {
