@@ -35,6 +35,7 @@ from .errors import (
     LostRank,
     NotALoop,
     ShapeMismatch,
+    SingularInput,
 )
 from .geomgrid import SampledMap, integrate
 from .numkernel import RANK_THRESHOLD_REL, _real_form, polar_unitary
@@ -126,10 +127,13 @@ def bott_subspace(gamma: SampledMap, B: int | None = None) -> tuple[SubspaceSpec
 def det_winding(gamma: SampledMap) -> int:
     """Winding number of ``det(gamma)`` by phase continuation around the loop,
     closed by the first determinant, so the phase changes by whole turns up
-    to round-off."""
+    to round-off; SingularInput when a determinant is not finite."""
     if gamma.domain.kind != "circle":
         raise ShapeMismatch("winding needs a circle-sampled loop")
     dets = np.linalg.det(gamma.values)
+    bad = np.flatnonzero(~np.isfinite(dets))
+    if bad.size:
+        raise SingularInput(f"winding needs a finite determinant at every node, not at node {bad[0]}")
     closed = np.concatenate([dets, dets[:1]])
     angles = np.unwrap(np.angle(closed))
     return int(np.round((angles[-1] - angles[0]) / (2.0 * np.pi)))

@@ -69,6 +69,15 @@ class PolarizedWindow:
 # transgression
 
 
+def _curvature(v: np.ndarray, jets: tuple[np.ndarray, ...]) -> dict[tuple[int, int], np.ndarray]:
+    """``F_ij = V* [d_i P, d_j P] V`` of the frames ``v`` and their ``jets``,
+    ``i < j``, formed as ``K_ij - K_ij*`` from the Gram blocks of
+    :class:`_FrameCurvature`."""
+    kernel = _FrameCurvature(len(jets), len(jets) - 1)
+    kernel.frame(v)
+    return {ij: g - np.swapaxes(g, -1, -2).conj() for ij, g in kernel.fill(jets, ()).items()}
+
+
 def transgression_eta(frames: SampledMap, k: int) -> GradedForm:
     """Transgression form of degree ``2k - 1`` of orthonormal frames ``V``
     (a ``"frame"``-tagged map) of the projections ``P = V V*``.
@@ -76,11 +85,14 @@ def transgression_eta(frames: SampledMap, k: int) -> GradedForm:
     The integral over ``t in [0, 1]`` of ``k tr(Theta ^ phi_t^(k-1))``, with
     ``Theta_i = V* d_i V``, ``phi_t = t F + (t^2 - t) [Theta, Theta]``,
     ``[Theta, Theta]_ij = Theta_i Theta_j - Theta_j Theta_i`` and
-    ``F_ij = V* [d_i P, d_j P] V`` (:class:`_FrameCurvature`, formed only for
-    ``k > 1``).  Degree ``2k - 1 <= 3`` means ``k <= 2``, where the integrand
-    is linear in ``phi_t``, so the integral is ``k tr(Theta ^ phi^(k-1))``
-    with the exact mean ``phi = F / 2 - [Theta, Theta] / 6``; ``d eta_1`` is
-    ``ch_1`` of ``P``.  ``Theta`` is a form of the frame, not of ``P``
+    ``F_ij = V* [d_i P, d_j P] V``, formed only for ``k > 1``.  Degree
+    ``2k - 1 <= 3`` means ``k <= 2``, where the integrand is linear in
+    ``phi_t``, so the integral is ``k tr(Theta ^ phi^(k-1))`` with the exact
+    mean ``phi = F / 2 - [Theta, Theta] / 6``; ``d eta_1`` is ``ch_1`` of
+    ``P``.  ``phi`` mixes ``F`` with ``[Theta, Theta]``, so its traces are not
+    those of ``F`` alone: this is the one reader of the kernel
+    :class:`_FrameCurvature` that needs ``F`` as a matrix, and it forms
+    ``F_ij = K_ij - K_ij*`` from the kernel's Gram blocks (:func:`_curvature`).  ``Theta`` is a form of the frame, not of ``P``
     (``V -> V g`` adds ``g* dg``), so every jet here, ``F``'s too, is a jet of
     ``V``: its exact partials or its grid jets.  A CS form of
     :mod:`chernforms` depends on ``P`` alone and reads the grid jets of ``P``.
@@ -94,8 +106,8 @@ def transgression_eta(frames: SampledMap, k: int) -> GradedForm:
     v, jets = frames.values, differentiate(frames)
     v_adj = np.swapaxes(v, -1, -2).conj()
     theta = [v_adj @ x for x in jets]
-    pairs = _FrameCurvature(dim, dim - 1).fill(v, jets, ()) if k > 1 else {}
-    phi = {(i, j): 0.5 * f - (theta[i] @ theta[j] - theta[j] @ theta[i]) / 6.0 for (i, j), f in pairs.items()}
+    curvature = _curvature(v, jets) if k > 1 else {}
+    phi = {(i, j): 0.5 * f - (theta[i] @ theta[j] - theta[j] @ theta[i]) / 6.0 for (i, j), f in curvature.items()}
     c = chern_scalar("even", k) * k
     comps = trace_wedge({(i,): a for i, a in enumerate(theta)}, *[phi] * (k - 1))
     return GradedForm(frames.domain, deg, {idx: c * a for idx, a in comps.items()})

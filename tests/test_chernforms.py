@@ -13,7 +13,10 @@ from chernlab.builders import loop_zn, qwz_band, random_projection_map, random_u
 from chernlab.chernforms import (
     Homotopy,
     _FrameCurvature,
+    _pair_of_curvatures,
     _range_frame,
+    _trace_of_curvature,
+    _wedge,
     ch_even,
     ch_odd,
     ch_total,
@@ -39,7 +42,7 @@ from chernlab.geomgrid import (
 )
 from chernlab.kops import blocksum, conjugation_homotopy, inversion_homotopy_even, inversion_homotopy_odd
 from chernlab.numkernel import _real_form
-from chernlab.stiefel import PolarizedWindow
+from chernlab.stiefel import PolarizedWindow, _curvature
 
 RNG = np.random.default_rng(11)
 
@@ -209,7 +212,9 @@ def test_ch_even_refuses_a_rank_that_changes_over_the_nodes():
 
 def test_curvature_pairs_are_exactly_anti_hermitian():
     # a square projection through its eigh frame, and a frame slice with two
-    # frame jets and two jets of its projection
+    # frame jets and two jets of its projection: the pairs F = K - K* of the
+    # Gram blocks are exactly anti-Hermitian, and the traces read off K are
+    # exactly imaginary (tr F) and exactly real (tr F G)
     p = random_projection_map(np.random.default_rng(7), make_domain("torus2", (16, 16)), PolarizedWindow(2, 2))
     h = _inversion_homotopies()["even"]
     sl = h.slice_map(2)
@@ -217,13 +222,67 @@ def test_curvature_pairs_are_exactly_anti_hermitian():
         (_FrameCurvature(2, 1), _range_frame(p.values), (), p.partials),
         (_FrameCurvature(4, 3), h.slices[2], (h.time_partials[2], h.spatial_partials[0][2]), sl.partials[1:]),
     ]
-    for pairs, frame, frame_jets, projection_jets in cases:
-        values = pairs.fill(frame, frame_jets, iter(projection_jets))
-        assert set(values) == set(itertools.combinations(range(pairs.n_slots), 2))
-        for value in values.values():
-            assert value.shape[-2:] == (frame.shape[-1],) * 2
+    for kernel, frame, frame_jets, projection_jets in cases:
+        kernel.frame(frame)
+        gram = kernel.fill(frame_jets, iter(projection_jets))
+        assert set(gram) == {(a, b) for a, b in itertools.combinations(range(kernel.n_slots), 2) if a < kernel.n_heads}
+        for k in gram.values():
+            assert k.shape[-2:] == (frame.shape[-1],) * 2
+            value = k - _adj(k)
             assert np.abs(value).max() > 0.1
-            assert np.array_equal(value, -np.swapaxes(value, -1, -2).conj())
+            assert np.array_equal(value, -_adj(value))
+            assert np.array_equal(_trace_of_curvature(k).real, np.zeros(frame.shape[:-2]))
+        for k, l in itertools.product(gram.values(), repeat=2):
+            assert _pair_of_curvatures(k, l).dtype == np.float64
+
+
+def _gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.integers(1, 4),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.sampled_from([(), (1,), (3,), (2, 2)]),
+    st.integers(0, 2**16),
+)
+def test_gram_traces_are_those_of_the_explicit_commutators(n, r, n_frame, n_projection, stack, seed):
+    # an oracle that shares no product with the kernel: with P = V V* and the
+    # n x n jets D (Hermitian, or x V* + V x* for a frame jet x), tr F_ab is
+    # tr(P [D_a, D_b]), tr(F_ab F_cd) is tr(P [D_a, D_b] P [D_c, D_d]), and the
+    # F of transgression_eta is V* [D_a, D_b] V; relative to the jet norms
+    r = min(r, n)
+    rng = np.random.default_rng(seed)
+    v = np.ascontiguousarray(np.linalg.qr(_gaussian(rng, (*stack, n, n)))[0][..., :r])
+    frame_jets = [_gaussian(rng, (*stack, n, r)) for _ in range(n_frame)]
+    projection_jets = [y + _adj(y) for y in (_gaussian(rng, (*stack, n, n)) for _ in range(n_projection))]
+    d = [x @ _adj(v) + v @ _adj(x) for x in frame_jets] + projection_jets
+    if len(d) < 2:
+        return
+    p = v @ _adj(v)
+    commutator = {(a, b): d[a] @ d[b] - d[b] @ d[a] for a, b in itertools.combinations(range(len(d)), 2)}
+    norm = [np.linalg.norm(x, axis=(-2, -1)) for x in d]
+
+    def scale(*slots):
+        return 1e-12 * np.prod([norm[a] for a in slots], axis=0)
+
+    kernel = _FrameCurvature(len(d), len(d) - 1)
+    kernel.frame(v)
+    gram = kernel.fill(frame_jets, projection_jets)
+    assert gram.keys() == commutator.keys()
+    for (a, b), k in gram.items():
+        expected = np.trace(p @ commutator[a, b], axis1=-2, axis2=-1)
+        assert np.all(np.abs(_trace_of_curvature(k) - expected) <= scale(a, b))
+    for (ab, k), (cd, l) in itertools.product(gram.items(), repeat=2):
+        expected = np.trace(p @ commutator[ab] @ p @ commutator[cd], axis1=-2, axis2=-1)
+        assert np.all(np.abs(_pair_of_curvatures(k, l) - expected) <= scale(*ab, *cd))
+    if n_frame >= 2:
+        for (a, b), f in _curvature(v, tuple(frame_jets)).items():
+            expected = _adj(v) @ commutator[a, b] @ v
+            assert np.all(np.linalg.norm(f - expected, axis=(-2, -1)) <= scale(a, b))
 
 
 def test_ch_one_of_a_projection_is_exactly_real():
@@ -622,23 +681,43 @@ def _commutator_pair(p, d, i, j):
     return p @ (d[i] @ d[j] - d[j] @ d[i])
 
 
-def _frame_pairs(h, it):
-    """The space-time curvature pairs of the frame slice ``v`` at ``it``
-    from the products of :class:`_FrameCurvature`: the rows
-    ``H_a = (v* x) v* + x*`` for the frame jets ``x`` (time, then exact
-    spatial), ``v* d`` for the grid jets ``d`` of ``p = v v*``, and
-    ``F_ab = K_ab - K_ab*`` from ``K = H H*``."""
+def _frame_gram(h, it):
+    """The space-time Gram blocks ``K_ab = G_a* G_b`` of the frame slice
+    ``v`` at ``it`` from the products of :class:`_FrameCurvature`: with
+    ``R(v)`` of :func:`_real_form`, ``G = x + v (x* v)`` for the frame jets
+    ``x`` (time, then exact spatial) and ``G = d v`` for the grid jets ``d``
+    of ``p = v v*``, all on float views, and ``K = G_h* G`` of the slots
+    stacked by columns."""
+
+    def real(a, rb):
+        return (np.ascontiguousarray(a).view(float) @ rb).view(complex)
+
     v = h.slices[it]
-    v_adj = _adj(v)
-    rows = [(v_adj @ x) @ v_adj + _adj(x) for x in (h.time_partials[it], *(d[it] for d in h.spatial_partials or ()))]
+    rv = _real_form(v)
+    frame_jets = (h.time_partials[it], *(d[it] for d in h.spatial_partials or ()))
+    slots = [real(v, _real_form(real(_adj(x), rv))) + x for x in frame_jets]
     if h.spatial_partials is None:
-        rows += [v_adj @ d for d in differentiate(SampledMap(h.spatial, v @ v_adj))]
-    hh = np.concatenate(rows, axis=-2)
+        p = real(v, np.ascontiguousarray(np.swapaxes(rv, -1, -2)))
+        slots += [real(d, rv) for d in differentiate(SampledMap(h.spatial, p))]
+    g = np.concatenate(slots, axis=-1)
     r, dim = v.shape[-1], h.spatial.dim
-    k = hh[..., : dim * r, :] @ _adj(hh)
+    k = np.ascontiguousarray(_adj(g[..., : dim * r])) @ g
     pairs = itertools.combinations(range(dim + 1), 2)
-    blocks = {(a, b): k[..., a * r : (a + 1) * r, b * r : (b + 1) * r] for a, b in pairs}
-    return {ab: x - _adj(x) for ab, x in blocks.items()}
+    return {(a, b): k[..., a * r : (a + 1) * r, b * r : (b + 1) * r] for a, b in pairs}
+
+
+def _gram_traces(iota, curvature, k):
+    """``tr(iota ^ curvature^(k-1))`` of forms held by their Gram blocks
+    ``K`` (``F = K - K*``), by the expressions of ``cs_forms``: ``tr F = 2i
+    Im tr K`` and ``tr(F G) = 2 Re[tr(K L) - <K, L>_F]``."""
+    if k == 1:
+        return {idx: 2j * np.trace(x, axis1=-2, axis2=-1).imag for idx, x in iota.items()}
+
+    def pairing(a, b):
+        product = np.einsum("...ij,...ji->...", a, b).real
+        return 2.0 * (product - np.einsum("...ij,...ij->...", a.view(float), b.view(float)))
+
+    return _wedge(iota, curvature, pairing)
 
 
 def _unitary_integrand(f, dt, d, k):
@@ -662,8 +741,8 @@ def _unitary_integrand(f, dt, d, k):
 
 def _cs_through_slice_maps(h, k, pair=_product_pair):
     """``cs_form`` evaluated one validated slice map at a time, projection
-    pairs built by ``pair``; the pairs of frame slices are those of
-    :func:`_frame_pairs`."""
+    pairs built by ``pair``; frame slices are read off the Gram blocks of
+    :func:`_frame_gram` (:func:`_gram_traces`)."""
     dt = h.time_derivative()
     acc = {}
     for it, wt in enumerate(_simpson_weights(h.n_times, float(h.times[1] - h.times[0]))):
@@ -673,14 +752,15 @@ def _cs_through_slice_maps(h, k, pair=_product_pair):
             comps = _unitary_integrand(sl.values, dt[it], d, k)
             c = chern_scalar("odd", k) * (2 * k - 1)
         else:
-            if h.slices.shape[-1] < h.slices.shape[-2]:
-                pairs = _frame_pairs(h, it)
+            frames = h.slices.shape[-1] < h.slices.shape[-2]
+            if frames:
+                pairs = _frame_gram(h, it)
             else:
                 slots = [dt[it], *d]  # slot 0 is t
                 pairs = {(a, b): pair(sl.values, slots, a, b) for a, b in itertools.combinations(range(len(slots)), 2)}
             iota = {(i - 1,): pairs[0, i] for i in range(1, h.spatial.dim + 1)}
             curvature = {(i - 1, j - 1): x for (i, j), x in pairs.items() if i > 0}
-            comps = trace_wedge(iota, *[curvature] * (k - 1))
+            comps = _gram_traces(iota, curvature, k) if frames else trace_wedge(iota, *[curvature] * (k - 1))
             c = chern_scalar("even", k) * k
         for idx, val in comps.items():
             acc[idx] = acc[idx] + wt * val if idx in acc else wt * val
@@ -828,14 +908,22 @@ def test_unitary_cs_form_is_the_left_invariant_form(name):
 
 def test_frame_slices_take_r_by_r_products(monkeypatch):
     hs = _inversion_homotopies()
-    calls = _complex_products(monkeypatch)
+    calls = _stacked_products(monkeypatch)
     nodes, (n, r) = hs["even"].slices.shape[1:-2], hs["even"].slices.shape[-2:]
-    # a frame jet takes v* x, then (v* x) v*; the Gram product takes H H* of 3 rows of slots
-    frame_jet, gram = [nodes + (n, r), nodes + (r, n)], [nodes + (n, 4 * r)]
+    # a frame jet x takes x* R(v), then v R(x* v); a jet d of p takes d R(v);
+    # the one complex product is the Gram G_h* G of 3 head slots against 4
+    frame_jet = [(False, nodes + (r, 2 * n), nodes + (2 * n, 2 * r)), (False, nodes + (n, 2 * r), nodes + (2 * r, 2 * r))]
+    gram = [(True, nodes + (3 * r, n), nodes + (n, 4 * r))]
     for name, per_slice in (
         ("even", frame_jet * 4 + gram),
-        # p = v v*, the time jet of the frame, and v* d for each grid jet d of p
-        ("even_grid_jets", [nodes + (r, n)] + frame_jet + [nodes + (n, n)] * 3 + gram),
+        # p = v R(v*), the time jet of the frame, and each grid jet of p
+        (
+            "even_grid_jets",
+            [(False, nodes + (n, 2 * r), nodes + (2 * r, 2 * n))]
+            + frame_jet
+            + [(False, nodes + (n, 2 * n), nodes + (2 * n, 2 * r))] * 3
+            + gram,
+        ),
     ):
         calls.clear()
         cs_forms(hs[name], 2)

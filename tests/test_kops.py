@@ -1106,6 +1106,11 @@ CONTRACT_CHECKS = {
         ShapeMismatch,
         "each homotopy segment needs an odd node count >= 3",
     ),
+    "rotation times below three": (
+        lambda: rotation_times(-1),
+        ShapeMismatch,
+        "each homotopy segment needs an odd node count >= 3, got t_res = -1",
+    ),
     "Eckmann-Hilton sizes": (
         lambda: eckmann_hilton_homotopy(_circle_map(), _circle_map(size=3)),
         ShapeMismatch,

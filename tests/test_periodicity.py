@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from chernlab import builders, fourier, periodicity
 from chernlab.chernforms import _range_frame
-from chernlab.errors import BandwidthViolation, ChernLabError, LostRank, NotALoop, ShapeMismatch
+from chernlab.errors import BandwidthViolation, ChernLabError, LostRank, NotALoop, ShapeMismatch, SingularInput
 from chernlab.geomgrid import SampledMap, make_domain
 from chernlab.khat import CircleConnection, a_even
 from chernlab.kops import blocksum_map
@@ -334,10 +334,10 @@ def _alternating_loop(res=2048):
     return SampledMap(make_domain("circle", res), lines[np.arange(res) % 2], codomain="projection")
 
 
-def _nan_loop():
+def _nan_loop(codomain="unitary"):
     values = builders.loop_zn(1, res=16, pad=2).values.copy()
     values[5] = np.nan
-    return SampledMap(make_domain("circle", 16), values, codomain="unitary")
+    return SampledMap(make_domain("circle", 16), values, codomain=codomain)
 
 
 CONTRACT_CHECKS = {
@@ -355,6 +355,11 @@ CONTRACT_CHECKS = {
         lambda: det_winding(builders.random_unitary_map(np.random.default_rng(0), make_domain("torus2", (8, 8)))),
         ShapeMismatch,
         "winding needs a circle-sampled loop",
+    ),
+    "det_winding of a generic loop with a NaN node": (
+        lambda: det_winding(_nan_loop("generic")),
+        SingularInput,
+        "winding needs a finite determinant at every node, not at node 5",
     ),
     "transport of an unresolved loop": (
         lambda: kato_transport(_alternating_loop()),
