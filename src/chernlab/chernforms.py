@@ -40,6 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import fourier
 from .errors import DegreeOverflow, NotALoop, ShapeMismatch
 from .geomgrid import (
     DomainGrid,
@@ -49,10 +50,7 @@ from .geomgrid import (
     _check_frames,
     _check_partials,
     _check_window,
-    _diff_along,
-    _diff_interval,
     _freeze,
-    _simpson_weights,
     differentiate,
     generating_cycles,
     integrate,
@@ -325,6 +323,37 @@ def _weighted(row: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> np.ndarra
     return out
 
 
+_FD4_EDGE = np.array(
+    [
+        [-25.0, 48.0, -36.0, 16.0, -3.0],
+        [-3.0, -10.0, 18.0, -6.0, 1.0],
+    ]
+) / 12.0
+
+
+def _fd4_derivative(values: np.ndarray, h: float) -> np.ndarray:
+    """d/dt along axis 0 of ``values``, sampled on at least 5 uniform times of
+    spacing ``h``, by 4th-order finite differences: the central stencil
+    inside and one-sided 4th-order closures at each end."""
+    n = len(values)
+    out = np.empty_like(values)
+    out[2:-2] = (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / 12.0
+    for r in range(2):
+        out[r] = sum(_FD4_EDGE[r, j] * values[j] for j in range(5))
+        out[n - 1 - r] = -sum(_FD4_EDGE[r, j] * values[n - 1 - j] for j in range(5))
+    out /= h
+    return out
+
+
+def _simpson_weights(n: int, h: float) -> np.ndarray:
+    """Composite Simpson weights on ``n`` (odd) uniform nodes of spacing ``h``."""
+    w = np.empty(n)
+    w[0] = w[-1] = 1.0
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (h / 3.0)
+
+
 def _block_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
     out[: a.shape[0], : a.shape[1]] = a
@@ -351,22 +380,18 @@ class Homotopy:
     The constructor takes stacked arrays: the ``slices`` become the blocks
     with identity weights, so a slice read is a view.  ``time_partials``,
     when given, become the time blocks with identity weights.  Otherwise the
-    time jet is 4th-order finite differences with one-sided closures per
-    segment: the banded weights ``_diff_interval`` of the identity, settled
-    at construction, which needs segments of at least 5 nodes.
+    time jet is 4th-order finite differences with one-sided closures at
+    each end: the banded weights ``_fd4_derivative`` of the identity,
+    settled at construction, which needs at least 5 time nodes.
     ``spatial_partials`` (one array per spatial axis, each of the shape of
     ``slices``) are exact derivatives of the slices, supplied by
     constructors that know them.  The homotopy takes ownership of the arrays
     it is given (they are not copied when already contiguous complex) and
     makes them read-only.
 
-    The constructor's ``segments`` lists half-open index ranges that tile
-    the time nodes ``[0, n_times)`` in order, each covering an odd number of
-    nodes (at least 3) with uniform, increasing ``times``, inside which the
-    family is smooth; by default one segment covers them all.  They are not
-    held: they only build the FD4 time weights and :attr:`quadrature`, one
-    weight per time node, composite Simpson per segment, so neither the
-    time jet nor the quadrature straddles a segment junction.  A ``window``,
+    The ``times`` of a new homotopy are an odd number (at least 3) of
+    uniform, increasing nodes, and :attr:`quadrature`, one weight per time
+    node, is composite Simpson on them.  A ``window``,
     as on :class:`SampledMap`, must span the rows of the slices, and only
     homotopies on one window concatenate.
 
@@ -398,7 +423,6 @@ class Homotopy:
         times: np.ndarray,
         slices: np.ndarray,
         codomain: str = "generic",
-        segments: tuple[tuple[int, int], ...] = (),
         window: object | None = None,
         time_partials: np.ndarray | None = None,
         spatial_partials: tuple[np.ndarray, ...] | None = None,
@@ -406,7 +430,7 @@ class Homotopy:
         eye = np.eye(len(slices))
         exact = time_partials is not None
         self._settle(
-            segments=segments, spatial=spatial, times=times, codomain=codomain, window=window, quadrature=None,
+            spatial=spatial, times=times, codomain=codomain, window=window, quadrature=None,
             blocks=slices, weights=eye, spatial_blocks=spatial_partials,
             time_blocks=time_partials if exact else slices, time_weights=eye if exact else None,
         )
@@ -414,7 +438,7 @@ class Homotopy:
 
     @classmethod
     def from_blocks(cls, spatial, times, blocks, weights, time_weights, codomain, window, spatial_blocks) -> "Homotopy":
-        """The one-segment homotopy whose slice at ``times[i]`` is
+        """The homotopy whose slice at ``times[i]`` is
         ``weights[i] @ blocks``, with the exact time jet ``time_weights[i] @
         blocks`` and the spatial jets ``weights[i] @ spatial_blocks[a]``
         (None when not known)."""
@@ -430,11 +454,11 @@ class Homotopy:
     def __setattr__(self, name, value):
         raise AttributeError(f"a Homotopy is immutable; cannot set {name!r}")
 
-    def _settle(self, segments: tuple[tuple[int, int], ...] = (), **fields) -> None:
+    def _settle(self, **fields) -> None:
         """Set ``fields``, with every check and normalization of construction
-        but the frame check.  When the quadrature is None, it and the FD4
-        time weights, if None too, are built from ``segments``, which are
-        checked only then and not held."""
+        but the frame check.  When the quadrature is None, the time nodes are
+        checked, and it and the FD4 time weights, if None too, are built on
+        them."""
         shared = fields["time_blocks"] is fields["blocks"]
         fields["blocks"] = np.ascontiguousarray(fields["blocks"], dtype=complex)
         if shared:
@@ -453,25 +477,18 @@ class Homotopy:
             vars(self)["spatial_blocks"] = _check_partials(self.spatial_blocks, self.spatial.dim, b.shape)
         tw, q = self.time_weights, self.quadrature
         if q is None:  # a derived homotopy keeps its time weights and quadrature
-            segs = tuple((int(a), int(z)) for a, z in segments) or ((0, t.size),)
-            if [a for a, _ in segs] != [0, *(z for _, z in segs[:-1])] or segs[-1][1] != t.size:
-                raise ShapeMismatch(f"homotopy segments {segs} do not tile the {t.size} time nodes in order")
-            for a, z in segs:
-                if (z - a) < 3 or (z - a) % 2 == 0:
-                    raise ShapeMismatch("each homotopy segment needs an odd node count >= 3")
-                dt = np.diff(t[a:z])
-                if dt.min() <= 0.0:
-                    raise ShapeMismatch("homotopy time nodes must increase within each segment")
-                if (dt.max() - dt.min()) > 1e-12 * max(abs(t[z - 1] - t[a]), 1.0):
-                    raise ShapeMismatch("homotopy time nodes must be uniform per segment")
+            if t.size < 3 or t.size % 2 == 0:
+                raise ShapeMismatch(f"a homotopy needs an odd node count >= 3, got {t.size} time nodes")
+            dt = np.diff(t)
+            if dt.min() <= 0.0:
+                raise ShapeMismatch("homotopy time nodes must increase")
+            if (dt.max() - dt.min()) > 1e-12 * max(abs(t[-1] - t[0]), 1.0):
+                raise ShapeMismatch("homotopy time nodes must be uniform")
             if tw is None:
-                if min(z - a for a, z in segs) < 5:
-                    raise ShapeMismatch("a homotopy segment of fewer than 5 nodes needs exact time partials")
-                fd = np.zeros((t.size, t.size))
-                for a, z in segs:
-                    fd[a:z, a:z] = _diff_interval(np.eye(z - a), 0, z - a, float(t[a + 1] - t[a]))
-                tw = fd @ w
-            q = np.concatenate([_simpson_weights(z - a, float(t[a + 1] - t[a])) for a, z in segs])
+                if t.size < 5:
+                    raise ShapeMismatch("a homotopy of fewer than 5 nodes needs exact time partials")
+                tw = _fd4_derivative(np.eye(t.size), float(t[1] - t[0])) @ w
+            q = _simpson_weights(t.size, float(t[1] - t[0]))
         tb = np.ascontiguousarray(self.time_blocks, dtype=complex)
         tw = np.asarray(tw, dtype=float)
         if tb.shape[1:] != b.shape[1:] or tw.shape != (t.size, len(tb)):
@@ -709,7 +726,7 @@ class _SliceWorkspace:
     def _grid_jets(self, v: np.ndarray, buffers) -> Iterable[np.ndarray]:
         """The grid jets of ``v`` along every spatial axis, written into
         ``buffers``, taken one at a time as the caller reads them."""
-        return (_diff_along(self.H.spatial, v, i, out) for i, out in enumerate(buffers))
+        return (fourier.derivative(v, i, out) for i, out in enumerate(buffers))
 
     def integrands(self, it: int) -> dict[int, dict[tuple[int, ...], np.ndarray]]:
         """Components of the contracted CS integrand of every degree at time
@@ -831,8 +848,7 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
     so it is taken from pairings of the blocks (:func:`_unitary_cs_zero`)
     and no slice is evaluated for it; the Gram blocks of the spatial pairs
     of projection slices are formed only when ``k_max > 1``.  Quadrature in
-    ``t`` is the homotopy's own ``quadrature``, composite Simpson per
-    segment, settled when it was built.
+    ``t`` is the homotopy's own ``quadrature``, settled when it was built.
     """
     return _cs_forms(H, [k for k in range(1, k_max + 1) if _cs_degree(H.codomain, k) <= H.spatial.dim])
 
@@ -866,11 +882,8 @@ def cs_exact(H: Homotopy, k_max: int = DEFAULT_K_MAX, tol: float = 1e-6) -> dict
             residuals[deg] = _cs_forms(H, [1])[1].sup_norm()
             continue
         residuals[deg] = max(
-            (
-                abs(integrate(_cs_forms(H if len(c) == dim else H.restrict(c), [k])[k]))
-                for c in generating_cycles(H.spatial, deg)
-            ),
-            default=0.0,
+            abs(integrate(_cs_forms(H if len(c) == dim else H.restrict(c), [k])[k]))
+            for c in generating_cycles(H.spatial, deg)
         )
     verdict = all(r < tol for r in residuals.values())
     return {"residuals": residuals, "verdict": verdict, "tolerance": tol}

@@ -18,7 +18,8 @@ class NotUnitary(ChernLabError):
 
 
 class BadResolution(ChernLabError):
-    """Grid resolution below the per-kind minimum (or wrong parity)."""
+    """Unknown domain kind, or node counts that are not integers, one per
+    axis, at or above the minimum."""
 
 
 class DegreeMismatch(ChernLabError):

@@ -1,14 +1,13 @@
 """Sample domains, derivative jets of sampled maps, and quadrature of forms.
 
-Every domain is a product of uniform axes: periodic axes (circles) carry
-trapezoid quadrature, interval axes composite Simpson.  One table,
-``_AXIS_KINDS``, says which axes each domain kind has; node shape,
-quadrature, derivatives and generating cycles all follow from the axes.
-Derivative jets are the map's own exact partials when it carries them
-(builders that know the map in closed form supply them, and the operations
-that make one map from another carry them on); otherwise they are taken on
-the grid, spectrally on periodic axes (:func:`fourier.derivative`) and by
-4th-order finite differences on interval axes.
+Every domain is a product of uniform periodic axes (circles): the circle
+and the tori, named by their dimension in ``_KINDS``.  Quadrature is the
+trapezoid rule on every axis, and the generating cycles of a degree are the
+subsets of that many axes.  Derivative jets are the map's own exact
+partials when it carries them (builders that know the map in closed form
+supply them, and the operations that make one map from another carry them
+on); otherwise they are taken spectrally on the grid
+(:func:`fourier.derivative`).
 
 Conventions
 -----------
@@ -17,7 +16,7 @@ Conventions
   array of that same shape per domain axis.
 * A :class:`GradedForm` of degree p stores one complex scalar per node per
   strictly increasing axis multi-index.
-* A cycle is a tuple of periodic axes; every other axis is pinned at node 0.
+* A cycle is a tuple of axes; every other axis is pinned at node 0.
 """
 
 from __future__ import annotations
@@ -51,52 +50,38 @@ __all__ = [
     "cycle_integral",
 ]
 
-_AXIS_KINDS = {
-    "circle": ("periodic",),
-    "interval": ("interval",),
-    "torus2": ("periodic", "periodic"),
-    "torus3": ("periodic", "periodic", "periodic"),
-    "cylinder": ("interval", "periodic"),
-}
-_KIND_OF_AXES = {(): "point", **{kinds: kind for kind, kinds in _AXIS_KINDS.items()}}  # for sub_grid
+_KINDS = ("point", "circle", "torus2", "torus3")  # the kind of a grid of each dimension
 
 MIN_PERIODIC = 8
-MIN_INTERVAL = 9
 _TAG_TOL = 1e-8  # the unitary, projection and frame defects a tag tolerates
 
 
 @dataclass(frozen=True)
 class Axis:
-    kind: str  # "periodic" | "interval"
     n: int
 
     def __post_init__(self):
-        if self.kind == "periodic" and self.n < MIN_PERIODIC:
+        if self.n < MIN_PERIODIC:
             raise BadResolution(f"periodic axis needs >= {MIN_PERIODIC} nodes, got {self.n}")
-        if self.kind == "interval" and (self.n < MIN_INTERVAL or self.n % 2 == 0):
-            raise BadResolution(
-                f"interval axis needs an odd node count >= {MIN_INTERVAL}, got {self.n}"
-            )
 
     @property
     def coords(self) -> np.ndarray:
-        if self.kind == "periodic":
-            return 2.0 * np.pi * np.arange(self.n) / self.n
-        return np.linspace(0.0, 1.0, self.n)
+        return 2.0 * np.pi * np.arange(self.n) / self.n
 
     @property
     def spacing(self) -> float:
-        if self.kind == "periodic":
-            return 2.0 * np.pi / self.n
-        return 1.0 / (self.n - 1)
+        return 2.0 * np.pi / self.n
 
 
 @dataclass(frozen=True)
 class DomainGrid:
-    """A uniform sample domain: a product of periodic and interval axes."""
+    """A uniform sample domain: a product of periodic axes."""
 
-    kind: str
     axes: tuple[Axis, ...]
+
+    @property
+    def kind(self) -> str:
+        return _KINDS[self.dim]
 
     @property
     def dim(self) -> int:
@@ -108,21 +93,19 @@ class DomainGrid:
 
 
 def make_domain(kind: str, resolutions) -> DomainGrid:
-    """Build a :class:`DomainGrid` of a kind in ``_AXIS_KINDS``.
+    """Build a :class:`DomainGrid` of a kind in ``_KINDS``, but the point.
 
-    ``resolutions`` is an int for 1-d kinds and a sequence otherwise, one
-    node count per axis in the order of the kind's axes.
+    ``resolutions`` is an integer node count for the circle and a tuple or
+    list of them otherwise, one per axis; BadResolution for anything else.
     """
-    if kind not in _AXIS_KINDS:
+    if kind not in _KINDS[1:]:
         raise BadResolution(f"unknown domain kind {kind!r}")
-    if isinstance(resolutions, (int, np.integer)):
-        res = (int(resolutions),)
-    else:
-        res = tuple(int(r) for r in resolutions)
-    axis_kinds = _AXIS_KINDS[kind]
-    if len(res) != len(axis_kinds):
-        raise BadResolution(f"{kind} needs {len(axis_kinds)} resolutions {axis_kinds}, got {res}")
-    return DomainGrid(kind=kind, axes=tuple(Axis(a, n) for a, n in zip(axis_kinds, res)))
+    counts = resolutions if isinstance(resolutions, (tuple, list)) else (resolutions,)
+    if not all(isinstance(n, (int, np.integer)) for n in counts):
+        raise BadResolution(f"{kind} takes integer node counts, got {resolutions!r}")
+    if len(counts) != _KINDS.index(kind):
+        raise BadResolution(f"{kind} needs {_KINDS.index(kind)} node count(s), got {tuple(counts)}")
+    return DomainGrid(tuple(Axis(int(n)) for n in counts))
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -316,46 +299,16 @@ class GradedForm:
 # derivatives
 
 
-_INTERVAL_EDGE = np.array(
-    [
-        [-25.0, 48.0, -36.0, 16.0, -3.0],
-        [-3.0, -10.0, 18.0, -6.0, 1.0],
-    ]
-) / 12.0
-
-
-def _diff_interval(values: np.ndarray, axis: int, n: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
-    v = np.moveaxis(values, axis, 0)
-    out = np.empty_like(v) if out is None else np.moveaxis(out, axis, 0)
-    # 4th-order central stencil in the interior
-    out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / 12.0
-    # one-sided 4th-order closures at each end
-    for r in range(2):
-        out[r] = sum(_INTERVAL_EDGE[r, j] * v[j] for j in range(5))
-        out[n - 1 - r] = -sum(_INTERVAL_EDGE[r, j] * v[n - 1 - j] for j in range(5))
-    out /= h
-    return np.moveaxis(out, 0, axis)
-
-
-def _diff_along(domain: DomainGrid, values: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Derivative of node data along a domain axis, written into ``out`` when
-    it is given."""
-    ax = domain.axes[axis]
-    if ax.kind == "periodic":
-        return fourier.derivative(values, axis, out)
-    return _diff_interval(values, axis, ax.n, ax.spacing, out)
-
-
 def differentiate(f: SampledMap) -> tuple[np.ndarray, ...]:
     """Per-axis derivative jets of ``f``, one array of the shape of its values
     per domain axis.
 
-    The map's exact ``partials`` when it carries them; otherwise grid
-    derivatives, spectral on periodic axes and FD4 on intervals.
+    The map's exact ``partials`` when it carries them; otherwise spectral
+    grid derivatives.
     """
     if f.partials is not None:
         return f.partials
-    return tuple(_diff_along(f.domain, f.values, i) for i in range(f.domain.dim))
+    return tuple(fourier.derivative(f.values, i) for i in range(f.domain.dim))
 
 
 def form_derivative(omega: GradedForm) -> GradedForm:
@@ -370,7 +323,7 @@ def form_derivative(omega: GradedForm) -> GradedForm:
         for pos, ax in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1 :]
             comp = omega.component(rest)
-            acc += (-1.0) ** pos * _diff_along(domain, comp, ax)
+            acc += (-1.0) ** pos * fourier.derivative(comp, ax)
         comps[idx] = acc
     return GradedForm(domain, p + 1, comps)
 
@@ -379,25 +332,12 @@ def form_derivative(omega: GradedForm) -> GradedForm:
 # quadrature
 
 
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    """Composite Simpson weights on ``n`` (odd) uniform nodes of spacing ``h``."""
-    w = np.empty(n)
-    w[0] = w[-1] = 1.0
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
-
-
 def _grid_quadrature(values: np.ndarray, axes: Sequence[Axis]) -> complex:
     total = np.asarray(values, dtype=complex)
     for i, ax in enumerate(axes):
         shape = [1] * total.ndim
         shape[i] = ax.n
-        if ax.kind == "periodic":
-            w = np.full(ax.n, ax.spacing)
-        else:
-            w = _simpson_weights(ax.n, ax.spacing)
-        total = total * w.reshape(shape)
+        total = total * np.full(ax.n, ax.spacing).reshape(shape)
     return complex(total.sum())
 
 
@@ -413,11 +353,10 @@ def integrate(omega: GradedForm) -> complex:
 
 def generating_cycles(domain: DomainGrid, degree: int) -> list[tuple[int, ...]]:
     """Generators of the degree-``degree`` homology: every ``degree``-subset
-    of the periodic axes (interval axes contract), none in degree 0."""
+    of the axes, none in degree 0."""
     if degree == 0:
         return []
-    periodic = [i for i, ax in enumerate(domain.axes) if ax.kind == "periodic"]
-    return list(itertools.combinations(periodic, degree))
+    return list(itertools.combinations(range(domain.dim), degree))
 
 
 def sub_grid(domain: DomainGrid, axes: Sequence[int]) -> tuple[DomainGrid, tuple]:
@@ -429,8 +368,7 @@ def sub_grid(domain: DomainGrid, axes: Sequence[int]) -> tuple[DomainGrid, tuple
     axes = tuple(sorted(axes))
     if len(set(axes)) != len(axes) or not set(axes) <= set(range(domain.dim)):
         raise ShapeMismatch(f"{axes} are not distinct axes of a {domain.dim}-dimensional domain")
-    sub_axes = tuple(domain.axes[a] for a in axes)
-    sub = DomainGrid(_KIND_OF_AXES[tuple(ax.kind for ax in sub_axes)], sub_axes)
+    sub = DomainGrid(tuple(domain.axes[a] for a in axes))
     return sub, tuple(slice(None) if i in axes else 0 for i in range(domain.dim))
 
 
@@ -448,10 +386,8 @@ def exactness_residual(omega: GradedForm) -> float:
     """Obstruction to exactness measured on generating cycles.
 
     Degree-0 forms are exact only if identically zero, so their residual is
-    the sup norm; otherwise it is the largest cycle-integral magnitude (zero
-    when the domain has no generators in that degree).
+    the sup norm; otherwise it is the largest cycle-integral magnitude.
     """
     if omega.form_degree == 0:
         return omega.sup_norm()
-    cycles = generating_cycles(omega.domain, omega.form_degree)
-    return max((abs(cycle_integral(omega, c)) for c in cycles), default=0.0)
+    return max(abs(cycle_integral(omega, c)) for c in generating_cycles(omega.domain, omega.form_degree))

@@ -178,11 +178,11 @@ def association_permutation(dim_small: int) -> np.ndarray:
 
 
 def rotation_times(t_res: int = DEFAULT_T_RES) -> np.ndarray:
-    """``t_res`` uniform times over ``[0, pi/2]``, one Simpson segment:
-    ShapeMismatch below 3 nodes here, and at an even count when the
+    """``t_res`` uniform times over ``[0, pi/2]``, the nodes of one Simpson
+    rule: ShapeMismatch below 3 nodes here, and at an even count when the
     homotopy is built."""
     if t_res < 3:
-        raise ShapeMismatch(f"each homotopy segment needs an odd node count >= 3, got t_res = {t_res}")
+        raise ShapeMismatch(f"a homotopy needs an odd node count >= 3, got t_res = {t_res}")
     return np.linspace(0.0, np.pi / 2.0, t_res)
 
 

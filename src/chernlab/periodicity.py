@@ -127,13 +127,18 @@ def bott_subspace(gamma: SampledMap, B: int | None = None) -> tuple[SubspaceSpec
 def det_winding(gamma: SampledMap) -> int:
     """Winding number of ``det(gamma)`` by phase continuation around the loop,
     closed by the first determinant, so the phase changes by whole turns up
-    to round-off; SingularInput when a determinant is not finite."""
+    to round-off; SingularInput when a determinant is not finite, or when
+    its modulus is not above 1e-12 of the largest, where its phase means
+    nothing."""
     if gamma.domain.kind != "circle":
         raise ShapeMismatch("winding needs a circle-sampled loop")
     dets = np.linalg.det(gamma.values)
     bad = np.flatnonzero(~np.isfinite(dets))
     if bad.size:
         raise SingularInput(f"winding needs a finite determinant at every node, not at node {bad[0]}")
+    small = np.flatnonzero(np.abs(dets) <= 1e-12 * np.abs(dets).max())
+    if small.size:
+        raise SingularInput(f"winding needs a nonzero determinant at every node, not at node {small[0]}")
     closed = np.concatenate([dets, dets[:1]])
     angles = np.unwrap(np.angle(closed))
     return int(np.round((angles[-1] - angles[0]) / (2.0 * np.pi)))

@@ -13,8 +13,10 @@ from chernlab.builders import loop_zn, qwz_band, random_projection_map, random_u
 from chernlab.chernforms import (
     Homotopy,
     _FrameCurvature,
+    _fd4_derivative,
     _pair_of_curvatures,
     _range_frame,
+    _simpson_weights,
     _trace_of_curvature,
     _wedge,
     ch_even,
@@ -30,8 +32,6 @@ from chernlab.errors import ChernLabError, DegreeOverflow, NotALoop, ShapeMismat
 from chernlab.geomgrid import (
     GradedForm,
     SampledMap,
-    _diff_interval,
-    _simpson_weights,
     cycle_integral,
     differentiate,
     exactness_residual,
@@ -567,17 +567,10 @@ def test_frame_homotopy_reads_as_its_projections():
     assert h.adjoint() is h
 
 
-@pytest.mark.parametrize("segments", [((0, 3),), ((0, 3), (2, 5)), ((2, 5), (0, 3)), ((0, 3), (4, 7))])
-def test_homotopy_segments_must_tile_the_time_nodes(segments):
-    h = phase_homotopy(res=16, t_res=7)
-    with pytest.raises(ShapeMismatch, match="do not tile the 7 time nodes"):
-        Homotopy(h.spatial, h.times, h.slices, codomain="unitary", segments=segments)
-
-
 @pytest.mark.parametrize("times", [np.linspace(1.0, 0.0, 5), np.zeros(5)])
-def test_homotopy_times_must_increase_within_a_segment(times):
+def test_homotopy_times_must_increase(times):
     h = phase_homotopy(res=16, t_res=5)
-    with pytest.raises(ShapeMismatch, match="increase within each segment"):
+    with pytest.raises(ShapeMismatch, match="time nodes must increase"):
         Homotopy(h.spatial, times, h.slices, codomain="unitary")
 
 
@@ -587,7 +580,7 @@ def test_homotopy_rejects_an_unknown_codomain_tag():
         Homotopy(h.spatial, h.times, h.slices, codomain="unitray")
 
 
-def test_fd_time_jet_needs_five_nodes_per_segment():
+def test_fd_time_jet_needs_five_nodes():
     f = random_unitary_map(np.random.default_rng(4), make_domain("circle", 16), size=2)
     gen = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
     times = np.linspace(0.0, 1.0, 3)
@@ -607,16 +600,15 @@ def test_homotopy_holds_its_fd_time_jet_from_construction():
         assert not x.time_weights.flags.writeable and not x.time_partials.flags.writeable
         assert x.time_derivative() is not x.time_derivative()
         assert np.array_equal(x.time_derivative(), x.time_partials)
-    # the banded weights _diff_interval(eye) apply the stencil in another order than _diff_interval itself
-    assert np.abs(h.time_partials - _diff_interval(h.slices, 0, 9, float(h.times[1] - h.times[0]))).max() < 1e-14
+    # the banded weights _fd4_derivative(eye) apply the stencil in another order than _fd4_derivative itself
+    assert np.abs(h.time_partials - _fd4_derivative(h.slices, float(h.times[1] - h.times[0]))).max() < 1e-14
     assert np.array_equal(rev.time_partials, -h.time_partials[::-1])
     assert np.array_equal(cat.time_partials, np.concatenate([h.time_partials, rev.time_partials]))
-    # a segment of another spacing takes its FD jet with its own spacing
+    # a joined homotopy of another spacing keeps its FD jet and Simpson weights of its own spacing
     short = Homotopy(h.spatial, np.linspace(0.0, 1.0, 5), rev.slices[::2], codomain="unitary")
     mixed = Homotopy.concatenate(h, short)
-    fresh = Homotopy(h.spatial, mixed.times, mixed.slices, codomain="unitary", segments=((0, 9), (9, 14)))
-    assert np.array_equal(fresh.time_partials, mixed.time_partials)
-    assert np.array_equal(fresh.quadrature, mixed.quadrature)
+    assert np.array_equal(mixed.time_partials, np.concatenate([h.time_partials, short.time_partials]))
+    assert np.array_equal(mixed.quadrature, np.concatenate([h.quadrature, short.quadrature]))
     # the negated jet is the FD jet of the reversed slices up to rounding
     fresh = Homotopy(h.spatial, rev.times, rev.slices, codomain="unitary")
     assert np.abs(fresh.time_partials - rev.time_partials).max() < 1e-12
@@ -794,18 +786,10 @@ def test_cs_form_reads_slices_without_revalidating_them(name, monkeypatch):
             assert np.array_equal(comp, single[k].comps[idx])
 
 
-def _odd_cylinder_homotopy():
-    """An odd inversion homotopy on the cylinder with grid jets, FD4 along
-    the interval axis."""
-    dom = make_domain("cylinder", (17, 16))
-    f = random_unitary_map(np.random.default_rng(4), dom, size=2)
-    return inversion_homotopy_odd(SampledMap(dom, f.values, codomain="unitary"), t_res=5)
-
-
-@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "cylinder"])
+@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets"])
 def test_cs_form_on_two_axes_is_the_slice_map_form_bit_for_bit(name):
-    # the 2-cycle passes that cs_exact runs for degree 2, and interval jets written into their row blocks
-    h = _odd_cylinder_homotopy() if name == "cylinder" else _inversion_homotopies()[name].restrict((0, 2))
+    # the 2-cycle passes that cs_exact runs for degree 2
+    h = _inversion_homotopies()[name].restrict((0, 2))
     assert h.spatial.dim == 2 and h.slices.shape[-1] == 4
     forms = cs_forms(h)
     assert forms.keys() == {1, 2}
@@ -891,14 +875,11 @@ def _alpha_form(h):
     return {idx: c * a for idx, a in acc.items()}, abs(c) * scale
 
 
-@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "cylinder", "phase_twisted"])
+@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "phase_twisted"])
 def test_unitary_cs_form_is_the_left_invariant_form(name):
     # tr(beta ^ X) of the right logarithmic derivative is tr(alpha_t ^ omega ^ omega)
-    if name == "cylinder":
-        h = _odd_cylinder_homotopy()
-    else:
-        hs = _inversion_homotopies()
-        h = _phase_twisted(hs["odd_grid_jets"]) if name == "phase_twisted" else hs[name]
+    hs = _inversion_homotopies()
+    h = _phase_twisted(hs["odd_grid_jets"]) if name == "phase_twisted" else hs[name]
     expected, scale = _alpha_form(h)
     got = cs_forms(h, 2)[2]
     assert scale > 1e-2 and got.comps.keys() == expected.keys()
@@ -1032,12 +1013,6 @@ def _conjugated_projections(dom, exact_jets=True):
     return conjugation_homotopy(p, lambda t: expm(t * gen), np.linspace(0.0, 1.0, 9), lambda t: gen @ expm(t * gen))
 
 
-def _cylinder_homotopy():
-    """A conjugation of a projection family on the cylinder whose CS_1 is not
-    exact; its one generating cycle pins the interval axis."""
-    return _conjugated_projections(make_domain("cylinder", (17, 16)))
-
-
 @pytest.mark.parametrize("exact_jets", [True, False])
 def test_cs_form_has_the_traces_of_the_commutator_pairs(exact_jets):
     h = _conjugated_projections(make_domain("torus3", (8, 8, 8)), exact_jets)
@@ -1052,13 +1027,14 @@ def test_cs_form_has_the_traces_of_the_commutator_pairs(exact_jets):
             assert np.abs(comp - expected[idx]).max() <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "even", "cylinder"])
+@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "even", "conjugated"])
 def test_cs_exact_on_cycles_equals_the_full_grid_residuals(name):
-    h = _cylinder_homotopy() if name == "cylinder" else _inversion_homotopies()[name]
+    # a conjugated projection family on torus2: a CS_1 that is not exact, each 1-cycle pinning the other axis
+    h = _conjugated_projections(make_domain("torus2", (16, 16))) if name == "conjugated" else _inversion_homotopies()[name]
     expected = {f.form_degree: exactness_residual(f) for f in cs_forms(h).values()}
     got = cs_exact(h)["residuals"]
     assert got.keys() == expected.keys()
-    if name in ("odd_grid_jets", "cylinder"):  # aliased jets, a non-exact form: residuals above round-off
+    if name in ("odd_grid_jets", "conjugated"):  # aliased jets, a non-exact form: residuals above round-off
         assert max(expected.values()) > 1e-4
     for deg, r in got.items():
         assert abs(r - expected[deg]) <= 1e-15
@@ -1209,15 +1185,15 @@ CONTRACT_CHECKS = {
         ShapeMismatch,
         "times and slices disagree",
     ),
-    "homotopy even segment": (
-        lambda: _stack_homotopy(_eye_slices(), segments=((0, 1), (1, 5))),
+    "homotopy even node count": (
+        lambda: _stack_homotopy(_eye_slices(4)),
         ShapeMismatch,
-        "odd node count >= 3",
+        "a homotopy needs an odd node count >= 3, got 4 time nodes",
     ),
     "homotopy uneven times": (
         lambda: _stack_homotopy(_eye_slices(), times=np.array([0.0, 0.1, 0.3, 0.6, 1.0])),
         ShapeMismatch,
-        "uniform per segment",
+        "homotopy time nodes must be uniform",
     ),
     "homotopy time partials": (
         lambda: _stack_homotopy(_eye_slices(), time_partials=_eye_slices(4)),

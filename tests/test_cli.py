@@ -1,7 +1,12 @@
 import importlib
 import json
-import tomllib
+import sys
 from pathlib import Path
+
+if sys.version_info >= (3, 11):
+    import tomllib
+else:  # the test extra installs tomli on Python 3.10
+    import tomli as tomllib
 
 from chernlab import cli
 

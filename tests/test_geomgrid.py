@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from chernlab.chernforms import _fd4_derivative, _simpson_weights
 from chernlab.errors import BadResolution, ChernLabError, DegreeMismatch, DegreeOverflow, ShapeMismatch
 from chernlab.geomgrid import (
     GradedForm,
     SampledMap,
-    _diff_along,
     cycle_integral,
     differentiate,
     exactness_residual,
@@ -48,20 +48,16 @@ def test_sampled_map_rejects_an_unknown_codomain_tag(tag):
 def test_resolution_minimum_enforced():
     with pytest.raises(BadResolution):
         make_domain("circle", 4)
-    with pytest.raises(BadResolution):
-        make_domain("interval", 8)  # even count rejected too
 
 
 @pytest.mark.parametrize(
     "kind, res",
     [
         ("circle", (16, 16)),
-        ("interval", (17, 17)),
+        ("circle", ()),
         ("torus2", 16),
         ("torus2", (16, 16, 16)),
         ("torus3", (16, 16)),
-        ("cylinder", 17),
-        ("cylinder", (17, 16, 16)),
     ],
 )
 def test_wrong_resolution_count_rejected(kind, res):
@@ -69,17 +65,11 @@ def test_wrong_resolution_count_rejected(kind, res):
         make_domain(kind, res)
 
 
-def test_cylinder_axis_order_is_interval_then_circle():
-    with pytest.raises(BadResolution, match="odd node count"):
-        make_domain("cylinder", (16, 17))
-    dom = make_domain("cylinder", (17, 16))
-    assert [ax.kind for ax in dom.axes] == ["interval", "periodic"]
-
-
 def test_unknown_and_two_chart_kinds_rejected():
-    for kind in ("cp1_charts", "sphere"):
+    # every axis is periodic: the interval and the cylinder are not domains
+    for kind, res in (("cp1_charts", (9, 8)), ("sphere", (9, 8)), ("interval", 9), ("cylinder", (17, 16)), ("point", ())):
         with pytest.raises(BadResolution, match="unknown domain kind"):
-            make_domain(kind, (9, 8))
+            make_domain(kind, res)
 
 
 # ---------------------------------------------------------------- jets
@@ -99,33 +89,20 @@ def test_spectral_derivative_matches_analytic():
     assert np.abs(d - expected).max() < 1e-10
 
 
-@pytest.mark.parametrize("axis", [0, 1])
-def test_derivative_into_a_given_array_is_the_allocating_one(axis):
-    dom = make_domain("cylinder", (9, 8))
-    rng = np.random.default_rng(2)
-    values = rng.standard_normal((9, 8, 3, 3)) + 1j * rng.standard_normal((9, 8, 3, 3))
-    out = np.empty_like(values)
-    got = _diff_along(dom, values, axis, out)
-    assert np.shares_memory(got, out) and got.shape == values.shape
-    assert np.array_equal(got, _diff_along(dom, values, axis))
-    assert np.array_equal(out, got)
+# the FD4 time jet of a stacked homotopy (chernforms), on [0, 1]
 
 
 def test_interval_derivative_linear():
-    dom = make_domain("interval", 33)
-    t = dom.axes[0].coords
-    f = SampledMap(dom, t[:, None, None].astype(complex))
-    (d,) = differentiate(f)
+    t = np.linspace(0.0, 1.0, 33)
+    d = _fd4_derivative(t[:, None, None].astype(complex), t[1] - t[0])
     assert np.abs(d - 1.0).max() < 1e-10
 
 
 def test_interval_derivative_fourth_order():
     errs = []
     for n in (17, 33):
-        dom = make_domain("interval", n)
-        t = dom.axes[0].coords
-        f = SampledMap(dom, np.exp(2.0 * t)[:, None, None].astype(complex))
-        (d,) = differentiate(f)
+        t = np.linspace(0.0, 1.0, n)
+        d = _fd4_derivative(np.exp(2.0 * t)[:, None, None].astype(complex), t[1] - t[0])
         errs.append(np.abs(d[:, 0, 0] - 2.0 * np.exp(2.0 * t)).max())
     assert errs[0] / errs[1] > 8.0
 
@@ -203,7 +180,7 @@ def test_integrate_constant_one_form_on_circle():
 
 
 def test_integral_independent_of_layout():
-    dom = make_domain("cylinder", (9, 24))
+    dom = make_domain("torus2", (9, 24))
     re, im = np.random.default_rng(7).standard_normal((2, 9, 24))
     comp = re + 1j * im
     layouts = (comp, np.asfortranarray(comp), np.stack([comp, comp], axis=-1)[..., 1])
@@ -218,12 +195,11 @@ def test_integrate_oscillating_form_vanishes():
 
 
 def test_simpson_refinement_order():
+    # the time quadrature of a stacked homotopy (chernforms), on [0, 1]
     errs = []
     for n in (17, 33):
-        dom = make_domain("interval", n)
-        t = dom.axes[0].coords
-        form = GradedForm(dom, 1, {(0,): np.exp(t).astype(complex)})
-        errs.append(abs(integrate(form) - (np.e - 1.0)))
+        t = np.linspace(0.0, 1.0, n)
+        errs.append(abs(_simpson_weights(n, t[1] - t[0]) @ np.exp(t) - (np.e - 1.0)))
     assert errs[0] / errs[1] > 8.0
 
 
@@ -291,10 +267,8 @@ def test_torus_cycles():
     "kind, res, cycles",
     [
         ("circle", 16, {1: [(0,)]}),
-        ("interval", 17, {1: []}),
         ("torus2", (16, 16), {1: [(0,), (1,)], 2: [(0, 1)]}),
         ("torus3", (8, 8, 8), {1: [(0,), (1,), (2,)], 2: [(0, 1), (0, 2), (1, 2)], 3: [(0, 1, 2)]}),
-        ("cylinder", (17, 16), {1: [(1,)], 2: []}),
     ],
 )
 def test_generating_cycles_are_the_periodic_axis_subsets(kind, res, cycles):
@@ -320,8 +294,9 @@ def test_torus3_face_integral_pins_the_other_axis_at_node_zero():
     [
         ("torus3", (8, 10, 12), (2, 0), "torus2", (slice(None), 0, slice(None))),
         ("torus3", (8, 10, 12), (1,), "circle", (0, slice(None), 0)),
-        ("cylinder", (17, 16), (1,), "circle", (0, slice(None))),
-        ("cylinder", (17, 16), (0, 1), "cylinder", (slice(None), slice(None))),
+        ("torus3", (8, 10, 12), (), "point", (0, 0, 0)),
+        ("torus2", (8, 10), (1,), "circle", (0, slice(None))),
+        ("torus2", (8, 10), (0, 1), "torus2", (slice(None), slice(None))),
     ],
 )
 def test_sub_grid_keeps_the_spanned_axes_and_pins_the_rest_at_node_zero(kind, res, axes, sub_kind, pin):
@@ -378,6 +353,18 @@ _CIRCLE, _TORUS = make_domain("circle", 8), make_domain("torus2", (8, 8))
 _P = np.diag([1.0, 0.0])
 
 CONTRACT_CHECKS = {
+    "fractional node count": (
+        lambda: make_domain("torus2", (16.5, 16)),
+        BadResolution,
+        r"torus2 takes integer node counts, got \(16.5, 16\)",
+    ),
+    "float node count": (lambda: make_domain("circle", 8.9), BadResolution, "circle takes integer node counts, got 8.9"),
+    "no node counts": (lambda: make_domain("torus2", None), BadResolution, "torus2 takes integer node counts, got None"),
+    "node count string": (
+        lambda: make_domain("circle", "16"),
+        BadResolution,
+        "circle takes integer node counts, got '16'",
+    ),
     "values shape": (lambda: SampledMap(_CIRCLE, np.zeros((7, 2, 2))), ShapeMismatch, r"values shape \(7, 2, 2\)"),
     "unitary not square": (
         lambda: SampledMap(_CIRCLE, np.zeros((8, 2, 3)), codomain="unitary"),

@@ -248,7 +248,7 @@ def _circle_map(codomain):
 
 CONTRACT_CHECKS = {
     "connection domain": (
-        lambda: CircleConnection(make_domain("interval", 9), np.zeros(9)),
+        lambda: CircleConnection(make_domain("torus2", (8, 8)), np.zeros((8, 8))),
         UnsupportedDomain,
         "circle connections live on circle grids",
     ),

@@ -1094,7 +1094,7 @@ CONTRACT_CHECKS = {
     "odd inversion even t_res": (
         lambda: inversion_homotopy_odd(_circle_map(), t_res=4),
         ShapeMismatch,
-        "each homotopy segment needs an odd node count >= 3",
+        "a homotopy needs an odd node count >= 3",
     ),
     "even inversion window": (
         lambda: inversion_homotopy_even(_circle_map("projection")),
@@ -1104,12 +1104,12 @@ CONTRACT_CHECKS = {
     "even inversion one node": (
         lambda: inversion_homotopy_even(_circle_map("projection", window=WIN), t_res=1),
         ShapeMismatch,
-        "each homotopy segment needs an odd node count >= 3",
+        "a homotopy needs an odd node count >= 3",
     ),
     "rotation times below three": (
         lambda: rotation_times(-1),
         ShapeMismatch,
-        "each homotopy segment needs an odd node count >= 3, got t_res = -1",
+        "a homotopy needs an odd node count >= 3, got t_res = -1",
     ),
     "Eckmann-Hilton sizes": (
         lambda: eckmann_hilton_homotopy(_circle_map(), _circle_map(size=3)),

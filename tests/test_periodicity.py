@@ -340,6 +340,18 @@ def _nan_loop(codomain="unitary"):
     return SampledMap(make_domain("circle", 16), values, codomain=codomain)
 
 
+def _zeroed_loop(scale=0.0):
+    """The generic-tagged ``loop_zn(1)`` on U(2), nodes 3-10 multiplied by ``scale``."""
+    values = builders.loop_zn(1, res=16, pad=2).values.copy()
+    values[3:11] *= scale
+    return SampledMap(make_domain("circle", 16), values)
+
+
+def test_det_winding_reads_a_small_but_nonzero_determinant():
+    # the floor is relative: |det| = 1e-10 at eight nodes keeps its phase
+    assert det_winding(_zeroed_loop(1e-5)) == 1
+
+
 CONTRACT_CHECKS = {
     "bott_subspace tag": (
         lambda: bott_subspace(_alternating_loop(16)),
@@ -360,6 +372,11 @@ CONTRACT_CHECKS = {
         lambda: det_winding(_nan_loop("generic")),
         SingularInput,
         "winding needs a finite determinant at every node, not at node 5",
+    ),
+    "det_winding of a generic loop with zero nodes": (
+        lambda: det_winding(_zeroed_loop()),
+        SingularInput,
+        "winding needs a nonzero determinant at every node, not at node 3",
     ),
     "transport of an unresolved loop": (
         lambda: kato_transport(_alternating_loop()),

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chernlab.builders import frame_family_torus, loop_zn, random_unitary_map
-from chernlab.chernforms import ch_even, chern_scalar, trace_wedge
+from chernlab.chernforms import _simpson_weights, ch_even, chern_scalar, trace_wedge
 from chernlab.errors import AsymmetricWindow, ChernLabError, DegenerateFrame, DegreeOverflow, ShapeMismatch
-from chernlab.geomgrid import SampledMap, _simpson_weights, differentiate, form_derivative, make_domain
+from chernlab.geomgrid import SampledMap, differentiate, form_derivative, make_domain
 from chernlab.kops import blocksum, flip_projection
 from chernlab.stiefel import (
     PolarizedWindow,
