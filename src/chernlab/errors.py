@@ -18,8 +18,8 @@ class NotUnitary(ChernLabError):
 
 
 class BadResolution(ChernLabError):
-    """Unknown domain kind, or node counts that are not integers, one per
-    axis, at or above the minimum."""
+    """A domain kind that make_domain does not know, or node counts that are
+    not one integer per axis, each at least the minimum."""
 
 
 class DegreeMismatch(ChernLabError):
