@@ -323,28 +323,6 @@ def _weighted(row: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> np.ndarra
     return out
 
 
-_FD4_EDGE = np.array(
-    [
-        [-25.0, 48.0, -36.0, 16.0, -3.0],
-        [-3.0, -10.0, 18.0, -6.0, 1.0],
-    ]
-) / 12.0
-
-
-def _fd4_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """d/dt along axis 0 of ``values``, sampled on at least 5 uniform times of
-    spacing ``h``, by 4th-order finite differences: the central stencil
-    inside and one-sided 4th-order closures at each end."""
-    n = len(values)
-    out = np.empty_like(values)
-    out[2:-2] = (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / 12.0
-    for r in range(2):
-        out[r] = sum(_FD4_EDGE[r, j] * values[j] for j in range(5))
-        out[n - 1 - r] = -sum(_FD4_EDGE[r, j] * values[n - 1 - j] for j in range(5))
-    out /= h
-    return out
-
-
 def _simpson_weights(n: int, h: float) -> np.ndarray:
     """Composite Simpson weights on ``n`` (odd) uniform nodes of spacing ``h``."""
     w = np.empty(n)
@@ -369,8 +347,9 @@ class Homotopy:
     Slice ``i`` is ``weights[i] @ blocks``, its time jet ``d(slice)/dt`` is
     ``time_weights[i] @ time_blocks`` and its jet along spatial axis ``a`` is
     ``weights[i] @ spatial_blocks[a]``, each sum over the leading block axis
-    of arrays ``(n_blocks, *node_shape, rows, cols)``.  ``time_blocks`` is
-    ``blocks`` itself unless exact time partials are given.  A slice or jet
+    of arrays ``(n_blocks, *node_shape, rows, cols)``.  Every time jet is
+    exact: ``time_blocks`` is ``blocks`` itself in :meth:`from_blocks` and
+    the ``time_partials`` of the stacked constructor.  A slice or jet
     is formed only when it is read, one at a time, by one product over the
     blocks of its nonzero weights, or as a view of one block when its weight
     row picks that block out.  The rotation homotopies of :mod:`kops` hold
@@ -378,21 +357,17 @@ class Homotopy:
     (:meth:`from_blocks`).
 
     The constructor takes stacked arrays: the ``slices`` become the blocks
-    with identity weights, so a slice read is a view.  ``time_partials``,
-    when given, become the time blocks with identity weights.  Otherwise the
-    time jet is 4th-order finite differences with one-sided closures at
-    each end: the banded weights ``_fd4_derivative`` of the identity,
-    settled at construction, which needs at least 5 time nodes.
-    ``spatial_partials`` (one array per spatial axis, each of the shape of
-    ``slices``) are exact derivatives of the slices, supplied by
-    constructors that know them.  The homotopy takes ownership of the arrays
-    it is given (they are not copied when already contiguous complex) and
-    makes them read-only.
+    and their exact ``time_partials`` the time blocks, each with identity
+    weights, so a slice or time jet read is a view.  ``spatial_partials``
+    (one array per spatial axis, each of the shape of ``slices``) are exact
+    derivatives of the slices, supplied by constructors that know them.  The
+    homotopy takes ownership of the arrays it is given (they are not copied
+    when already contiguous complex) and makes them read-only.
 
     The ``times`` of a new homotopy are an odd number (at least 3) of
-    uniform, increasing nodes, and :attr:`quadrature`, one weight per time
-    node, is composite Simpson on them.  A ``window``,
-    as on :class:`SampledMap`, must span the rows of the slices, and only
+    finite, uniform, increasing nodes, and :attr:`quadrature`, one weight
+    per time node, is composite Simpson on them.  A ``window``, as on
+    :class:`SampledMap`, must span the rows of the slices, and only
     homotopies on one window concatenate.
 
     :attr:`slices`, :attr:`time_partials` (:meth:`time_derivative`) and
@@ -422,17 +397,16 @@ class Homotopy:
         spatial: DomainGrid,
         times: np.ndarray,
         slices: np.ndarray,
+        time_partials: np.ndarray,
         codomain: str = "generic",
         window: object | None = None,
-        time_partials: np.ndarray | None = None,
         spatial_partials: tuple[np.ndarray, ...] | None = None,
     ):
         eye = np.eye(len(slices))
-        exact = time_partials is not None
         self._settle(
             spatial=spatial, times=times, codomain=codomain, window=window, quadrature=None,
             blocks=slices, weights=eye, spatial_blocks=spatial_partials,
-            time_blocks=time_partials if exact else slices, time_weights=eye if exact else None,
+            time_blocks=time_partials, time_weights=eye,
         )
         self._check_frame_slices()
 
@@ -457,8 +431,7 @@ class Homotopy:
     def _settle(self, **fields) -> None:
         """Set ``fields``, with every check and normalization of construction
         but the frame check.  When the quadrature is None, the time nodes are
-        checked, and it and the FD4 time weights, if None too, are built on
-        them."""
+        checked and it is built on them."""
         shared = fields["time_blocks"] is fields["blocks"]
         fields["blocks"] = np.ascontiguousarray(fields["blocks"], dtype=complex)
         if shared:
@@ -475,22 +448,20 @@ class Homotopy:
         _check_window(self.window, b.shape[-2])
         if self.spatial_blocks is not None:
             vars(self)["spatial_blocks"] = _check_partials(self.spatial_blocks, self.spatial.dim, b.shape)
-        tw, q = self.time_weights, self.quadrature
-        if q is None:  # a derived homotopy keeps its time weights and quadrature
+        q = self.quadrature
+        if q is None:  # a derived homotopy keeps its quadrature
             if t.size < 3 or t.size % 2 == 0:
                 raise ShapeMismatch(f"a homotopy needs an odd node count >= 3, got {t.size} time nodes")
+            if not np.isfinite(t).all():
+                raise ShapeMismatch("homotopy time nodes must be finite")
             dt = np.diff(t)
             if dt.min() <= 0.0:
                 raise ShapeMismatch("homotopy time nodes must increase")
             if (dt.max() - dt.min()) > 1e-12 * max(abs(t[-1] - t[0]), 1.0):
                 raise ShapeMismatch("homotopy time nodes must be uniform")
-            if tw is None:
-                if t.size < 5:
-                    raise ShapeMismatch("a homotopy of fewer than 5 nodes needs exact time partials")
-                tw = _fd4_derivative(np.eye(t.size), float(t[1] - t[0])) @ w
             q = _simpson_weights(t.size, float(t[1] - t[0]))
         tb = np.ascontiguousarray(self.time_blocks, dtype=complex)
-        tw = np.asarray(tw, dtype=float)
+        tw = np.asarray(self.time_weights, dtype=float)
         if tb.shape[1:] != b.shape[1:] or tw.shape != (t.size, len(tb)):
             raise ShapeMismatch(f"time partials {tb.shape} do not match the slices {b.shape}")
         vars(self).update(

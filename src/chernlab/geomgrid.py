@@ -61,6 +61,9 @@ class Axis:
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)):
+            raise BadResolution(f"an axis takes an integer node count, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if self.n < MIN_PERIODIC:
             raise BadResolution(f"periodic axis needs >= {MIN_PERIODIC} nodes, got {self.n}")
 
@@ -101,11 +104,10 @@ def make_domain(kind: str, resolutions) -> DomainGrid:
     if kind not in _KINDS[1:]:
         raise BadResolution(f"unknown domain kind {kind!r}")
     counts = resolutions if isinstance(resolutions, (tuple, list)) else (resolutions,)
-    if not all(isinstance(n, (int, np.integer)) for n in counts):
-        raise BadResolution(f"{kind} takes integer node counts, got {resolutions!r}")
-    if len(counts) != _KINDS.index(kind):
+    axes = tuple(Axis(n) for n in counts)
+    if len(axes) != _KINDS.index(kind):
         raise BadResolution(f"{kind} needs {_KINDS.index(kind)} node count(s), got {tuple(counts)}")
-    return DomainGrid(tuple(Axis(int(n)) for n in counts))
+    return DomainGrid(axes)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -64,6 +64,8 @@ class CircleConnection:
         a = np.array(self.samples, dtype=float)
         if a.shape != (self.domain.axes[0].n,):
             raise ShapeMismatch("connection samples do not match the grid")
+        if not np.isfinite(a).all():
+            raise ShapeMismatch("connection samples must be finite")
         a.flags.writeable = False
         object.__setattr__(self, "samples", a)
 

@@ -179,49 +179,43 @@ def association_permutation(dim_small: int) -> np.ndarray:
 
 def rotation_times(t_res: int = DEFAULT_T_RES) -> np.ndarray:
     """``t_res`` uniform times over ``[0, pi/2]``, the nodes of one Simpson
-    rule: ShapeMismatch below 3 nodes here, and at an even count when the
-    homotopy is built."""
-    if t_res < 3:
+    rule: ShapeMismatch here unless ``t_res`` is an integer of at least 3,
+    and at an even count when the homotopy is built."""
+    if not isinstance(t_res, (int, np.integer)) or t_res < 3:
         raise ShapeMismatch(f"a homotopy needs an odd node count >= 3, got t_res = {t_res}")
     return np.linspace(0.0, np.pi / 2.0, t_res)
 
 
-def conjugation_homotopy(
-    f: SampledMap,
-    path,
-    times: np.ndarray | None = None,
-    path_derivative=None,
-) -> Homotopy:
+def conjugation_homotopy(f: SampledMap, path, path_derivative, times: np.ndarray | None = None) -> Homotopy:
     """Slices ``A_t f A_t*`` for a unitary path with ``A_0 = I``.
 
-    ``path`` maps a time to the unitary ``A_t``; BadPathStart if ``A_0`` is
-    not the identity within 1e-10.  Supplying ``path_derivative`` makes the
-    time jets exact instead of finite-differenced.  Spatial jets
-    ``A_t d_i f A_t*`` are exact when ``f`` carries exact partials.
+    ``path`` maps a time to the unitary ``A_t``, and ``path_derivative`` to
+    its derivative, from which the time jets ``dA f A* + A f dA*`` are
+    exact; BadPathStart if ``A_0`` is not the identity within 1e-10.
+    Spatial jets ``A_t d_i f A_t*`` are exact when ``f`` carries exact
+    partials.
     """
     if times is None:
         times = np.linspace(0.0, 1.0, DEFAULT_T_RES)
     a0 = np.asarray(path(float(times[0])), dtype=complex)
     if not np.abs(a0 - np.eye(a0.shape[0])).max() < 1e-10:
         raise BadPathStart("conjugation path must start at the identity")
-    slices = []
-    partials = [] if path_derivative is not None else None
+    slices, partials = [], []
     spatial = [[] for _ in f.partials or ()]
     for t in times:
         a = np.asarray(path(float(t)), dtype=complex)
+        da = np.asarray(path_derivative(float(t)), dtype=complex)
         slices.append(a @ f.values @ a.conj().T)
-        if partials is not None:
-            da = np.asarray(path_derivative(float(t)), dtype=complex)
-            partials.append(da @ f.values @ a.conj().T + a @ f.values @ da.conj().T)
+        partials.append(da @ f.values @ a.conj().T + a @ f.values @ da.conj().T)
         for out, d in zip(spatial, f.partials or ()):
             out.append(a @ d @ a.conj().T)
     return Homotopy(
         f.domain,
         np.asarray(times, float),
         np.stack(slices),
+        np.stack(partials),
         codomain=f.codomain,
         window=f.window,
-        time_partials=None if partials is None else np.stack(partials),
         spatial_partials=tuple(np.stack(s) for s in spatial) or None,
     )
 

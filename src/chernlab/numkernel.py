@@ -61,8 +61,8 @@ def polar_unitary(m) -> np.ndarray:
 
 def numerical_rank(m, threshold: float) -> int:
     """The number of singular values of ``m`` above the absolute ``threshold``."""
-    if threshold < 0:
-        raise SingularInput("threshold must be non-negative")
+    if not threshold >= 0:
+        raise SingularInput(f"threshold must be non-negative, got {threshold}")
     s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
     return int(np.count_nonzero(s > threshold))
 

@@ -13,7 +13,6 @@ from chernlab.builders import loop_zn, qwz_band, random_projection_map, random_u
 from chernlab.chernforms import (
     Homotopy,
     _FrameCurvature,
-    _fd4_derivative,
     _pair_of_curvatures,
     _range_frame,
     _simpson_weights,
@@ -338,7 +337,7 @@ def test_ch_total_cutoffs():
 def constant_homotopy(f, t_res=9):
     times = np.linspace(0.0, 1.0, t_res)
     slices = np.broadcast_to(f.values, (t_res, *f.values.shape)).copy()
-    return Homotopy(f.domain, times, slices, codomain=f.codomain)
+    return Homotopy(f.domain, times, slices, np.zeros_like(slices), codomain=f.codomain)
 
 
 def phase_homotopy(res=128, t_res=17):
@@ -349,7 +348,8 @@ def phase_homotopy(res=128, t_res=17):
     slices = np.empty((t_res, res, 1, 1), dtype=complex)
     for i, t in enumerate(times):
         slices[i, :, 0, 0] = np.exp(1j * (t * np.sin(th) + 0.3 * t * t * np.cos(th)))
-    return Homotopy(dom, times, slices, codomain="unitary")
+    rate = 1j * (np.sin(th) + 0.6 * times[:, None] * np.cos(th))
+    return Homotopy(dom, times, slices, rate[..., None, None] * slices, codomain="unitary")
 
 
 def test_cs_constant_homotopy_zero():
@@ -359,9 +359,18 @@ def test_cs_constant_homotopy_zero():
 
 
 def test_cs_stokes_identity_and_order():
+    # f_t = exp(i sin(t) a(theta)) with its exact time jet: the integrand
+    # cos(t) a(theta) of CS_0 is not a polynomial in t, so the residual is the
+    # error of the Simpson rule, of order 4
+    dom = make_domain("circle", 128)
+    th = dom.axes[0].coords
+    a = np.sin(th) + 0.3 * np.cos(th)
     residuals = []
     for t_res in (9, 17):
-        h = phase_homotopy(res=128, t_res=t_res)
+        times = np.linspace(0.0, 1.0, t_res)
+        slices = np.exp(1j * np.sin(times)[:, None] * a)[..., None, None]
+        rate = 1j * np.cos(times)[:, None] * a
+        h = Homotopy(dom, times, slices, rate[..., None, None] * slices, codomain="unitary")
         cs0 = cs_form(h, 1)
         dcs = form_derivative(cs0)
         ch1_end = ch_odd(h.slice_map(h.n_times - 1), 1)
@@ -369,7 +378,7 @@ def test_cs_stokes_identity_and_order():
         residuals.append((dcs - (ch1_end - ch1_start)).sup_norm())
     assert residuals[-1] < 1e-6
     order = np.log2(residuals[0] / residuals[1])
-    assert order >= 2.0
+    assert order >= 3.7
 
 
 def test_cs_stokes_degree_two_on_torus3():
@@ -390,7 +399,7 @@ def test_cs_stokes_degree_two_on_torus3():
     for i, t in enumerate(times):
         flat = (1j * t * gen).reshape(-1, 2, 2)
         slices[i] = np.stack([expm(m) for m in flat]).reshape(10, 10, 10, 2, 2)
-    h = Homotopy(dom, times, slices, codomain="unitary")
+    h = Homotopy(dom, times, slices, 1j * gen @ slices, codomain="unitary")
     cs2 = cs_form(h, 2)
     dcs = form_derivative(cs2)
     ch3 = ch_odd(h.slice_map(t_res - 1), 2)
@@ -424,7 +433,7 @@ def test_cs_exact_verdicts():
     slices = np.empty((t_res, 64, 1, 1), dtype=complex)
     for i, t in enumerate(times):
         slices[i, :, 0, 0] = np.exp(1j * (th + 2 * np.pi * t))
-    h = Homotopy(dom, times, slices, codomain="unitary")
+    h = Homotopy(dom, times, slices, 2j * np.pi * slices, codomain="unitary")
     rep = cs_exact(h, k_max=1)
     assert rep["verdict"] is False
     cs0 = cs_form(h, 1)
@@ -441,7 +450,7 @@ def test_cs_concatenation_additivity():
     slices = np.empty((9, 64, 1, 1), dtype=complex)
     for i, t in enumerate(times):
         slices[i] = end * np.exp(1j * t * 0.4 * np.cos(2 * th))[:, None, None]
-    h2 = Homotopy(dom, times, slices, codomain="unitary")
+    h2 = Homotopy(dom, times, slices, 0.4j * np.cos(2 * th)[:, None, None] * slices, codomain="unitary")
     cat = Homotopy.concatenate(h1, h2)
     lhs = cs_form(cat, 1)
     rhs = cs_form(h1, 1) + cs_form(h2, 1)
@@ -463,7 +472,7 @@ def _even_inversion(t_res=5):
 def test_homotopy_window_must_span_the_slice_rows():
     h = _even_inversion()
     with pytest.raises(ShapeMismatch, match="window of dim 4 tags values of 8 rows"):
-        Homotopy(h.spatial, h.times, h.slices, codomain="projection", window=PolarizedWindow(1, 3), time_partials=h.time_partials)
+        Homotopy(h.spatial, h.times, h.slices, h.time_partials, codomain="projection", window=PolarizedWindow(1, 3))
 
 
 def test_concatenate_rejects_mismatched_windows():
@@ -479,7 +488,7 @@ def test_concatenate_rejects_mismatched_windows():
 def _like(h, slices, time_partials, codomain="projection", window="same"):
     """A homotopy on the times of ``h`` with other slices and time jet."""
     window = h.window if window == "same" else window
-    return Homotopy(h.spatial, h.times, slices, codomain=codomain, window=window, time_partials=time_partials)
+    return Homotopy(h.spatial, h.times, slices, time_partials, codomain=codomain, window=window)
 
 
 def _regauged(h, seed=5):
@@ -522,9 +531,9 @@ def test_derived_frame_homotopies_skip_the_frame_check(monkeypatch):
         h.spatial,
         back.times,
         h.slices[::-1],
+        -h.time_partials[::-1],
         codomain="projection",
         window=h.window,
-        time_partials=-h.time_partials[::-1],
         spatial_partials=tuple(p[::-1] for p in h.spatial_partials),
     )
     assert calls == ["projection frame slices"]
@@ -551,7 +560,8 @@ def test_concatenate_compares_projections_at_the_junction():
     assert cs_form(loop, 1).sup_norm() < 1e-12
     with pytest.raises(NotALoop, match="junction slices differ"):
         Homotopy.concatenate(h, h)
-    square = Homotopy(h.spatial, h.times, h.slices @ _adj(h.slices), codomain="projection", window=h.window)
+    v, dv = h.slices, h.time_partials
+    square = Homotopy(h.spatial, h.times, v @ _adj(v), dv @ _adj(v) + v @ _adj(dv), codomain="projection", window=h.window)
     with pytest.raises(ShapeMismatch, match="slice shapes"):
         Homotopy.concatenate(h, square.reversed())
 
@@ -571,26 +581,28 @@ def test_frame_homotopy_reads_as_its_projections():
 def test_homotopy_times_must_increase(times):
     h = phase_homotopy(res=16, t_res=5)
     with pytest.raises(ShapeMismatch, match="time nodes must increase"):
-        Homotopy(h.spatial, times, h.slices, codomain="unitary")
+        Homotopy(h.spatial, times, h.slices, h.time_partials, codomain="unitary")
 
 
 def test_homotopy_rejects_an_unknown_codomain_tag():
     h = phase_homotopy(res=16, t_res=5)
     with pytest.raises(ShapeMismatch, match="'unitray'"):
-        Homotopy(h.spatial, h.times, h.slices, codomain="unitray")
+        Homotopy(h.spatial, h.times, h.slices, h.time_partials, codomain="unitray")
 
 
-def test_fd_time_jet_needs_five_nodes():
+def test_a_stacked_homotopy_takes_its_exact_time_jet():
+    # every time jet is given, so three nodes, the fewest of a Simpson rule, suffice
     f = random_unitary_map(np.random.default_rng(4), make_domain("circle", 16), size=2)
     gen = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    times = np.linspace(0.0, 1.0, 3)
-    with pytest.raises(ShapeMismatch, match="fewer than 5 nodes needs exact time partials"):
-        cs_forms(conjugation_homotopy(f, lambda t: expm(t * gen), times))
-    exact = conjugation_homotopy(f, lambda t: expm(t * gen), times, lambda t: gen @ expm(t * gen))
-    assert cs_forms(exact).keys() == {1}
+    h = conjugation_homotopy(f, lambda t: expm(t * gen), lambda t: gen @ expm(t * gen), np.linspace(0.0, 1.0, 3))
+    assert cs_forms(h).keys() == {1}
+    with pytest.raises(TypeError, match="time_partials"):
+        Homotopy(h.spatial, h.times, h.slices, codomain="unitary")
+    with pytest.raises(TypeError, match="path_derivative"):
+        conjugation_homotopy(f, lambda t: expm(t * gen))
 
 
-def test_homotopy_holds_its_fd_time_jet_from_construction():
+def test_homotopy_holds_its_time_jet_from_construction():
     h = phase_homotopy(res=16, t_res=9)
     rev = h.reversed()
     cat = Homotopy.concatenate(h, rev)
@@ -600,22 +612,13 @@ def test_homotopy_holds_its_fd_time_jet_from_construction():
         assert not x.time_weights.flags.writeable and not x.time_partials.flags.writeable
         assert x.time_derivative() is not x.time_derivative()
         assert np.array_equal(x.time_derivative(), x.time_partials)
-    # the banded weights _fd4_derivative(eye) apply the stencil in another order than _fd4_derivative itself
-    assert np.abs(h.time_partials - _fd4_derivative(h.slices, float(h.times[1] - h.times[0]))).max() < 1e-14
     assert np.array_equal(rev.time_partials, -h.time_partials[::-1])
     assert np.array_equal(cat.time_partials, np.concatenate([h.time_partials, rev.time_partials]))
-    # a joined homotopy of another spacing keeps its FD jet and Simpson weights of its own spacing
-    short = Homotopy(h.spatial, np.linspace(0.0, 1.0, 5), rev.slices[::2], codomain="unitary")
+    # a joined homotopy of another spacing keeps its time jet and the Simpson weights of its own spacing
+    short = Homotopy(h.spatial, np.linspace(0.0, 1.0, 5), rev.slices[::2], rev.time_partials[::2], codomain="unitary")
     mixed = Homotopy.concatenate(h, short)
     assert np.array_equal(mixed.time_partials, np.concatenate([h.time_partials, short.time_partials]))
     assert np.array_equal(mixed.quadrature, np.concatenate([h.quadrature, short.quadrature]))
-    # the negated jet is the FD jet of the reversed slices up to rounding
-    fresh = Homotopy(h.spatial, rev.times, rev.slices, codomain="unitary")
-    assert np.abs(fresh.time_partials - rev.time_partials).max() < 1e-12
-    # and the FD jet is the exact one up to the stencil's h^4 error
-    th = h.spatial.axes[0].coords
-    rate = 1j * (np.sin(th) + 0.6 * h.times[:, None] * np.cos(th))
-    assert np.abs(h.time_partials - rate[..., None, None] * h.slices).max() < 1e-3
 
 
 def test_homotopy_reverse_flips_cs_sign():
@@ -917,7 +920,7 @@ def _phase_twisted(h):
     a = (np.cos(x[0]) + 0.5 * np.sin(x[1] + x[2]))[..., None, None]
     phase = np.exp(1j * h.times.reshape(-1, *[1] * (h.slices.ndim - 1)) * a)
     dt = phase * (1j * a * h.slices + h.time_derivative())
-    return Homotopy(h.spatial, h.times, phase * h.slices, codomain="unitary", time_partials=dt)
+    return Homotopy(h.spatial, h.times, phase * h.slices, dt, codomain="unitary")
 
 
 @pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "phase_twisted"])
@@ -933,36 +936,28 @@ def test_cs_zero_alone_is_the_trace_pairing(name):
     assert np.abs(alone.comps[()] - cs_forms(h)[1].comps[()]).max() <= 1e-15
 
 
-def _phase_family(t_res, exact_jets):
+def _phase_family(t_res):
     """``f_t = exp(i t^2 phi(x)) (+) 1`` on torus2 over ``t`` in [0, 1], held
-    stacked; its ``CS_0`` is ``chern_scalar("odd", 1) i phi`` at every node,
-    from the integrand ``tr(f^{-1} df/dt) = 2 i t phi``, which Simpson
-    integrates exactly.  The time jet ``2 i t phi f_t (+) 0`` is given when
-    ``exact_jets``, FD4 otherwise."""
+    stacked with its time jet ``2 i t phi f_t (+) 0``; its ``CS_0`` is
+    ``chern_scalar("odd", 1) i phi`` at every node, from the integrand
+    ``tr(f^{-1} df/dt) = 2 i t phi``, which Simpson integrates exactly."""
     dom = make_domain("torus2", (16, 16))
     x = np.meshgrid(*[ax.coords for ax in dom.axes], indexing="ij")
     phi = (np.cos(x[0]) + 0.5 * np.sin(x[0] + 2.0 * x[1]))[..., None, None]
     times = np.linspace(0.0, 1.0, t_res)[:, None, None, None, None]
     phase = np.exp(1j * times**2 * phi)
     slices = blocksum(phase, np.ones_like(phase))
-    jets = blocksum(2j * times * phi * phase, np.zeros_like(phase)) if exact_jets else None
-    return Homotopy(dom, times.ravel(), slices, codomain="unitary", time_partials=jets), phi[..., 0, 0]
+    jets = blocksum(2j * times * phi * phase, np.zeros_like(phase))
+    return Homotopy(dom, times.ravel(), slices, jets, codomain="unitary"), phi[..., 0, 0]
 
 
 def test_cs_zero_of_a_phase_family_is_its_phase():
     # every inversion and Eckmann-Hilton CS_0 vanishes; this one does not
-    h, phi = _phase_family(9, exact_jets=True)
+    h, phi = _phase_family(9)
     expected = chern_scalar("odd", 1) * 1j * phi
     assert np.abs(expected).max() > 0.2
     assert np.abs(cs_forms(h, 1)[1].comps[()] - expected).max() < 1e-12
     assert np.abs(cs_forms(h)[1].comps[()] - expected).max() < 1e-12
-    errors = []
-    for t_res in (17, 33, 65):
-        h, _ = _phase_family(t_res, exact_jets=False)
-        errors.append(np.abs(cs_forms(h, 1)[1].comps[()] - expected).max())
-    # the FD4 time jet converges at its order, and nothing else errs
-    assert errors[0] > errors[1] > errors[2] > 0.0
-    assert min(np.log2(errors[0] / errors[1]), np.log2(errors[1] / errors[2])) > 3.7
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -975,7 +970,7 @@ def test_cs_zero_pairings_are_the_slice_by_slice_integral(seed):
     blocks = rng.standard_normal((k, 8, 2, 2)) + 1j * rng.standard_normal((k, 8, 2, 2))
     weights, time_weights = rng.standard_normal((2, n, k))
     h = Homotopy.from_blocks(dom, np.linspace(0.0, 1.0, n), blocks, weights, time_weights, "unitary", None, None)
-    stacked = Homotopy(dom, h.times, h.slices, "unitary")  # FD4: banded time weights
+    stacked = Homotopy(dom, h.times, h.slices, h.time_partials, "unitary")  # identity weights
     for x in (h, h.reversed(), Homotopy.concatenate(h, Homotopy.concatenate(h.reversed(), h)), stacked):
         pairs = zip(x.quadrature, x.slices, x.time_partials)
         expected = sum(q * np.einsum("...ij,...ij->...", s.conj(), j) for q, s, j in pairs)
@@ -1010,7 +1005,7 @@ def _conjugated_projections(dom, exact_jets=True):
     rng = np.random.default_rng(3)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     gen = g - g.conj().T
-    return conjugation_homotopy(p, lambda t: expm(t * gen), np.linspace(0.0, 1.0, 9), lambda t: gen @ expm(t * gen))
+    return conjugation_homotopy(p, lambda t: expm(t * gen), lambda t: gen @ expm(t * gen), np.linspace(0.0, 1.0, 9))
 
 
 @pytest.mark.parametrize("exact_jets", [True, False])
@@ -1140,11 +1135,12 @@ def test_cs_exact_takes_each_full_grid_jet_once_on_projection_slices(monkeypatch
     assert ranks.count(3) == 3 * h.n_times
 
 
-def _stack_homotopy(slices, codomain="unitary", times=None, **kwargs):
+def _stack_homotopy(slices, codomain="unitary", times=None, time_partials=None):
     """The homotopy on the 8-node circle whose slices are ``slices``
-    (uniform times in ``[0, 1]`` by default)."""
+    (uniform times in ``[0, 1]`` and a zero time jet by default)."""
     times = np.linspace(0.0, 1.0, len(slices)) if times is None else times
-    return Homotopy(make_domain("circle", 8), times, slices, codomain=codomain, **kwargs)
+    time_partials = np.zeros_like(slices) if time_partials is None else time_partials
+    return Homotopy(make_domain("circle", 8), times, slices, time_partials, codomain=codomain)
 
 
 def _eye_slices(t_res=5, rows=2, cols=2):
@@ -1189,6 +1185,16 @@ CONTRACT_CHECKS = {
         lambda: _stack_homotopy(_eye_slices(4)),
         ShapeMismatch,
         "a homotopy needs an odd node count >= 3, got 4 time nodes",
+    ),
+    "homotopy NaN time node": (
+        lambda: _stack_homotopy(_eye_slices(), times=np.array([0.0, 0.25, np.nan, 0.75, 1.0])),
+        ShapeMismatch,
+        "homotopy time nodes must be finite",
+    ),
+    "homotopy inf last time node": (
+        lambda: _stack_homotopy(_eye_slices(), times=np.array([0.0, 0.25, 0.5, 0.75, np.inf])),
+        ShapeMismatch,
+        "homotopy time nodes must be finite",
     ),
     "homotopy uneven times": (
         lambda: _stack_homotopy(_eye_slices(), times=np.array([0.0, 0.1, 0.3, 0.6, 1.0])),

@@ -237,9 +237,9 @@ _LINE = np.diag([1.0, 0.0]).astype(complex)
 
 
 def _constant_homotopy(codomain):
-    """Five slices ``_LINE`` over the 8-node circle, with no window."""
+    """Five slices ``_LINE`` over the 8-node circle, with no window and a zero time jet."""
     slices = np.broadcast_to(_LINE, (5, 8, 2, 2)).copy()
-    return Homotopy(make_domain("circle", 8), np.linspace(0.0, 1.0, 5), slices, codomain=codomain)
+    return Homotopy(make_domain("circle", 8), np.linspace(0.0, 1.0, 5), slices, np.zeros_like(slices), codomain=codomain)
 
 
 def _circle_map(codomain):
@@ -256,6 +256,12 @@ CONTRACT_CHECKS = {
         lambda: CircleConnection(make_domain("circle", 8), np.zeros(7)),
         ShapeMismatch,
         "connection samples do not match the grid",
+    ),
+    "connection NaN sample": (lambda: CircleConnection.constant(np.nan), ShapeMismatch, "connection samples must be finite"),
+    "connection inf sample": (
+        lambda: CircleConnection(make_domain("circle", 8), np.array([0.0, 0.1, 0.2, np.inf, 0.4, 0.5, 0.6, 0.7])),
+        ShapeMismatch,
+        "connection samples must be finite",
     ),
     "underlying_I of an unwindowed projection": (
         lambda: underlying_I(_circle_map("projection")),

@@ -88,9 +88,6 @@ def blocksum_homotopy(h: Homotopy, g: Homotopy) -> Homotopy:
     win = None
     if h.window is not None and g.window is not None and h.window == g.window:
         win = doubled_window(h.window)
-    tp = None
-    if h.time_partials is not None and g.time_partials is not None:
-        tp = blocksum(h.time_partials, g.time_partials)
     sp = None
     if h.spatial_partials is not None and g.spatial_partials is not None:
         sp = tuple(blocksum(a, b) for a, b in zip(h.spatial_partials, g.spatial_partials))
@@ -98,9 +95,9 @@ def blocksum_homotopy(h: Homotopy, g: Homotopy) -> Homotopy:
         h.spatial,
         h.times,
         blocksum(h.slices, g.slices),
+        blocksum(h.time_partials, g.time_partials),
         codomain=h.codomain,
         window=win,
-        time_partials=tp,
         spatial_partials=sp,
     )
 
@@ -380,12 +377,14 @@ def test_cs_flip_negates():
     dom = make_domain("circle", 64)
     x = random_unitary_map(np.random.default_rng(7), dom, size=4, window=WIN)
     h = inversion_homotopy_even(x, t_res=17)
+    v, dv = h.slices, h.time_partials  # the frames and their time jets
     flipped = Homotopy(
         h.spatial,
         h.times,
         np.stack([
             flip(np.eye(h.slices.shape[-2]) - h.slice_map(i).values, h.window) for i in range(h.n_times)
         ]),
+        flip(-(dv @ _adj(v) + v @ _adj(dv)), h.window),
         codomain="projection",
         window=h.window,
     )
@@ -399,14 +398,14 @@ def test_cs_flip_negates():
 
 def test_conjugation_constant_path_is_constant():
     f = loop_zn(n=1, res=64)
-    h = conjugation_homotopy(f, lambda t: np.eye(1))
+    h = conjugation_homotopy(f, lambda t: np.eye(1), lambda t: np.zeros((1, 1)))
     assert np.abs(h.slices - h.slices[0]).max() < 1e-14
 
 
 def test_conjugation_rejects_bad_start():
     f = loop_zn(n=1, res=64)
     with pytest.raises(BadPathStart):
-        conjugation_homotopy(f, lambda t: 2 * np.eye(1))
+        conjugation_homotopy(f, lambda t: 2 * np.eye(1), lambda t: np.zeros((1, 1)))
 
 
 def test_conjugation_cs0_vanishes_pointwise():
@@ -811,7 +810,7 @@ def test_rotation_homotopies_carry_exact_spatial_partials():
         inversion_homotopy_odd(a, t_res=5),
         eckmann_hilton_homotopy(a, b, t_res=5),
         inversion_homotopy_even(x, t_res=5),
-        conjugation_homotopy(a, lambda t: expm(t * k), times=np.linspace(0.0, 1.0, 5)),
+        conjugation_homotopy(a, lambda t: expm(t * k), lambda t: k @ expm(t * k), np.linspace(0.0, 1.0, 5)),
     )
     for h in homotopies:
         assert len(h.spatial_partials) == 2
@@ -890,7 +889,7 @@ def test_homotopy_operations_carry_spatial_partials():
         assert np.array_equal(adj.spatial_partials[axis], np.swapaxes(d, -1, -2).conj())
         assert np.array_equal(loop.spatial_partials[axis], np.concatenate([d, d[::-1]]))
     assert np.array_equal(adj.slice_map(2).partials[1], adj.spatial_partials[1][2])
-    plain = Homotopy(h.spatial, h.times, h.slices, codomain="unitary")
+    plain = Homotopy(h.spatial, h.times, h.slices, h.time_partials, codomain="unitary")
     assert Homotopy.concatenate(h, plain.reversed()).spatial_partials is None
 
 
@@ -898,14 +897,14 @@ def test_homotopy_spatial_partials_of_wrong_count_rejected():
     dom = make_domain("torus2", (8, 8))
     slices = np.zeros((3, 8, 8, 2, 2))
     with pytest.raises(ShapeMismatch, match=r"2 x \(3, 8, 8, 2, 2\)"):
-        Homotopy(dom, np.linspace(0.0, 1.0, 3), slices, spatial_partials=(slices,) * 3)
+        Homotopy(dom, np.linspace(0.0, 1.0, 3), slices, np.zeros_like(slices), spatial_partials=(slices,) * 3)
 
 
 def test_homotopy_spatial_partials_of_wrong_shape_rejected():
     dom = make_domain("torus2", (8, 8))
     slices = np.zeros((3, 8, 8, 2, 2))
     with pytest.raises(ShapeMismatch, match=r"2 x \(3, 8, 8, 2, 2\)"):
-        Homotopy(dom, np.linspace(0.0, 1.0, 3), slices, spatial_partials=(slices, slices[:, :4]))
+        Homotopy(dom, np.linspace(0.0, 1.0, 3), slices, np.zeros_like(slices), spatial_partials=(slices, slices[:, :4]))
 
 
 @pytest.mark.parametrize("exact_jets", [True, False])
@@ -1040,7 +1039,7 @@ def test_derived_homotopies_are_the_operations_on_the_formed_stacks(seed, name, 
 @pytest.mark.parametrize("name", list(BLOCK_BUILDERS))
 def test_reversed_shares_the_blocks_of_its_operand(name):
     h = BLOCK_BUILDERS[name](*_leaves(40, True), 5)
-    stacked = Homotopy(h.spatial, h.times, h.slices, h.codomain, window=h.window, time_partials=h.time_partials)
+    stacked = Homotopy(h.spatial, h.times, h.slices, h.time_partials, h.codomain, window=h.window)
     for x in (h, stacked):
         rev = x.reversed()
         assert rev.blocks is x.blocks and rev.time_blocks is x.time_blocks
@@ -1117,9 +1116,31 @@ CONTRACT_CHECKS = {
         "operands must share a grid and size",
     ),
     "conjugation path with a NaN start": (
-        lambda: conjugation_homotopy(_circle_map(), lambda t: np.full((2, 2), np.nan)),
+        lambda: conjugation_homotopy(_circle_map(), lambda t: np.full((2, 2), np.nan), lambda t: np.zeros((2, 2))),
         BadPathStart,
         "conjugation path must start at the identity",
+    ),
+    "conjugation with a NaN time node": (
+        lambda: conjugation_homotopy(
+            _circle_map(), lambda t: np.eye(2), lambda t: np.zeros((2, 2)), np.array([0.0, 0.25, np.nan, 0.75, 1.0])
+        ),
+        ShapeMismatch,
+        "homotopy time nodes must be finite",
+    ),
+    "rotation times of a float count": (
+        lambda: rotation_times(5.0),
+        ShapeMismatch,
+        "a homotopy needs an odd node count >= 3, got t_res = 5.0",
+    ),
+    "rotation times of a fractional count": (
+        lambda: rotation_times(5.5),
+        ShapeMismatch,
+        "a homotopy needs an odd node count >= 3, got t_res = 5.5",
+    ),
+    "odd inversion float t_res": (
+        lambda: inversion_homotopy_odd(_circle_map(), t_res=5.0),
+        ShapeMismatch,
+        "a homotopy needs an odd node count >= 3",
     ),
 }
 

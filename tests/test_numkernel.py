@@ -277,6 +277,7 @@ CONTRACT_CHECKS = {
         SingularInput,
         "threshold must be non-negative",
     ),
+    "NaN rank threshold": (lambda: numerical_rank(np.eye(2), np.nan), SingularInput, "threshold must be non-negative, got nan"),
     "require_unitary NaN entry": (lambda: require_unitary(_eye_with(np.nan)), NotUnitary, r"\|\|u\*u - I\|\|_F = nan"),
     "require_unitary inf entry": (lambda: require_unitary(_eye_with(np.inf)), NotUnitary, r"\|\|u\*u - I\|\|_F"),
     "require_unitary NaN scalar": (lambda: require_unitary([[np.nan]]), NotUnitary, "nan >= 1.0e-08"),
