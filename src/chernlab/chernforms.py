@@ -360,9 +360,12 @@ class Homotopy:
     and their exact ``time_partials`` the time blocks, each with identity
     weights, so a slice or time jet read is a view.  ``spatial_partials``
     (one array per spatial axis, each of the shape of ``slices``) are exact
-    derivatives of the slices, supplied by constructors that know them.  The
-    homotopy takes ownership of the arrays it is given (they are not copied
-    when already contiguous complex) and makes them read-only.
+    derivatives of the slices, supplied by constructors that know them.
+    Each of the three must be finite, or ShapeMismatch names it;
+    :meth:`from_blocks` takes blocks computed from tag-checked maps and
+    does not check them again.  The homotopy takes ownership of the arrays
+    it is given (they are not copied when already contiguous complex) and
+    makes them read-only.
 
     The ``times`` of a new homotopy are an odd number (at least 3) of
     finite, uniform, increasing nodes, and :attr:`quadrature`, one weight
@@ -408,6 +411,10 @@ class Homotopy:
             blocks=slices, weights=eye, spatial_blocks=spatial_partials,
             time_blocks=time_partials, time_weights=eye,
         )
+        jets = {"slices": (self.blocks,), "time partials": (self.time_blocks,), "spatial partials": self.spatial_blocks}
+        for name, arrays in jets.items():
+            if not all(np.isfinite(x).all() for x in arrays or ()):
+                raise ShapeMismatch(f"homotopy {name} must be finite")
         self._check_frame_slices()
 
     @classmethod

@@ -335,12 +335,8 @@ def form_derivative(omega: GradedForm) -> GradedForm:
 
 
 def _grid_quadrature(values: np.ndarray, axes: Sequence[Axis]) -> complex:
-    total = np.asarray(values, dtype=complex)
-    for i, ax in enumerate(axes):
-        shape = [1] * total.ndim
-        shape[i] = ax.n
-        total = total * np.full(ax.n, ax.spacing).reshape(shape)
-    return complex(total.sum())
+    """The periodic trapezoid rule: the node sum times the cell volume."""
+    return complex(np.sum(values) * np.prod([ax.spacing for ax in axes]))
 
 
 def integrate(omega: GradedForm) -> complex:

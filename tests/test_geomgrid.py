@@ -193,6 +193,15 @@ def test_periodic_quadrature_near_machine():
     assert abs(integrate(form) - np.pi) < 1e-12
 
 
+def test_trigonometric_polynomial_integrates_exactly_on_an_anisotropic_torus3():
+    dom = make_domain("torus3", (8, 12, 16))
+    k1, k2, k3 = np.meshgrid(*(ax.coords for ax in dom.axes), indexing="ij")
+    # every mode is below its axis's node count, so only the mean survives
+    comp = 1.5 + np.cos(3 * k1) * np.sin(5 * k2) + np.cos(7 * k3) ** 2 + np.sin(k1 + 2 * k2 - 3 * k3) * np.cos(k3)
+    form = GradedForm(dom, 3, {(0, 1, 2): comp.astype(complex)})
+    assert abs(integrate(form) - 2.0 * (2.0 * np.pi) ** 3) < 1e-12
+
+
 def test_integrate_degree_mismatch():
     dom = make_domain("torus2", (8, 8))
     form = GradedForm(dom, 1, {(0,): np.zeros((8, 8), dtype=complex)})

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from chernlab import builders
 from chernlab.chernforms import Homotopy
-from chernlab.errors import ChernLabError, NotBasedAtIdentity, ShapeMismatch, UnsupportedDomain, WindowTooSmall
+from chernlab.errors import (
+    ChernLabError,
+    NotBasedAtIdentity,
+    NotUnitary,
+    ShapeMismatch,
+    UnsupportedDomain,
+    WindowTooSmall,
+)
 from chernlab.geomgrid import SampledMap, integrate, make_domain
 from chernlab.khat import (
     CircleConnection,
@@ -202,6 +209,18 @@ def test_a_odd_takes_one_sample_per_circle_node():
 def test_point_class_odd_is_the_phase_sum_mod_one(phases):
     u = np.diag(np.exp(2j * np.pi * np.array(phases)))
     assert mod1_distance(point_class_odd(u), sum(phases)) < 1e-12
+
+
+def test_khat_class_takes_every_loop_that_the_unitary_tag_accepts():
+    f = builders.loop_zn(1, res=16, pad=3)
+    # each diagonal entry of u*u - 1 is 9.0e-9, under the tag's 1e-8; the
+    # Frobenius defect of a node is 1.56e-8, so a raw node fails require_unitary
+    g = SampledMap(f.domain, f.values * (1.0 + 4.5e-9), codomain="unitary")
+    with pytest.raises(NotUnitary):
+        point_class_odd(g.values[0])
+    data = khat_class(g)
+    assert data.invariants["winding"] == 1
+    assert mod1_distance(data.invariants["det_phase_mod1"], 0.0) < 1e-12
 
 
 @pytest.mark.parametrize("c_plus, c_minus", [(0.7, 0.2), (-1.2, 0.45), (2.3, -0.9)])

@@ -272,17 +272,21 @@ def test_flip_group_homomorphism():
 # ------------------------------------------------- commutativity/associativity
 
 
-def test_commutation_permutation_exact():
-    a = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
-    b = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
-    p = commutation_permutation(4)
-    lhs = blocksum(b, a)
-    rhs = p @ blocksum(a, b) @ p.conj().T
-    assert np.abs(lhs - rhs).max() == 0.0
+def _is_permutation(p):
+    return np.isin(p, (0.0, 1.0)).all() and np.array_equal(p @ p.T, np.eye(len(p)))
 
 
-def test_association_permutation_exact():
-    n = 3
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_commutation_permutation_exact(n):
+    a = RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))
+    b = RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n))
+    p = commutation_permutation(n)
+    assert _is_permutation(p)
+    assert np.array_equal(blocksum(b, a), p @ blocksum(a, b) @ p.conj().T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_association_permutation_exact(n):
     mats = [RNG.standard_normal((n, n)) + 1j * RNG.standard_normal((n, n)) for _ in range(3)]
     f, g, h = mats
 
@@ -294,7 +298,11 @@ def test_association_permutation_exact():
     lhs = blocksum(blocksum(f, g), pad_high(h))
     rhs = blocksum(pad_high(f), blocksum(g, h))
     p = association_permutation(n)
-    assert np.abs(lhs - p @ rhs @ p.conj().T).max() == 0.0
+    assert _is_permutation(p)
+    assert np.array_equal(lhs, p @ rhs @ p.conj().T)
+    # the padding strand maps onto itself in order
+    pad_rows, pad_cols = np.arange(2 * n + 1, 4 * n, 2), np.arange(2 * n, 4 * n, 2)
+    assert np.array_equal(p[pad_rows, pad_cols], np.ones(n))
 
 
 # ---------------------------------------------------------------- additivity
@@ -1055,6 +1063,26 @@ def _circle_map(codomain="unitary", size=2, res=8, window=None):
     return SampledMap(make_domain("circle", res), np.broadcast_to(m, (res, *m.shape)), codomain=codomain, window=window)
 
 
+def _unitary_on(window):
+    """The identity on a 4 x 4 window, or with no window when it is None."""
+    return SampledMap(make_domain("circle", 8), np.broadcast_to(np.eye(4), (8, 4, 4)), codomain="unitary", window=window)
+
+
+@pytest.mark.parametrize(
+    "windows",
+    [(None, None), ((2, 2), None), (None, (2, 2)), ((2, 2), (2, 2)), ((1, 3), (1, 3)), ((2, 2), (1, 3))],
+)
+def test_eckmann_hilton_starts_on_the_window_of_the_blocksum(windows):
+    a, b = (_unitary_on(None if w is None else PolarizedWindow(*w)) for w in windows)
+    try:
+        expected = blocksum_map(a, b).window
+    except ShapeMismatch as e:
+        with pytest.raises(ShapeMismatch, match=str(e)):
+            eckmann_hilton_homotopy(a, b, t_res=3)
+        return
+    assert eckmann_hilton_homotopy(a, b, t_res=3).window == expected
+
+
 CONTRACT_CHECKS = {
     "blocksum_map domains": (
         lambda: blocksum_map(_circle_map(), _circle_map(res=16)),
@@ -1110,6 +1138,33 @@ CONTRACT_CHECKS = {
         ShapeMismatch,
         "a homotopy needs an odd node count >= 3, got t_res = -1",
     ),
+    "Eckmann-Hilton windows": (
+        lambda: eckmann_hilton_homotopy(_unitary_on(PolarizedWindow(2, 2)), _unitary_on(PolarizedWindow(1, 3))),
+        ShapeMismatch,
+        "blocksum of maps needs matching windows",
+    ),
+    "conjugation path of a wrong shape": (
+        lambda: conjugation_homotopy(_circle_map(), lambda t: np.eye(3), lambda t: np.zeros((2, 2))),
+        ShapeMismatch,
+        "conjugation needs a square map and 2 x 2 path values",
+    ),
+    "conjugation path derivative of a wrong shape": (
+        lambda: conjugation_homotopy(_circle_map(), lambda t: np.eye(2), lambda t: np.zeros((3, 3))),
+        ShapeMismatch,
+        "conjugation needs a square map and 2 x 2 path values",
+    ),
+    "conjugation path derivative of a wrong shape at one time": (
+        lambda: conjugation_homotopy(_circle_map(), lambda t: np.eye(2), lambda t: np.zeros((2, 2) if t < 0.5 else (2,))),
+        ShapeMismatch,
+        "conjugation needs a square map and 2 x 2 path values",
+    ),
+    "conjugation of a non-square map": (
+        lambda: conjugation_homotopy(
+            SampledMap(make_domain("circle", 8), np.ones((8, 2, 1), dtype=complex)), lambda t: np.eye(2), lambda t: np.zeros((2, 2))
+        ),
+        ShapeMismatch,
+        "conjugation needs a square map",
+    ),
     "Eckmann-Hilton sizes": (
         lambda: eckmann_hilton_homotopy(_circle_map(), _circle_map(size=3)),
         ShapeMismatch,
@@ -1119,6 +1174,11 @@ CONTRACT_CHECKS = {
         lambda: conjugation_homotopy(_circle_map(), lambda t: np.full((2, 2), np.nan), lambda t: np.zeros((2, 2))),
         BadPathStart,
         "conjugation path must start at the identity",
+    ),
+    "conjugation with no time nodes": (
+        lambda: conjugation_homotopy(_circle_map(), lambda t: np.eye(2), lambda t: np.zeros((2, 2)), np.array([])),
+        ShapeMismatch,
+        "a homotopy needs an odd node count >= 3, got 0 time nodes",
     ),
     "conjugation with a NaN time node": (
         lambda: conjugation_homotopy(
