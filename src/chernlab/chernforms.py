@@ -8,15 +8,16 @@ contraction of its pulled-back form, which lowers the degree by one.
 
 A projection ``p = V V*`` of rank ``r`` is a point of a Grassmannian, and its
 curvature is taken in an orthonormal frame ``V`` of its range as the ``r x r``
-form ``F_ab = K_ab - K_ab*`` of the Gram blocks ``K_ab = G_a* G_b``,
-``G_a = (d_a p) V``, whose traces are those of ``Omega``
-(Narasimhan-Ramanan, *Amer. J. Math.* 83, 1961; Pressley-Segal, *Loop
-Groups*, ch. 7).  The traces are read off ``K`` and no ``F_ab`` is formed:
-``tr F_ab = 2i Im tr K_ab`` and ``tr(F_ab F_cd) = 2 Re[tr(K_ab K_cd) -
-<K_ab, K_cd>_F]``, which are all that an even form of degree at most 3
-needs.  A homotopy may hold the frames in place of the projections
-(:class:`Homotopy`); a projection map gets a frame at every node from one
-batched ``eigh``.
+form ``F_ab = G_a* G_b - G_b* G_a`` of the slot jets ``G_a = (d_a p) V``,
+whose traces are those of ``Omega`` (Narasimhan-Ramanan, *Amer. J. Math.*
+83, 1961; Pressley-Segal, *Loop Groups*, ch. 7).  Every product is real, on
+the real forms ``R`` of :func:`numkernel._real_form` (:class:`_FrameCurvature`):
+``tr F_ab = 2i Im tr(G_a* G_b)`` is an elementwise pairing, and the degree-3
+integrand ``sum +-tr(F_0i F_jk)`` is the one real pairing ``2 <Z, G_0>`` of
+``Z = G_1 F_23 + G_2 F_31 + G_3 F_12`` on the float views; these are all that
+an even form of degree at most 3 needs.  A homotopy may hold the frames in
+place of the projections (:class:`Homotopy`); a projection map gets a frame
+at every node from one batched ``eigh``.
 
 Wedge conventions (fixed once, tests depend on them): a matrix-valued form
 is a dict ``{I: array (..., n, n)}`` over strictly increasing axis
@@ -134,118 +135,135 @@ def _range_frame(p: np.ndarray) -> np.ndarray:
 
 
 class _FrameCurvature:
-    """The Gram blocks ``K_ab = G_a* G_b`` of the slot jets ``G_a = (d_a P) V``
-    of projections ``P = V V*``, read in an orthonormal frame ``V`` of their
-    range (``V* V = 1``, ``r`` columns), in arrays allocated at the first
+    """The curvature of projections ``P = V V*`` read in an orthonormal
+    frame ``V`` of their range (``V* V = 1``, ``r`` columns), by real
+    products on contiguous per-slot buffers allocated at the first
     :meth:`frame` and refilled by every later one of the same frame shape.
 
-    The curvature pairs are ``F_ab = K_ab - K_ab* = V* [d_a P, d_b P] V``,
-    since the jets of ``P`` are Hermitian: ``r x r`` and anti-Hermitian.
-    Products of them have the traces of products of the ``P [d_a P, d_b P]
-    P``, since ``V* V = 1``.  A change of frame ``V -> V g`` sends every
-    ``F_ab`` to ``g* F_ab g``, so a frame chosen node by node serves
-    (Pressley-Segal, *Loop Groups*, ch. 7).  No ``F_ab`` is formed here: its
-    traces are read off the Gram blocks (:func:`_gram_trace_wedge`), and a
-    caller that needs the matrix forms it.
+    Slot ``a > 0`` holds ``R(G_a)`` (:func:`numkernel._real_form`) of the
+    slot jet ``G_a = (d_a P) V``.  Slot 0 is only ever paired from the left
+    (``tr F_0b`` and :meth:`volume`, where it is the contracted ``t``), so it
+    holds ``G_0.view(float)`` alone, in a buffer of its own.  The curvature
+    pair of slots ``a, b`` is ``F_ab = G_a* G_b - G_b* G_a = V* [d_a P, d_b
+    P] V``, since the jets of ``P`` are Hermitian: ``r x r`` and
+    anti-Hermitian, with the traces of ``P [d_a P, d_b P] P``, since ``V* V
+    = 1``.  A change of frame ``V -> V g`` sends every ``F_ab`` to ``g* F_ab
+    g``, so a frame chosen node by node serves (Pressley-Segal, *Loop
+    Groups*, ch. 7).  No complex product is taken:
 
-    Every slot jet is taken by real products of float views with
-    ``R(V)`` (:func:`numkernel._real_form`), formed once per frame: a jet
-    ``d`` of the projection gives ``G = d V`` as ``d.view(float) @ R(V)``, and
-    a jet ``x`` of the frame gives ``G = (x V* + V x*) V = x + V (x* V)``,
-    ``x* V`` as ``x*.view(float) @ R(V)`` and ``V (x* V)`` as
-    ``V.view(float) @ R(x* V)``.  The slots are stacked by columns, so one
-    complex Gram product of contiguous operands, ``G_h* G``, gives the
-    ``K_ab`` of the ``n_heads`` first slots ``a`` against every slot ``b``.
-    numpy multiplies a stack of small complex matrices by one ``zgemm`` call
-    per matrix.  On 12^3 nodes of an 8 x 8 jet ``d`` and an 8 x 4 frame,
-    ``d.view(float) @ R(V)`` takes about a third of the time of ``d @ V``
-    (OpenBLAS, one thread).
+    - :meth:`frame` forms ``W = [R(V) | R(iV)]``, ``2n x 4r``, as the free
+      reshape of one product ``V.view(float) @ [1 | R(i) | R(i) | -1]``
+      (``n x 8r``; row ``l`` holds rows ``2l`` and ``2l + 1`` of ``W``).
+    - A jet ``d`` of ``P`` gives ``R(G)`` as the free ``2n x 2r`` reshape of
+      ``d.view(float) @ W``: row ``l`` of that ``n x 4r`` product holds rows
+      ``2l`` and ``2l + 1`` of ``R(G)``, ``G[l]`` and ``i G[l]``.  Slot 0
+      takes ``G_0.view(float) = d.view(float) @ R(V)``.
+    - A jet ``x`` of the frame gives ``G = (x V* + V x*) V = x + V (x* V)``:
+      ``R(x* V)`` is the same reshape of ``x*.view(float) @ W``, ``V (x*
+      V)`` is ``V.view(float) @ R(x* V)``, written into the even rows of the
+      slot, and the odd rows are ``i G``.
+    - :meth:`curvature`: ``R(F_ab) = K - K^T`` with ``K = R(G_a)^T R(G_b)``,
+      one real product with a transposed operand, for ``a, b > 0``.
+    - :meth:`trace`: ``tr F_ab = 2i Im tr(G_a* G_b)``, an elementwise
+      pairing of the even rows of slot ``a`` with the odd rows of slot
+      ``b``, and no product.
+    - :meth:`volume`: the degree-3 integrand ``sum +-tr(F_0i F_jk)`` over
+      three spatial slots as one real pairing.
+
+    On 12^3 nodes of 8 x 4 frames and four slots these buffers take about
+    15 MB.
     """
 
-    def __init__(self, n_slots: int, n_heads: int):
+    def __init__(self, n_slots: int):
         self.n_slots = n_slots
-        self.n_heads = n_heads
         self.frame_shape: tuple[int, ...] = ()
 
     def _allocate(self, frame_shape: tuple[int, ...]) -> None:
-        """Buffers for frames of ``frame_shape``, ``(*nodes, n, r)``; those of
-        :meth:`projection` wait for its first call."""
+        """Buffers for frames of ``frame_shape``, ``(*nodes, n, r)``; that of
+        :meth:`projection` waits for its first call."""
         *nodes, n, r = self.frame_shape = frame_shape
-        self._real = np.empty((*nodes, 2 * n, 2 * r))
-        self._real_adj = self._projection = None
-        self._g = np.empty((*nodes, n, self.n_slots * r), dtype=complex)
-        self._slots = [self._g[..., a * r : (a + 1) * r] for a in range(self.n_slots)]
-        self._heads = self._g[..., : self.n_heads * r]
-        self._heads_adj = np.empty((*nodes, self.n_heads * r, n), dtype=complex)
-        self._gram = np.empty((*nodes, self.n_heads * r, self.n_slots * r), dtype=complex)
+        turn = _real_form(1j * np.eye(r))  # R(i), so that x.view(float) @ R(i) = (i x).view(float)
+        self._spread = np.hstack([np.eye(2 * r), turn, turn, -np.eye(2 * r)])
+        self._wide = np.empty((*nodes, 2 * n, 4 * r))
+        self._real = self._wide[..., : 2 * r]
+        self._projection = None
+        self._head = np.empty((*nodes, n, 2 * r))
+        self._slots = np.empty((self.n_slots - 1, *nodes, 2 * n, 2 * r))
+        self._rows = self._slots.reshape(self.n_slots - 1, *nodes, n, 4 * r)
         self._jet_adj = np.empty((*nodes, r, n), dtype=complex)
-        self._small = np.empty((*nodes, r, r), dtype=complex)
-        self._small_real = np.empty((*nodes, 2 * r, 2 * r))
-        blocks = self._gram.reshape(*nodes, self.n_heads, r, self.n_slots, r)
-        self.values = {
-            (a, b): blocks[..., a, :, b, :] for a in range(self.n_heads) for b in range(a + 1, self.n_slots)
-        }
+        self._small = np.empty((*nodes, 2 * r, 2 * r))
+        self._pair = np.empty((*nodes, 2 * r, 2 * r))
+        self._curvature = np.empty((*nodes, 2 * r, 2 * r))
 
     def frame(self, v: np.ndarray) -> None:
-        """Take ``v`` as the frame of the next :meth:`fill` and form ``R(v)``."""
+        """Take ``v`` as the frame of the next :meth:`fill` and form ``W``."""
         if v.shape != self.frame_shape:
             self._allocate(v.shape)
         self._v = v
-        _real_form(v, self._real)
+        np.matmul(v.view(float), self._spread, out=self._wide.reshape(*v.shape[:-1], 8 * v.shape[-1]))
 
     def projection(self) -> np.ndarray:
-        """``P = V V*`` of the frame, as ``V.view(float) @ R(V*)``, ``R(V*)``
-        being a contiguous copy of ``R(V)^T``."""
+        """``P = V V*`` of the frame, as ``V.view(float) @ R(V)^T``."""
         if self._projection is None:
-            *nodes, n, r = self.frame_shape
-            self._real_adj = np.empty((*nodes, 2 * r, 2 * n))
-            self._projection = np.empty((*nodes, n, n), dtype=complex)
-        np.copyto(self._real_adj, np.swapaxes(self._real, -1, -2))
-        np.matmul(self._v.view(float), self._real_adj, out=self._projection.view(float))
+            self._projection = np.empty((*self.frame_shape[:-1], self.frame_shape[-2]), dtype=complex)
+        np.matmul(self._v.view(float), np.swapaxes(self._real, -1, -2), out=self._projection.view(float))
         return self._projection
 
-    def fill(
-        self, frame_jets: Iterable[np.ndarray], projection_jets: Iterable[np.ndarray]
-    ) -> dict[tuple[int, int], np.ndarray]:
-        """The ``K_ab``, ``a < n_heads``, ``a < b``, of the frame; the slots
-        are the ``frame_jets`` (jets of ``V``), then the ``projection_jets``
-        (jets of ``V V*``), each consumed before the next is taken."""
+    def fill(self, frame_jets: Iterable[np.ndarray], projection_jets: Iterable[np.ndarray]) -> None:
+        """Every slot: the ``frame_jets`` (jets of ``V``), then the
+        ``projection_jets`` (jets of ``V V*``), each consumed before the next
+        is taken."""
+        r = self.frame_shape[-1]
+        small = self._small.reshape(*self.frame_shape[:-2], r, 4 * r)
         slots = itertools.chain(((x, True) for x in frame_jets), ((d, False) for d in projection_jets))
-        for g, (x, of_frame) in zip(self._slots, slots, strict=True):
+        for a, (x, of_frame) in zip(range(self.n_slots), slots, strict=True):
+            rows = self._rows[a - 1] if a else None
+            g = self._head if rows is None else rows[..., : 2 * r]  # G.view(float)
             if of_frame:  # G = x + V (x* V)
                 np.conjugate(np.swapaxes(x, -1, -2), out=self._jet_adj)
-                np.matmul(self._jet_adj.view(float), self._real, out=self._small.view(float))
-                np.matmul(self._v.view(float), _real_form(self._small, self._small_real), out=g.view(float))
-                g += x
-            else:  # G = d V
-                np.matmul(x.view(float), self._real, out=g.view(float))
-        np.matmul(np.conjugate(np.swapaxes(self._heads, -1, -2), out=self._heads_adj), self._g, out=self._gram)
-        return self.values
+                np.matmul(self._jet_adj.view(float), self._wide, out=small)
+                np.matmul(self._v.view(float), self._small, out=g)
+                g += x.view(float)
+                if a:
+                    np.multiply(g.view(complex), 1j, out=rows[..., 2 * r :].view(complex))
+            elif a:  # G = d V
+                np.matmul(x.view(float), self._wide, out=rows)
+            else:
+                np.matmul(x.view(float), self._real, out=g)
 
+    def trace(self, a: int, b: int) -> np.ndarray:
+        """``tr F_ab = 2i Im tr(G_a* G_b)``, ``b > 0``: ``-2i`` times the real
+        pairing of ``G_a.view(float)`` with ``(i G_b).view(float)``."""
+        r = self.frame_shape[-1]
+        left = self._rows[a - 1][..., : 2 * r] if a else self._head
+        return -2j * np.einsum("...ij,...ij->...", left, self._rows[b - 1][..., 2 * r :])
 
-def _trace_of_curvature(k: np.ndarray) -> np.ndarray:
-    """``tr F = 2i Im tr K`` of ``F = K - K*``."""
-    return 2j * np.trace(k, axis1=-2, axis2=-1).imag
+    def curvature(self, a: int, b: int) -> np.ndarray:
+        """``R(F_ab)``, ``a, b > 0``, a new array; ``F_ab`` is its
+        ``.view(complex)[..., ::2, :]``."""
+        k = np.matmul(np.swapaxes(self._slots[a - 1], -1, -2), self._slots[b - 1])
+        return k - np.swapaxes(k, -1, -2)
 
+    def volume(self) -> np.ndarray:
+        """``tr(F_01 F_23) - tr(F_02 F_13) + tr(F_03 F_12)`` of four slots.
 
-def _pair_of_curvatures(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``tr(F G) = 2 Re[tr(A B) - <A, B>_F]`` of ``F = A - A*`` and ``G = B - B*``,
-    the real part of the Frobenius pairing ``<A, B>_F = sum_ij A_ij conj(B_ij)``
-    read off the float views."""
-    product = np.einsum("...ij,...ji->...", a, b).real
-    return 2.0 * (product - np.einsum("...ij,...ij->...", a.view(float), b.view(float)))
-
-
-def _gram_trace_wedge(*factors: dict[tuple[int, ...], np.ndarray]) -> dict[tuple[int, ...], np.ndarray]:
-    """Components of ``tr(F_1 ^ .. ^ F_m)``, ``m <= 2``, for forms whose
-    components ``F = K - K*`` are held by their Gram blocks ``K``
-    (:class:`_FrameCurvature`), with the shuffle signs of :func:`trace_wedge`:
-    ``tr F`` and ``tr(F G)`` are all that a projection form of degree at
-    most 3 needs."""
-    if len(factors) == 1:
-        return {key: _trace_of_curvature(x) for key, x in sorted(factors[0].items())}
-    first, second = factors
-    return dict(sorted(_wedge(first, second, _pair_of_curvatures).items()))
+        With ``tr(F_0i M) = 2 Re tr(G_0* G_i M)`` for anti-Hermitian ``M``,
+        it is ``2 <Z.view(float), G_0.view(float)>`` with ``Z = G_1 F_23 +
+        G_2 F_31 + G_3 F_12``, the sum of ``sgn(s) G_s1 G_s2* G_s3`` over
+        the permutations ``s`` of the three spatial slots.  Each term of the
+        pairing is taken as ``-<R(F_jk), G_0.view(float)^T G_i.view(float)>``
+        of two contiguous ``2r x 2r`` blocks, ``R(F_jk)`` being
+        antisymmetric.
+        """
+        *nodes, _, r = self.frame_shape
+        flat = (*nodes, 4 * r * r)
+        out = np.zeros(nodes)
+        for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+            np.matmul(np.swapaxes(self._slots[j - 1], -1, -2), self._slots[k - 1], out=self._pair)
+            np.subtract(self._pair, np.swapaxes(self._pair, -1, -2), out=self._curvature)
+            np.matmul(np.swapaxes(self._head, -1, -2), self._rows[i - 1][..., : 2 * r], out=self._pair)
+            out -= np.vecdot(self._curvature.reshape(flat), self._pair.reshape(flat))
+        return 2.0 * out
 
 
 def ch_odd(f: SampledMap, k: int) -> GradedForm:
@@ -264,10 +282,10 @@ def ch_odd(f: SampledMap, k: int) -> GradedForm:
 
 def ch_even(p: SampledMap, k: int) -> GradedForm:
     """Degree-2k even Chern component of a projection-tagged map (k >= 1),
-    read off the Gram blocks of the projection jets in a frame of the range
-    at every node (:class:`_FrameCurvature`, :func:`_gram_trace_wedge`).
+    read in a frame of the range at every node (:class:`_FrameCurvature`).
     Degree ``2k`` is at most the domain dimension 3, so ``k = 1`` and the
-    component is ``tr F``."""
+    component is ``tr F``, an elementwise pairing of the real slot forms of
+    the projection jets."""
     if p.codomain != "projection":
         raise ShapeMismatch("ch_even needs a projection-tagged map")
     if k < 1:
@@ -276,17 +294,23 @@ def ch_even(p: SampledMap, k: int) -> GradedForm:
     if deg > p.domain.dim:
         raise DegreeOverflow(f"degree {deg} exceeds domain dimension {p.domain.dim}")
     partials = differentiate(p)
-    kernel = _FrameCurvature(len(partials), len(partials) - 1)
+    kernel = _FrameCurvature(len(partials))
     kernel.frame(_range_frame(p.values))
-    comps = _gram_trace_wedge(*[kernel.fill((), partials)] * k)
+    kernel.fill((), partials)
+    comps = {ab: kernel.trace(*ab) for ab in itertools.combinations(range(len(partials)), 2)}
     c = chern_scalar("even", k)
     return GradedForm(p.domain, deg, {idx: c * a for idx, a in comps.items()})
 
 
+def _check_k_max(k_max) -> None:
+    """DegreeOverflow unless ``k_max`` is an integer of at least 1."""
+    if not (isinstance(k_max, (int, np.integer)) and k_max >= 1):
+        raise DegreeOverflow(f"k_max must be >= 1, got {k_max!r}")
+
+
 def ch_total(f: SampledMap, k_max: int = DEFAULT_K_MAX) -> list[GradedForm]:
     """All positive-degree components up to the dimension cutoff."""
-    if k_max < 1:
-        raise DegreeOverflow("k_max must be >= 1")
+    _check_k_max(k_max)
     out: list[GradedForm] = []
     for k in range(1, k_max + 1):
         if f.codomain == "unitary":
@@ -662,8 +686,8 @@ class _SliceWorkspace:
     OpenBLAS, one thread).
 
     Projection slices go through :class:`_FrameCurvature`, slot 0 being
-    ``t``, and every trace is read off its Gram blocks
-    (:func:`_gram_trace_wedge`).  A frame slice ``V`` is its own frame, and
+    ``t``: ``CS_1`` is its traces ``tr F_0i`` and the degree-3 ``CS_2`` its
+    :meth:`_FrameCurvature.volume`.  A frame slice ``V`` is its own frame, and
     its time jet and exact spatial jets are jets of ``V``.  Its grid jets are
     taken of ``P = V V*``, formed by the kernel from ``R(V)``
     (:meth:`_FrameCurvature.projection`), and never of ``V``: the grid jets
@@ -693,7 +717,7 @@ class _SliceWorkspace:
         else:
             self.frames = H._frames
             # slot 0 is t: the (0, i) pairs are iota_t Omega, the others Omega
-            self.kernel = _FrameCurvature(dim + 1, dim if ks[-1] > 1 else 1)
+            self.kernel = _FrameCurvature(dim + 1)
             if H.spatial_blocks is None:
                 self.jet = np.empty((*shape[:-1], shape[-2]), dtype=complex)
 
@@ -737,10 +761,14 @@ class _SliceWorkspace:
             self.kernel.frame(_range_frame(v))
             frame_jets = ()
             jets = itertools.chain((dv_dt,), exact if exact is not None else self._grid_jets(v, [self.jet] * dim))
-        space_time = self.kernel.fill(frame_jets, jets)
-        iota = {(i - 1,): x for (t, i), x in space_time.items() if t == 0}
-        curvature = {(i - 1, j - 1): x for (i, j), x in space_time.items() if i > 0}
-        return {k: _gram_trace_wedge(iota, *[curvature] * (k - 1)) for k in self.ks}
+        self.kernel.fill(frame_jets, jets)
+        # slot 0 is t: CS_1 is tr iota_t Omega, CS_2 (degree 3, dim = 3) tr(iota_t Omega ^ Omega)
+        out = {}
+        if 1 in self.ks:
+            out[1] = {(i,): self.kernel.trace(0, i + 1) for i in range(dim)}
+        if 2 in self.ks:
+            out[2] = {(0, 1, 2): self.kernel.volume()}
+        return out
 
 
 def _unitary_cs_zero(H: Homotopy) -> np.ndarray:
@@ -806,16 +834,16 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
     slice's spatial jets, ``alpha_t`` or ``iota_t Omega`` and curvature
     pairs are built once and shared by every degree.  Projection slices
     (square, or frames ``V`` of ``V V*``, see :class:`Homotopy`) take every
-    pair in ``r x r`` as ``F_ab = K_ab - K_ab* = V* [d_a P, d_b P] V``,
-    which has the traces of ``p [d_a p, d_b p]``, from one Gram product
-    ``K = G* G`` of the ``G_a = (d_a P) V`` (:class:`_FrameCurvature`).  The
-    ``G_a`` come from real products of float views with ``R(V)``, and the
-    traces ``tr F`` and ``tr(F_ab F_cd)`` are read straight off ``K``, so no
-    ``F_ab`` is formed; a projection form has degree ``2k - 1 <= dim <=
-    3``, so ``k <= 2`` and these two are all it needs.  The jets of square
-    slices are read as Hermitian, as the projection homotopies of
-    :mod:`kops` build them.  Unitary
-    slices are read through ``beta_a = d_a f f^{-1}``, which has the traces
+    pair in ``r x r`` as ``F_ab = V* [d_a P, d_b P] V``, which has the
+    traces of ``p [d_a p, d_b p]``, from real products of float views with
+    ``R(V)`` and ``R(iV)`` (:class:`_FrameCurvature`): the slot jets ``G_a
+    = (d_a P) V`` are held as ``R(G_a)``, ``tr F_ab`` is an elementwise
+    pairing of them, and the degree-3 integrand is one real pairing of
+    ``G_0`` with ``G_1 F_23 + G_2 F_31 + G_3 F_12``; a projection form has
+    degree ``2k - 1 <= dim <= 3``, so ``k <= 2`` and these two are all it
+    needs.  The jets of square slices are read as Hermitian, as the
+    projection homotopies of :mod:`kops` build them.  Unitary slices are
+    read through ``beta_a = d_a f f^{-1}``, which has the traces
     of ``alpha_a``: ``df/dt`` and the spatial jets are stacked by rows, grid
     jets written straight into their row blocks, and two real products of
     float views give every ``beta_a`` and every ``beta_i beta_t``, whose
@@ -824,10 +852,12 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
     nothing more is multiplied.  ``CS_0`` of unitary slices is ``int
     tr(f^{-1} df/dt) dt``, which is bilinear in the slice and its time jet,
     so it is taken from pairings of the blocks (:func:`_unitary_cs_zero`)
-    and no slice is evaluated for it; the Gram blocks of the spatial pairs
-    of projection slices are formed only when ``k_max > 1``.  Quadrature in
-    ``t`` is the homotopy's own ``quadrature``, settled when it was built.
+    and no slice is evaluated for it; the curvature pairs of projection
+    slices are formed only when ``k_max > 1``.  Quadrature in ``t`` is the
+    homotopy's own ``quadrature``, settled when it was built.  DegreeOverflow
+    unless ``k_max`` is an integer of at least 1.
     """
+    _check_k_max(k_max)
     return _cs_forms(H, [k for k in range(1, k_max + 1) if _cs_degree(H.codomain, k) <= H.spatial.dim])
 
 
@@ -848,8 +878,13 @@ def cs_exact(H: Homotopy, k_max: int = DEFAULT_K_MAX, tol: float = 1e-6) -> dict
     under pullback, so each positive degree is computed only on the
     sub-grids of its generating cycles; degree 0 (``CS_0`` of unitary
     slices, which needs no spatial jets) is its sup norm on the full grid.
-    Each pass computes only the degree it integrates.
+    Each pass computes only the degree it integrates.  DegreeOverflow
+    unless ``k_max`` is an integer of at least 1, and ShapeMismatch unless
+    ``tol`` is a positive finite number, so no verdict is given on nothing.
     """
+    _check_k_max(k_max)
+    if not (isinstance(tol, (int, float, np.integer, np.floating)) and 0.0 < tol < math.inf):
+        raise ShapeMismatch(f"tol must be a positive finite number, got {tol!r}")
     dim = H.spatial.dim
     residuals: dict[int, float] = {}
     for k in range(1, k_max + 1):

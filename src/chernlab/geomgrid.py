@@ -34,6 +34,7 @@ from .errors import (
     DegreeOverflow,
     ShapeMismatch,
 )
+from .numkernel import ISOMETRY_TOL, _isometry_defect
 
 __all__ = [
     "Axis",
@@ -53,7 +54,7 @@ __all__ = [
 _KINDS = ("point", "circle", "torus2", "torus3")  # the kind of a grid of each dimension
 
 MIN_PERIODIC = 8
-_TAG_TOL = 1e-8  # the unitary, projection and frame defects a tag tolerates
+_TAG_TOL = 1e-8  # the idempotency and hermiticity defects the projection tag tolerates
 
 
 @dataclass(frozen=True)
@@ -123,15 +124,17 @@ def _check_codomain(tag: str) -> None:
 def _check_frames(frames: Iterable[np.ndarray], what: str) -> None:
     """Raises ShapeMismatch, naming ``what``, unless every matrix of every
     array in ``frames`` is an orthonormal frame: no more columns than rows
-    and ``V* V = 1`` within ``_TAG_TOL``.  One array at a time (the first-axis
-    slices of an array), so the check allocates no array of the size of
-    their stack, and a homotopy checks its slices as it evaluates them."""
+    and ``V* V = 1`` by the rule of unitaries
+    (:func:`numkernel._isometry_defect`).  A frame without columns is that of
+    the zero projection.  One array at a time (the first-axis slices of an
+    array), so the check allocates no array of the size of their stack, and
+    a homotopy checks its slices as it evaluates them."""
     defect = 0.0
     for x in frames:
         if x.shape[-1] > x.shape[-2]:
             raise ShapeMismatch(f"{what} of shape {x.shape[-2:]} are neither square nor frames")
-        defect = np.maximum(defect, np.abs(np.swapaxes(x, -1, -2).conj() @ x - np.eye(x.shape[-1])).max())
-    if not defect < _TAG_TOL:
+        defect = np.maximum(defect, _isometry_defect(x))
+    if not defect < ISOMETRY_TOL:
         raise ShapeMismatch(f"{what} need V* V = 1: max node defect {defect:.3e}")
 
 
@@ -180,9 +183,8 @@ class SampledMap:
         if self.codomain == "unitary":
             if v.shape[-1] != v.shape[-2]:
                 raise ShapeMismatch("unitary values must be square")
-            eye = np.eye(v.shape[-1])
-            err = np.abs(np.swapaxes(v, -1, -2).conj() @ v - eye).max()
-            if not err < _TAG_TOL:
+            err = _isometry_defect(v)
+            if not err < ISOMETRY_TOL:
                 raise ShapeMismatch(f"unitary tag violated: max node defect {err:.3e}")
         elif self.codomain == "projection":
             if v.shape[-1] != v.shape[-2]:

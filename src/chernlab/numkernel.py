@@ -23,6 +23,7 @@ __all__ = [
 ]
 
 RANK_THRESHOLD_REL = 1e-8  # absolute rank threshold, for inputs of norm 1
+ISOMETRY_TOL = 1e-8  # the largest ||x* x - 1||_F that a unitary or a frame may have at a node
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -36,11 +37,22 @@ def _as_square(m) -> np.ndarray:
     return m
 
 
+def _isometry_defect(x: np.ndarray) -> float:
+    """The largest ``||x* x - 1||_F`` over a stack of matrices ``(..., n, k)``:
+    the one rule of unitaries (``k = n``) and of frames (``k <= n``), both
+    held to ``ISOMETRY_TOL``.  NaN when an entry is NaN; 0 for matrices
+    without columns, the frames of the zero projection."""
+    defect = np.swapaxes(x, -1, -2).conj() @ x
+    defect -= np.eye(x.shape[-1])
+    squares = defect.view(float)
+    return float(np.sqrt(np.max(np.einsum("...ij,...ij->...", squares, squares))))
+
+
 def require_unitary(u) -> np.ndarray:
     u = _as_square(u)
-    err = frobenius(u.conj().T @ u - np.eye(u.shape[0]))
-    if not err < 1e-8:
-        raise NotUnitary(f"||u*u - I||_F = {err:.3e} >= 1.0e-08")
+    err = _isometry_defect(u)
+    if not err < ISOMETRY_TOL:
+        raise NotUnitary(f"||u*u - I||_F = {err:.3e} >= {ISOMETRY_TOL:.1e}")
     return u
 
 

@@ -15,6 +15,7 @@ index): the virtual dimension is counted against the whole positive window.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +72,14 @@ class PolarizedWindow:
 
 def _curvature(v: np.ndarray, jets: tuple[np.ndarray, ...]) -> dict[tuple[int, int], np.ndarray]:
     """``F_ij = V* [d_i P, d_j P] V`` of the frames ``v`` and their ``jets``,
-    ``i < j``, formed as ``K_ij - K_ij*`` from the Gram blocks of
-    :class:`_FrameCurvature`."""
-    kernel = _FrameCurvature(len(jets), len(jets) - 1)
+    ``i < j``, read back from the real forms ``R(F_ij)`` of
+    :class:`_FrameCurvature`.  Its slot 0 is only paired from the left, so
+    the jets fill slots ``1..`` and slot 0 takes the first once more."""
+    kernel = _FrameCurvature(len(jets) + 1)
     kernel.frame(v)
-    return {ij: g - np.swapaxes(g, -1, -2).conj() for ij, g in kernel.fill(jets, ()).items()}
+    kernel.fill(jets[:1] + jets, ())
+    pairs = itertools.combinations(range(len(jets)), 2)
+    return {(i, j): kernel.curvature(i + 1, j + 1).view(complex)[..., ::2, :] for i, j in pairs}
 
 
 def transgression_eta(frames: SampledMap, k: int) -> GradedForm:
@@ -91,10 +95,11 @@ def transgression_eta(frames: SampledMap, k: int) -> GradedForm:
     mean ``phi = F / 2 - [Theta, Theta] / 6``; ``d eta_1`` is ``ch_1`` of
     ``P``.  ``phi`` mixes ``F`` with ``[Theta, Theta]``, so its traces are not
     those of ``F`` alone: this is the one reader of the kernel
-    :class:`_FrameCurvature` that needs ``F`` as a matrix, and it forms
-    ``F_ij = K_ij - K_ij*`` from the kernel's Gram blocks (:func:`_curvature`).  ``Theta`` is a form of the frame, not of ``P``
-    (``V -> V g`` adds ``g* dg``), so every jet here, ``F``'s too, is a jet of
-    ``V``: its exact partials or its grid jets.  A CS form of
+    :class:`_FrameCurvature` that needs ``F`` as a matrix, and it reads
+    ``F_ij`` back from the real form ``R(F_ij)`` that the kernel takes by one
+    real product (:func:`_curvature`).  ``Theta`` is a form of the frame, not
+    of ``P`` (``V -> V g`` adds ``g* dg``), so every jet here, ``F``'s too, is
+    a jet of ``V``: its exact partials or its grid jets.  A CS form of
     :mod:`chernforms` depends on ``P`` alone and reads the grid jets of ``P``.
     """
     if frames.codomain != "frame":

@@ -13,10 +13,8 @@ from chernlab.builders import loop_zn, qwz_band, random_projection_map, random_u
 from chernlab.chernforms import (
     Homotopy,
     _FrameCurvature,
-    _pair_of_curvatures,
     _range_frame,
     _simpson_weights,
-    _trace_of_curvature,
     _wedge,
     ch_even,
     ch_odd,
@@ -211,28 +209,27 @@ def test_ch_even_refuses_a_rank_that_changes_over_the_nodes():
 
 def test_curvature_pairs_are_exactly_anti_hermitian():
     # a square projection through its eigh frame, and a frame slice with two
-    # frame jets and two jets of its projection: the pairs F = K - K* of the
-    # Gram blocks are exactly anti-Hermitian, and the traces read off K are
-    # exactly imaginary (tr F) and exactly real (tr F G)
+    # frame jets and two jets of its projection: every R(F) = K - K^T is
+    # exactly antisymmetric, every tr F exactly imaginary, and the degree-3
+    # pairing is real
     p = random_projection_map(np.random.default_rng(7), make_domain("torus2", (16, 16)), PolarizedWindow(2, 2))
     h = _inversion_homotopies()["even"]
     sl = h.slice_map(2)
-    cases = [
-        (_FrameCurvature(2, 1), _range_frame(p.values), (), p.partials),
-        (_FrameCurvature(4, 3), h.slices[2], (h.time_partials[2], h.spatial_partials[0][2]), sl.partials[1:]),
-    ]
-    for kernel, frame, frame_jets, projection_jets in cases:
-        kernel.frame(frame)
-        gram = kernel.fill(frame_jets, iter(projection_jets))
-        assert set(gram) == {(a, b) for a, b in itertools.combinations(range(kernel.n_slots), 2) if a < kernel.n_heads}
-        for k in gram.values():
-            assert k.shape[-2:] == (frame.shape[-1],) * 2
-            value = k - _adj(k)
-            assert np.abs(value).max() > 0.1
-            assert np.array_equal(value, -_adj(value))
-            assert np.array_equal(_trace_of_curvature(k).real, np.zeros(frame.shape[:-2]))
-        for k, l in itertools.product(gram.values(), repeat=2):
-            assert _pair_of_curvatures(k, l).dtype == np.float64
+    square, frames = _FrameCurvature(2), _FrameCurvature(4)
+    square.frame(_range_frame(p.values))
+    square.fill((), iter(p.partials))
+    frames.frame(h.slices[2])
+    frames.fill((h.time_partials[2], h.spatial_partials[0][2]), iter(sl.partials[1:]))
+    for kernel in (square, frames):
+        r = kernel.frame_shape[-1]
+        for a, b in itertools.combinations(range(kernel.n_slots), 2):
+            assert np.array_equal(kernel.trace(a, b).real, np.zeros(kernel.frame_shape[:-2]))
+            if a:  # slot 0 holds G_0 alone
+                real = kernel.curvature(a, b)
+                assert real.shape[-2:] == (2 * r, 2 * r) and real.dtype == np.float64
+                assert np.abs(real).max() > 0.1
+                assert np.array_equal(real, -np.swapaxes(real, -1, -2))
+    assert frames.volume().dtype == np.float64
 
 
 def _gaussian(rng, shape):
@@ -248,11 +245,13 @@ def _gaussian(rng, shape):
     st.sampled_from([(), (1,), (3,), (2, 2)]),
     st.integers(0, 2**16),
 )
-def test_gram_traces_are_those_of_the_explicit_commutators(n, r, n_frame, n_projection, stack, seed):
+def test_curvature_traces_are_those_of_the_explicit_commutators(n, r, n_frame, n_projection, stack, seed):
     # an oracle that shares no product with the kernel: with P = V V* and the
     # n x n jets D (Hermitian, or x V* + V x* for a frame jet x), tr F_ab is
-    # tr(P [D_a, D_b]), tr(F_ab F_cd) is tr(P [D_a, D_b] P [D_c, D_d]), and the
-    # F of transgression_eta is V* [D_a, D_b] V; relative to the jet norms
+    # tr(P [D_a, D_b]), F_ab read back from R(F_ab), a > 0 (and the F of
+    # transgression_eta), is V* [D_a, D_b] V, and the degree-3 pairing of the
+    # first four slots is tr(P [D_0, D_1] P [D_2, D_3]) - tr(P [D_0, D_2] P
+    # [D_1, D_3]) + tr(P [D_0, D_3] P [D_1, D_2]); relative to the jet norms
     r = min(r, n)
     rng = np.random.default_rng(seed)
     v = np.ascontiguousarray(np.linalg.qr(_gaussian(rng, (*stack, n, n)))[0][..., :r])
@@ -268,16 +267,21 @@ def test_gram_traces_are_those_of_the_explicit_commutators(n, r, n_frame, n_proj
     def scale(*slots):
         return 1e-12 * np.prod([norm[a] for a in slots], axis=0)
 
-    kernel = _FrameCurvature(len(d), len(d) - 1)
+    def pairing(ab, cd):
+        return np.trace(p @ commutator[ab] @ p @ commutator[cd], axis1=-2, axis2=-1)
+
+    kernel = _FrameCurvature(len(d))
     kernel.frame(v)
-    gram = kernel.fill(frame_jets, projection_jets)
-    assert gram.keys() == commutator.keys()
-    for (a, b), k in gram.items():
-        expected = np.trace(p @ commutator[a, b], axis1=-2, axis2=-1)
-        assert np.all(np.abs(_trace_of_curvature(k) - expected) <= scale(a, b))
-    for (ab, k), (cd, l) in itertools.product(gram.items(), repeat=2):
-        expected = np.trace(p @ commutator[ab] @ p @ commutator[cd], axis1=-2, axis2=-1)
-        assert np.all(np.abs(_pair_of_curvatures(k, l) - expected) <= scale(*ab, *cd))
+    kernel.fill(frame_jets, projection_jets)
+    for (a, b), c in commutator.items():
+        expected = np.trace(p @ c, axis1=-2, axis2=-1)
+        assert np.all(np.abs(kernel.trace(a, b) - expected) <= scale(a, b))
+        if a:
+            f = kernel.curvature(a, b).view(complex)[..., ::2, :]
+            assert np.all(np.linalg.norm(f - _adj(v) @ c @ v, axis=(-2, -1)) <= scale(a, b))
+    if len(d) >= 4:
+        expected = pairing((0, 1), (2, 3)) - pairing((0, 2), (1, 3)) + pairing((0, 3), (1, 2))
+        assert np.all(np.abs(kernel.volume() - expected) <= scale(0, 1, 2, 3))
     if n_frame >= 2:
         for (a, b), f in _curvature(v, tuple(frame_jets)).items():
             expected = _adj(v) @ commutator[a, b] @ v
@@ -566,6 +570,22 @@ def test_concatenate_compares_projections_at_the_junction():
         Homotopy.concatenate(h, square.reversed())
 
 
+@pytest.mark.parametrize("exact_jets", [True, False])
+def test_frames_without_columns_give_zero_cs_forms(exact_jets):
+    # n x 0 frames are those of the zero projection: the frame check takes
+    # them (defect 0), and both degrees of the kernel read zero slots
+    dom = make_domain("torus3", (8, 8, 8))
+    blocks = np.zeros((5, 8, 8, 8, 2, 0), dtype=complex)
+    spatial = (blocks,) * 3 if exact_jets else None
+    h = Homotopy.from_blocks(dom, np.linspace(0.0, 1.0, 5), blocks, np.eye(5), 0.0 * np.eye(5), "projection", None, spatial)
+    forms = cs_forms(h)
+    assert forms.keys() == {1, 2}
+    assert forms[1].comps.keys() == {(0,), (1,), (2,)} and forms[2].comps.keys() == {(0, 1, 2)}
+    for form in forms.values():
+        for comp in form.comps.values():
+            assert np.array_equal(comp, np.zeros(dom.node_shape))
+
+
 def test_frame_homotopy_reads_as_its_projections():
     h = _inversion_homotopies()["even"]
     v, w = h.slices[3], h.spatial_partials[1][3]
@@ -676,43 +696,51 @@ def _commutator_pair(p, d, i, j):
     return p @ (d[i] @ d[j] - d[j] @ d[i])
 
 
-def _frame_gram(h, it):
-    """The space-time Gram blocks ``K_ab = G_a* G_b`` of the frame slice
-    ``v`` at ``it`` from the products of :class:`_FrameCurvature`: with
-    ``R(v)`` of :func:`_real_form`, ``G = x + v (x* v)`` for the frame jets
-    ``x`` (time, then exact spatial) and ``G = d v`` for the grid jets ``d``
-    of ``p = v v*``, all on float views, and ``K = G_h* G`` of the slots
-    stacked by columns."""
-
-    def real(a, rb):
-        return (np.ascontiguousarray(a).view(float) @ rb).view(complex)
-
+def _frame_slots(h, it):
+    """The slots of the frame slice ``v`` at ``it`` from the products of
+    :class:`_FrameCurvature`, all on float views: ``G_0`` of the time jet,
+    and ``R(G)`` of the spatial slots.  With ``W = [R(v) | R(iv)]`` the
+    reshape of ``v @ [1 | R(i) | R(i) | -1]``, ``R(G)`` is the reshape of ``d
+    @ W`` for the grid jets ``d`` of ``p = v R(v)^T``, and ``G = x + v R(x*
+    v)`` for the frame jets ``x``, ``R(x* v)`` the reshape of ``x* @ W``,
+    with ``i G`` in the odd rows of ``R(G)``."""
     v = h.slices[it]
-    rv = _real_form(v)
-    frame_jets = (h.time_partials[it], *(d[it] for d in h.spatial_partials or ()))
-    slots = [real(v, _real_form(real(_adj(x), rv))) + x for x in frame_jets]
+    *nodes, n, r = v.shape
+    turn = _real_form(1j * np.eye(r))
+    wide = (v.view(float) @ np.hstack([np.eye(2 * r), turn, turn, -np.eye(2 * r)])).reshape(*nodes, 2 * n, 4 * r)
+
+    def frame_jet(x):
+        small = (np.ascontiguousarray(_adj(x)).view(float) @ wide).reshape(*nodes, 2 * r, 2 * r)
+        return v.view(float) @ small + x.view(float)
+
+    slots = np.empty((h.spatial.dim, *nodes, 2 * n, 2 * r))
+    rows = slots.reshape(len(slots), *nodes, n, 4 * r)
+    for row, x in zip(rows, (d[it] for d in h.spatial_partials or ())):
+        g = frame_jet(x)
+        row[..., : 2 * r] = g
+        row[..., 2 * r :] = (1j * g.view(complex)).view(float)
     if h.spatial_partials is None:
-        p = real(v, np.ascontiguousarray(np.swapaxes(rv, -1, -2)))
-        slots += [real(d, rv) for d in differentiate(SampledMap(h.spatial, p))]
-    g = np.concatenate(slots, axis=-1)
-    r, dim = v.shape[-1], h.spatial.dim
-    k = np.ascontiguousarray(_adj(g[..., : dim * r])) @ g
-    pairs = itertools.combinations(range(dim + 1), 2)
-    return {(a, b): k[..., a * r : (a + 1) * r, b * r : (b + 1) * r] for a, b in pairs}
+        p = (v.view(float) @ np.swapaxes(wide[..., : 2 * r], -1, -2)).view(complex)
+        for row, d in zip(rows, differentiate(SampledMap(h.spatial, p))):
+            row[...] = d.view(float) @ wide
+    return frame_jet(h.time_partials[it]), slots
 
 
-def _gram_traces(iota, curvature, k):
-    """``tr(iota ^ curvature^(k-1))`` of forms held by their Gram blocks
-    ``K`` (``F = K - K*``), by the expressions of ``cs_forms``: ``tr F = 2i
-    Im tr K`` and ``tr(F G) = 2 Re[tr(K L) - <K, L>_F]``."""
+def _slot_integrand(head, slots, k):
+    """The contracted integrand of the slots of :func:`_frame_slots`, by the
+    expressions of ``cs_forms``: ``tr F_0i = -2i <G_0, i G_i>`` for ``k =
+    1``, and for ``k = 2`` the sum over the cyclic ``(i, j, l)`` of ``-2
+    <R(G_j)^T R(G_l) - (..)^T, G_0^T G_i>``."""
+    *nodes, _, r2 = slots.shape[1:]
+    rows = slots.reshape(len(slots), *nodes, -1, 2 * r2)
     if k == 1:
-        return {idx: 2j * np.trace(x, axis1=-2, axis2=-1).imag for idx, x in iota.items()}
-
-    def pairing(a, b):
-        product = np.einsum("...ij,...ji->...", a, b).real
-        return 2.0 * (product - np.einsum("...ij,...ij->...", a.view(float), b.view(float)))
-
-    return _wedge(iota, curvature, pairing)
+        return {(i,): -2j * np.einsum("...ij,...ij->...", head, row[..., r2:]) for i, row in enumerate(rows)}
+    total = np.zeros(nodes)
+    for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        pair = np.swapaxes(slots[j], -1, -2) @ slots[l]
+        curvature = pair - np.swapaxes(pair, -1, -2)
+        total -= np.vecdot(curvature.reshape(*nodes, -1), (np.swapaxes(head, -1, -2) @ rows[i][..., :r2]).reshape(*nodes, -1))
+    return {(0, 1, 2): 2.0 * total}
 
 
 def _unitary_integrand(f, dt, d, k):
@@ -736,8 +764,8 @@ def _unitary_integrand(f, dt, d, k):
 
 def _cs_through_slice_maps(h, k, pair=_product_pair):
     """``cs_form`` evaluated one validated slice map at a time, projection
-    pairs built by ``pair``; frame slices are read off the Gram blocks of
-    :func:`_frame_gram` (:func:`_gram_traces`)."""
+    pairs built by ``pair``; frame slices are read off the slots of
+    :func:`_frame_slots` (:func:`_slot_integrand`)."""
     dt = h.time_derivative()
     acc = {}
     for it, wt in enumerate(_simpson_weights(h.n_times, float(h.times[1] - h.times[0]))):
@@ -747,15 +775,14 @@ def _cs_through_slice_maps(h, k, pair=_product_pair):
             comps = _unitary_integrand(sl.values, dt[it], d, k)
             c = chern_scalar("odd", k) * (2 * k - 1)
         else:
-            frames = h.slices.shape[-1] < h.slices.shape[-2]
-            if frames:
-                pairs = _frame_gram(h, it)
+            if h.slices.shape[-1] < h.slices.shape[-2]:
+                comps = _slot_integrand(*_frame_slots(h, it), k)
             else:
                 slots = [dt[it], *d]  # slot 0 is t
                 pairs = {(a, b): pair(sl.values, slots, a, b) for a, b in itertools.combinations(range(len(slots)), 2)}
-            iota = {(i - 1,): pairs[0, i] for i in range(1, h.spatial.dim + 1)}
-            curvature = {(i - 1, j - 1): x for (i, j), x in pairs.items() if i > 0}
-            comps = _gram_traces(iota, curvature, k) if frames else trace_wedge(iota, *[curvature] * (k - 1))
+                iota = {(i - 1,): pairs[0, i] for i in range(1, h.spatial.dim + 1)}
+                curvature = {(i - 1, j - 1): x for (i, j), x in pairs.items() if i > 0}
+                comps = trace_wedge(iota, *[curvature] * (k - 1))
             c = chern_scalar("even", k) * k
         for idx, val in comps.items():
             acc[idx] = acc[idx] + wt * val if idx in acc else wt * val
@@ -890,28 +917,35 @@ def test_unitary_cs_form_is_the_left_invariant_form(name):
         assert np.abs(comp - expected[idx]).max() <= 1e-14 * scale
 
 
-def test_frame_slices_take_r_by_r_products(monkeypatch):
+def test_projection_slices_take_no_complex_product(monkeypatch):
     hs = _inversion_homotopies()
+    square = _conjugated_projections(make_domain("torus3", (8, 8, 8)))
     calls = _stacked_products(monkeypatch)
-    nodes, (n, r) = hs["even"].slices.shape[1:-2], hs["even"].slices.shape[-2:]
-    # a frame jet x takes x* R(v), then v R(x* v); a jet d of p takes d R(v);
-    # the one complex product is the Gram G_h* G of 3 head slots against 4
-    frame_jet = [(False, nodes + (r, 2 * n), nodes + (2 * n, 2 * r)), (False, nodes + (n, 2 * r), nodes + (2 * r, 2 * r))]
-    gram = [(True, nodes + (3 * r, n), nodes + (n, 4 * r))]
+    nodes, (n, r) = hs["even"].slice_shape[:-2], hs["even"].slice_shape[-2:]
+    # a frame jet x takes x* W, then v R(x* v); a jet d of p takes d W; the
+    # degree-3 pairing takes R(G_j)^T R(G_k) and G_0^T G_i for each cyclic
+    # (i, j, k); W itself is one product of v with a constant matrix
+    frame_jet = [(False, nodes + (r, 2 * n), nodes + (2 * n, 4 * r)), (False, nodes + (n, 2 * r), nodes + (2 * r, 2 * r))]
+    volume = [(False, nodes + (2 * r, 2 * n), nodes + (2 * n, 2 * r)), (False, nodes + (2 * r, n), nodes + (n, 2 * r))] * 3
     for name, per_slice in (
-        ("even", frame_jet * 4 + gram),
-        # p = v R(v*), the time jet of the frame, and each grid jet of p
+        ("even", frame_jet * 4 + volume),
+        # p = v R(v)^T, the time jet of the frame, and each grid jet of p
         (
             "even_grid_jets",
             [(False, nodes + (n, 2 * r), nodes + (2 * r, 2 * n))]
             + frame_jet
-            + [(False, nodes + (n, 2 * n), nodes + (2 * n, 2 * r))] * 3
-            + gram,
+            + [(False, nodes + (n, 2 * n), nodes + (2 * n, 4 * r))] * 3
+            + volume,
         ),
     ):
         calls.clear()
         cs_forms(hs[name], 2)
         assert calls == per_slice * hs[name].n_times
+    # a square slice takes its frame from eigh and all four slots as jets of p
+    calls.clear()
+    cs_forms(square, 2)
+    assert calls and not any(is_complex for is_complex, _, _ in calls)
+    assert len(calls) == (4 + 6) * square.n_times
 
 
 def _phase_twisted(h):
@@ -1214,6 +1248,36 @@ CONTRACT_CHECKS = {
         lambda: _stack_homotopy(_eye_slices(), time_partials=_eye_slices(4)),
         ShapeMismatch,
         r"time partials \(4, 8, 2, 2\) do not match the slices \(5, 8, 2, 2\)",
+    ),
+    "cs_forms k_max = 0": (
+        lambda: cs_forms(_stack_homotopy(_eye_slices()), 0),
+        DegreeOverflow,
+        "k_max must be >= 1, got 0",
+    ),
+    "cs_exact k_max = 0": (
+        lambda: cs_exact(_stack_homotopy(_eye_slices()), k_max=0),
+        DegreeOverflow,
+        "k_max must be >= 1, got 0",
+    ),
+    "cs_exact k_max = -1": (
+        lambda: cs_exact(_stack_homotopy(_eye_slices()), k_max=-1),
+        DegreeOverflow,
+        "k_max must be >= 1, got -1",
+    ),
+    "cs_exact fractional k_max": (
+        lambda: cs_exact(_stack_homotopy(_eye_slices()), k_max=2.5),
+        DegreeOverflow,
+        "k_max must be >= 1, got 2.5",
+    ),
+    "cs_exact NaN tol": (
+        lambda: cs_exact(_stack_homotopy(_eye_slices()), tol=np.nan),
+        ShapeMismatch,
+        "tol must be a positive finite number, got nan",
+    ),
+    "cs_exact negative tol": (
+        lambda: cs_exact(_stack_homotopy(_eye_slices()), tol=-1.0),
+        ShapeMismatch,
+        "tol must be a positive finite number, got -1.0",
     ),
     "cs_forms tag": (
         lambda: cs_forms(_stack_homotopy(_eye_slices(), codomain="generic")),

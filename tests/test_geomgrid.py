@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chernlab.builders import loop_zn
 from chernlab.chernforms import _simpson_weights
 from chernlab.errors import BadResolution, ChernLabError, DegreeMismatch, DegreeOverflow, ShapeMismatch
 from chernlab.geomgrid import (
@@ -142,6 +143,12 @@ def test_frame_values_must_be_orthonormal_frames():
         SampledMap(dom, skewed, codomain="frame")
     with pytest.raises(ShapeMismatch, match=r"frame values of shape \(2, 3\) are neither square nor frames"):
         SampledMap(dom, np.swapaxes(q, -1, -2).conj(), codomain="frame")
+
+
+def test_frames_without_columns_are_those_of_the_zero_projection():
+    # V* V = 1 holds on 0 x 0, so an n x 0 frame has defect 0
+    frames = SampledMap(make_domain("torus2", (8, 8)), np.zeros((8, 8, 2, 0)), codomain="frame")
+    assert frames.values.shape == (8, 8, 2, 0)
 
 
 def test_sampled_map_takes_contiguous_complex_arrays_without_a_copy():
@@ -344,6 +351,8 @@ def _stack(matrix, value=None, node=3, res=8):
 _CIRCLE, _TORUS = make_domain("circle", 8), make_domain("torus2", (8, 8))
 _P = np.diag([1.0, 0.0])
 
+_LOOP = loop_zn(1, res=16, pad=3)  # 3 x 3 unitaries
+
 CONTRACT_CHECKS = {
     "fractional node count": (
         lambda: make_domain("torus2", (16.5, 16)),
@@ -375,6 +384,12 @@ CONTRACT_CHECKS = {
         lambda: SampledMap(_CIRCLE, _stack(np.eye(2), np.inf), codomain="unitary"),
         ShapeMismatch,
         "unitary tag violated",
+    ),
+    "unitary Frobenius defect": (
+        # every entry of u*u - 1 is under 1e-8 (9.0e-9), its Frobenius norm is not
+        lambda: SampledMap(_LOOP.domain, _LOOP.values * (1.0 + 4.5e-9), codomain="unitary"),
+        ShapeMismatch,
+        "unitary tag violated: max node defect 1.559e-08",
     ),
     "projection NaN node": (
         lambda: SampledMap(_CIRCLE, _stack(_P, np.nan), codomain="projection"),

@@ -8,7 +8,6 @@ from chernlab.chernforms import Homotopy
 from chernlab.errors import (
     ChernLabError,
     NotBasedAtIdentity,
-    NotUnitary,
     ShapeMismatch,
     UnsupportedDomain,
     WindowTooSmall,
@@ -213,11 +212,10 @@ def test_point_class_odd_is_the_phase_sum_mod_one(phases):
 
 def test_khat_class_takes_every_loop_that_the_unitary_tag_accepts():
     f = builders.loop_zn(1, res=16, pad=3)
-    # each diagonal entry of u*u - 1 is 9.0e-9, under the tag's 1e-8; the
-    # Frobenius defect of a node is 1.56e-8, so a raw node fails require_unitary
-    g = SampledMap(f.domain, f.values * (1.0 + 4.5e-9), codomain="unitary")
-    with pytest.raises(NotUnitary):
-        point_class_odd(g.values[0])
+    # the Frobenius defect of u*u - 1 at a node is 9.70e-9, just under the
+    # one rule (1e-8) of the tag and of require_unitary, so a raw node passes too
+    g = SampledMap(f.domain, f.values * (1.0 + 2.8e-9), codomain="unitary")
+    assert mod1_distance(point_class_odd(g.values[0]), 0.0) < 1e-12
     data = khat_class(g)
     assert data.invariants["winding"] == 1
     assert mod1_distance(data.invariants["det_phase_mod1"], 0.0) < 1e-12
