@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularInput
+from .errors import NotALoop, ShapeMismatch, SingularInput
 from .geomgrid import DomainGrid, SampledMap, make_domain
 from .numkernel import haar_unitary
 from .stiefel import PolarizedWindow
@@ -97,11 +97,14 @@ def _exp_i_hermitian(h: np.ndarray, dh) -> tuple[np.ndarray, tuple[np.ndarray, .
 
 
 def loop_zn(n: int = 1, res: int = 256, pad: int = 1) -> SampledMap:
-    """The monomial loop ``theta -> diag(e^{i n theta}, 1, ..)`` on U(pad)."""
+    """The monomial loop ``theta -> diag(e^{i n theta}, 1, ..)`` on U(pad);
+    ShapeMismatch unless ``n`` is an integer (any other jumps at ``2 pi``)
+    and ``pad`` an integer of at least 1."""
+    if not (isinstance(n, (int, np.integer)) and isinstance(pad, (int, np.integer)) and pad >= 1):
+        raise ShapeMismatch(f"loop_zn needs an integer n and an integer pad >= 1, got n = {n!r}, pad = {pad!r}")
     dom = make_domain("circle", res)
     theta = dom.axes[0].coords
-    values = np.zeros((res, pad, pad), dtype=complex)
-    values[:, :, :] = np.eye(pad)
+    values = np.tile(np.eye(pad, dtype=complex), (res, 1, 1))
     values[:, 0, 0] = np.exp(1j * n * theta)
     return SampledMap(dom, values, codomain="unitary")
 
@@ -111,7 +114,10 @@ def trig_loop(res: int = 256, winding: int = 1, amp: float = 0.3) -> SampledMap:
 
     The Fourier coefficients decay like Bessel functions of ``amp``, so a
     declared bandwidth of a couple dozen modes holds to machine precision.
+    NotALoop unless ``winding`` is an integer: any other jumps at ``2 pi``.
     """
+    if not isinstance(winding, (int, np.integer)):
+        raise NotALoop(f"trig_loop needs an integer winding, got {winding!r}")
     dom = make_domain("circle", res)
     theta = dom.axes[0].coords
     values = np.exp(1j * (winding * theta + amp * np.sin(theta)))[:, None, None]

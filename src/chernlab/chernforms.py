@@ -67,7 +67,6 @@ __all__ = [
     "ch_total",
     "Homotopy",
     "cs_forms",
-    "cs_form",
     "cs_exact",
 ]
 
@@ -76,8 +75,8 @@ DEFAULT_K_MAX = 3
 
 def chern_scalar(parity: str, k: int) -> complex:
     """Normalization of the degree-(2k-1) odd / degree-2k even component."""
-    if k < 1:
-        raise DegreeOverflow("components are indexed by k >= 1")
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise DegreeOverflow(f"components are indexed by integers k >= 1, got {k!r}")
     if parity == "odd":
         return (1j / (2 * np.pi)) ** k * (-1.0) ** (k - 1) * math.factorial(k - 1) / math.factorial(2 * k - 1)
     if parity == "even":
@@ -270,13 +269,12 @@ def ch_odd(f: SampledMap, k: int) -> GradedForm:
     """Degree-(2k-1) odd Chern component of a unitary-tagged map."""
     if f.codomain != "unitary":
         raise ShapeMismatch("ch_odd needs a unitary-tagged map")
-    deg = 2 * k - 1
+    c, deg = chern_scalar("odd", k), 2 * k - 1  # DegreeOverflow unless k is an integer >= 1
     if deg > f.domain.dim:
         raise DegreeOverflow(f"degree {deg} exceeds domain dimension {f.domain.dim}")
     finv = np.swapaxes(f.values, -1, -2).conj()
     omega = {(i,): finv @ p for i, p in enumerate(differentiate(f))}
     comps = trace_wedge(*[omega] * deg)
-    c = chern_scalar("odd", k)
     return GradedForm(f.domain, deg, {idx: c * a for idx, a in comps.items()})
 
 
@@ -347,15 +345,6 @@ def _weighted(row: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> np.ndarra
     return out
 
 
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    """Composite Simpson weights on ``n`` (odd) uniform nodes of spacing ``h``."""
-    w = np.empty(n)
-    w[0] = w[-1] = 1.0
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
-
-
 def _block_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
     out[: a.shape[0], : a.shape[1]] = a
@@ -391,9 +380,14 @@ class Homotopy:
     it is given (they are not copied when already contiguous complex) and
     makes them read-only.
 
-    The ``times`` of a new homotopy are an odd number (at least 3) of
-    finite, uniform, increasing nodes, and :attr:`quadrature`, one weight
-    per time node, is composite Simpson on them.  A ``window``, as on
+    A homotopy builds no rule in ``t``: the code that builds it hands in
+    its ``times``, finite nodes that increase from the first to the last,
+    and its :attr:`quadrature`, one finite real weight per time node, by which
+    :func:`cs_forms` integrates in ``t``; ShapeMismatch names either when
+    it is not so.  The nodes need only not decrease, since
+    :meth:`concatenate` repeats its junction node.  The builders of
+    :mod:`kops` all take both from one Gauss-Lobatto rule
+    (:func:`kops.lobatto_rule`).  A ``window``, as on
     :class:`SampledMap`, must span the rows of the slices, and only
     homotopies on one window concatenate.
 
@@ -423,6 +417,7 @@ class Homotopy:
         self,
         spatial: DomainGrid,
         times: np.ndarray,
+        quadrature: np.ndarray,
         slices: np.ndarray,
         time_partials: np.ndarray,
         codomain: str = "generic",
@@ -431,7 +426,7 @@ class Homotopy:
     ):
         eye = np.eye(len(slices))
         self._settle(
-            spatial=spatial, times=times, codomain=codomain, window=window, quadrature=None,
+            spatial=spatial, times=times, codomain=codomain, window=window, quadrature=quadrature,
             blocks=slices, weights=eye, spatial_blocks=spatial_partials,
             time_blocks=time_partials, time_weights=eye,
         )
@@ -442,14 +437,16 @@ class Homotopy:
         self._check_frame_slices()
 
     @classmethod
-    def from_blocks(cls, spatial, times, blocks, weights, time_weights, codomain, window, spatial_blocks) -> "Homotopy":
+    def from_blocks(
+        cls, spatial, times, quadrature, blocks, weights, time_weights, codomain, window, spatial_blocks
+    ) -> "Homotopy":
         """The homotopy whose slice at ``times[i]`` is
         ``weights[i] @ blocks``, with the exact time jet ``time_weights[i] @
         blocks`` and the spatial jets ``weights[i] @ spatial_blocks[a]``
         (None when not known)."""
         h = object.__new__(cls)
         h._settle(
-            spatial=spatial, times=times, codomain=codomain, window=window, quadrature=None,
+            spatial=spatial, times=times, codomain=codomain, window=window, quadrature=quadrature,
             blocks=blocks, weights=weights, spatial_blocks=spatial_blocks,
             time_blocks=blocks, time_weights=time_weights,
         )
@@ -461,15 +458,14 @@ class Homotopy:
 
     def _settle(self, **fields) -> None:
         """Set ``fields``, with every check and normalization of construction
-        but the frame check.  When the quadrature is None, the time nodes are
-        checked and it is built on them."""
+        but the frame check."""
         shared = fields["time_blocks"] is fields["blocks"]
         fields["blocks"] = np.ascontiguousarray(fields["blocks"], dtype=complex)
         if shared:
             fields["time_blocks"] = fields["blocks"]
         vars(self).update(fields)
         _check_codomain(self.codomain)
-        t = np.array(self.times, dtype=float)
+        t, q = np.asarray(self.times), np.asarray(self.quadrature)  # cast to float once found real
         b = self.blocks
         w = np.asarray(self.weights, dtype=float)
         if b.shape[1 : 1 + len(self.spatial.node_shape)] != self.spatial.node_shape:
@@ -479,29 +475,23 @@ class Homotopy:
         _check_window(self.window, b.shape[-2])
         if self.spatial_blocks is not None:
             vars(self)["spatial_blocks"] = _check_partials(self.spatial_blocks, self.spatial.dim, b.shape)
-        q = self.quadrature
-        if q is None:  # a derived homotopy keeps its quadrature
-            if t.size < 3 or t.size % 2 == 0:
-                raise ShapeMismatch(f"a homotopy needs an odd node count >= 3, got {t.size} time nodes")
-            if not np.isfinite(t).all():
-                raise ShapeMismatch("homotopy time nodes must be finite")
-            dt = np.diff(t)
-            if dt.min() <= 0.0:
-                raise ShapeMismatch("homotopy time nodes must increase")
-            if (dt.max() - dt.min()) > 1e-12 * max(abs(t[-1] - t[0]), 1.0):
-                raise ShapeMismatch("homotopy time nodes must be uniform")
-            q = _simpson_weights(t.size, float(t[1] - t[0]))
+        # a concatenation repeats its junction node, so the nodes need only not decrease
+        rising = t.dtype.kind in "iuf" and t.size > 1 and np.isfinite(t).all() and np.diff(t).min() >= 0.0
+        if not (rising and t[-1] > t[0]):
+            raise ShapeMismatch("homotopy time nodes must be finite and increase from the first to the last")
+        if q.shape != t.shape or q.dtype.kind not in "iuf" or not np.isfinite(q).all():
+            raise ShapeMismatch(f"homotopy quadrature needs one finite real weight per time node: {q.size} for {t.size}")
         tb = np.ascontiguousarray(self.time_blocks, dtype=complex)
         tw = np.asarray(self.time_weights, dtype=float)
         if tb.shape[1:] != b.shape[1:] or tw.shape != (t.size, len(tb)):
             raise ShapeMismatch(f"time partials {tb.shape} do not match the slices {b.shape}")
         vars(self).update(
-            times=_freeze(t),
+            times=_freeze(np.array(t, dtype=float)),
             blocks=_freeze(b),
             weights=_freeze(w),
             time_blocks=_freeze(tb),
             time_weights=_freeze(tw),
-            quadrature=_freeze(np.asarray(q, dtype=float)),
+            quadrature=_freeze(np.array(q, dtype=float)),
         )
 
     def _check_frame_slices(self) -> None:
@@ -854,19 +844,11 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
     so it is taken from pairings of the blocks (:func:`_unitary_cs_zero`)
     and no slice is evaluated for it; the curvature pairs of projection
     slices are formed only when ``k_max > 1``.  Quadrature in ``t`` is the
-    homotopy's own ``quadrature``, settled when it was built.  DegreeOverflow
+    ``quadrature`` that the builder of ``H`` handed in.  DegreeOverflow
     unless ``k_max`` is an integer of at least 1.
     """
     _check_k_max(k_max)
     return _cs_forms(H, [k for k in range(1, k_max + 1) if _cs_degree(H.codomain, k) <= H.spatial.dim])
-
-
-def cs_form(H: Homotopy, k: int) -> GradedForm:
-    """The k-th component of :func:`cs_forms`; DegreeOverflow past the
-    dimension cutoff."""
-    if k < 1 or _cs_degree(H.codomain, k) > H.spatial.dim:
-        raise DegreeOverflow(f"no CS component k = {k} on a {H.spatial.dim}-dimensional domain")
-    return _cs_forms(H, [k])[k]
 
 
 def cs_exact(H: Homotopy, k_max: int = DEFAULT_K_MAX, tol: float = 1e-6) -> dict:

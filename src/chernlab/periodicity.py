@@ -80,11 +80,14 @@ def bott_subspace(gamma: SampledMap, B: int | None = None) -> tuple[SubspaceSpec
     Raises
     ------
     BandwidthViolation
-        If a Fourier coefficient beyond the declared band ``B`` has norm
-        >= ``BAND_TOL``, or the circle resolution is below ``4B``.
+        If the declared band ``B`` is not an integer of at least 1, a
+        Fourier coefficient beyond it has norm >= ``BAND_TOL``, or the
+        circle resolution is below ``4B``.
     """
     if gamma.codomain != "unitary" or gamma.domain.kind != "circle":
         raise ShapeMismatch("bott_subspace needs a unitary-tagged circle loop")
+    if B is not None and not (isinstance(B, (int, np.integer)) and B >= 1):
+        raise BandwidthViolation(f"the declared band B must be an integer >= 1, got {B!r}")
     res = gamma.domain.axes[0].n
     coeffs = fourier.coefficients(gamma.values)
     m, norms = np.abs(fourier.orders(res)), np.linalg.norm(coeffs, axis=(1, 2))  # |m| and ||c_m||

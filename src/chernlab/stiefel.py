@@ -41,10 +41,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PolarizedWindow:
-    """Mode window ``-n_minus .. n_plus - 1`` with grading by mode sign."""
+    """Mode window ``-n_minus .. n_plus - 1`` with grading by mode sign;
+    ShapeMismatch unless both sizes are integers of at least 0."""
 
     n_minus: int
     n_plus: int
+
+    def __post_init__(self):
+        if not all(isinstance(n, (int, np.integer)) and n >= 0 for n in (self.n_minus, self.n_plus)):
+            raise ShapeMismatch(f"window sizes must be integers >= 0, got {self.n_minus!r} and {self.n_plus!r}")
 
     @property
     def dim(self) -> int:

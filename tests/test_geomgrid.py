@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from chernlab.builders import loop_zn
-from chernlab.chernforms import _simpson_weights
 from chernlab.errors import BadResolution, ChernLabError, DegreeMismatch, DegreeOverflow, ShapeMismatch
 from chernlab.geomgrid import (
     Axis,
@@ -17,6 +16,7 @@ from chernlab.geomgrid import (
     make_domain,
     sub_grid,
 )
+from chernlab.kops import lobatto_rule
 from chernlab.stiefel import PolarizedWindow
 
 
@@ -184,13 +184,15 @@ def test_integrate_oscillating_form_vanishes():
     assert abs(integrate(form)) < 1e-12
 
 
-def test_simpson_refinement_order():
-    # the time quadrature of a stacked homotopy (chernforms), on [0, 1]
+def test_lobatto_refinement_order():
+    # the time quadrature of every homotopy (kops), on [0, 1]: each added node
+    # gains more than two and a half digits on a smooth integrand
     errs = []
-    for n in (17, 33):
-        t = np.linspace(0.0, 1.0, n)
-        errs.append(abs(_simpson_weights(n, t[1] - t[0]) @ np.exp(t) - (np.e - 1.0)))
-    assert errs[0] / errs[1] > 8.0
+    for n in (3, 4, 5, 6):
+        t, w = lobatto_rule(n, 0.0, 1.0)
+        errs.append(abs(w @ np.exp(t) - (np.e - 1.0)))
+    assert errs[-1] < 1e-12
+    assert all(coarse / fine > 300.0 for coarse, fine in zip(errs, errs[1:]))
 
 
 def test_periodic_quadrature_near_machine():

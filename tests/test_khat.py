@@ -25,7 +25,7 @@ from chernlab.khat import (
     strip_stabilization,
     underlying_I,
 )
-from chernlab.kops import blocksum_map, inversion_homotopy_even, inversion_homotopy_odd
+from chernlab.kops import blocksum_map, inversion_homotopy_even, inversion_homotopy_odd, lobatto_rule
 from chernlab.stiefel import PolarizedWindow
 
 WINDINGS = st.integers(min_value=-2, max_value=2)
@@ -256,7 +256,8 @@ _LINE = np.diag([1.0, 0.0]).astype(complex)
 def _constant_homotopy(codomain):
     """Five slices ``_LINE`` over the 8-node circle, with no window and a zero time jet."""
     slices = np.broadcast_to(_LINE, (5, 8, 2, 2)).copy()
-    return Homotopy(make_domain("circle", 8), np.linspace(0.0, 1.0, 5), slices, np.zeros_like(slices), codomain=codomain)
+    times, quadrature = lobatto_rule(5, 0.0, 1.0)
+    return Homotopy(make_domain("circle", 8), times, quadrature, slices, np.zeros_like(slices), codomain=codomain)
 
 
 def _circle_map(codomain):

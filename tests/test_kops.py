@@ -15,10 +15,11 @@ from chernlab.builders import (
     random_unitary_map,
     su2_chart,
 )
-from chernlab.chernforms import Homotopy, ch_even, ch_odd, cs_exact, cs_form, cs_forms
+from chernlab.chernforms import Homotopy, ch_even, ch_odd, cs_exact, cs_forms
 from chernlab.errors import AsymmetricWindow, BadPathStart, ChernLabError, ShapeMismatch
-from chernlab.geomgrid import SampledMap, differentiate, make_domain
+from chernlab.geomgrid import SampledMap, differentiate, integrate, make_domain
 from chernlab.kops import (
+    DEFAULT_T_RES,
     association_permutation,
     blocksum,
     blocksum_map,
@@ -32,7 +33,7 @@ from chernlab.kops import (
     flip_projection_map,
     inversion_homotopy_even,
     inversion_homotopy_odd,
-    rotation_times,
+    lobatto_rule,
 )
 from chernlab.numkernel import haar_unitary
 from chernlab.stiefel import PolarizedWindow
@@ -66,6 +67,7 @@ def projection_homotopy(h: Homotopy) -> Homotopy:
     return Homotopy(
         h.spatial,
         h.times,
+        h.quadrature,
         h.slices @ _adj(h.slices),
         codomain="projection",
         window=h.window,
@@ -94,6 +96,7 @@ def blocksum_homotopy(h: Homotopy, g: Homotopy) -> Homotopy:
     return Homotopy(
         h.spatial,
         h.times,
+        h.quadrature,
         blocksum(h.slices, g.slices),
         blocksum(h.time_partials, g.time_partials),
         codomain=h.codomain,
@@ -146,7 +149,7 @@ def dense_rotation_homotopy(a: SampledMap, b: SampledMap, t_res: int):
         zero = np.zeros_like(a.values)
         d_left = [blocksum(d, zero) for d in a.partials]
         d_right = [blocksum(zero, d) for d in b.partials]
-    times = rotation_times(t_res)
+    times = lobatto_rule(t_res, 0.0, np.pi / 2.0)[0]
     gen = pair_rotation_generator(n)
     slices = np.empty((times.size, *left.shape), dtype=complex)
     partials = np.empty_like(slices)
@@ -168,7 +171,7 @@ def dense_inversion_even(x: SampledMap, t_res: int):
     summed = blocksum(x.values, flip(x.values, win))
     d_summed = [blocksum(d, flip(d, win)) for d in x.partials or ()]
     pi_plus = doubled_window(win).pi_plus
-    times = rotation_times(t_res)
+    times = lobatto_rule(t_res, 0.0, np.pi / 2.0)[0]
     slices = np.empty((times.size, *summed.shape), dtype=complex)
     partials = np.empty_like(slices)
     spatial = tuple(np.empty_like(slices) for _ in d_summed)
@@ -335,8 +338,8 @@ def test_cs_additivity_under_blocksum():
     g = random_unitary_map(rng, dom, size=2)
     hf = inversion_homotopy_odd(f, t_res=17)
     hg = inversion_homotopy_odd(g, t_res=17)
-    lhs = cs_form(blocksum_homotopy(hf, hg), 1)
-    rhs = cs_form(hf, 1) + cs_form(hg, 1)
+    lhs = cs_forms(blocksum_homotopy(hf, hg), 1)[1]
+    rhs = cs_forms(hf, 1)[1] + cs_forms(hg, 1)[1]
     assert (lhs - rhs).sup_norm() < 1e-10
 
 
@@ -348,8 +351,8 @@ def test_cs2_additivity_under_blocksum_on_torus():
     g = random_unitary_map(rng, dom, size=2)
     hf = inversion_homotopy_odd(f, t_res=17)
     hg = inversion_homotopy_odd(g, t_res=17)
-    lhs = cs_form(blocksum_homotopy(hf, hg), 2)
-    rhs = cs_form(hf, 2) + cs_form(hg, 2)
+    lhs = cs_forms(blocksum_homotopy(hf, hg), 2)[2]
+    rhs = cs_forms(hf, 2)[2] + cs_forms(hg, 2)[2]
     assert (lhs - rhs).sup_norm() < 1e-12
 
 
@@ -376,8 +379,8 @@ def test_cs_adjoint_negates():
     dom = make_domain("circle", 64)
     f = random_unitary_map(np.random.default_rng(6), dom, size=2)
     h = inversion_homotopy_odd(f, t_res=17)
-    lhs = cs_form(h.adjoint(), 1)
-    rhs = cs_form(h, 1)
+    lhs = cs_forms(h.adjoint(), 1)[1]
+    rhs = cs_forms(h, 1)[1]
     assert (lhs + rhs).sup_norm() < 1e-10
 
 
@@ -389,6 +392,7 @@ def test_cs_flip_negates():
     flipped = Homotopy(
         h.spatial,
         h.times,
+        h.quadrature,
         np.stack([
             flip(np.eye(h.slices.shape[-2]) - h.slice_map(i).values, h.window) for i in range(h.n_times)
         ]),
@@ -396,8 +400,8 @@ def test_cs_flip_negates():
         codomain="projection",
         window=h.window,
     )
-    lhs = cs_form(flipped, 1)
-    rhs = cs_form(h, 1)
+    lhs = cs_forms(flipped, 1)[1]
+    rhs = cs_forms(h, 1)[1]
     assert (lhs + rhs).sup_norm() < 1e-6
 
 
@@ -426,7 +430,7 @@ def test_conjugation_cs0_vanishes_pointwise():
         lambda t: expm(t * k),
         path_derivative=lambda t: k @ expm(t * k),
     )
-    cs0 = cs_form(h, 1)
+    cs0 = cs_forms(h, 1)[1]
     assert cs0.sup_norm() < 1e-9
 
 
@@ -458,7 +462,7 @@ def test_inversion_odd_cs0_vanishes():
     dom = make_domain("circle", 64)
     f = random_unitary_map(np.random.default_rng(13), dom, size=2)
     h = inversion_homotopy_odd(f, t_res=33)
-    assert cs_form(h, 1).sup_norm() < 1e-9
+    assert cs_forms(h, 1)[1].sup_norm() < 1e-9
 
 
 def test_inversion_odd_cs2_cycle_residuals_on_torus():
@@ -580,6 +584,39 @@ def test_eckmann_hilton_unitary_slices():
     assert np.abs(np.swapaxes(v, -1, -2).conj() @ v - eye).max() < 1e-12
 
 
+def _phase(dom, p: int, axis: int) -> SampledMap:
+    """``e^{i p k}`` of the coordinate ``k`` along ``axis``, with its exact partials."""
+    v = np.exp(1j * p * np.meshgrid(*[ax.coords for ax in dom.axes], indexing="ij")[axis])[..., None, None]
+    partials = tuple(1j * p * v if a == axis else np.zeros_like(v) for a in range(dom.dim))
+    return SampledMap(dom, v, codomain="unitary", partials=partials)
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 3)])
+def test_eckmann_hilton_cs2_meets_its_period(p, q):
+    # the U(1) Polyakov-Wiegmann period: the rotation from e^{ipk_1} (+)
+    # e^{iqk_2} to their product (+) 1 has int_{T^2} CS_2 = pq/2, with no
+    # error in space, since the integrand is exact there: what is left is the t rule
+    dom = make_domain("torus2", (8, 8))
+    for t_res, bound in ((9, 1e-13), (DEFAULT_T_RES, 1e-14)):
+        h = eckmann_hilton_homotopy(_phase(dom, p, 0), _phase(dom, q, 1), t_res=t_res)
+        assert abs(integrate(cs_forms(h, 2)[2]) - p * q / 2) < bound
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 13, 33, 65])
+def test_lobatto_rule_is_exact_to_degree_2n_minus_3(n):
+    t, w = lobatto_rule(n, 0.0, np.pi / 2.0)
+    assert t[0] == 0.0 and t[-1] == np.pi / 2.0 and (np.diff(t) > 0.0).all()
+    for d in range(2 * n - 2):
+        exact = (np.pi / 2.0) ** (d + 1) / (d + 1)
+        assert abs(w @ t**d - exact) <= 1e-13 * exact
+
+
+def test_lobatto_rule_on_three_nodes_is_simpson():
+    t, w = lobatto_rule(3, 0.0, 1.0)
+    assert np.array_equal(t, [0.0, 0.5, 1.0])
+    assert np.abs(w - [1 / 6, 2 / 3, 1 / 6]).max() < 1e-15
+
+
 # ------------------------------------- closed forms against the dense products
 
 
@@ -627,9 +664,9 @@ def test_closed_form_matches_the_dense_products(name, t_res, with_partials):
 def test_every_rotation_builder_sums_its_blocks_through_one_helper(monkeypatch):
     calls, from_blocks = [], Homotopy.from_blocks
 
-    def counting(domain, times, blocks, *rest):
+    def counting(domain, times, quadrature, blocks, *rest):
         calls.append(len(blocks))
-        return from_blocks(domain, times, blocks, *rest)
+        return from_blocks(domain, times, quadrature, blocks, *rest)
 
     monkeypatch.setattr(Homotopy, "from_blocks", counting)
     a, b, x = _leaves(40, True)
@@ -644,11 +681,11 @@ def _haar_leaf(rng, size: int, window=None) -> SampledMap:
     return SampledMap(make_domain("circle", 8), values, codomain="unitary", window=window)
 
 
-ODD_T_RES = st.integers(1, 16).map(lambda k: 2 * k + 1)
+T_RES = st.integers(3, 33)
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2**16), ODD_T_RES)
+@given(st.integers(0, 2**16), T_RES)
 def test_odd_rotation_slices_are_unitary_and_end_at_the_basepoint(seed, t_res):
     rng = np.random.default_rng(seed)
     a, b = _haar_leaf(rng, 2), _haar_leaf(rng, 2)
@@ -661,7 +698,7 @@ def test_odd_rotation_slices_are_unitary_and_end_at_the_basepoint(seed, t_res):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.integers(0, 2**16), ODD_T_RES)
+@given(st.integers(0, 2**16), T_RES)
 def test_even_inversion_slices_are_projections_and_end_at_the_basepoint(seed, t_res):
     v = inversion_homotopy_even(_haar_leaf(np.random.default_rng(seed), 4, WIN), t_res).slices
     assert v.shape[-2:] == (8, 4) and np.abs(_adj(v) @ v - np.eye(4)).max() < 1e-12
@@ -818,7 +855,7 @@ def test_rotation_homotopies_carry_exact_spatial_partials():
         inversion_homotopy_odd(a, t_res=5),
         eckmann_hilton_homotopy(a, b, t_res=5),
         inversion_homotopy_even(x, t_res=5),
-        conjugation_homotopy(a, lambda t: expm(t * k), lambda t: k @ expm(t * k), np.linspace(0.0, 1.0, 5)),
+        conjugation_homotopy(a, lambda t: expm(t * k), lambda t: k @ expm(t * k), t_res=5),
     )
     for h in homotopies:
         assert len(h.spatial_partials) == 2
@@ -838,6 +875,7 @@ def _twisted_frames(h: Homotopy, seed: int = 3) -> Homotopy:
     return Homotopy(
         h.spatial,
         h.times,
+        h.quadrature,
         a @ h.slices,
         codomain="projection",
         window=h.window,
@@ -897,7 +935,7 @@ def test_homotopy_operations_carry_spatial_partials():
         assert np.array_equal(adj.spatial_partials[axis], np.swapaxes(d, -1, -2).conj())
         assert np.array_equal(loop.spatial_partials[axis], np.concatenate([d, d[::-1]]))
     assert np.array_equal(adj.slice_map(2).partials[1], adj.spatial_partials[1][2])
-    plain = Homotopy(h.spatial, h.times, h.slices, h.time_partials, codomain="unitary")
+    plain = Homotopy(h.spatial, h.times, h.quadrature, h.slices, h.time_partials, codomain="unitary")
     assert Homotopy.concatenate(h, plain.reversed()).spatial_partials is None
 
 
@@ -905,14 +943,16 @@ def test_homotopy_spatial_partials_of_wrong_count_rejected():
     dom = make_domain("torus2", (8, 8))
     slices = np.zeros((3, 8, 8, 2, 2))
     with pytest.raises(ShapeMismatch, match=r"2 x \(3, 8, 8, 2, 2\)"):
-        Homotopy(dom, np.linspace(0.0, 1.0, 3), slices, np.zeros_like(slices), spatial_partials=(slices,) * 3)
+        Homotopy(dom, *lobatto_rule(3, 0.0, 1.0), slices, np.zeros_like(slices), spatial_partials=(slices,) * 3)
 
 
 def test_homotopy_spatial_partials_of_wrong_shape_rejected():
     dom = make_domain("torus2", (8, 8))
     slices = np.zeros((3, 8, 8, 2, 2))
     with pytest.raises(ShapeMismatch, match=r"2 x \(3, 8, 8, 2, 2\)"):
-        Homotopy(dom, np.linspace(0.0, 1.0, 3), slices, np.zeros_like(slices), spatial_partials=(slices, slices[:, :4]))
+        Homotopy(
+            dom, *lobatto_rule(3, 0.0, 1.0), slices, np.zeros_like(slices), spatial_partials=(slices, slices[:, :4])
+        )
 
 
 @pytest.mark.parametrize("exact_jets", [True, False])
@@ -1047,7 +1087,7 @@ def test_derived_homotopies_are_the_operations_on_the_formed_stacks(seed, name, 
 @pytest.mark.parametrize("name", list(BLOCK_BUILDERS))
 def test_reversed_shares_the_blocks_of_its_operand(name):
     h = BLOCK_BUILDERS[name](*_leaves(40, True), 5)
-    stacked = Homotopy(h.spatial, h.times, h.slices, h.time_partials, h.codomain, window=h.window)
+    stacked = Homotopy(h.spatial, h.times, h.quadrature, h.slices, h.time_partials, h.codomain, window=h.window)
     for x in (h, stacked):
         rev = x.reversed()
         assert rev.blocks is x.blocks and rev.time_blocks is x.time_blocks
@@ -1119,9 +1159,9 @@ CONTRACT_CHECKS = {
         "odd inversion homotopy needs a unitary map",
     ),
     "odd inversion even t_res": (
-        lambda: inversion_homotopy_odd(_circle_map(), t_res=4),
+        lambda: inversion_homotopy_odd(_circle_map(), t_res=2),
         ShapeMismatch,
-        "a homotopy needs an odd node count >= 3",
+        "a Lobatto rule needs an integer n >= 3 nodes, got 2",
     ),
     "even inversion window": (
         lambda: inversion_homotopy_even(_circle_map("projection")),
@@ -1131,12 +1171,12 @@ CONTRACT_CHECKS = {
     "even inversion one node": (
         lambda: inversion_homotopy_even(_circle_map("projection", window=WIN), t_res=1),
         ShapeMismatch,
-        "a homotopy needs an odd node count >= 3",
+        "a Lobatto rule needs an integer n >= 3 nodes, got 1",
     ),
     "rotation times below three": (
-        lambda: rotation_times(-1),
+        lambda: lobatto_rule(-1, 0.0, np.pi / 2.0),
         ShapeMismatch,
-        "a homotopy needs an odd node count >= 3, got t_res = -1",
+        "a Lobatto rule needs an integer n >= 3 nodes, got -1",
     ),
     "Eckmann-Hilton windows": (
         lambda: eckmann_hilton_homotopy(_unitary_on(PolarizedWindow(2, 2)), _unitary_on(PolarizedWindow(1, 3))),
@@ -1176,31 +1216,29 @@ CONTRACT_CHECKS = {
         "conjugation path must start at the identity",
     ),
     "conjugation with no time nodes": (
-        lambda: conjugation_homotopy(_circle_map(), lambda t: np.eye(2), lambda t: np.zeros((2, 2)), np.array([])),
+        lambda: conjugation_homotopy(_circle_map(), lambda t: np.eye(2), lambda t: np.zeros((2, 2)), t_res=0),
         ShapeMismatch,
-        "a homotopy needs an odd node count >= 3, got 0 time nodes",
+        "a Lobatto rule needs an integer n >= 3 nodes, got 0",
     ),
     "conjugation with a NaN time node": (
-        lambda: conjugation_homotopy(
-            _circle_map(), lambda t: np.eye(2), lambda t: np.zeros((2, 2)), np.array([0.0, 0.25, np.nan, 0.75, 1.0])
-        ),
+        lambda: conjugation_homotopy(_circle_map(), lambda t: np.eye(2), lambda t: np.zeros((2, 2)), t_res=np.nan),
         ShapeMismatch,
-        "homotopy time nodes must be finite",
+        "a Lobatto rule needs an integer n >= 3 nodes, got nan",
     ),
     "rotation times of a float count": (
-        lambda: rotation_times(5.0),
+        lambda: lobatto_rule(5.0, 0.0, np.pi / 2.0),
         ShapeMismatch,
-        "a homotopy needs an odd node count >= 3, got t_res = 5.0",
+        "a Lobatto rule needs an integer n >= 3 nodes, got 5.0",
     ),
     "rotation times of a fractional count": (
-        lambda: rotation_times(5.5),
+        lambda: lobatto_rule(5.5, 0.0, np.pi / 2.0),
         ShapeMismatch,
-        "a homotopy needs an odd node count >= 3, got t_res = 5.5",
+        "a Lobatto rule needs an integer n >= 3 nodes, got 5.5",
     ),
     "odd inversion float t_res": (
         lambda: inversion_homotopy_odd(_circle_map(), t_res=5.0),
         ShapeMismatch,
-        "a homotopy needs an odd node count >= 3",
+        "a Lobatto rule needs an integer n >= 3 nodes, got 5.0",
     ),
 }
 

@@ -363,6 +363,26 @@ CONTRACT_CHECKS = {
         BandwidthViolation,
         "circle resolution 16 < 4B = 20",
     ),
+    "bott_subspace fractional band": (
+        lambda: bott_subspace(builders.loop_zn(1, res=64), B=2.5),
+        BandwidthViolation,
+        "the declared band B must be an integer >= 1, got 2.5",
+    ),
+    "loop_zn without a pad": (
+        lambda: builders.loop_zn(1, res=16, pad=0),
+        ShapeMismatch,
+        "loop_zn needs an integer n and an integer pad >= 1, got n = 1, pad = 0",
+    ),
+    "loop_zn fractional winding": (
+        lambda: builders.loop_zn(1.5, res=16),
+        ShapeMismatch,
+        "loop_zn needs an integer n and an integer pad >= 1, got n = 1.5, pad = 1",
+    ),
+    "trig_loop fractional winding": (
+        lambda: builders.trig_loop(64, winding=1.5),
+        NotALoop,
+        "trig_loop needs an integer winding, got 1.5",
+    ),
     "det_winding domain": (
         lambda: det_winding(builders.random_unitary_map(np.random.default_rng(0), make_domain("torus2", (8, 8)))),
         ShapeMismatch,

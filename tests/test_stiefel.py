@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 
 from chernlab.builders import frame_family_torus, loop_zn, random_unitary_map
-from chernlab.chernforms import _simpson_weights, ch_even, chern_scalar, trace_wedge
+from chernlab.chernforms import ch_even, chern_scalar, trace_wedge
 from chernlab.errors import AsymmetricWindow, ChernLabError, DegenerateFrame, DegreeOverflow, ShapeMismatch
 from chernlab.geomgrid import SampledMap, differentiate, form_derivative, make_domain
 from chernlab.kops import blocksum, flip_projection
@@ -169,7 +170,7 @@ def simpson_eta(frames, k, t_res=9):
     theta = {(i,): a for i, a in theta.items()}
     ts = np.linspace(0.0, 1.0, t_res)
     acc = {}
-    for t, wt in zip(ts, _simpson_weights(t_res, ts[1] - ts[0])):
+    for t, wt in zip(ts, simpson(np.eye(t_res), x=ts, axis=0)):  # the weights of scipy's Simpson rule
         phi = {key: t * omega_pairs[key] + 0.5 * (t * t - t) * bracket_pairs[key] for key in omega_pairs}
         for idx, val in trace_wedge(theta, *[phi] * (k - 1)).items():
             acc[idx] = acc.get(idx, 0.0) + wt * val
@@ -220,6 +221,11 @@ def _basis_with(value):
 CONTRACT_CHECKS = {
     "basis with a NaN entry": (lambda: SubspaceSpec(WIN, _basis_with(np.nan)), DegenerateFrame, "not orthonormal: nan"),
     "basis with an inf entry": (lambda: SubspaceSpec(WIN, _basis_with(np.inf)), DegenerateFrame, "not orthonormal"),
+    "window of a negative size": (
+        lambda: PolarizedWindow(-1, 2),
+        ShapeMismatch,
+        "window sizes must be integers >= 0, got -1 and 2",
+    ),
 }
 
 
