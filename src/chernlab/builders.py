@@ -199,15 +199,22 @@ def random_band_loop(
     ``gamma = U0 exp(i H(theta)) diag(e^{i n_j theta}) U1`` with ``H`` a
     hermitian trigonometric polynomial; the determinant winds by
     ``sum(n_j)`` and the Fourier band decays superexponentially in ``amp``.
-    The loop carries its exact derivative.
+    The loop carries its exact derivative.  ``winding`` is one integer
+    ``n_1`` (the other strands do not wind) or the ``rank`` integers
+    ``n_j``: ShapeMismatch for another count, and NotALoop for a
+    non-integer, whose strand jumps at ``2 pi``.
     """
     dom = make_domain("circle", res)
     theta = dom.axes[0].coords
     if winding is None:
         winding = [int(rng.integers(-2, 3)) for _ in range(rank)]
-    elif isinstance(winding, int):
-        base = [winding] + [0] * (rank - 1)
-        winding = base
+    elif isinstance(winding, (int, np.integer)):
+        winding = [winding] + [0] * (rank - 1)
+    n = np.asarray(winding)
+    if n.dtype.kind not in "iu":
+        raise NotALoop(f"random_band_loop needs integer windings, got {winding!r}")
+    if n.shape != (rank,):
+        raise ShapeMismatch(f"random_band_loop needs one winding or {rank}, got {winding!r}")
     u0 = haar_unitary(rng, rank)
     u1 = haar_unitary(rng, rank)
     coeffs = {
@@ -216,7 +223,6 @@ def random_band_loop(
     }
     h, dh = _trig_hermitian([theta], coeffs, np.zeros((rank, rank), dtype=complex))
     e, (de,) = _exp_i_hermitian(h, dh)
-    n = np.asarray(winding)
     mono = np.exp(1j * np.multiply.outer(theta, n))[:, None, :]  # diag(e^{i n theta}), as columns
     values = u0 @ (e * mono) @ u1
     partial = u0 @ ((de + 1j * n * e) * mono) @ u1

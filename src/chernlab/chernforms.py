@@ -49,7 +49,6 @@ from .geomgrid import (
     SampledMap,
     _check_codomain,
     _check_frames,
-    _check_partials,
     _check_window,
     _freeze,
     differentiate,
@@ -346,39 +345,33 @@ def _weighted(row: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> np.ndarra
 
 
 def _block_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]))
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
+    out = np.zeros(np.add(a.shape, b.shape))
+    out[: len(a), : a.shape[1]], out[len(a) :, a.shape[1] :] = a, b
     return out
 
 
 class Homotopy:
     """A time-indexed family of sampled maps over one spatial grid, held by
-    t-independent blocks and three real linear maps from its time nodes to
-    them.
+    one store of t-independent blocks and one real weight table per jet.
 
-    Slice ``i`` is ``weights[i] @ blocks``, its time jet ``d(slice)/dt`` is
-    ``time_weights[i] @ time_blocks`` and its jet along spatial axis ``a`` is
-    ``weights[i] @ spatial_blocks[a]``, each sum over the leading block axis
-    of arrays ``(n_blocks, *node_shape, rows, cols)``.  Every time jet is
-    exact: ``time_blocks`` is ``blocks`` itself in :meth:`from_blocks` and
-    the ``time_partials`` of the stacked constructor.  A slice or jet
-    is formed only when it is read, one at a time, by one product over the
-    blocks of its nonzero weights, or as a view of one block when its weight
-    row picks that block out.  The rotation homotopies of :mod:`kops` hold
-    three or five blocks however many time nodes they have
-    (:meth:`from_blocks`).
+    ``blocks`` is one contiguous array ``(n_blocks, *node_shape, rows,
+    cols)``, and every table is ``(n_times, n_blocks)``.  Slice ``i`` is
+    ``weights[i] @ blocks``, its exact time jet ``d(slice)/dt`` is
+    ``time_weights[i] @ blocks`` and its exact jet along spatial axis ``a``
+    is ``spatial_weights[a][i] @ blocks``, each sum over the leading block
+    axis; ``spatial_weights`` is None when the spatial jets are not known.
+    A slice or jet is formed only when it is read, one at a time, by one
+    product over the blocks of its nonzero weights, or as a view of one
+    block when its row picks that block out.  The rotation homotopies of
+    :mod:`kops` hold three or five blocks per jet however many time nodes
+    they have; :func:`kops.conjugation_homotopy` holds its slices and jets
+    node by node, as chunks of its store read by one-hot tables.
 
-    The constructor takes stacked arrays: the ``slices`` become the blocks
-    and their exact ``time_partials`` the time blocks, each with identity
-    weights, so a slice or time jet read is a view.  ``spatial_partials``
-    (one array per spatial axis, each of the shape of ``slices``) are exact
-    derivatives of the slices, supplied by constructors that know them.
-    Each of the three must be finite, or ShapeMismatch names it;
-    :meth:`from_blocks` takes blocks computed from tag-checked maps and
-    does not check them again.  The homotopy takes ownership of the arrays
-    it is given (they are not copied when already contiguous complex) and
-    makes them read-only.
+    There is one constructor, and every check is made in it:
+    ShapeMismatch unless the blocks are finite, ``spatial_weights`` has one
+    table per spatial axis and every table is finite and of its shape.  The
+    homotopy takes ownership of the store (it is not copied when already
+    contiguous complex) and makes it and every table read-only.
 
     A homotopy builds no rule in ``t``: the code that builds it hands in
     its ``times``, finite nodes that increase from the first to the last,
@@ -394,12 +387,12 @@ class Homotopy:
     :attr:`slices`, :attr:`time_partials` (:meth:`time_derivative`) and
     :attr:`spatial_partials` form their whole stacks on every read and keep
     none of them; :func:`cs_forms` never reads them.  The derived homotopies
-    change weights or blocks, never stacks, and keep their held time
-    weights and quadrature: :meth:`restrict` restricts the blocks,
-    :meth:`reversed` flips the weight rows and the quadrature and negates
-    the time weights, sharing every block, :meth:`adjoint` takes the adjoint
-    of every block (all weights are real), and :meth:`concatenate` joins the
-    blocks and the quadratures and puts the weights block-diagonal.
+    change tables or the store, never stacks, and skip the finite and frame
+    checks: :meth:`restrict` restricts the store and keeps the tables of its
+    axes, :meth:`reversed` flips every table and the quadrature and negates
+    the time table, sharing the store, :meth:`adjoint` takes the adjoint of
+    the store (all weights are real), and :meth:`concatenate` joins the
+    stores and the quadratures and puts every table block-diagonal.
 
     A projection-tagged homotopy holds either square projections or, when
     its slices have fewer columns than rows, orthonormal frames ``V`` of
@@ -409,8 +402,7 @@ class Homotopy:
     :meth:`slice_map` returns ``V V*`` with the jets ``d V V* + V d V*``,
     :meth:`adjoint` is the homotopy itself, and :meth:`concatenate` compares
     projections at the junction.  A frame and its jets take ``r/n`` of the
-    memory of the projection.  The derived homotopies hold checked frames
-    and skip the frame check.
+    memory of the projection.
     """
 
     def __init__(
@@ -418,88 +410,59 @@ class Homotopy:
         spatial: DomainGrid,
         times: np.ndarray,
         quadrature: np.ndarray,
-        slices: np.ndarray,
-        time_partials: np.ndarray,
+        blocks: np.ndarray,
+        weights: np.ndarray,
+        time_weights: np.ndarray,
         codomain: str = "generic",
         window: object | None = None,
-        spatial_partials: tuple[np.ndarray, ...] | None = None,
+        spatial_weights: tuple[np.ndarray, ...] | None = None,
     ):
-        eye = np.eye(len(slices))
         self._settle(
-            spatial=spatial, times=times, codomain=codomain, window=window, quadrature=quadrature,
-            blocks=slices, weights=eye, spatial_blocks=spatial_partials,
-            time_blocks=time_partials, time_weights=eye,
+            spatial=spatial, times=times, quadrature=quadrature, blocks=blocks, weights=weights,
+            time_weights=time_weights, codomain=codomain, window=window, spatial_weights=spatial_weights,
         )
-        jets = {"slices": (self.blocks,), "time partials": (self.time_blocks,), "spatial partials": self.spatial_blocks}
-        for name, arrays in jets.items():
-            if not all(np.isfinite(x).all() for x in arrays or ()):
-                raise ShapeMismatch(f"homotopy {name} must be finite")
-        self._check_frame_slices()
-
-    @classmethod
-    def from_blocks(
-        cls, spatial, times, quadrature, blocks, weights, time_weights, codomain, window, spatial_blocks
-    ) -> "Homotopy":
-        """The homotopy whose slice at ``times[i]`` is
-        ``weights[i] @ blocks``, with the exact time jet ``time_weights[i] @
-        blocks`` and the spatial jets ``weights[i] @ spatial_blocks[a]``
-        (None when not known)."""
-        h = object.__new__(cls)
-        h._settle(
-            spatial=spatial, times=times, codomain=codomain, window=window, quadrature=quadrature,
-            blocks=blocks, weights=weights, spatial_blocks=spatial_blocks,
-            time_blocks=blocks, time_weights=time_weights,
-        )
-        h._check_frame_slices()
-        return h
+        if not np.isfinite(self.blocks).all():  # a boolean temporary of 1/16 of the store
+            raise ShapeMismatch("homotopy blocks must be finite")
+        if self.codomain == "projection" and self.slice_shape[-1] != self.slice_shape[-2]:
+            out = np.empty(self.slice_shape, dtype=complex)
+            _check_frames((self._slice(i, out) for i in range(self.n_times)), "projection frame slices")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a Homotopy is immutable; cannot set {name!r}")
 
     def _settle(self, **fields) -> None:
         """Set ``fields``, with every check and normalization of construction
-        but the frame check."""
-        shared = fields["time_blocks"] is fields["blocks"]
-        fields["blocks"] = np.ascontiguousarray(fields["blocks"], dtype=complex)
-        if shared:
-            fields["time_blocks"] = fields["blocks"]
+        but the finite and frame checks."""
         vars(self).update(fields)
         _check_codomain(self.codomain)
         t, q = np.asarray(self.times), np.asarray(self.quadrature)  # cast to float once found real
-        b = self.blocks
-        w = np.asarray(self.weights, dtype=float)
+        b = np.ascontiguousarray(self.blocks, dtype=complex)
         if b.shape[1 : 1 + len(self.spatial.node_shape)] != self.spatial.node_shape:
-            raise ShapeMismatch("slice node shape does not match the spatial grid")
-        if t.ndim != 1 or w.shape != (t.size, len(b)):
-            raise ShapeMismatch("times and slices disagree")
+            raise ShapeMismatch("block node shape does not match the spatial grid")
         _check_window(self.window, b.shape[-2])
-        if self.spatial_blocks is not None:
-            vars(self)["spatial_blocks"] = _check_partials(self.spatial_blocks, self.spatial.dim, b.shape)
         # a concatenation repeats its junction node, so the nodes need only not decrease
-        rising = t.dtype.kind in "iuf" and t.size > 1 and np.isfinite(t).all() and np.diff(t).min() >= 0.0
+        rising = t.dtype.kind in "iuf" and t.ndim == 1 and t.size > 1
+        rising = rising and np.isfinite(t).all() and np.diff(t).min() >= 0.0
         if not (rising and t[-1] > t[0]):
             raise ShapeMismatch("homotopy time nodes must be finite and increase from the first to the last")
         if q.shape != t.shape or q.dtype.kind not in "iuf" or not np.isfinite(q).all():
             raise ShapeMismatch(f"homotopy quadrature needs one finite real weight per time node: {q.size} for {t.size}")
-        tb = np.ascontiguousarray(self.time_blocks, dtype=complex)
-        tw = np.asarray(self.time_weights, dtype=float)
-        if tb.shape[1:] != b.shape[1:] or tw.shape != (t.size, len(tb)):
-            raise ShapeMismatch(f"time partials {tb.shape} do not match the slices {b.shape}")
+        spatial = self.spatial_weights
+        if spatial is not None and len(spatial) != self.spatial.dim:
+            raise ShapeMismatch(f"{len(spatial)} spatial weight tables for {self.spatial.dim} spatial axes")
+        tables = [np.asarray(w, dtype=float) for w in (self.weights, self.time_weights, *(spatial or ()))]
+        if any(w.shape != (t.size, len(b)) or not np.isfinite(w).all() for w in tables):
+            got = [w.shape for w in tables]
+            raise ShapeMismatch(f"homotopy weight tables must be finite and ({t.size}, {len(b)}), got {got}")
+        weights, time_weights, *spatial_weights = map(_freeze, tables)
         vars(self).update(
             times=_freeze(np.array(t, dtype=float)),
-            blocks=_freeze(b),
-            weights=_freeze(w),
-            time_blocks=_freeze(tb),
-            time_weights=_freeze(tw),
             quadrature=_freeze(np.array(q, dtype=float)),
+            blocks=_freeze(b),
+            weights=weights,
+            time_weights=time_weights,
+            spatial_weights=None if spatial is None else tuple(spatial_weights),
         )
-
-    def _check_frame_slices(self) -> None:
-        """The frame check of non-square projection slices, one slice at a
-        time."""
-        if self.codomain == "projection" and self.slice_shape[-1] != self.slice_shape[-2]:
-            out = np.empty(self.slice_shape, dtype=complex)
-            _check_frames((self._slice(i, out) for i in range(self.n_times)), "projection frame slices")
 
     @property
     def n_times(self) -> int:
@@ -521,30 +484,28 @@ class Homotopy:
 
     def _time_jet(self, i: int, out: np.ndarray) -> np.ndarray:
         """The time jet of slice ``i``, into ``out`` unless it is one block."""
-        return _weighted(self.time_weights[i], self.time_blocks, out)
+        return _weighted(self.time_weights[i], self.blocks, out)
 
     def _spatial_jets(self, i: int, out: np.ndarray) -> Iterable[np.ndarray]:
         """The exact spatial jets of slice ``i``, each into the one buffer
         ``out``, taken one at a time as the caller reads them."""
-        return (_weighted(self.weights[i], b, out) for b in self.spatial_blocks)
+        return (_weighted(w[i], self.blocks, out) for w in self.spatial_weights)
 
-    def _stack(self, weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    def _stack(self, weights: np.ndarray) -> np.ndarray:
         """``weights @ blocks`` over every time node, row by row, read-only."""
-        out = np.empty((len(weights), *blocks.shape[1:]), dtype=complex)
+        out = np.empty((len(weights), *self.slice_shape), dtype=complex)
         for row, x in zip(weights, out):
-            y = _weighted(row, blocks, x)
-            if y is not x:
-                x[...] = y
+            np.copyto(x, _weighted(row, self.blocks, x))  # a no-op when the row was written into x
         return _freeze(out)
 
     @property
     def slices(self) -> np.ndarray:
         """Every slice, ``(n_times, *node_shape, rows, cols)``, formed on each read."""
-        return self._stack(self.weights, self.blocks)
+        return self._stack(self.weights)
 
     def time_derivative(self) -> np.ndarray:
         """d(slice)/dt at every time node, formed on each call."""
-        return self._stack(self.time_weights, self.time_blocks)
+        return self._stack(self.time_weights)
 
     @property
     def time_partials(self) -> np.ndarray:
@@ -553,9 +514,7 @@ class Homotopy:
     @property
     def spatial_partials(self) -> tuple[np.ndarray, ...] | None:
         """The exact spatial jets of every slice, formed on each read, or None."""
-        if self.spatial_blocks is None:
-            return None
-        return tuple(self._stack(self.weights, b) for b in self.spatial_blocks)
+        return None if self.spatial_weights is None else tuple(self._stack(w) for w in self.spatial_weights)
 
     def _value(self, v: np.ndarray) -> np.ndarray:
         """The map value of a slice ``v``: ``V V*`` for a frame ``V``."""
@@ -564,26 +523,15 @@ class Homotopy:
     def slice_map(self, i: int) -> SampledMap:
         v = self._slice(i, np.empty(self.slice_shape, dtype=complex))
         partials = None
-        if self.spatial_blocks is not None:
-            partials = tuple(_weighted(self.weights[i], b, np.empty_like(v)) for b in self.spatial_blocks)
+        if self.spatial_weights is not None:
+            partials = tuple(_weighted(w[i], self.blocks, np.empty_like(v)) for w in self.spatial_weights)
             if self._frames:
                 partials = tuple(a + _adjoint(a) for a in (d @ _adjoint(v) for d in partials))
         return SampledMap(self.spatial, self._value(v), codomain=self.codomain, window=self.window, partials=partials)
 
-    def _mapped(self, fn, axes=None, **fields) -> "Homotopy":
-        """The homotopy whose blocks, time blocks and spatial blocks along
-        ``axes`` (all of them by default) are ``fn`` of this one's, with the
-        other ``fields`` replaced."""
-        sb = self.spatial_blocks
-        if sb is not None:
-            sb = tuple(fn(sb[a]) for a in (range(len(sb)) if axes is None else axes))
-        blocks = fn(self.blocks)
-        time_blocks = blocks if self.time_blocks is self.blocks else fn(self.time_blocks)
-        return self._derived(blocks=blocks, time_blocks=time_blocks, spatial_blocks=sb, **fields)
-
     def _derived(self, **fields) -> "Homotopy":
-        """This homotopy with ``fields`` replaced, settled without the frame
-        check: its slices must be frames that a homotopy already checked."""
+        """This homotopy with ``fields`` replaced, settled without the finite
+        and frame checks: its blocks must be those a homotopy already checked."""
         derived = object.__new__(Homotopy)
         derived._settle(**{**vars(self), **fields})
         return derived
@@ -593,26 +541,28 @@ class Homotopy:
         other spatial axis pinned at node 0 (the pin of
         :func:`geomgrid.cycle_integral`)."""
         sub, pin = sub_grid(self.spatial, axes)
-        return self._mapped(lambda a: a[(slice(None), *pin)], spatial=sub, axes=sorted(axes))
+        sw = None if self.spatial_weights is None else tuple(self.spatial_weights[a] for a in sorted(axes))
+        return self._derived(spatial=sub, blocks=self.blocks[(slice(None), *pin)], spatial_weights=sw)
 
     def reversed(self) -> "Homotopy":
-        t = self.times
+        t, sw = self.times, self.spatial_weights
         return self._derived(
             times=t[-1] - t[::-1] + t[0],
             weights=self.weights[::-1],
             time_weights=-self.time_weights[::-1],
+            spatial_weights=None if sw is None else tuple(w[::-1] for w in sw),
             quadrature=self.quadrature[::-1],
         )
 
     def adjoint(self) -> "Homotopy":
         if self._frames:  # projections are self-adjoint
             return self
-        return self._mapped(_adjoint)
+        return self._derived(blocks=_adjoint(self.blocks))
 
     @staticmethod
     def concatenate(first: "Homotopy", second: "Homotopy") -> "Homotopy":
-        """``first`` then ``second``, each keeping its time weights and
-        quadrature; NotALoop unless the junction slices agree within 1e-10."""
+        """``first`` then ``second``, each keeping its tables and quadrature;
+        NotALoop unless the junction slices agree within 1e-10."""
 
         def kind(h: Homotopy) -> tuple:
             return h.spatial, h.codomain, h.window, h.slice_shape
@@ -624,18 +574,14 @@ class Homotopy:
         if not junction < 1e-10:
             raise NotALoop(f"junction slices differ by {junction:.3e}")
         shift = first.times[-1] - second.times[0]
-        blocks = np.concatenate([first.blocks, second.blocks])
-        shared = first.time_blocks is first.blocks and second.time_blocks is second.blocks
-        sp = None
-        if first.spatial_blocks is not None and second.spatial_blocks is not None:
-            sp = tuple(np.concatenate([a, b]) for a, b in zip(first.spatial_blocks, second.spatial_blocks))
+        both = first.spatial_weights is not None and second.spatial_weights is not None
+        sw = tuple(map(_block_diagonal, first.spatial_weights, second.spatial_weights)) if both else None
         return first._derived(
             times=np.concatenate([first.times, second.times + shift]),
-            blocks=blocks,
+            blocks=np.concatenate([first.blocks, second.blocks]),
             weights=_block_diagonal(first.weights, second.weights),
-            time_blocks=blocks if shared else np.concatenate([first.time_blocks, second.time_blocks]),
             time_weights=_block_diagonal(first.time_weights, second.time_weights),
-            spatial_blocks=sp,
+            spatial_weights=sw,
             quadrature=np.concatenate([first.quadrature, second.quadrature]),
         )
 
@@ -653,8 +599,9 @@ def _cs_degree(codomain: str, k: int) -> int:
 class _SliceWorkspace:
     """The full-grid arrays of one :func:`cs_forms` pass, allocated once and
     refilled in place at every time slice; none of them is returned.  Each
-    slice and its jets are evaluated from the blocks of the homotopy into
-    buffers of the workspace (a slice that is one block is read in place).
+    slice and its jets are rows of the weight tables of the homotopy over its
+    one block store, evaluated into buffers of the workspace (a row that
+    picks out one block is read in place).
 
     Unitary slices (only ``k > 1`` come here) are taken in the right
     logarithmic derivative ``beta_a = d_a f f^{-1} = f alpha_a f^{-1}``,
@@ -694,7 +641,7 @@ class _SliceWorkspace:
         self.ks = ks
         self.unitary = H.codomain == "unitary"
         self.value, self.time_jet = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-        if H.spatial_blocks is not None:
+        if H.spatial_weights is not None:
             self.exact = np.empty(shape, dtype=complex)
         if self.unitary:
             *nodes, _, self.n = shape
@@ -708,7 +655,7 @@ class _SliceWorkspace:
             self.frames = H._frames
             # slot 0 is t: the (0, i) pairs are iota_t Omega, the others Omega
             self.kernel = _FrameCurvature(dim + 1)
-            if H.spatial_blocks is None:
+            if H.spatial_weights is None:
                 self.jet = np.empty((*shape[:-1], shape[-2]), dtype=complex)
 
     def _rows(self, x: np.ndarray) -> list[np.ndarray]:
@@ -726,7 +673,7 @@ class _SliceWorkspace:
         when it has none, before the ``t`` quadrature and the normalization."""
         H = self.H
         v, dv_dt = H._slice(it, self.value), H._time_jet(it, self.time_jet)
-        exact = None if H.spatial_blocks is None else H._spatial_jets(it, self.exact)
+        exact = None if H.spatial_weights is None else H._spatial_jets(it, self.exact)
         dim = H.spatial.dim
         if self.unitary:
             rows = self._rows(self.jets)
@@ -764,10 +711,10 @@ class _SliceWorkspace:
 def _unitary_cs_zero(H: Homotopy) -> np.ndarray:
     """``sum_i q_i tr(f_i^{-1} df_i/dt)`` over the time nodes, the ``CS_0``
     integrand of unitary slices integrated in ``t``, from pairings of the
-    blocks: with slices ``W B``, jets ``W' B'`` and quadrature ``q`` it is
-    ``sum_kl c_kl tr(B_k* B'_l)`` with ``c = W^T diag(q) W'``, taken over the
-    nonzero ``c_kl`` only (6 pairings of 3 blocks on an odd rotation
-    homotopy, whatever its time nodes)."""
+    store: with slices ``W B``, time jets ``W' B`` and quadrature ``q`` it
+    is ``sum_kl c_kl tr(B_k* B_l)`` with ``c = W^T diag(q) W'``, taken over
+    the nonzero ``c_kl`` only (6 pairings of 3 blocks on an odd rotation
+    homotopy, whatever its time nodes and spatial jets)."""
     c = H.weights.T @ (H.quadrature[:, None] * H.time_weights)
     conj = np.empty(H.slice_shape, dtype=complex)
     acc = np.zeros(H.spatial.node_shape, dtype=complex)
@@ -776,7 +723,7 @@ def _unitary_cs_zero(H: Homotopy) -> np.ndarray:
         if nonzero.size:
             finv = {(): np.swapaxes(np.conjugate(H.blocks[k], out=conj), -1, -2)}
             for j in nonzero:
-                acc += row[j] * trace_wedge(finv, {(): H.time_blocks[j]})[()]
+                acc += row[j] * trace_wedge(finv, {(): H.blocks[j]})[()]
     return acc
 
 
@@ -818,9 +765,10 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
       1-form ``(iota_t Omega)_i = p [dp/dt, d_i p]``, the ``(t, i)`` pairs of
       the space-time curvature.
 
-    The pass evaluates each slice and its jets from the blocks of ``H``
-    into a workspace, allocated once per call and refilled in place at every
-    slice (:class:`_SliceWorkspace`); no stack of slices is formed.  Each
+    The pass evaluates each slice and its jets, rows of the weight tables
+    of ``H`` over its one block store, into a workspace, allocated once per
+    call and refilled in place at every slice (:class:`_SliceWorkspace`); no
+    stack of slices is formed.  Each
     slice's spatial jets, ``alpha_t`` or ``iota_t Omega`` and curvature
     pairs are built once and shared by every degree.  Projection slices
     (square, or frames ``V`` of ``V V*``, see :class:`Homotopy`) take every

@@ -257,10 +257,11 @@ class GradedForm:
     comps: dict[tuple[int, ...], np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.form_degree > self.domain.dim:
-            raise DegreeOverflow(
-                f"form degree {self.form_degree} exceeds domain dimension {self.domain.dim}"
-            )
+        deg = self.form_degree
+        if not (isinstance(deg, (int, np.integer)) and deg >= 0):
+            raise DegreeOverflow(f"form degree must be a non-negative integer, got {deg!r}")
+        if deg > self.domain.dim:
+            raise DegreeOverflow(f"form degree {deg} exceeds domain dimension {self.domain.dim}")
         clean = {}
         for idx, arr in self.comps.items():
             idx = tuple(int(i) for i in idx)

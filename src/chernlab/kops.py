@@ -11,11 +11,14 @@ reversal.
 
 The canonical rotation homotopies are closed forms: each slice, time jet
 and spatial jet is a sum of t-independent blocks of the leaf with
-trigonometric weights in ``t``.  A homotopy holds the blocks and the
-weight tables (:meth:`Homotopy.from_blocks`), never a stack over its time
+trigonometric weights in ``t``.  A homotopy holds one store of blocks and
+one weight table per jet (:class:`Homotopy`), never a stack over its time
 nodes, and forms each slice or jet when it is read, by one product over
 the blocks.  The odd ones hold three full-size blocks, with weights in
-``cos 2t`` and ``sin 2t``, the even one five half-width blocks of its frames.
+``cos 2t`` and ``sin 2t``, the even one five half-width blocks of its frames,
+and each holds as many more per spatial axis when its leaf carries exact
+partials.  Every builder writes its blocks into one preallocated store,
+which the homotopy takes without a copy.
 
 Every homotopy built here takes its time nodes and its ``t`` quadrature from
 one rule, the ``t_res``-node Gauss-Lobatto rule of :func:`lobatto_rule`
@@ -30,7 +33,6 @@ Eckmann-Hilton homotopy of ``e^{ipk_1}`` and ``e^{iqk_2}`` the integral of
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial.legendre import legval
 
 from .chernforms import Homotopy
 from .errors import AsymmetricWindow, BadPathStart, ShapeMismatch
@@ -128,7 +130,10 @@ def flip_projection(p: np.ndarray, window: PolarizedWindow) -> np.ndarray:
 
 
 def flip_projection_map(p: SampledMap) -> SampledMap:
-    """Nodewise :func:`flip_projection`; exact partials carry over, negated and flipped."""
+    """Nodewise :func:`flip_projection` of a projection-tagged map; exact
+    partials carry over, negated and flipped."""
+    if p.codomain != "projection":
+        raise ShapeMismatch(f"flip of a projection map needs a projection-tagged map, got {p.codomain!r}")
     if p.window is None:
         raise AsymmetricWindow("flip of a projection map needs a window")
     partials = None
@@ -190,16 +195,20 @@ def lobatto_rule(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 
     The interior nodes are the zeros of ``P'_{n-1}``, the eigenvalues of
     its symmetric tridiagonal Jacobi matrix (Golub-Welsch, *Math. Comp.* 23,
-    1969), and the weights on ``[-1, 1]`` are ``2 / (n (n-1) P_{n-1}(x)^2)``.
-    On 3 nodes it is Simpson's rule.  ShapeMismatch unless ``n`` is an
-    integer of at least 3.
+    1969), and the weights on ``[-1, 1]`` are ``2 / (n (n-1) P_{n-1}(x)^2)``,
+    with ``P_{n-1}`` taken by the three-term recurrence ``(k+1) P_{k+1} =
+    (2k+1) x P_k - k P_{k-1}``.  On 3 nodes it is Simpson's rule.
+    ShapeMismatch unless ``n`` is an integer of at least 3.
     """
     if not isinstance(n, (int, np.integer)) or n < 3:
         raise ShapeMismatch(f"a Lobatto rule needs an integer n >= 3 nodes, got {n}")
     k = np.arange(1, n - 2)
     off = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))  # eigvalsh reads the lower triangle
     x = np.concatenate([[-1.0], np.linalg.eigvalsh(np.diag(off, -1)), [1.0]])
-    w = (b - a) / (n * (n - 1) * legval(x, np.eye(n)[-1]) ** 2)  # the weights on [-1, 1] times (b - a)/2
+    before, legendre = np.ones_like(x), x  # P_0 and P_1
+    for k in range(1, n - 1):
+        before, legendre = legendre, ((2 * k + 1) * x * legendre - k * before) / (k + 1)
+    w = (b - a) / (n * (n - 1) * legendre**2)  # the weights on [-1, 1] times (b - a)/2
     return a + 0.5 * (b - a) * (x + 1.0), w
 
 
@@ -227,28 +236,42 @@ def conjugation_homotopy(f: SampledMap, path, path_derivative, t_res: int = DEFA
     a, da = stacked(path), stacked(path_derivative)
     if not np.abs(a[0] - np.eye(n)).max() < 1e-10:
         raise BadPathStart("conjugation path must start at the identity")
-    a_adj = np.swapaxes(a, -1, -2).conj()
+    a_adj, da_adj = (np.swapaxes(x, -1, -2).conj() for x in (a, da))
+    partials = f.partials or ()
+    store = np.empty(((2 + len(partials)) * t_res, *f.values.shape), dtype=complex)
+    slices, jets, *spatial = np.split(store, 2 + len(partials))
     af = a @ f.values
-    spatial = tuple(a @ d @ a_adj for d in f.partials or ()) or None
-    partials = da @ f.values @ a_adj + af @ np.swapaxes(da, -1, -2).conj()
-    return Homotopy(f.domain, times, quadrature, af @ a_adj, partials, f.codomain, f.window, spatial)
+    np.matmul(af, a_adj, out=slices)
+    np.add(da @ f.values @ a_adj, af @ da_adj, out=jets)
+    for d, out in zip(partials, spatial):
+        np.matmul(a @ d, a_adj, out=out)
+    tables = [np.eye(t_res, len(store), j * t_res) for j in range(2 + len(partials))]
+    return Homotopy(f.domain, times, quadrature, store, *tables[:2], f.codomain, f.window, tuple(tables[2:]) or None)
 
 
-def _rotation_blocks(diag0, diag1, half_x: np.ndarray, half_y: np.ndarray) -> np.ndarray:
-    """The blocks ``(diag0 + x/2) (+) (diag1 + y/2)``, ``(-x/2) (+) (y/2)``
-    and ``[[0, x/2], [y/2, 0]]`` in the interleave of :func:`blocksum`, from
-    ``half_x = x/2`` and ``half_y = y/2``, which it overwrites.  Every block
-    is copied in from them: a ufunc that writes into a strided view of the
-    blocks buffers an operand of their size."""
-    n = half_x.shape[-1]
-    blocks = np.zeros((3, *half_x.shape[:-2], 2 * n, 2 * n), dtype=complex)
-    b0, b1, b2 = blocks
+def _group_tables(groups: int, weights: np.ndarray, time_weights: np.ndarray) -> tuple:
+    """The weight, time and spatial tables of a store of ``groups`` equal
+    groups of blocks, those of the slices first and then one per spatial
+    axis, each group read by the rows of ``weights`` (``time_weights`` for
+    the time jet of the first): ``kron(e_j, weights)`` for group ``j``."""
+    onehot = np.eye(groups)
+    spatial = tuple(np.kron(e, weights) for e in onehot[1:]) or None
+    return np.kron(onehot[0], weights), np.kron(onehot[0], time_weights), spatial
+
+
+def _rotation_blocks(diag0, diag1, half_x: np.ndarray, half_y: np.ndarray, out: np.ndarray) -> None:
+    """Write the blocks ``(diag0 + x/2) (+) (diag1 + y/2)``, ``(-x/2) (+)
+    (y/2)`` and ``[[0, x/2], [y/2, 0]]`` in the interleave of
+    :func:`blocksum` into the zeroed ``out``, from ``half_x = x/2`` and
+    ``half_y = y/2``, which it overwrites.  Every block is copied in from
+    them: a ufunc that writes into a strided view of the blocks buffers an
+    operand of their size."""
+    b0, b1, b2 = out
     b2[..., 0::2, 1::2] = half_x
     b1[..., 1::2, 1::2] = b2[..., 1::2, 0::2] = half_y
     b1[..., 0::2, 0::2] = np.negative(half_x, out=half_x)
     b0[..., 0::2, 0::2] = np.subtract(diag0, half_x, out=half_x)  # diag0 + x/2, exactly
     b0[..., 1::2, 1::2] = np.add(half_y, diag1, out=half_y)
-    return blocks
 
 
 def _rotation_homotopy(
@@ -273,17 +296,18 @@ def _rotation_homotopy(
     c2, s2 = np.cos(2 * times), np.sin(2 * times)
     weights = np.stack([np.ones_like(times), c2, s2], axis=1)
     time_weights = np.stack([0.0 * times, -2.0 * s2, 2.0 * c2], axis=1)
+    pairs = () if a.partials is None or y_partials is None else tuple(zip(a.partials, y_partials))
+    n = a.cols
+    store = np.zeros((3 * (1 + len(pairs)), *a.values.shape[:-2], 2 * n, 2 * n), dtype=complex)
     x = a.values @ y
-    spatial = None
-    if a.partials is not None and y_partials is not None:
-        spatial = tuple(
-            _rotation_blocks(da, 0.0, 0.5 * (da @ y + a.values @ db), 0.5 * db) for da, db in zip(a.partials, y_partials)
-        )
+    for k, (da, db) in enumerate(pairs, 1):
+        _rotation_blocks(da, 0.0, 0.5 * (da @ y + a.values @ db), 0.5 * db, store[3 * k : 3 * k + 3])
     x *= 0.5
     y *= 0.5
     # a float identity would be cast through a buffer the size of y
-    blocks = _rotation_blocks(a.values, np.eye(a.cols, dtype=complex), x, y)
-    return Homotopy.from_blocks(a.domain, times, quadrature, blocks, weights, time_weights, "unitary", window, spatial)
+    _rotation_blocks(a.values, np.eye(n, dtype=complex), x, y, store[:3])
+    w, tw, sw = _group_tables(1 + len(pairs), weights, time_weights)
+    return Homotopy(a.domain, times, quadrature, store, w, tw, "unitary", window, sw)
 
 
 def inversion_homotopy_odd(f: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotopy:
@@ -355,13 +379,12 @@ def inversion_homotopy_even(x: SampledMap, t_res: int = DEFAULT_T_RES) -> Homoto
     gen[q, p], gen[p, q] = 1.0, -1.0  # J e_p = e_q, J e_q = -e_p
     square = gen @ gen
 
-    def blocks(leaf: np.ndarray) -> np.ndarray:
-        """The five blocks of ``S = leaf (+) flip leaf``, from ``S Pi_+``,
-        ``S J Pi_+`` and ``S J^2 Pi_+``, each product written into its block
-        or one scratch array."""
+    def blocks(leaf: np.ndarray, out: np.ndarray) -> None:
+        """Write the five blocks of ``S = leaf (+) flip leaf`` into ``out``,
+        from ``S Pi_+``, ``S J Pi_+`` and ``S J^2 Pi_+``, each product written
+        into its block or one scratch array."""
         summed = blocksum(leaf, flip(leaf, win))
         s0, s1, s2 = summed[..., big.n_minus :], summed @ gen[:, big.n_minus :], summed @ square[:, big.n_minus :]
-        out = np.empty((5, *s0.shape), dtype=complex)
         one, sin, cos, cos2, sincos = out
         scratch = np.empty_like(s0)
         np.matmul(square, s2, out=cos2)  # B_5
@@ -380,13 +403,14 @@ def inversion_homotopy_even(x: SampledMap, t_res: int = DEFAULT_T_RES) -> Homoto
         sincos -= np.matmul(square, s1, out=scratch)  # -B_4
         np.subtract(s1, np.matmul(gen, s0, out=scratch), out=sin)  # B_1
         sin -= sincos
-        return out
 
     times, quadrature = lobatto_rule(t_res, 0.0, np.pi / 2.0)
     c, s = np.cos(times), np.sin(times)
     weights = np.stack([np.ones_like(times), s, c, c * c, s * c], axis=1)
     time_weights = np.stack([0.0 * times, c, -s, -2.0 * s * c, c * c - s * s], axis=1)
-    spatial = None if x.partials is None else tuple(blocks(d) for d in x.partials)
-    return Homotopy.from_blocks(
-        x.domain, times, quadrature, blocks(x.values), weights, time_weights, "projection", big, spatial
-    )
+    leaves = (x.values, *(x.partials or ()))
+    store = np.empty((5 * len(leaves), *x.domain.node_shape, big.dim, big.n_plus), dtype=complex)
+    for leaf, out in zip(leaves, np.split(store, len(leaves))):
+        blocks(leaf, out)
+    w, tw, sw = _group_tables(len(leaves), weights, time_weights)
+    return Homotopy(x.domain, times, quadrature, store, w, tw, "projection", big, sw)

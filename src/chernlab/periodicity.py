@@ -135,6 +135,8 @@ def det_winding(gamma: SampledMap) -> int:
     nothing."""
     if gamma.domain.kind != "circle":
         raise ShapeMismatch("winding needs a circle-sampled loop")
+    if gamma.rows != gamma.cols:
+        raise ShapeMismatch(f"winding needs square loop values, got {gamma.rows} x {gamma.cols}")
     dets = np.linalg.det(gamma.values)
     bad = np.flatnonzero(~np.isfinite(dets))
     if bad.size:
@@ -294,8 +296,10 @@ def bott_consistency(gamma: SampledMap, M: int | None = None, B: int | None = No
     band (by default the measured band ``b``).  ``M`` sizes no array: it is
     the half-width of a mode window the caller declares, and a window with
     ``M <= 2b`` cannot hold ``W``'s finite part and raises
-    ``BandwidthViolation``.
+    ``BandwidthViolation``, as does an ``M`` that is not an integer.
     """
+    if M is not None and not isinstance(M, (int, np.integer)):
+        raise BandwidthViolation(f"the window half-width M must be an integer, got {M!r}")
     ch1 = integrate(ch_odd(gamma, 1))
     route_a = -ch1.real
     route_b = det_winding(gamma)

@@ -37,6 +37,7 @@ from chernlab.geomgrid import (
 from chernlab.kops import blocksum, conjugation_homotopy, inversion_homotopy_even, inversion_homotopy_odd, lobatto_rule
 from chernlab.numkernel import _real_form
 from chernlab.stiefel import PolarizedWindow, _curvature
+from homotopy_stacks import stacked_homotopy
 
 RNG = np.random.default_rng(11)
 
@@ -337,7 +338,7 @@ def test_ch_total_cutoffs():
 
 def constant_homotopy(f, t_res=9):
     slices = np.broadcast_to(f.values, (t_res, *f.values.shape)).copy()
-    return Homotopy(f.domain, *lobatto_rule(t_res, 0.0, 1.0), slices, np.zeros_like(slices), codomain=f.codomain)
+    return stacked_homotopy(f.domain, *lobatto_rule(t_res, 0.0, 1.0), slices, codomain=f.codomain)
 
 
 def phase_homotopy(res=128, t_res=17):
@@ -349,7 +350,7 @@ def phase_homotopy(res=128, t_res=17):
     for i, t in enumerate(times):
         slices[i, :, 0, 0] = np.exp(1j * (t * np.sin(th) + 0.3 * t * t * np.cos(th)))
     rate = 1j * (np.sin(th) + 0.6 * times[:, None] * np.cos(th))
-    return Homotopy(dom, times, quadrature, slices, rate[..., None, None] * slices, codomain="unitary")
+    return stacked_homotopy(dom, times, quadrature, slices, rate[..., None, None] * slices, codomain="unitary")
 
 
 def test_cs_constant_homotopy_zero():
@@ -370,7 +371,7 @@ def test_cs_stokes_identity_and_order():
         times, quadrature = lobatto_rule(t_res, 0.0, 1.0)
         slices = np.exp(1j * np.sin(times)[:, None] * a)[..., None, None]
         rate = 1j * np.cos(times)[:, None] * a
-        h = Homotopy(dom, times, quadrature, slices, rate[..., None, None] * slices, codomain="unitary")
+        h = stacked_homotopy(dom, times, quadrature, slices, rate[..., None, None] * slices, codomain="unitary")
         cs0 = cs_forms(h, 1)[1]
         dcs = form_derivative(cs0)
         ch1_end = ch_odd(h.slice_map(h.n_times - 1), 1)
@@ -398,7 +399,7 @@ def test_cs_stokes_degree_two_on_torus3():
     for i, t in enumerate(times):
         flat = (1j * t * gen).reshape(-1, 2, 2)
         slices[i] = np.stack([expm(m) for m in flat]).reshape(10, 10, 10, 2, 2)
-    h = Homotopy(dom, times, quadrature, slices, 1j * gen @ slices, codomain="unitary")
+    h = stacked_homotopy(dom, times, quadrature, slices, 1j * gen @ slices, codomain="unitary")
     cs2 = cs_forms(h, 2)[2]
     dcs = form_derivative(cs2)
     ch3 = ch_odd(h.slice_map(t_res - 1), 2)
@@ -432,7 +433,7 @@ def test_cs_exact_verdicts():
     slices = np.empty((t_res, 64, 1, 1), dtype=complex)
     for i, t in enumerate(times):
         slices[i, :, 0, 0] = np.exp(1j * (th + 2 * np.pi * t))
-    h = Homotopy(dom, times, quadrature, slices, 2j * np.pi * slices, codomain="unitary")
+    h = stacked_homotopy(dom, times, quadrature, slices, 2j * np.pi * slices, codomain="unitary")
     rep = cs_exact(h, k_max=1)
     assert rep["verdict"] is False
     cs0 = cs_forms(h, 1)[1]
@@ -449,7 +450,8 @@ def test_cs_concatenation_additivity():
     slices = np.empty((9, 64, 1, 1), dtype=complex)
     for i, t in enumerate(times):
         slices[i] = end * np.exp(1j * t * 0.4 * np.cos(2 * th))[:, None, None]
-    h2 = Homotopy(dom, times, quadrature, slices, 0.4j * np.cos(2 * th)[:, None, None] * slices, codomain="unitary")
+    rate = 0.4j * np.cos(2 * th)[:, None, None]
+    h2 = stacked_homotopy(dom, times, quadrature, slices, rate * slices, codomain="unitary")
     cat = Homotopy.concatenate(h1, h2)
     lhs = cs_forms(cat, 1)[1]
     rhs = cs_forms(h1, 1)[1] + cs_forms(h2, 1)[1]
@@ -472,7 +474,7 @@ def test_homotopy_window_must_span_the_slice_rows():
     h = _even_inversion()
     with pytest.raises(ShapeMismatch, match="window of dim 4 tags values of 8 rows"):
         window = PolarizedWindow(1, 3)
-        Homotopy(h.spatial, h.times, h.quadrature, h.slices, h.time_partials, codomain="projection", window=window)
+        stacked_homotopy(h.spatial, h.times, h.quadrature, h.slices, h.time_partials, "projection", window)
 
 
 def test_concatenate_rejects_mismatched_windows():
@@ -488,7 +490,7 @@ def test_concatenate_rejects_mismatched_windows():
 def _like(h, slices, time_partials, codomain="projection", window="same"):
     """A homotopy on the times of ``h`` with other slices and time jet."""
     window = h.window if window == "same" else window
-    return Homotopy(h.spatial, h.times, h.quadrature, slices, time_partials, codomain=codomain, window=window)
+    return stacked_homotopy(h.spatial, h.times, h.quadrature, slices, time_partials, codomain=codomain, window=window)
 
 
 def _regauged(h, seed=5):
@@ -527,7 +529,7 @@ def test_derived_frame_homotopies_skip_the_frame_check(monkeypatch):
     assert h.adjoint() is h and h.reversed().restrict((0,)).slices.shape == (5, 8, 8, 4)
     loop = Homotopy.concatenate(h, back)
     assert calls == []
-    rebuilt = Homotopy(
+    rebuilt = stacked_homotopy(
         h.spatial,
         back.times,
         back.quadrature,
@@ -573,9 +575,9 @@ def test_frames_without_columns_give_zero_cs_forms(exact_jets):
     # them (defect 0), and both degrees of the kernel read zero slots
     dom = make_domain("torus3", (8, 8, 8))
     blocks = np.zeros((5, 8, 8, 8, 2, 0), dtype=complex)
-    spatial = (blocks,) * 3 if exact_jets else None
-    eye = np.eye(5)
-    h = Homotopy.from_blocks(dom, *lobatto_rule(5, 0.0, 1.0), blocks, eye, 0.0 * eye, "projection", None, spatial)
+    eye = np.eye(5)  # the jets along every axis read the slices' blocks
+    spatial = (eye,) * 3 if exact_jets else None
+    h = Homotopy(dom, *lobatto_rule(5, 0.0, 1.0), blocks, eye, 0.0 * eye, "projection", None, spatial)
     forms = cs_forms(h)
     assert forms.keys() == {1, 2}
     assert forms[1].comps.keys() == {(0,), (1,), (2,)} and forms[2].comps.keys() == {(0, 1, 2)}
@@ -599,13 +601,13 @@ def test_frame_homotopy_reads_as_its_projections():
 def test_homotopy_times_must_increase(times):
     h = phase_homotopy(res=16, t_res=5)
     with pytest.raises(ShapeMismatch, match="time nodes must be finite and increase"):
-        Homotopy(h.spatial, times, h.quadrature, h.slices, h.time_partials, codomain="unitary")
+        stacked_homotopy(h.spatial, times, h.quadrature, h.slices, h.time_partials, codomain="unitary")
 
 
 def test_homotopy_rejects_an_unknown_codomain_tag():
     h = phase_homotopy(res=16, t_res=5)
     with pytest.raises(ShapeMismatch, match="'unitray'"):
-        Homotopy(h.spatial, h.times, h.quadrature, h.slices, h.time_partials, codomain="unitray")
+        stacked_homotopy(h.spatial, h.times, h.quadrature, h.slices, h.time_partials, codomain="unitray")
 
 
 def test_a_stacked_homotopy_takes_its_exact_time_jet():
@@ -614,11 +616,14 @@ def test_a_stacked_homotopy_takes_its_exact_time_jet():
     gen = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
     h = conjugation_homotopy(f, lambda t: expm(t * gen), lambda t: gen @ expm(t * gen), t_res=3)
     assert cs_forms(h).keys() == {1}
-    with pytest.raises(TypeError, match="time_partials"):
-        Homotopy(h.spatial, h.times, h.quadrature, h.slices, codomain="unitary")
+    # its slices, time jets and spatial jets are three chunks of its store, read by one-hot tables
+    assert h.blocks.shape[0] == 9 and np.array_equal(h.time_weights, np.eye(3, 9, 3))
+    assert np.array_equal(h.time_partials, h.blocks[3:6])
+    with pytest.raises(TypeError, match="time_weights"):
+        Homotopy(h.spatial, h.times, h.quadrature, h.blocks, h.weights, codomain="unitary")
     # and the builder hands in the quadrature: there is no default rule
     with pytest.raises(TypeError, match="quadrature"):
-        Homotopy(h.spatial, h.times, slices=h.slices, time_partials=h.time_partials, codomain="unitary")
+        Homotopy(h.spatial, h.times, blocks=h.blocks, weights=h.weights, time_weights=h.time_weights)
     with pytest.raises(TypeError, match="path_derivative"):
         conjugation_homotopy(f, lambda t: expm(t * gen))
 
@@ -636,7 +641,7 @@ def test_homotopy_holds_its_time_jet_from_construction():
     assert np.array_equal(rev.time_partials, -h.time_partials[::-1])
     assert np.array_equal(cat.time_partials, np.concatenate([h.time_partials, rev.time_partials]))
     # a joined homotopy on other nodes keeps its time jet and its own quadrature
-    short = Homotopy(h.spatial, *lobatto_rule(5, 0.0, 1.0), rev.slices[::2], rev.time_partials[::2], codomain="unitary")
+    short = stacked_homotopy(h.spatial, *lobatto_rule(5, 0.0, 1.0), rev.slices[::2], rev.time_partials[::2], "unitary")
     mixed = Homotopy.concatenate(h, short)
     assert np.array_equal(mixed.time_partials, np.concatenate([h.time_partials, short.time_partials]))
     assert np.array_equal(mixed.quadrature, np.concatenate([h.quadrature, short.quadrature]))
@@ -955,7 +960,7 @@ def _phase_twisted(h):
     a = (np.cos(x[0]) + 0.5 * np.sin(x[1] + x[2]))[..., None, None]
     phase = np.exp(1j * h.times.reshape(-1, *[1] * (h.slices.ndim - 1)) * a)
     dt = phase * (1j * a * h.slices + h.time_derivative())
-    return Homotopy(h.spatial, h.times, h.quadrature, phase * h.slices, dt, codomain="unitary")
+    return stacked_homotopy(h.spatial, h.times, h.quadrature, phase * h.slices, dt, codomain="unitary")
 
 
 @pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "phase_twisted"])
@@ -984,7 +989,7 @@ def _phase_family(t_res):
     phase = np.exp(1j * times**2 * phi)
     slices = blocksum(phase, np.ones_like(phase))
     jets = blocksum(2j * times * phi * phase, np.zeros_like(phase))
-    return Homotopy(dom, nodes, quadrature, slices, jets, codomain="unitary"), phi[..., 0, 0]
+    return stacked_homotopy(dom, nodes, quadrature, slices, jets, codomain="unitary"), phi[..., 0, 0]
 
 
 def test_cs_zero_of_a_phase_family_is_its_phase():
@@ -998,15 +1003,15 @@ def test_cs_zero_of_a_phase_family_is_its_phase():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_cs_zero_pairings_are_the_slice_by_slice_integral(seed):
-    # sum_kl c_kl tr(B_k* B'_l), c = W^T diag(q) W', is sum_i q_i tr(f_i* df_i/dt)
+    # sum_kl c_kl tr(B_k* B_l), c = W^T diag(q) W', is sum_i q_i tr(f_i* df_i/dt)
     # for any blocks and real weights, derived homotopies included
     rng = np.random.default_rng(seed)
     dom = make_domain("circle", 8)
     n, k = 7, 3
     blocks = rng.standard_normal((k, 8, 2, 2)) + 1j * rng.standard_normal((k, 8, 2, 2))
     weights, time_weights = rng.standard_normal((2, n, k))
-    h = Homotopy.from_blocks(dom, *lobatto_rule(n, 0.0, 1.0), blocks, weights, time_weights, "unitary", None, None)
-    stacked = Homotopy(dom, h.times, h.quadrature, h.slices, h.time_partials, "unitary")  # identity weights
+    h = Homotopy(dom, *lobatto_rule(n, 0.0, 1.0), blocks, weights, time_weights, "unitary")
+    stacked = stacked_homotopy(dom, h.times, h.quadrature, h.slices, h.time_partials, "unitary")  # one-hot tables
     for x in (h, h.reversed(), Homotopy.concatenate(h, Homotopy.concatenate(h.reversed(), h)), stacked):
         pairs = zip(x.quadrature, x.slices, x.time_partials)
         expected = sum(q * np.einsum("...ij,...ij->...", s.conj(), j) for q, s, j in pairs)
@@ -1210,24 +1215,8 @@ def test_cs_exact_takes_each_full_grid_jet_once_on_projection_slices(monkeypatch
     assert ranks.count(3) == 3 * h.n_times
 
 
-def _stack_homotopy(slices, codomain="unitary", times=None, time_partials=None, quadrature=None):
-    """The homotopy on the 8-node circle whose slices are ``slices`` (the
-    Lobatto nodes and weights of ``[0, 1]`` and a zero time jet by default)."""
-    nodes, weights = lobatto_rule(len(slices), 0.0, 1.0)
-    times = nodes if times is None else times
-    quadrature = weights if quadrature is None else quadrature
-    time_partials = np.zeros_like(slices) if time_partials is None else time_partials
-    return Homotopy(make_domain("circle", 8), times, quadrature, slices, time_partials, codomain=codomain)
-
-
-def _block_homotopy(slices, codomain="unitary", quadrature=None):
-    """:func:`_stack_homotopy` built through ``from_blocks``, which does not
-    check its blocks for finiteness: one block per slice, zero time jets."""
-    eye = np.eye(len(slices))
-    times, weights = lobatto_rule(len(slices), 0.0, 1.0)
-    quadrature = weights if quadrature is None else quadrature
-    dom = make_domain("circle", 8)
-    return Homotopy.from_blocks(dom, times, quadrature, slices, eye, 0.0 * eye, codomain, None, None)
+CIRCLE8 = make_domain("circle", 8)
+LOBATTO5 = lobatto_rule(5, 0.0, 1.0)
 
 
 def _eye_slices(t_res=5, rows=2, cols=2):
@@ -1239,6 +1228,17 @@ def _at_one_node(slices, value, it=2, node=3):
     out = slices.copy()
     out[it, node] = value
     return out
+
+
+def _overflowing(weights, codomain="generic", cols=2, it=2):
+    """The five eye slices of :func:`_eye_slices` but slice ``it``, which
+    adds ``weights`` of two copies of a finite block that holds 1e308 at node
+    3: a weight 2 overflows to inf there, and weights 2 and -2 to inf - inf."""
+    big = np.zeros((2, 8, 2, cols))
+    big[:, 3] = 1e308
+    table = np.eye(5, 7)
+    table[it, 5:] = weights
+    return Homotopy(CIRCLE8, *LOBATTO5, np.concatenate([_eye_slices(cols=cols), big]), table, 0.0 * table, codomain)
 
 
 def _circle_map(codomain):
@@ -1261,140 +1261,158 @@ CONTRACT_CHECKS = {
         "ch_total needs a unitary- or projection-tagged map",
     ),
     "homotopy node shape": (
-        lambda: _stack_homotopy(np.zeros((5, 7, 2, 2))),
+        lambda: stacked_homotopy(CIRCLE8, *LOBATTO5, np.zeros((5, 7, 2, 2))),
         ShapeMismatch,
-        "slice node shape does not match the spatial grid",
+        "block node shape does not match the spatial grid",
     ),
     "homotopy time count": (
-        lambda: _stack_homotopy(_eye_slices(), times=np.linspace(0.0, 1.0, 7)),
+        lambda: stacked_homotopy(CIRCLE8, *lobatto_rule(7, 0.0, 1.0), _eye_slices()),
         ShapeMismatch,
-        "times and slices disagree",
+        r"homotopy weight tables must be finite and \(7, 10\), got \[\(5, 10\), \(5, 10\)\]",
     ),
     "homotopy even node count": (
-        lambda: _stack_homotopy(_eye_slices(4), quadrature=lobatto_rule(5, 0.0, 1.0)[1]),
+        lambda: stacked_homotopy(CIRCLE8, lobatto_rule(4, 0.0, 1.0)[0], LOBATTO5[1], _eye_slices(4)),
         ShapeMismatch,
         "homotopy quadrature needs one finite real weight per time node: 5 for 4",
     ),
     "homotopy quadrature of the wrong length": (
-        lambda: _block_homotopy(_eye_slices(), quadrature=np.full(4, 0.25)),
+        lambda: stacked_homotopy(CIRCLE8, LOBATTO5[0], np.full(4, 0.25), _eye_slices()),
         ShapeMismatch,
         "homotopy quadrature needs one finite real weight per time node: 4 for 5",
     ),
     "homotopy NaN quadrature weight": (
-        lambda: _stack_homotopy(_eye_slices(), quadrature=np.array([0.1, 0.3, np.nan, 0.3, 0.1])),
+        lambda: stacked_homotopy(CIRCLE8, LOBATTO5[0], np.array([0.1, 0.3, np.nan, 0.3, 0.1]), _eye_slices()),
         ShapeMismatch,
         "homotopy quadrature needs one finite real weight per time node",
     ),
     "homotopy complex quadrature": (
-        lambda: _stack_homotopy(_eye_slices(), quadrature=lobatto_rule(5, 0.0, 1.0)[1] + 0.1j),
+        lambda: stacked_homotopy(CIRCLE8, LOBATTO5[0], LOBATTO5[1] + 0.1j, _eye_slices()),
         ShapeMismatch,
         "homotopy quadrature needs one finite real weight per time node: 5 for 5",
     ),
     "homotopy complex time nodes": (
-        lambda: _stack_homotopy(_eye_slices(), times=lobatto_rule(5, 0.0, 1.0)[0] + 0.1j),
+        lambda: stacked_homotopy(CIRCLE8, LOBATTO5[0] + 0.1j, LOBATTO5[1], _eye_slices()),
         ShapeMismatch,
         "homotopy time nodes must be finite and increase",
     ),
     "homotopy one time node": (
-        lambda: Homotopy(make_domain("circle", 8), np.zeros(1), np.ones(1), _eye_slices(1), 0.0 * _eye_slices(1)),
+        lambda: stacked_homotopy(CIRCLE8, np.zeros(1), np.ones(1), _eye_slices(1)),
         ShapeMismatch,
         "homotopy time nodes must be finite and increase from the first to the last",
     ),
     "homotopy NaN time node": (
-        lambda: _stack_homotopy(_eye_slices(), times=np.array([0.0, 0.25, np.nan, 0.75, 1.0])),
+        lambda: stacked_homotopy(CIRCLE8, np.array([0.0, 0.25, np.nan, 0.75, 1.0]), LOBATTO5[1], _eye_slices()),
         ShapeMismatch,
         "homotopy time nodes must be finite",
     ),
     "homotopy inf last time node": (
-        lambda: _stack_homotopy(_eye_slices(), times=np.array([0.0, 0.25, 0.5, 0.75, np.inf])),
+        lambda: stacked_homotopy(CIRCLE8, np.array([0.0, 0.25, 0.5, 0.75, np.inf]), LOBATTO5[1], _eye_slices()),
         ShapeMismatch,
         "homotopy time nodes must be finite",
     ),
     "homotopy uneven times": (
-        lambda: _stack_homotopy(_eye_slices(), times=np.array([0.0, 0.1, 0.6, 0.3, 1.0])),
+        lambda: stacked_homotopy(CIRCLE8, np.array([0.0, 0.1, 0.6, 0.3, 1.0]), LOBATTO5[1], _eye_slices()),
         ShapeMismatch,
         "homotopy time nodes must be finite and increase",
     ),
     "homotopy time partials": (
-        lambda: _stack_homotopy(_eye_slices(), time_partials=_eye_slices(4)),
+        lambda: Homotopy(CIRCLE8, *LOBATTO5, _eye_slices(), np.eye(5), np.eye(4, 5)),
         ShapeMismatch,
-        r"time partials \(4, 8, 2, 2\) do not match the slices \(5, 8, 2, 2\)",
+        r"homotopy weight tables must be finite and \(5, 5\), got \[\(5, 5\), \(4, 5\)\]",
+    ),
+    "homotopy spatial table count": (
+        lambda: Homotopy(CIRCLE8, *LOBATTO5, _eye_slices(), np.eye(5), 0 * np.eye(5), spatial_weights=(np.eye(5),) * 2),
+        ShapeMismatch,
+        "2 spatial weight tables for 1 spatial axes",
+    ),
+    "homotopy spatial table shape": (
+        lambda: Homotopy(CIRCLE8, *LOBATTO5, _eye_slices(), np.eye(5), 0 * np.eye(5), spatial_weights=(np.eye(5, 4),)),
+        ShapeMismatch,
+        r"homotopy weight tables must be finite and \(5, 5\), got \[\(5, 5\), \(5, 5\), \(5, 4\)\]",
+    ),
+    "homotopy NaN weight": (
+        lambda: Homotopy(CIRCLE8, *LOBATTO5, _eye_slices(), np.eye(5), np.full((5, 5), np.nan)),
+        ShapeMismatch,
+        "homotopy weight tables must be finite",
+    ),
+    "homotopy NaN block": (
+        lambda: Homotopy(CIRCLE8, *LOBATTO5, _at_one_node(_eye_slices(3), np.nan), np.ones((5, 3)), np.zeros((5, 3))),
+        ShapeMismatch,
+        "homotopy blocks must be finite",
     ),
     "cs_forms k_max = 0": (
-        lambda: cs_forms(_stack_homotopy(_eye_slices()), 0),
+        lambda: cs_forms(stacked_homotopy(CIRCLE8, *LOBATTO5, _eye_slices()), 0),
         DegreeOverflow,
         "k_max must be >= 1, got 0",
     ),
     "cs_exact k_max = 0": (
-        lambda: cs_exact(_stack_homotopy(_eye_slices()), k_max=0),
+        lambda: cs_exact(stacked_homotopy(CIRCLE8, *LOBATTO5, _eye_slices()), k_max=0),
         DegreeOverflow,
         "k_max must be >= 1, got 0",
     ),
     "cs_exact k_max = -1": (
-        lambda: cs_exact(_stack_homotopy(_eye_slices()), k_max=-1),
+        lambda: cs_exact(stacked_homotopy(CIRCLE8, *LOBATTO5, _eye_slices()), k_max=-1),
         DegreeOverflow,
         "k_max must be >= 1, got -1",
     ),
     "cs_exact fractional k_max": (
-        lambda: cs_exact(_stack_homotopy(_eye_slices()), k_max=2.5),
+        lambda: cs_exact(stacked_homotopy(CIRCLE8, *LOBATTO5, _eye_slices()), k_max=2.5),
         DegreeOverflow,
         "k_max must be >= 1, got 2.5",
     ),
     "cs_exact NaN tol": (
-        lambda: cs_exact(_stack_homotopy(_eye_slices()), tol=np.nan),
+        lambda: cs_exact(stacked_homotopy(CIRCLE8, *LOBATTO5, _eye_slices()), tol=np.nan),
         ShapeMismatch,
         "tol must be a positive finite number, got nan",
     ),
     "cs_exact negative tol": (
-        lambda: cs_exact(_stack_homotopy(_eye_slices()), tol=-1.0),
+        lambda: cs_exact(stacked_homotopy(CIRCLE8, *LOBATTO5, _eye_slices()), tol=-1.0),
         ShapeMismatch,
         "tol must be a positive finite number, got -1.0",
     ),
     "cs_forms tag": (
-        lambda: cs_forms(_stack_homotopy(_eye_slices(), codomain="generic")),
+        lambda: cs_forms(stacked_homotopy(CIRCLE8, *LOBATTO5, _eye_slices(), codomain="generic")),
         ShapeMismatch,
         "CS forms need unitary or projection slices",
     ),
     "frame slice with a NaN node": (
-        lambda: _block_homotopy(_at_one_node(_eye_slices(cols=1), np.nan), codomain="projection"),
+        lambda: _overflowing((2.0, -2.0), codomain="projection", cols=1),
         ShapeMismatch,
         r"projection frame slices need V\* V = 1: max node defect nan",
     ),
     "frame slice with an inf node": (
-        lambda: _block_homotopy(_at_one_node(_eye_slices(cols=1), np.inf), codomain="projection"),
+        lambda: _overflowing((2.0, 0.0), codomain="projection", cols=1),
         ShapeMismatch,
         r"projection frame slices need V\* V = 1",
     ),
     "junction with a NaN node": (
-        lambda: Homotopy.concatenate(_block_homotopy(_at_one_node(_eye_slices(), np.nan, it=4)), _stack_homotopy(_eye_slices())),
+        lambda: Homotopy.concatenate(
+            _overflowing((2.0, -2.0), it=4), stacked_homotopy(CIRCLE8, *LOBATTO5, _eye_slices())
+        ),
         NotALoop,
         "junction slices differ by nan",
     ),
     "homotopy NaN slice": (
-        lambda: _stack_homotopy(_at_one_node(_eye_slices(), np.nan)),
+        lambda: stacked_homotopy(CIRCLE8, *LOBATTO5, _at_one_node(_eye_slices(), np.nan)),
         ShapeMismatch,
-        "homotopy slices must be finite",
+        "homotopy blocks must be finite",
     ),
     "homotopy NaN frame slice": (
-        lambda: _stack_homotopy(_at_one_node(_eye_slices(cols=1), np.nan), codomain="projection"),
+        lambda: stacked_homotopy(CIRCLE8, *LOBATTO5, _at_one_node(_eye_slices(cols=1), np.nan), codomain="projection"),
         ShapeMismatch,
-        "homotopy slices must be finite",
+        "homotopy blocks must be finite",
     ),
     "homotopy NaN time partial": (
-        lambda: _stack_homotopy(_eye_slices(), time_partials=_at_one_node(0.0 * _eye_slices(), np.nan)),
+        lambda: stacked_homotopy(CIRCLE8, *LOBATTO5, _eye_slices(), _at_one_node(0.0 * _eye_slices(), np.nan)),
         ShapeMismatch,
-        "homotopy time partials must be finite",
+        "homotopy blocks must be finite",
     ),
     "homotopy inf spatial partial": (
-        lambda: Homotopy(
-            make_domain("circle", 8),
-            *lobatto_rule(5, 0.0, 1.0),
-            _eye_slices(),
-            0.0 * _eye_slices(),
-            spatial_partials=(_at_one_node(0.0 * _eye_slices(), np.inf),),
+        lambda: stacked_homotopy(
+            CIRCLE8, *LOBATTO5, _eye_slices(), spatial_partials=(_at_one_node(0.0 * _eye_slices(), np.inf),)
         ),
         ShapeMismatch,
-        "homotopy spatial partials must be finite",
+        "homotopy blocks must be finite",
     ),
 }
 
@@ -1403,12 +1421,12 @@ CONTRACT_CHECKS = {
 def test_contract_checks_raise_their_errors(name):
     call, error, fragment = CONTRACT_CHECKS[name]
     assert issubclass(error, ChernLabError)
-    with pytest.raises(error, match=fragment), np.errstate(invalid="ignore"):
+    with pytest.raises(error, match=fragment), np.errstate(invalid="ignore", over="ignore"):
         call()
 
 
 def test_homotopy_is_immutable():
-    h = _stack_homotopy(_eye_slices())
+    h = stacked_homotopy(CIRCLE8, *LOBATTO5, _eye_slices())
     with pytest.raises(AttributeError, match="a Homotopy is immutable; cannot set 'times'"):
         h.times = h.times[::-1]
     with pytest.raises(ValueError, match="read-only"):

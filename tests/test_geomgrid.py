@@ -419,6 +419,11 @@ CONTRACT_CHECKS = {
         r"frame values need V\* V = 1",
     ),
     "form degree": (lambda: GradedForm(_CIRCLE, 2, {}), DegreeOverflow, "form degree 2 exceeds domain dimension 1"),
+    "negative form degree": (
+        lambda: GradedForm(_CIRCLE, -1, {}),
+        DegreeOverflow,
+        "form degree must be a non-negative integer, got -1",
+    ),
     "form index": (
         lambda: GradedForm(_TORUS, 2, {(1, 0): np.zeros((8, 8))}),
         DegreeMismatch,

@@ -12,7 +12,10 @@ own statement (an import alone does not read it).
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -264,3 +267,15 @@ def test_a_stack_read_is_reported(tmp_path):
         "    return slices, h.slice_shape, g(spatial_partials=None)\n"
     )
     assert stack_reads([tmp_path / "a.py"]) == ["a:2 .slices", "a:3 .time_partials"]
+
+
+def test_the_cli_loads_neither_scipy_nor_numpy_polynomial():
+    # each costs every process time and memory at start-up, and no module of src needs either
+    code = (
+        "import sys, chernlab.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

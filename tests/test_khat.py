@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chernlab import builders
-from chernlab.chernforms import Homotopy
 from chernlab.errors import (
     ChernLabError,
     NotBasedAtIdentity,
@@ -27,6 +26,7 @@ from chernlab.khat import (
 )
 from chernlab.kops import blocksum_map, inversion_homotopy_even, inversion_homotopy_odd, lobatto_rule
 from chernlab.stiefel import PolarizedWindow
+from homotopy_stacks import stacked_homotopy
 
 WINDINGS = st.integers(min_value=-2, max_value=2)
 
@@ -257,7 +257,7 @@ def _constant_homotopy(codomain):
     """Five slices ``_LINE`` over the 8-node circle, with no window and a zero time jet."""
     slices = np.broadcast_to(_LINE, (5, 8, 2, 2)).copy()
     times, quadrature = lobatto_rule(5, 0.0, 1.0)
-    return Homotopy(make_domain("circle", 8), times, quadrature, slices, np.zeros_like(slices), codomain=codomain)
+    return stacked_homotopy(make_domain("circle", 8), times, quadrature, slices, codomain=codomain)
 
 
 def _circle_map(codomain):

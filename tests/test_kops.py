@@ -37,6 +37,7 @@ from chernlab.kops import (
 )
 from chernlab.numkernel import haar_unitary
 from chernlab.stiefel import PolarizedWindow
+from homotopy_stacks import stacked_homotopy
 
 RNG = np.random.default_rng(2024)
 WIN = PolarizedWindow(2, 2)
@@ -64,7 +65,7 @@ def projection_homotopy(h: Homotopy) -> Homotopy:
         a = d @ _adj(h.slices)
         return a + _adj(a)
 
-    return Homotopy(
+    return stacked_homotopy(
         h.spatial,
         h.times,
         h.quadrature,
@@ -93,7 +94,7 @@ def blocksum_homotopy(h: Homotopy, g: Homotopy) -> Homotopy:
     sp = None
     if h.spatial_partials is not None and g.spatial_partials is not None:
         sp = tuple(blocksum(a, b) for a, b in zip(h.spatial_partials, g.spatial_partials))
-    return Homotopy(
+    return stacked_homotopy(
         h.spatial,
         h.times,
         h.quadrature,
@@ -389,7 +390,7 @@ def test_cs_flip_negates():
     x = random_unitary_map(np.random.default_rng(7), dom, size=4, window=WIN)
     h = inversion_homotopy_even(x, t_res=17)
     v, dv = h.slices, h.time_partials  # the frames and their time jets
-    flipped = Homotopy(
+    flipped = stacked_homotopy(
         h.spatial,
         h.times,
         h.quadrature,
@@ -662,18 +663,20 @@ def test_closed_form_matches_the_dense_products(name, t_res, with_partials):
 
 
 def test_every_rotation_builder_sums_its_blocks_through_one_helper(monkeypatch):
-    calls, from_blocks = [], Homotopy.from_blocks
+    # each hands the one constructor one store: a group of three or five
+    # blocks for the slices and one more group per spatial axis of torus2
+    calls = []
 
     def counting(domain, times, quadrature, blocks, *rest):
         calls.append(len(blocks))
-        return from_blocks(domain, times, quadrature, blocks, *rest)
+        return Homotopy(domain, times, quadrature, blocks, *rest)
 
-    monkeypatch.setattr(Homotopy, "from_blocks", counting)
+    monkeypatch.setattr("chernlab.kops.Homotopy", counting)
     a, b, x = _leaves(40, True)
     inversion_homotopy_odd(a, 5)
     eckmann_hilton_homotopy(a, b, 5)
     inversion_homotopy_even(x, 5)
-    assert calls == [3, 3, 5]
+    assert calls == [9, 9, 15]
 
 
 def _haar_leaf(rng, size: int, window=None) -> SampledMap:
@@ -872,7 +875,7 @@ def _twisted_frames(h: Homotopy, seed: int = 3) -> Homotopy:
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     gen = 0.5 * (g - g.conj().T)
     a = np.stack([expm(t * gen) for t in h.times]).reshape(h.n_times, *[1] * h.spatial.dim, n, n)
-    return Homotopy(
+    return stacked_homotopy(
         h.spatial,
         h.times,
         h.quadrature,
@@ -935,24 +938,23 @@ def test_homotopy_operations_carry_spatial_partials():
         assert np.array_equal(adj.spatial_partials[axis], np.swapaxes(d, -1, -2).conj())
         assert np.array_equal(loop.spatial_partials[axis], np.concatenate([d, d[::-1]]))
     assert np.array_equal(adj.slice_map(2).partials[1], adj.spatial_partials[1][2])
-    plain = Homotopy(h.spatial, h.times, h.quadrature, h.slices, h.time_partials, codomain="unitary")
+    plain = stacked_homotopy(h.spatial, h.times, h.quadrature, h.slices, h.time_partials, codomain="unitary")
     assert Homotopy.concatenate(h, plain.reversed()).spatial_partials is None
 
 
 def test_homotopy_spatial_partials_of_wrong_count_rejected():
     dom = make_domain("torus2", (8, 8))
     slices = np.zeros((3, 8, 8, 2, 2))
-    with pytest.raises(ShapeMismatch, match=r"2 x \(3, 8, 8, 2, 2\)"):
-        Homotopy(dom, *lobatto_rule(3, 0.0, 1.0), slices, np.zeros_like(slices), spatial_partials=(slices,) * 3)
+    with pytest.raises(ShapeMismatch, match="3 spatial weight tables for 2 spatial axes"):
+        stacked_homotopy(dom, *lobatto_rule(3, 0.0, 1.0), slices, np.zeros_like(slices), spatial_partials=(slices,) * 3)
 
 
 def test_homotopy_spatial_partials_of_wrong_shape_rejected():
     dom = make_domain("torus2", (8, 8))
     slices = np.zeros((3, 8, 8, 2, 2))
-    with pytest.raises(ShapeMismatch, match=r"2 x \(3, 8, 8, 2, 2\)"):
-        Homotopy(
-            dom, *lobatto_rule(3, 0.0, 1.0), slices, np.zeros_like(slices), spatial_partials=(slices, slices[:, :4])
-        )
+    eye = np.eye(3)
+    with pytest.raises(ShapeMismatch, match=r"\(3, 3\), got \[\(3, 3\), \(3, 3\), \(3, 3\), \(3, 2\)\]"):
+        Homotopy(dom, *lobatto_rule(3, 0.0, 1.0), slices, eye, 0.0 * eye, spatial_weights=(eye, eye[:, :2]))
 
 
 @pytest.mark.parametrize("exact_jets", [True, False])
@@ -984,12 +986,13 @@ def test_inversion_homotopy_takes_its_arrays_without_a_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert h.blocks.shape[0] == 3 and h.time_blocks is h.blocks and not h.blocks.flags.writeable
+    assert h.blocks.shape[0] == 3 and h.spatial_weights is None and not h.blocks.flags.writeable
     assert peak < 1.3 * h.blocks.nbytes
 
 
 def test_inversion_homotopy_keeps_spatial_partials_without_a_copy():
-    # copies of the spatial blocks on entry to Homotopy would raise the peak to 1.9x
+    # the spatial blocks are written into the one store; copies of them on
+    # entry to Homotopy would raise the peak to 1.9x
     f = random_unitary_map(np.random.default_rng(0), make_domain("torus3", (8, 8, 8)))
     tracemalloc.start()
     try:
@@ -997,8 +1000,8 @@ def test_inversion_homotopy_keeps_spatial_partials_without_a_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(not p.flags.writeable for p in h.spatial_blocks)
-    assert peak < 1.3 * (h.blocks.nbytes + sum(p.nbytes for p in h.spatial_blocks))
+    assert h.blocks.shape[0] == 3 * (1 + h.spatial.dim) and not h.blocks.flags.writeable
+    assert peak < 1.3 * h.blocks.nbytes
 
 
 def test_even_inversion_homotopy_takes_its_arrays_without_a_copy():
@@ -1087,13 +1090,28 @@ def test_derived_homotopies_are_the_operations_on_the_formed_stacks(seed, name, 
 @pytest.mark.parametrize("name", list(BLOCK_BUILDERS))
 def test_reversed_shares_the_blocks_of_its_operand(name):
     h = BLOCK_BUILDERS[name](*_leaves(40, True), 5)
-    stacked = Homotopy(h.spatial, h.times, h.quadrature, h.slices, h.time_partials, h.codomain, window=h.window)
+    stacked = stacked_homotopy(h.spatial, h.times, h.quadrature, h.slices, h.time_partials, h.codomain, window=h.window)
     for x in (h, stacked):
         rev = x.reversed()
-        assert rev.blocks is x.blocks and rev.time_blocks is x.time_blocks
-        assert all(a is b for a, b in zip(rev.spatial_blocks or (), x.spatial_blocks or ()))
-        assert np.shares_memory(rev.blocks, x.blocks)
+        assert rev.blocks is x.blocks
+        assert all(np.array_equal(a, b[::-1]) for a, b in zip(rev.spatial_weights or (), x.spatial_weights or ()))
+        assert np.array_equal(rev.time_weights, -x.time_weights[::-1])
         assert np.array_equal(rev.quadrature, x.quadrature[::-1])
+
+
+@pytest.mark.parametrize("name", list(BLOCK_BUILDERS))
+def test_a_rotation_homotopy_with_exact_partials_holds_one_store(name):
+    h = BLOCK_BUILDERS[name](*_leaves(40, True), 5)
+    group = 5 if name == "inversion_even" else 3
+    n_blocks = group * (1 + h.spatial.dim)
+    assert h.blocks.shape[0] == n_blocks and h.blocks.flags.c_contiguous and not h.blocks.flags.writeable
+    tables = (h.weights, h.time_weights, *h.spatial_weights)
+    assert all(w.shape == (h.n_times, n_blocks) and not w.flags.writeable for w in tables)
+    # the jet along axis a reads group a + 1 by the weights of the slices, and no other block
+    for a, w in enumerate(h.spatial_weights, 1):
+        own = np.s_[group * a : group * (a + 1)]
+        assert np.array_equal(w[:, own], h.weights[:, :group]) and not np.delete(w, own, axis=1).any()
+    assert h.reversed().blocks is h.blocks
 
 
 def _circle_map(codomain="unitary", size=2, res=8, window=None):
@@ -1147,6 +1165,11 @@ CONTRACT_CHECKS = {
         lambda: flip_projection(np.eye(4), PolarizedWindow(1, 3)),
         AsymmetricWindow,
         "n_plus == n_minus",
+    ),
+    "flip_projection_map tag": (
+        lambda: flip_projection_map(_unitary_on(WIN)),
+        ShapeMismatch,
+        "flip of a projection map needs a projection-tagged map, got 'unitary'",
     ),
     "flip_projection_map window": (
         lambda: flip_projection_map(_circle_map("projection")),

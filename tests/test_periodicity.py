@@ -383,6 +383,26 @@ CONTRACT_CHECKS = {
         NotALoop,
         "trig_loop needs an integer winding, got 1.5",
     ),
+    "random_band_loop one winding per strand": (
+        lambda: builders.random_band_loop(np.random.default_rng(0), rank=3, winding=[1, 2]),
+        ShapeMismatch,
+        r"random_band_loop needs one winding or 3, got \[1, 2\]",
+    ),
+    "random_band_loop fractional winding": (
+        lambda: builders.random_band_loop(np.random.default_rng(0), rank=2, winding=1.5),
+        NotALoop,
+        "random_band_loop needs integer windings, got 1.5",
+    ),
+    "det_winding of non-square values": (
+        lambda: det_winding(SampledMap(make_domain("circle", 8), np.ones((8, 2, 1), dtype=complex))),
+        ShapeMismatch,
+        "winding needs square loop values, got 2 x 1",
+    ),
+    "bott_consistency fractional window": (
+        lambda: bott_consistency(builders.loop_zn(1, res=64), M=2.5),
+        BandwidthViolation,
+        "the window half-width M must be an integer, got 2.5",
+    ),
     "det_winding domain": (
         lambda: det_winding(builders.random_unitary_map(np.random.default_rng(0), make_domain("torus2", (8, 8)))),
         ShapeMismatch,
@@ -409,6 +429,15 @@ CONTRACT_CHECKS = {
         "unitary tag violated: max node defect nan",
     ),
 }
+
+
+def test_random_band_loop_winds_one_strand_by_one_integer_of_any_type():
+    # one winding for two strands used to be broadcast to both, and wound twice
+    for winding in (1, np.int64(1), [1, 0]):
+        gamma = builders.random_band_loop(np.random.default_rng(3), rank=2, winding=winding, res=64)
+        assert det_winding(gamma) == 1
+    with pytest.raises(ShapeMismatch, match="one winding or 2"):
+        builders.random_band_loop(np.random.default_rng(3), rank=2, winding=[1])
 
 
 @pytest.mark.parametrize("name", CONTRACT_CHECKS)
