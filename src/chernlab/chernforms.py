@@ -363,7 +363,7 @@ class Homotopy:
     A slice or jet is formed only when it is read, one at a time, by one
     product over the blocks of its nonzero weights, or as a view of one
     block when its row picks that block out.  The rotation homotopies of
-    :mod:`kops` hold three or five blocks per jet however many time nodes
+    :mod:`kops` hold three blocks per jet however many time nodes
     they have; :func:`kops.conjugation_homotopy` holds its slices and jets
     node by node, as chunks of its store read by one-hot tables.
 

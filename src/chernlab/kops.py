@@ -15,7 +15,7 @@ trigonometric weights in ``t``.  A homotopy holds one store of blocks and
 one weight table per jet (:class:`Homotopy`), never a stack over its time
 nodes, and forms each slice or jet when it is read, by one product over
 the blocks.  The odd ones hold three full-size blocks, with weights in
-``cos 2t`` and ``sin 2t``, the even one five half-width blocks of its frames,
+``cos 2t`` and ``sin 2t``, the even one three half-width blocks of its frames,
 and each holds as many more per spatial axis when its leaf carries exact
 partials.  Every builder writes its blocks into one preallocated store,
 which the homotopy takes without a copy.
@@ -198,10 +198,13 @@ def lobatto_rule(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     1969), and the weights on ``[-1, 1]`` are ``2 / (n (n-1) P_{n-1}(x)^2)``,
     with ``P_{n-1}`` taken by the three-term recurrence ``(k+1) P_{k+1} =
     (2k+1) x P_k - k P_{k-1}``.  On 3 nodes it is Simpson's rule.
-    ShapeMismatch unless ``n`` is an integer of at least 3.
+    ShapeMismatch unless ``n`` is an integer of at least 3 and ``a < b``
+    are finite.
     """
     if not isinstance(n, (int, np.integer)) or n < 3:
         raise ShapeMismatch(f"a Lobatto rule needs an integer n >= 3 nodes, got {n}")
+    if not (np.isfinite(a) and np.isfinite(b) and a < b):
+        raise ShapeMismatch(f"a Lobatto rule needs finite ends a < b, got a = {a}, b = {b}")
     k = np.arange(1, n - 2)
     off = np.sqrt(k * (k + 2) / ((2 * k + 1) * (2 * k + 3)))  # eigvalsh reads the lower triangle
     x = np.concatenate([[-1.0], np.linalg.eigvalsh(np.diag(off, -1)), [1.0]])
@@ -362,13 +365,23 @@ def inversion_homotopy_even(x: SampledMap, t_res: int = DEFAULT_T_RES) -> Homoto
     sum over the six t-independent half-width blocks ``B_0 = S Pi_+``,
     ``B_1 = (SJ - JS) Pi_+``, ``B_2 = (SJ^2 + J^2 S) Pi_+``, ``B_3 = -JSJ
     Pi_+``, ``B_4 = (J^2 SJ - JSJ^2) Pi_+`` and ``B_5 = J^2 SJ^2 Pi_+`` with
-    the weights ``(1, s, u, s^2, su, u^2)``.  These span only ``(1, s, c,
-    c^2, sc)``, ``c = cos t``, so the homotopy holds the five blocks
-    ``B_0 + B_2 + B_3 + B_5``, ``B_1 + B_4``, ``-B_2 - 2 B_5``, ``B_5 - B_3``
-    and ``-B_4`` with those weights; its exact time jet is the same sum with
-    ``(0, c, -s, -2sc, c^2 - s^2)``.  Spatial jets are exact when ``x``
-    carries exact partials: ``d_i V_t`` is the sum with ``S`` replaced by
-    ``d_i S``.
+    the weights ``(1, s, u, s^2, su, u^2)``, that is, with ``c = cos t``,
+    of ``B_0 + B_2 + B_3 + B_5``, ``B_1 + B_4``, ``-B_2 - 2 B_5``, ``B_5 -
+    B_3`` and ``-B_4`` with the weights ``(1, s, c, c^2, sc)``.
+
+    The last two vanish.  Write ``P_a = e_{2a+1}`` and ``Q_a = e_{-2a-2}``
+    for the strands that ``J`` pairs and ``S_JJ`` for ``S`` on them.  The
+    flip reverses the window, so ``S_{P_a P_b} = S_{Q_a Q_b}``, and the
+    interleave of :func:`blocksum` puts ``P`` in the second operand and
+    ``Q`` in the first, so ``S_{PQ} = S_{QP} = 0``: ``S_JJ`` commutes with
+    ``J``.  Then ``B_4 = [J, S_JJ] Pi_+ = 0`` and ``B_5 - B_3 = (S_JJ + J
+    S_JJ J) Pi_+ = 0``, since ``J^2 = -1`` on the paired strands, and the
+    same holds for every ``d_i S``.  ``J`` has entries 0 and +-1, so both
+    are exactly zero in floating point as well.  The homotopy holds the
+    three blocks ``B_0 + B_2 + B_3 + B_5``, ``B_1`` and ``-B_2 - 2 B_5``
+    with the weights ``(1, s, c)``, and its exact time jet is the same sum
+    with ``(0, c, -s)``.  Spatial jets are exact when ``x`` carries exact
+    partials: ``d_i V_t`` is the sum with ``S`` replaced by ``d_i S``.
     """
     if x.window is None:
         raise AsymmetricWindow("even inversion needs a windowed map")
@@ -380,36 +393,31 @@ def inversion_homotopy_even(x: SampledMap, t_res: int = DEFAULT_T_RES) -> Homoto
     square = gen @ gen
 
     def blocks(leaf: np.ndarray, out: np.ndarray) -> None:
-        """Write the five blocks of ``S = leaf (+) flip leaf`` into ``out``,
-        from ``S Pi_+``, ``S J Pi_+`` and ``S J^2 Pi_+``, each product written
-        into its block or one scratch array."""
+        """Write the three blocks of ``S = leaf (+) flip leaf`` into ``out``,
+        from ``S Pi_+``, ``S J Pi_+`` and ``S J^2 Pi_+``; ``S`` is freed
+        before the one scratch array is made."""
         summed = blocksum(leaf, flip(leaf, win))
         s0, s1, s2 = summed[..., big.n_minus :], summed @ gen[:, big.n_minus :], summed @ square[:, big.n_minus :]
-        one, sin, cos, cos2, sincos = out
-        scratch = np.empty_like(s0)
-        np.matmul(square, s2, out=cos2)  # B_5
+        one, sin, cos = out
+        np.subtract(s1, np.matmul(gen, s0, out=sin), out=sin)  # B_1
         np.matmul(square, s0, out=cos)  # B_2 - S J^2 Pi_+
         np.add(s0, s2, out=one)
+        del summed, s0
         one += cos
-        one += cos2  # B_0 + B_2 + B_5
+        scratch = np.matmul(square, s2)  # B_5
+        one += scratch
         cos += s2
-        cos += cos2
-        cos += cos2
+        cos += scratch
+        cos += scratch
         np.negative(cos, out=cos)  # -B_2 - 2 B_5
-        np.matmul(gen, s1, out=scratch)  # -B_3
-        one -= scratch
-        cos2 += scratch
-        np.matmul(gen, s2, out=sincos)
-        sincos -= np.matmul(square, s1, out=scratch)  # -B_4
-        np.subtract(s1, np.matmul(gen, s0, out=scratch), out=sin)  # B_1
-        sin -= sincos
+        one -= np.matmul(gen, s1, out=scratch)  # B_0 + B_2 + B_3 + B_5
 
     times, quadrature = lobatto_rule(t_res, 0.0, np.pi / 2.0)
     c, s = np.cos(times), np.sin(times)
-    weights = np.stack([np.ones_like(times), s, c, c * c, s * c], axis=1)
-    time_weights = np.stack([0.0 * times, c, -s, -2.0 * s * c, c * c - s * s], axis=1)
+    weights = np.stack([np.ones_like(times), s, c], axis=1)
+    time_weights = np.stack([0.0 * times, c, -s], axis=1)
     leaves = (x.values, *(x.partials or ()))
-    store = np.empty((5 * len(leaves), *x.domain.node_shape, big.dim, big.n_plus), dtype=complex)
+    store = np.empty((3 * len(leaves), *x.domain.node_shape, big.dim, big.n_plus), dtype=complex)
     for leaf, out in zip(leaves, np.split(store, len(leaves))):
         blocks(leaf, out)
     w, tw, sw = _group_tables(len(leaves), weights, time_weights)

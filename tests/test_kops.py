@@ -621,11 +621,11 @@ def test_lobatto_rule_on_three_nodes_is_simpson():
 # ------------------------------------- closed forms against the dense products
 
 
-def _leaves(seed: int, with_partials: bool):
+def _leaves(seed: int, with_partials: bool, window: PolarizedWindow = WIN):
     dom = make_domain("torus2", (8, 8))
     rng = np.random.default_rng(seed)
     a, b = random_unitary_map(rng, dom, size=2), random_unitary_map(rng, dom, size=2)
-    x = random_unitary_map(rng, dom, size=4, window=WIN)
+    x = random_unitary_map(rng, dom, size=window.dim, window=window)
     if with_partials:
         return a, b, x
     return tuple(SampledMap(dom, f.values, codomain="unitary", window=f.window) for f in (a, b, x))
@@ -647,11 +647,8 @@ ROTATION_BUILDERS = {
 }
 
 
-@pytest.mark.parametrize("with_partials", [True, False], ids=["partials", "no_partials"])
-@pytest.mark.parametrize("t_res", [3, 5, 17])
-@pytest.mark.parametrize("name", ROTATION_BUILDERS)
-def test_closed_form_matches_the_dense_products(name, t_res, with_partials):
-    h, (slices, partials, spatial) = ROTATION_BUILDERS[name](*_leaves(40, with_partials), t_res)
+def _assert_matches_the_dense_products(name, t_res, with_partials, window=WIN):
+    h, (slices, partials, spatial) = ROTATION_BUILDERS[name](*_leaves(40, with_partials, window), t_res)
     assert np.abs(h.slices - slices).max() < 1e-13
     assert np.abs(h.time_partials - partials).max() < 1e-13
     if with_partials:
@@ -662,9 +659,38 @@ def test_closed_form_matches_the_dense_products(name, t_res, with_partials):
         assert h.spatial_partials is None and spatial == ()
 
 
+@pytest.mark.parametrize("with_partials", [True, False], ids=["partials", "no_partials"])
+@pytest.mark.parametrize("t_res", [3, 5, 17])
+@pytest.mark.parametrize("name", ROTATION_BUILDERS)
+def test_closed_form_matches_the_dense_products(name, t_res, with_partials):
+    _assert_matches_the_dense_products(name, t_res, with_partials)
+
+
+@pytest.mark.parametrize("with_partials", [True, False], ids=["partials", "no_partials"])
+@pytest.mark.parametrize("half", [1, 3])
+def test_even_inversion_matches_the_dense_products_on_other_windows(half, with_partials):
+    _assert_matches_the_dense_products("inversion_even", 5, with_partials, PolarizedWindow(half, half))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**16), st.sampled_from([1, 2, 3]))
+def test_even_inversion_c2_and_sc_blocks_vanish_exactly(seed, half):
+    # with S = x (+) flip x and C_t = 1 + sJ + uJ^2, the c^2 block (B_5 - B_3)
+    # and the sc block (-B_4) of C_t^T S C_t Pi_+ are exactly zero, on S and
+    # on every d_i S, which is why inversion_homotopy_even holds three blocks
+    win = PolarizedWindow(half, half)
+    x = random_unitary_map(np.random.default_rng(seed), make_domain("torus2", (8, 8)), size=2 * half, window=win)
+    gen = grading_rotation_generator(win).real
+    square, plus = gen @ gen, np.s_[..., doubled_window(win).n_minus :]
+    for v in (x.values, *(x.partials or ())):
+        s = blocksum(v, flip(v, win))
+        assert not (square @ s @ gen - gen @ s @ square)[plus].any()  # B_4
+        assert not (square @ s @ square + gen @ s @ gen)[plus].any()  # B_5 - B_3
+
+
 def test_every_rotation_builder_sums_its_blocks_through_one_helper(monkeypatch):
-    # each hands the one constructor one store: a group of three or five
-    # blocks for the slices and one more group per spatial axis of torus2
+    # each hands the one constructor one store: a group of three blocks for
+    # the slices and one more group per spatial axis of torus2
     calls = []
 
     def counting(domain, times, quadrature, blocks, *rest):
@@ -676,7 +702,7 @@ def test_every_rotation_builder_sums_its_blocks_through_one_helper(monkeypatch):
     inversion_homotopy_odd(a, 5)
     eckmann_hilton_homotopy(a, b, 5)
     inversion_homotopy_even(x, 5)
-    assert calls == [9, 9, 15]
+    assert calls == [9, 9, 9]
 
 
 def _haar_leaf(rng, size: int, window=None) -> SampledMap:
@@ -1005,9 +1031,9 @@ def test_inversion_homotopy_keeps_spatial_partials_without_a_copy():
 
 
 def test_even_inversion_homotopy_takes_its_arrays_without_a_copy():
-    # the five blocks are formed in place from S Pi_+, S J Pi_+, S J^2 Pi_+
-    # and one scratch array (2.1x the kept bytes at the peak); a copy on
-    # entry to Homotopy would add one more
+    # the three blocks (0.79 MB) are formed in place from S Pi_+, S J Pi_+,
+    # S J^2 Pi_+ and one scratch array, S freed first: 1.98 MB at the peak;
+    # a copy on entry to Homotopy would add 0.79 MB
     x = random_unitary_map(np.random.default_rng(0), make_domain("torus3", (8, 8, 8)), size=4, window=WIN)
     x = SampledMap(x.domain, x.values, codomain="unitary", window=WIN)
     tracemalloc.start()
@@ -1016,8 +1042,8 @@ def test_even_inversion_homotopy_takes_its_arrays_without_a_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert h.blocks.shape[0] == 5 and not h.blocks.flags.writeable
-    assert peak < 3.0 * h.blocks.nbytes
+    assert h.blocks.shape[0] == 3 and h.blocks.nbytes == 786432 and not h.blocks.flags.writeable
+    assert peak < 2.2e6
 
 
 def test_cs_exact_of_an_odd_inversion_allocates_a_third_of_its_stacks():
@@ -1102,7 +1128,7 @@ def test_reversed_shares_the_blocks_of_its_operand(name):
 @pytest.mark.parametrize("name", list(BLOCK_BUILDERS))
 def test_a_rotation_homotopy_with_exact_partials_holds_one_store(name):
     h = BLOCK_BUILDERS[name](*_leaves(40, True), 5)
-    group = 5 if name == "inversion_even" else 3
+    group = 3
     n_blocks = group * (1 + h.spatial.dim)
     assert h.blocks.shape[0] == n_blocks and h.blocks.flags.c_contiguous and not h.blocks.flags.writeable
     tables = (h.weights, h.time_weights, *h.spatial_weights)
@@ -1262,6 +1288,26 @@ CONTRACT_CHECKS = {
         lambda: inversion_homotopy_odd(_circle_map(), t_res=5.0),
         ShapeMismatch,
         "a Lobatto rule needs an integer n >= 3 nodes, got 5.0",
+    ),
+    "Lobatto rule of reversed ends": (
+        lambda: lobatto_rule(3, 1.0, 0.0),
+        ShapeMismatch,
+        "a Lobatto rule needs finite ends a < b, got a = 1.0, b = 0.0",
+    ),
+    "Lobatto rule of a NaN end": (
+        lambda: lobatto_rule(3, 0.0, np.nan),
+        ShapeMismatch,
+        "a Lobatto rule needs finite ends a < b, got a = 0.0, b = nan",
+    ),
+    "Lobatto rule of an infinite end": (
+        lambda: lobatto_rule(3, -np.inf, 0.0),
+        ShapeMismatch,
+        "a Lobatto rule needs finite ends a < b, got a = -inf, b = 0.0",
+    ),
+    "Lobatto rule of equal ends": (
+        lambda: lobatto_rule(3, 0.5, 0.5),
+        ShapeMismatch,
+        "a Lobatto rule needs finite ends a < b, got a = 0.5, b = 0.5",
     ),
 }
 
