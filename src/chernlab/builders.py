@@ -242,12 +242,15 @@ def random_unitary_map(
     ``H`` is a hermitian trigonometric polynomial of degree ``trig_degree``
     in each coordinate.  The map carries exact spatial partials
     ``d_i exp(iH)``, so its jets do not depend on how well the grid resolves
-    it.
+    it.  ShapeMismatch unless ``size`` is an integer of at least 1 and
+    ``trig_degree`` a non-negative integer.
     """
-    n_modes = trig_degree
+    if not all(isinstance(k, (int, np.integer)) and k >= low for k, low in ((size, 1), (trig_degree, 0))):
+        got = f"size = {size!r}, trig_degree = {trig_degree!r}"
+        raise ShapeMismatch(f"random_unitary_map needs an integer size >= 1 and trig_degree >= 0, got {got}")
     coeffs = {}
     for axis in range(domain.dim):
-        for q in range(1, n_modes + 1):
+        for q in range(1, trig_degree + 1):
             coeffs[(axis, q)] = amp * (
                 rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
             )

@@ -327,20 +327,29 @@ def ch_total(f: SampledMap, k_max: int = DEFAULT_K_MAX) -> list[GradedForm]:
 # homotopies
 
 
-def _weighted(row: np.ndarray, blocks: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``sum_k row[k] blocks[k]`` for real weights: the block itself when the
-    row picks out one block with weight 1, otherwise written into the
-    contiguous ``out`` by one real product over the blocks from the first
-    nonzero weight to the last.  Every read of a slice or jet goes through
-    here, so a slice evaluated alone has the bits of its row of a stack."""
-    nz = np.flatnonzero(row)
-    if nz.size == 0:
-        out.fill(0.0)
-        return out
-    lo, hi = nz[0], nz[-1] + 1
-    if hi - lo == 1 and row[lo] == 1.0:
-        return blocks[lo]
-    np.matmul(row[lo:hi], blocks[lo:hi].view(float).reshape(hi - lo, -1), out=out.view(float).reshape(-1))
+def _row_reads(table: np.ndarray, blocks: np.ndarray) -> tuple:
+    """How each row of ``table`` reads ``blocks``, settled once: the block
+    itself when the row picks out one block with weight 1, otherwise its
+    weights and the float rows of the blocks from its first nonzero weight
+    to its last (an empty span for a zero row)."""
+    flat = blocks.view(float).reshape(len(blocks), -1)
+    nonzero = ([k for k, x in enumerate(w) if x] for w in table.tolist())
+    spans = [(nz[0], nz[-1] + 1) if nz else (0, 0) for nz in nonzero]
+    return tuple(
+        blocks[lo] if hi - lo == 1 and row[lo] == 1.0 else (row[lo:hi], flat[lo:hi])
+        for row, (lo, hi) in zip(table, spans)
+    )
+
+
+def _weighted(read, out: np.ndarray) -> np.ndarray:
+    """``sum_k row[k] blocks[k]`` for real weights, from the read of the row
+    (:func:`_row_reads`): its one block, or written into the contiguous
+    ``out`` by one real product over its span, which writes zeros when the
+    span is empty.  Every read of a slice or jet goes through here, so a
+    slice evaluated alone has the bits of its row of a stack."""
+    if isinstance(read, np.ndarray):
+        return read
+    np.matmul(*read, out=out.view(float).reshape(-1))
     return out
 
 
@@ -362,7 +371,10 @@ class Homotopy:
     axis; ``spatial_weights`` is None when the spatial jets are not known.
     A slice or jet is formed only when it is read, one at a time, by one
     product over the blocks of its nonzero weights, or as a view of one
-    block when its row picks that block out.  The rotation homotopies of
+    block when its row picks that block out; how each row reads the store
+    (the span of its nonzero weights, or its one block) is settled once,
+    when the homotopy or a homotopy derived from it is settled, and never
+    searched for at a read.  The rotation homotopies of
     :mod:`kops` hold three blocks per jet however many time nodes
     they have; :func:`kops.conjugation_homotopy` holds its slices and jets
     node by node, as chunks of its store read by one-hot tables.
@@ -454,7 +466,7 @@ class Homotopy:
         if any(w.shape != (t.size, len(b)) or not np.isfinite(w).all() for w in tables):
             got = [w.shape for w in tables]
             raise ShapeMismatch(f"homotopy weight tables must be finite and ({t.size}, {len(b)}), got {got}")
-        weights, time_weights, *spatial_weights = map(_freeze, tables)
+        weights, time_weights, *spatial_weights = tables = [_freeze(w) for w in tables]
         vars(self).update(
             times=_freeze(np.array(t, dtype=float)),
             quadrature=_freeze(np.array(q, dtype=float)),
@@ -462,6 +474,7 @@ class Homotopy:
             weights=weights,
             time_weights=time_weights,
             spatial_weights=None if spatial is None else tuple(spatial_weights),
+            _reads=[_row_reads(w, b) for w in tables],  # slices, time jets, then each spatial axis
         )
 
     @property
@@ -480,32 +493,32 @@ class Homotopy:
 
     def _slice(self, i: int, out: np.ndarray) -> np.ndarray:
         """Slice ``i``, into ``out`` unless it is one block."""
-        return _weighted(self.weights[i], self.blocks, out)
+        return _weighted(self._reads[0][i], out)
 
     def _time_jet(self, i: int, out: np.ndarray) -> np.ndarray:
         """The time jet of slice ``i``, into ``out`` unless it is one block."""
-        return _weighted(self.time_weights[i], self.blocks, out)
+        return _weighted(self._reads[1][i], out)
 
     def _spatial_jets(self, i: int, out: np.ndarray) -> Iterable[np.ndarray]:
         """The exact spatial jets of slice ``i``, each into the one buffer
         ``out``, taken one at a time as the caller reads them."""
-        return (_weighted(w[i], self.blocks, out) for w in self.spatial_weights)
+        return (_weighted(reads[i], out) for reads in self._reads[2:])
 
-    def _stack(self, weights: np.ndarray) -> np.ndarray:
-        """``weights @ blocks`` over every time node, row by row, read-only."""
-        out = np.empty((len(weights), *self.slice_shape), dtype=complex)
-        for row, x in zip(weights, out):
-            np.copyto(x, _weighted(row, self.blocks, x))  # a no-op when the row was written into x
+    def _stack(self, reads: tuple) -> np.ndarray:
+        """The rows ``reads`` of one table over every time node, read-only."""
+        out = np.empty((len(reads), *self.slice_shape), dtype=complex)
+        for read, x in zip(reads, out):
+            np.copyto(x, _weighted(read, x))  # a no-op when the row was written into x
         return _freeze(out)
 
     @property
     def slices(self) -> np.ndarray:
         """Every slice, ``(n_times, *node_shape, rows, cols)``, formed on each read."""
-        return self._stack(self.weights)
+        return self._stack(self._reads[0])
 
     def time_derivative(self) -> np.ndarray:
         """d(slice)/dt at every time node, formed on each call."""
-        return self._stack(self.time_weights)
+        return self._stack(self._reads[1])
 
     @property
     def time_partials(self) -> np.ndarray:
@@ -514,7 +527,7 @@ class Homotopy:
     @property
     def spatial_partials(self) -> tuple[np.ndarray, ...] | None:
         """The exact spatial jets of every slice, formed on each read, or None."""
-        return None if self.spatial_weights is None else tuple(self._stack(w) for w in self.spatial_weights)
+        return None if self.spatial_weights is None else tuple(self._stack(reads) for reads in self._reads[2:])
 
     def _value(self, v: np.ndarray) -> np.ndarray:
         """The map value of a slice ``v``: ``V V*`` for a frame ``V``."""
@@ -524,7 +537,7 @@ class Homotopy:
         v = self._slice(i, np.empty(self.slice_shape, dtype=complex))
         partials = None
         if self.spatial_weights is not None:
-            partials = tuple(_weighted(w[i], self.blocks, np.empty_like(v)) for w in self.spatial_weights)
+            partials = tuple(_weighted(reads[i], np.empty_like(v)) for reads in self._reads[2:])
             if self._frames:
                 partials = tuple(a + _adjoint(a) for a in (d @ _adjoint(v) for d in partials))
         return SampledMap(self.spatial, self._value(v), codomain=self.codomain, window=self.window, partials=partials)
@@ -598,10 +611,11 @@ def _cs_degree(codomain: str, k: int) -> int:
 
 class _SliceWorkspace:
     """The full-grid arrays of one :func:`cs_forms` pass, allocated once and
-    refilled in place at every time slice; none of them is returned.  Each
-    slice and its jets are rows of the weight tables of the homotopy over its
-    one block store, evaluated into buffers of the workspace (a row that
-    picks out one block is read in place).
+    refilled in place at every time slice; the integrands it returns are its
+    own buffers or new arrays, which the caller may overwrite.  Each slice
+    and its jets are rows of the weight tables of the homotopy over its one
+    block store, evaluated into buffers of the workspace (a row that picks
+    out one block is read in place).
 
     Unitary slices (only ``k > 1`` come here) are taken in the right
     logarithmic derivative ``beta_a = d_a f f^{-1} = f alpha_a f^{-1}``,
@@ -620,7 +634,12 @@ class _SliceWorkspace:
     which is ``R(f)^T``, is formed from a conjugate transposed copy of
     ``f``: numpy's stacked product reads a transposed view of ``R(f)`` at
     about 2.5 times the cost of a contiguous operand (256 nodes of 8 x 8,
-    OpenBLAS, one thread).
+    OpenBLAS, one thread).  The plan of a unitary pass is built once: the
+    float views of both products, the ``n``-row blocks of ``J``, of
+    ``[beta_t; beta_1; ..]`` and of ``[X_1; ..]`` as views, and one buffer
+    per axis pair ``i < j``.  Each pair is written directly as ``tr(beta_i
+    X_j) - tr(beta_j X_i)``, two ``einsum`` pairings, the order and sign in
+    which :func:`trace_wedge` sums it, so the bits are those of the shuffle.
 
     Projection slices go through :class:`_FrameCurvature`, slot 0 being
     ``t``: ``CS_1`` is its traces ``tr F_0i`` and the degree-3 ``CS_2`` its
@@ -644,13 +663,18 @@ class _SliceWorkspace:
         if H.spatial_weights is not None:
             self.exact = np.empty(shape, dtype=complex)
         if self.unitary:
-            *nodes, _, self.n = shape
-            n = self.n
-            self.jets = np.empty((*nodes, (dim + 1) * n, n), dtype=complex)
-            self.beta = np.empty_like(self.jets)
-            self.heads = np.empty((*nodes, dim * n, n), dtype=complex)
-            self.real = np.empty((*nodes, 2 * n, 2 * n))
-            self.inverse = np.empty(shape, dtype=complex)
+            *nodes, _, n = shape
+            jets = np.empty((*nodes, (dim + 1) * n, n), dtype=complex)
+            beta, heads = np.empty_like(jets), np.empty((*nodes, dim * n, n), dtype=complex)
+            self.real, self.inverse = np.empty((*nodes, 2 * n, 2 * n)), np.empty(shape, dtype=complex)
+            # the float views of the two products, and the n-row blocks as views:
+            # jets [df/dt, d_1 f, ..], beta [beta_t, beta_1, ..], heads [X_1, ..]
+            self.products = (jets.view(float), beta.view(float)), (beta[..., n:, :].view(float), heads.view(float))
+            self.jet_rows = np.split(jets, dim + 1, axis=-2)
+            self.beta_t, *self.betas = np.split(beta, dim + 1, axis=-2)
+            self.xs = np.split(heads, dim, axis=-2)
+            self.minus = np.empty(nodes, dtype=complex)
+            self.forms = {2: {ij: np.empty(nodes, dtype=complex) for ij in itertools.combinations(range(dim), 2)}}
         else:
             self.frames = H._frames
             # slot 0 is t: the (0, i) pairs are iota_t Omega, the others Omega
@@ -658,46 +682,48 @@ class _SliceWorkspace:
             if H.spatial_weights is None:
                 self.jet = np.empty((*shape[:-1], shape[-2]), dtype=complex)
 
-    def _rows(self, x: np.ndarray) -> list[np.ndarray]:
-        """The ``n``-row blocks of a row-stacked unitary buffer, as views."""
-        return [x[..., a : a + self.n, :] for a in range(0, x.shape[-2], self.n)]
-
-    def _grid_jets(self, v: np.ndarray, buffers) -> Iterable[np.ndarray]:
-        """The grid jets of ``v`` along every spatial axis, written into
-        ``buffers``, taken one at a time as the caller reads them."""
-        return (fourier.derivative(v, i, out) for i, out in enumerate(buffers))
+    def _unitary(self, it: int) -> dict[int, dict[tuple[int, ...], np.ndarray]]:
+        """The ``CS_2`` integrand ``tr(beta ^ X)`` of unitary slice ``it``,
+        in the buffers of :attr:`forms`."""
+        H, (dt, *spatial) = self.H, self.jet_rows
+        v = H._slice(it, self.value)
+        dt[...] = H._time_jet(it, self.time_jet)
+        for i, row in enumerate(spatial):  # grid jets are written in place
+            if H.spatial_weights is None:
+                fourier.derivative(v, i, row)
+            else:
+                row[...] = _weighted(H._reads[2 + i][it], self.exact)
+        f_inv = np.conjugate(np.swapaxes(v, -1, -2), out=self.inverse)
+        (jets, beta), (beta_x, heads) = self.products
+        np.matmul(jets, _real_form(f_inv, self.real), out=beta)
+        np.matmul(beta_x, _real_form(self.beta_t, self.real), out=heads)
+        # tr(alpha_t ^ omega ^ omega) = tr(beta ^ X), X_i = beta_i beta_t: the
+        # (i, j) component is tr(beta_i X_j) - tr(beta_j X_i), as trace_wedge sums it
+        for (i, j), out in self.forms[2].items():
+            np.einsum("...ij,...ji->...", self.betas[i], self.xs[j], out=out)
+            out -= np.einsum("...ij,...ji->...", self.betas[j], self.xs[i], out=self.minus)
+        return self.forms
 
     def integrands(self, it: int) -> dict[int, dict[tuple[int, ...], np.ndarray]]:
         """Components of the contracted CS integrand of every degree at time
         node ``it``, with the exact spatial jets of the homotopy or grid jets
         when it has none, before the ``t`` quadrature and the normalization."""
+        if self.unitary:
+            return self._unitary(it)
         H = self.H
         v, dv_dt = H._slice(it, self.value), H._time_jet(it, self.time_jet)
         exact = None if H.spatial_weights is None else H._spatial_jets(it, self.exact)
         dim = H.spatial.dim
-        if self.unitary:
-            rows = self._rows(self.jets)
-            jets = exact if exact is not None else self._grid_jets(v, rows[1:])
-            for x, block in zip(itertools.chain((dv_dt,), jets), rows, strict=True):
-                if not np.may_share_memory(x, block):  # grid jets are already in place
-                    block[...] = x
-            f_inv = np.conjugate(np.swapaxes(v, -1, -2), out=self.inverse)
-            beta_t, *beta = self._rows(self.beta)
-            np.matmul(self.jets.view(float), _real_form(f_inv, self.real), out=self.beta.view(float))
-            spatial = self.beta[..., self.n :, :].view(float)
-            np.matmul(spatial, _real_form(beta_t, self.real), out=self.heads.view(float))
-            # tr(alpha_t ^ omega ^ omega) = tr(beta ^ X), X_i = beta_i beta_t
-            heads = {(i,): x for i, x in enumerate(self._rows(self.heads))}
-            return {2: trace_wedge({(i,): b for i, b in enumerate(beta)}, heads)}
         if self.frames:
             self.kernel.frame(v)
             frame_jets, jets = itertools.chain((dv_dt,), exact or ()), ()
             if exact is None:
-                jets = self._grid_jets(self.kernel.projection(), [self.jet] * dim)
+                p = self.kernel.projection()
+                jets = (fourier.derivative(p, i, self.jet) for i in range(dim))
         else:
             self.kernel.frame(_range_frame(v))
             frame_jets = ()
-            jets = itertools.chain((dv_dt,), exact if exact is not None else self._grid_jets(v, [self.jet] * dim))
+            jets = itertools.chain((dv_dt,), exact or (fourier.derivative(v, i, self.jet) for i in range(dim)))
         self.kernel.fill(frame_jets, jets)
         # slot 0 is t: CS_1 is tr iota_t Omega, CS_2 (degree 3, dim = 3) tr(iota_t Omega ^ Omega)
         out = {}
@@ -713,17 +739,17 @@ def _unitary_cs_zero(H: Homotopy) -> np.ndarray:
     integrand of unitary slices integrated in ``t``, from pairings of the
     store: with slices ``W B``, time jets ``W' B`` and quadrature ``q`` it
     is ``sum_kl c_kl tr(B_k* B_l)`` with ``c = W^T diag(q) W'``, taken over
-    the nonzero ``c_kl`` only (6 pairings of 3 blocks on an odd rotation
-    homotopy, whatever its time nodes and spatial jets)."""
+    the nonzero ``c_kl`` only, one ``einsum`` each (6 pairings of 3 blocks
+    on an odd rotation homotopy, whatever its time nodes and spatial jets)."""
     c = H.weights.T @ (H.quadrature[:, None] * H.time_weights)
     conj = np.empty(H.slice_shape, dtype=complex)
     acc = np.zeros(H.spatial.node_shape, dtype=complex)
     for k, row in enumerate(c):
         nonzero = np.flatnonzero(row)
         if nonzero.size:
-            finv = {(): np.swapaxes(np.conjugate(H.blocks[k], out=conj), -1, -2)}
+            finv = np.swapaxes(np.conjugate(H.blocks[k], out=conj), -1, -2)
             for j in nonzero:
-                acc += row[j] * trace_wedge(finv, {(): H.blocks[j]})[()]
+                acc += row[j] * np.einsum("...ij,...ji->...", finv, H.blocks[j])
     return acc
 
 
@@ -738,14 +764,12 @@ def _cs_forms(H: Homotopy, ks: Sequence[int]) -> dict[int, GradedForm]:
         ws = _SliceWorkspace(H, looped)
         for it, wt in enumerate(H.quadrature):
             for k, comps in ws.integrands(it).items():
-                for idx, val in comps.items():
-                    acc[k][idx] = acc[k][idx] + wt * val if idx in acc[k] else wt * val
+                for idx, val in comps.items():  # in place, rounded as acc + wt * val
+                    scaled = np.multiply(wt, val, out=val)
+                    acc[k][idx] = np.add(acc[k][idx], scaled, out=acc[k][idx]) if it else scaled.copy()
     out = {}
     for k in ks:
-        if H.codomain == "unitary":
-            c = chern_scalar("odd", k) * (2 * k - 1)
-        else:
-            c = chern_scalar("even", k) * k
+        c = chern_scalar("odd", k) * (2 * k - 1) if H.codomain == "unitary" else chern_scalar("even", k) * k
         out[k] = GradedForm(H.spatial, _cs_degree(H.codomain, k), {idx: c * a for idx, a in acc[k].items()})
     return out
 
@@ -785,14 +809,16 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
     of ``alpha_a``: ``df/dt`` and the spatial jets are stacked by rows, grid
     jets written straight into their row blocks, and two real products of
     float views give every ``beta_a`` and every ``beta_i beta_t``, whose
-    pairing ``tr(beta ^ beta beta_t)`` is ``tr(alpha_t ^ omega ^ omega)``;
+    pairing ``tr(beta ^ beta beta_t)`` is ``tr(alpha_t ^ omega ^ omega)``,
+    written out pair by pair on views fixed for the whole pass;
     a unitary form has degree ``2k - 2 <= dim <= 3``, so ``k <= 2`` and
     nothing more is multiplied.  ``CS_0`` of unitary slices is ``int
     tr(f^{-1} df/dt) dt``, which is bilinear in the slice and its time jet,
     so it is taken from pairings of the blocks (:func:`_unitary_cs_zero`)
     and no slice is evaluated for it; the curvature pairs of projection
     slices are formed only when ``k_max > 1``.  Quadrature in ``t`` is the
-    ``quadrature`` that the builder of ``H`` handed in.  DegreeOverflow
+    ``quadrature`` that the builder of ``H`` handed in, accumulated in place
+    with the rounding of ``acc + q_i * value``.  DegreeOverflow
     unless ``k_max`` is an integer of at least 1.
     """
     _check_k_max(k_max)

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import BadResolution
+from .errors import BadResolution, ShapeMismatch
 
 __all__ = ["orders", "coefficients", "resample", "derivative", "antiderivative"]
 
@@ -98,7 +98,13 @@ def _derivative_matrix(n: int) -> np.ndarray:
 
 def derivative(values: np.ndarray, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """Spectral ``d/dtheta`` of samples on the nodes, along ``axis``; written
-    into ``out`` (of the shape of ``values``) when it is given."""
+    into ``out`` (of the shape of ``values``) when it is given.
+    ShapeMismatch unless ``axis`` is an axis of ``values`` and ``out``, when
+    given, has its shape."""
+    if not (isinstance(axis, (int, np.integer)) and -values.ndim <= axis < values.ndim):
+        raise ShapeMismatch(f"derivative along axis {axis!r} of samples of shape {values.shape}")
+    if out is not None and out.shape != values.shape:
+        raise ShapeMismatch(f"derivative of samples of shape {values.shape} into an out of shape {out.shape}")
     n = values.shape[axis]
     if n > DENSE_MAX:
         return _fft_derivative(values, axis, out)

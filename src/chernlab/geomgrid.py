@@ -354,10 +354,11 @@ def integrate(omega: GradedForm) -> complex:
 
 def generating_cycles(domain: DomainGrid, degree: int) -> list[tuple[int, ...]]:
     """Generators of the degree-``degree`` homology: every ``degree``-subset
-    of the axes, none in degree 0."""
-    if degree == 0:
-        return []
-    return list(itertools.combinations(range(domain.dim), degree))
+    of the axes, none in degree 0.  DegreeOverflow unless ``degree`` is a
+    non-negative integer."""
+    if not (isinstance(degree, (int, np.integer)) and degree >= 0):
+        raise DegreeOverflow(f"cycle degree must be a non-negative integer, got {degree!r}")
+    return list(itertools.combinations(range(domain.dim), degree)) if degree else []
 
 
 def sub_grid(domain: DomainGrid, axes: Sequence[int]) -> tuple[DomainGrid, tuple]:

@@ -182,6 +182,13 @@ def virtual_dimension(spec: SubspaceSpec) -> int:
     ``RANK_THRESHOLD_REL`` (the basis is orthonormal, so this is relative to
     its norm 1) count as zero, so a row block holding only round-off has
     rank 0.
+
+    Both counts subtract the same rank of the same rows, so the virtual
+    dimension is ``spec.basis.shape[1] - spec.window.n_plus`` for every
+    orthonormal basis, whatever the threshold.  The two ``numerical_rank``
+    SVDs (4.8 ms of a traced ``bott_loops`` op) stay only because
+    ``perfbench/test_perfbench.py`` pins two calls: a change to the
+    benchmark must relax that pin first.
     """
     win = spec.window
     pi_plus_rows = spec.basis[win.n_minus :]

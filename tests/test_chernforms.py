@@ -840,6 +840,68 @@ def test_cs_form_on_two_axes_is_the_slice_map_form_bit_for_bit(name):
             assert np.abs(comp - expected[idx]).max() < 1e-15
 
 
+def _assert_is_the_slice_map_form(h, vanishes=False):
+    """Every positive-degree component of ``cs_forms(h)`` has the bytes of
+    that of :func:`_cs_through_slice_maps`, and is zero exactly when
+    ``vanishes``; degree 0, a pairing of the blocks, is pinned to round-off."""
+    forms = cs_forms(h)
+    for k, form in forms.items():
+        expected = _cs_through_slice_maps(h, k)
+        assert form.comps.keys() == expected.keys()
+        for idx, comp in form.comps.items():
+            if form.form_degree > 0:
+                assert comp.tobytes() == expected[idx].tobytes()
+                assert not comp.any() if vanishes else np.abs(comp).max() > 1e-3
+            assert np.abs(comp - expected[idx]).max() < 1e-15
+    return forms
+
+
+@pytest.mark.parametrize("cycle", [(0, 1), (0, 2), (1, 2)])
+def test_cs_form_on_every_two_cycle_is_the_slice_map_form_bit_for_bit(cycle):
+    # the three passes of the degree-2 cs_exact of the grid-jet odd inversion
+    h = _inversion_homotopies()["odd_grid_jets"].restrict(cycle)
+    assert _assert_is_the_slice_map_form(h).keys() == {1, 2}
+
+
+def test_cs_form_of_the_first_time_row_is_the_slice_map_form_bit_for_bit():
+    # the rotation's time row at t = 0 is (0, -0.0, 2): one nonzero weight and a
+    # signed zero, whose block the read skips, so the jet is 2 B_2 to the byte
+    h = _inversion_homotopies()["odd_grid_jets"]
+    assert h.time_weights[0].tolist() == [0.0, -0.0, 2.0] and np.signbit(h.time_weights[0, 1])
+    assert h.time_derivative()[0].tobytes() == (2.0 * h.blocks[2]).tobytes()
+    # the homotopy integrated at t = 0 alone: f (+) f* and its jets are block
+    # diagonal there and the time jet off-diagonal, so tr(beta ^ X) is exactly 0
+    first = Homotopy(
+        h.spatial, h.times, np.eye(h.n_times)[0] * h.quadrature, h.blocks, h.weights, h.time_weights, "unitary", h.window
+    )
+    assert _assert_is_the_slice_map_form(first, vanishes=True).keys() == {1, 2}
+
+
+@pytest.mark.parametrize("exact_jets", [False, True])
+def test_cs_form_of_a_one_hot_homotopy_is_the_slice_map_form_bit_for_bit(exact_jets):
+    # a conjugation homotopy's tables pick one block with weight 1, so every read is a view of its store
+    dom = make_domain("torus3", (8, 8, 8))
+    f = random_unitary_map(np.random.default_rng(7), dom, size=2)
+    f = f if exact_jets else SampledMap(dom, f.values, codomain="unitary")
+    gen = np.array([[0.5j, 1.0], [-1.0, -0.25j]])
+    h = conjugation_homotopy(f, lambda t: expm(t * gen), lambda t: gen @ expm(t * gen), t_res=5)
+    out = np.empty(h.slice_shape, dtype=complex)
+    for read in (h._slice, h._time_jet):
+        assert all(np.shares_memory(read(i, out), h.blocks) for i in range(h.n_times))
+    assert _assert_is_the_slice_map_form(h).keys() == {1, 2}
+
+
+@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "odd_on_a_two_cycle"])
+def test_unitary_cs_forms_make_no_trace_wedge_call(name, monkeypatch):
+    # the slice pairings and the degree-0 block pairings are written out, not shuffled by trace_wedge
+    hs = _inversion_homotopies()
+    h = hs["odd_grid_jets"].restrict((0, 2)) if name == "odd_on_a_two_cycle" else hs[name]
+    calls = []
+    monkeypatch.setattr(chernforms, "trace_wedge", lambda *factors: calls.append(factors))
+    assert cs_forms(h, 2).keys() == {1, 2}
+    assert calls == []
+
+
 def _complex_products(monkeypatch):
     """Count the ``np.matmul`` calls on complex operands: the slice products,
     not the real dense-derivative ones."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chernlab import fourier
-from chernlab.errors import BadResolution
+from chernlab.errors import BadResolution, ChernLabError, ShapeMismatch
 
 RNG = np.random.default_rng(1905)
 
@@ -134,3 +134,37 @@ def test_antiderivative_is_exact_on_band_limited_data(n):
     )
     assert np.abs(fourier.antiderivative(a) - exact).max() < 1e-13
     assert np.abs(fourier.antiderivative(np.stack([a, 2 * a], -1)) - np.stack([exact, 2 * exact], -1)).max() < 1e-13
+
+
+_SAMPLES = np.ones((8, 2, 2), dtype=complex)
+
+CONTRACT_CHECKS = {
+    "derivative along a missing axis": (
+        lambda: fourier.derivative(_SAMPLES, axis=9),
+        ShapeMismatch,
+        r"derivative along axis 9 of samples of shape \(8, 2, 2\)",
+    ),
+    "derivative along a fractional axis": (
+        lambda: fourier.derivative(_SAMPLES, axis=1.5),
+        ShapeMismatch,
+        "derivative along axis 1.5",
+    ),
+    "derivative into an out of another shape": (
+        lambda: fourier.derivative(_SAMPLES, 0, np.empty((8, 2, 3), dtype=complex)),
+        ShapeMismatch,
+        r"derivative of samples of shape \(8, 2, 2\) into an out of shape \(8, 2, 3\)",
+    ),
+    "FFT derivative into an out of another shape": (
+        lambda: fourier.derivative(np.ones(fourier.DENSE_MAX + 1, dtype=complex), 0, np.empty(fourier.DENSE_MAX)),
+        ShapeMismatch,
+        r"into an out of shape \(128,\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CONTRACT_CHECKS)
+def test_contract_checks_raise_their_errors(name):
+    call, error, fragment = CONTRACT_CHECKS[name]
+    assert issubclass(error, ChernLabError)
+    with pytest.raises(error, match=fragment):
+        call()

@@ -444,6 +444,16 @@ CONTRACT_CHECKS = {
         DegreeOverflow,
         "cannot raise degree beyond the domain dimension",
     ),
+    "generating_cycles of a negative degree": (
+        lambda: generating_cycles(_TORUS, -1),
+        DegreeOverflow,
+        "cycle degree must be a non-negative integer, got -1",
+    ),
+    "generating_cycles of a fractional degree": (
+        lambda: generating_cycles(_TORUS, 1.5),
+        DegreeOverflow,
+        "cycle degree must be a non-negative integer, got 1.5",
+    ),
     "cycle_integral dimension": (
         lambda: cycle_integral(GradedForm(_TORUS, 1, {}), (0, 1)),
         DegreeMismatch,

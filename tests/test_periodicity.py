@@ -378,6 +378,21 @@ CONTRACT_CHECKS = {
         ShapeMismatch,
         "loop_zn needs an integer n and an integer pad >= 1, got n = 1.5, pad = 1",
     ),
+    "random_unitary_map of size 0": (
+        lambda: builders.random_unitary_map(np.random.default_rng(0), make_domain("torus2", (8, 8)), size=0),
+        ShapeMismatch,
+        "random_unitary_map needs an integer size >= 1 and trig_degree >= 0, got size = 0, trig_degree = 2",
+    ),
+    "random_unitary_map fractional size": (
+        lambda: builders.random_unitary_map(np.random.default_rng(0), make_domain("circle", 8), size=2.0),
+        ShapeMismatch,
+        "got size = 2.0, trig_degree = 2",
+    ),
+    "random_unitary_map of a negative trig degree": (
+        lambda: builders.random_unitary_map(np.random.default_rng(0), make_domain("circle", 8), trig_degree=-1),
+        ShapeMismatch,
+        "random_unitary_map needs an integer size >= 1 and trig_degree >= 0, got size = 2, trig_degree = -1",
+    ),
     "trig_loop fractional winding": (
         lambda: builders.trig_loop(64, winding=1.5),
         NotALoop,

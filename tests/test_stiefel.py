@@ -70,6 +70,18 @@ def test_blocksum_adds_virtual_dimensions_with_explicit_columns():
     assert virtual_dimension(a.blocksummed(b)) == virtual_dimension(a) + virtual_dimension(b) == -1
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_virtual_dimension_is_the_columns_less_the_positive_modes(n_minus, n_plus, data):
+    # kernel - cokernel of the positive rows: the two ranks cancel, whatever the basis
+    win = PolarizedWindow(n_minus, n_plus)
+    k = data.draw(st.integers(0, win.dim))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    z = rng.standard_normal((win.dim, k)) + 1j * rng.standard_normal((win.dim, k))
+    spec = SubspaceSpec(win, np.linalg.qr(z)[0])
+    assert virtual_dimension(spec) == spec.basis.shape[1] - win.n_plus
+
+
 def random_spec(rng, k):
     z = rng.standard_normal((WIN.dim, k)) + 1j * rng.standard_normal((WIN.dim, k))
     return SubspaceSpec(WIN, np.linalg.qr(z)[0])
