@@ -56,7 +56,7 @@ from .geomgrid import (
     integrate,
     sub_grid,
 )
-from .numkernel import _real_form
+from .numkernel import _real_widening
 
 __all__ = [
     "chern_scalar",
@@ -103,8 +103,11 @@ def trace_wedge(*factors: dict[tuple[int, ...], np.ndarray]) -> dict[tuple[int, 
     product of the module docstring.  The result maps each strictly
     increasing multi-index of the total degree to a scalar array over the
     nodes.  The last factor is paired by ``tr(x y) = sum_ij x_ij y_ji``, so
-    the final matrix product is never formed.
+    the final matrix product is never formed.  ShapeMismatch without a
+    factor.
     """
+    if not factors:
+        raise ShapeMismatch("trace_wedge needs at least one factor")
     *head, last = factors
     if not head:
         return {key: np.trace(x, axis1=-2, axis2=-1) for key, x in sorted(last.items())}
@@ -139,8 +142,9 @@ class _FrameCurvature:
     :meth:`frame` and refilled by every later one of the same frame shape.
 
     Slot ``a > 0`` holds ``R(G_a)`` (:func:`numkernel._real_form`) of the
-    slot jet ``G_a = (d_a P) V``.  Slot 0 is only ever paired from the left
-    (``tr F_0b`` and :meth:`volume`, where it is the contracted ``t``), so it
+    slot jet ``G_a = (d_a P) V``, written by a product with the widened
+    frame ``W`` below.  Slot 0 is only ever paired from the left (``tr
+    F_0b`` and :meth:`volume`, where it is the contracted ``t``), so it
     holds ``G_0.view(float)`` alone, in a buffer of its own.  The curvature
     pair of slots ``a, b`` is ``F_ab = G_a* G_b - G_b* G_a = V* [d_a P, d_b
     P] V``, since the jets of ``P`` are Hermitian: ``r x r`` and
@@ -151,7 +155,9 @@ class _FrameCurvature:
 
     - :meth:`frame` forms ``W = [R(V) | R(iV)]``, ``2n x 4r``, as the free
       reshape of one product ``V.view(float) @ [1 | R(i) | R(i) | -1]``
-      (``n x 8r``; row ``l`` holds rows ``2l`` and ``2l + 1`` of ``W``).
+      (``n x 8r``; row ``l`` holds rows ``2l`` and ``2l + 1`` of ``W``),
+      by :func:`numkernel._real_widening`, which also widens the ``f*`` of
+      unitary slices (:class:`_SliceWorkspace`).
     - A jet ``d`` of ``P`` gives ``R(G)`` as the free ``2n x 2r`` reshape of
       ``d.view(float) @ W``: row ``l`` of that ``n x 4r`` product holds rows
       ``2l`` and ``2l + 1`` of ``R(G)``, ``G[l]`` and ``i G[l]``.  Slot 0
@@ -180,8 +186,6 @@ class _FrameCurvature:
         """Buffers for frames of ``frame_shape``, ``(*nodes, n, r)``; that of
         :meth:`projection` waits for its first call."""
         *nodes, n, r = self.frame_shape = frame_shape
-        turn = _real_form(1j * np.eye(r))  # R(i), so that x.view(float) @ R(i) = (i x).view(float)
-        self._spread = np.hstack([np.eye(2 * r), turn, turn, -np.eye(2 * r)])
         self._wide = np.empty((*nodes, 2 * n, 4 * r))
         self._real = self._wide[..., : 2 * r]
         self._projection = None
@@ -198,7 +202,7 @@ class _FrameCurvature:
         if v.shape != self.frame_shape:
             self._allocate(v.shape)
         self._v = v
-        np.matmul(v.view(float), self._spread, out=self._wide.reshape(*v.shape[:-1], 8 * v.shape[-1]))
+        _real_widening(v, self._wide)
 
     def projection(self) -> np.ndarray:
         """``P = V V*`` of the frame, as ``V.view(float) @ R(V)^T``."""
@@ -327,18 +331,25 @@ def ch_total(f: SampledMap, k_max: int = DEFAULT_K_MAX) -> list[GradedForm]:
 # homotopies
 
 
-def _row_reads(table: np.ndarray, blocks: np.ndarray) -> tuple:
-    """How each row of ``table`` reads ``blocks``, settled once: the block
-    itself when the row picks out one block with weight 1, otherwise its
-    weights and the float rows of the blocks from its first nonzero weight
-    to its last (an empty span for a zero row)."""
+def _row_plans(table: np.ndarray) -> tuple:
+    """How each row of ``table`` reads a store, settled once per table: the
+    index of the one block that the row picks out with weight 1, or else
+    its weights over the span of blocks from its first nonzero weight to its
+    last, and that span (empty for a zero row)."""
+    plans = []
+    for row, values in zip(table, table.tolist()):
+        nonzero = [k for k, x in enumerate(values) if x]
+        lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero else (0, 0)
+        plans.append(lo if hi - lo == 1 and values[lo] == 1.0 else (row[lo:hi], slice(lo, hi)))
+    return tuple(plans)
+
+
+def _row_reads(plans: tuple, blocks: np.ndarray) -> tuple:
+    """The reads of ``blocks`` by the rows of one table, from their
+    :func:`_row_plans`: a view of the one block, or the weights and the
+    float rows of their span."""
     flat = blocks.view(float).reshape(len(blocks), -1)
-    nonzero = ([k for k, x in enumerate(w) if x] for w in table.tolist())
-    spans = [(nz[0], nz[-1] + 1) if nz else (0, 0) for nz in nonzero]
-    return tuple(
-        blocks[lo] if hi - lo == 1 and row[lo] == 1.0 else (row[lo:hi], flat[lo:hi])
-        for row, (lo, hi) in zip(table, spans)
-    )
+    return tuple(blocks[p] if isinstance(p, int) else (p[0], flat[p[1]]) for p in plans)
 
 
 def _weighted(read, out: np.ndarray) -> np.ndarray:
@@ -442,9 +453,12 @@ class Homotopy:
     def __setattr__(self, name, value):
         raise AttributeError(f"a Homotopy is immutable; cannot set {name!r}")
 
-    def _settle(self, **fields) -> None:
+    def _settle(self, plans: Sequence | None = None, **fields) -> None:
         """Set ``fields``, with every check and normalization of construction
-        but the finite and frame checks."""
+        but the finite and frame checks.  ``plans`` are the row plans
+        (:func:`_row_plans`) of the tables (slices, time jets, then each
+        spatial axis) kept from a settled homotopy, None for a table to plan;
+        the reads of the store are built again in any case."""
         vars(self).update(fields)
         _check_codomain(self.codomain)
         t, q = np.asarray(self.times), np.asarray(self.quadrature)  # cast to float once found real
@@ -467,6 +481,7 @@ class Homotopy:
             got = [w.shape for w in tables]
             raise ShapeMismatch(f"homotopy weight tables must be finite and ({t.size}, {len(b)}), got {got}")
         weights, time_weights, *spatial_weights = tables = [_freeze(w) for w in tables]
+        plans = [_row_plans(w) if p is None else p for w, p in zip(tables, plans or [None] * len(tables), strict=True)]
         vars(self).update(
             times=_freeze(np.array(t, dtype=float)),
             quadrature=_freeze(np.array(q, dtype=float)),
@@ -474,7 +489,8 @@ class Homotopy:
             weights=weights,
             time_weights=time_weights,
             spatial_weights=None if spatial is None else tuple(spatial_weights),
-            _reads=[_row_reads(w, b) for w in tables],  # slices, time jets, then each spatial axis
+            _plans=plans,
+            _reads=[_row_reads(p, b) for p in plans],
         )
 
     @property
@@ -534,6 +550,10 @@ class Homotopy:
         return v @ _adjoint(v) if self._frames else v
 
     def slice_map(self, i: int) -> SampledMap:
+        """Slice ``i`` (negative counts from the last) as a validated map;
+        ShapeMismatch unless ``i`` is an integer index of a time node."""
+        if not (isinstance(i, (int, np.integer)) and -self.n_times <= i < self.n_times):
+            raise ShapeMismatch(f"slice index {i!r} of a homotopy with {self.n_times} time nodes")
         v = self._slice(i, np.empty(self.slice_shape, dtype=complex))
         partials = None
         if self.spatial_weights is not None:
@@ -542,11 +562,12 @@ class Homotopy:
                 partials = tuple(a + _adjoint(a) for a in (d @ _adjoint(v) for d in partials))
         return SampledMap(self.spatial, self._value(v), codomain=self.codomain, window=self.window, partials=partials)
 
-    def _derived(self, **fields) -> "Homotopy":
+    def _derived(self, plans: Sequence | None = None, **fields) -> "Homotopy":
         """This homotopy with ``fields`` replaced, settled without the finite
-        and frame checks: its blocks must be those a homotopy already checked."""
+        and frame checks: its blocks must be those a homotopy already checked.
+        ``plans`` as in :meth:`_settle`; every table is planned when None."""
         derived = object.__new__(Homotopy)
-        derived._settle(**{**vars(self), **fields})
+        derived._settle(plans, **{**vars(self), **fields})
         return derived
 
     def restrict(self, axes: Sequence[int]) -> "Homotopy":
@@ -555,11 +576,14 @@ class Homotopy:
         :func:`geomgrid.cycle_integral`)."""
         sub, pin = sub_grid(self.spatial, axes)
         sw = None if self.spatial_weights is None else tuple(self.spatial_weights[a] for a in sorted(axes))
-        return self._derived(spatial=sub, blocks=self.blocks[(slice(None), *pin)], spatial_weights=sw)
+        plans = self._plans[:2] + ([] if sw is None else [self._plans[2 + a] for a in sorted(axes)])
+        return self._derived(plans, spatial=sub, blocks=self.blocks[(slice(None), *pin)], spatial_weights=sw)
 
     def reversed(self) -> "Homotopy":
         t, sw = self.times, self.spatial_weights
+        weights, _, *spatial = self._plans  # the time table is negated, so planned again
         return self._derived(
+            [weights[::-1], None, *(p[::-1] for p in spatial)],
             times=t[-1] - t[::-1] + t[0],
             weights=self.weights[::-1],
             time_weights=-self.time_weights[::-1],
@@ -570,7 +594,7 @@ class Homotopy:
     def adjoint(self) -> "Homotopy":
         if self._frames:  # projections are self-adjoint
             return self
-        return self._derived(blocks=_adjoint(self.blocks))
+        return self._derived(self._plans, blocks=_adjoint(self.blocks))
 
     @staticmethod
     def concatenate(first: "Homotopy", second: "Homotopy") -> "Homotopy":
@@ -621,24 +645,25 @@ class _SliceWorkspace:
     logarithmic derivative ``beta_a = d_a f f^{-1} = f alpha_a f^{-1}``,
     which has the traces of ``alpha_a = f^{-1} d_a f``.  The jets are
     stacked by rows, ``J = [df/dt; d_1 f; ..]`` (grid jets written into
-    their row blocks, exact ones copied in), so every ``beta_a`` comes from
-    one real product ``J.view(float) @ R(f*)`` (:func:`numkernel._real_form`, with
-    ``f^{-1} = f*``) and every ``X_i = beta_i beta_t`` from a second one,
-    ``[beta_1; ..].view(float) @ R(beta_t)``.  The degree ``2k - 2`` of a
-    unitary CS form is at most ``dim <= 3``, so ``k = 2``, and the integrand
-    ``tr(alpha_t ^ omega ^ omega)`` is ``tr(beta ^ X)`` by cyclicity: these
-    two products are all of a slice.  numpy multiplies a stack of small
-    complex matrices by one ``zgemm`` call per matrix, and the real products
-    of the float views are faster: on the 4 x 4 slices of the odd inversion
-    homotopies they cut a ``cs_exact`` pass by about a fifth.  ``R(f*)``,
-    which is ``R(f)^T``, is formed from a conjugate transposed copy of
-    ``f``: numpy's stacked product reads a transposed view of ``R(f)`` at
-    about 2.5 times the cost of a contiguous operand (256 nodes of 8 x 8,
-    OpenBLAS, one thread).  The plan of a unitary pass is built once: the
-    float views of both products, the ``n``-row blocks of ``J``, of
-    ``[beta_t; beta_1; ..]`` and of ``[X_1; ..]`` as views, and one buffer
-    per axis pair ``i < j``.  Each pair is written directly as ``tr(beta_i
-    X_j) - tr(beta_j X_i)``, two ``einsum`` pairings, the order and sign in
+    their row blocks, exact ones copied in), and ``f^{-1} = f*``, a
+    conjugate transposed copy of ``f``, is widened to ``[R(f*) | R(if*)]``
+    (:func:`numkernel._real_widening`, as :meth:`_FrameCurvature.frame`
+    widens its frames).  The real product ``J.view(float) @ [R(f*) |
+    R(if*)]`` then writes ``R(beta)`` of every jet, row ``l`` holding
+    ``beta[l]`` and ``i beta[l]``, and a second, ``[beta_1; ..].view(float)
+    @ R(beta_t)``, gives every ``X_i = beta_i beta_t`` from ``R(beta_t)``,
+    the first ``2n`` rows of ``R(beta)``, read in place.  The degree ``2k -
+    2`` of a unitary CS form is at most ``dim <= 3``, so ``k = 2``, and the
+    integrand ``tr(alpha_t ^ omega ^ omega)`` is ``tr(beta ^ X)`` by
+    cyclicity: the widening and the two products are all of a slice.  numpy
+    multiplies a stack of small complex matrices by one ``zgemm`` call per
+    matrix, and the real products of the float views are faster: on the 4
+    x 4 slices of the odd inversion homotopies they cut a ``cs_exact`` pass
+    by about a fifth.  The plan of a unitary pass is built once: the float
+    operands and outputs of both products, the ``n``-row blocks of ``J``,
+    of ``beta`` and of ``[X_1; ..]`` as views, and one buffer per axis pair
+    ``i < j``.  Each pair is written directly as ``tr(beta_i X_j) -
+    tr(beta_j X_i)``, two ``einsum`` pairings, the order and sign in
     which :func:`trace_wedge` sums it, so the bits are those of the shuffle.
 
     Projection slices go through :class:`_FrameCurvature`, slot 0 being
@@ -665,13 +690,19 @@ class _SliceWorkspace:
         if self.unitary:
             *nodes, _, n = shape
             jets = np.empty((*nodes, (dim + 1) * n, n), dtype=complex)
-            beta, heads = np.empty_like(jets), np.empty((*nodes, dim * n, n), dtype=complex)
-            self.real, self.inverse = np.empty((*nodes, 2 * n, 2 * n)), np.empty(shape, dtype=complex)
-            # the float views of the two products, and the n-row blocks as views:
+            self.inverse, widened = np.empty(shape, dtype=complex), np.empty((*nodes, 2 * n, 4 * n))
+            # R(beta) of [beta_t; beta_1; ..], whose row l of n x 4n holds beta[l] and i beta[l]
+            real_beta = np.empty((*nodes, 2 * (dim + 1) * n, 2 * n))
+            rows = real_beta.reshape(*nodes, (dim + 1) * n, 4 * n)
+            beta, heads = rows[..., : 2 * n].view(complex), np.empty((*nodes, dim * n, n), dtype=complex)
+            # the float operands and outputs of the two products, and the n-row blocks as views:
             # jets [df/dt, d_1 f, ..], beta [beta_t, beta_1, ..], heads [X_1, ..]
-            self.products = (jets.view(float), beta.view(float)), (beta[..., n:, :].view(float), heads.view(float))
+            self.products = (
+                (jets.view(float), widened, rows),
+                (rows[..., n:, : 2 * n], real_beta[..., : 2 * n, :], heads.view(float)),
+            )
             self.jet_rows = np.split(jets, dim + 1, axis=-2)
-            self.beta_t, *self.betas = np.split(beta, dim + 1, axis=-2)
+            self.betas = np.split(beta[..., n:, :], dim, axis=-2)
             self.xs = np.split(heads, dim, axis=-2)
             self.minus = np.empty(nodes, dtype=complex)
             self.forms = {2: {ij: np.empty(nodes, dtype=complex) for ij in itertools.combinations(range(dim), 2)}}
@@ -693,10 +724,10 @@ class _SliceWorkspace:
                 fourier.derivative(v, i, row)
             else:
                 row[...] = _weighted(H._reads[2 + i][it], self.exact)
-        f_inv = np.conjugate(np.swapaxes(v, -1, -2), out=self.inverse)
-        (jets, beta), (beta_x, heads) = self.products
-        np.matmul(jets, _real_form(f_inv, self.real), out=beta)
-        np.matmul(beta_x, _real_form(self.beta_t, self.real), out=heads)
+        (jets, widened, rows), (beta_x, real_beta_t, heads) = self.products
+        _real_widening(np.conjugate(np.swapaxes(v, -1, -2), out=self.inverse), widened)
+        np.matmul(jets, widened, out=rows)  # R(beta) = J [R(f*) | R(if*)]
+        np.matmul(beta_x, real_beta_t, out=heads)  # X = [beta_1; ..] R(beta_t)
         # tr(alpha_t ^ omega ^ omega) = tr(beta ^ X), X_i = beta_i beta_t: the
         # (i, j) component is tr(beta_i X_j) - tr(beta_j X_i), as trace_wedge sums it
         for (i, j), out in self.forms[2].items():
@@ -739,17 +770,15 @@ def _unitary_cs_zero(H: Homotopy) -> np.ndarray:
     integrand of unitary slices integrated in ``t``, from pairings of the
     store: with slices ``W B``, time jets ``W' B`` and quadrature ``q`` it
     is ``sum_kl c_kl tr(B_k* B_l)`` with ``c = W^T diag(q) W'``, taken over
-    the nonzero ``c_kl`` only, one ``einsum`` each (6 pairings of 3 blocks
+    the nonzero ``c_kl`` only, each one ``np.vecdot`` of the flattened
+    blocks, which conjugates the first with no copy (6 pairings of 3 blocks
     on an odd rotation homotopy, whatever its time nodes and spatial jets)."""
     c = H.weights.T @ (H.quadrature[:, None] * H.time_weights)
-    conj = np.empty(H.slice_shape, dtype=complex)
+    flat = H.blocks.reshape(*H.blocks.shape[:-2], -1)
     acc = np.zeros(H.spatial.node_shape, dtype=complex)
     for k, row in enumerate(c):
-        nonzero = np.flatnonzero(row)
-        if nonzero.size:
-            finv = np.swapaxes(np.conjugate(H.blocks[k], out=conj), -1, -2)
-            for j in nonzero:
-                acc += row[j] * np.einsum("...ij,...ji->...", finv, H.blocks[j])
+        for j in np.flatnonzero(row):
+            acc += row[j] * np.vecdot(flat[k], flat[j])  # tr(B_k* B_j), conjugating the first
     return acc
 
 
@@ -807,10 +836,13 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
     projection homotopies of :mod:`kops` build them.  Unitary slices are
     read through ``beta_a = d_a f f^{-1}``, which has the traces
     of ``alpha_a``: ``df/dt`` and the spatial jets are stacked by rows, grid
-    jets written straight into their row blocks, and two real products of
-    float views give every ``beta_a`` and every ``beta_i beta_t``, whose
-    pairing ``tr(beta ^ beta beta_t)`` is ``tr(alpha_t ^ omega ^ omega)``,
-    written out pair by pair on views fixed for the whole pass;
+    jets written straight into their row blocks, ``f*`` is widened to
+    ``[R(f*) | R(if*)]`` (:func:`numkernel._real_widening`), and two real
+    products of float views give every ``beta_a`` and every ``beta_i
+    beta_t``: the first writes ``R(beta)``, and the second reads its
+    ``R(beta_t)`` rows in place.  Their pairing ``tr(beta ^ beta beta_t)``
+    is ``tr(alpha_t ^ omega ^ omega)``, written out pair by pair on views
+    fixed for the whole pass;
     a unitary form has degree ``2k - 2 <= dim <= 3``, so ``k <= 2`` and
     nothing more is multiplied.  ``CS_0`` of unitary slices is ``int
     tr(f^{-1} df/dt) dt``, which is bilinear in the slice and its time jet,

@@ -62,10 +62,12 @@ def resample(samples: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The trigonometric interpolant of ``N`` samples (axis 0) on ``n >= N``
     uniform nodes and its exact ``d/dtheta`` there, the inverse transforms of
     one zero-padded spectrum ``c_m`` and of ``i m c_m``; ``resample(x, k * N)[0][::k]``
-    returns ``x``.  Raises BadResolution if ``n < N``.
+    returns ``x``.  Raises BadResolution unless ``n >= N`` is an integer.
     """
     c = coefficients(samples)
     N = c.shape[0]
+    if not isinstance(n, (int, np.integer)):
+        raise BadResolution(f"resample needs an integer node count, got {n!r}")
     if n < N:
         raise BadResolution(f"cannot resample {N} nodes onto {n} < {N}")
     fine = np.zeros((n,) + c.shape[1:], dtype=complex)

@@ -365,10 +365,12 @@ def sub_grid(domain: DomainGrid, axes: Sequence[int]) -> tuple[DomainGrid, tuple
     """The sub-grid spanned by ``axes`` and the index into node data that
     pins every other axis at node 0.
 
-    ShapeMismatch if ``axes`` are not distinct axes of ``domain``.
+    ShapeMismatch if ``axes`` are not distinct integer axes of ``domain``
+    (``0.0`` equals axis 0 but indexes nothing).
     """
     axes = tuple(sorted(axes))
-    if len(set(axes)) != len(axes) or not set(axes) <= set(range(domain.dim)):
+    integers = all(isinstance(a, (int, np.integer)) for a in axes)
+    if not integers or len(set(axes)) != len(axes) or not set(axes) <= set(range(domain.dim)):
         raise ShapeMismatch(f"{axes} are not distinct axes of a {domain.dim}-dimensional domain")
     sub = DomainGrid(tuple(domain.axes[a] for a in axes))
     return sub, tuple(slice(None) if i in axes else 0 for i in range(domain.dim))

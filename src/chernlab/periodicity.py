@@ -128,11 +128,15 @@ def bott_subspace(gamma: SampledMap, B: int | None = None) -> tuple[SubspaceSpec
 
 
 def det_winding(gamma: SampledMap) -> int:
-    """Winding number of ``det(gamma)`` by phase continuation around the loop,
-    closed by the first determinant, so the phase changes by whole turns up
-    to round-off; SingularInput when a determinant is not finite, or when
-    its modulus is not above 1e-12 of the largest, where its phase means
-    nothing."""
+    """Winding number of ``det(gamma)``: the sum of the principal phases of
+    the steps ``det gamma(theta_k+1) / det gamma(theta_k)`` around the loop,
+    closed by the first determinant, is a whole number of turns up to
+    round-off.  SingularInput when a determinant is not finite, or when
+    its modulus is not above 1e-12 of its Hadamard bound ``prod_j |gamma
+    e_j|``, the product of the column norms of its node, where its phase
+    means nothing.  The ratio is 1 at every node of a unitary loop, at any
+    scale, and round-off at every node of a singular one, whose largest
+    determinant is round-off too."""
     if gamma.domain.kind != "circle":
         raise ShapeMismatch("winding needs a circle-sampled loop")
     if gamma.rows != gamma.cols:
@@ -141,12 +145,11 @@ def det_winding(gamma: SampledMap) -> int:
     bad = np.flatnonzero(~np.isfinite(dets))
     if bad.size:
         raise SingularInput(f"winding needs a finite determinant at every node, not at node {bad[0]}")
-    small = np.flatnonzero(np.abs(dets) <= 1e-12 * np.abs(dets).max())
+    bound = np.prod(np.linalg.norm(gamma.values, axis=-2), axis=-1)  # |det| <= bound, node by node
+    small = np.flatnonzero(np.abs(dets) <= 1e-12 * bound)
     if small.size:
         raise SingularInput(f"winding needs a nonzero determinant at every node, not at node {small[0]}")
-    closed = np.concatenate([dets, dets[:1]])
-    angles = np.unwrap(np.angle(closed))
-    return int(np.round((angles[-1] - angles[0]) / (2.0 * np.pi)))
+    return int(np.round(np.angle(np.roll(dets, -1) / dets).sum() / (2.0 * np.pi)))
 
 
 @dataclass(frozen=True)

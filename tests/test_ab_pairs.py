@@ -29,3 +29,41 @@ def test_ties_count_for_neither_side_and_higher_can_be_better():
     assert "won 0/3" in ab_pairs.summary(higher, [2.0, 2.0, 2.0], [2.0, 2.0, 2.0])
     assert "won 3/3" in ab_pairs.summary(higher, [2.0, 2.0, 2.0], [2.5, 2.5, 2.5])
     assert ab_pairs.quartiles([3.0]) == (3.0, 3.0, 3.0)
+
+
+def test_a_change_is_worse_when_its_median_trails_by_more_than_the_parent_spread():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+    slower = [p + 0.10 for p in parent]
+    assert "won 0/10" in ab_pairs.summary(LOWER, parent, slower)
+    assert ab_pairs.summary(LOWER, parent, slower).endswith("(does not beat it): worse")
+    # trailing by less than the interquartile range is no gain, not worse
+    near = [p + 0.001 for p in parent]
+    assert ab_pairs.summary(LOWER, parent, near).endswith("(does not beat it): no gain shown")
+    # a higher-is-better metric is worse when it falls, and a flat parent has no spread to hide in
+    higher = {"name": "accuracy_digits", "better": "higher"}
+    assert ab_pairs.summary(higher, [2.0, 2.0, 2.0], [1.9, 1.9, 1.9]).endswith("worse")
+    assert ab_pairs.summary(higher, [2.0, 2.0, 2.0], [2.0, 2.0, 2.0]).endswith("no gain shown")
+
+
+def test_workloads_run_in_turn_with_one_summary_block_each(tmp_path, monkeypatch, capsys):
+    for side in ("p", "c"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    metrics = [{"name": "op_p50_s", "better": "lower"}]
+    (tmp_path / "p" / "BENCHMARK.json").write_text(ab_pairs.json.dumps({"end_to_end": metrics}))
+    runs = []
+
+    def fake_run(checkout, workload, args):
+        runs.append((checkout.name, workload))
+        value = 1.0 if checkout.name == "p" else 0.9
+        return {"failed": 0, "metrics": {"op_p50_s": {"value": value}}}
+
+    monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+    argv = [str(tmp_path / "p"), str(tmp_path / "c"), "--workload", "a", "--workload", "b"]
+    argv += ["--seed", "1", "--pairs", "2"]
+    assert ab_pairs.main(argv) == 0
+    assert runs == [("p", "a"), ("c", "a"), ("c", "a"), ("p", "a"), ("p", "b"), ("c", "b"), ("c", "b"), ("p", "b")]
+    out = capsys.readouterr().out.splitlines()
+    blocks = [line for line in out if "pairs of" in line]
+    assert [b.split()[0] for b in blocks] == ["a", "b"]
+    assert sum(line.strip().startswith("op_p50_s") and line.endswith("gain holds") for line in out) == 2

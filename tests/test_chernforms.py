@@ -919,13 +919,14 @@ def _complex_products(monkeypatch):
 
 def _stacked_products(monkeypatch):
     """Record ``(complex, a.shape, b.shape)`` of every ``np.matmul`` call
-    whose operands are both stacks of matrices: the slice products, not the
-    dense derivatives or the weighted sums over blocks."""
+    whose first operand is a stack of matrices: the slice products and the
+    widenings of a stack by one constant matrix, not the dense derivatives
+    (a matrix times a stack) or the weighted sums over blocks."""
     calls = []
     matmul = np.matmul
 
     def counting(a, b, *args, **kwargs):
-        if np.ndim(a) > 2 and np.ndim(b) > 2:
+        if np.ndim(a) > 2:
             calls.append((np.iscomplexobj(a) or np.iscomplexobj(b), np.shape(a), np.shape(b)))
         return matmul(a, b, *args, **kwargs)
 
@@ -940,13 +941,52 @@ def test_unitary_slices_take_two_stacked_products(name, monkeypatch):
     dim, n, nodes = h.spatial.dim, h.slice_shape[-1], h.slice_shape[:-2]
     calls = _stacked_products(monkeypatch)
     cs_forms(h, 2)
-    # [df/dt; d_1 f; ..] R(f*), then [beta_1; ..] R(beta_t), on float views
-    real = nodes + (2 * n, 2 * n)
-    per_slice = [(False, nodes + ((dim + 1) * n, 2 * n), real), (False, nodes + (dim * n, 2 * n), real)]
+    # f* widened by [1 | R(i) | R(i) | -1]; then [df/dt; d_1 f; ..] times
+    # [R(f*) | R(if*)], which writes R(beta); then [beta_1; ..] times the
+    # R(beta_t) view; all on float views
+    per_slice = [
+        (False, nodes + (n, 2 * n), (2 * n, 8 * n)),
+        (False, nodes + ((dim + 1) * n, 2 * n), nodes + (2 * n, 4 * n)),
+        (False, nodes + (dim * n, 2 * n), nodes + (2 * n, 2 * n)),
+    ]
     assert calls == per_slice * h.n_times
     calls.clear()
     cs_forms(h, 1)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "odd_on_a_two_cycle"])
+def test_the_beta_t_view_is_the_real_form_of_beta_t(name):
+    # the first product writes R(beta) row pair by row pair, so the second
+    # reads R(beta_t) in place, with the bytes of the two-write real form
+    hs = _inversion_homotopies()
+    h = hs["odd_grid_jets"].restrict((0, 2)) if name == "odd_on_a_two_cycle" else hs[name]
+    n = h.slice_shape[-1]
+    ws = chernforms._SliceWorkspace(h, [2])
+    (_, _, rows), (_, real_beta_t, _) = ws.products
+    assert np.shares_memory(real_beta_t, rows)
+    slices, dt = h.slices, h.time_derivative()
+    for it in range(h.n_times):
+        ws.integrands(it)
+        beta_t = rows[..., :n, : 2 * n].view(complex)
+        assert real_beta_t.tobytes() == _real_form(beta_t).tobytes()
+        # and beta_t is the right logarithmic derivative df/dt f* of the slice
+        assert np.abs(beta_t - dt[it] @ _adj(slices[it])).max() <= 1e-14 * max(1.0, np.abs(dt[it]).max())
+
+
+@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "phase_twisted"])
+def test_unitary_cs_zero_is_the_quadrature_of_the_slice_traces(name):
+    # sum_i q_i tr(f_i* df_i/dt) from the stacks, against the block pairings;
+    # the scale bounds every term: sum_i |q_i| max |f_i|_F |df_i/dt|_F
+    hs = _inversion_homotopies()
+    h = _phase_twisted(hs["odd_grid_jets"]) if name == "phase_twisted" else hs[name]
+    slices, dt = h.slices, h.time_derivative()
+    expected = sum(q * np.trace(_adj(f) @ d, axis1=-2, axis2=-1) for q, f, d in zip(h.quadrature, slices, dt))
+    norms = np.linalg.norm(slices, axis=(-2, -1)) * np.linalg.norm(dt, axis=(-2, -1))
+    scale = float(np.abs(h.quadrature) @ norms.reshape(h.n_times, -1).max(axis=1))
+    got = chernforms._unitary_cs_zero(h)
+    assert scale > 1.0 and got.shape == h.spatial.node_shape
+    assert np.abs(got - expected).max() <= 1e-15 * scale
 
 
 def _alpha_form(h):
@@ -990,17 +1030,19 @@ def test_projection_slices_take_no_complex_product(monkeypatch):
     square = _conjugated_projections(make_domain("torus3", (8, 8, 8)))
     calls = _stacked_products(monkeypatch)
     nodes, (n, r) = hs["even"].slice_shape[:-2], hs["even"].slice_shape[-2:]
-    # a frame jet x takes x* W, then v R(x* v); a jet d of p takes d W; the
-    # degree-3 pairing takes R(G_j)^T R(G_k) and G_0^T G_i for each cyclic
-    # (i, j, k); W itself is one product of v with a constant matrix
+    # W is v widened by [1 | R(i) | R(i) | -1]; a frame jet x takes x* W, then
+    # v R(x* v); a jet d of p takes d W; the degree-3 pairing takes
+    # R(G_j)^T R(G_k) and G_0^T G_i for each cyclic (i, j, k)
+    widening = [(False, nodes + (n, 2 * r), (2 * r, 8 * r))]
     frame_jet = [(False, nodes + (r, 2 * n), nodes + (2 * n, 4 * r)), (False, nodes + (n, 2 * r), nodes + (2 * r, 2 * r))]
     volume = [(False, nodes + (2 * r, 2 * n), nodes + (2 * n, 2 * r)), (False, nodes + (2 * r, n), nodes + (n, 2 * r))] * 3
     for name, per_slice in (
-        ("even", frame_jet * 4 + volume),
+        ("even", widening + frame_jet * 4 + volume),
         # p = v R(v)^T, the time jet of the frame, and each grid jet of p
         (
             "even_grid_jets",
-            [(False, nodes + (n, 2 * r), nodes + (2 * r, 2 * n))]
+            widening
+            + [(False, nodes + (n, 2 * r), nodes + (2 * r, 2 * n))]
             + frame_jet
             + [(False, nodes + (n, 2 * n), nodes + (2 * n, 4 * r))] * 3
             + volume,
@@ -1009,11 +1051,11 @@ def test_projection_slices_take_no_complex_product(monkeypatch):
         calls.clear()
         cs_forms(hs[name], 2)
         assert calls == per_slice * hs[name].n_times
-    # a square slice takes its frame from eigh and all four slots as jets of p
+    # a square slice takes its frame from eigh, widens it and takes all four slots as jets of p
     calls.clear()
     cs_forms(square, 2)
     assert calls and not any(is_complex for is_complex, _, _ in calls)
-    assert len(calls) == (4 + 6) * square.n_times
+    assert len(calls) == (1 + 4 + 6) * square.n_times
 
 
 def _phase_twisted(h):
@@ -1206,6 +1248,53 @@ def test_restrict_pins_the_node_of_cycle_integral(axes):
     _same_homotopy(h.adjoint().restrict(axes), r.adjoint())
 
 
+def _fresh(h):
+    """A homotopy built by the constructor from the fields of ``h``."""
+    return Homotopy(
+        h.spatial, h.times, h.quadrature, h.blocks, h.weights, h.time_weights, h.codomain, h.window, h.spatial_weights
+    )
+
+
+def _assert_same_reads(a, b):
+    """Every row of every table of ``a`` reads its store as that of ``b``:
+    the same one block, or the same weights over the same float rows."""
+    assert len(a._reads) == len(b._reads) == 2 + (0 if a.spatial_weights is None else a.spatial.dim)
+    for reads, fresh in zip(a._reads, b._reads):
+        assert len(reads) == len(fresh) == a.n_times
+        for x, y in zip(reads, fresh):
+            assert isinstance(x, np.ndarray) == isinstance(y, np.ndarray)
+            for u, v in [(x, y)] if isinstance(x, np.ndarray) else zip(x, y):
+                assert u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+def _one_hot_homotopy():
+    """A conjugation homotopy with exact jets, whose tables are one-hot."""
+    dom = make_domain("torus3", (8, 8, 8))
+    gen = np.array([[0.5j, 1.0], [-1.0, -0.25j]])
+    f = random_unitary_map(np.random.default_rng(7), dom, size=2)
+    return conjugation_homotopy(f, lambda t: expm(t * gen), lambda t: gen @ expm(t * gen), t_res=5)
+
+
+@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "even", "one_hot"])
+def test_derived_homotopies_read_as_fresh_ones(name):
+    h = _one_hot_homotopy() if name == "one_hot" else _inversion_homotopies()[name]
+    derived = {
+        "restrict": h.restrict((2, 0)),
+        "restrict to one axis": h.restrict((1,)),
+        "reversed": h.reversed(),
+        "adjoint": h.adjoint(),
+        "a chain": h.reversed().restrict((0, 1)).adjoint(),
+        "concatenate": Homotopy.concatenate(h, h.reversed()),
+    }
+    for d in derived.values():
+        _assert_same_reads(d, _fresh(d))
+    # the plans of kept tables are kept, not looked up again
+    kept = {"restrict": [0, 1, *([2, 4] if h.spatial_weights is not None else [])], "adjoint": range(len(h._plans))}
+    for key, tables in kept.items():
+        assert len(derived[key]._plans) == len(tables)
+        assert all(p is h._plans[t] for p, t in zip(derived[key]._plans, tables))
+
+
 def _derivative_calls(monkeypatch):
     """Record the array rank of every spectral derivative taken."""
     ranks = []
@@ -1308,6 +1397,17 @@ def _circle_map(codomain):
 
 
 CONTRACT_CHECKS = {
+    "trace_wedge without a factor": (lambda: trace_wedge(), ShapeMismatch, "trace_wedge needs at least one factor"),
+    "restrict to a float axis": (
+        lambda: stacked_homotopy(CIRCLE8, *LOBATTO5, _eye_slices()).restrict((0.0,)),
+        ShapeMismatch,
+        r"\(0.0,\) are not distinct axes of a 1-dimensional domain",
+    ),
+    "slice_map past the last time node": (
+        lambda: stacked_homotopy(CIRCLE8, *LOBATTO5, _eye_slices()).slice_map(99),
+        ShapeMismatch,
+        "slice index 99 of a homotopy with 5 time nodes",
+    ),
     "chern_scalar k < 1": (lambda: chern_scalar("odd", 0), DegreeOverflow, "k >= 1"),
     "chern_scalar parity": (lambda: chern_scalar("evn", 1), ShapeMismatch, "parity must be 'odd' or 'even'"),
     "ch_odd tag": (lambda: ch_odd(_circle_map("projection"), 1), ShapeMismatch, "ch_odd needs a unitary-tagged map"),

@@ -139,6 +139,11 @@ def test_antiderivative_is_exact_on_band_limited_data(n):
 _SAMPLES = np.ones((8, 2, 2), dtype=complex)
 
 CONTRACT_CHECKS = {
+    "resample onto a fractional node count": (
+        lambda: fourier.resample(np.ones(8), 8.5),
+        BadResolution,
+        "resample needs an integer node count, got 8.5",
+    ),
     "derivative along a missing axis": (
         lambda: fourier.derivative(_SAMPLES, axis=9),
         ShapeMismatch,

@@ -8,6 +8,7 @@ from chernlab.builders import _exp_i_hermitian
 from chernlab.errors import ChernLabError, NotUnitary, SingularInput
 from chernlab.numkernel import (
     _real_form,
+    _real_widening,
     det_phase,
     frobenius,
     haar_unitary,
@@ -259,6 +260,22 @@ def test_real_form_multiplies_on_the_left_and_reads_back(m, n, r, stack, seed):
     assert (np.linalg.norm(got - a @ w, axis=(-2, -1)) / scale).max() < 1e-15
 
 
+@settings(max_examples=30, deadline=None)
+@given(REAL_FORM_SIDES, REAL_FORM_SIDES, REAL_FORM_SIDES, STACKS, st.integers(0, 2**16))
+def test_a_product_with_the_widened_form_writes_the_real_form_of_the_product(m, n, r, stack, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _complex_stack(rng, (*stack, m, n)), _complex_stack(rng, (*stack, n, r))
+    out = np.empty((*stack, 2 * n, 4 * r))
+    wide = _real_widening(b, out)
+    # [R(b) | R(ib)], each entry an entry of b up to sign, so exact
+    assert wide is out and wide[..., : 2 * r].tobytes() == _real_form(b).tobytes()
+    assert np.array_equal(wide[..., 2 * r :], _real_form(1j * b))
+    # a @ [R(b) | R(ib)] is R(ab) after a free reshape
+    got = (a.view(float) @ wide).reshape(*stack, 2 * m, 2 * r)
+    scale = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(b, axis=(-2, -1))
+    assert (np.linalg.norm(got - _real_form(a @ b), axis=(-2, -1)) / scale).max() < 1e-15
+
+
 def _eye_with(value):
     """The 3 x 3 identity with one entry set to ``value``."""
     m = np.eye(3, dtype=complex)
@@ -267,6 +284,11 @@ def _eye_with(value):
 
 
 CONTRACT_CHECKS = {
+    "polar_unitary of a NaN matrix": (
+        lambda: polar_unitary(np.full((2, 2), np.nan)),
+        SingularInput,
+        "polar factor needs a finite matrix",
+    ),
     "polar_unitary of a non-square matrix": (
         lambda: polar_unitary(np.ones((2, 3))),
         SingularInput,

@@ -348,8 +348,17 @@ def _zeroed_loop(scale=0.0):
 
 
 def test_det_winding_reads_a_small_but_nonzero_determinant():
-    # the floor is relative: |det| = 1e-10 at eight nodes keeps its phase
+    # the floor is relative to each node's Hadamard bound: |det| = 1e-10 at eight nodes keeps its phase
     assert det_winding(_zeroed_loop(1e-5)) == 1
+
+
+def test_det_winding_keeps_the_windings_of_nonsingular_loops_at_any_scale():
+    assert det_winding(builders.trig_loop(64, winding=-2)) == -2
+    gamma = builders.random_band_loop(np.random.default_rng(5), rank=3, winding=[2, -1, 1], res=64)
+    assert det_winding(gamma) == 2
+    # a unitary loop scaled by 1e-3: every |det| is 1e-6, and each still reads its bound
+    loop = builders.loop_zn(1, res=16, pad=2)
+    assert det_winding(SampledMap(loop.domain, 1e-3 * loop.values)) == 1
 
 
 CONTRACT_CHECKS = {
@@ -432,6 +441,12 @@ CONTRACT_CHECKS = {
         lambda: det_winding(_zeroed_loop()),
         SingularInput,
         "winding needs a nonzero determinant at every node, not at node 3",
+    ),
+    "det_winding of a rank-1 projection loop": (
+        # every determinant is round-off, the largest included, so no floor relative to it holds
+        lambda: det_winding(builders.bloch_circle(1.0)),
+        SingularInput,
+        "winding needs a nonzero determinant at every node, not at node 0",
     ),
     "transport of an unresolved loop": (
         lambda: kato_transport(_alternating_loop()),
