@@ -19,24 +19,28 @@ an even form of degree at most 3 needs.  A homotopy may hold the frames in
 place of the projections (:class:`Homotopy`); a projection map gets a frame
 at every node from one batched ``eigh``.
 
-Wedge conventions (fixed once, tests depend on them): a matrix-valued form
-is a dict ``{I: array (..., n, n)}`` over strictly increasing axis
-multi-indices ``I`` (``()`` for a 0-form), and the wedge is the shuffle
-product ``(a ^ b)_K = sum sgn(I, J) a_I b_J`` over disjoint ``I u J = K``,
-``sgn(I, J)`` being the sign of the shuffle that sorts ``I + J``.  Hence
+Component conventions (fixed once, tests depend on them): a form is a dict
+``{I: array}`` over strictly increasing axis multi-indices ``I`` (``()`` for
+a 0-form), and :func:`chern_scalar` normalizes these components:
 
 * power of a 1-form:  ``tr(a^m)(v_1..v_m) = sum_s sgn(s) tr[a(v_s1)..a(v_sm)]``
   with no ``1/m!``;
 * power of a 2-form:  the same alternating sum over ``2k`` slots with a
-  ``1/2^k`` prefactor, pairing consecutive slots (the shuffle sum counts
-  each unordered pair once).
+  ``1/2^k`` prefactor, pairing consecutive slots (each unordered pair is
+  counted once).
+
+No form is wedged by a general product: each trace is written out in the
+kernel of its family.  Unitary maps go through :class:`_UnitaryPairs`, whose
+right logarithmic derivatives ``beta_a = d_a f f*`` have the traces of
+``omega``: ``tr(omega^3)`` is ``3 tr(beta_0 [beta_1, beta_2])`` by
+cyclicity, and the unitary CS integrand is its pairs ``tr(beta_t [beta_i,
+beta_j])``.  Projections go through :class:`_FrameCurvature`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,7 +64,6 @@ from .numkernel import _real_widening
 
 __all__ = [
     "chern_scalar",
-    "trace_wedge",
     "ch_odd",
     "ch_even",
     "ch_total",
@@ -83,42 +86,11 @@ def chern_scalar(parity: str, k: int) -> complex:
     raise ShapeMismatch(f"parity must be 'odd' or 'even', got {parity!r}")
 
 
-def _wedge(a: dict, b: dict, product) -> dict:
-    """Shuffle wedge of two matrix-valued forms, components multiplied by ``product``."""
-    out: dict[tuple[int, ...], np.ndarray] = {}
-    for first, x in a.items():
-        for second, y in b.items():
-            if not set(first) & set(second):
-                key = tuple(sorted(first + second))
-                term = (-1) ** sum(i > j for i in first for j in second) * product(x, y)
-                out[key] = out[key] + term if key in out else term
-    return out
-
-
-def trace_wedge(*factors: dict[tuple[int, ...], np.ndarray]) -> dict[tuple[int, ...], np.ndarray]:
-    """Components of ``tr(a_1 ^ ... ^ a_r)`` for matrix-valued forms.
-
-    Each factor maps strictly increasing axis multi-indices to operator
-    values stacked over nodes, ``(..., n, n)``; the wedge is the shuffle
-    product of the module docstring.  The result maps each strictly
-    increasing multi-index of the total degree to a scalar array over the
-    nodes.  The last factor is paired by ``tr(x y) = sum_ij x_ij y_ji``, so
-    the final matrix product is never formed.  ShapeMismatch without a
-    factor.
-    """
-    if not factors:
-        raise ShapeMismatch("trace_wedge needs at least one factor")
-    *head, last = factors
-    if not head:
-        return {key: np.trace(x, axis1=-2, axis2=-1) for key, x in sorted(last.items())}
-    acc = head[0]
-    for factor in head[1:]:
-        acc = _wedge(acc, factor, np.matmul)
-    return dict(sorted(_wedge(acc, last, partial(np.einsum, "...ij,...ji->...")).items()))
-
-
-def _adjoint(x: np.ndarray) -> np.ndarray:
-    return np.swapaxes(x, -1, -2).conj()
+def _adjoint(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The conjugate transpose of a stack of matrices, written once into the
+    C-contiguous ``out`` (a new array when None)."""
+    t = np.swapaxes(x, -1, -2)
+    return np.conjugate(t, out=np.empty_like(t, order="C") if out is None else out)
 
 
 def _range_frame(p: np.ndarray) -> np.ndarray:
@@ -157,7 +129,7 @@ class _FrameCurvature:
       reshape of one product ``V.view(float) @ [1 | R(i) | R(i) | -1]``
       (``n x 8r``; row ``l`` holds rows ``2l`` and ``2l + 1`` of ``W``),
       by :func:`numkernel._real_widening`, which also widens the ``f*`` of
-      unitary slices (:class:`_SliceWorkspace`).
+      unitary values (:class:`_UnitaryPairs`).
     - A jet ``d`` of ``P`` gives ``R(G)`` as the free ``2n x 2r`` reshape of
       ``d.view(float) @ W``: row ``l`` of that ``n x 4r`` product holds rows
       ``2l`` and ``2l + 1`` of ``R(G)``, ``G[l]`` and ``i G[l]``.  Slot 0
@@ -268,16 +240,93 @@ class _FrameCurvature:
         return 2.0 * out
 
 
+class _UnitaryPairs:
+    """The pairs ``tr(beta_0 [beta_i, beta_j])`` of the right logarithmic
+    derivatives ``beta_a = d_a f f* = f alpha_a f^{-1}`` of unitary values
+    ``f`` along ``n_jets`` directions, by two real products on buffers
+    allocated once and refilled by every :meth:`pair`.  ``beta_a`` has the
+    traces of ``alpha_a = f^{-1} d_a f``, so these are the pairs of
+    ``tr(alpha_0 ^ omega ^ omega)``.
+
+    - The caller writes the jets into :attr:`jets`, the ``n``-row blocks of
+      one stack ``J = [d_0 f; d_1 f; ..]``.
+    - :meth:`pair` writes ``f*`` once, C-contiguous (:func:`_adjoint`),
+      and widens it to ``[R(f*) | R(if*)]`` (:func:`numkernel._real_widening`,
+      as :meth:`_FrameCurvature.frame` widens its frames).
+    - The real product ``J.view(float) @ [R(f*) | R(if*)]`` writes
+      ``R(beta)`` of every jet, row ``l`` of its ``n x 4n`` blocks holding
+      ``beta[l]`` and ``i beta[l]``.
+    - A second, ``[beta_1; ..].view(float) @ R(beta_0)``, gives every
+      ``X_i = beta_i beta_0``, ``R(beta_0)`` being the first ``2n`` rows of
+      ``R(beta)``, read in place.
+    - Each pair ``i < j`` of the directions after the first is written as
+      ``tr(beta_i X_j) - tr(beta_j X_i)``, two ``einsum`` pairings, into a
+      buffer of its own (:attr:`pairs`, keyed from 0 for ``d_1 f``).
+
+    numpy multiplies a stack of small complex matrices by one ``zgemm``
+    call per matrix, and the real products of the float views are faster:
+    on the 4 x 4 slices of the odd inversion homotopies they cut a
+    ``cs_exact`` pass by about a fifth.  The unitary CS pass fills ``J``
+    with ``[df/dt; d_1 f; ..]`` at every slice (:class:`_SliceWorkspace`),
+    and :func:`ch_odd` with ``[d_0 f; d_1 f; d_2 f]`` once.
+    """
+
+    def __init__(self, shape: tuple[int, ...], n_jets: int):
+        *nodes, _, n = shape
+        stack = np.empty((*nodes, n_jets * n, n), dtype=complex)
+        self.inverse, widened = np.empty(shape, dtype=complex), np.empty((*nodes, 2 * n, 4 * n))
+        # R(beta) of [beta_0; beta_1; ..], whose row l of n x 4n holds beta[l] and i beta[l]
+        real_beta = np.empty((*nodes, 2 * n_jets * n, 2 * n))
+        rows = real_beta.reshape(*nodes, n_jets * n, 4 * n)
+        beta, heads = rows[..., : 2 * n].view(complex), np.empty((*nodes, (n_jets - 1) * n, n), dtype=complex)
+        # the float operands and outputs of the two products, and the n-row blocks as views:
+        # jets [d_0 f, d_1 f, ..], beta [beta_0, beta_1, ..], heads [X_1, ..]
+        self.products = (
+            (stack.view(float), widened, rows),
+            (rows[..., n:, : 2 * n], real_beta[..., : 2 * n, :], heads.view(float)),
+        )
+        self.jets = np.split(stack, n_jets, axis=-2)
+        self.betas = np.split(beta[..., n:, :], n_jets - 1, axis=-2)
+        self.xs = np.split(heads, n_jets - 1, axis=-2)
+        self.minus = np.empty(nodes, dtype=complex)
+        self.pairs = {ij: np.empty(nodes, dtype=complex) for ij in itertools.combinations(range(n_jets - 1), 2)}
+
+    def pair(self, f: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
+        """Every pair of :attr:`pairs` for the values ``f`` and the jets in
+        :attr:`jets`, in its buffer."""
+        (jets, widened, rows), (beta_x, real_beta_0, heads) = self.products
+        _real_widening(_adjoint(f, self.inverse), widened)
+        np.matmul(jets, widened, out=rows)  # R(beta) = J [R(f*) | R(if*)]
+        np.matmul(beta_x, real_beta_0, out=heads)  # X = [beta_1; ..] R(beta_0)
+        for (i, j), out in self.pairs.items():
+            np.einsum("...ij,...ji->...", self.betas[i], self.xs[j], out=out)
+            out -= np.einsum("...ij,...ji->...", self.betas[j], self.xs[i], out=self.minus)
+        return self.pairs
+
+
 def ch_odd(f: SampledMap, k: int) -> GradedForm:
-    """Degree-(2k-1) odd Chern component of a unitary-tagged map."""
+    """Degree-(2k-1) odd Chern component of a unitary-tagged map.
+
+    ``ch_1`` is ``c tr(f* d_i f)`` on each axis, one ``np.vecdot`` of the
+    flattened values and jet (it conjugates the first with no copy).  The
+    degree ``2k - 1`` is at most the domain dimension 3, so the only other
+    component is ``ch_3`` on torus3: ``sum_s sgn(s) tr(beta_s1 beta_s2
+    beta_s3) = 3 tr(beta_0 [beta_1, beta_2])``, the one pair of
+    :class:`_UnitaryPairs` filled with ``[d_0 f; d_1 f; d_2 f]``."""
     if f.codomain != "unitary":
         raise ShapeMismatch("ch_odd needs a unitary-tagged map")
     c, deg = chern_scalar("odd", k), 2 * k - 1  # DegreeOverflow unless k is an integer >= 1
     if deg > f.domain.dim:
         raise DegreeOverflow(f"degree {deg} exceeds domain dimension {f.domain.dim}")
-    finv = np.swapaxes(f.values, -1, -2).conj()
-    omega = {(i,): finv @ p for i, p in enumerate(differentiate(f))}
-    comps = trace_wedge(*[omega] * deg)
+    partials = differentiate(f)
+    if k == 1:
+        flat = f.values.reshape(*f.domain.node_shape, -1)
+        comps = {(i,): np.vecdot(flat, p.reshape(flat.shape)) for i, p in enumerate(partials)}
+    else:
+        kernel = _UnitaryPairs(f.values.shape, len(partials))
+        for row, p in zip(kernel.jets, partials, strict=True):
+            row[...] = p
+        comps = {(0, 1, 2): 3.0 * kernel.pair(f.values)[0, 1]}
     return GradedForm(f.domain, deg, {idx: c * a for idx, a in comps.items()})
 
 
@@ -641,30 +690,15 @@ class _SliceWorkspace:
     block store, evaluated into buffers of the workspace (a row that picks
     out one block is read in place).
 
-    Unitary slices (only ``k > 1`` come here) are taken in the right
-    logarithmic derivative ``beta_a = d_a f f^{-1} = f alpha_a f^{-1}``,
-    which has the traces of ``alpha_a = f^{-1} d_a f``.  The jets are
-    stacked by rows, ``J = [df/dt; d_1 f; ..]`` (grid jets written into
-    their row blocks, exact ones copied in), and ``f^{-1} = f*``, a
-    conjugate transposed copy of ``f``, is widened to ``[R(f*) | R(if*)]``
-    (:func:`numkernel._real_widening`, as :meth:`_FrameCurvature.frame`
-    widens its frames).  The real product ``J.view(float) @ [R(f*) |
-    R(if*)]`` then writes ``R(beta)`` of every jet, row ``l`` holding
-    ``beta[l]`` and ``i beta[l]``, and a second, ``[beta_1; ..].view(float)
-    @ R(beta_t)``, gives every ``X_i = beta_i beta_t`` from ``R(beta_t)``,
-    the first ``2n`` rows of ``R(beta)``, read in place.  The degree ``2k -
-    2`` of a unitary CS form is at most ``dim <= 3``, so ``k = 2``, and the
-    integrand ``tr(alpha_t ^ omega ^ omega)`` is ``tr(beta ^ X)`` by
-    cyclicity: the widening and the two products are all of a slice.  numpy
-    multiplies a stack of small complex matrices by one ``zgemm`` call per
-    matrix, and the real products of the float views are faster: on the 4
-    x 4 slices of the odd inversion homotopies they cut a ``cs_exact`` pass
-    by about a fifth.  The plan of a unitary pass is built once: the float
-    operands and outputs of both products, the ``n``-row blocks of ``J``,
-    of ``beta`` and of ``[X_1; ..]`` as views, and one buffer per axis pair
-    ``i < j``.  Each pair is written directly as ``tr(beta_i X_j) -
-    tr(beta_j X_i)``, two ``einsum`` pairings, the order and sign in
-    which :func:`trace_wedge` sums it, so the bits are those of the shuffle.
+    Unitary slices (only ``k > 1`` come here) go through
+    :class:`_UnitaryPairs`, direction 0 being ``t``: its jets are
+    ``[df/dt; d_1 f; ..]`` (grid jets written into their row blocks, exact
+    ones copied in).  The degree ``2k - 2`` of a unitary CS form is at most
+    ``dim <= 3``, so ``k = 2``, and the integrand ``tr(alpha_t ^ omega ^
+    omega)`` is the kernel's pairs ``tr(beta_i X_j) - tr(beta_j X_i)``, ``X_i
+    = beta_i beta_t``, in the kernel's buffers: the widening of ``f*`` and
+    the two real products are all of a slice, on views fixed for the whole
+    pass.
 
     Projection slices go through :class:`_FrameCurvature`, slot 0 being
     ``t``: ``CS_1`` is its traces ``tr F_0i`` and the degree-3 ``CS_2`` its
@@ -688,24 +722,7 @@ class _SliceWorkspace:
         if H.spatial_weights is not None:
             self.exact = np.empty(shape, dtype=complex)
         if self.unitary:
-            *nodes, _, n = shape
-            jets = np.empty((*nodes, (dim + 1) * n, n), dtype=complex)
-            self.inverse, widened = np.empty(shape, dtype=complex), np.empty((*nodes, 2 * n, 4 * n))
-            # R(beta) of [beta_t; beta_1; ..], whose row l of n x 4n holds beta[l] and i beta[l]
-            real_beta = np.empty((*nodes, 2 * (dim + 1) * n, 2 * n))
-            rows = real_beta.reshape(*nodes, (dim + 1) * n, 4 * n)
-            beta, heads = rows[..., : 2 * n].view(complex), np.empty((*nodes, dim * n, n), dtype=complex)
-            # the float operands and outputs of the two products, and the n-row blocks as views:
-            # jets [df/dt, d_1 f, ..], beta [beta_t, beta_1, ..], heads [X_1, ..]
-            self.products = (
-                (jets.view(float), widened, rows),
-                (rows[..., n:, : 2 * n], real_beta[..., : 2 * n, :], heads.view(float)),
-            )
-            self.jet_rows = np.split(jets, dim + 1, axis=-2)
-            self.betas = np.split(beta[..., n:, :], dim, axis=-2)
-            self.xs = np.split(heads, dim, axis=-2)
-            self.minus = np.empty(nodes, dtype=complex)
-            self.forms = {2: {ij: np.empty(nodes, dtype=complex) for ij in itertools.combinations(range(dim), 2)}}
+            self.kernel = _UnitaryPairs(shape, dim + 1)
         else:
             self.frames = H._frames
             # slot 0 is t: the (0, i) pairs are iota_t Omega, the others Omega
@@ -715,8 +732,8 @@ class _SliceWorkspace:
 
     def _unitary(self, it: int) -> dict[int, dict[tuple[int, ...], np.ndarray]]:
         """The ``CS_2`` integrand ``tr(beta ^ X)`` of unitary slice ``it``,
-        in the buffers of :attr:`forms`."""
-        H, (dt, *spatial) = self.H, self.jet_rows
+        in the buffers of :attr:`_UnitaryPairs.pairs`."""
+        H, (dt, *spatial) = self.H, self.kernel.jets
         v = H._slice(it, self.value)
         dt[...] = H._time_jet(it, self.time_jet)
         for i, row in enumerate(spatial):  # grid jets are written in place
@@ -724,16 +741,9 @@ class _SliceWorkspace:
                 fourier.derivative(v, i, row)
             else:
                 row[...] = _weighted(H._reads[2 + i][it], self.exact)
-        (jets, widened, rows), (beta_x, real_beta_t, heads) = self.products
-        _real_widening(np.conjugate(np.swapaxes(v, -1, -2), out=self.inverse), widened)
-        np.matmul(jets, widened, out=rows)  # R(beta) = J [R(f*) | R(if*)]
-        np.matmul(beta_x, real_beta_t, out=heads)  # X = [beta_1; ..] R(beta_t)
         # tr(alpha_t ^ omega ^ omega) = tr(beta ^ X), X_i = beta_i beta_t: the
-        # (i, j) component is tr(beta_i X_j) - tr(beta_j X_i), as trace_wedge sums it
-        for (i, j), out in self.forms[2].items():
-            np.einsum("...ij,...ji->...", self.betas[i], self.xs[j], out=out)
-            out -= np.einsum("...ij,...ji->...", self.betas[j], self.xs[i], out=self.minus)
-        return self.forms
+        # (i, j) component is tr(beta_i X_j) - tr(beta_j X_i), the kernel's pair
+        return {2: self.kernel.pair(v)}
 
     def integrands(self, it: int) -> dict[int, dict[tuple[int, ...], np.ndarray]]:
         """Components of the contracted CS integrand of every degree at time
@@ -835,15 +845,12 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
     needs.  The jets of square slices are read as Hermitian, as the
     projection homotopies of :mod:`kops` build them.  Unitary slices are
     read through ``beta_a = d_a f f^{-1}``, which has the traces
-    of ``alpha_a``: ``df/dt`` and the spatial jets are stacked by rows, grid
-    jets written straight into their row blocks, ``f*`` is widened to
-    ``[R(f*) | R(if*)]`` (:func:`numkernel._real_widening`), and two real
-    products of float views give every ``beta_a`` and every ``beta_i
-    beta_t``: the first writes ``R(beta)``, and the second reads its
-    ``R(beta_t)`` rows in place.  Their pairing ``tr(beta ^ beta beta_t)``
-    is ``tr(alpha_t ^ omega ^ omega)``, written out pair by pair on views
-    fixed for the whole pass;
-    a unitary form has degree ``2k - 2 <= dim <= 3``, so ``k <= 2`` and
+    of ``alpha_a``, by the kernel :class:`_UnitaryPairs` that
+    :func:`ch_odd` also reads: ``df/dt`` and the spatial jets are stacked
+    by rows, grid jets written straight into their row blocks, and two real
+    products with the widened ``f*`` give every ``beta_a`` and every
+    ``beta_i beta_t``, whose pairing ``tr(beta ^ beta beta_t)`` is
+    ``tr(alpha_t ^ omega ^ omega)``; a unitary form has degree ``2k - 2 <= dim <= 3``, so ``k <= 2`` and
     nothing more is multiplied.  ``CS_0`` of unitary slices is ``int
     tr(f^{-1} df/dt) dt``, which is bilinear in the slice and its time jet,
     so it is taken from pairings of the blocks (:func:`_unitary_cs_zero`)

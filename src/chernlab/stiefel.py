@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
     WindowTooSmall,
 )
-from .chernforms import _FrameCurvature, chern_scalar, trace_wedge
+from .chernforms import _FrameCurvature, chern_scalar
 from .geomgrid import GradedForm, SampledMap, differentiate
 from .numkernel import RANK_THRESHOLD_REL, frobenius, numerical_rank
 
@@ -119,7 +119,11 @@ def transgression_eta(frames: SampledMap, k: int) -> GradedForm:
     curvature = _curvature(v, jets) if k > 1 else {}
     phi = {(i, j): 0.5 * f - (theta[i] @ theta[j] - theta[j] @ theta[i]) / 6.0 for (i, j), f in curvature.items()}
     c = chern_scalar("even", k) * k
-    comps = trace_wedge({(i,): a for i, a in enumerate(theta)}, *[phi] * (k - 1))
+    if k == 1:
+        comps = {(i,): np.trace(a, axis1=-2, axis2=-1) for i, a in enumerate(theta)}
+    else:  # degree 3 = dim: tr(Theta_0 phi_12) - tr(Theta_1 phi_02) + tr(Theta_2 phi_01)
+        terms = [np.einsum("...ij,...ji->...", theta[i], phi[jk]) for i, jk in ((0, (1, 2)), (1, (0, 2)), (2, (0, 1)))]
+        comps = {(0, 1, 2): terms[0] - terms[1] + terms[2]}
     return GradedForm(frames.domain, deg, {idx: c * a for idx, a in comps.items()})
 
 

@@ -13,14 +13,12 @@ from chernlab.chernforms import (
     Homotopy,
     _FrameCurvature,
     _range_frame,
-    _wedge,
     ch_even,
     ch_odd,
     ch_total,
     chern_scalar,
     cs_exact,
     cs_forms,
-    trace_wedge,
 )
 from chernlab.errors import ChernLabError, DegreeOverflow, NotALoop, ShapeMismatch, SingularInput
 from chernlab.geomgrid import (
@@ -38,6 +36,7 @@ from chernlab.kops import blocksum, conjugation_homotopy, inversion_homotopy_eve
 from chernlab.numkernel import _real_form
 from chernlab.stiefel import PolarizedWindow, _curvature
 from homotopy_stacks import stacked_homotopy
+from wedge_reference import trace_wedge
 
 RNG = np.random.default_rng(11)
 
@@ -185,6 +184,51 @@ def test_ch1_trace_cancellation():
 def test_ch_odd_degree_guard():
     with pytest.raises(DegreeOverflow):
         ch_odd(loop_zn(n=1, res=64), 2)
+
+
+@pytest.mark.parametrize("exact_jets", [True, False])
+@pytest.mark.parametrize(
+    ("kind", "res", "k"), [("circle", 64, 1), ("torus2", (16, 16), 1), ("torus3", (12,) * 3, 1), ("torus3", (12,) * 3, 2)]
+)
+def test_ch_odd_is_the_shuffle_wedge_of_omega(kind, res, k, exact_jets):
+    # the written-out kernel against tr(omega^(2k-1)) of omega = f* df by the
+    # reference shuffle; the scale bounds the sum: (2k-1)! sqrt(n) max |omega_i|^(2k-1)
+    dom = make_domain(kind, res)
+    f = random_unitary_map(np.random.default_rng(5), dom, size=2)
+    f = f if exact_jets else SampledMap(dom, f.values, codomain="unitary")
+    deg = 2 * k - 1
+    omega = {(i,): _adj(f.values) @ p for i, p in enumerate(differentiate(f))}
+    c = chern_scalar("odd", k)
+    expected = {idx: c * a for idx, a in trace_wedge(*[omega] * deg).items()}
+    norm = np.max([np.linalg.norm(x, axis=(-2, -1)) for x in omega.values()], axis=0)
+    scale = abs(c) * math.factorial(deg) * math.sqrt(f.values.shape[-1]) * float((norm**deg).max())
+    got = ch_odd(f, k)
+    assert got.form_degree == deg and got.comps.keys() == expected.keys()
+    assert max(float(np.abs(got.comps[idx] - a).max()) for idx, a in expected.items()) <= 1e-15 * scale
+
+
+SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _nu3_map(m, res=24):
+    """``g = d_4 + i (d_1 s_1 + d_2 s_2 + d_3 s_3)`` of the unit vector of ``d
+    = (sin k_1, sin k_2, sin k_3, m + sum cos k_i)`` on torus3, with grid
+    jets: its degree is the class-AIII winding number, 0 for ``|m| > 3``, 1
+    for ``1 < |m| < 3`` and -2 for ``|m| < 1`` (Schnyder, Ryu, Furusaki and
+    Ludwig, *Phys. Rev. B* 78, 195125, 2008)."""
+    dom = make_domain("torus3", (res,) * 3)
+    k = np.meshgrid(*[ax.coords for ax in dom.axes], indexing="ij")
+    d = np.stack([*np.sin(k), m + np.cos(k).sum(axis=0)])
+    d /= np.linalg.norm(d, axis=0)
+    values = d[3][..., None, None] * np.eye(2) + 1j * np.einsum("a...,aij->...ij", d[:3], SIGMA)
+    return SampledMap(dom, values, codomain="unitary")
+
+
+@pytest.mark.parametrize(("m", "nu3"), [(2.0, 1), (-2.0, 1), (0.5, -2), (-0.5, -2), (4.0, 0)])
+def test_ch3_integrates_to_the_winding_number_of_the_nu3_map(m, nu3):
+    # the first nonzero integral of ch_3; at 24^3 the grid-jet errors are
+    # 2.5e-8 (|m| = 2), 2.3e-5 (|m| = 0.5) and 1.3e-9 (m = 4)
+    assert abs(integrate(ch_odd(_nu3_map(m), 2)) - nu3) < 1e-4
 
 
 # ---------------------------------------------------------------- ch even
@@ -891,17 +935,6 @@ def test_cs_form_of_a_one_hot_homotopy_is_the_slice_map_form_bit_for_bit(exact_j
     assert _assert_is_the_slice_map_form(h).keys() == {1, 2}
 
 
-@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "odd_on_a_two_cycle"])
-def test_unitary_cs_forms_make_no_trace_wedge_call(name, monkeypatch):
-    # the slice pairings and the degree-0 block pairings are written out, not shuffled by trace_wedge
-    hs = _inversion_homotopies()
-    h = hs["odd_grid_jets"].restrict((0, 2)) if name == "odd_on_a_two_cycle" else hs[name]
-    calls = []
-    monkeypatch.setattr(chernforms, "trace_wedge", lambda *factors: calls.append(factors))
-    assert cs_forms(h, 2).keys() == {1, 2}
-    assert calls == []
-
-
 def _complex_products(monkeypatch):
     """Count the ``np.matmul`` calls on complex operands: the slice products,
     not the real dense-derivative ones."""
@@ -963,7 +996,7 @@ def test_the_beta_t_view_is_the_real_form_of_beta_t(name):
     h = hs["odd_grid_jets"].restrict((0, 2)) if name == "odd_on_a_two_cycle" else hs[name]
     n = h.slice_shape[-1]
     ws = chernforms._SliceWorkspace(h, [2])
-    (_, _, rows), (_, real_beta_t, _) = ws.products
+    (_, _, rows), (_, real_beta_t, _) = ws.kernel.products  # the buffers of the unitary kernel
     assert np.shares_memory(real_beta_t, rows)
     slices, dt = h.slices, h.time_derivative()
     for it in range(h.n_times):
@@ -1397,7 +1430,6 @@ def _circle_map(codomain):
 
 
 CONTRACT_CHECKS = {
-    "trace_wedge without a factor": (lambda: trace_wedge(), ShapeMismatch, "trace_wedge needs at least one factor"),
     "restrict to a float axis": (
         lambda: stacked_homotopy(CIRCLE8, *LOBATTO5, _eye_slices()).restrict((0.0,)),
         ShapeMismatch,

@@ -1030,6 +1030,22 @@ def test_inversion_homotopy_keeps_spatial_partials_without_a_copy():
     assert peak < 1.3 * h.blocks.nbytes
 
 
+def test_the_adjoint_store_is_written_once():
+    # the conjugate transpose is written straight into a C-contiguous store;
+    # a strided conjugate made contiguous by a second copy doubles the peak
+    f = random_unitary_map(np.random.default_rng(0), make_domain("torus3", (8, 8, 8)))
+    h = inversion_homotopy_odd(f, t_res=5)
+    tracemalloc.start()
+    try:
+        adj = h.adjoint()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert adj.blocks.flags.c_contiguous and not adj.blocks.flags.writeable
+    assert adj.blocks.tobytes() == np.swapaxes(h.blocks, -1, -2).conj().tobytes()
+    assert peak < 1.25 * h.blocks.nbytes
+
+
 def test_even_inversion_homotopy_takes_its_arrays_without_a_copy():
     # the three blocks (0.79 MB) are formed in place from S Pi_+, S J Pi_+,
     # S J^2 Pi_+ and one scratch array, S freed first: 1.98 MB at the peak;

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from chernlab.builders import frame_family_torus, loop_zn, random_unitary_map
-from chernlab.chernforms import ch_even, chern_scalar, trace_wedge
+from chernlab.chernforms import ch_even, chern_scalar
 from chernlab.errors import AsymmetricWindow, ChernLabError, DegenerateFrame, DegreeOverflow, ShapeMismatch
 from chernlab.geomgrid import SampledMap, differentiate, form_derivative, make_domain
 from chernlab.kops import blocksum, flip_projection
@@ -17,6 +17,7 @@ from chernlab.stiefel import (
     transgression_eta,
     virtual_dimension,
 )
+from wedge_reference import trace_wedge
 
 WIN = PolarizedWindow(3, 3)
 MODES = list(range(-3, 3))
