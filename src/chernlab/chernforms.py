@@ -380,37 +380,18 @@ def ch_total(f: SampledMap, k_max: int = DEFAULT_K_MAX) -> list[GradedForm]:
 # homotopies
 
 
-def _row_plans(table: np.ndarray) -> tuple:
-    """How each row of ``table`` reads a store, settled once per table: the
-    index of the one block that the row picks out with weight 1, or else
+def _row_reads(table: np.ndarray, blocks: np.ndarray) -> tuple:
+    """How each row of ``table`` reads ``blocks``, settled once per table:
     its weights over the span of blocks from its first nonzero weight to its
-    last, and that span (empty for a zero row)."""
-    plans = []
+    last, and the float rows of that span.  A zero row, signed zeros
+    included, has an empty span."""
+    flat = blocks.view(float).reshape(len(blocks), -1)
+    reads = []
     for row, values in zip(table, table.tolist()):
         nonzero = [k for k, x in enumerate(values) if x]
-        lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero else (0, 0)
-        plans.append(lo if hi - lo == 1 and values[lo] == 1.0 else (row[lo:hi], slice(lo, hi)))
-    return tuple(plans)
-
-
-def _row_reads(plans: tuple, blocks: np.ndarray) -> tuple:
-    """The reads of ``blocks`` by the rows of one table, from their
-    :func:`_row_plans`: a view of the one block, or the weights and the
-    float rows of their span."""
-    flat = blocks.view(float).reshape(len(blocks), -1)
-    return tuple(blocks[p] if isinstance(p, int) else (p[0], flat[p[1]]) for p in plans)
-
-
-def _weighted(read, out: np.ndarray) -> np.ndarray:
-    """``sum_k row[k] blocks[k]`` for real weights, from the read of the row
-    (:func:`_row_reads`): its one block, or written into the contiguous
-    ``out`` by one real product over its span, which writes zeros when the
-    span is empty.  Every read of a slice or jet goes through here, so a
-    slice evaluated alone has the bits of its row of a stack."""
-    if isinstance(read, np.ndarray):
-        return read
-    np.matmul(*read, out=out.view(float).reshape(-1))
-    return out
+        span = slice(nonzero[0], nonzero[-1] + 1) if nonzero else slice(0, 0)
+        reads.append((row[span], flat[span]))
+    return tuple(reads)
 
 
 def _block_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -429,15 +410,14 @@ class Homotopy:
     ``time_weights[i] @ blocks`` and its exact jet along spatial axis ``a``
     is ``spatial_weights[a][i] @ blocks``, each sum over the leading block
     axis; ``spatial_weights`` is None when the spatial jets are not known.
-    A slice or jet is formed only when it is read, one at a time, by one
-    product over the blocks of its nonzero weights, or as a view of one
-    block when its row picks that block out; how each row reads the store
-    (the span of its nonzero weights, or its one block) is settled once,
-    when the homotopy or a homotopy derived from it is settled, and never
-    searched for at a read.  The rotation homotopies of
-    :mod:`kops` hold three blocks per jet however many time nodes
-    they have; :func:`kops.conjugation_homotopy` holds its slices and jets
-    node by node, as chunks of its store read by one-hot tables.
+    A slice or jet is formed only when it is read, one at a time
+    (:meth:`_read`), by one real product of its weights with the blocks of
+    its span, from its first nonzero weight to its last; the span of every
+    row is settled once, in the constructor (:func:`_row_reads`), and never
+    searched for at a read.  The rotation homotopies of :mod:`kops` hold
+    three blocks per jet however many time nodes they have;
+    :func:`kops.conjugation_homotopy` holds its slices and jets node by
+    node, as chunks of its store read by one-hot tables.
 
     There is one constructor, and every check is made in it:
     ShapeMismatch unless the blocks are finite, ``spatial_weights`` has one
@@ -459,12 +439,13 @@ class Homotopy:
     :attr:`slices`, :attr:`time_partials` (:meth:`time_derivative`) and
     :attr:`spatial_partials` form their whole stacks on every read and keep
     none of them; :func:`cs_forms` never reads them.  The derived homotopies
-    change tables or the store, never stacks, and skip the finite and frame
-    checks: :meth:`restrict` restricts the store and keeps the tables of its
-    axes, :meth:`reversed` flips every table and the quadrature and negates
-    the time table, sharing the store, :meth:`adjoint` takes the adjoint of
-    the store (all weights are real), and :meth:`concatenate` joins the
-    stores and the quadratures and puts every table block-diagonal.
+    change tables or the store, never stacks, and are built by the
+    constructor, so every check runs on them too: :meth:`restrict`
+    restricts the store and keeps the tables of its axes, :meth:`reversed`
+    flips every table and the quadrature and negates the time table,
+    sharing the store, :meth:`adjoint` takes the adjoint of the store (all
+    weights are real), and :meth:`concatenate` joins the stores and the
+    quadratures and puts every table block-diagonal.
 
     A projection-tagged homotopy holds either square projections or, when
     its slices have fewer columns than rows, orthonormal frames ``V`` of
@@ -489,32 +470,12 @@ class Homotopy:
         window: object | None = None,
         spatial_weights: tuple[np.ndarray, ...] | None = None,
     ):
-        self._settle(
-            spatial=spatial, times=times, quadrature=quadrature, blocks=blocks, weights=weights,
-            time_weights=time_weights, codomain=codomain, window=window, spatial_weights=spatial_weights,
-        )
-        if not np.isfinite(self.blocks).all():  # a boolean temporary of 1/16 of the store
-            raise ShapeMismatch("homotopy blocks must be finite")
-        if self.codomain == "projection" and self.slice_shape[-1] != self.slice_shape[-2]:
-            out = np.empty(self.slice_shape, dtype=complex)
-            _check_frames((self._slice(i, out) for i in range(self.n_times)), "projection frame slices")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"a Homotopy is immutable; cannot set {name!r}")
-
-    def _settle(self, plans: Sequence | None = None, **fields) -> None:
-        """Set ``fields``, with every check and normalization of construction
-        but the finite and frame checks.  ``plans`` are the row plans
-        (:func:`_row_plans`) of the tables (slices, time jets, then each
-        spatial axis) kept from a settled homotopy, None for a table to plan;
-        the reads of the store are built again in any case."""
-        vars(self).update(fields)
-        _check_codomain(self.codomain)
-        t, q = np.asarray(self.times), np.asarray(self.quadrature)  # cast to float once found real
-        b = np.ascontiguousarray(self.blocks, dtype=complex)
-        if b.shape[1 : 1 + len(self.spatial.node_shape)] != self.spatial.node_shape:
+        _check_codomain(codomain)
+        t, q = np.asarray(times), np.asarray(quadrature)  # cast to float once found real
+        b = np.ascontiguousarray(blocks, dtype=complex)
+        if b.shape[1 : 1 + len(spatial.node_shape)] != spatial.node_shape:
             raise ShapeMismatch("block node shape does not match the spatial grid")
-        _check_window(self.window, b.shape[-2])
+        _check_window(window, b.shape[-2])
         # a concatenation repeats its junction node, so the nodes need only not decrease
         rising = t.dtype.kind in "iuf" and t.ndim == 1 and t.size > 1
         rising = rising and np.isfinite(t).all() and np.diff(t).min() >= 0.0
@@ -522,25 +483,33 @@ class Homotopy:
             raise ShapeMismatch("homotopy time nodes must be finite and increase from the first to the last")
         if q.shape != t.shape or q.dtype.kind not in "iuf" or not np.isfinite(q).all():
             raise ShapeMismatch(f"homotopy quadrature needs one finite real weight per time node: {q.size} for {t.size}")
-        spatial = self.spatial_weights
-        if spatial is not None and len(spatial) != self.spatial.dim:
-            raise ShapeMismatch(f"{len(spatial)} spatial weight tables for {self.spatial.dim} spatial axes")
-        tables = [np.asarray(w, dtype=float) for w in (self.weights, self.time_weights, *(spatial or ()))]
+        if spatial_weights is not None and len(spatial_weights) != spatial.dim:
+            raise ShapeMismatch(f"{len(spatial_weights)} spatial weight tables for {spatial.dim} spatial axes")
+        tables = [np.asarray(w, dtype=float) for w in (weights, time_weights, *(spatial_weights or ()))]
         if any(w.shape != (t.size, len(b)) or not np.isfinite(w).all() for w in tables):
             got = [w.shape for w in tables]
             raise ShapeMismatch(f"homotopy weight tables must be finite and ({t.size}, {len(b)}), got {got}")
-        weights, time_weights, *spatial_weights = tables = [_freeze(w) for w in tables]
-        plans = [_row_plans(w) if p is None else p for w, p in zip(tables, plans or [None] * len(tables), strict=True)]
+        if not np.isfinite(b).all():  # a boolean temporary of 1/16 of the store
+            raise ShapeMismatch("homotopy blocks must be finite")
+        weights, time_weights, *spatial_tables = tables = [_freeze(w) for w in tables]
         vars(self).update(
+            spatial=spatial,
             times=_freeze(np.array(t, dtype=float)),
             quadrature=_freeze(np.array(q, dtype=float)),
             blocks=_freeze(b),
             weights=weights,
             time_weights=time_weights,
-            spatial_weights=None if spatial is None else tuple(spatial_weights),
-            _plans=plans,
-            _reads=[_row_reads(p, b) for p in plans],
+            codomain=codomain,
+            window=window,
+            spatial_weights=None if spatial_weights is None else tuple(spatial_tables),
+            _reads=[_row_reads(w, b) for w in tables],
         )
+        if codomain == "projection" and self.slice_shape[-1] != self.slice_shape[-2]:
+            out = np.empty(self.slice_shape, dtype=complex)
+            _check_frames((self._read(0, i, out) for i in range(self.n_times)), "projection frame slices")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Homotopy is immutable; cannot set {name!r}")
 
     @property
     def n_times(self) -> int:
@@ -556,34 +525,32 @@ class Homotopy:
         """Whether the slices are frames of projections (see the class docstring)."""
         return self.codomain == "projection" and self.slice_shape[-1] < self.slice_shape[-2]
 
-    def _slice(self, i: int, out: np.ndarray) -> np.ndarray:
-        """Slice ``i``, into ``out`` unless it is one block."""
-        return _weighted(self._reads[0][i], out)
+    def _read(self, table: int, i: int, out: np.ndarray) -> np.ndarray:
+        """Row ``i`` of table ``table`` (0 the slices, 1 the time jets, ``2 +
+        a`` the exact jets along spatial axis ``a``), ``sum_k row[k]
+        blocks[k]``, written into the contiguous ``out`` by one real product
+        over the span of the row (:func:`_row_reads`), which writes zeros
+        when the span is empty.  Every read of a slice or jet goes through
+        here, so a slice evaluated alone has the bits of its row of a stack."""
+        weights, rows = self._reads[table][i]
+        np.matmul(weights, rows, out=out.view(float).reshape(-1))
+        return out
 
-    def _time_jet(self, i: int, out: np.ndarray) -> np.ndarray:
-        """The time jet of slice ``i``, into ``out`` unless it is one block."""
-        return _weighted(self._reads[1][i], out)
-
-    def _spatial_jets(self, i: int, out: np.ndarray) -> Iterable[np.ndarray]:
-        """The exact spatial jets of slice ``i``, each into the one buffer
-        ``out``, taken one at a time as the caller reads them."""
-        return (_weighted(reads[i], out) for reads in self._reads[2:])
-
-    def _stack(self, reads: tuple) -> np.ndarray:
-        """The rows ``reads`` of one table over every time node, read-only."""
-        out = np.empty((len(reads), *self.slice_shape), dtype=complex)
-        for read, x in zip(reads, out):
-            np.copyto(x, _weighted(read, x))  # a no-op when the row was written into x
+    def _stack(self, table: int) -> np.ndarray:
+        """The rows of table ``table`` (as in :meth:`_read`) over every time node, read-only."""
+        out = np.empty((self.n_times, *self.slice_shape), dtype=complex)
+        for i, x in enumerate(out):
+            self._read(table, i, x)
         return _freeze(out)
 
     @property
     def slices(self) -> np.ndarray:
         """Every slice, ``(n_times, *node_shape, rows, cols)``, formed on each read."""
-        return self._stack(self._reads[0])
+        return self._stack(0)
 
     def time_derivative(self) -> np.ndarray:
         """d(slice)/dt at every time node, formed on each call."""
-        return self._stack(self._reads[1])
+        return self._stack(1)
 
     @property
     def time_partials(self) -> np.ndarray:
@@ -592,7 +559,7 @@ class Homotopy:
     @property
     def spatial_partials(self) -> tuple[np.ndarray, ...] | None:
         """The exact spatial jets of every slice, formed on each read, or None."""
-        return None if self.spatial_weights is None else tuple(self._stack(reads) for reads in self._reads[2:])
+        return None if self.spatial_weights is None else tuple(self._stack(2 + a) for a in range(self.spatial.dim))
 
     def _value(self, v: np.ndarray) -> np.ndarray:
         """The map value of a slice ``v``: ``V V*`` for a frame ``V``."""
@@ -603,21 +570,18 @@ class Homotopy:
         ShapeMismatch unless ``i`` is an integer index of a time node."""
         if not (isinstance(i, (int, np.integer)) and -self.n_times <= i < self.n_times):
             raise ShapeMismatch(f"slice index {i!r} of a homotopy with {self.n_times} time nodes")
-        v = self._slice(i, np.empty(self.slice_shape, dtype=complex))
+        v = self._read(0, i, np.empty(self.slice_shape, dtype=complex))
         partials = None
         if self.spatial_weights is not None:
-            partials = tuple(_weighted(reads[i], np.empty_like(v)) for reads in self._reads[2:])
+            partials = tuple(self._read(2 + a, i, np.empty_like(v)) for a in range(self.spatial.dim))
             if self._frames:
                 partials = tuple(a + _adjoint(a) for a in (d @ _adjoint(v) for d in partials))
         return SampledMap(self.spatial, self._value(v), codomain=self.codomain, window=self.window, partials=partials)
 
-    def _derived(self, plans: Sequence | None = None, **fields) -> "Homotopy":
-        """This homotopy with ``fields`` replaced, settled without the finite
-        and frame checks: its blocks must be those a homotopy already checked.
-        ``plans`` as in :meth:`_settle`; every table is planned when None."""
-        derived = object.__new__(Homotopy)
-        derived._settle(plans, **{**vars(self), **fields})
-        return derived
+    def _derived(self, **fields) -> "Homotopy":
+        """This homotopy with ``fields`` replaced, built by the constructor."""
+        own = {name: x for name, x in vars(self).items() if name != "_reads"}
+        return Homotopy(**{**own, **fields})
 
     def restrict(self, axes: Sequence[int]) -> "Homotopy":
         """The homotopy on the sub-grid spanned by the spatial ``axes``, every
@@ -625,14 +589,11 @@ class Homotopy:
         :func:`geomgrid.cycle_integral`)."""
         sub, pin = sub_grid(self.spatial, axes)
         sw = None if self.spatial_weights is None else tuple(self.spatial_weights[a] for a in sorted(axes))
-        plans = self._plans[:2] + ([] if sw is None else [self._plans[2 + a] for a in sorted(axes)])
-        return self._derived(plans, spatial=sub, blocks=self.blocks[(slice(None), *pin)], spatial_weights=sw)
+        return self._derived(spatial=sub, blocks=self.blocks[(slice(None), *pin)], spatial_weights=sw)
 
     def reversed(self) -> "Homotopy":
         t, sw = self.times, self.spatial_weights
-        weights, _, *spatial = self._plans  # the time table is negated, so planned again
         return self._derived(
-            [weights[::-1], None, *(p[::-1] for p in spatial)],
             times=t[-1] - t[::-1] + t[0],
             weights=self.weights[::-1],
             time_weights=-self.time_weights[::-1],
@@ -643,7 +604,7 @@ class Homotopy:
     def adjoint(self) -> "Homotopy":
         if self._frames:  # projections are self-adjoint
             return self
-        return self._derived(self._plans, blocks=_adjoint(self.blocks))
+        return self._derived(blocks=_adjoint(self.blocks))
 
     @staticmethod
     def concatenate(first: "Homotopy", second: "Homotopy") -> "Homotopy":
@@ -655,8 +616,8 @@ class Homotopy:
 
         if kind(first) != kind(second):
             raise ShapeMismatch("cannot concatenate homotopies on different grids, tags, windows or slice shapes")
-        last = first._slice(-1, np.empty(first.slice_shape, dtype=complex))
-        junction = float(np.abs(first._value(last) - second._value(second._slice(0, np.empty_like(last)))).max())
+        last = first._read(0, -1, np.empty(first.slice_shape, dtype=complex))
+        junction = float(np.abs(first._value(last) - second._value(second._read(0, 0, np.empty_like(last)))).max())
         if not junction < 1e-10:
             raise NotALoop(f"junction slices differ by {junction:.3e}")
         shift = first.times[-1] - second.times[0]
@@ -687,18 +648,19 @@ class _SliceWorkspace:
     refilled in place at every time slice; the integrands it returns are its
     own buffers or new arrays, which the caller may overwrite.  Each slice
     and its jets are rows of the weight tables of the homotopy over its one
-    block store, evaluated into buffers of the workspace (a row that picks
-    out one block is read in place).
+    block store, evaluated into buffers of the workspace
+    (:meth:`Homotopy._read`); one spatial jet is held at a time, in the one
+    buffer :attr:`jet`.
 
     Unitary slices (only ``k > 1`` come here) go through
     :class:`_UnitaryPairs`, direction 0 being ``t``: its jets are
-    ``[df/dt; d_1 f; ..]`` (grid jets written into their row blocks, exact
-    ones copied in).  The degree ``2k - 2`` of a unitary CS form is at most
-    ``dim <= 3``, so ``k = 2``, and the integrand ``tr(alpha_t ^ omega ^
-    omega)`` is the kernel's pairs ``tr(beta_i X_j) - tr(beta_j X_i)``, ``X_i
-    = beta_i beta_t``, in the kernel's buffers: the widening of ``f*`` and
-    the two real products are all of a slice, on views fixed for the whole
-    pass.
+    ``[df/dt; d_1 f; ..]``, each spatial jet, grid or exact, written into
+    :attr:`jet` and copied into its row block.  The degree ``2k - 2`` of a
+    unitary CS form is at most ``dim <= 3``, so ``k = 2``, and the integrand
+    ``tr(alpha_t ^ omega ^ omega)`` is the kernel's pairs ``tr(beta_i X_j) -
+    tr(beta_j X_i)``, ``X_i = beta_i beta_t``, in the kernel's buffers: the
+    widening of ``f*`` and the two real products are all of a slice, on
+    views fixed for the whole pass.
 
     Projection slices go through :class:`_FrameCurvature`, slot 0 being
     ``t``: ``CS_1`` is its traces ``tr F_0i`` and the degree-3 ``CS_2`` its
@@ -719,28 +681,24 @@ class _SliceWorkspace:
         self.ks = ks
         self.unitary = H.codomain == "unitary"
         self.value, self.time_jet = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-        if H.spatial_weights is not None:
-            self.exact = np.empty(shape, dtype=complex)
+        # an exact jet has the shape of a slice, a grid jet that of its (n x n) projection
+        cols = shape[-1] if H.spatial_weights is not None else shape[-2]
+        self.jet = np.empty((*shape[:-1], cols), dtype=complex)
         if self.unitary:
             self.kernel = _UnitaryPairs(shape, dim + 1)
         else:
             self.frames = H._frames
             # slot 0 is t: the (0, i) pairs are iota_t Omega, the others Omega
             self.kernel = _FrameCurvature(dim + 1)
-            if H.spatial_weights is None:
-                self.jet = np.empty((*shape[:-1], shape[-2]), dtype=complex)
 
     def _unitary(self, it: int) -> dict[int, dict[tuple[int, ...], np.ndarray]]:
         """The ``CS_2`` integrand ``tr(beta ^ X)`` of unitary slice ``it``,
         in the buffers of :attr:`_UnitaryPairs.pairs`."""
         H, (dt, *spatial) = self.H, self.kernel.jets
-        v = H._slice(it, self.value)
-        dt[...] = H._time_jet(it, self.time_jet)
-        for i, row in enumerate(spatial):  # grid jets are written in place
-            if H.spatial_weights is None:
-                fourier.derivative(v, i, row)
-            else:
-                row[...] = _weighted(H._reads[2 + i][it], self.exact)
+        v = H._read(0, it, self.value)
+        dt[...] = H._read(1, it, self.time_jet)
+        for i, row in enumerate(spatial):
+            row[...] = fourier.derivative(v, i, self.jet) if H.spatial_weights is None else H._read(2 + i, it, self.jet)
         # tr(alpha_t ^ omega ^ omega) = tr(beta ^ X), X_i = beta_i beta_t: the
         # (i, j) component is tr(beta_i X_j) - tr(beta_j X_i), the kernel's pair
         return {2: self.kernel.pair(v)}
@@ -752,9 +710,9 @@ class _SliceWorkspace:
         if self.unitary:
             return self._unitary(it)
         H = self.H
-        v, dv_dt = H._slice(it, self.value), H._time_jet(it, self.time_jet)
-        exact = None if H.spatial_weights is None else H._spatial_jets(it, self.exact)
+        v, dv_dt = H._read(0, it, self.value), H._read(1, it, self.time_jet)
         dim = H.spatial.dim
+        exact = None if H.spatial_weights is None else (H._read(2 + a, it, self.jet) for a in range(dim))
         if self.frames:
             self.kernel.frame(v)
             frame_jets, jets = itertools.chain((dv_dt,), exact or ()), ()
@@ -847,7 +805,7 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
     read through ``beta_a = d_a f f^{-1}``, which has the traces
     of ``alpha_a``, by the kernel :class:`_UnitaryPairs` that
     :func:`ch_odd` also reads: ``df/dt`` and the spatial jets are stacked
-    by rows, grid jets written straight into their row blocks, and two real
+    by rows, each copied into its row block, and two real
     products with the widened ``f*`` give every ``beta_a`` and every
     ``beta_i beta_t``, whose pairing ``tr(beta ^ beta beta_t)`` is
     ``tr(alpha_t ^ omega ^ omega)``; a unitary form has degree ``2k - 2 <= dim <= 3``, so ``k <= 2`` and

@@ -100,13 +100,15 @@ def _derivative_matrix(n: int) -> np.ndarray:
 
 def derivative(values: np.ndarray, axis: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """Spectral ``d/dtheta`` of samples on the nodes, along ``axis``; written
-    into ``out`` (of the shape of ``values``) when it is given.
+    into ``out`` (C-contiguous, of the shape of ``values``) when it is given.
     ShapeMismatch unless ``axis`` is an axis of ``values`` and ``out``, when
-    given, has its shape."""
+    given, has its shape and is C-contiguous."""
     if not (isinstance(axis, (int, np.integer)) and -values.ndim <= axis < values.ndim):
         raise ShapeMismatch(f"derivative along axis {axis!r} of samples of shape {values.shape}")
     if out is not None and out.shape != values.shape:
         raise ShapeMismatch(f"derivative of samples of shape {values.shape} into an out of shape {out.shape}")
+    if out is not None and not out.flags.c_contiguous:
+        raise ShapeMismatch(f"derivative into an out of shape {out.shape} that is not C-contiguous")
     n = values.shape[axis]
     if n > DENSE_MAX:
         return _fft_derivative(values, axis, out)
@@ -114,16 +116,9 @@ def derivative(values: np.ndarray, axis: int = 0, out: np.ndarray | None = None)
     # real product on the float views, the node axis in the middle
     x = np.ascontiguousarray(values, dtype=complex)
     lead = math.prod(x.shape[: axis % x.ndim])
-    target = out if out is not None and out.flags.c_contiguous else np.empty_like(x)
-    np.matmul(
-        _derivative_matrix(n),
-        x.view(float).reshape(lead, n, -1),
-        out=target.view(float).reshape(lead, n, -1),
-    )
-    if out is not None and target is not out:
-        out[...] = target
-        return out
-    return target
+    out = np.empty_like(x) if out is None else out
+    np.matmul(_derivative_matrix(n), x.view(float).reshape(lead, n, -1), out=out.view(float).reshape(lead, n, -1))
+    return out
 
 
 def antiderivative(samples: np.ndarray) -> np.ndarray:

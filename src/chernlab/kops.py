@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chernforms import Homotopy
+from .chernforms import Homotopy, _adjoint
 from .errors import AsymmetricWindow, BadPathStart, ShapeMismatch
 from .geomgrid import SampledMap
 from .stiefel import PolarizedWindow
@@ -325,11 +325,8 @@ def inversion_homotopy_odd(f: SampledMap, t_res: int = DEFAULT_T_RES) -> Homotop
     """
     if f.codomain != "unitary":
         raise ShapeMismatch("odd inversion homotopy needs a unitary map")
-    def adjoint(v: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(np.swapaxes(v, -1, -2).conj())
-
-    partials = None if f.partials is None else tuple(adjoint(d) for d in f.partials)
-    y = adjoint(f.values)
+    partials = None if f.partials is None else tuple(_adjoint(d) for d in f.partials)
+    y = _adjoint(f.values)
     y -= np.eye(f.cols)
     return _rotation_homotopy(f, y, partials, t_res, _summed_window(f, f))
 

@@ -559,7 +559,7 @@ def test_frame_slices_must_be_orthonormal_frames():
     assert _like(h, 2.0 * h.slices, h.time_partials, codomain="generic").slices.shape == h.slices.shape
 
 
-def test_derived_frame_homotopies_skip_the_frame_check(monkeypatch):
+def test_derived_frame_homotopies_are_checked_and_read_as_their_stacked_rebuilds(monkeypatch):
     x = random_unitary_map(np.random.default_rng(9), make_domain("torus2", (8, 8)), size=4, window=PolarizedWindow(2, 2))
     h = inversion_homotopy_even(x, t_res=5)
     calls, check = [], chernforms._check_frames
@@ -570,27 +570,36 @@ def test_derived_frame_homotopies_skip_the_frame_check(monkeypatch):
 
     monkeypatch.setattr(chernforms, "_check_frames", counting)
     back, face = h.reversed(), h.restrict((1,))
-    assert h.adjoint() is h and h.reversed().restrict((0,)).slices.shape == (5, 8, 8, 4)
+    chain = back.restrict((0,))
+    assert h.adjoint() is h and chain.slices.shape == (5, 8, 8, 4)
     loop = Homotopy.concatenate(h, back)
-    assert calls == []
-    rebuilt = stacked_homotopy(
-        h.spatial,
-        back.times,
-        back.quadrature,
-        h.slices[::-1],
-        -h.time_partials[::-1],
-        codomain="projection",
-        window=h.window,
-        spatial_partials=tuple(p[::-1] for p in h.spatial_partials),
-    )
-    assert calls == ["projection frame slices"]
-    for d in (back, face):
+    # every derived homotopy is built by the constructor, which checks its frames
+    assert calls == ["projection frame slices"] * 4
+    s, tp, sp = h.slices, h.time_partials, h.spatial_partials
+
+    def rebuilt(d, slices, time_partials, spatial_partials):
+        return stacked_homotopy(
+            d.spatial, d.times, d.quadrature, slices, time_partials, "projection", h.window, spatial_partials
+        )
+
+    rebuilds = {
+        back: rebuilt(back, s[::-1], -tp[::-1], tuple(p[::-1] for p in sp)),
+        face: rebuilt(face, s[:, 0], tp[:, 0], (sp[1][:, 0],)),
+        chain: rebuilt(chain, s[::-1, :, 0], -tp[::-1, :, 0], (sp[0][::-1, :, 0],)),
+        loop: rebuilt(
+            loop,
+            np.concatenate([s, s[::-1]]),
+            np.concatenate([tp, -tp[::-1]]),
+            tuple(np.concatenate([p, p[::-1]]) for p in sp),
+        ),
+    }
+    assert calls == ["projection frame slices"] * 8
+    for d, r in rebuilds.items():
         assert d.slices.flags.c_contiguous and not d.slices.flags.writeable
         assert not d.time_partials.flags.writeable
-    assert np.array_equal(back.slices, rebuilt.slices) and np.array_equal(back.time_partials, rebuilt.time_partials)
-    assert all(np.array_equal(a, b) for a, b in zip(back.spatial_partials, rebuilt.spatial_partials))
+        assert np.array_equal(d.slices, r.slices) and np.array_equal(d.time_partials, r.time_partials)
+        assert all(np.array_equal(a, b) for a, b in zip(d.spatial_partials, r.spatial_partials, strict=True))
     assert face.spatial.dim == 1 and np.array_equal(face.slices, h.slices[:, 0])
-    assert np.array_equal(loop.slices, np.concatenate([h.slices, rebuilt.slices]))
     assert not loop.slices.flags.writeable
     assert np.array_equal(loop.quadrature, np.concatenate([h.quadrature, back.quadrature]))
 
@@ -923,15 +932,12 @@ def test_cs_form_of_the_first_time_row_is_the_slice_map_form_bit_for_bit():
 
 @pytest.mark.parametrize("exact_jets", [False, True])
 def test_cs_form_of_a_one_hot_homotopy_is_the_slice_map_form_bit_for_bit(exact_jets):
-    # a conjugation homotopy's tables pick one block with weight 1, so every read is a view of its store
+    # a conjugation homotopy's tables pick one block with weight 1: each read is a product over a span of one block
     dom = make_domain("torus3", (8, 8, 8))
     f = random_unitary_map(np.random.default_rng(7), dom, size=2)
     f = f if exact_jets else SampledMap(dom, f.values, codomain="unitary")
     gen = np.array([[0.5j, 1.0], [-1.0, -0.25j]])
     h = conjugation_homotopy(f, lambda t: expm(t * gen), lambda t: gen @ expm(t * gen), t_res=5)
-    out = np.empty(h.slice_shape, dtype=complex)
-    for read in (h._slice, h._time_jet):
-        assert all(np.shares_memory(read(i, out), h.blocks) for i in range(h.n_times))
     assert _assert_is_the_slice_map_form(h).keys() == {1, 2}
 
 
@@ -1290,13 +1296,12 @@ def _fresh(h):
 
 def _assert_same_reads(a, b):
     """Every row of every table of ``a`` reads its store as that of ``b``:
-    the same one block, or the same weights over the same float rows."""
+    the same weights over the same float rows."""
     assert len(a._reads) == len(b._reads) == 2 + (0 if a.spatial_weights is None else a.spatial.dim)
     for reads, fresh in zip(a._reads, b._reads):
         assert len(reads) == len(fresh) == a.n_times
         for x, y in zip(reads, fresh):
-            assert isinstance(x, np.ndarray) == isinstance(y, np.ndarray)
-            for u, v in [(x, y)] if isinstance(x, np.ndarray) else zip(x, y):
+            for u, v in zip(x, y, strict=True):
                 assert u.shape == v.shape and u.tobytes() == v.tobytes()
 
 
@@ -1321,11 +1326,51 @@ def test_derived_homotopies_read_as_fresh_ones(name):
     }
     for d in derived.values():
         _assert_same_reads(d, _fresh(d))
-    # the plans of kept tables are kept, not looked up again
-    kept = {"restrict": [0, 1, *([2, 4] if h.spatial_weights is not None else [])], "adjoint": range(len(h._plans))}
-    for key, tables in kept.items():
-        assert len(derived[key]._plans) == len(tables)
-        assert all(p is h._plans[t] for p, t in zip(derived[key]._plans, tables))
+
+
+@st.composite
+def _weight_tables(draw):
+    """Tables of 1-5 blocks whose rows are zero, signed zeros, one-hot, or
+    weights among which zeros of either sign fall."""
+    n_blocks = draw(st.integers(1, 5))
+    weight = st.sampled_from([0.0, -0.0]) | st.floats(-4.0, 4.0)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["zero", "signed zeros", "one-hot", "weights"]), min_size=2, max_size=6)):
+        if kind == "zero":
+            rows.append([0.0] * n_blocks)
+        elif kind == "one-hot":
+            rows.append(np.eye(n_blocks)[draw(st.integers(0, n_blocks - 1))].tolist())
+        else:
+            entries = st.sampled_from([0.0, -0.0]) if kind == "signed zeros" else weight
+            rows.append(draw(st.lists(entries, min_size=n_blocks, max_size=n_blocks)))
+    return np.array(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_weight_tables(), st.integers(0, 2**16))
+def test_every_row_reads_the_product_over_its_span(table, seed):
+    rng = np.random.default_rng(seed)
+    n_times, n_blocks = table.shape
+    blocks = rng.standard_normal((n_blocks, 8, 2, 3)) + 1j * rng.standard_normal((n_blocks, 8, 2, 3))
+    h = Homotopy(CIRCLE8, np.linspace(0.0, 1.0, n_times), np.full(n_times, 1.0 / n_times), blocks, table, -table)
+    flat = blocks.view(float).reshape(n_blocks, -1)
+    out = np.empty(h.slice_shape, dtype=complex)
+    for i, row in enumerate(table):
+        nonzero = np.flatnonzero(row)  # a signed zero is zero
+        span = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
+        weights, rows = chernforms._row_reads(table, blocks)[i]
+        assert weights.tobytes() == row[span].tobytes() and rows.tobytes() == flat[span].tobytes()
+        for t, sign in ((0, 1.0), (1, -1.0)):
+            got = h._read(t, i, out)
+            assert got is out
+            assert got.tobytes() == (sign * row[span] @ flat[span]).tobytes()
+        got = h._read(0, i, out)
+        if not nonzero.size:
+            assert got.tobytes() == np.zeros(h.slice_shape, dtype=complex).tobytes()
+        elif nonzero.size == 1 and row[nonzero[0]] == 1.0:
+            assert got.tobytes() == blocks[nonzero[0]].tobytes()
+        else:
+            assert np.abs(got - np.tensordot(row, blocks, 1)).max() <= 1e-14 * max(1.0, np.abs(row).sum())
 
 
 def _derivative_calls(monkeypatch):

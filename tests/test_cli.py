@@ -1,5 +1,6 @@
 import importlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -31,3 +32,20 @@ def test_declared_entry_points_resolve():
     for target in scripts.values():
         module, attr = target.split(":")
         assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_a_failing_hypothesis_test_fails_under_the_warning_filters(tmp_path):
+    # reporting a falsifying example imports libcst where it is installed, and its
+    # import warns; under the suite's filters that must not end the run
+    filters = tomllib.loads(PYPROJECT.read_text())["tool"]["pytest"]["ini_options"]["filterwarnings"]
+    (tmp_path / "pytest.ini").write_text("[pytest]\nfilterwarnings =\n" + "".join(f"    {f}\n" for f in filters))
+    (tmp_path / "test_falsified.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_falsified(x):\n"
+        "    assert x < 0\n"
+    )
+    args = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_falsified.py"]
+    run = subprocess.run(args, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "FAILED test_falsified.py::test_falsified" in run.stdout

@@ -1089,9 +1089,11 @@ def _slice_by_slice(h: Homotopy) -> tuple:
     """The slices, time jets and spatial jets of ``h`` evaluated one time node
     at a time from its blocks, as the passes of ``cs_forms`` read them."""
     out = np.empty(h.slice_shape, dtype=complex)
-    slices = np.stack([h._slice(i, out).copy() for i in range(h.n_times)])
-    jets = np.stack([h._time_jet(i, out).copy() for i in range(h.n_times)])
-    spatial = [np.stack(d) for d in zip(*([x.copy() for x in h._spatial_jets(i, out)] for i in range(h.n_times)))]
+
+    def rows(table):
+        return np.stack([h._read(table, i, out).copy() for i in range(h.n_times)])
+
+    slices, jets, *spatial = (rows(table) for table in range(len(h._reads)))
     return slices, jets, spatial
 
 
