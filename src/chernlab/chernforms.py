@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -138,8 +138,6 @@ class _FrameCurvature:
       ``R(x* V)`` is the same reshape of ``x*.view(float) @ W``, ``V (x*
       V)`` is ``V.view(float) @ R(x* V)``, written into the even rows of the
       slot, and the odd rows are ``i G``.
-    - :meth:`curvature`: ``R(F_ab) = K - K^T`` with ``K = R(G_a)^T R(G_b)``,
-      one real product with a transposed operand, for ``a, b > 0``.
     - :meth:`trace`: ``tr F_ab = 2i Im tr(G_a* G_b)``, an elementwise
       pairing of the even rows of slot ``a`` with the odd rows of slot
       ``b``, and no product.
@@ -212,12 +210,6 @@ class _FrameCurvature:
         left = self._rows[a - 1][..., : 2 * r] if a else self._head
         return -2j * np.einsum("...ij,...ij->...", left, self._rows[b - 1][..., 2 * r :])
 
-    def curvature(self, a: int, b: int) -> np.ndarray:
-        """``R(F_ab)``, ``a, b > 0``, a new array; ``F_ab`` is its
-        ``.view(complex)[..., ::2, :]``."""
-        k = np.matmul(np.swapaxes(self._slots[a - 1], -1, -2), self._slots[b - 1])
-        return k - np.swapaxes(k, -1, -2)
-
     def volume(self) -> np.ndarray:
         """``tr(F_01 F_23) - tr(F_02 F_13) + tr(F_03 F_12)`` of four slots.
 
@@ -267,7 +259,7 @@ class _UnitaryPairs:
     call per matrix, and the real products of the float views are faster:
     on the 4 x 4 slices of the odd inversion homotopies they cut a
     ``cs_exact`` pass by about a fifth.  The unitary CS pass fills ``J``
-    with ``[df/dt; d_1 f; ..]`` at every slice (:class:`_SliceWorkspace`),
+    with ``[df/dt; d_1 f; ..]`` at every slice (:func:`_unitary_integrands`),
     and :func:`ch_odd` with ``[d_0 f; d_1 f; d_2 f]`` once.
     """
 
@@ -643,94 +635,78 @@ def _cs_degree(codomain: str, k: int) -> int:
     raise ShapeMismatch("CS forms need unitary or projection slices")
 
 
-class _SliceWorkspace:
-    """The full-grid arrays of one :func:`cs_forms` pass, allocated once and
-    refilled in place at every time slice; the integrands it returns are its
-    own buffers or new arrays, which the caller may overwrite.  Each slice
-    and its jets are rows of the weight tables of the homotopy over its one
-    block store, evaluated into buffers of the workspace
-    (:meth:`Homotopy._read`); one spatial jet is held at a time, in the one
-    buffer :attr:`jet`.
-
-    Unitary slices (only ``k > 1`` come here) go through
-    :class:`_UnitaryPairs`, direction 0 being ``t``: its jets are
-    ``[df/dt; d_1 f; ..]``, each spatial jet, grid or exact, written into
-    :attr:`jet` and copied into its row block.  The degree ``2k - 2`` of a
-    unitary CS form is at most ``dim <= 3``, so ``k = 2``, and the integrand
-    ``tr(alpha_t ^ omega ^ omega)`` is the kernel's pairs ``tr(beta_i X_j) -
-    tr(beta_j X_i)``, ``X_i = beta_i beta_t``, in the kernel's buffers: the
-    widening of ``f*`` and the two real products are all of a slice, on
-    views fixed for the whole pass.
-
-    Projection slices go through :class:`_FrameCurvature`, slot 0 being
-    ``t``: ``CS_1`` is its traces ``tr F_0i`` and the degree-3 ``CS_2`` its
-    :meth:`_FrameCurvature.volume`.  A frame slice ``V`` is its own frame, and
-    its time jet and exact spatial jets are jets of ``V``.  Its grid jets are
-    taken of ``P = V V*``, formed by the kernel from ``R(V)``
-    (:meth:`_FrameCurvature.projection`), and never of ``V``: the grid jets
-    of a frame are not those of any projection, and on the even inversion of
-    an unresolved 8^3 leaf they raise the degree-1 ``cs_exact`` residual from
-    1e-16 to 0.1-0.4.  A square slice ``P`` gets a frame at every node from
-    one batched ``eigh``, and all its jets are jets of ``P``.
-    """
-
-    def __init__(self, H: Homotopy, ks: Sequence[int]):
-        self.H = H
-        shape = H.slice_shape
-        dim = H.spatial.dim
-        self.ks = ks
-        self.unitary = H.codomain == "unitary"
-        self.value, self.time_jet = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-        # an exact jet has the shape of a slice, a grid jet that of its (n x n) projection
-        cols = shape[-1] if H.spatial_weights is not None else shape[-2]
-        self.jet = np.empty((*shape[:-1], cols), dtype=complex)
-        if self.unitary:
-            self.kernel = _UnitaryPairs(shape, dim + 1)
-        else:
-            self.frames = H._frames
-            # slot 0 is t: the (0, i) pairs are iota_t Omega, the others Omega
-            self.kernel = _FrameCurvature(dim + 1)
-
-    def _unitary(self, it: int) -> dict[int, dict[tuple[int, ...], np.ndarray]]:
-        """The ``CS_2`` integrand ``tr(beta ^ X)`` of unitary slice ``it``,
-        in the buffers of :attr:`_UnitaryPairs.pairs`."""
-        H, (dt, *spatial) = self.H, self.kernel.jets
-        v = H._read(0, it, self.value)
-        dt[...] = H._read(1, it, self.time_jet)
+def _unitary_integrands(H: Homotopy) -> Iterator[dict[int, dict[tuple[int, ...], np.ndarray]]]:
+    """The ``CS_2`` integrand of every unitary slice of a :func:`cs_forms`
+    pass, in the buffers of :attr:`_UnitaryPairs.pairs`, which the caller
+    may overwrite.  The kernel and the slice, time-jet and jet buffers are
+    allocated once, before the loop, and every slice and jet is a row of the
+    weight tables of ``H`` read into them (:meth:`Homotopy._read`).
+    Direction 0 of :class:`_UnitaryPairs` is ``t``: its jets are ``[df/dt;
+    d_1 f; ..]``, each spatial jet, grid or exact, written into the one jet
+    buffer and copied into its row block.  The degree ``2k - 2`` of a
+    unitary CS form is at most ``dim <= 3``, so ``k = 2`` (``CS_0`` is
+    :func:`_unitary_cs_zero`), and the integrand ``tr(alpha_t ^ omega ^
+    omega)`` is the kernel's pairs ``tr(beta_i X_j) - tr(beta_j X_i)``,
+    ``X_i = beta_i beta_t``: the widening of ``f*`` and the two real
+    products are all of a slice, on views fixed for the whole pass."""
+    shape = H.slice_shape
+    kernel = _UnitaryPairs(shape, H.spatial.dim + 1)
+    dt, *spatial = kernel.jets
+    value, time_jet, jet = (np.empty(shape, dtype=complex) for _ in range(3))
+    for it in range(H.n_times):
+        v = H._read(0, it, value)
+        dt[...] = H._read(1, it, time_jet)
         for i, row in enumerate(spatial):
-            row[...] = fourier.derivative(v, i, self.jet) if H.spatial_weights is None else H._read(2 + i, it, self.jet)
-        # tr(alpha_t ^ omega ^ omega) = tr(beta ^ X), X_i = beta_i beta_t: the
-        # (i, j) component is tr(beta_i X_j) - tr(beta_j X_i), the kernel's pair
-        return {2: self.kernel.pair(v)}
+            row[...] = fourier.derivative(v, i, jet) if H.spatial_weights is None else H._read(2 + i, it, jet)
+        yield {2: kernel.pair(v)}
 
-    def integrands(self, it: int) -> dict[int, dict[tuple[int, ...], np.ndarray]]:
-        """Components of the contracted CS integrand of every degree at time
-        node ``it``, with the exact spatial jets of the homotopy or grid jets
-        when it has none, before the ``t`` quadrature and the normalization."""
-        if self.unitary:
-            return self._unitary(it)
-        H = self.H
-        v, dv_dt = H._read(0, it, self.value), H._read(1, it, self.time_jet)
-        dim = H.spatial.dim
-        exact = None if H.spatial_weights is None else (H._read(2 + a, it, self.jet) for a in range(dim))
-        if self.frames:
-            self.kernel.frame(v)
+
+def _projection_integrands(H: Homotopy, ks: Sequence[int]) -> Iterator[dict[int, dict[tuple[int, ...], np.ndarray]]]:
+    """The components ``ks`` of the contracted CS integrand of every
+    projection slice of a :func:`cs_forms` pass, new arrays.  The kernel
+    and the slice, time-jet and jet buffers are allocated once, before the
+    loop, and every slice and jet is a row of the weight tables of ``H``
+    read into them (:meth:`Homotopy._read`); one spatial jet is held at a
+    time.
+
+    Slot 0 of :class:`_FrameCurvature` is ``t``: ``CS_1`` is its traces
+    ``tr F_0i`` and the degree-3 ``CS_2`` its :meth:`_FrameCurvature.volume`.
+    A frame slice ``V`` is its own frame, and its time jet and exact spatial
+    jets are jets of ``V``.  Its grid jets are taken of ``P = V V*``, formed
+    by the kernel from ``R(V)`` (:meth:`_FrameCurvature.projection`), and
+    never of ``V``: the grid jets of a frame are not those of any
+    projection, and on the even inversion of an unresolved 8^3 leaf they
+    raise the degree-1 ``cs_exact`` residual from 1e-16 to 0.1-0.4.  A
+    square slice ``P`` gets a frame at every node from one batched
+    ``eigh``, and all its jets are jets of ``P``."""
+    shape, dim = H.slice_shape, H.spatial.dim
+    value, time_jet = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    # an exact jet has the shape of a slice, a grid jet that of its (n x n) projection
+    cols = shape[-1] if H.spatial_weights is not None else shape[-2]
+    jet = np.empty((*shape[:-1], cols), dtype=complex)
+    # slot 0 is t: the (0, i) pairs are iota_t Omega, the others Omega
+    kernel = _FrameCurvature(dim + 1)
+    for it in range(H.n_times):
+        v, dv_dt = H._read(0, it, value), H._read(1, it, time_jet)
+        exact = None if H.spatial_weights is None else (H._read(2 + a, it, jet) for a in range(dim))
+        if H._frames:
+            kernel.frame(v)
             frame_jets, jets = itertools.chain((dv_dt,), exact or ()), ()
             if exact is None:
-                p = self.kernel.projection()
-                jets = (fourier.derivative(p, i, self.jet) for i in range(dim))
+                p = kernel.projection()
+                jets = (fourier.derivative(p, i, jet) for i in range(dim))
         else:
-            self.kernel.frame(_range_frame(v))
+            kernel.frame(_range_frame(v))
             frame_jets = ()
-            jets = itertools.chain((dv_dt,), exact or (fourier.derivative(v, i, self.jet) for i in range(dim)))
-        self.kernel.fill(frame_jets, jets)
-        # slot 0 is t: CS_1 is tr iota_t Omega, CS_2 (degree 3, dim = 3) tr(iota_t Omega ^ Omega)
+            jets = itertools.chain((dv_dt,), exact or (fourier.derivative(v, i, jet) for i in range(dim)))
+        kernel.fill(frame_jets, jets)
+        # CS_1 is tr iota_t Omega, CS_2 (degree 3, dim = 3) tr(iota_t Omega ^ Omega)
         out = {}
-        if 1 in self.ks:
-            out[1] = {(i,): self.kernel.trace(0, i + 1) for i in range(dim)}
-        if 2 in self.ks:
-            out[2] = {(0, 1, 2): self.kernel.volume()}
-        return out
+        if 1 in ks:
+            out[1] = {(i,): kernel.trace(0, i + 1) for i in range(dim)}
+        if 2 in ks:
+            out[2] = {(0, 1, 2): kernel.volume()}
+        yield out
 
 
 def _unitary_cs_zero(H: Homotopy) -> np.ndarray:
@@ -754,16 +730,17 @@ def _cs_forms(H: Homotopy, ks: Sequence[int]) -> dict[int, GradedForm]:
     """The components ``ks`` (increasing, within the dimension cutoff) of
     :func:`cs_forms`, and nothing else."""
     acc: dict[int, dict[tuple[int, ...], np.ndarray]] = {k: {} for k in ks}
-    if H.codomain == "unitary" and 1 in ks:
-        acc[1][()] = _unitary_cs_zero(H)
-    looped = [k for k in ks if H.codomain != "unitary" or k > 1]
-    if looped:
-        ws = _SliceWorkspace(H, looped)
-        for it, wt in enumerate(H.quadrature):
-            for k, comps in ws.integrands(it).items():
-                for idx, val in comps.items():  # in place, rounded as acc + wt * val
-                    scaled = np.multiply(wt, val, out=val)
-                    acc[k][idx] = np.add(acc[k][idx], scaled, out=acc[k][idx]) if it else scaled.copy()
+    if H.codomain == "unitary":
+        if 1 in ks:
+            acc[1][()] = _unitary_cs_zero(H)
+        integrands = _unitary_integrands(H) if 2 in ks else ()
+    else:
+        integrands = _projection_integrands(H, ks)
+    for it, (wt, terms) in enumerate(zip(H.quadrature, integrands)):
+        for k, comps in terms.items():
+            for idx, val in comps.items():  # in place, rounded as acc + wt * val
+                scaled = np.multiply(wt, val, out=val)
+                acc[k][idx] = np.add(acc[k][idx], scaled, out=acc[k][idx]) if it else scaled.copy()
     out = {}
     for k in ks:
         c = chern_scalar("odd", k) * (2 * k - 1) if H.codomain == "unitary" else chern_scalar("even", k) * k
@@ -786,10 +763,11 @@ def cs_forms(H: Homotopy, k_max: int = DEFAULT_K_MAX) -> dict[int, GradedForm]:
       1-form ``(iota_t Omega)_i = p [dp/dt, d_i p]``, the ``(t, i)`` pairs of
       the space-time curvature.
 
-    The pass evaluates each slice and its jets, rows of the weight tables
-    of ``H`` over its one block store, into a workspace, allocated once per
-    call and refilled in place at every slice (:class:`_SliceWorkspace`); no
-    stack of slices is formed.  Each
+    The pass is one loop over the time slices, one per parity
+    (:func:`_unitary_integrands`, :func:`_projection_integrands`).  It
+    evaluates each slice and its jets, rows of the weight tables of ``H``
+    over its one block store, into buffers allocated once per call and
+    refilled in place at every slice; no stack of slices is formed.  Each
     slice's spatial jets, ``alpha_t`` or ``iota_t Omega`` and curvature
     pairs are built once and shared by every degree.  Projection slices
     (square, or frames ``V`` of ``V V*``, see :class:`Homotopy`) take every

@@ -32,7 +32,7 @@ from .geomgrid import (
     integrate,
     make_domain,
 )
-from .numkernel import _det_phase, det_phase, principal_angle
+from .numkernel import det_phase, principal_angle
 from .periodicity import det_winding
 from .stiefel import PolarizedWindow
 
@@ -137,8 +137,7 @@ def _class_data(g: SampledMap) -> KhatClassData:
     }
     if g.codomain == "unitary":
         parity = "odd"
-        # the unitary tag checked node 0; det_phase would check it again by a stricter Frobenius rule
-        invariants = {"winding": under, "det_phase_mod1": float((_det_phase(g.values[0]) / (2.0 * np.pi)) % 1.0)}
+        invariants = {"winding": under, "det_phase_mod1": point_class_odd(g.values[0])}
         total = integrate(forms[0])
         checks["square_commutes_residual"] = abs(total.real + under) + abs(total.imag)
     else:

@@ -153,12 +153,7 @@ def det_phase(u) -> float:
     raw determinant, so large windows neither overflow nor lose phase
     information through cancellation.
     """
-    return _det_phase(require_unitary(u))
-
-
-def _det_phase(u: np.ndarray) -> float:
-    """:func:`det_phase` of a matrix whose unitarity was checked elsewhere."""
-    return principal_angle(float(np.sum(np.angle(np.linalg.eigvals(u)))))
+    return principal_angle(float(np.sum(np.angle(np.linalg.eigvals(require_unitary(u))))))
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:

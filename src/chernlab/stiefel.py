@@ -15,7 +15,6 @@ index): the virtual dimension is counted against the whole positive window.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .errors import (
     ShapeMismatch,
     WindowTooSmall,
 )
-from .chernforms import _FrameCurvature, chern_scalar
+from .chernforms import _adjoint, chern_scalar
 from .geomgrid import GradedForm, SampledMap, differentiate
 from .numkernel import RANK_THRESHOLD_REL, frobenius, numerical_rank
 
@@ -75,18 +74,6 @@ class PolarizedWindow:
 # transgression
 
 
-def _curvature(v: np.ndarray, jets: tuple[np.ndarray, ...]) -> dict[tuple[int, int], np.ndarray]:
-    """``F_ij = V* [d_i P, d_j P] V`` of the frames ``v`` and their ``jets``,
-    ``i < j``, read back from the real forms ``R(F_ij)`` of
-    :class:`_FrameCurvature`.  Its slot 0 is only paired from the left, so
-    the jets fill slots ``1..`` and slot 0 takes the first once more."""
-    kernel = _FrameCurvature(len(jets) + 1)
-    kernel.frame(v)
-    kernel.fill(jets[:1] + jets, ())
-    pairs = itertools.combinations(range(len(jets)), 2)
-    return {(i, j): kernel.curvature(i + 1, j + 1).view(complex)[..., ::2, :] for i, j in pairs}
-
-
 def transgression_eta(frames: SampledMap, k: int) -> GradedForm:
     """Transgression form of degree ``2k - 1`` of orthonormal frames ``V``
     (a ``"frame"``-tagged map) of the projections ``P = V V*``.
@@ -99,13 +86,14 @@ def transgression_eta(frames: SampledMap, k: int) -> GradedForm:
     ``phi_t``, so the integral is ``k tr(Theta ^ phi^(k-1))`` with the exact
     mean ``phi = F / 2 - [Theta, Theta] / 6``; ``d eta_1`` is ``ch_1`` of
     ``P``.  ``phi`` mixes ``F`` with ``[Theta, Theta]``, so its traces are not
-    those of ``F`` alone: this is the one reader of the kernel
-    :class:`_FrameCurvature` that needs ``F`` as a matrix, and it reads
-    ``F_ij`` back from the real form ``R(F_ij)`` that the kernel takes by one
-    real product (:func:`_curvature`).  ``Theta`` is a form of the frame, not
-    of ``P`` (``V -> V g`` adds ``g* dg``), so every jet here, ``F``'s too, is
-    a jet of ``V``: its exact partials or its grid jets.  A CS form of
-    :mod:`chernforms` depends on ``P`` alone and reads the grid jets of ``P``.
+    those of ``F`` alone, and ``F`` is formed as a matrix: from the slot jets
+    ``G_i = x_i + V (x_i* V) = (d_i P) V`` of the jets ``x_i`` of ``V``, with
+    ``x_i* V = Theta_i*``, as ``F_ij = G_i* G_j - G_j* G_i``, by complex
+    ``r x r`` products beside ``Theta``.  ``Theta`` is a form of the frame,
+    not of ``P`` (``V -> V g`` adds ``g* dg``), so every jet here, ``F``'s
+    too, is a jet of ``V``: its exact partials or its grid jets.  A CS form
+    of :mod:`chernforms` depends on ``P`` alone and reads the grid jets of
+    ``P``.
     """
     if frames.codomain != "frame":
         raise ShapeMismatch("transgression needs a frame-tagged family")
@@ -114,14 +102,17 @@ def transgression_eta(frames: SampledMap, k: int) -> GradedForm:
     if deg > dim:
         raise DegreeOverflow(f"degree {deg} exceeds domain dimension {dim}")
     v, jets = frames.values, differentiate(frames)
-    v_adj = np.swapaxes(v, -1, -2).conj()
+    v_adj = _adjoint(v)
     theta = [v_adj @ x for x in jets]
-    curvature = _curvature(v, jets) if k > 1 else {}
-    phi = {(i, j): 0.5 * f - (theta[i] @ theta[j] - theta[j] @ theta[i]) / 6.0 for (i, j), f in curvature.items()}
     c = chern_scalar("even", k) * k
     if k == 1:
         comps = {(i,): np.trace(a, axis1=-2, axis2=-1) for i, a in enumerate(theta)}
     else:  # degree 3 = dim: tr(Theta_0 phi_12) - tr(Theta_1 phi_02) + tr(Theta_2 phi_01)
+        g = [x + v @ _adjoint(a) for x, a in zip(jets, theta)]
+        phi = {}
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            m = _adjoint(g[i]) @ g[j]  # F_ij = m - m*
+            phi[i, j] = 0.5 * (m - _adjoint(m)) - (theta[i] @ theta[j] - theta[j] @ theta[i]) / 6.0
         terms = [np.einsum("...ij,...ji->...", theta[i], phi[jk]) for i, jk in ((0, (1, 2)), (1, (0, 2)), (2, (0, 1)))]
         comps = {(0, 1, 2): terms[0] - terms[1] + terms[2]}
     return GradedForm(frames.domain, deg, {idx: c * a for idx, a in comps.items()})

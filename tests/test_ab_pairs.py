@@ -49,7 +49,7 @@ def test_workloads_run_in_turn_with_one_summary_block_each(tmp_path, monkeypatch
     for side in ("p", "c"):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text("")
-    metrics = [{"name": "op_p50_s", "better": "lower"}]
+    metrics = [{"name": "op_p50_s", "better": "lower", "bound": 0.25}]
     (tmp_path / "p" / "BENCHMARK.json").write_text(ab_pairs.json.dumps({"end_to_end": metrics}))
     runs = []
 
@@ -67,3 +67,28 @@ def test_workloads_run_in_turn_with_one_summary_block_each(tmp_path, monkeypatch
     blocks = [line for line in out if "pairs of" in line]
     assert [b.split()[0] for b in blocks] == ["a", "b"]
     assert sum(line.strip().startswith("op_p50_s") and line.endswith("gain holds") for line in out) == 2
+    assert sum(line.strip().startswith("op_p50_s") and line.endswith("within bound") for line in out) == 2
+
+
+def test_the_bound_verdict_reads_the_median_change_against_the_benchmark_bound():
+    bounded = {**LOWER, "bound": 0.25}
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.01, 0.99]
+    slower = [1.10 * p for p in parent]
+    line = ab_pairs.bound_summary(bounded, parent, slower)
+    assert "median change +10.00% against bound 25%" in line and line.endswith(": within bound")
+    # 30% slower is past the bound, though the parent's spread is far narrower
+    assert ab_pairs.bound_summary(bounded, parent, [1.30 * p for p in parent]).endswith(": beyond bound")
+    # a gain is within bound, and a higher-is-better metric is beyond it when it falls by more than its bound
+    assert ab_pairs.bound_summary(bounded, parent, [0.5 * p for p in parent]).endswith(": within bound")
+    higher = {"name": "accuracy_digits", "better": "higher", "bound": 0.1}
+    assert ab_pairs.bound_summary(higher, [2.0, 2.0, 2.0], [1.95, 1.95, 1.95]).endswith(": within bound")
+    assert ab_pairs.bound_summary(higher, [2.0, 2.0, 2.0], [1.7, 1.7, 1.7]).endswith(": beyond bound")
+
+
+def test_the_bound_verdict_is_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    bounded = {**LOWER, "bound": 0.25}
+    wide = [0.6, 0.8, 1.0, 1.2, 1.4]  # interquartile range 0.4 of a median of 1.0
+    line = ab_pairs.bound_summary(bounded, wide, [1.05 * p for p in wide])
+    assert "(parent IQR 40.00% of its median)" in line and line.endswith(": unresolved")
+    # unless every run of the change reads better than every run of the parent
+    assert ab_pairs.bound_summary(bounded, wide, [0.5, 0.5, 0.5, 0.5, 0.5]).endswith(": within bound")

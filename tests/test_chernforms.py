@@ -34,7 +34,7 @@ from chernlab.geomgrid import (
 )
 from chernlab.kops import blocksum, conjugation_homotopy, inversion_homotopy_even, inversion_homotopy_odd, lobatto_rule
 from chernlab.numkernel import _real_form
-from chernlab.stiefel import PolarizedWindow, _curvature
+from chernlab.stiefel import PolarizedWindow, transgression_eta
 from homotopy_stacks import stacked_homotopy
 from wedge_reference import trace_wedge
 
@@ -251,9 +251,8 @@ def test_ch_even_refuses_a_rank_that_changes_over_the_nodes():
 
 def test_curvature_pairs_are_exactly_anti_hermitian():
     # a square projection through its eigh frame, and a frame slice with two
-    # frame jets and two jets of its projection: every R(F) = K - K^T is
-    # exactly antisymmetric, every tr F exactly imaginary, and the degree-3
-    # pairing is real
+    # frame jets and two jets of its projection: every tr F is exactly
+    # imaginary, and the degree-3 pairing is real
     p = random_projection_map(np.random.default_rng(7), make_domain("torus2", (16, 16)), PolarizedWindow(2, 2))
     h = _inversion_homotopies()["even"]
     sl = h.slice_map(2)
@@ -263,14 +262,8 @@ def test_curvature_pairs_are_exactly_anti_hermitian():
     frames.frame(h.slices[2])
     frames.fill((h.time_partials[2], h.spatial_partials[0][2]), iter(sl.partials[1:]))
     for kernel in (square, frames):
-        r = kernel.frame_shape[-1]
         for a, b in itertools.combinations(range(kernel.n_slots), 2):
             assert np.array_equal(kernel.trace(a, b).real, np.zeros(kernel.frame_shape[:-2]))
-            if a:  # slot 0 holds G_0 alone
-                real = kernel.curvature(a, b)
-                assert real.shape[-2:] == (2 * r, 2 * r) and real.dtype == np.float64
-                assert np.abs(real).max() > 0.1
-                assert np.array_equal(real, -np.swapaxes(real, -1, -2))
     assert frames.volume().dtype == np.float64
 
 
@@ -290,10 +283,12 @@ def _gaussian(rng, shape):
 def test_curvature_traces_are_those_of_the_explicit_commutators(n, r, n_frame, n_projection, stack, seed):
     # an oracle that shares no product with the kernel: with P = V V* and the
     # n x n jets D (Hermitian, or x V* + V x* for a frame jet x), tr F_ab is
-    # tr(P [D_a, D_b]), F_ab read back from R(F_ab), a > 0 (and the F of
-    # transgression_eta), is V* [D_a, D_b] V, and the degree-3 pairing of the
-    # first four slots is tr(P [D_0, D_1] P [D_2, D_3]) - tr(P [D_0, D_2] P
-    # [D_1, D_3]) + tr(P [D_0, D_3] P [D_1, D_2]); relative to the jet norms
+    # tr(P [D_a, D_b]), and the degree-3 pairing of the first four slots is
+    # tr(P [D_0, D_1] P [D_2, D_3]) - tr(P [D_0, D_2] P [D_1, D_3]) + tr(P
+    # [D_0, D_3] P [D_1, D_2]); with three frame jets, transgression_eta(., 2)
+    # of a torus3 frame map with arbitrary, non-tangent partials x is 2c
+    # tr(Theta ^ phi), phi = F / 2 - [Theta, Theta] / 6 with F = V* [D_a,
+    # D_b] V; relative to the jet norms
     r = min(r, n)
     rng = np.random.default_rng(seed)
     v = np.ascontiguousarray(np.linalg.qr(_gaussian(rng, (*stack, n, n)))[0][..., :r])
@@ -318,16 +313,26 @@ def test_curvature_traces_are_those_of_the_explicit_commutators(n, r, n_frame, n
     for (a, b), c in commutator.items():
         expected = np.trace(p @ c, axis1=-2, axis2=-1)
         assert np.all(np.abs(kernel.trace(a, b) - expected) <= scale(a, b))
-        if a:
-            f = kernel.curvature(a, b).view(complex)[..., ::2, :]
-            assert np.all(np.linalg.norm(f - _adj(v) @ c @ v, axis=(-2, -1)) <= scale(a, b))
     if len(d) >= 4:
         expected = pairing((0, 1), (2, 3)) - pairing((0, 2), (1, 3)) + pairing((0, 3), (1, 2))
         assert np.all(np.abs(kernel.volume() - expected) <= scale(0, 1, 2, 3))
-    if n_frame >= 2:
-        for (a, b), f in _curvature(v, tuple(frame_jets)).items():
-            expected = _adj(v) @ commutator[a, b] @ v
-            assert np.all(np.linalg.norm(f - expected, axis=(-2, -1)) <= scale(a, b))
+    if n_frame == 3:
+        dom = make_domain("torus3", (8, 8, 8))
+        w = np.ascontiguousarray(np.linalg.qr(_gaussian(rng, (*dom.node_shape, n, n)))[0][..., :r])
+        xs = tuple(_gaussian(rng, (*dom.node_shape, n, r)) for _ in range(3))
+        eta = transgression_eta(SampledMap(dom, w, codomain="frame", partials=xs), 2)
+        jets = [x @ _adj(w) + w @ _adj(x) for x in xs]
+        theta = [_adj(w) @ x for x in xs]
+        phi = {
+            (a, b): 0.5 * _adj(w) @ (jets[a] @ jets[b] - jets[b] @ jets[a]) @ w
+            - (theta[a] @ theta[b] - theta[b] @ theta[a]) / 6.0
+            for a, b in itertools.combinations(range(3), 2)
+        }
+        terms = [np.trace(theta[a] @ phi[bc], axis1=-2, axis2=-1) for a, bc in ((0, (1, 2)), (1, (0, 2)), (2, (0, 1)))]
+        expected = 2.0 * chern_scalar("even", 2) * (terms[0] - terms[1] + terms[2])
+        bound = 1e-12 * np.prod([np.linalg.norm(x, axis=(-2, -1)) for x in xs], axis=0)
+        assert eta.comps.keys() == {(0, 1, 2)}
+        assert np.all(np.abs(eta.comps[0, 1, 2] - expected) <= bound)
 
 
 def test_ch_one_of_a_projection_is_exactly_real():
@@ -995,22 +1000,60 @@ def test_unitary_slices_take_two_stacked_products(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "odd_on_a_two_cycle"])
-def test_the_beta_t_view_is_the_real_form_of_beta_t(name):
+def test_the_beta_t_view_is_the_real_form_of_beta_t(name, monkeypatch):
     # the first product writes R(beta) row pair by row pair, so the second
     # reads R(beta_t) in place, with the bytes of the two-write real form
     hs = _inversion_homotopies()
     h = hs["odd_grid_jets"].restrict((0, 2)) if name == "odd_on_a_two_cycle" else hs[name]
     n = h.slice_shape[-1]
-    ws = chernforms._SliceWorkspace(h, [2])
-    (_, _, rows), (_, real_beta_t, _) = ws.kernel.products  # the buffers of the unitary kernel
+    kernels, reads = [], []
+
+    class Recording(chernforms._UnitaryPairs):
+        """The unitary kernel of the pass, with the beta_t of every slice it pairs."""
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            kernels.append(self)
+
+        def pair(self, f):
+            out = super().pair(f)
+            (_, _, rows), (_, real_beta_t, _) = self.products
+            beta_t = rows[..., :n, : 2 * n].view(complex)
+            reads.append((real_beta_t.tobytes() == _real_form(beta_t).tobytes(), beta_t.copy()))
+            return out
+
+    monkeypatch.setattr(chernforms, "_UnitaryPairs", Recording)
+    cs_forms(h, 2)
+    assert len(kernels) == 1 and len(reads) == h.n_times
+    (_, _, rows), (_, real_beta_t, _) = kernels[0].products  # the buffers of the unitary kernel
     assert np.shares_memory(real_beta_t, rows)
     slices, dt = h.slices, h.time_derivative()
-    for it in range(h.n_times):
-        ws.integrands(it)
-        beta_t = rows[..., :n, : 2 * n].view(complex)
-        assert real_beta_t.tobytes() == _real_form(beta_t).tobytes()
+    for it, (same_bytes, beta_t) in enumerate(reads):
+        assert same_bytes
         # and beta_t is the right logarithmic derivative df/dt f* of the slice
         assert np.abs(beta_t - dt[it] @ _adj(slices[it])).max() <= 1e-14 * max(1.0, np.abs(dt[it]).max())
+
+
+@pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "even", "even_grid_jets"])
+def test_a_cs_pass_builds_one_kernel_and_allocates_its_buffers_once(name, monkeypatch):
+    # the slice loop of each parity builds its kernel before the loop, and a
+    # frame kernel allocates at its first frame only, however many slices
+    h = _inversion_homotopies()[name]
+    calls = []
+    unitary, frame = chernforms._UnitaryPairs, chernforms._FrameCurvature
+    for cls, method in ((unitary, "__init__"), (frame, "__init__"), (frame, "_allocate")):
+
+        def recording(self, *args, _cls=cls, _method=method, _call=getattr(cls, method)):
+            calls.append((_cls.__name__, _method))
+            return _call(self, *args)
+
+        monkeypatch.setattr(cls, method, recording)
+    cs_forms(h, 2)
+    assert h.n_times == 5
+    if name.startswith("odd"):
+        assert calls == [("_UnitaryPairs", "__init__")]
+    else:
+        assert h._frames and calls == [("_FrameCurvature", "__init__"), ("_FrameCurvature", "_allocate")]
 
 
 @pytest.mark.parametrize("name", ["odd_exact_jets", "odd_grid_jets", "phase_twisted"])

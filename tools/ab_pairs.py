@@ -11,8 +11,14 @@ number of pairs the change won (ties count for neither), and whether the
 medians differ by more than the parent's interquartile range.  A gain may be
 claimed when the change wins at least nine tenths of the pairs and the gap
 in its favour beats that range; a metric is ``worse`` when the change's
-median trails the parent's by more than that range.  So one command shows
-the claimed row and every row that must not get worse.
+median trails the parent's by more than that range.  A second line per
+metric gives the relative change of the median beside the metric's
+``bound``, the share of the parent's median by which an end-to-end metric
+may get worse: ``within bound``, ``beyond bound``, or ``unresolved`` when
+the parent's own interquartile range is a larger share of its median than
+the bound (unless every run of the change reads better than every run of
+the parent).  So one command shows the claimed row and every row that must
+not get worse.
 
 ``peak_rss_mb`` depends on the length of the checkout's path, so the tool
 warns when the two paths differ in length.  It writes nothing itself; each
@@ -69,6 +75,29 @@ def summary(metric: dict, parent: list[float], change: list[float]) -> str:
     )
 
 
+def bound_summary(metric: dict, parent: list[float], change: list[float]) -> str:
+    """One line for ``metric``: the change of the median relative to the
+    parent's, beside the metric's ``bound``, and the verdict: ``within
+    bound``, ``beyond bound`` when the median is worse by more than that
+    share of the parent's, or ``unresolved`` when the parent's interquartile
+    range is a larger share of its median than the bound and not every run
+    of the change reads better than every run of the parent."""
+    sign = -1.0 if metric["better"] == "lower" else 1.0
+    (p1, pm, p3), cm = quartiles(parent), statistics.median(change)
+    change_rel, spread_rel = (cm - pm) / abs(pm), (p3 - p1) / abs(pm)
+    every_run_better = all(sign * (c - p) > 0 for c in change for p in parent)
+    if spread_rel > metric["bound"] and not every_run_better:
+        verdict = "unresolved"
+    elif -sign * change_rel > metric["bound"]:
+        verdict = "beyond bound"
+    else:
+        verdict = "within bound"
+    return (
+        f"{metric['name']:>16}  median change {change_rel:+.2%} against bound {metric['bound']:.0%} "
+        f"(parent IQR {spread_rel:.2%} of its median): {verdict}"
+    )
+
+
 def run_pairs(workload: str, sides: dict, metrics: list, args) -> None:
     """The alternating pairs of ``workload`` and its summary block."""
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
@@ -85,7 +114,8 @@ def run_pairs(workload: str, sides: dict, metrics: list, args) -> None:
     print(f"{workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs; "
           f"failed ops: parent {failed['parent']}, change {failed['change']}")
     for m in metrics:
-        print(summary(m, values["parent"][m["name"]], values["change"][m["name"]]), flush=True)
+        for line in (summary, bound_summary):
+            print(line(m, values["parent"][m["name"]], values["change"][m["name"]]), flush=True)
 
 
 def main(argv=None) -> int:
